@@ -9,9 +9,15 @@ simultaneous direct-sum decompositions of the polynomial set.
 ``center_basis`` assembles one linear equation per (polynomial, strictly
 upper entry, monomial) triple: H*X - X^T*H is antisymmetric, so the strictly
 upper entries carry the whole condition.  Rows are gcd-normalized, sign
-canonicalized, deduplicated, and sorted; the kernel of the resulting system
-is returned in canonical (free-variable) form, so the basis is reproducible
-across runs.
+canonicalized, deduplicated, and sorted.  ``nullspace_basis`` solves the
+system modulo a 61-bit prime, lifts the kernel by rational reconstruction
+(with CRT over more primes when needed) and checks every lifted vector
+exactly against every row.  Since the identity always lies in the center,
+the elimination stops as soon as the mod-p rank reaches n^2 - 1 and the
+identity passes the check; a scalar center then costs a fraction of the
+rows.  The mod-p rank is at most the rational rank, so the certified vectors
+are the whole kernel, and they are returned in the canonical free-variable
+form that exact elimination gives, so the basis is reproducible across runs.
 """
 
 from __future__ import annotations
@@ -71,39 +77,27 @@ def _equation_rows(polys: Sequence[Polynomial], n: int) -> list[tuple]:
     unknowns, so only strictly upper entries (r, c) contribute; each monomial
     appearing in such an entry yields one equation.
     """
-    rows: list[tuple] = []
     seen: set[tuple] = set()
-    zero = Polynomial.zero(n)
     for p in polys:
         h = hessian(p)
         for r in range(n):
             for c in range(r + 1, n):
-                # coefficient polynomial in front of each unknown X[l][k]
-                linear: dict[int, Polynomial] = {}
+                # Entry (r, c) is sum_l H[r][l] X[l][c] - H[l][c] X[l][r]; the
+                # unknowns l*n + c and l*n + r never coincide since r != c.
+                by_monomial: dict[tuple, dict[int, object]] = {}
                 for l in range(n):
-                    hr = h.entry(r, l)
-                    if not hr.is_zero():
-                        u = l * n + c
-                        linear[u] = linear.get(u, zero) + hr
-                    hc = h.entry(l, c)
-                    if not hc.is_zero():
-                        u = l * n + r
-                        linear[u] = linear.get(u, zero) - hc
-                if not linear:
-                    continue
-                monomials = set()
-                for coeff_poly in linear.values():
-                    monomials.update(coeff_poly._terms)
-                for mono in sorted(monomials):
+                    for mono, coeff in h.entry(r, l)._terms.items():
+                        by_monomial.setdefault(mono, {})[l * n + c] = coeff
+                    for mono, coeff in h.entry(l, c)._terms.items():
+                        by_monomial.setdefault(mono, {})[l * n + r] = -coeff
+                for entries in by_monomial.values():
                     row = [0] * (n * n)
-                    for u, coeff_poly in linear.items():
-                        row[u] = coeff_poly.coefficient(mono)
+                    for u, coeff in entries.items():
+                        row[u] = coeff
                     canon = signed_primitive_row(row)
-                    if any(canon) and canon not in seen:
+                    if any(canon):
                         seen.add(canon)
-                        rows.append(canon)
-    rows.sort()
-    return rows
+    return sorted(seen)
 
 
 def center_basis(polys: Sequence[Polynomial]) -> CenterBasis:

@@ -130,35 +130,27 @@ def _node_from_json(data: dict, root_vars, is_root: bool = False) -> Decompositi
 
 
 def result_to_document(
-    problem: ProblemFile,
-    center: CenterBasis,
-    result: DecompositionResult | None,
-    seed: int | None,
+    problem: ProblemFile, result: DecompositionResult, seed: int | None
 ) -> dict:
-    doc = {
+    """JSON document of a result; the root center is the one it carries."""
+    center = result.center
+    if center is None:
+        raise ValueError("result does not carry its root center")
+    return {
         "version": SCHEMA_VERSION,
         "vars": list(problem.vars),
         "inputs": list(problem.sources),
         "seed": seed,
         "center_dim": center.dim,
         "center_basis": [matrix_to_json(b) for b in center.basis],
-        "idempotents": None,
-        "P": None,
-        "P_inverse": None,
-        "diagonalizable": None,
-        "tree": None,
+        "idempotents": None
+        if result.tree.idempotents is None
+        else [matrix_to_json(e) for e in result.tree.idempotents],
+        "P": matrix_to_json(result.P),
+        "P_inverse": matrix_to_json(invert(result.P)),
+        "diagonalizable": result.diagonalizable,
+        "tree": _node_to_json(result.tree, problem.vars, is_root=True),
     }
-    if result is not None:
-        doc["idempotents"] = (
-            None
-            if result.tree.idempotents is None
-            else [matrix_to_json(e) for e in result.tree.idempotents]
-        )
-        doc["P"] = matrix_to_json(result.P)
-        doc["P_inverse"] = matrix_to_json(invert(result.P))
-        doc["diagonalizable"] = result.diagonalizable
-        doc["tree"] = _node_to_json(result.tree, problem.vars, is_root=True)
-    return doc
 
 
 def result_from_document(doc: dict) -> tuple[ProblemFile, DecompositionResult]:
@@ -166,10 +158,15 @@ def result_from_document(doc: dict) -> tuple[ProblemFile, DecompositionResult]:
     if doc.get("tree") is None or doc.get("P") is None:
         raise ValueError("document does not contain a decomposition result")
     tree = _node_from_json(doc["tree"], problem.vars, is_root=True)
+    center = CenterBasis(
+        len(problem.vars),
+        tuple(matrix_from_json(b) for b in doc["center_basis"]),
+    )
     return problem, DecompositionResult(
         P=matrix_from_json(doc["P"]),
         tree=tree,
         diagonalizable=bool(doc["diagonalizable"]),
+        center=center,
     )
 
 
@@ -249,7 +246,6 @@ def _decomposition_text(problem: ProblemFile, result: DecompositionResult) -> st
 def cmd_decompose(args) -> int:
     problem = read_problem(args.input)
     polys = problem.parse()
-    center = center_basis(polys)
     result = decompose_recursive(polys, seed=args.seed, max_tries=args.max_tries)
     report = verify_decomposition(polys, result)
     if not report.ok:
@@ -257,7 +253,7 @@ def cmd_decompose(args) -> int:
             f"self-verification failed: {report.reason}"
         )
     if args.json:
-        doc = result_to_document(problem, center, result, args.seed)
+        doc = result_to_document(problem, result, args.seed)
         _emit(json.dumps(doc, indent=2), args.output)
     else:
         _emit(_decomposition_text(problem, result), args.output)

@@ -6,7 +6,8 @@ bases of the idempotents' column spaces, substitute, route every monomial to
 the unique variable block it touches, and recurse into each block with fresh
 variables.  Recursion recomputes centers on sub-blocks rather than
 restricting the parent center, which also recovers splits an unlucky random
-draw missed at the parent level.
+draw missed at the parent level.  Each node's center is computed once; the
+root center is carried on the result for callers that report it.
 
 Constant terms are invisible to Hessians, so they are assigned to the first
 (lowest-index) block by convention; linear terms follow their variable's
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .center import center_basis
+from .center import CenterBasis, center_basis
 from .errors import (
     DimensionMismatch,
     EmptyInput,
@@ -64,11 +65,16 @@ class DecompositionNode:
 
 @dataclass(frozen=True)
 class DecompositionResult:
-    """Overall change of variables, the block tree, and the t = n flag."""
+    """Overall change of variables, the block tree, and the t = n flag.
+
+    ``center`` is the root center the pipeline started from (None for a
+    result assembled by hand); verification never reads it.
+    """
 
     P: RatMatrix
     tree: DecompositionNode
     diagonalizable: bool
+    center: CenterBasis | None = None
 
     def leaf_block_sizes(self) -> tuple[int, ...]:
         return tuple(sorted(len(l.variable_indices) for l in self.tree.leaves()))
@@ -248,12 +254,11 @@ def decompose_recursive(
     node_counter = [0]
 
     def rec(
-        fs: tuple[Polynomial, ...], indices: tuple[int, ...]
+        fs: tuple[Polynomial, ...], indices: tuple[int, ...], z: CenterBasis
     ) -> tuple[DecompositionNode, RatMatrix]:
         k = fs[0].n
         node_seed = seed * 1_000_003 + node_counter[0]
         node_counter[0] += 1
-        z = center_basis(fs)
         if k == 1:
             return (
                 DecompositionNode(indices, fs, (), z.dim),
@@ -270,15 +275,15 @@ def decompose_recursive(
                 "idempotent set failed verification against its polynomials"
             )
         p_node = change_of_variables(idem)
-        sizes = [len(column_space_basis(e)) for e in idem.eps]
-        ranges = block_ranges(sizes)
+        # an idempotent's rank, its block size, equals its trace
+        ranges = block_ranges([e.trace() for e in idem.eps])
         parts = separate(fs, p_node, ranges)
         children = []
         child_transforms = []
         for b, (start, stop) in enumerate(ranges):
             child_fs = tuple(parts[i][b] for i in range(len(fs)))
             child_indices = indices[start:stop]
-            child, child_p = rec(child_fs, child_indices)
+            child, child_p = rec(child_fs, child_indices, center_basis(child_fs))
             children.append(child)
             child_transforms.append(child_p)
         total = p_node * block_diagonal(child_transforms)
@@ -287,9 +292,12 @@ def decompose_recursive(
         )
         return node, total
 
-    root, p_total = rec(polys, tuple(range(n)))
+    root_center = center_basis(polys)
+    root, p_total = rec(polys, tuple(range(n)), root_center)
     diagonalizable = all(len(l.variable_indices) == 1 for l in root.leaves())
-    return DecompositionResult(P=p_total, tree=root, diagonalizable=diagonalizable)
+    return DecompositionResult(
+        P=p_total, tree=root, diagonalizable=diagonalizable, center=root_center
+    )
 
 
 def _verify_node(

@@ -27,7 +27,6 @@ from .poly import Polynomial, hessian
 from .ratlinalg import (
     RatMatrix,
     UniPoly,
-    column_space_basis,
     extended_gcd,
     in_span,
     minimal_polynomial,
@@ -202,5 +201,8 @@ def verify_complete(idem: IdempotentSet, polys: Sequence[Polynomial]) -> bool:
 
 
 def rank_profile(idem: IdempotentSet) -> tuple[int, ...]:
-    """Multiset of idempotent ranks (ascending); ranks are the block sizes."""
-    return tuple(sorted(len(column_space_basis(e)) for e in idem.eps))
+    """Multiset of idempotent ranks (ascending); ranks are the block sizes.
+
+    The rank of an idempotent equals its trace.
+    """
+    return tuple(sorted(e.trace() for e in idem.eps))

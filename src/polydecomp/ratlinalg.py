@@ -3,7 +3,16 @@
 Dense matrices with exact rational entries, sized for ambient dimensions in
 the single digits.  Forward elimination runs fraction-free on gcd-normalized
 integer rows; the reduced echelon form is produced by an exact backward pass,
-so every result (ranks, nullspaces, inverses) is bit-reproducible.
+so every result (ranks, inverses, spans) is bit-reproducible.
+
+Kernels take a modular route instead.  ``nullspace_basis`` eliminates the
+primitive integer rows modulo a 61-bit prime by sparse incremental insertion
+into a reduced echelon basis, lifts the mod-p kernel to the rationals by
+rational reconstruction (combining more primes by CRT when the entries need
+them), and accepts the lift only after an exact integer check against every
+row.  The mod-p rank never exceeds the rational rank, so the certified
+vectors span the whole kernel, and they come out in the canonical
+free-variable form that exact elimination gives, whichever primes were used.
 
 The module also provides the univariate polynomial machinery (gcd, Bezout
 cofactors, squarefree part, coprime splitting, minimal polynomials) that the
@@ -13,8 +22,8 @@ idempotent search uses to cut a matrix algebra into spectral pieces.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, Sequence
+from math import gcd, isqrt, lcm
+from typing import Iterable, Iterator, Sequence
 
 from ._rat import Rat, divide, normalize, rat_str, to_rat
 from .errors import DimensionMismatch, SingularMatrix
@@ -34,7 +43,7 @@ class RatMatrix:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
         self.rows = rows
         self.cols = cols
-        self._e = tuple(to_rat(x) for x in entries)
+        self._e = tuple(map(to_rat, entries))
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
@@ -134,6 +143,11 @@ class RatMatrix:
 
     __hash__ = None
 
+    def trace(self) -> Rat:
+        if self.rows != self.cols:
+            raise DimensionMismatch("trace needs a square matrix")
+        return normalize(sum(self._e[:: self.cols + 1]))
+
     def is_zero(self) -> bool:
         return all(x == 0 for x in self._e)
 
@@ -163,11 +177,13 @@ def unvec(v: Sequence, rows: int, cols: int) -> RatMatrix:
 
 def _primitive_int_row(row: Sequence) -> list:
     """Scale a rational row to a primitive integer row (zero stays zero)."""
-    denom = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            denom = lcm(denom, x.denominator)
-    ints = [int(x * denom) for x in row]
+    # type() rather than isinstance(): the ABC check would dominate the cost
+    denominators = [x.denominator for x in row if type(x) is Fraction]
+    if denominators:
+        denom = lcm(*denominators)
+        ints = [int(x * denom) for x in row]
+    else:
+        ints = list(row)
     g = 0
     for v in ints:
         g = gcd(g, v)
@@ -251,24 +267,167 @@ def rank(m: RatMatrix) -> int:
 
 
 def nullspace_basis(m: RatMatrix) -> list[Vector]:
-    """Canonical basis of the right kernel.
+    """Canonical basis of the right kernel, certified exactly.
 
-    One vector per free column, ordered by free-column index; the free
-    coordinate is set to 1 and pivot coordinates are read off the reduced
-    echelon form.
+    One vector per free column of the reduced echelon form, ordered by
+    free-column index; the free coordinate is 1, the other free coordinates
+    are 0 and the pivot coordinates are read off the echelon form.
+
+    The rows are eliminated modulo a 61-bit prime, the kernel is lifted to
+    the rationals by rational reconstruction (further primes are combined by
+    CRT while the entries are too large for the modulus), and a lift is
+    accepted only after an exact integer check against every row.  The mod-p
+    rank is at most the rational rank, so independent vectors that pass the
+    check, one per mod-p free column, span the whole kernel.  They are the
+    identity on their free columns and zero after them: the reduced echelon
+    form of the kernel over reversed coordinates.  That form is unique, so
+    the basis is the canonical one whichever primes were used.
     """
-    reduced, pivots = rref(m)
-    pivot_set = set(pivots)
+    width = m.cols
+    rows = []
+    for r in range(m.rows):
+        row = [(c, v) for c, v in enumerate(_primitive_int_row(m.row(r))) if v]
+        if row:
+            rows.append(row)
+    primes = _kernel_primes()
+    while True:
+        p = next(primes)
+        pivots: dict = {}
+        used = []
+        for i, row in enumerate(rows):
+            if _insert_mod(pivots, row, p):
+                used.append(i)
+                # At most one kernel vector is left (the center always keeps
+                # the identity): if this prime alone certifies it, the
+                # remaining rows need no elimination.
+                if len(pivots) == width - 1 and i + 1 < len(rows):
+                    basis = _reconstruct(_kernel_mod(pivots, width, p), p)
+                    if basis is not None and _annihilates(rows, basis):
+                        return basis
+        basis = _lift(rows, width, pivots, used, p, primes)
+        if basis is not None:
+            return basis
+
+
+def _kernel_primes() -> Iterator[int]:
+    """Primes below 2^61 in descending order, from 2^61 - 1 on."""
+    q = (1 << 61) - 1
+    while True:
+        if _is_prime(q):
+            yield q
+        q -= 2
+
+
+def _insert_mod(pivots: dict, row: list, p: int) -> bool:
+    """Add a sparse integer row to a reduced echelon basis modulo p.
+
+    ``pivots`` maps each pivot column to its row's entries outside the pivot
+    columns (the pivot entry is 1).  Stored rows are zero on every other
+    pivot column, so one pass over the new row's pivot columns reduces it.
+    Returns whether the rank went up.
+    """
+    w = {c: v % p for c, v in row if v % p}
+    for c in [c for c in w if c in pivots]:
+        _axpy(w, -w.pop(c), pivots[c], p)
+    if not w:
+        return False
+    lead = min(w)
+    inv = pow(w.pop(lead), -1, p)
+    new = {j: v * inv % p for j, v in w.items()}
+    for other in pivots.values():
+        if lead in other:
+            _axpy(other, -other.pop(lead), new, p)
+    pivots[lead] = new
+    return True
+
+
+def _axpy(y: dict, a: int, x: dict, p: int) -> None:
+    """y += a*x modulo p, for sparse vectors; zero entries are dropped."""
+    for j, b in x.items():
+        v = (y.get(j, 0) + a * b) % p
+        if v:
+            y[j] = v
+        else:
+            y.pop(j, None)
+
+
+def _kernel_mod(pivots: dict, width: int, p: int) -> list[list[int]]:
+    """Canonical kernel vectors of a reduced echelon basis, residues mod p."""
+    out = []
+    for f in range(width):
+        if f not in pivots:
+            v = [0] * width
+            v[f] = 1
+            for c, entries in pivots.items():
+                if f in entries:
+                    v[c] = p - entries[f]
+            out.append(v)
+    return out
+
+
+def _reconstruct(residues: list[list[int]], modulus: int) -> list[Vector] | None:
+    """Rationals a/b = u mod modulus with |a|, b <= sqrt(modulus/2) (Wang).
+
+    None as soon as one entry has no such preimage.
+    """
+    bound = isqrt(modulus // 2)
     basis = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        v = [0] * m.cols
-        v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = normalize(-reduced.entry(i, f))
-        basis.append(tuple(v))
+    for v in residues:
+        out = []
+        for u in v:
+            r0, r1, s0, s1 = modulus, u, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+            if abs(s1) > bound or gcd(r1, s1) != 1:
+                return None
+            out.append(normalize(Fraction(r1, s1)) if s1 != 1 else r1)
+        basis.append(tuple(out))
     return basis
+
+
+def _annihilates(rows: list, basis: list[Vector]) -> bool:
+    """Exact integer check that every row kills every basis vector."""
+    for v in basis:
+        denom = lcm(*(x.denominator for x in v if type(x) is Fraction))
+        iv = [int(x * denom) for x in v]
+        if any(sum(a * iv[c] for c, a in row) for row in rows):
+            return False
+    return True
+
+
+def _lift(rows, width, pivots, used, p, primes) -> list[Vector] | None:
+    """Certified kernel from the echelon basis found modulo p, or None.
+
+    Further primes eliminate only the rows in ``used`` (the pivot rows
+    modulo p) and are combined by CRT until a reconstruction passes the
+    exact check.  None means p was unlucky: another prime found other pivot
+    columns, or the reconstruction settled on vectors that fail the check.
+    """
+    columns = sorted(pivots)
+    residues = _kernel_mod(pivots, width, p)
+    modulus = p
+    previous = None
+    while True:
+        basis = _reconstruct(residues, modulus)
+        if basis is not None:
+            if _annihilates(rows, basis):
+                return basis
+            if basis == previous:
+                return None
+            previous = basis
+        q = next(primes)
+        other: dict = {}
+        for i in used:
+            _insert_mod(other, rows[i], q)
+        if sorted(other) != columns:
+            return None
+        factor = modulus * pow(modulus, -1, q)
+        modulus *= q
+        residues = [
+            [(a + (b - a) * factor) % modulus for a, b in zip(va, vb)]
+            for va, vb in zip(residues, _kernel_mod(other, width, q))
+        ]
 
 
 def column_space_basis(m: RatMatrix) -> list[Vector]:

@@ -128,6 +128,36 @@ class TestDecomposeCommand:
             assert main(["decompose", "--input", pair_file, "--seed", seed]) == 0
             assert "diagonalizable: yes" in capsys.readouterr().out
 
+    def test_root_center_computed_once(self, trio_file, capsys, monkeypatch):
+        import polydecomp.cli as cli_module
+        import polydecomp.decompose as decompose_module
+
+        calls = {"cli": 0, "decompose": 0}
+
+        def counting(key, fn):
+            def wrapper(polys):
+                calls[key] += 1
+                return fn(polys)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            cli_module, "center_basis", counting("cli", cli_module.center_basis)
+        )
+        monkeypatch.setattr(
+            decompose_module,
+            "center_basis",
+            counting("decompose", decompose_module.center_basis),
+        )
+        assert main(["decompose", "--input", trio_file, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert calls == {"cli": 0, "decompose": 1}
+        monkeypatch.undo()
+        expected = center_basis(read_problem(trio_file).parse())
+        assert expected.dim == 1
+        assert doc["center_dim"] == 1
+        assert doc["center_basis"] == [matrix_to_json(b) for b in expected.basis]
+
     def test_fourvar_block_sizes(self, tmp_path, capsys):
         from conftest import FOURVAR_1, FOURVAR_2
 
@@ -195,8 +225,10 @@ class TestVerifyCommand:
             idempotents=tuple(mat(rows) for rows in FOURVAR_EPS),
             transform=p,
         )
-        result = DecompositionResult(P=p, tree=root, diagonalizable=False)
-        doc = result_to_document(problem, center_basis(polys), result, None)
+        result = DecompositionResult(
+            P=p, tree=root, diagonalizable=False, center=center_basis(polys)
+        )
+        doc = result_to_document(problem, result, None)
         result_path = tmp_path / "hand.json"
         result_path.write_text(json.dumps(doc))
         assert (
@@ -266,8 +298,10 @@ class TestSerialization:
         problem = read_problem(pair_file)
         polys = problem.parse()
         result = decompose_recursive(polys, seed=42)
-        doc = result_to_document(problem, center_basis(polys), result, 42)
+        assert result.center == center_basis(polys)
+        doc = result_to_document(problem, result, 42)
         blob = json.dumps(doc)
         _, restored = result_from_document(json.loads(blob))
-        doc2 = result_to_document(problem, center_basis(polys), restored, 42)
+        assert restored.center == result.center
+        doc2 = result_to_document(problem, restored, 42)
         assert json.dumps(doc2) == blob

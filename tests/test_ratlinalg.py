@@ -2,8 +2,12 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import mat
 from polydecomp import (
@@ -23,6 +27,7 @@ from polydecomp import (
 from polydecomp.ratlinalg import (
     _divisors,
     _is_prime,
+    _kernel_primes,
     in_span,
     primary_coprime_factors,
     primitive_integer_matrix,
@@ -31,6 +36,7 @@ from polydecomp.ratlinalg import (
     row_space_basis,
     same_span,
     span_intersection,
+    vec,
 )
 
 
@@ -93,6 +99,104 @@ class TestNullspace:
         m = mat([[1, 2, 3]])
         for v in nullspace_basis(m):
             assert 1 in v
+
+
+def sympy_nullspace(m):
+    """Oracle: sympy's kernel basis, which uses the same free-column form."""
+    oracle = sympy.Matrix(m.rows, m.cols, [sympy.Rational(str(x)) for x in vec(m)])
+    out = []
+    for col in oracle.nullspace():
+        out.append(
+            tuple(
+                int(x.p) if x.q == 1 else Fraction(int(x.p), int(x.q)) for x in col
+            )
+        )
+    return out
+
+
+def assert_matches_oracle(m):
+    basis = nullspace_basis(m)
+    expected = sympy_nullspace(m)
+    assert basis == expected
+    # integral entries are ints, the rest Fractions, exactly as the oracle
+    assert [tuple(map(type, v)) for v in basis] == [
+        tuple(map(type, v)) for v in expected
+    ]
+
+
+FIRST_PRIME = next(_kernel_primes())
+
+small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+def rational_lists(size):
+    return st.lists(small_rationals, min_size=size, max_size=size)
+
+
+@st.composite
+def rational_matrices(draw):
+    rows = draw(st.integers(1, 8))
+    cols = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        return RatMatrix(rows, cols, draw(rational_lists(rows * cols)))
+    # rank-deficient: a product through an inner dimension below both sides
+    inner = draw(st.integers(0, min(rows, cols) - 1))
+    if inner == 0:
+        return RatMatrix.zeros(rows, cols)
+    left = RatMatrix(rows, inner, draw(rational_lists(rows * inner)))
+    right = RatMatrix(inner, cols, draw(rational_lists(inner * cols)))
+    return left * right
+
+
+class TestNullspaceOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(rational_matrices())
+    def test_random_matrices(self, m):
+        assert_matches_oracle(m)
+
+    def test_tall_rank_deficient(self):
+        rng = random.Random(23)
+        for _ in range(10):
+            left = rand_matrix(rng, 9, 2)
+            right = rand_matrix(rng, 2, 5)
+            assert_matches_oracle(left * right)
+
+    def test_unlucky_first_prime(self):
+        # Modulo the first prime the rows agree on their first two columns,
+        # so its pivot columns are {0, 2} instead of {0, 1}; the kernel
+        # entries carry that prime as a denominator, beyond one prime's
+        # reconstruction bound.
+        m = mat([[1 + FIRST_PRIME, 1, 0], [1, 1, 1]])
+        assert_matches_oracle(m)
+        assert nullspace_basis(m) == [
+            (Fraction(1, FIRST_PRIME), Fraction(-FIRST_PRIME - 1, FIRST_PRIME), 1)
+        ]
+
+    def test_unlucky_first_prime_trivial_kernel(self):
+        # singular modulo the first prime only (determinant FIRST_PRIME)
+        m = mat([[1 + FIRST_PRIME, 1], [1, 1]])
+        assert nullspace_basis(m) == [] == sympy_nullspace(m)
+
+    def test_kernel_needs_crt(self):
+        a, b = 3**30, 2**50 + 1
+        m = mat([[a, b, 0], [0, 0, 1]])
+        basis = nullspace_basis(m)
+        entry = basis[0][0]
+        assert max(abs(entry.numerator), entry.denominator) > isqrt(FIRST_PRIME // 2)
+        assert basis == [(Fraction(-b, a), 1, 0)]
+        assert_matches_oracle(m)
+
+    def test_zero_matrix(self):
+        assert_matches_oracle(RatMatrix.zeros(2, 4))
+
+    def test_full_rank(self):
+        m = mat([[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]])
+        assert nullspace_basis(m) == []
+        assert_matches_oracle(m)
+
+    @pytest.mark.parametrize("column", [[0, 0, 0], [0, Fraction(3, 7), 0], [5]])
+    def test_single_column(self, column):
+        assert_matches_oracle(mat([[x] for x in column]))
 
 
 class TestInvert:
