@@ -10,7 +10,7 @@ orthogonal idempotents from it, and turns those idempotents into variable
 blocks.  All arithmetic is exact.
 """
 
-from .center import CenterBasis, center_basis, intersect_centers, jordan_product, membership_check
+from .center import CenterBasis, center_basis, membership_check
 from .decompose import (
     DecompositionNode,
     DecompositionResult,
@@ -29,11 +29,10 @@ from .errors import (
     PolyDecompError,
     SingularMatrix,
 )
-from .idempotent import IdempotentSet, find_idempotents, rank_profile, verify_complete
+from .idempotent import IdempotentSet, find_idempotents, verify_complete
 from .instancegen import PlantedInstance, brute_force_center_dim, generate
 from .poly import (
     Polynomial,
-    PolyMatrix,
     hessian,
     parse_polynomial,
     partial_derivative,
@@ -68,7 +67,6 @@ __all__ = [
     "ParseError",
     "PlantedInstance",
     "PolyDecompError",
-    "PolyMatrix",
     "Polynomial",
     "RatMatrix",
     "SingularMatrix",
@@ -84,15 +82,12 @@ __all__ = [
     "find_idempotents",
     "generate",
     "hessian",
-    "intersect_centers",
     "invert",
-    "jordan_product",
     "membership_check",
     "minimal_polynomial",
     "nullspace_basis",
     "parse_polynomial",
     "partial_derivative",
-    "rank_profile",
     "render_canonical",
     "rref",
     "separate",

@@ -6,35 +6,39 @@ H_i.  It always contains the scalar matrices, is closed under the Jordan
 product (X*Y + Y*X)/2, and its idempotents are in bijection with the
 simultaneous direct-sum decompositions of the polynomial set.
 
-``center_basis`` assembles one linear equation per (polynomial, strictly
-upper entry, monomial) triple: H*X - X^T*H is antisymmetric, so the strictly
-upper entries carry the whole condition.  Rows are gcd-normalized, sign
-canonicalized, deduplicated, and sorted.  ``nullspace_basis`` solves the
-system modulo a 61-bit prime, lifts the kernel by rational reconstruction
-(with CRT over more primes when needed) and checks every lifted vector
-exactly against every row.  Since the identity always lies in the center,
-the elimination stops as soon as the mod-p rank reaches n^2 - 1 and the
-identity passes the check; a scalar center then costs a fraction of the
-rows.  The mod-p rank is at most the rational rank, so the certified vectors
-are the whole kernel, and they are returned in the canonical free-variable
-form that exact elimination gives, so the basis is reproducible across runs.
+The condition has one representation here.  Each Hessian is a sum
+H(x) = sum_m x^m S_m of constant symmetric coefficient matrices S_m, read
+straight off the terms, so "H * X symmetric for all x" is "S_m * X symmetric
+for every m".  ``membership_check`` tests exactly that, and ``center_basis``
+assembles one linear equation per (coefficient matrix, strictly upper entry)
+pair: S*X - X^T*S is antisymmetric, so the strictly upper entries carry the
+whole condition.  Rows are gcd-normalized, sign canonicalized, deduplicated,
+and sorted.  ``nullspace_basis`` solves the system modulo a 61-bit prime,
+lifts the kernel by rational reconstruction (with CRT over more primes when
+needed) and checks every lifted vector exactly against every row.  Since the
+identity always lies in the center, the elimination stops as soon as the
+mod-p rank reaches n^2 - 1 and the identity passes the check; a scalar
+center then costs a fraction of the rows.  The mod-p rank is at most the
+rational rank, so the certified vectors are the whole kernel, and they are
+returned in the canonical free-variable form that exact elimination gives,
+so the basis is reproducible across runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import DimensionMismatch, EmptyInput
-from .poly import Polynomial, hessian
+from .poly import Polynomial
 from .ratlinalg import (
     RatMatrix,
     in_span,
     nullspace_basis,
-    row_space_basis,
+    primitive_integer_matrix,
     signed_primitive_row,
-    span_intersection,
     unvec,
     vec,
 )
@@ -70,33 +74,61 @@ def _check_inputs(polys: Sequence[Polynomial]) -> int:
     return n
 
 
+def _coefficient_matrices(polys: Sequence[Polynomial]) -> list[dict]:
+    """Hessian coefficient matrices S_m of every input, H = sum_m x^m S_m.
+
+    The second derivative of c*x^a by x_r and x_l is
+    c*a_r*(a_l - [r = l])*x^(a - e_r - e_l), so a term fills entries (r, l)
+    and (l, r) of one S_m per pair of its variables, and no two terms meet in
+    the same entry.  Each S_m is stored sparsely as {row: {column: value}};
+    it is symmetric, so its rows are also its columns.  The matrices are
+    those of p times the lcm of its coefficient denominators: a nonzero
+    scale changes no symmetry condition and keeps the entries integers.
+    """
+    mats = []
+    for p in polys:
+        scale = lcm(*(c.denominator for c in p._terms.values() if type(c) is Fraction))
+        by_monomial: dict[tuple, dict] = {}
+        for mono, coeff in p._terms.items():
+            coeff = int(coeff * scale)
+            support = [i for i, e in enumerate(mono) if e]
+            for k, r in enumerate(support):
+                for l in support[k:]:
+                    value = coeff * mono[r] * (mono[l] - (r == l))
+                    if not value:
+                        continue
+                    lowered = list(mono)
+                    lowered[r] -= 1
+                    lowered[l] -= 1
+                    s = by_monomial.setdefault(tuple(lowered), {})
+                    s.setdefault(r, {})[l] = value
+                    s.setdefault(l, {})[r] = value
+        mats.extend(by_monomial.values())
+    return mats
+
+
 def _equation_rows(polys: Sequence[Polynomial], n: int) -> list[tuple]:
     """Linear constraints on the n^2 unknown entries of X, row-major order.
 
-    For each Hessian H the matrix H*X - X^T*H is antisymmetric in the
-    unknowns, so only strictly upper entries (r, c) contribute; each monomial
-    appearing in such an entry yields one equation.
+    For each coefficient matrix S the matrix S*X - X^T*S is antisymmetric in
+    the unknowns, so each strictly upper entry (r, c) yields one equation,
+    nonzero when row r or row c of S is.
     """
     seen: set[tuple] = set()
-    for p in polys:
-        h = hessian(p)
+    empty: dict = {}
+    for s in _coefficient_matrices(polys):
         for r in range(n):
             for c in range(r + 1, n):
-                # Entry (r, c) is sum_l H[r][l] X[l][c] - H[l][c] X[l][r]; the
+                if r not in s and c not in s:
+                    continue
+                # Entry (r, c) is sum_l S[r][l] X[l][c] - S[c][l] X[l][r]; the
                 # unknowns l*n + c and l*n + r never coincide since r != c.
-                by_monomial: dict[tuple, dict[int, object]] = {}
-                for l in range(n):
-                    for mono, coeff in h.entry(r, l)._terms.items():
-                        by_monomial.setdefault(mono, {})[l * n + c] = coeff
-                    for mono, coeff in h.entry(l, c)._terms.items():
-                        by_monomial.setdefault(mono, {})[l * n + r] = -coeff
-                for entries in by_monomial.values():
-                    row = [0] * (n * n)
-                    for u, coeff in entries.items():
-                        row[u] = coeff
-                    canon = signed_primitive_row(row)
-                    if any(canon):
-                        seen.add(canon)
+                row = [0] * (n * n)
+                for l, v in s.get(r, empty).items():
+                    row[l * n + c] = v
+                for l, v in s.get(c, empty).items():
+                    row[l * n + r] = -v
+                seen.add(signed_primitive_row(row))
     return sorted(seen)
 
 
@@ -116,47 +148,28 @@ def center_basis(polys: Sequence[Polynomial]) -> CenterBasis:
     return CenterBasis(n, tuple(unvec(v, n, n) for v in kernel))
 
 
-def jordan_product(x: RatMatrix, y: RatMatrix) -> RatMatrix:
-    """Symmetrized matrix product (x*y + y*x)/2."""
-    if x.rows != x.cols or y.rows != y.cols or x.rows != y.rows:
-        raise DimensionMismatch("jordan product needs equal square matrices")
-    return (x * y + y * x).scale(Fraction(1, 2))
-
-
 def membership_check(x: RatMatrix, polys: Sequence[Polynomial]) -> bool:
-    """Direct verification that H_i * x is symmetric for every input.
+    """Whether S * x is symmetric for every Hessian coefficient matrix S.
 
-    This is the defining condition of the center, checked entry by entry
-    with no shortcut; it serves as the independent oracle for
-    ``center_basis``.
+    H_i * x is symmetric at every point exactly when S * x is symmetric for
+    every coefficient matrix S of H_i, so this is the defining condition of
+    the center, on the representation ``center_basis`` draws its equations
+    from.  The independent oracle is ``instancegen.brute_force_center_dim``.
     """
     n = _check_inputs(polys)
     if x.rows != n or x.cols != n:
         raise DimensionMismatch("matrix does not match ambient dimension")
-    for p in polys:
-        product = hessian(p).times_matrix(x)
-        if not product.is_symmetric():
-            return False
+    # a nonzero scale of x changes no symmetry; integers keep the sums fast
+    x = primitive_integer_matrix(x)
+    columns = [x.column(c) for c in range(n)]
+    for s in _coefficient_matrices(polys):
+        # rows of S * x outside the support of S are zero
+        product = {
+            r: [sum(v * col[l] for l, v in row.items()) for col in columns]
+            for r, row in s.items()
+        }
+        for r, values in product.items():
+            for c, value in enumerate(values):
+                if c != r and value != (product[c][r] if c in product else 0):
+                    return False
     return True
-
-
-def intersect_centers(groups: Sequence[Sequence[Polynomial]]) -> CenterBasis:
-    """Center basis of the intersection of per-group centers.
-
-    Spans the same space as ``center_basis`` of the concatenated groups;
-    computing it by explicit span intersection provides a cross-validation
-    path.
-    """
-    if not groups:
-        raise EmptyInput("at least one polynomial group is required")
-    n = _check_inputs(groups[0])
-    for group in groups[1:]:
-        if _check_inputs(group) != n:
-            raise DimensionMismatch("groups have mixed ambient dimensions")
-    width = n * n
-    current = [vec(x) for x in center_basis(groups[0]).basis]
-    for group in groups[1:]:
-        other = [vec(x) for x in center_basis(group).basis]
-        current = span_intersection(current, other, width)
-    current = row_space_basis(current, width)
-    return CenterBasis(n, tuple(unvec(v, n, n) for v in current))

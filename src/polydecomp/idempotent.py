@@ -21,14 +21,13 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .center import CenterBasis
+from .center import CenterBasis, membership_check
 from .errors import InternalInvariantViolation
-from .poly import Polynomial, hessian
+from .poly import Polynomial
 from .ratlinalg import (
     RatMatrix,
     UniPoly,
     extended_gcd,
-    in_span,
     minimal_polynomial,
     primary_coprime_factors,
     primitive_integer_matrix,
@@ -153,56 +152,41 @@ def find_idempotents(
     return result
 
 
-def _assert_internally_valid(idem: IdempotentSet, center: CenterBasis) -> None:
-    """Postcondition guard; failures indicate a bug, never bad input."""
+def _identity_failure(idem: IdempotentSet) -> str | None:
+    """First of e^2 = e, e_i e_j = 0 (i != j), sum = I that fails, if any."""
     n = idem.n
     total = RatMatrix.zeros(n, n)
-    span = center.vectors()
-    width = n * n
     for i, e in enumerate(idem.eps):
+        if e.rows != n or e.cols != n:
+            return f"element {i} is not {n}x{n}"
         if e * e != e:
-            raise InternalInvariantViolation(f"element {i} is not idempotent")
-        if not in_span(span, vec(e), width):
-            raise InternalInvariantViolation(f"element {i} left the center span")
-        total = total + e
+            return f"element {i} is not idempotent"
         for j, f in enumerate(idem.eps):
             if i != j and not (e * f).is_zero():
-                raise InternalInvariantViolation(
-                    f"elements {i} and {j} are not orthogonal"
-                )
+                return f"elements {i} and {j} are not orthogonal"
+        total = total + e
     if not total.is_identity():
-        raise InternalInvariantViolation("idempotents do not sum to the identity")
+        return "idempotents do not sum to the identity"
+    return None
+
+
+def _assert_internally_valid(idem: IdempotentSet, center: CenterBasis) -> None:
+    """Postcondition guard; failures indicate a bug, never bad input."""
+    failure = _identity_failure(idem)
+    if failure is not None:
+        raise InternalInvariantViolation(failure)
+    for i, e in enumerate(idem.eps):
+        if not center.contains(e):
+            raise InternalInvariantViolation(f"element {i} left the center span")
 
 
 def verify_complete(idem: IdempotentSet, polys: Sequence[Polynomial]) -> bool:
     """Check all defining identities exactly, plus center membership.
 
     True iff every element squares to itself, distinct elements multiply to
-    zero, the sum is the identity, and each element satisfies the symmetry
-    condition H_i * e symmetric for every input polynomial.
+    zero, the sum is the identity, and each element passes
+    ``membership_check`` against the input polynomials.
     """
-    n = idem.n
-    if not idem.eps:
-        return False
-    hessians = [hessian(p) for p in polys]
-    total = RatMatrix.zeros(n, n)
-    for i, e in enumerate(idem.eps):
-        if e.rows != n or e.cols != n:
-            return False
-        if e * e != e:
-            return False
-        for j, f in enumerate(idem.eps):
-            if i != j and not (e * f).is_zero():
-                return False
-        if any(not h.times_matrix(e).is_symmetric() for h in hessians):
-            return False
-        total = total + e
-    return total.is_identity()
-
-
-def rank_profile(idem: IdempotentSet) -> tuple[int, ...]:
-    """Multiset of idempotent ranks (ascending); ranks are the block sizes.
-
-    The rank of an idempotent equals its trace.
-    """
-    return tuple(sorted(e.trace() for e in idem.eps))
+    return _identity_failure(idem) is None and all(
+        membership_check(e, polys) for e in idem.eps
+    )

@@ -6,10 +6,13 @@ planted block sizes are a ground truth the pipeline must recover exactly or
 refine (a block may accidentally admit a finer split; it never admits a
 coarser one).
 
-``brute_force_center_dim`` is an independent oracle: it writes out the full
-symmetry condition densely, with no deduplication and no antisymmetry
-shortcut, and ranks the system with a plain row-at-a-time elimination kept
-separate from the main linear algebra path.
+``brute_force_center_dim`` is the independent oracle for the center: it
+multiplies the symbolic Hessian (``poly.hessian``) by the unknown matrix,
+writes out the full symmetry condition densely, with no deduplication and no
+antisymmetry shortcut, and ranks the system with a plain row-at-a-time
+elimination.  It shares neither the coefficient matrices the center solve
+and ``membership_check`` read off the terms nor the main linear algebra
+path.
 """
 
 from __future__ import annotations
@@ -206,11 +209,11 @@ def brute_force_center_dim(fs: Sequence[Polynomial]) -> int:
                 # (H*X)[r][c] - (H*X)[c][r] as a polynomial-linear form in X
                 coeffs: dict[int, Polynomial] = {}
                 for l in range(n):
-                    top = h.entry(r, l)
+                    top = h[r][l]
                     if not top.is_zero():
                         u = l * n + c
                         coeffs[u] = coeffs.get(u, Polynomial.zero(n)) + top
-                    bot = h.entry(c, l)
+                    bot = h[c][l]
                     if not bot.is_zero():
                         u = l * n + r
                         coeffs[u] = coeffs.get(u, Polynomial.zero(n)) - bot

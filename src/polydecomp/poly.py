@@ -4,8 +4,8 @@ A polynomial in ``n`` variables maps exponent tuples of length ``n`` to
 nonzero rational coefficients.  Coefficients are plain ``int`` when integral
 and ``fractions.Fraction`` otherwise, so arithmetic is exact and equality
 tests are reliable.  The module also provides the text surface (parser and
-canonical renderer), formal differentiation, Hessian matrices, and linear
-changes of variables.
+canonical renderer), formal differentiation, symbolic Hessians (for the
+brute-force center oracle), and linear changes of variables.
 
 Term iteration exposed to callers is always graded-lexicographic: higher
 total degree first, ties broken by the exponent vector with the first
@@ -365,90 +365,12 @@ def render_canonical(p: Polynomial, variables: Sequence[str]) -> str:
     return " ".join(pieces)
 
 
-# ---------------------------------------------------------------------------
-# Matrices of polynomials
-# ---------------------------------------------------------------------------
-
-
-class PolyMatrix:
-    """Immutable matrix with Polynomial entries, row-major."""
-
-    __slots__ = ("rows", "cols", "_entries")
-
-    def __init__(self, rows: int, cols: int, entries: Sequence[Polynomial]):
-        if rows < 1 or cols < 1:
-            raise ValueError("matrix dimensions must be positive")
-        if len(entries) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        ambient = entries[0].n
-        if any(e.n != ambient for e in entries):
-            raise DimensionMismatch("entries have mixed ambient dimensions")
-        self.rows = rows
-        self.cols = cols
-        self._entries = tuple(entries)
-
-    @property
-    def ambient_dim(self) -> int:
-        return self._entries[0].n
-
-    def entry(self, r: int, c: int) -> Polynomial:
-        return self._entries[r * self.cols + c]
-
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(
-            self.cols,
-            self.rows,
-            [self.entry(r, c) for c in range(self.cols) for r in range(self.rows)],
-        )
-
-    def is_symmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(
-            self.entry(r, c) == self.entry(c, r)
-            for r in range(self.rows)
-            for c in range(r + 1, self.cols)
-        )
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self._entries)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PolyMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._entries == other._entries
-        )
-
-    __hash__ = None
-
-    def times_matrix(self, m: RatMatrix) -> "PolyMatrix":
-        """Right-multiply by a rational matrix."""
-        if self.cols != m.rows:
-            raise DimensionMismatch(
-                f"cannot multiply {self.rows}x{self.cols} by {m.rows}x{m.cols}"
-            )
-        out = []
-        for r in range(self.rows):
-            for c in range(m.cols):
-                acc = Polynomial.zero(self.ambient_dim)
-                for k in range(self.cols):
-                    coeff = m.entry(k, c)
-                    if coeff:
-                        acc = acc + self.entry(r, k).scale(coeff)
-                out.append(acc)
-        return PolyMatrix(self.rows, m.cols, out)
-
-
-def hessian(p: Polynomial) -> PolyMatrix:
-    """Symmetric matrix of second partial derivatives."""
-    n = p.n
-    firsts = [p.partial_derivative(i) for i in range(n)]
-    entries = [
-        firsts[r].partial_derivative(c) for r in range(n) for c in range(n)
-    ]
-    return PolyMatrix(n, n, entries)
+def hessian(p: Polynomial) -> tuple[tuple[Polynomial, ...], ...]:
+    """Symmetric matrix of second partial derivatives, as n row tuples."""
+    firsts = [p.partial_derivative(i) for i in range(p.n)]
+    return tuple(
+        tuple(first.partial_derivative(c) for c in range(p.n)) for first in firsts
+    )
 
 
 def substitute_linear(p: Polynomial, m: RatMatrix) -> Polynomial:

@@ -511,37 +511,6 @@ def same_span(a: Sequence[Sequence], b: Sequence[Sequence], width: int) -> bool:
     return span_rank(list(a) + list(b), width) == ra
 
 
-def span_intersection(
-    a: Sequence[Sequence], b: Sequence[Sequence], width: int
-) -> list[Vector]:
-    """Canonical basis of span(a) intersected with span(b)."""
-    a = [tuple(v) for v in a]
-    b = [tuple(v) for v in b]
-    if not a or not b:
-        return []
-    ka = len(a)
-    cols = ka + len(b)
-    stacked = RatMatrix(
-        width,
-        cols,
-        [
-            a[j][r] if j < ka else -b[j - ka][r]
-            for r in range(width)
-            for j in range(cols)
-        ],
-    )
-    meet = []
-    for coeffs in nullspace_basis(stacked):
-        v = [0] * width
-        for j in range(ka):
-            cj = coeffs[j]
-            if cj:
-                for r in range(width):
-                    v[r] += cj * a[j][r]
-        meet.append(tuple(normalize(x) for x in v))
-    return row_space_basis(meet, width)
-
-
 # ---------------------------------------------------------------------------
 # Univariate polynomials
 # ---------------------------------------------------------------------------

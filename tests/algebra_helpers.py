@@ -1,0 +1,54 @@
+"""Cross-check helpers the tests use and the library does not need.
+
+``intersect_centers`` computes a joint center by explicit span intersection
+of per-group centers, a second route to what ``center_basis`` of the
+concatenated groups gives; ``jordan_product`` and ``rank_profile`` state
+algebraic facts the tests check.
+"""
+
+from fractions import Fraction
+from typing import Sequence
+
+from polydecomp import CenterBasis, IdempotentSet, Polynomial, RatMatrix, center_basis
+from polydecomp.ratlinalg import nullspace_basis, row_space_basis, unvec, vec
+
+
+def jordan_product(x: RatMatrix, y: RatMatrix) -> RatMatrix:
+    """Symmetrized matrix product (x*y + y*x)/2."""
+    return (x * y + y * x).scale(Fraction(1, 2))
+
+
+def rank_profile(idem: IdempotentSet) -> tuple:
+    """Idempotent ranks (their traces), ascending; ranks are the block sizes."""
+    return tuple(sorted(e.trace() for e in idem.eps))
+
+
+def span_intersection(a: Sequence[Sequence], b: Sequence[Sequence], width: int) -> list:
+    """Canonical basis of span(a) intersected with span(b)."""
+    a = [tuple(v) for v in a]
+    b = [tuple(v) for v in b]
+    if not a or not b:
+        return []
+    ka = len(a)
+    cols = ka + len(b)
+    stacked = RatMatrix(
+        width,
+        cols,
+        [a[j][r] if j < ka else -b[j - ka][r] for r in range(width) for j in range(cols)],
+    )
+    meet = [
+        tuple(sum(coeffs[j] * a[j][r] for j in range(ka)) for r in range(width))
+        for coeffs in nullspace_basis(stacked)
+    ]
+    return row_space_basis(meet, width)
+
+
+def intersect_centers(groups: Sequence[Sequence[Polynomial]]) -> CenterBasis:
+    """Center basis of the intersection of per-group centers."""
+    n = groups[0][0].n
+    width = n * n
+    current = center_basis(groups[0]).vectors()
+    for group in groups[1:]:
+        current = span_intersection(current, center_basis(group).vectors(), width)
+    current = row_space_basis(current, width)
+    return CenterBasis(n, tuple(unvec(v, n, n) for v in current))

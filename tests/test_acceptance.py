@@ -10,6 +10,7 @@ against the defining identities at the end.
 import functools
 import random
 
+from algebra_helpers import jordan_product
 from conftest import (
     BIN_CUBIC_CENTER_FAMILY,
     BIN_CUBIC_EPS,
@@ -38,7 +39,6 @@ from polydecomp import (
     decompose_recursive,
     find_idempotents,
     generate,
-    jordan_product,
     membership_check,
     render_canonical,
     substitute_linear,

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from algebra_helpers import intersect_centers, jordan_product
 from conftest import (
     BIN_CUBIC_CENTER_FAMILY,
     FOURVAR_CENTER_FAMILY,
@@ -17,8 +18,7 @@ from polydecomp import (
     Polynomial,
     RatMatrix,
     center_basis,
-    intersect_centers,
-    jordan_product,
+    hessian,
     membership_check,
     parse_polynomial,
     substitute_linear,
@@ -126,6 +126,72 @@ class TestMembership:
     def test_dimension_mismatch(self, bin_cubics):
         with pytest.raises(DimensionMismatch):
             membership_check(RatMatrix.identity(3), bin_cubics)
+
+
+def symbolic_member(x, polys) -> bool:
+    """Every hessian(p) * x symmetric, multiplied out in Polynomial arithmetic."""
+    n = x.rows
+    for p in polys:
+        h = hessian(p)
+        product = [
+            [
+                sum((h[r][k].scale(x.entry(k, c)) for k in range(n)), Polynomial.zero(n))
+                for c in range(n)
+            ]
+            for r in range(n)
+        ]
+        if any(product[r][c] != product[c][r] for r in range(n) for c in range(r + 1, n)):
+            return False
+    return True
+
+
+def random_rational_poly(rng, n, degree) -> Polynomial:
+    """Random terms of every degree up to ``degree``, rational coefficients."""
+    terms = {}
+    for _ in range(rng.randint(1, 8)):
+        mono = [0] * n
+        for _ in range(rng.randint(0, degree)):
+            mono[rng.randrange(n)] += 1
+        terms[tuple(mono)] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+    return Polynomial(n, terms)
+
+
+def random_rational_matrix(rng, n) -> RatMatrix:
+    return RatMatrix(n, n, [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n * n)])
+
+
+class TestMembershipMatchesDefinition:
+    """membership_check against the symbolic product of the Hessian with X."""
+
+    def test_members_products_and_perturbations(self):
+        rng = random.Random(53)
+        outcomes = {True: 0, False: 0}
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            polys = [
+                random_rational_poly(rng, n, rng.randint(0, 5))
+                for _ in range(rng.randint(1, 2))
+            ]
+            basis = center_basis(polys).basis
+            candidates = list(basis)
+            candidates += [jordan_product(x, y) for x in basis for y in basis]
+            candidates += [b + random_rational_matrix(rng, n) for b in basis]
+            for x in candidates:
+                expected = symbolic_member(x, polys)
+                assert membership_check(x, polys) == expected
+                outcomes[expected] += 1
+            for x in basis:
+                assert membership_check(x, polys)
+        assert outcomes[True] and outcomes[False]
+
+    def test_degree_at_most_one_accepts_everything(self):
+        rng = random.Random(59)
+        for _ in range(20):
+            n = rng.randint(1, 4)
+            polys = [random_rational_poly(rng, n, rng.randint(0, 1)) for _ in range(2)]
+            x = random_rational_matrix(rng, n)
+            assert symbolic_member(x, polys)
+            assert membership_check(x, polys)
 
 
 class TestIntersect:

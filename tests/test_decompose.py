@@ -217,7 +217,7 @@ class TestDecomposeRecursive:
             for r in range(4):
                 for c in range(4):
                     if block_of[r] != block_of[c]:
-                        assert h.entry(r, c).is_zero()
+                        assert h[r][c].is_zero()
 
 
 class TestVerifyDecomposition:

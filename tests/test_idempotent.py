@@ -2,13 +2,13 @@
 
 import pytest
 
+from algebra_helpers import rank_profile
 from conftest import BIN_CUBIC_EPS, FOURVAR_EPS, TRIO_3_EPS, mat
 from polydecomp import (
     IdempotentSet,
     RatMatrix,
     center_basis,
     find_idempotents,
-    rank_profile,
     verify_complete,
 )
 from polydecomp.ratlinalg import in_span, vec

@@ -9,6 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algebra_helpers import span_intersection
 from conftest import mat
 from polydecomp import (
     RatMatrix,
@@ -35,7 +36,6 @@ from polydecomp.ratlinalg import (
     rational_roots,
     row_space_basis,
     same_span,
-    span_intersection,
     vec,
 )
 
