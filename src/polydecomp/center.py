@@ -156,20 +156,27 @@ def membership_check(x: RatMatrix, polys: Sequence[Polynomial]) -> bool:
     the center, on the representation ``center_basis`` draws its equations
     from.  The independent oracle is ``instancegen.brute_force_center_dim``.
     """
+    return _all_members([x], polys)
+
+
+def _all_members(xs: Sequence[RatMatrix], polys: Sequence[Polynomial]) -> bool:
+    """``membership_check`` of every x in xs, the coefficient matrices built once."""
     n = _check_inputs(polys)
-    if x.rows != n or x.cols != n:
-        raise DimensionMismatch("matrix does not match ambient dimension")
-    # a nonzero scale of x changes no symmetry; integers keep the sums fast
-    x = primitive_integer_matrix(x)
-    columns = [x.column(c) for c in range(n)]
-    for s in _coefficient_matrices(polys):
-        # rows of S * x outside the support of S are zero
-        product = {
-            r: [sum(v * col[l] for l, v in row.items()) for col in columns]
-            for r, row in s.items()
-        }
-        for r, values in product.items():
-            for c, value in enumerate(values):
-                if c != r and value != (product[c][r] if c in product else 0):
-                    return False
+    mats = _coefficient_matrices(polys)
+    for x in xs:
+        if x.rows != n or x.cols != n:
+            raise DimensionMismatch("matrix does not match ambient dimension")
+        # a nonzero scale of x changes no symmetry; integers keep the sums fast
+        x = primitive_integer_matrix(x)
+        columns = [x.column(c) for c in range(n)]
+        for s in mats:
+            # rows of S * x outside the support of S are zero
+            product = {
+                r: [sum(v * col[l] for l, v in row.items()) for col in columns]
+                for r, row in s.items()
+            }
+            for r, values in product.items():
+                for c, value in enumerate(values):
+                    if c != r and value != (product[c][r] if c in product else 0):
+                        return False
     return True

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .center import CenterBasis, membership_check
+from .center import CenterBasis, _all_members
 from .errors import InternalInvariantViolation
 from .poly import Polynomial
 from .ratlinalg import (
@@ -187,6 +187,4 @@ def verify_complete(idem: IdempotentSet, polys: Sequence[Polynomial]) -> bool:
     zero, the sum is the identity, and each element passes
     ``membership_check`` against the input polynomials.
     """
-    return _identity_failure(idem) is None and all(
-        membership_check(e, polys) for e in idem.eps
-    )
+    return _identity_failure(idem) is None and _all_members(idem.eps, polys)

@@ -7,6 +7,11 @@ tests are reliable.  The module also provides the text surface (parser and
 canonical renderer), formal differentiation, symbolic Hessians (for the
 brute-force center oracle), and linear changes of variables.
 
+A linear change of variables p(M y), most of a decomposition's arithmetic,
+bypasses ``Polynomial`` products: it multiplies monomials packed into ints
+in base deg p + 1, walks the terms of p in lex order with a stack of prefix
+products, and sums over one common denominator (see ``substitute_linear``).
+
 Term iteration exposed to callers is always graded-lexicographic: higher
 total degree first, ties broken by the exponent vector with the first
 variable most significant.
@@ -16,11 +21,12 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from ._rat import Rat, normalize, rat_str, to_rat
 from .errors import DimensionMismatch, ParseError
-from .ratlinalg import RatMatrix
+from .ratlinalg import RatMatrix, _cleared
 
 Monomial = tuple  # tuple[int, ...], one exponent per variable
 
@@ -376,90 +382,83 @@ def hessian(p: Polynomial) -> tuple[tuple[Polynomial, ...], ...]:
 def substitute_linear(p: Polynomial, m: RatMatrix) -> Polynomial:
     """Expand p(M y): each old variable i becomes the linear form row i of M.
 
-    Each row is factored as (1/d_i) times an integer form, so the power
-    cache runs on fast integer arithmetic; the rational factor is applied
-    once per input monomial.
+    A monomial in y is packed into the int sum_j e_j * B^j, B = deg p + 1.
+    Every product formed is part of one term's expansion, of degree at most
+    deg p, so no exponent reaches B and adding packed ints multiplies
+    monomials with no carry.  Row i of M times the lcm d_i of its
+    denominators is an integer form {packed: int}; its powers are cached.
+    Terms of p are walked in lex order with stack[j] the product of the
+    powers for variables 0..j-1: terms sharing a prefix are adjacent, so
+    each prefix product is formed once per run.  Term c * x^e is summed as
+    an int over the common denominator L of all den(c) * prod d_i^e_i, and
+    each output coefficient is divided by L once (int when exact).
     """
     if m.rows != p.n or m.cols != p.n:
         raise DimensionMismatch(
             f"substitution matrix is {m.rows}x{m.cols}, ambient dimension is {p.n}"
         )
     n = p.n
-    from math import lcm
-
+    if not p._terms:
+        return Polynomial.zero(n)
+    base = p.total_degree() + 1
     dens = []
-    int_forms = []
+    powers = []  # powers[i][e]: integer form of row i to the e-th power
     for i in range(n):
-        row = [m.entry(i, j) for j in range(n)]
-        d = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                d = lcm(d, x.denominator)
+        row, d = _cleared(m.row(i))
+        form = {base**j: v for j, v in enumerate(row) if v}
         dens.append(d)
-        terms = {}
-        for j, x in enumerate(row):
-            v = int(x * d)
-            if v:
-                terms[tuple(1 if t == j else 0 for t in range(n))] = v
-        int_forms.append(Polynomial._raw(n, terms))
-    powers: list[dict[int, Polynomial]] = [
-        {0: Polynomial.constant(n, 1), 1: int_forms[i]} for i in range(n)
-    ]
-
-    def power_of(i: int, e: int) -> Polynomial:
-        cache = powers[i]
-        if e not in cache:
-            top = max(cache)
-            acc = cache[top]
-            for step in range(top + 1, e + 1):
-                acc = acc * int_forms[i]
-                cache[step] = acc
-        return cache[e]
-
-    # Integer numerators are accumulated per denominator class so the inner
-    # loop stays on native ints; classes are merged exactly at the end.
-    by_den: dict[int, dict] = {}
-    zero_mono = (0,) * n
-    for mono, c in p._terms.items():
-        if isinstance(c, Fraction):
-            num_c, den_c = c.numerator, c.denominator
-        else:
-            num_c, den_c = c, 1
-        denom = den_c
-        term = None
+        powers.append([{0: 1}, form])
+    terms = sorted(p._terms.items())
+    term_dens = []
+    for mono, c in terms:
+        d = c.denominator if type(c) is Fraction else 1
         for i, e in enumerate(mono):
-            if e:
-                if dens[i] != 1:
-                    denom *= dens[i] ** e
-                pw = power_of(i, e)
-                term = pw if term is None else term * pw
-        bucket = by_den.setdefault(denom, {})
-        if term is None:
-            bucket[zero_mono] = bucket.get(zero_mono, 0) + num_c
-            continue
-        for mo, cv in term._terms.items():
-            bucket[mo] = bucket.get(mo, 0) + cv * num_c
+            if e and dens[i] != 1:
+                d *= dens[i] ** e
+        term_dens.append(d)
+    common = lcm(*term_dens)
     acc: dict = {}
-    for denom, bucket in by_den.items():
-        if denom == 1:
-            for mo, v in bucket.items():
-                s = acc.get(mo, 0) + v
-                if s:
-                    acc[mo] = s
-                else:
-                    acc.pop(mo, None)
-        else:
-            for mo, v in bucket.items():
-                if not v:
-                    continue
-                s = acc.get(mo, 0) + Fraction(v, denom)
-                if s:
-                    acc[mo] = s
-                else:
-                    acc.pop(mo, None)
-    return Polynomial._raw(
-        n, {mo: normalize(v) if isinstance(v, Fraction) else v for mo, v in acc.items()}
-    )
+    stack = [{0: 1}] * (n + 1)
+    previous: Monomial = ()
+    for (mono, c), d in zip(terms, term_dens):
+        # entries up to the first exponent that differs from the last term's
+        # are still the products this term needs
+        j = 0
+        while j < len(previous) and mono[j] == previous[j]:
+            j += 1
+        for i in range(j, n):
+            e = mono[i]
+            if not e:
+                stack[i + 1] = stack[i]
+                continue
+            cache = powers[i]
+            while len(cache) <= e:
+                cache.append(_times(cache[-1], cache[1]))
+            stack[i + 1] = _times(stack[i], cache[e])
+        previous = mono
+        scale = (c.numerator if type(c) is Fraction else c) * (common // d)
+        for key, v in stack[n].items():
+            acc[key] = acc.get(key, 0) + scale * v
+    out = {}
+    for key, v in acc.items():
+        if not v:
+            continue
+        mono = []
+        for _ in range(n):
+            key, e = divmod(key, base)
+            mono.append(e)
+        out[tuple(mono)] = v // common if v % common == 0 else Fraction(v, common)
+    return Polynomial._raw(n, out)
+
+
+def _times(a: dict, b: dict) -> dict:
+    """Product of two polynomials held as {packed monomial: int}."""
+    out: dict = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            k = ka + kb
+            out[k] = out.get(k, 0) + va * vb
+    return out
 
 
 def restrict_to(p: Polynomial, positions: Sequence[int]) -> Polynomial:

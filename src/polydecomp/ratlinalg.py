@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from ._rat import Rat, divide, normalize, rat_str, to_rat
@@ -119,14 +120,17 @@ class RatMatrix:
                 raise DimensionMismatch(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
+            # Inner products run on integer rows of self and integer columns
+            # of other, each cleared of its denominator; every entry is then
+            # divided once.
+            left = [_cleared(self.row(r)) for r in range(self.rows)]
+            right = [_cleared(other.column(c)) for c in range(other.cols)]
             out = []
-            for r in range(self.rows):
-                row = self.row(r)
-                for c in range(other.cols):
-                    acc = 0
-                    for k in range(self.cols):
-                        acc += row[k] * other._e[k * other.cols + c]
-                    out.append(acc)
+            for a, da in left:
+                for b, db in right:
+                    v = sum(map(mul, a, b))
+                    d = da * db
+                    out.append(v // d if v % d == 0 else Fraction(v, d))
             return RatMatrix(self.rows, other.cols, out)
         return self.scale(other)
 
@@ -175,15 +179,19 @@ def unvec(v: Sequence, rows: int, cols: int) -> RatMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _primitive_int_row(row: Sequence) -> list:
-    """Scale a rational row to a primitive integer row (zero stays zero)."""
+def _cleared(row: Sequence) -> tuple[Sequence, int]:
+    """Integer row d * row and the lcm d of the row's denominators."""
     # type() rather than isinstance(): the ABC check would dominate the cost
     denominators = [x.denominator for x in row if type(x) is Fraction]
-    if denominators:
-        denom = lcm(*denominators)
-        ints = [int(x * denom) for x in row]
-    else:
-        ints = list(row)
+    if not denominators:
+        return row, 1
+    denom = lcm(*denominators)
+    return [int(x * denom) for x in row], denom
+
+
+def _primitive_int_row(row: Sequence) -> list:
+    """Scale a rational row to a primitive integer row (zero stays zero)."""
+    ints = list(_cleared(row)[0])
     g = 0
     for v in ints:
         g = gcd(g, v)

@@ -97,6 +97,23 @@ class TestSeparate:
         with pytest.raises(ValueError):
             separate(bin_cubics, RatMatrix.identity(2), [(0, 1)])
 
+    def test_no_polynomial_products(self, fourvar_pair, monkeypatch):
+        # substitution expands on packed integer monomials; the term-by-term
+        # Polynomial product it replaced was the bulk of a decomposition
+        calls = []
+        product = Polynomial.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return product(self, other)
+
+        monkeypatch.setattr(Polynomial, "__mul__", counting)
+        substitute_linear(fourvar_pair[0] + 3, mat(FOURVAR_P))
+        separate(fourvar_pair, mat(FOURVAR_P), [(0, 1), (1, 2), (2, 4)])
+        assert calls == []
+        fourvar_pair[0] * fourvar_pair[1]
+        assert calls == [1]
+
 
 class TestDecomposeRecursive:
     def test_binary_cubic_pair_diagonalizes(self, bin_cubics):

@@ -4,6 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import QQ
+from sympy.polys.rings import ring
 
 from conftest import (
     BIN_CUBIC_1,
@@ -285,6 +290,116 @@ class TestSubstitution:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             substitute_linear(Polynomial.zero(3), RatMatrix.identity(2))
+
+
+def sympy_substitute(p, m):
+    """Oracle: p(M y) expanded in sympy's sparse polynomial ring over QQ."""
+    R, *ys = ring(sympy.symbols(f"y0:{p.n}"), QQ)
+
+    def q(x):
+        return QQ(x.numerator, x.denominator)
+
+    forms = [
+        sum((q(m.entry(i, j)) * y for j, y in enumerate(ys)), R.zero)
+        for i in range(p.n)
+    ]
+    total = R.zero
+    for mono, c in p.terms():
+        term = R(q(c))
+        for form, e in zip(forms, mono):
+            if e:  # the ring refuses 0**0
+                term *= form**e
+        total += term
+    out = {}
+    for mono, c in dict(total).items():
+        r = QQ.to_sympy(c)
+        out[mono] = int(r.p) if r.q == 1 else Fraction(int(r.p), int(r.q))
+    return out
+
+
+def assert_matches_sympy(p, m):
+    got = substitute_linear(p, m)
+    expected = sympy_substitute(p, m)
+    assert got == Polynomial(p.n, expected)
+    # integral coefficients are ints, the rest Fractions, as the oracle's
+    assert {k: type(v) for k, v in got._terms.items()} == {
+        k: type(v) for k, v in expected.items()
+    }
+
+
+small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def substitutions(draw):
+    n = draw(st.integers(1, 4))
+    degree = draw(st.integers(0, 5))
+    monomial = st.tuples(*[st.integers(0, degree)] * n).filter(
+        lambda mono: sum(mono) <= degree
+    )
+    coeff = small_rationals if draw(st.booleans()) else st.integers(-9, 9)
+    p = Polynomial(n, draw(st.dictionaries(monomial, coeff, max_size=8)))
+    rows = [draw(st.lists(small_rationals, min_size=n, max_size=n)) for _ in range(n)]
+    kind = draw(st.sampled_from(["random", "repeated row", "zero row"]))
+    if kind != "random":
+        # a singular M: one row equal to another or to zero
+        target = draw(st.integers(0, n - 1))
+        source = draw(st.integers(0, n - 1))
+        rows[target] = rows[source] if kind == "repeated row" else [0] * n
+    return p, RatMatrix.from_rows(rows)
+
+
+class TestSubstitutionOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(substitutions())
+    def test_random(self, case):
+        assert_matches_sympy(*case)
+
+    def test_zero_polynomial(self):
+        m = mat([[Fraction(1, 2), 3], [-1, Fraction(2, 3)]])
+        assert substitute_linear(Polynomial.zero(2), m).is_zero()
+        assert_matches_sympy(Polynomial.zero(2), m)
+
+    @pytest.mark.parametrize("value", [7, Fraction(-3, 4)])
+    def test_constants(self, value):
+        for m in (mat([[2, 1], [1, Fraction(1, 3)]]), RatMatrix.zeros(2, 2)):
+            assert substitute_linear(Polynomial.constant(2, value), m) == (
+                Polynomial.constant(2, value)
+            )
+
+    def test_one_variable(self):
+        p = Polynomial(1, {(3,): Fraction(2, 5), (1,): -1, (0,): 4})
+        for entry in (Fraction(-7, 3), 2, 0):
+            assert_matches_sympy(p, mat([[entry]]))
+
+    @pytest.mark.parametrize("degree", range(13))
+    def test_pure_powers_at_the_packing_boundary(self, degree):
+        # every y-exponent of x_i^D can reach D, the largest digit of base D+1
+        rng = random.Random(degree)
+        m = RatMatrix(3, 3, [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(9)])
+        for i in (0, 2):
+            mono = tuple(degree if k == i else 0 for k in range(3))
+            assert_matches_sympy(Polynomial(3, {mono: 1}), m)
+        diagonal = mat([[1, 0, 0], [0, 2, 0], [0, 0, Fraction(1, 3)]])
+        got = substitute_linear(Polynomial(3, {(0, 0, degree): 1}), diagonal)
+        assert got == Polynomial(3, {(0, 0, degree): Fraction(1, 3**degree)})
+
+    def test_cancels_to_zero(self):
+        # rows 0 and 1 of M agree, so x0 - x1 becomes 0 and so does every multiple
+        m = mat([[1, Fraction(2, 3), 0], [1, Fraction(2, 3), 0], [0, 1, 5]])
+        x0, x1, x2 = (Polynomial.variable(3, i) for i in range(3))
+        for p in (x0 - x1, (x0 - x1) * (x2 * x2 + Fraction(1, 2)), x0**3 - x1**3):
+            assert substitute_linear(p, m).is_zero()
+            assert_matches_sympy(p, m)
+
+    def test_integral_results_are_ints(self):
+        # quarters that sum to integers come back as int, not Fraction(k, 1)
+        m = mat([[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(-1, 2)]])
+        p = Polynomial(2, {(2, 0): 2, (0, 2): 2})
+        got = substitute_linear(p, m)
+        assert got == Polynomial(2, {(2, 0): 1, (0, 2): 1})
+        assert all(type(c) is int for _, c in got.terms())
+        assert_matches_sympy(p, m)
 
 
 class TestRestrictEmbed:

@@ -148,6 +148,35 @@ def rational_matrices(draw):
     return left * right
 
 
+def to_sympy(m):
+    return sympy.Matrix(m.rows, m.cols, [sympy.Rational(str(x)) for x in vec(m)])
+
+
+@st.composite
+def product_operands(draw):
+    rows, inner, cols = (draw(st.integers(1, 5)) for _ in range(3))
+
+    def operand(r, c):
+        if draw(st.integers(0, 5)) == 0:
+            return RatMatrix.zeros(r, c)
+        return RatMatrix(r, c, draw(rational_lists(r * c)))
+
+    return operand(rows, inner), operand(inner, cols)
+
+
+class TestProductOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(product_operands())
+    def test_random_products(self, operands):
+        left, right = operands
+        product = left * right
+        expected = to_sympy(left) * to_sympy(right)
+        assert (product.rows, product.cols) == expected.shape
+        assert to_sympy(product) == expected
+        # integral entries are ints, the rest Fractions
+        assert all(type(x) is int or x.denominator > 1 for x in vec(product))
+
+
 class TestNullspaceOracle:
     @settings(max_examples=150, deadline=None)
     @given(rational_matrices())
