@@ -27,6 +27,7 @@ so the basis is reproducible across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -35,9 +36,9 @@ from .errors import DimensionMismatch, EmptyInput
 from .poly import Polynomial
 from .ratlinalg import (
     RatMatrix,
-    in_span,
     nullspace_basis,
     primitive_integer_matrix,
+    row_space_basis,
     signed_primitive_row,
     unvec,
     vec,
@@ -58,11 +59,22 @@ class CenterBasis:
     def vectors(self) -> list[tuple]:
         return [vec(x) for x in self.basis]
 
+    @cached_property
+    def _echelon(self) -> list[tuple[int, tuple]]:
+        """Reduced echelon rows of the basis, each with its pivot column."""
+        rows = row_space_basis(self.vectors(), self.n * self.n)
+        return [(next(c for c, v in enumerate(row) if v), row) for row in rows]
+
     def contains(self, x: RatMatrix) -> bool:
-        """Exact span membership test."""
+        """Exact span membership test, by reduction against the echelon rows."""
         if x.rows != self.n or x.cols != self.n:
             raise DimensionMismatch("matrix does not match ambient dimension")
-        return in_span(self.vectors(), vec(x), self.n * self.n)
+        v = vec(x)
+        for c, row in self._echelon:
+            f = v[c]
+            if f:
+                v = [a - f * b for a, b in zip(v, row)]
+        return not any(v)
 
 
 def _check_inputs(polys: Sequence[Polynomial]) -> int:

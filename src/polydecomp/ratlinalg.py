@@ -17,6 +17,11 @@ free-variable form that exact elimination gives, whichever primes were used.
 The module also provides the univariate polynomial machinery (gcd, Bezout
 cofactors, squarefree part, coprime splitting, minimal polynomials) that the
 idempotent search uses to cut a matrix algebra into spectral pieces.
+Rational roots are found modularly as well, in time polynomial in the size
+of the input: the squarefree part is turned into a monic integer polynomial
+g, whose roots modulo the smallest prime that keeps them all simple are
+lifted by Newton (Hensel) steps past the bound |y| <= |g(0)| and accepted
+only when g vanishes at them exactly.
 """
 
 from __future__ import annotations
@@ -45,6 +50,14 @@ class RatMatrix:
         self.rows = rows
         self.cols = cols
         self._e = tuple(map(to_rat, entries))
+
+    @classmethod
+    def _raw(cls, rows: int, cols: int, entries: Sequence) -> "RatMatrix":
+        """Matrix on entries that are already ints or reduced non-integral
+        Fractions, unchecked and uncoerced."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m._e = rows, cols, tuple(entries)
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
@@ -83,7 +96,7 @@ class RatMatrix:
         return [list(self.row(r)) for r in range(self.rows)]
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(
+        return RatMatrix._raw(
             self.cols,
             self.rows,
             [self._e[r * self.cols + c] for c in range(self.cols) for r in range(self.rows)],
@@ -131,7 +144,7 @@ class RatMatrix:
                     v = sum(map(mul, a, b))
                     d = da * db
                     out.append(v // d if v % d == 0 else Fraction(v, d))
-            return RatMatrix(self.rows, other.cols, out)
+            return RatMatrix._raw(self.rows, other.cols, out)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -501,24 +514,6 @@ def row_space_basis(vectors: Iterable[Sequence], width: int) -> list[Vector]:
     return [reduced.row(i) for i in range(len(pivots))]
 
 
-def span_rank(vectors: Iterable[Sequence], width: int) -> int:
-    return len(row_space_basis(vectors, width))
-
-
-def in_span(vectors: Sequence[Sequence], target: Sequence, width: int) -> bool:
-    base = list(vectors)
-    r = span_rank(base, width)
-    return span_rank(base + [tuple(target)], width) == r
-
-
-def same_span(a: Sequence[Sequence], b: Sequence[Sequence], width: int) -> bool:
-    ra = span_rank(a, width)
-    rb = span_rank(b, width)
-    if ra != rb:
-        return False
-    return span_rank(list(a) + list(b), width) == ra
-
-
 # ---------------------------------------------------------------------------
 # Univariate polynomials
 # ---------------------------------------------------------------------------
@@ -659,15 +654,20 @@ class UniPoly:
         return normalize(acc) if isinstance(acc, Fraction) else acc
 
     def of_matrix(self, m: RatMatrix) -> RatMatrix:
-        """Evaluate at a square matrix (Horner)."""
+        """Evaluate at a square matrix (Horner on d * self, divided by d once).
+
+        d clears the denominators of the coefficients, so on an integer
+        matrix every step stays in integers.
+        """
         if m.rows != m.cols:
             raise DimensionMismatch("matrix evaluation needs a square matrix")
         n = m.rows
+        coeffs, d = _cleared(self._c)
         acc = RatMatrix.zeros(n, n)
         ident = RatMatrix.identity(n)
-        for c in reversed(self._c):
+        for c in reversed(coeffs):
             acc = acc * m + ident.scale(c)
-        return acc
+        return acc if d == 1 else acc.scale(Fraction(1, d))
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -754,49 +754,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int) -> int:
-    """One nontrivial factor of composite odd n (Brent's cycle variant)."""
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 100):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
-        if d != n:
-            return d
-    raise ArithmeticError(f"factorization failed for {n}")  # pragma: no cover
-
-
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    stack = [n]
-    while stack:
-        v = stack.pop()
-        if v == 1:
-            continue
-        if _is_prime(v):
-            out[v] = out.get(v, 0) + 1
-            continue
-        d = _pollard_rho(v)
-        stack.append(d)
-        stack.append(v // d)
-    return out
-
-
-def _divisors(v: int) -> list[int]:
-    v = abs(v)
-    if v == 0:
-        return []
-    divs = [1]
-    for prime, exp in _factorize(v).items():
-        divs = [d * prime**e for d in divs for e in range(exp + 1)]
-    return sorted(divs)
-
-
 def primitive_integer_matrix(m: RatMatrix) -> RatMatrix:
     """Positive rational rescaling of m with primitive integer entries.
 
@@ -817,54 +774,54 @@ def _int_horner(coeffs: Sequence[int], x: int) -> int:
 def rational_roots(p: UniPoly) -> list[Rat]:
     """All rational roots, ascending, each listed once.
 
-    Candidates come from the divisor sweep over the integer-scaled constant
-    and leading coefficients.  Integer candidates (the only kind for monic
-    inputs) are screened by the classic (1 - r) | p(1) and (1 + r) | p(-1)
-    divisibility filters before an integer Horner evaluation.
+    The root 0 is stripped first.  The rest are roots of the squarefree part
+    f of what is left, scaled to primitive integer coefficients with leading
+    coefficient a; they are r = y / a for the integer roots y of the monic
+    integer polynomial g(y) = a^(d-1) f(y / a), and each such y divides
+    g(0) != 0, so |y| <= |g(0)|.
+
+    The integer roots come from the smallest prime q modulo which every root
+    of g is simple (g' nonzero there), found by trying all residues.  A
+    squarefree g has a nonzero discriminant, and every prime not dividing it
+    qualifies, so the search ends; without the squarefree step a repeated
+    root would stay repeated modulo every prime.  Each simple root lifts
+    uniquely by Newton steps modulo q^2, q^4, ... until the modulus exceeds
+    2 |g(0)|, when the symmetric representative of an integer root is the
+    root itself.  A candidate is kept only if g vanishes at it exactly.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has every root")
-    roots: list[Rat] = []
     coeffs = list(p.coefficients())
-    # Strip powers of t: root 0.
-    shift = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        shift += 1
-    if shift:
+    roots: list[Rat] = []
+    if coeffs[0] == 0:
         roots.append(0)
+        while coeffs[0] == 0:
+            coeffs.pop(0)
     if len(coeffs) > 1:
-        denom = 1
-        for x in coeffs:
-            if isinstance(x, Fraction):
-                denom = lcm(denom, x.denominator)
-        ints = [int(x * denom) for x in coeffs]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
-        ints = [x // g for x in ints]
-        at_one = _int_horner(ints, 1)
-        at_minus_one = _int_horner(ints, -1)
-        if at_one == 0:
-            roots.append(1)
-        if at_minus_one == 0:
-            roots.append(-1)
-        lead_divs = _divisors(ints[-1])
-        for p_num in _divisors(ints[0]):
-            for r in (p_num, -p_num):
-                if r in (1, -1):
-                    continue
-                if at_one % (1 - r) != 0 or at_minus_one % (1 + r) != 0:
-                    continue
-                if _int_horner(ints, r) == 0:
-                    roots.append(r)
-            for q_den in lead_divs:
-                if q_den == 1 or gcd(p_num, q_den) != 1:
-                    continue
-                for cand in (Fraction(p_num, q_den), Fraction(-p_num, q_den)):
-                    if UniPoly(ints)(cand) == 0:
-                        roots.append(normalize(cand))
-    return sorted(roots, key=Fraction)
+        f = _primitive_int_row(squarefree_part(UniPoly(coeffs)).coefficients())
+        a, d = f[-1], len(f) - 1
+        g = [c * a ** (d - 1 - i) for i, c in enumerate(f[:-1])] + [1]
+        dg = [i * c for i, c in enumerate(g)][1:]
+        q = 2
+        while True:
+            gq = [c % q for c in g]
+            residues = [r for r in range(q) if _int_horner(gq, r) % q == 0]
+            if all(_int_horner(dg, r) % q for r in residues):
+                break
+            q += 1
+            while not _is_prime(q):
+                q += 1
+        bound = 2 * abs(g[0])
+        for y in residues:
+            modulus = q
+            while modulus <= bound:
+                modulus *= modulus
+                y = (y - _int_horner(g, y) * pow(_int_horner(dg, y), -1, modulus)) % modulus
+            if y > modulus // 2:
+                y -= modulus
+            if _int_horner(g, y) == 0:
+                roots.append(y // a if y % a == 0 else Fraction(y, a))
+    return sorted(roots)
 
 
 def coprime_split(m: UniPoly) -> list[UniPoly]:

@@ -3,7 +3,8 @@
 ``intersect_centers`` computes a joint center by explicit span intersection
 of per-group centers, a second route to what ``center_basis`` of the
 concatenated groups gives; ``jordan_product`` and ``rank_profile`` state
-algebraic facts the tests check.
+algebraic facts the tests check; ``in_span`` and ``same_span`` compare spans
+by the ranks of their echelon forms.
 """
 
 from fractions import Fraction
@@ -21,6 +22,18 @@ def jordan_product(x: RatMatrix, y: RatMatrix) -> RatMatrix:
 def rank_profile(idem: IdempotentSet) -> tuple:
     """Idempotent ranks (their traces), ascending; ranks are the block sizes."""
     return tuple(sorted(e.trace() for e in idem.eps))
+
+
+def in_span(vectors: Sequence[Sequence], target: Sequence, width: int) -> bool:
+    base = list(vectors)
+    return len(row_space_basis(base + [tuple(target)], width)) == len(
+        row_space_basis(base, width)
+    )
+
+
+def same_span(a: Sequence[Sequence], b: Sequence[Sequence], width: int) -> bool:
+    joint = len(row_space_basis(list(a) + list(b), width))
+    return len(row_space_basis(a, width)) == joint == len(row_space_basis(b, width))
 
 
 def span_intersection(a: Sequence[Sequence], b: Sequence[Sequence], width: int) -> list:

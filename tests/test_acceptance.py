@@ -10,7 +10,7 @@ against the defining identities at the end.
 import functools
 import random
 
-from algebra_helpers import jordan_product
+from algebra_helpers import jordan_product, same_span
 from conftest import (
     BIN_CUBIC_CENTER_FAMILY,
     BIN_CUBIC_EPS,
@@ -44,7 +44,7 @@ from polydecomp import (
     substitute_linear,
     verify_decomposition,
 )
-from polydecomp.ratlinalg import invert, same_span, vec
+from polydecomp.ratlinalg import invert, vec
 
 COLLECTED_IDEMPOTENT_SETS: list[tuple[IdempotentSet, tuple]] = []
 

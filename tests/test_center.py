@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from algebra_helpers import intersect_centers, jordan_product
+from algebra_helpers import intersect_centers, jordan_product, same_span
 from conftest import (
     BIN_CUBIC_CENTER_FAMILY,
     FOURVAR_CENTER_FAMILY,
@@ -23,7 +23,7 @@ from polydecomp import (
     parse_polynomial,
     substitute_linear,
 )
-from polydecomp.ratlinalg import invert, same_span, vec
+from polydecomp.ratlinalg import invert, vec
 
 
 def spans_family(center, family) -> bool:

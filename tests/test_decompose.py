@@ -1,6 +1,7 @@
 """Change of variables, monomial routing, recursion, and verification."""
 
 import random
+import time
 
 import pytest
 
@@ -35,6 +36,7 @@ from polydecomp.decompose import (
     diagonal_idempotent_supports,
 )
 from polydecomp.poly import embed
+from polydecomp.ratlinalg import rank
 
 
 class TestChangeOfVariables:
@@ -190,6 +192,32 @@ class TestDecomposeRecursive:
         f = Polynomial(3, terms)
         result = decompose_recursive([f], seed=42)
         assert result.tree.is_leaf and result.tree.center_dim == 1
+
+    def test_eight_dense_mixed_singletons(self):
+        # f = sum_i c_i (q_i . x)^3 for the rows q_i of a dense integer Q:
+        # every draw's minimal polynomial has eight integer roots of about a
+        # hundred bits, whose product has too many divisors to sweep.
+        rng = random.Random("eight-singletons")
+        n = 8
+        while True:
+            q = RatMatrix(n, n, [rng.randint(-3, 3) for _ in range(n * n)])
+            if rank(q) == n:
+                break
+        cubes = Polynomial(
+            n,
+            {
+                tuple(3 * (j == i) for j in range(n)): rng.choice([-2, -1, 1, 2, 3])
+                for i in range(n)
+            },
+        )
+        f = substitute_linear(cubes, q)
+        start = time.perf_counter()
+        result = decompose_recursive([f], seed=42)
+        elapsed = time.perf_counter() - start
+        assert result.center.dim == n
+        assert result.leaf_block_sizes() == (1,) * n
+        assert verify_decomposition([f], result)
+        assert elapsed < 10.0, f"took {elapsed:.2f} s (about 0.5 s expected)"
 
     def test_reconstruction_identity(self, fourvar_pair):
         result = decompose_recursive(fourvar_pair, seed=42)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from algebra_helpers import rank_profile
+from algebra_helpers import in_span, rank_profile
 from conftest import BIN_CUBIC_EPS, FOURVAR_EPS, TRIO_3_EPS, mat
 from polydecomp import (
     IdempotentSet,
@@ -11,7 +11,7 @@ from polydecomp import (
     find_idempotents,
     verify_complete,
 )
-from polydecomp.ratlinalg import in_span, vec
+from polydecomp.ratlinalg import vec
 
 
 class TestFindIdempotents:

@@ -1,15 +1,16 @@
 """Exact linear algebra: elimination, kernels, minimal polynomials, gcds."""
 
 import random
+import time
 from fractions import Fraction
 from math import isqrt
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from algebra_helpers import span_intersection
+from algebra_helpers import in_span, same_span, span_intersection
 from conftest import mat
 from polydecomp import (
     RatMatrix,
@@ -26,16 +27,13 @@ from polydecomp import (
     unipoly_gcd,
 )
 from polydecomp.ratlinalg import (
-    _divisors,
     _is_prime,
     _kernel_primes,
-    in_span,
     primary_coprime_factors,
     primitive_integer_matrix,
     rank,
     rational_roots,
     row_space_basis,
-    same_span,
     vec,
 )
 
@@ -175,6 +173,17 @@ class TestProductOracle:
         assert to_sympy(product) == expected
         # integral entries are ints, the rest Fractions
         assert all(type(x) is int or x.denominator > 1 for x in vec(product))
+
+    @settings(max_examples=100, deadline=None)
+    @given(product_operands())
+    def test_uncoerced_entries_match_coerced(self, operands):
+        # products and transposes skip the coercion of their entries; the
+        # entries must be exactly what coercing them would give
+        left, right = operands
+        for m in (left * right, left.transpose(), (left * right).transpose()):
+            coerced = RatMatrix(m.rows, m.cols, list(vec(m)))
+            assert coerced == m
+            assert list(map(type, vec(m))) == list(map(type, vec(coerced)))
 
 
 class TestNullspaceOracle:
@@ -398,17 +407,113 @@ class TestRationalRoots:
         assert rational_roots(UniPoly([1, 0, 1])) == []
 
 
+T = sympy.Symbol("t")
+
+
+def oracle_roots(p):
+    """Rational roots from sympy's factorization over the rationals, ascending."""
+    expr = sum(sympy.Rational(str(c)) * T**i for i, c in enumerate(p.coefficients()))
+    roots = set()
+    for factor, _ in sympy.factor_list(expr)[1]:
+        poly = sympy.Poly(factor, T)
+        if poly.degree() == 1:
+            a, b = poly.all_coeffs()
+            r = -b / a
+            roots.add(int(r.p) if r.q == 1 else Fraction(int(r.p), int(r.q)))
+    return sorted(roots)
+
+
+@st.composite
+def rootless_quadratics(draw):
+    """a t^2 + b t + c with a discriminant that is not a rational square."""
+    a = draw(st.integers(1, 7))
+    b = draw(st.integers(-9, 9))
+    c = draw(st.integers(-9, 9).filter(bool))
+    disc = b * b - 4 * a * c
+    assume(disc < 0 or isqrt(disc) ** 2 != disc)
+    return UniPoly([c, b, a])
+
+
+nonzero_rationals = st.builds(
+    Fraction, st.integers(-60, 60).filter(bool), st.integers(1, 12)
+)
+
+
+@st.composite
+def polys_with_roots(draw):
+    """A nonzero rational multiple of planted roots, t^k and rootless quadratics.
+
+    Returns the polynomial and its rational roots.
+    """
+    planted = draw(
+        st.lists(
+            st.tuples(
+                st.builds(Fraction, st.integers(-40, 40), st.integers(1, 9)),
+                st.integers(1, 3),
+            ),
+            max_size=4,
+        )
+    )
+    zero_power = draw(st.integers(0, 2))
+    p = UniPoly.shift() ** zero_power * draw(nonzero_rationals)
+    for r, k in planted:
+        p = p * UniPoly.linear_root(r) ** k
+    for q in draw(st.lists(rootless_quadratics(), max_size=2)):
+        p = p * q
+    roots = {r for r, _ in planted} | ({0} if zero_power else set())
+    return p, sorted(roots)
+
+
+class TestRationalRootsOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(polys_with_roots())
+    def test_planted_roots(self, case):
+        p, planted = case
+        roots = rational_roots(p)
+        assert roots == planted == oracle_roots(p)
+        # integral roots are ints, the rest Fractions in lowest terms
+        assert all(type(r) is int or r.denominator > 1 for r in roots)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(rootless_quadratics(), min_size=1, max_size=3), nonzero_rationals)
+    def test_no_rational_roots(self, quadratics, scale):
+        p = UniPoly([scale])
+        for q in quadratics:
+            p = p * q
+        assert rational_roots(p) == [] == oracle_roots(p)
+
+    def test_irreducible_cubic_times_roots(self):
+        p = UniPoly([-2, 0, 0, 1]) * UniPoly.linear_root(Fraction(-5, 3)) ** 2
+        assert rational_roots(p) == [Fraction(-5, 3)] == oracle_roots(p)
+
+    def test_eight_smooth_hundred_bit_roots(self):
+        # Every root is divisible by every prime below 53, so modulo each of
+        # them all eight roots collide at 0 and the prime search has to move
+        # past them; the constant term has far too many divisors to sweep.
+        rng = random.Random(8)
+        small = [q for q in range(2, 53) if _is_prime(q)]
+        roots = set()
+        while len(roots) < 8:
+            r = 1
+            for q in small:
+                r *= q
+            while r.bit_length() < 96:
+                r *= rng.choice(small)
+            roots.add(r if rng.randint(0, 1) else -r)
+        p = UniPoly([3])
+        for r in roots:
+            p = p * UniPoly.linear_root(r)
+        start = time.perf_counter()
+        found = rational_roots(p)
+        elapsed = time.perf_counter() - start
+        assert found == sorted(roots)
+        assert elapsed < 2.0, f"took {elapsed:.2f} s"
+
+
 class TestNumberTheoryHelpers:
     def test_primality(self):
         assert _is_prime(2) and _is_prime(97) and _is_prime(2**31 - 1)
         assert not _is_prime(1) and not _is_prime(91) and not _is_prime(2**32)
-
-    def test_divisors(self):
-        assert _divisors(12) == [1, 2, 3, 4, 6, 12]
-        assert _divisors(-7) == [1, 7]
-        assert _divisors(1) == [1]
-        big = 2**3 * 3**2 * 1_000_003
-        assert len(_divisors(big)) == 4 * 3 * 2
 
 
 class TestSpans:
