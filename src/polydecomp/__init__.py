@@ -48,7 +48,6 @@ from .ratlinalg import (
     invert,
     minimal_polynomial,
     nullspace_basis,
-    rref,
     squarefree_part,
     unipoly_gcd,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "parse_polynomial",
     "partial_derivative",
     "render_canonical",
-    "rref",
     "separate",
     "squarefree_part",
     "substitute_linear",

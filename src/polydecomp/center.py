@@ -36,9 +36,11 @@ from .errors import DimensionMismatch, EmptyInput
 from .poly import Polynomial
 from .ratlinalg import (
     RatMatrix,
+    _echelon,
+    _in_row_space,
+    _sparse_rows,
     nullspace_basis,
     primitive_integer_matrix,
-    row_space_basis,
     signed_primitive_row,
     unvec,
     vec,
@@ -60,21 +62,15 @@ class CenterBasis:
         return [vec(x) for x in self.basis]
 
     @cached_property
-    def _echelon(self) -> list[tuple[int, tuple]]:
-        """Reduced echelon rows of the basis, each with its pivot column."""
-        rows = row_space_basis(self.vectors(), self.n * self.n)
-        return [(next(c for c, v in enumerate(row) if v), row) for row in rows]
+    def _form(self) -> dict:
+        """Certified reduced echelon form of the basis."""
+        return _echelon(_sparse_rows(self.vectors()), self.n * self.n)
 
     def contains(self, x: RatMatrix) -> bool:
-        """Exact span membership test, by reduction against the echelon rows."""
+        """Exact span membership test, by reduction against the echelon form."""
         if x.rows != self.n or x.cols != self.n:
             raise DimensionMismatch("matrix does not match ambient dimension")
-        v = vec(x)
-        for c, row in self._echelon:
-            f = v[c]
-            if f:
-                v = [a - f * b for a, b in zip(v, row)]
-        return not any(v)
+        return _in_row_space(_sparse_rows([vec(x)]), self._form, self.n * self.n)
 
 
 def _check_inputs(polys: Sequence[Polynomial]) -> int:

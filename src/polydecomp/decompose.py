@@ -255,10 +255,6 @@ def decompose_recursive(
                 DecompositionNode(indices, fs, (), z.dim),
                 RatMatrix.identity(k),
             )
-        if not verify_complete(idem, fs):
-            raise InternalInvariantViolation(
-                "idempotent set failed verification against its polynomials"
-            )
         p_node = change_of_variables(idem)
         # an idempotent's rank, its block size, equals its trace
         ranges = block_ranges([e.trace() for e in idem.eps])

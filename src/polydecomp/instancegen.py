@@ -157,7 +157,8 @@ def generate(
 
 
 def _oracle_rank(rows: list[list[Fraction]]) -> int:
-    """Row-at-a-time integer echelon rank, independent of the main rref path."""
+    """Row-at-a-time integer echelon rank over the rationals, independent of
+    the library's modular elimination."""
     echelon: list[tuple[int, list[int]]] = []  # (lead index, primitive row)
     for row in rows:
         denom = 1

@@ -1,18 +1,24 @@
 """Exact linear algebra over the rationals.
 
 Dense matrices with exact rational entries, sized for ambient dimensions in
-the single digits.  Forward elimination runs fraction-free on gcd-normalized
-integer rows; the reduced echelon form is produced by an exact backward pass,
-so every result (ranks, inverses, spans) is bit-reproducible.
+the single digits.
 
-Kernels take a modular route instead.  ``nullspace_basis`` eliminates the
-primitive integer rows modulo a 61-bit prime by sparse incremental insertion
-into a reduced echelon basis, lifts the mod-p kernel to the rationals by
-rational reconstruction (combining more primes by CRT when the entries need
-them), and accepts the lift only after an exact integer check against every
-row.  The mod-p rank never exceeds the rational rank, so the certified
-vectors span the whole kernel, and they come out in the canonical
-free-variable form that exact elimination gives, whichever primes were used.
+All elimination runs through one engine, ``_echelon``: the reduced echelon
+form of the span of some rows, stored as each pivot column with its row's
+entries outside the pivot columns.  Kernels, row and column spaces, inverses
+and minimal polynomials are read off that form.  The rows are scaled to
+primitive integers and eliminated modulo a 61-bit prime by sparse
+incremental insertion; the form's entries are lifted to the rationals by
+rational reconstruction, combining more primes by CRT while the entries need
+them, and a lift is accepted only after an exact integer check that every
+input row reduces to zero against it.
+
+That check is the certificate.  It puts every row in the span of the lifted
+rows, so the rational rank is at most their number, the mod-p rank, which
+never exceeds the rational rank: the lifted rows span exactly the row space.
+A reduced echelon form of a row space is unique, so every result is the
+same whichever primes were used; a prime that drops the rank or fails the
+check costs a retry with the next one, never a different answer.
 
 The module also provides the univariate polynomial machinery (gcd, Bezout
 cofactors, squarefree part, coprime splitting, minimal polynomials) that the
@@ -27,9 +33,11 @@ only when g vanishes at them exactly.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from itertools import count
 from math import gcd, isqrt, lcm
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from ._rat import Rat, divide, normalize, rat_str, to_rat
 from .errors import DimensionMismatch, SingularMatrix
@@ -229,88 +237,24 @@ def signed_primitive_row(row: Sequence) -> Vector:
     return tuple(ints)
 
 
-def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
-    """Exact reduced row echelon form and the pivot column indices.
+def _sparse_rows(rows: Iterable[Sequence]) -> list[list[tuple[int, int]]]:
+    """The nonzero rows as primitive integer rows of (column, value) pairs."""
+    out = []
+    for row in rows:
+        sparse = [(c, v) for c, v in enumerate(_primitive_int_row(row)) if v]
+        if sparse:
+            out.append(sparse)
+    return out
 
-    Pivoting is deterministic: the first row with a nonzero entry in the
-    current column.  Forward elimination is fraction-free on gcd-normalized
-    integer rows; the backward pass normalizes pivots to 1 exactly.
+
+def _echelon(rows: list, width: int) -> dict:
+    """Certified reduced echelon form of the span of sparse integer rows.
+
+    Maps each pivot column, ascending, to its row's entries outside the pivot
+    columns; the pivot entry is 1 and the other pivot entries are 0.  At
+    full rank modulo a prime the form is the identity and needs no lift.
     """
-    nrows, ncols = m.rows, m.cols
-    rows = [_primitive_int_row(m.row(r)) for r in range(nrows)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, nrows):
-            v = rows[i][c]
-            if v:
-                merged = [a * piv - b * v for a, b in zip(rows[i], rows[r])]
-                g = 0
-                for x in merged:
-                    g = gcd(g, x)
-                    if g == 1:
-                        break
-                rows[i] = [x // g for x in merged] if g > 1 else merged
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    # Backward pass in exact rational arithmetic.
-    reduced = [[Fraction(x) for x in rows[i]] for i in range(len(pivots))]
-    for i in reversed(range(len(pivots))):
-        c = pivots[i]
-        piv = reduced[i][c]
-        reduced[i] = [x / piv for x in reduced[i]]
-        for j in range(i):
-            f = reduced[j][c]
-            if f:
-                reduced[j] = [a - f * b for a, b in zip(reduced[j], reduced[i])]
-    out: list = []
-    for i in range(nrows):
-        if i < len(reduced):
-            out.extend(normalize(x) for x in reduced[i])
-        else:
-            out.extend([0] * ncols)
-    return RatMatrix(nrows, ncols, out), tuple(pivots)
-
-
-def rank(m: RatMatrix) -> int:
-    return len(rref(m)[1])
-
-
-def nullspace_basis(m: RatMatrix) -> list[Vector]:
-    """Canonical basis of the right kernel, certified exactly.
-
-    One vector per free column of the reduced echelon form, ordered by
-    free-column index; the free coordinate is 1, the other free coordinates
-    are 0 and the pivot coordinates are read off the echelon form.
-
-    The rows are eliminated modulo a 61-bit prime, the kernel is lifted to
-    the rationals by rational reconstruction (further primes are combined by
-    CRT while the entries are too large for the modulus), and a lift is
-    accepted only after an exact integer check against every row.  The mod-p
-    rank is at most the rational rank, so independent vectors that pass the
-    check, one per mod-p free column, span the whole kernel.  They are the
-    identity on their free columns and zero after them: the reduced echelon
-    form of the kernel over reversed coordinates.  That form is unique, so
-    the basis is the canonical one whichever primes were used.
-    """
-    width = m.cols
-    rows = []
-    for r in range(m.rows):
-        row = [(c, v) for c, v in enumerate(_primitive_int_row(m.row(r))) if v]
-        if row:
-            rows.append(row)
-    primes = _kernel_primes()
+    primes = map(_kernel_prime, count())
     while True:
         p = next(primes)
         pivots: dict = {}
@@ -318,25 +262,29 @@ def nullspace_basis(m: RatMatrix) -> list[Vector]:
         for i, row in enumerate(rows):
             if _insert_mod(pivots, row, p):
                 used.append(i)
-                # At most one kernel vector is left (the center always keeps
-                # the identity): if this prime alone certifies it, the
-                # remaining rows need no elimination.
+                if len(pivots) == width:
+                    return {c: {} for c in range(width)}
+                # At most one kernel vector is left (a center always keeps
+                # the identity, a Krylov stack its newest power): if this
+                # prime alone certifies it, the remaining rows need no
+                # elimination, only the check.
                 if len(pivots) == width - 1 and i + 1 < len(rows):
-                    basis = _reconstruct(_kernel_mod(pivots, width, p), p)
-                    if basis is not None and _annihilates(rows, basis):
-                        return basis
-        basis = _lift(rows, width, pivots, used, p, primes)
-        if basis is not None:
-            return basis
+                    form = _reconstruct(pivots, p)
+                    if form is not None and _in_row_space(rows, form, width):
+                        return form
+        form = _lift(rows, width, pivots, used, p, primes)
+        if form is not None:
+            return form
 
 
-def _kernel_primes() -> Iterator[int]:
-    """Primes below 2^61 in descending order, from 2^61 - 1 on."""
-    q = (1 << 61) - 1
-    while True:
-        if _is_prime(q):
-            yield q
+@cache
+def _kernel_prime(i: int) -> int:
+    """The i-th prime below 2^61 counting down from 2^61 - 1, searched for
+    once per process."""
+    q = _kernel_prime(i - 1) - 2 if i else (1 << 61) - 1
+    while not _is_prime(q):
         q -= 2
+    return q
 
 
 def _insert_mod(pivots: dict, row: list, p: int) -> bool:
@@ -372,71 +320,99 @@ def _axpy(y: dict, a: int, x: dict, p: int) -> None:
             y.pop(j, None)
 
 
-def _kernel_mod(pivots: dict, width: int, p: int) -> list[list[int]]:
-    """Canonical kernel vectors of a reduced echelon basis, residues mod p."""
-    out = []
-    for f in range(width):
-        if f not in pivots:
-            v = [0] * width
-            v[f] = 1
-            for c, entries in pivots.items():
-                if f in entries:
-                    v[c] = p - entries[f]
-            out.append(v)
-    return out
-
-
-def _reconstruct(residues: list[list[int]], modulus: int) -> list[Vector] | None:
+def _reconstruct(residues: dict, modulus: int) -> dict | None:
     """Rationals a/b = u mod modulus with |a|, b <= sqrt(modulus/2) (Wang).
 
+    Entrywise over an echelon form of residues, pivots in ascending order;
     None as soon as one entry has no such preimage.
     """
     bound = isqrt(modulus // 2)
-    basis = []
-    for v in residues:
-        out = []
-        for u in v:
+    form = {}
+    for c in sorted(residues):
+        out = {}
+        for j, u in residues[c].items():
             r0, r1, s0, s1 = modulus, u, 0, 1
             while r1 > bound:
                 q = r0 // r1
                 r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
             if abs(s1) > bound or gcd(r1, s1) != 1:
                 return None
-            out.append(normalize(Fraction(r1, s1)) if s1 != 1 else r1)
-        basis.append(tuple(out))
+            out[j] = normalize(Fraction(r1, s1)) if s1 != 1 else r1
+        form[c] = out
+    return form
+
+
+def _kernel(form: dict, width: int) -> list[Vector]:
+    """Kernel vectors of an echelon form, one per free column, ascending.
+
+    The free coordinate is 1, the other free coordinates are 0 and the pivot
+    coordinates are the negated form entries in that column.
+    """
+    basis = []
+    for f in range(width):
+        if f not in form:
+            v = [0] * width
+            v[f] = 1
+            for c, entries in form.items():
+                if f in entries:
+                    v[c] = -entries[f]
+            basis.append(tuple(v))
     return basis
 
 
-def _annihilates(rows: list, basis: list[Vector]) -> bool:
-    """Exact integer check that every row kills every basis vector."""
-    for v in basis:
-        denom = lcm(*(x.denominator for x in v if type(x) is Fraction))
-        iv = [int(x * denom) for x in v]
-        if any(sum(a * iv[c] for c, a in row) for row in rows):
+def _in_row_space(rows: list, form: dict, width: int) -> bool:
+    """Exact check that every sparse integer row reduces to zero against the form.
+
+    That is A*K = 0 for the form's kernel vectors K.  A system with more rows
+    than columns multiplies each row by each kernel vector, scaled to
+    integers; otherwise each row is reduced by the form's rows, all scaled
+    by one common denominator.
+    """
+    if len(rows) > width:
+        for v in _kernel(form, width):
+            denom = lcm(*(x.denominator for x in v if type(x) is Fraction))
+            iv = [int(x * denom) for x in v]
+            if any(sum(a * iv[c] for c, a in row) for row in rows):
+                return False
+        return True
+    denom = lcm(
+        *(x.denominator for e in form.values() for x in e.values() if type(x) is Fraction)
+    )
+    scaled = {c: [(j, int(x * denom)) for j, x in e.items()] for c, e in form.items()}
+    for row in rows:
+        residual: dict = {}
+        for c, a in row:
+            entries = scaled.get(c)
+            if entries is None:
+                residual[c] = residual.get(c, 0) + a * denom
+            else:
+                for j, x in entries:
+                    residual[j] = residual.get(j, 0) - a * x
+        if any(residual.values()):
             return False
     return True
 
 
-def _lift(rows, width, pivots, used, p, primes) -> list[Vector] | None:
-    """Certified kernel from the echelon basis found modulo p, or None.
+def _lift(rows, width, pivots, used, p, primes) -> dict | None:
+    """Certified echelon form from the one found modulo p, or None.
 
     Further primes eliminate only the rows in ``used`` (the pivot rows
     modulo p) and are combined by CRT until a reconstruction passes the
     exact check.  None means p was unlucky: another prime found other pivot
-    columns, or the reconstruction settled on vectors that fail the check.
+    columns, or the reconstruction settled on a form that fails the check.
     """
     columns = sorted(pivots)
-    residues = _kernel_mod(pivots, width, p)
+    residues = pivots
     modulus = p
     previous = None
     while True:
-        basis = _reconstruct(residues, modulus)
-        if basis is not None:
-            if _annihilates(rows, basis):
-                return basis
-            if basis == previous:
+        form = _reconstruct(residues, modulus)
+        if form is not None:
+            if _in_row_space(rows, form, width):
+                return form
+            if form == previous:
                 return None
-            previous = basis
+            previous = form
         q = next(primes)
         other: dict = {}
         for i in used:
@@ -445,59 +421,41 @@ def _lift(rows, width, pivots, used, p, primes) -> list[Vector] | None:
             return None
         factor = modulus * pow(modulus, -1, q)
         modulus *= q
-        residues = [
-            [(a + (b - a) * factor) % modulus for a, b in zip(va, vb)]
-            for va, vb in zip(residues, _kernel_mod(other, width, q))
-        ]
+        combined = {}
+        for c in columns:
+            a, b = residues[c], other[c]
+            combined[c] = {
+                j: (a.get(j, 0) + (b.get(j, 0) - a.get(j, 0)) * factor) % modulus
+                for j in a.keys() | b.keys()
+            }
+        residues = combined
+
+
+def nullspace_basis(m: RatMatrix) -> list[Vector]:
+    """Canonical basis of the right kernel, certified exactly.
+
+    One vector per free column of the reduced echelon form, ordered by
+    free-column index; the free coordinate is 1, the other free coordinates
+    are 0 and the pivot coordinates are read off the echelon form.
+    """
+    return _kernel(_echelon(_sparse_rows(map(m.row, range(m.rows))), m.cols), m.cols)
 
 
 def column_space_basis(m: RatMatrix) -> list[Vector]:
     """Columns of ``m`` at the pivot positions of its echelon form."""
-    _, pivots = rref(m)
-    return [m.column(c) for c in pivots]
+    return [m.column(c) for c in _echelon(_sparse_rows(map(m.row, range(m.rows))), m.cols)]
 
 
 def invert(m: RatMatrix) -> RatMatrix:
+    """Inverse, the right half of the echelon form of [m | I]."""
     if m.rows != m.cols:
         raise DimensionMismatch("only square matrices can be inverted")
     n = m.rows
-    aug = RatMatrix(
-        n,
-        2 * n,
-        [
-            m.entry(r, c) if c < n else (1 if c - n == r else 0)
-            for r in range(n)
-            for c in range(2 * n)
-        ],
-    )
-    reduced, pivots = rref(aug)
-    if pivots[:n] != tuple(range(n)):
-        raise SingularMatrix(f"matrix has rank {sum(1 for p in pivots if p < n)} < {n}")
-    return RatMatrix(
-        n, n, [reduced.entry(r, n + c) for r in range(n) for c in range(n)]
-    )
-
-
-def solve(m: RatMatrix, rhs: Sequence) -> Vector | None:
-    """One exact solution of ``m x = rhs`` (free variables 0), or None."""
-    if len(rhs) != m.rows:
-        raise DimensionMismatch("right-hand side length does not match rows")
-    aug = RatMatrix(
-        m.rows,
-        m.cols + 1,
-        [
-            m.entry(r, c) if c < m.cols else rhs[r]
-            for r in range(m.rows)
-            for c in range(m.cols + 1)
-        ],
-    )
-    reduced, pivots = rref(aug)
-    if m.cols in pivots:
-        return None
-    x = [0] * m.cols
-    for i, c in enumerate(pivots):
-        x[c] = reduced.entry(i, m.cols)
-    return tuple(x)
+    unit = [(0,) * r + (1,) + (0,) * (n - 1 - r) for r in range(n)]
+    form = _echelon(_sparse_rows(m.row(r) + unit[r] for r in range(n)), 2 * n)
+    if list(form) != list(range(n)):
+        raise SingularMatrix(f"matrix has rank {sum(1 for c in form if c < n)} < {n}")
+    return RatMatrix._raw(n, n, [form[r].get(n + c, 0) for r in range(n) for c in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +465,14 @@ def solve(m: RatMatrix, rhs: Sequence) -> Vector | None:
 
 def row_space_basis(vectors: Iterable[Sequence], width: int) -> list[Vector]:
     """Canonical (reduced echelon) basis of the span of the given vectors."""
-    vs = [tuple(v) for v in vectors]
-    if not vs:
-        return []
-    reduced, pivots = rref(RatMatrix.from_rows(vs))
-    return [reduced.row(i) for i in range(len(pivots))]
+    basis = []
+    for c, entries in _echelon(_sparse_rows(vectors), width).items():
+        row = [0] * width
+        row[c] = 1
+        for j, x in entries.items():
+            row[j] = x
+        basis.append(tuple(row))
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -873,25 +834,20 @@ def primary_coprime_factors(m: UniPoly) -> list[UniPoly]:
 def minimal_polynomial(m: RatMatrix) -> UniPoly:
     """Least-degree monic annihilator, via the first Krylov dependency.
 
-    Successive powers I, M, M^2, ... are flattened and tested for linear
-    dependency; the first dependency gives the minimal polynomial exactly.
+    vec I, vec M, ..., vec M^k are stacked as columns until the stack has a
+    kernel.  The earlier columns are independent, so the kernel is a single
+    vector with 1 at M^k: the coefficients of the minimal polynomial.
     """
     if m.rows != m.cols:
         raise DimensionMismatch("minimal polynomial needs a square matrix")
-    n = m.rows
-    d = n * n
-    basis_vecs = [vec(RatMatrix.identity(n))]
-    power = RatMatrix.identity(n)
+    power = RatMatrix.identity(m.rows)
+    columns = [vec(power)]
     while True:
         power = power * m
-        target = vec(power)
-        k = len(basis_vecs)
-        stacked = RatMatrix(
-            d, k, [basis_vecs[j][r] for r in range(d) for j in range(k)]
+        columns.append(vec(power))
+        stacked = RatMatrix._raw(
+            len(power._e), len(columns), [x for row in zip(*columns) for x in row]
         )
-        sol = solve(stacked, target)
-        if sol is not None:
-            return UniPoly([-x for x in sol] + [1])
-        basis_vecs.append(target)
-        if k > d:  # unreachable; defensive bound
-            raise AssertionError("Krylov sequence failed to close")
+        kernel = nullspace_basis(stacked)
+        if kernel:
+            return UniPoly(kernel[0])

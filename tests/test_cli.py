@@ -1,9 +1,13 @@
 """Command-line surface: subcommands, exit codes, serialization round trips."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import polydecomp
 from conftest import (
     BIN_CUBIC_1,
     BIN_CUBIC_2,
@@ -305,3 +309,30 @@ class TestSerialization:
         assert restored.center == result.center
         doc2 = result_to_document(problem, restored, 42)
         assert json.dumps(doc2) == blob
+
+
+class TestStdlibOnly:
+    def test_decompose_loads_only_the_standard_library(self, pair_file, tmp_path):
+        # The tests import sympy and hypothesis, so a fresh interpreter
+        # (without site packages) runs the command and lists what it loaded.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(polydecomp.__file__)))
+        output = str(tmp_path / "out.json")
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "from polydecomp.cli import main\n"
+            f"argv = ['decompose', '--input', {pair_file!r}, '--json', '--output', {output!r}]\n"
+            "rc = main(argv)\n"
+            "loaded = {m.split('.')[0] for m in sys.modules}\n"
+            "print(rc, sorted(loaded - set(sys.stdlib_module_names) - {'__main__'}))\n"
+            "print(sorted(loaded & {'sympy', 'hypothesis'}))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["0 ['polydecomp']", "[]"]
+        assert json.loads((tmp_path / "out.json").read_text())["diagonalizable"]

@@ -4,6 +4,7 @@ import random
 import time
 
 import pytest
+import sympy
 
 from conftest import (
     BIN_CUBIC_EPS,
@@ -14,6 +15,7 @@ from conftest import (
     TRIO_3_P,
     mat,
 )
+import polydecomp.decompose
 from polydecomp import (
     DecompositionNode,
     DecompositionResult,
@@ -36,7 +38,6 @@ from polydecomp.decompose import (
     diagonal_idempotent_supports,
 )
 from polydecomp.poly import embed
-from polydecomp.ratlinalg import rank
 
 
 class TestChangeOfVariables:
@@ -201,7 +202,7 @@ class TestDecomposeRecursive:
         n = 8
         while True:
             q = RatMatrix(n, n, [rng.randint(-3, 3) for _ in range(n * n)])
-            if rank(q) == n:
+            if sympy.Matrix(q.to_rows()).rank() == n:
                 break
         cubes = Polynomial(
             n,
@@ -266,6 +267,28 @@ class TestDecomposeRecursive:
 
 
 class TestVerifyDecomposition:
+    def test_only_the_verifier_runs_verify_complete(self, quartic_squares, monkeypatch):
+        # find_idempotents checks each node's identities against a certified
+        # center, so the pipeline does not run verify_complete; the
+        # verifier runs it once per internal node, independently
+        calls = []
+        verify_complete = polydecomp.decompose.verify_complete
+
+        def counting(idem, polys):
+            calls.append(1)
+            return verify_complete(idem, polys)
+
+        monkeypatch.setattr(polydecomp.decompose, "verify_complete", counting)
+        result = decompose_recursive([quartic_squares], seed=42)
+        assert calls == []
+        assert verify_decomposition([quartic_squares], result)
+
+        def internal(node):
+            return (not node.is_leaf) + sum(map(internal, node.children))
+
+        assert internal(result.tree) >= 2
+        assert len(calls) == internal(result.tree)
+
     def test_fresh_result_verifies(self, bin_cubics):
         result = decompose_recursive(bin_cubics, seed=42)
         report = verify_decomposition(bin_cubics, result)

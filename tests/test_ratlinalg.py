@@ -1,4 +1,4 @@
-"""Exact linear algebra: elimination, kernels, minimal polynomials, gcds."""
+"""Exact linear algebra: echelon forms, kernels, inverses, minimal polynomials, gcds."""
 
 import random
 import time
@@ -22,16 +22,14 @@ from polydecomp import (
     invert,
     minimal_polynomial,
     nullspace_basis,
-    rref,
     squarefree_part,
     unipoly_gcd,
 )
 from polydecomp.ratlinalg import (
     _is_prime,
-    _kernel_primes,
+    _kernel_prime,
     primary_coprime_factors,
     primitive_integer_matrix,
-    rank,
     rational_roots,
     row_space_basis,
     vec,
@@ -40,37 +38,6 @@ from polydecomp.ratlinalg import (
 
 def rand_matrix(rng, rows, cols, lo=-5, hi=5):
     return RatMatrix(rows, cols, [rng.randint(lo, hi) for _ in range(rows * cols)])
-
-
-class TestRref:
-    def test_identity(self):
-        reduced, pivots = rref(RatMatrix.identity(3))
-        assert reduced == RatMatrix.identity(3)
-        assert pivots == (0, 1, 2)
-
-    def test_rank_one(self):
-        reduced, pivots = rref(mat([[1, 2], [2, 4]]))
-        assert reduced == mat([[1, 2], [0, 0]])
-        assert pivots == (0,)
-
-    def test_fractional_entries(self):
-        reduced, pivots = rref(mat([[Fraction(1, 2), 1], [1, 3]]))
-        assert reduced == RatMatrix.identity(2)
-        assert pivots == (0, 1)
-
-    def test_idempotent(self):
-        rng = random.Random(3)
-        for _ in range(15):
-            m = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-            reduced, pivots = rref(m)
-            again, pivots2 = rref(reduced)
-            assert reduced == again and pivots == pivots2
-
-    def test_rank_plus_nullity(self):
-        rng = random.Random(5)
-        for _ in range(15):
-            m = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-            assert rank(m) + len(nullspace_basis(m)) == m.cols
 
 
 class TestNullspace:
@@ -99,30 +66,29 @@ class TestNullspace:
             assert 1 in v
 
 
+def from_sympy(x):
+    """A sympy rational as a library scalar: int when integral, else Fraction."""
+    return int(x.p) if x.q == 1 else Fraction(int(x.p), int(x.q))
+
+
 def sympy_nullspace(m):
     """Oracle: sympy's kernel basis, which uses the same free-column form."""
-    oracle = sympy.Matrix(m.rows, m.cols, [sympy.Rational(str(x)) for x in vec(m)])
-    out = []
-    for col in oracle.nullspace():
-        out.append(
-            tuple(
-                int(x.p) if x.q == 1 else Fraction(int(x.p), int(x.q)) for x in col
-            )
-        )
-    return out
+    return [tuple(map(from_sympy, col)) for col in to_sympy(m).nullspace()]
 
 
-def assert_matches_oracle(m):
-    basis = nullspace_basis(m)
-    expected = sympy_nullspace(m)
-    assert basis == expected
+def assert_same_typed(vectors, expected):
+    assert vectors == expected
     # integral entries are ints, the rest Fractions, exactly as the oracle
-    assert [tuple(map(type, v)) for v in basis] == [
+    assert [tuple(map(type, v)) for v in vectors] == [
         tuple(map(type, v)) for v in expected
     ]
 
 
-FIRST_PRIME = next(_kernel_primes())
+def assert_matches_oracle(m):
+    assert_same_typed(nullspace_basis(m), sympy_nullspace(m))
+
+
+FIRST_PRIME = _kernel_prime(0)
 
 small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
@@ -235,6 +201,150 @@ class TestNullspaceOracle:
     @pytest.mark.parametrize("column", [[0, 0, 0], [0, Fraction(3, 7), 0], [5]])
     def test_single_column(self, column):
         assert_matches_oracle(mat([[x] for x in column]))
+
+
+big_integers = st.integers(-(2**70), 2**70)
+
+
+def matrix_of_shape(draw, rows, cols):
+    """Generic, rank-deficient (a product through a narrower inner dimension)
+    or zero; one in four draws has integer entries far above 2^61."""
+    entries = small_rationals if draw(st.integers(0, 3)) else big_integers
+
+    def block(r, c):
+        return RatMatrix(r, c, draw(st.lists(entries, min_size=r * c, max_size=r * c)))
+
+    inner = draw(st.integers(0, min(rows, cols)))
+    if inner == min(rows, cols):
+        return block(rows, cols)
+    if inner == 0:
+        return RatMatrix.zeros(rows, cols)
+    return block(rows, inner) * block(inner, cols)
+
+
+@st.composite
+def echelon_inputs(draw):
+    """Up to 8 x 7 in any shape, or r x n^2 with r <= n, the shape of the
+    corner spans the idempotent search reduces."""
+    if draw(st.booleans()):
+        rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 7))
+    else:
+        n = draw(st.integers(2, 4))
+        rows, cols = draw(st.integers(1, n)), n * n
+    return matrix_of_shape(draw, rows, cols)
+
+
+@st.composite
+def square_matrices(draw, largest=5):
+    n = draw(st.integers(1, largest))
+    return matrix_of_shape(draw, n, n)
+
+
+def sympy_rows(m):
+    return [tuple(map(from_sympy, m.row(i))) for i in range(m.rows)]
+
+
+# Singular modulo the first prime only (determinant FIRST_PRIME).
+UNLUCKY = mat([[1 + FIRST_PRIME, 1], [1, 1]])
+# Entries above the modulus of one prime; inverse entries need several primes.
+BIG = mat([[3**40, 2**64 + 1, 0], [5**20, 7**25, 1], [2**61, 0, 11**19]])
+
+
+class TestEchelonOracle:
+    """Row spaces, column spaces, inverses and minimal polynomials against sympy."""
+
+    def test_identity(self):
+        assert row_space_basis(RatMatrix.identity(3).to_rows(), 3) == [
+            (1, 0, 0),
+            (0, 1, 0),
+            (0, 0, 1),
+        ]
+
+    def test_rank_one(self):
+        assert row_space_basis([[1, 2], [2, 4]], 2) == [(1, 2)]
+        assert column_space_basis(mat([[1, 2], [2, 4]])) == [(1, 2)]
+
+    def test_fractional_entries(self):
+        assert row_space_basis([[Fraction(1, 2), 1], [1, 3]], 2) == [(1, 0), (0, 1)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(echelon_inputs())
+    def test_idempotent(self, m):
+        basis = row_space_basis(m.to_rows(), m.cols)
+        assert_same_typed(row_space_basis(basis, m.cols), basis)
+
+    @settings(max_examples=100, deadline=None)
+    @given(echelon_inputs())
+    def test_rank_plus_nullity(self, m):
+        rank = len(row_space_basis(m.to_rows(), m.cols))
+        assert rank == to_sympy(m).rank()
+        assert rank + len(nullspace_basis(m)) == m.cols
+
+    @settings(max_examples=150, deadline=None)
+    @given(echelon_inputs())
+    def test_row_and_column_spaces(self, m):
+        reduced, pivots = to_sympy(m).rref()
+        assert_same_typed(
+            row_space_basis(m.to_rows(), m.cols), sympy_rows(reduced)[: len(pivots)]
+        )
+        assert column_space_basis(m) == [m.column(c) for c in pivots]
+
+    @settings(max_examples=150, deadline=None)
+    @given(square_matrices())
+    def test_invert(self, m):
+        oracle = to_sympy(m)
+        rank = oracle.rank()
+        if rank < m.rows:
+            with pytest.raises(SingularMatrix, match=f"rank {rank} < {m.rows}"):
+                invert(m)
+        else:
+            assert_same_typed(
+                [tuple(row) for row in invert(m).to_rows()], sympy_rows(oracle.inv())
+            )
+
+    @settings(max_examples=100, deadline=None)
+    @given(square_matrices(largest=4))
+    def test_minimal_polynomial(self, m):
+        mp = minimal_polynomial(m)
+        coeffs = mp.coefficients()
+        assert coeffs[-1] == 1
+        assert all(type(c) is int or c.denominator > 1 for c in coeffs)
+        oracle = to_sympy(m)
+        value = sympy.zeros(m.rows, m.rows)
+        for c in reversed(coeffs):
+            value = value * oracle + sympy.Rational(str(c)) * sympy.eye(m.rows)
+        assert value.is_zero_matrix
+        krylov = sympy.Matrix([list(oracle**k) for k in range(m.rows + 1)])
+        assert mp.degree == krylov.rank()
+
+    @pytest.mark.parametrize("m", [UNLUCKY, BIG], ids=["unlucky_prime", "above_2_61"])
+    def test_fixed_cases(self, m):
+        oracle = to_sympy(m)
+        full = [tuple(int(r == c) for c in range(m.cols)) for r in range(m.rows)]
+        assert_same_typed(row_space_basis(m.to_rows(), m.cols), full)
+        assert column_space_basis(m) == [m.column(c) for c in range(m.cols)]
+        assert_same_typed(
+            [tuple(row) for row in invert(m).to_rows()], sympy_rows(oracle.inv())
+        )
+        assert minimal_polynomial(m) == UniPoly(
+            list(map(from_sympy, reversed(oracle.charpoly().all_coeffs())))
+        )
+
+    def test_unlucky_prime_rank_one(self):
+        # rank 1 modulo the first prime, rank 2 over the rationals
+        m = mat([[1 + FIRST_PRIME, 1, 2], [1, 1, 2]])
+        reduced, _ = to_sympy(m).rref()
+        assert_same_typed(row_space_basis(m.to_rows(), 3), sympy_rows(reduced))
+
+    @pytest.mark.parametrize(
+        "m", [RatMatrix.identity(3), mat([[1, 2, 0], [3, 4, 0], [5, 6, 7]])]
+    )
+    def test_full_rank_past_width_minus_one(self, m):
+        # The first two rows leave one kernel vector, which lifts exactly
+        # from one prime; only the last row rules it out.
+        assert nullspace_basis(m) == []
+        assert row_space_basis(m.to_rows(), 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        assert column_space_basis(m) == [m.column(c) for c in range(3)]
 
 
 class TestInvert:
