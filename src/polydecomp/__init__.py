@@ -24,7 +24,6 @@ from .errors import (
     DimensionMismatch,
     EmptyInput,
     InternalInvariantViolation,
-    MixedMonomial,
     ParseError,
     PolyDecompError,
     SingularMatrix,
@@ -62,7 +61,6 @@ __all__ = [
     "EmptyInput",
     "IdempotentSet",
     "InternalInvariantViolation",
-    "MixedMonomial",
     "ParseError",
     "PlantedInstance",
     "PolyDecompError",

@@ -2,17 +2,19 @@
 
 Per node: compute the center of the node's polynomials, extract a complete
 orthogonal idempotent set, build the change of variables whose columns are
-bases of the idempotents' column spaces, substitute, route every monomial to
-the unique variable block it touches, and recurse into each block with fresh
-variables.  Recursion recomputes centers on sub-blocks rather than
-restricting the parent center, which also recovers splits an unlucky random
-draw missed at the parent level.  Each node's center is computed once; the
-root center is carried on the result for callers that report it.
+bases of the idempotents' column spaces, expand each input on each block's
+columns alone, and recurse into each block with fresh variables.  Recursion
+recomputes centers on sub-blocks rather than restricting the parent center,
+which also recovers splits an unlucky random draw missed at the parent
+level.  Each node's center is computed once; the root center is carried on
+the result for callers that report it.
 
 Constant terms are invisible to Hessians, so they are assigned to the first
 (lowest-index) block by convention; linear terms follow their variable's
 block.  With that convention the reconstruction identity
-f_i(P*y) = sum of the leaf polynomials holds exactly.
+f_i(P*y) = sum of the leaf polynomials holds exactly, and
+``verify_decomposition`` checks it with the one expansion of f_i in all n
+variables.
 """
 
 from __future__ import annotations
@@ -25,11 +27,10 @@ from .errors import (
     DimensionMismatch,
     EmptyInput,
     InternalInvariantViolation,
-    MixedMonomial,
     SingularMatrix,
 )
 from .idempotent import IdempotentSet, find_idempotents, verify_complete
-from .poly import Polynomial, embed, restrict_to, substitute_linear
+from .poly import Polynomial, embed, substitute_linear
 from .ratlinalg import RatMatrix, column_space_basis, invert
 
 
@@ -180,12 +181,17 @@ def separate(
     p: RatMatrix,
     blocks: Sequence[tuple[int, int]],
 ) -> list[list[Polynomial]]:
-    """Substitute x = P*y and split each result by variable block.
+    """Block polynomials g_B(y_B) of each f(P*y), one expansion per block.
 
     Returns one list per input polynomial with one block-local polynomial
-    per block.  Every monomial of degree >= 2 must fall inside a single
-    block (MixedMonomial otherwise, which a verified idempotent set rules
-    out); constants go to the first block.
+    per block.  When P comes from a verified complete orthogonal idempotent
+    set, f(P*y) = sum_B g_B(y_B) (the paper's bijection), so setting every y
+    outside block B to zero leaves g_B plus the other blocks' constants:
+    g_B(y_B) = f(P_B*y_B) - f(0), where P_B is the n x k_B matrix of block
+    B's columns of P, expanded in block B's k_B variables alone.  f(0) goes
+    back to the first block.  No cross term is ever formed, so none is
+    detected here; ``verify_decomposition`` expands f(P*y) with the full P
+    and checks that the leaves sum to it.
     """
     if not polys:
         return []
@@ -194,30 +200,16 @@ def separate(
     covered = [i for start, stop in ranges for i in range(start, stop)]
     if covered != list(range(n)):
         raise ValueError("blocks must be contiguous and partition the coordinates")
-    position_block = [0] * n
-    for b, (start, stop) in enumerate(ranges):
-        for i in range(start, stop):
-            position_block[i] = b
+    rows = [p.row(r) for r in range(p.rows)]
+    columns = [
+        RatMatrix._raw(p.rows, stop - start, [x for row in rows for x in row[start:stop]])
+        for start, stop in ranges
+    ]
     out: list[list[Polynomial]] = []
     for f in polys:
-        g = substitute_linear(f, p)
-        buckets: list[dict] = [{} for _ in ranges]
-        for mono, coeff in g._terms.items():
-            touched = {position_block[i] for i, e in enumerate(mono) if e}
-            if not touched:
-                b = 0  # constant term convention: first block
-            elif len(touched) == 1:
-                b = touched.pop()
-            else:
-                raise MixedMonomial(
-                    f"monomial {mono} spans blocks {sorted(touched)}"
-                )
-            buckets[b][mono] = coeff
-        pieces = []
-        for (start, stop), bucket in zip(ranges, buckets):
-            piece = Polynomial._raw(n, bucket)
-            pieces.append(restrict_to(piece, range(start, stop)))
-        out.append(pieces)
+        constant = f.constant_term()
+        pieces = [substitute_linear(f, p_b) for p_b in columns]
+        out.append(pieces[:1] + [g - constant for g in pieces[1:]])
     return out
 
 
@@ -316,12 +308,10 @@ def _verify_node(
         return VerificationReport(
             False, f"{reason_prefix}: conjugated idempotent not block diagonal"
         )
-    try:
-        parts = separate(node.polys, node.transform, ranges)
-    except MixedMonomial:
-        return VerificationReport(
-            False, f"{reason_prefix}: separation produced a mixed monomial"
-        )
+    # The node's identities and block-diagonal supports make its
+    # separation cross-term free (the paper's bijection); the root
+    # reconstruction in verify_decomposition checks that independently.
+    parts = separate(node.polys, node.transform, ranges)
     for b, child in enumerate(node.children):
         expected = tuple(parts[i][b] for i in range(len(node.polys)))
         if expected != tuple(child.polys):
@@ -343,6 +333,12 @@ def verify_decomposition(
     idempotents are the expected diagonal blocks, every node's idempotent
     identities and separation are reproducible, the leaf polynomials sum
     back to f_i(P*y) exactly, and the diagonalizable flag matches the tree.
+
+    ``separate`` expands each block on its own columns and never sees a
+    cross term, so the reconstruction is the one exact check that none is
+    left anywhere: it expands f_i(P*y) with the full P in all n variables,
+    the only such expansion, and a cross term left at any node would be
+    missing from the sum of the leaves.
     """
     polys = tuple(polys)
     if not polys:

@@ -28,13 +28,5 @@ class SingularMatrix(PolyDecompError):
     """Matrix inversion was requested for a rank-deficient matrix."""
 
 
-class MixedMonomial(PolyDecompError):
-    """A monomial straddles two variable blocks during separation.
-
-    With exact arithmetic this cannot happen for a verified idempotent set;
-    seeing it means the caller passed an invalid block structure.
-    """
-
-
 class InternalInvariantViolation(PolyDecompError):
     """A postcondition that is mathematically guaranteed failed; a bug."""

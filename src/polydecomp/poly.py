@@ -380,9 +380,10 @@ def hessian(p: Polynomial) -> tuple[tuple[Polynomial, ...], ...]:
 
 
 def substitute_linear(p: Polynomial, m: RatMatrix) -> Polynomial:
-    """Expand p(M y): each old variable i becomes the linear form row i of M.
+    """Expand p(M y) for an n x k matrix M, as a polynomial in k variables y.
 
-    A monomial in y is packed into the int sum_j e_j * B^j, B = deg p + 1.
+    Each old variable i becomes the linear form row i of M.  A monomial in y
+    is packed into the int sum_j e_j * B^j, B = deg p + 1.
     Every product formed is part of one term's expansion, of degree at most
     deg p, so no exponent reaches B and adding packed ints multiplies
     monomials with no carry.  Row i of M times the lcm d_i of its
@@ -393,13 +394,13 @@ def substitute_linear(p: Polynomial, m: RatMatrix) -> Polynomial:
     an int over the common denominator L of all den(c) * prod d_i^e_i, and
     each output coefficient is divided by L once (int when exact).
     """
-    if m.rows != p.n or m.cols != p.n:
+    if m.rows != p.n:
         raise DimensionMismatch(
             f"substitution matrix is {m.rows}x{m.cols}, ambient dimension is {p.n}"
         )
-    n = p.n
+    n, k = p.n, m.cols
     if not p._terms:
-        return Polynomial.zero(n)
+        return Polynomial.zero(k)
     base = p.total_degree() + 1
     dens = []
     powers = []  # powers[i][e]: integer form of row i to the e-th power
@@ -444,11 +445,11 @@ def substitute_linear(p: Polynomial, m: RatMatrix) -> Polynomial:
         if not v:
             continue
         mono = []
-        for _ in range(n):
+        for _ in range(k):
             key, e = divmod(key, base)
             mono.append(e)
         out[tuple(mono)] = v // common if v % common == 0 else Fraction(v, common)
-    return Polynomial._raw(n, out)
+    return Polynomial._raw(k, out)
 
 
 def _times(a: dict, b: dict) -> dict:
@@ -461,23 +462,8 @@ def _times(a: dict, b: dict) -> dict:
     return out
 
 
-def restrict_to(p: Polynomial, positions: Sequence[int]) -> Polynomial:
-    """Project onto the variables at ``positions``; other exponents must be 0."""
-    positions = list(positions)
-    keep = set(positions)
-    out: dict = {}
-    for mono, c in p._terms.items():
-        for i, e in enumerate(mono):
-            if e and i not in keep:
-                raise ValueError(
-                    f"monomial uses variable {i} outside the restriction set"
-                )
-        out[tuple(mono[i] for i in positions)] = c
-    return Polynomial._raw(len(positions), out)
-
-
 def embed(p: Polynomial, positions: Sequence[int], n: int) -> Polynomial:
-    """Inverse of restrict_to: place a k-variable polynomial at ``positions``."""
+    """Place a k-variable polynomial at ``positions`` of n variables."""
     positions = list(positions)
     if len(positions) != p.n:
         raise DimensionMismatch("positions length must equal ambient dimension")

@@ -207,7 +207,7 @@ def _cleared(row: Sequence) -> tuple[Sequence, int]:
     if not denominators:
         return row, 1
     denom = lcm(*denominators)
-    return [int(x * denom) for x in row], denom
+    return [x.numerator * (denom // x.denominator) for x in row], denom
 
 
 def _primitive_int_row(row: Sequence) -> list:
@@ -735,31 +735,40 @@ def _int_horner(coeffs: Sequence[int], x: int) -> int:
 def rational_roots(p: UniPoly) -> list[Rat]:
     """All rational roots, ascending, each listed once.
 
-    The root 0 is stripped first.  The rest are roots of the squarefree part
-    f of what is left, scaled to primitive integer coefficients with leading
-    coefficient a; they are r = y / a for the integer roots y of the monic
-    integer polynomial g(y) = a^(d-1) f(y / a), and each such y divides
-    g(0) != 0, so |y| <= |g(0)|.
+    They are the roots of the squarefree part of p (see ``_squarefree_roots``).
+    """
+    if p.is_zero():
+        raise ValueError("zero polynomial has every root")
+    if p.degree < 1:
+        return []
+    return _squarefree_roots(squarefree_part(p))
+
+
+def _squarefree_roots(s: UniPoly) -> list[Rat]:
+    """All rational roots of a squarefree s of degree >= 1, ascending.
+
+    The root 0 (a factor t of s, at most once) is stripped first.  The rest
+    are roots of what is left, f, scaled to primitive integer coefficients
+    with leading coefficient a; they are r = y / a for the integer roots y
+    of the monic integer polynomial g(y) = a^(d-1) f(y / a), and each such y
+    divides g(0) != 0, so |y| <= |g(0)|.
 
     The integer roots come from the smallest prime q modulo which every root
     of g is simple (g' nonzero there), found by trying all residues.  A
     squarefree g has a nonzero discriminant, and every prime not dividing it
-    qualifies, so the search ends; without the squarefree step a repeated
-    root would stay repeated modulo every prime.  Each simple root lifts
-    uniquely by Newton steps modulo q^2, q^4, ... until the modulus exceeds
-    2 |g(0)|, when the symmetric representative of an integer root is the
-    root itself.  A candidate is kept only if g vanishes at it exactly.
+    qualifies, so the search ends; were s not squarefree, a repeated root
+    would stay repeated modulo every prime.  Each simple root lifts uniquely
+    by Newton steps modulo q^2, q^4, ... until the modulus exceeds 2 |g(0)|,
+    when the symmetric representative of an integer root is the root itself.
+    A candidate is kept only if g vanishes at it exactly.
     """
-    if p.is_zero():
-        raise ValueError("zero polynomial has every root")
-    coeffs = list(p.coefficients())
+    coeffs = list(s.coefficients())
     roots: list[Rat] = []
     if coeffs[0] == 0:
         roots.append(0)
-        while coeffs[0] == 0:
-            coeffs.pop(0)
+        coeffs.pop(0)
     if len(coeffs) > 1:
-        f = _primitive_int_row(squarefree_part(UniPoly(coeffs)).coefficients())
+        f = _primitive_int_row(coeffs)
         a, d = f[-1], len(f) - 1
         g = [c * a ** (d - 1 - i) for i, c in enumerate(f[:-1])] + [1]
         dg = [i * c for i, c in enumerate(g)][1:]
@@ -795,7 +804,7 @@ def coprime_split(m: UniPoly) -> list[UniPoly]:
     if m.degree < 1:
         raise ValueError("coprime split needs degree >= 1")
     s = squarefree_part(m)
-    factors = [UniPoly.linear_root(r) for r in rational_roots(s)]
+    factors = [UniPoly.linear_root(r) for r in _squarefree_roots(s)]
     residual = s
     for f in factors:
         residual = residual // f
@@ -837,17 +846,27 @@ def minimal_polynomial(m: RatMatrix) -> UniPoly:
     vec I, vec M, ..., vec M^k are stacked as columns until the stack has a
     kernel.  The earlier columns are independent, so the kernel is a single
     vector with 1 at M^k: the coefficients of the minimal polynomial.
+
+    Each power, as a primitive integer row, is first added to an echelon
+    basis modulo one kernel prime.  Rank modulo a prime never exceeds rank
+    over the rationals, so while the rank modulo the prime goes up the stack
+    has no kernel, and the certified kernel is computed only from the first
+    power that is dependent modulo the prime: normally once, at k.
     """
     if m.rows != m.cols:
         raise DimensionMismatch("minimal polynomial needs a square matrix")
+    p = _kernel_prime(0)
+    pivots: dict = {}
     power = RatMatrix.identity(m.rows)
-    columns = [vec(power)]
+    columns = []
     while True:
-        power = power * m
         columns.append(vec(power))
-        stacked = RatMatrix._raw(
-            len(power._e), len(columns), [x for row in zip(*columns) for x in row]
-        )
-        kernel = nullspace_basis(stacked)
-        if kernel:
-            return UniPoly(kernel[0])
+        ints = _primitive_int_row(columns[-1])
+        if not _insert_mod(pivots, [(c, v) for c, v in enumerate(ints) if v], p):
+            stacked = RatMatrix._raw(
+                len(power._e), len(columns), [x for row in zip(*columns) for x in row]
+            )
+            kernel = nullspace_basis(stacked)
+            if kernel:
+                return UniPoly(kernel[0])
+        power = power * m

@@ -2,7 +2,9 @@
 
 ``intersect_centers`` computes a joint center by explicit span intersection
 of per-group centers, a second route to what ``center_basis`` of the
-concatenated groups gives; ``jordan_product`` and ``rank_profile`` state
+concatenated groups gives; ``separate_by_full_expansion`` is the second
+route to ``separate``, one expansion in all variables whose monomials are
+routed to blocks; ``jordan_product`` and ``rank_profile`` state
 algebraic facts the tests check; ``in_span`` and ``same_span`` compare spans
 by the ranks of their echelon forms.
 """
@@ -10,7 +12,14 @@ by the ranks of their echelon forms.
 from fractions import Fraction
 from typing import Sequence
 
-from polydecomp import CenterBasis, IdempotentSet, Polynomial, RatMatrix, center_basis
+from polydecomp import (
+    CenterBasis,
+    IdempotentSet,
+    Polynomial,
+    RatMatrix,
+    center_basis,
+    substitute_linear,
+)
 from polydecomp.ratlinalg import nullspace_basis, row_space_basis, unvec, vec
 
 
@@ -65,3 +74,25 @@ def intersect_centers(groups: Sequence[Sequence[Polynomial]]) -> CenterBasis:
         current = span_intersection(current, center_basis(group).vectors(), width)
     current = row_space_basis(current, width)
     return CenterBasis(n, tuple(unvec(v, n, n) for v in current))
+
+
+def separate_by_full_expansion(
+    polys: Sequence[Polynomial], p: RatMatrix, blocks: Sequence[tuple[int, int]]
+) -> list[list[Polynomial]]:
+    """Expand f(P*y) in all n variables and route each monomial to the one
+    block it touches, constants to the first block; ValueError on a
+    monomial that touches two blocks."""
+    out = []
+    for f in polys:
+        buckets: list[dict] = [{} for _ in blocks]
+        for mono, c in substitute_linear(f, p).terms():
+            touched = [b for b, (lo, hi) in enumerate(blocks) if any(mono[lo:hi])]
+            if len(touched) > 1:
+                raise ValueError(f"monomial {mono} spans blocks {touched}")
+            b = touched[0] if touched else 0
+            lo, hi = blocks[b]
+            buckets[b][mono[lo:hi]] = c
+        out.append(
+            [Polynomial(hi - lo, bucket) for (lo, hi), bucket in zip(blocks, buckets)]
+        )
+    return out

@@ -1,11 +1,15 @@
-"""Change of variables, monomial routing, recursion, and verification."""
+"""Change of variables, block separation, recursion, and verification."""
 
+import importlib
+import inspect
 import random
 import time
+from fractions import Fraction
 
 import pytest
 import sympy
 
+from algebra_helpers import separate_by_full_expansion
 from conftest import (
     BIN_CUBIC_EPS,
     BIN_CUBIC_P,
@@ -20,9 +24,9 @@ from polydecomp import (
     DecompositionNode,
     DecompositionResult,
     IdempotentSet,
-    MixedMonomial,
     Polynomial,
     RatMatrix,
+    SingularMatrix,
     center_basis,
     change_of_variables,
     decompose_recursive,
@@ -30,6 +34,7 @@ from polydecomp import (
     parse_polynomial,
     separate,
     substitute_linear,
+    verify_complete,
     verify_decomposition,
 )
 from polydecomp.decompose import (
@@ -38,6 +43,18 @@ from polydecomp.decompose import (
     diagonal_idempotent_supports,
 )
 from polydecomp.poly import embed
+from polydecomp.ratlinalg import invert
+
+
+def coefficient_types(parts):
+    return [[{m: type(c) for m, c in g.terms()} for g in pieces] for pieces in parts]
+
+
+def internal_nodes(node):
+    if not node.is_leaf:
+        yield node
+        for child in node.children:
+            yield from internal_nodes(child)
 
 
 class TestChangeOfVariables:
@@ -91,10 +108,49 @@ class TestSeparate:
         assert f1_blocks[0] == parse_polynomial("y1^3 + 1", ["y1"])
         assert f1_blocks[2] == parse_polynomial("y3^2*y4 + y4^2 + 2*y3", ["y3", "y4"])
 
-    def test_mixed_monomial_detected(self):
-        f = parse_polynomial("x*y", ["x", "y"])
-        with pytest.raises(MixedMonomial):
-            separate([f], RatMatrix.identity(2), [(0, 1), (1, 2)])
+    @pytest.mark.parametrize("sizes", [[1, 2], [2, 1, 2], [3, 1], [1, 1, 1, 1]])
+    def test_matches_full_expansion_route(self, sizes):
+        # block polynomials with constants and linear terms, moved by a
+        # fractional P: expanding each block on its own columns gives the
+        # pieces that routing the monomials of one full expansion gives
+        rng = random.Random(f"separate-{sizes}")
+        n = sum(sizes)
+        ranges = block_ranges(sizes)
+        while True:
+            entries = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n * n)]
+            p = RatMatrix(n, n, entries)
+            try:
+                p_inv = invert(p)
+                break
+            except SingularMatrix:
+                continue
+        fs = []
+        for _ in range(2):
+            terms = {(0,) * n: Fraction(rng.randint(-9, 9), rng.randint(1, 3))}
+            for lo, hi in ranges:
+                for degree in (1, 1, 2, 3, 3):
+                    mono = [0] * n
+                    for _ in range(degree):
+                        mono[rng.randrange(lo, hi)] += 1
+                    terms[tuple(mono)] = rng.randint(-5, 5)
+            fs.append(substitute_linear(Polynomial(n, terms), p_inv))
+        got = separate(fs, p, ranges)
+        expected = separate_by_full_expansion(fs, p, ranges)
+        assert got == expected
+        assert coefficient_types(got) == coefficient_types(expected)
+
+    def test_matches_full_expansion_route_on_pipeline_nodes(
+        self, fourvar_pair, quartic_squares, bin_cubics
+    ):
+        for fs in (fourvar_pair, [quartic_squares], bin_cubics):
+            result = decompose_recursive(fs, seed=42)
+            for node in internal_nodes(result.tree):
+                sizes = [len(child.variable_indices) for child in node.children]
+                ranges = block_ranges(sizes)
+                got = separate(node.polys, node.transform, ranges)
+                expected = separate_by_full_expansion(node.polys, node.transform, ranges)
+                assert got == expected
+                assert coefficient_types(got) == coefficient_types(expected)
 
     def test_bad_blocks_rejected(self, bin_cubics):
         with pytest.raises(ValueError):
@@ -289,6 +345,52 @@ class TestVerifyDecomposition:
         assert internal(result.tree) >= 2
         assert len(calls) == internal(result.tree)
 
+    def test_only_the_verifier_expands_in_all_variables(
+        self, fourvar_pair, quartic_squares, monkeypatch
+    ):
+        # the pipeline expands each block on its own columns; the verifier's
+        # root reconstruction makes the one n x n expansion per polynomial
+        shapes = []
+        substitute = polydecomp.decompose.substitute_linear
+
+        def recording(f, m):
+            shapes.append((m.rows, m.cols))
+            return substitute(f, m)
+
+        monkeypatch.setattr(polydecomp.decompose, "substitute_linear", recording)
+        for fs in (fourvar_pair, [quartic_squares]):
+            n = fs[0].n
+            shapes.clear()
+            result = decompose_recursive(fs, seed=42)
+            assert shapes and all(cols < rows for rows, cols in shapes)
+            shapes.clear()
+            assert verify_decomposition(fs, result)
+            assert shapes.count((n, n)) == len(fs)
+            assert all(cols < rows for rows, cols in shapes if (rows, cols) != (n, n))
+
+    def test_cross_term_fails_reconstruction(self, monkeypatch):
+        # separate never forms a cross term, so for idempotents that do not
+        # split f it drops x*y unnoticed; with the identity checks forced to
+        # pass, the reconstruction with the full P still fails
+        f = parse_polynomial("x*y + x^3 + y^3", ["x", "y"])
+        eps = (mat([[1, 0], [0, 0]]), mat([[0, 0], [0, 1]]))
+        assert not verify_complete(IdempotentSet(2, eps), [f])
+        monkeypatch.setattr(
+            polydecomp.decompose, "verify_complete", lambda idem, polys: True
+        )
+        p = RatMatrix.identity(2)
+        parts = separate([f], p, [(0, 1), (1, 2)])
+        assert parts == [
+            [parse_polynomial("x^3", ["x"]), parse_polynomial("y^3", ["y"])]
+        ]
+        leaves = tuple(
+            DecompositionNode((b,), (parts[0][b],), (), center_dim=1) for b in range(2)
+        )
+        root = DecompositionNode((0, 1), (f,), leaves, 2, eps, p)
+        report = verify_decomposition([f], DecompositionResult(p, root, True))
+        assert not report.ok
+        assert "reconstruction mismatch" in report.reason
+
     def test_fresh_result_verifies(self, bin_cubics):
         result = decompose_recursive(bin_cubics, seed=42)
         report = verify_decomposition(bin_cubics, result)
@@ -370,3 +472,20 @@ class TestHelpers:
         b = mat([[5]])
         combined = block_diagonal([a, b])
         assert combined == mat([[1, 2, 0], [3, 4, 0], [0, 0, 5]])
+
+
+class TestTracedBindings:
+    # perfbench/spans.py times these by wrapping the module attributes; a
+    # renamed or removed one would read 0 there without an error
+    @pytest.mark.parametrize(
+        "module, name",
+        [
+            ("decompose", "substitute_linear"),
+            ("decompose", "separate"),
+            ("decompose", "verify_complete"),
+            ("idempotent", "minimal_polynomial"),
+        ],
+    )
+    def test_binding_is_a_function(self, module, name):
+        binding = getattr(importlib.import_module(f"polydecomp.{module}"), name)
+        assert inspect.isfunction(binding)

@@ -31,7 +31,7 @@ from polydecomp import (
     render_canonical,
     substitute_linear,
 )
-from polydecomp.poly import embed, restrict_to
+from polydecomp.poly import embed
 from polydecomp.ratlinalg import invert
 
 
@@ -294,7 +294,7 @@ class TestSubstitution:
 
 def sympy_substitute(p, m):
     """Oracle: p(M y) expanded in sympy's sparse polynomial ring over QQ."""
-    R, *ys = ring(sympy.symbols(f"y0:{p.n}"), QQ)
+    R, *ys = ring(sympy.symbols(f"y0:{m.cols}"), QQ)
 
     def q(x):
         return QQ(x.numerator, x.denominator)
@@ -320,7 +320,7 @@ def sympy_substitute(p, m):
 def assert_matches_sympy(p, m):
     got = substitute_linear(p, m)
     expected = sympy_substitute(p, m)
-    assert got == Polynomial(p.n, expected)
+    assert got == Polynomial(m.cols, expected)
     # integral coefficients are ints, the rest Fractions, as the oracle's
     assert {k: type(v) for k, v in got._terms.items()} == {
         k: type(v) for k, v in expected.items()
@@ -332,6 +332,7 @@ small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
 @st.composite
 def substitutions(draw):
+    """p in n variables and an n x k M, k <= n."""
     n = draw(st.integers(1, 4))
     degree = draw(st.integers(0, 5))
     monomial = st.tuples(*[st.integers(0, degree)] * n).filter(
@@ -339,13 +340,19 @@ def substitutions(draw):
     )
     coeff = small_rationals if draw(st.booleans()) else st.integers(-9, 9)
     p = Polynomial(n, draw(st.dictionaries(monomial, coeff, max_size=8)))
-    rows = [draw(st.lists(small_rationals, min_size=n, max_size=n)) for _ in range(n)]
-    kind = draw(st.sampled_from(["random", "repeated row", "zero row"]))
-    if kind != "random":
-        # a singular M: one row equal to another or to zero
+    k = draw(st.integers(1, n))
+    rows = [draw(st.lists(small_rationals, min_size=k, max_size=k)) for _ in range(n)]
+    kind = draw(st.sampled_from(["random", "repeated row", "zero row", "zero column"]))
+    if kind == "zero column":
+        # a y variable that no old variable uses
+        column = draw(st.integers(0, k - 1))
+        for row in rows:
+            row[column] = 0
+    elif kind != "random":
+        # a rank-deficient M: one row equal to another or to zero
         target = draw(st.integers(0, n - 1))
         source = draw(st.integers(0, n - 1))
-        rows[target] = rows[source] if kind == "repeated row" else [0] * n
+        rows[target] = rows[source] if kind == "repeated row" else [0] * k
     return p, RatMatrix.from_rows(rows)
 
 
@@ -354,6 +361,32 @@ class TestSubstitutionOracle:
     @given(substitutions())
     def test_random(self, case):
         assert_matches_sympy(*case)
+
+    def test_fewer_columns(self):
+        # a 3 x 2 M: the output is in two variables, with fractions and ints
+        m = mat([[1, Fraction(1, 2)], [Fraction(-2, 3), 0], [0, 3]])
+        p = parse_polynomial("x^3 + 2*x*y*z - z^2 + 4*y + 1", ["x", "y", "z"])
+        got = substitute_linear(p, m)
+        assert got.n == 2
+        assert_matches_sympy(p, m)
+
+    def test_one_column(self):
+        m = mat([[Fraction(3, 2)], [-1], [0]])
+        p = parse_polynomial("x^2*y + y^3 - 5*z + 7/2", ["x", "y", "z"])
+        got = substitute_linear(p, m)
+        assert got == Polynomial(1, {(3,): Fraction(-13, 4), (0,): Fraction(7, 2)})
+        assert_matches_sympy(p, m)
+
+    def test_zero_columns(self):
+        # columns of zeros: their variables appear in no output monomial
+        m = mat([[0, 1, 0], [0, Fraction(1, 3), 0], [0, 2, 0]])
+        p = parse_polynomial("x^2 + x*y*z + z - 3", ["x", "y", "z"])
+        got = substitute_linear(p, m)
+        assert all(mono[0] == mono[2] == 0 for mono, _ in got.terms())
+        assert_matches_sympy(p, m)
+        zero = RatMatrix.zeros(3, 2)
+        assert substitute_linear(p, zero) == Polynomial.constant(2, -3)
+        assert_matches_sympy(p, zero)
 
     def test_zero_polynomial(self):
         m = mat([[Fraction(1, 2), 3], [-1, Fraction(2, 3)]])
@@ -404,11 +437,8 @@ class TestSubstitutionOracle:
 
 class TestRestrictEmbed:
     def test_round_trip(self):
-        p = parse_polynomial("x1^2 + 3*x1", ["x1"])
-        e = embed(p, [2], 4)
-        assert restrict_to(e, [2]) == p
-
-    def test_restrict_rejects_outside_support(self):
-        p = parse_polynomial("x*y", ["x", "y"])
-        with pytest.raises(ValueError):
-            restrict_to(p, [0])
+        # substituting the unit columns at the positions restricts back
+        p = parse_polynomial("x1^2*x2 + 3*x1 - 1", ["x1", "x2"])
+        e = embed(p, [3, 1], 4)
+        units = RatMatrix.from_columns([(0, 0, 0, 1), (0, 1, 0, 0)])
+        assert substitute_linear(e, units) == p

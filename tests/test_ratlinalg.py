@@ -10,6 +10,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import polydecomp.ratlinalg
 from algebra_helpers import in_span, same_span, span_intersection
 from conftest import mat
 from polydecomp import (
@@ -420,6 +421,41 @@ class TestMinimalPolynomial:
     def test_nilpotent(self):
         m = mat([[0, 1], [0, 0]])
         assert minimal_polynomial(m) == UniPoly([0, 0, 1])  # t^2
+
+
+class TestMinimalPolynomialKernelCalls:
+    @pytest.fixture
+    def kernel_widths(self, monkeypatch):
+        widths = []
+        kernel = polydecomp.ratlinalg.nullspace_basis
+
+        def recording(stack):
+            widths.append(stack.cols)
+            return kernel(stack)
+
+        monkeypatch.setattr(polydecomp.ratlinalg, "nullspace_basis", recording)
+        return widths
+
+    def test_one_certified_solve(self, kernel_widths):
+        m = mat([[2, 1, 0], [0, 2, 0], [Fraction(1, 3), 0, 5]])
+        assert minimal_polynomial(m) == UniPoly([-20, 24, -9, 1])  # (t-2)^2 (t-5)
+        assert kernel_widths == [4]
+
+    def test_dependent_only_modulo_the_first_kernel_prime(self, kernel_widths):
+        # M = I modulo p, so vec I and vec M are dependent there: the first
+        # dependency modulo p comes one power early, the certified kernel at
+        # it is empty, and the next power gives the answer
+        p = _kernel_prime(0)
+        m = mat([[1, 0], [0, 1 + p]])
+        assert minimal_polynomial(m) == UniPoly([1 + p, -(2 + p), 1])
+        assert kernel_widths == [2, 3]
+
+    def test_prime_in_a_denominator(self, kernel_widths):
+        p = _kernel_prime(0)
+        m = mat([[1, 0], [0, 1 + Fraction(1, p)]])
+        expected = UniPoly([1 + Fraction(1, p), -(2 + Fraction(1, p)), 1])
+        assert minimal_polynomial(m) == expected
+        assert kernel_widths == [3]
 
 
 class TestUniPolyGcd:
