@@ -27,7 +27,6 @@ so the basis is reproducible across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -36,9 +35,6 @@ from .errors import DimensionMismatch, EmptyInput
 from .poly import Polynomial
 from .ratlinalg import (
     RatMatrix,
-    _echelon,
-    _in_row_space,
-    _sparse_rows,
     nullspace_basis,
     primitive_integer_matrix,
     signed_primitive_row,
@@ -60,17 +56,6 @@ class CenterBasis:
 
     def vectors(self) -> list[tuple]:
         return [vec(x) for x in self.basis]
-
-    @cached_property
-    def _form(self) -> dict:
-        """Certified reduced echelon form of the basis."""
-        return _echelon(_sparse_rows(self.vectors()), self.n * self.n)
-
-    def contains(self, x: RatMatrix) -> bool:
-        """Exact span membership test, by reduction against the echelon form."""
-        if x.rows != self.n or x.cols != self.n:
-            raise DimensionMismatch("matrix does not match ambient dimension")
-        return _in_row_space(_sparse_rows([vec(x)]), self._form, self.n * self.n)
 
 
 def _check_inputs(polys: Sequence[Polynomial]) -> int:
@@ -151,7 +136,8 @@ def center_basis(polys: Sequence[Polynomial]) -> CenterBasis:
     rows = _equation_rows(polys, n)
     if not rows:
         rows = [(0,) * (n * n)]
-    system = RatMatrix.from_rows(rows)
+    # the rows are primitive integer tuples already: nothing to coerce
+    system = RatMatrix._raw(len(rows), n * n, [x for row in rows for x in row])
     kernel = nullspace_basis(system)
     return CenterBasis(n, tuple(unvec(v, n, n) for v in kernel))
 

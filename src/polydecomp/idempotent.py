@@ -1,11 +1,27 @@
 """Complete orthogonal idempotent sets inside a center algebra.
 
-The search never solves the quadratic system e^2 = e directly.  Instead it
-draws a random element g of the algebra, takes the minimal polynomial of g,
+A center is a Jordan algebra under x o y = (x*y + y*x)/2, not always an
+associative one, and the search runs inside it, on coordinate vectors of
+length r = dim Z.  In the center's reduced echelon basis over the n^2 matrix
+entries an element's coordinates are its entries at the r pivots, read
+without a solve.  The structure constants come from the r(r+1)/2 products
+(B_i*B_j + B_j*B_i)/2, each certified by one exact check that the basis
+combination with its coordinates is the product.  Elements are integer
+vectors over one denominator and each product operator L_x an integer
+r x r matrix.
+
+The search never solves e^2 = e directly.  It draws a random element g,
+takes its minimal polynomial (the Krylov annihilator of the unit under L_g;
+Jordan algebras are power associative, so these are the matrix powers),
 splits it into pairwise-coprime factors over the rationals, and assembles
-the corresponding spectral projectors as polynomials in g via Bezout
-cofactors.  Projectors are then refined recursively inside their own corner
-e*Z*e of the algebra until no further rational split shows up.
+the spectral projectors as polynomials in g via Bezout cofactors, by Horner
+steps with L_g.  Each projector e is refined the same way inside its Peirce
+corner U_e(Z) = e*Z*e, U_e = 2 L_e^2 - L_e, until no rational split shows
+up.  Draws combine the corner's reduced echelon basis over the n^2 entries,
+not over the coordinates, whose pivots lie elsewhere: so the draws, and the
+results, are those of the same search on n x n matrices.  e o e = e,
+e_i o e_j = 0 (for idempotents this forces e_i*e_j = 0) and sum = 1 are
+checked in coordinates; only the returned idempotents become matrices.
 
 A center of dimension 1 contains only the trivial idempotents, so {I} is
 returned immediately and constitutes a certificate of indecomposability.
@@ -19,6 +35,9 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .center import CenterBasis, _all_members
@@ -27,13 +46,12 @@ from .poly import Polynomial
 from .ratlinalg import (
     RatMatrix,
     UniPoly,
+    _cleared,
+    _primitive_int_row,
     extended_gcd,
     minimal_polynomial,
     primary_coprime_factors,
-    primitive_integer_matrix,
     row_space_basis,
-    unvec,
-    vec,
 )
 
 COEFF_RANGE = 9  # random combination coefficients are drawn from +-1..9
@@ -50,35 +68,90 @@ class IdempotentSet:
         return len(self.eps)
 
 
-def _random_combination(
-    mats: Sequence[RatMatrix], rng: random.Random
-) -> RatMatrix:
-    acc = RatMatrix.zeros(mats[0].rows, mats[0].cols)
-    for m in mats:
-        c = rng.randint(1, COEFF_RANGE)
-        if rng.randint(0, 1):
-            c = -c
-        acc = acc + m.scale(c)
-    return acc
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(mul, a, b))
 
 
-def _crt_projectors(
-    m: UniPoly, factors: Sequence[UniPoly], g: RatMatrix
-) -> list[RatMatrix]:
-    """Spectral projectors of g, one per pairwise-coprime factor of m.
+def _apply(a: list, v: Sequence[int]) -> list[int]:
+    return [_dot(row, v) for row in a]
 
-    For factor M_i with cofactor N_i = m / M_i, the Bezout identity
-    u*N_i + v*M_i = 1 makes (u*N_i)(g) act as the identity on the M_i
-    component and as zero on the others.
+
+def _ratio(x: int, d: int):
+    return x // d if x % d == 0 else Fraction(x, d)
+
+
+def _scaled(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """Integer rows d * rows over the lcm d of all their denominators."""
+    width = len(rows[0])
+    flat, d = _cleared([x for row in rows for x in row])
+    return [list(flat[i : i + width]) for i in range(0, len(flat), width)], d
+
+
+def _reduced(v: Sequence[int], d: int) -> tuple[list[int], int]:
+    """The element v / d with the common factor of v and d cancelled."""
+    g = gcd(d, *v)
+    return [x // g for x in v], d // g
+
+
+class _Coordinates:
+    """The center in coordinates, with certified Jordan structure constants.
+
+    An element is a pair (v, d) of an integer vector and a positive
+    denominator, the element sum_k v_k B_k / d of the reduced echelon basis
+    B.  ``operator(v)`` is the integer matrix of d * scale * L_x, where
+    ``scale`` is the common denominator of the structure constants.
     """
-    projectors = []
-    for mi in factors:
-        ni = m // mi
-        gcd_poly, u, _ = extended_gcd(ni, mi)
-        if gcd_poly != UniPoly.one():
-            raise InternalInvariantViolation("factors are not pairwise coprime")
-        projectors.append(((u * ni) % m).of_matrix(g))
-    return projectors
+
+    def __init__(self, center: CenterBasis) -> None:
+        n = center.n
+        width = n * n
+        self.basis = row_space_basis(center.vectors(), width)
+        rows, self.denom = _scaled(self.basis)
+        self.n, self.r = n, len(rows)
+        self.pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
+        # entry q of every basis element, for combinations of the basis
+        self.columns = list(zip(*rows))
+        # B_i o B_j scaled by 2 * denom^2 is T = B_i*B_j + B_j*B_i on the
+        # integer rows; its coordinates are its entries at the pivots
+        mats = [
+            ([row[a * n : a * n + n] for a in range(n)], [row[b::n] for b in range(n)])
+            for row in rows
+        ]
+        coords = {}
+        for i, j in itertools.combinations_with_replacement(range(self.r), 2):
+            (rows_i, cols_i), (rows_j, cols_j) = mats[i], mats[j]
+            t = [
+                _dot(rows_i[a], cols_j[b]) + _dot(rows_j[a], cols_i[b])
+                for a in range(n)
+                for b in range(n)
+            ]
+            c = [t[p] for p in self.pivots]
+            if self.combine(c) != [self.denom * x for x in t]:
+                raise InternalInvariantViolation("center is not closed under the Jordan product")
+            coords[i, j] = coords[j, i] = c
+        scale = 2 * self.denom * self.denom
+        common = gcd(scale, *(x for c in coords.values() for x in c))
+        self.scale = scale // common
+        # operator(v)[i][j] = sum_k v_k * (coordinate i of B_k o B_j) * scale
+        self._entries = [
+            [tuple(coords[k, j][i] // common for k in range(self.r)) for j in range(self.r)]
+            for i in range(self.r)
+        ]
+        self.one = [1 if p % (n + 1) == 0 else 0 for p in self.pivots]
+        unit = [self.denom if q % (n + 1) == 0 else 0 for q in range(width)]
+        if self.combine(self.one) != unit:
+            raise InternalInvariantViolation("identity is not in the center span")
+
+    def combine(self, v: Sequence[int]) -> list[int]:
+        """Entries of sum_k v_k B_k times the basis denominator."""
+        return [_dot(v, col) for col in self.columns]
+
+    def operator(self, v: Sequence[int]) -> list[list[int]]:
+        return [[_dot(v, e) for e in row] for row in self._entries]
+
+    def matrix(self, v: Sequence[int], d: int) -> RatMatrix:
+        den = d * self.denom
+        return RatMatrix._raw(self.n, self.n, [_ratio(x, den) for x in self.combine(v)])
 
 
 def find_idempotents(
@@ -88,68 +161,109 @@ def find_idempotents(
 
     Returns {I} immediately when the center is one-dimensional.  Otherwise
     each block found so far is refined by random spectral splitting inside
-    its own restricted algebra; a block whose restricted algebra stays
-    unsplit for ``max_tries`` draws is kept whole.  All returned sets are
-    verified exactly before being handed back.
+    its own Peirce corner; a block whose corner stays unsplit for
+    ``max_tries`` draws is kept whole.  All returned sets are verified
+    exactly before being handed back.
     """
     if max_tries < 1:
         raise ValueError("max_tries must be >= 1")
     if center.dim < 1:
         raise ValueError("center basis is empty")
     n = center.n
-    identity = RatMatrix.identity(n)
     if center.dim == 1:
-        return IdempotentSet(n, (identity,))
-    width = n * n
+        return IdempotentSet(n, (RatMatrix.identity(n),))
+    z = _Coordinates(center)
+    r, width = z.r, n * n
+    unit = RatMatrix._raw(r, 1, z.one)
     draw_counter = itertools.count()
-    final: list[RatMatrix] = []
+    final: list[tuple[list[int], int]] = []
 
-    def refine(block: RatMatrix) -> None:
-        restricted = row_space_basis(
-            [vec(block * x * block) for x in center.basis], width
-        )
-        if len(restricted) == 1:
+    def refine(v: list[int], d: int, corner: list | None = None) -> None:
+        if corner is None:
+            a = z.operator(v)
+            s = d * z.scale
+            # U_e = 2 L_e^2 - L_e, times s^2; column k is U_e(B_k)
+            u = [[2 * _dot(row, col) - s * x for col, x in zip(zip(*a), row)] for row in a]
+            corner = row_space_basis([z.combine(col) for col in zip(*u)], width)
+        if len(corner) == 1:
             # only scalar multiples of the block unit: certified unsplittable
-            final.append(block)
+            final.append((v, d))
             return
-        sub_mats = [unvec(v, n, n) for v in restricted]
+        corner, _ = _scaled(corner)
         for _ in range(max_tries):
             rng = random.Random(f"{seed}:{next(draw_counter)}")
+            coeffs = []
+            for _ in corner:
+                c = rng.randint(1, COEFF_RANGE)
+                coeffs.append(-c if rng.randint(0, 1) else c)
             # Rescale to primitive integers: the projectors are unchanged and
             # the minimal polynomial becomes monic with integer coefficients,
             # so its rational roots are integer divisors of the constant term.
-            g = primitive_integer_matrix(_random_combination(sub_mats, rng))
-            m = minimal_polynomial(g)
-            if m.degree < 1:
-                continue
+            g = _primitive_int_row([_dot(coeffs, col) for col in zip(*corner)])
+            # the operator is scale * L_g; g and its powers have integer
+            # coordinates, their entries at the pivots, so dividing L_g of
+            # an integer polynomial in g by the scale is exact
+            a = z.operator([g[p] for p in z.pivots])
+            l_g = RatMatrix._raw(r, r, [_ratio(x, z.scale) for row in a for x in row])
+            m = minimal_polynomial(l_g, unit)
             factors = primary_coprime_factors(m)
             if len(factors) < 2:
                 continue
-            projectors = _crt_projectors(m, factors, g)
-            # Factors avoiding eigenvalue 0 yield projectors that live inside
-            # the block (their defining polynomials vanish at 0, so they kill
+            # The projector of a factor M_i with cofactor N_i = m / M_i is
+            # (u*N_i)(g) for the Bezout identity u*N_i + v*M_i = 1.  Factors
+            # avoiding eigenvalue 0 yield projectors that live inside the
+            # block (their defining polynomials vanish at 0, so they kill
             # the complement of the block).  Whatever is left of the block
             # after removing them is itself an idempotent.
             children = []
-            covered = RatMatrix.zeros(n, n)
-            for mi, proj in zip(factors, projectors):
-                if mi(0) != 0:
-                    children.append(proj)
-                    covered = covered + proj
-            remainder = block - covered
-            if not remainder.is_zero():
-                children.append(remainder)
+            for mi in factors:
+                if mi(0) == 0:
+                    continue
+                ni = m // mi
+                gcd_poly, cofactor, _ = extended_gcd(ni, mi)
+                if gcd_poly != UniPoly.one():
+                    raise InternalInvariantViolation("factors are not pairwise coprime")
+                poly, dp = _cleared(((cofactor * ni) % m).coefficients())
+                acc = [0] * r
+                for c in reversed(poly):
+                    acc = [x // z.scale + c * o for x, o in zip(_apply(a, acc), z.one)]
+                children.append(_reduced(acc, dp))
+            common = lcm(d, *(dc for _, dc in children))
+            remainder = [x * (common // d) for x in v]
+            for w, dc in children:
+                remainder = [x - y * (common // dc) for x, y in zip(remainder, w)]
+            if any(remainder):
+                children.append(_reduced(remainder, common))
             if len(children) < 2:
                 continue
             for child in children:
-                refine(child)
+                refine(*child)
             return
-        final.append(block)
+        final.append((v, d))
 
-    refine(identity)
-    result = IdempotentSet(n, tuple(final))
-    _assert_internally_valid(result, center)
-    return result
+    refine(z.one, 1, z.basis)  # the corner of the unit is the whole center
+    _assert_internally_valid(z, final)
+    return IdempotentSet(n, tuple(z.matrix(v, d) for v, d in final))
+
+
+def _assert_internally_valid(z: _Coordinates, final: list) -> None:
+    """Postcondition guard in coordinates; failures indicate a bug, never bad input.
+
+    e o e = e, e_i o e_j = 0 for i != j and sum = 1.  Every element is a
+    combination of the certified basis, so it lies in the center.
+    """
+    common = lcm(*(d for _, d in final))
+    total = [0] * z.r
+    for i, (v, d) in enumerate(final):
+        a = z.operator(v)
+        if _apply(a, v) != [d * z.scale * x for x in v]:
+            raise InternalInvariantViolation(f"element {i} is not idempotent")
+        for j, (w, _) in enumerate(final):
+            if i != j and any(_apply(a, w)):
+                raise InternalInvariantViolation(f"elements {i} and {j} are not orthogonal")
+        total = [t + x * (common // d) for t, x in zip(total, v)]
+    if total != [common * o for o in z.one]:
+        raise InternalInvariantViolation("idempotents do not sum to the identity")
 
 
 def _identity_failure(idem: IdempotentSet) -> str | None:
@@ -168,16 +282,6 @@ def _identity_failure(idem: IdempotentSet) -> str | None:
     if not total.is_identity():
         return "idempotents do not sum to the identity"
     return None
-
-
-def _assert_internally_valid(idem: IdempotentSet, center: CenterBasis) -> None:
-    """Postcondition guard; failures indicate a bug, never bad input."""
-    failure = _identity_failure(idem)
-    if failure is not None:
-        raise InternalInvariantViolation(failure)
-    for i, e in enumerate(idem.eps):
-        if not center.contains(e):
-            raise InternalInvariantViolation(f"element {i} left the center span")
 
 
 def verify_complete(idem: IdempotentSet, polys: Sequence[Polynomial]) -> bool:

@@ -22,7 +22,7 @@ check costs a retry with the next one, never a different answer.
 
 The module also provides the univariate polynomial machinery (gcd, Bezout
 cofactors, squarefree part, coprime splitting, minimal polynomials) that the
-idempotent search uses to cut a matrix algebra into spectral pieces.
+idempotent search uses to cut a center algebra into spectral pieces.
 Rational roots are found modularly as well, in time polynomial in the size
 of the input: the squarefree part is turned into a monic integer polynomial
 g, whose roots modulo the smallest prime that keeps them all simple are
@@ -614,22 +614,6 @@ class UniPoly:
             acc = acc * x + c
         return normalize(acc) if isinstance(acc, Fraction) else acc
 
-    def of_matrix(self, m: RatMatrix) -> RatMatrix:
-        """Evaluate at a square matrix (Horner on d * self, divided by d once).
-
-        d clears the denominators of the coefficients, so on an integer
-        matrix every step stays in integers.
-        """
-        if m.rows != m.cols:
-            raise DimensionMismatch("matrix evaluation needs a square matrix")
-        n = m.rows
-        coeffs, d = _cleared(self._c)
-        acc = RatMatrix.zeros(n, n)
-        ident = RatMatrix.identity(n)
-        for c in reversed(coeffs):
-            acc = acc * m + ident.scale(c)
-        return acc if d == 1 else acc.scale(Fraction(1, d))
-
     def __repr__(self) -> str:
         if self.is_zero():
             return "UniPoly(0)"
@@ -840,12 +824,15 @@ def primary_coprime_factors(m: UniPoly) -> list[UniPoly]:
 # ---------------------------------------------------------------------------
 
 
-def minimal_polynomial(m: RatMatrix) -> UniPoly:
-    """Least-degree monic annihilator, via the first Krylov dependency.
+def minimal_polynomial(m: RatMatrix, start: RatMatrix | None = None) -> UniPoly:
+    """Least-degree monic p with p(m) * start = 0, via the first Krylov dependency.
 
-    vec I, vec M, ..., vec M^k are stacked as columns until the stack has a
-    kernel.  The earlier columns are independent, so the kernel is a single
-    vector with 1 at M^k: the coefficients of the minimal polynomial.
+    ``start`` defaults to the identity, where p is the minimal polynomial of
+    m; a column v gives the annihilator of v under m, the minimal polynomial
+    of m on the subspace that v generates.  start, m*start, ..., m^k*start
+    are flattened and stacked as columns until the stack has a kernel.  The
+    earlier columns are independent, so the kernel is a single vector with 1
+    at m^k*start: the coefficients of p.
 
     Each power, as a primitive integer row, is first added to an echelon
     basis modulo one kernel prime.  Rank modulo a prime never exceeds rank
@@ -855,9 +842,11 @@ def minimal_polynomial(m: RatMatrix) -> UniPoly:
     """
     if m.rows != m.cols:
         raise DimensionMismatch("minimal polynomial needs a square matrix")
+    power = RatMatrix.identity(m.rows) if start is None else start
+    if power.rows != m.cols:
+        raise DimensionMismatch("start does not match the matrix")
     p = _kernel_prime(0)
     pivots: dict = {}
-    power = RatMatrix.identity(m.rows)
     columns = []
     while True:
         columns.append(vec(power))
@@ -869,4 +858,4 @@ def minimal_polynomial(m: RatMatrix) -> UniPoly:
             kernel = nullspace_basis(stacked)
             if kernel:
                 return UniPoly(kernel[0])
-        power = power * m
+        power = m * power

@@ -1,10 +1,11 @@
 """Shared fixtures: golden polynomial sets with known decompositions."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from polydecomp import RatMatrix, parse_polynomial
+from polydecomp import RatMatrix, generate, parse_polynomial
 
 # One line per acceptance criterion, printed after the run so the verdicts
 # are visible even with output capture on.
@@ -162,3 +163,21 @@ def refines(fine, coarse) -> bool:
         return False
 
     return backtrack(fine, coarse)
+
+
+def planted_suite():
+    """The 50 planted instances of the acceptance suite, as (seed, instance)."""
+    partitions = {
+        2: [[2], [1, 1]],
+        3: [[3], [2, 1], [1, 1, 1]],
+        4: [[4], [3, 1], [2, 2], [2, 1, 1], [1, 1, 1, 1]],
+        5: [[5], [4, 1], [3, 2], [3, 1, 1], [2, 2, 1], [2, 1, 1, 1]],
+        6: [[6], [5, 1], [4, 2], [3, 3], [2, 2, 2], [3, 2, 1], [2, 2, 1, 1]],
+    }
+    for seed in range(50):
+        rng = random.Random(f"sched:{seed}")
+        n = 2 + seed % 5
+        m = 1 + seed % 3
+        blocks = rng.choice(partitions[n])
+        max_degree = rng.choice([3, 4])
+        yield seed, generate(seed, n, m, blocks, max_degree)

@@ -27,6 +27,7 @@ from conftest import (
     TRIO_3_OUT,
     TRIO_3_P,
     mat,
+    planted_suite,
     record_acceptance,
     refines,
 )
@@ -151,21 +152,8 @@ def test_small_centers_golden(quartic_squares, bin_cubics):
 
 @criterion("planted suite: 50/50 verified, 50/50 refine planted, 50/50 oracle agree")
 def test_planted_property_suite():
-    partitions = {
-        2: [[2], [1, 1]],
-        3: [[3], [2, 1], [1, 1, 1]],
-        4: [[4], [3, 1], [2, 2], [2, 1, 1], [1, 1, 1, 1]],
-        5: [[5], [4, 1], [3, 2], [3, 1, 1], [2, 2, 1], [2, 1, 1, 1]],
-        6: [[6], [5, 1], [4, 2], [3, 3], [2, 2, 2], [3, 2, 1], [2, 2, 1, 1]],
-    }
     verified = refined = agreed = 0
-    for seed in range(50):
-        rng = random.Random(f"sched:{seed}")
-        n = 2 + seed % 5
-        m = 1 + seed % 3
-        blocks = rng.choice(partitions[n])
-        max_degree = rng.choice([3, 4])
-        instance = generate(seed, n, m, blocks, max_degree)
+    for seed, instance in planted_suite():
         result = decompose_recursive(instance.fs, seed=seed)
         collect_sets_from_result(result, instance.fs)
         if verify_decomposition(instance.fs, result):

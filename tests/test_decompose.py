@@ -4,6 +4,7 @@ import importlib
 import inspect
 import random
 import time
+import types
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,9 @@ from conftest import (
     TRIO_3_P,
     mat,
 )
+import polydecomp.center
 import polydecomp.decompose
+import polydecomp.idempotent
 from polydecomp import (
     DecompositionNode,
     DecompositionResult,
@@ -489,3 +492,39 @@ class TestTracedBindings:
     def test_binding_is_a_function(self, module, name):
         binding = getattr(importlib.import_module(f"polydecomp.{module}"), name)
         assert inspect.isfunction(binding)
+
+    def test_bindings_see_every_draw(self, fourvar_pair, monkeypatch):
+        # the test above only checks that the bindings exist; a search that
+        # stopped calling them would pass it and read 0 draws in the bench
+        draws, minpolys, factorings, systems = [], [], [], []
+
+        class CountingRandom(random.Random):
+            def __init__(self, x):
+                draws.append(x)
+                super().__init__(x)
+
+        monkeypatch.setattr(
+            polydecomp.idempotent, "random", types.SimpleNamespace(Random=CountingRandom)
+        )
+
+        def record(module, name, log):
+            fn = getattr(module, name)
+
+            def wrapper(*args):
+                result = fn(*args)
+                log.append((args, result))
+                return result
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        record(polydecomp.idempotent, "minimal_polynomial", minpolys)
+        record(polydecomp.idempotent, "primary_coprime_factors", factorings)
+        record(polydecomp.center, "nullspace_basis", systems)
+        result = decompose_recursive(fourvar_pair, seed=42)
+        assert result.leaf_block_sizes() == (1, 1, 2)
+        assert draws
+        assert len(minpolys) == len(draws)
+        assert len(factorings) == sum(m.degree >= 1 for _, m in minpolys)
+        # the bench reads the equation count off the system's rows
+        assert systems
+        assert all(type(args[0]) is RatMatrix and args[0].rows > 0 for args, _ in systems)

@@ -1,17 +1,35 @@
 """Idempotent extraction: spectral splitting, verification, rank profiles."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from algebra_helpers import in_span, rank_profile
-from conftest import BIN_CUBIC_EPS, FOURVAR_EPS, TRIO_3_EPS, mat
+import polydecomp.decompose
+from algebra_helpers import (
+    find_idempotents_by_matrices,
+    in_span,
+    jordan_product,
+    rank_profile,
+)
+from conftest import BIN_CUBIC_EPS, FOURVAR_EPS, TRIO_3_EPS, mat, planted_suite
 from polydecomp import (
+    CenterBasis,
     IdempotentSet,
+    InternalInvariantViolation,
+    Polynomial,
     RatMatrix,
+    UniPoly,
     center_basis,
+    decompose_recursive,
     find_idempotents,
+    generate,
+    parse_polynomial,
     verify_complete,
 )
+from polydecomp.idempotent import _apply, _Coordinates
 from polydecomp.ratlinalg import vec
+
+QUADRATIC_FORMS = ["x^2 + 4*x*y + y^2 + 3*y*z + z^2", "x^2 + 2*y^2 + 3*z^2 + x*y"]
 
 
 class TestFindIdempotents:
@@ -63,12 +81,122 @@ class TestFindIdempotents:
             find_idempotents(center_basis(bin_cubics), seed=1, max_tries=0)
 
     def test_quadratic_form_splits_fully(self):
-        from polydecomp import parse_polynomial
-
-        f = parse_polynomial("x^2 + 4*x*y + y^2 + 3*y*z + z^2", ["x", "y", "z"])
+        f = parse_polynomial(QUADRATIC_FORMS[0], ["x", "y", "z"])
         center = center_basis([f])
         idem = find_idempotents(center, seed=42)
         assert verify_complete(idem, [f])
+
+    def test_basis_not_closed_under_the_jordan_product(self):
+        # span{I, A} does not hold A^2 = diag(1, 4, 9): the structure
+        # constants fail their certificate
+        a = mat([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+        with pytest.raises(InternalInvariantViolation, match="not closed"):
+            find_idempotents(CenterBasis(3, (RatMatrix.identity(3), a)))
+
+
+class TestMatchesMatrixSearch:
+    """The coordinate search returns what the n x n search returns."""
+
+    def test_goldens(self, bin_cubics, fourvar_pair, trio, quartic_squares):
+        for polys in (bin_cubics, fourvar_pair, [quartic_squares], *([f] for f in trio)):
+            center = center_basis(polys)
+            for seed in (42, 1, 2):
+                expected = find_idempotents_by_matrices(center, seed=seed)
+                assert find_idempotents(center, seed=seed) == expected
+
+    def test_every_node_of_the_planted_suite(self, monkeypatch):
+        dims = []
+
+        def checked(center, seed, max_tries):
+            result = find_idempotents(center, seed, max_tries)
+            assert result == find_idempotents_by_matrices(center, seed, max_tries)
+            dims.append(center.dim)
+            return result
+
+        monkeypatch.setattr(polydecomp.decompose, "find_idempotents", checked)
+        for seed, instance in planted_suite():
+            decompose_recursive(instance.fs, seed=seed)
+        assert sum(d > 1 for d in dims) >= 40  # 41 searches that can split
+
+    @pytest.mark.parametrize("form", QUADRATIC_FORMS)
+    def test_non_associative_quadratic_form_centers(self, form):
+        center = center_basis([parse_polynomial(form, ["x", "y", "z"])])
+        assert center.dim == 6
+        assert any(x * y != y * x for x in center.basis for y in center.basis)
+        for seed in range(6):
+            expected = find_idempotents_by_matrices(center, seed=seed)
+            assert find_idempotents(center, seed=seed) == expected
+
+
+def _quadratic_plus_cubic(quadratic, n):
+    """x1^3 plus the quadratic terms c*x_i*x_j: centers that need not be
+    associative."""
+    terms = {(3,) + (0,) * (n - 1): 1}
+    for i, j, c in quadratic:
+        mono = [0] * n
+        mono[i % n] += 1
+        mono[j % n] += 1
+        terms[tuple(mono)] = c
+    return Polynomial(n, terms)
+
+
+centers = st.one_of(
+    st.builds(
+        lambda seed, blocks: center_basis(generate(seed, sum(blocks), 1 + seed % 2, blocks, 3).fs),
+        st.integers(0, 10**6),
+        st.lists(st.integers(1, 2), min_size=1, max_size=3),
+    ),
+    st.builds(
+        lambda n, terms: center_basis([_quadratic_plus_cubic(terms, n)]),
+        st.integers(2, 4),
+        st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-3, 3).filter(bool)),
+            max_size=6,
+        ),
+    ),
+)
+
+
+class TestSearchInCoordinates:
+    def test_matrix_products_only_for_structure_constants(
+        self, fourvar_pair, monkeypatch
+    ):
+        # the search runs on coordinate vectors: n x n products are left for
+        # the structure constants, at most one per pair of basis elements
+        calls = []
+        product = RatMatrix.__mul__
+
+        def counting(self, other):
+            if isinstance(other, RatMatrix) and self.rows == self.cols == other.cols:
+                calls.append(self.rows)
+            return product(self, other)
+
+        monkeypatch.setattr(RatMatrix, "__mul__", counting)
+        quadratic = parse_polynomial(QUADRATIC_FORMS[0], ["x", "y", "z"])
+        for polys in (fourvar_pair, [quadratic]):
+            center = center_basis(polys)
+            n, r = center.n, center.dim
+            calls.clear()
+            find_idempotents(center, seed=42)
+            assert calls.count(n) <= r * (r + 1) // 2
+            calls.clear()
+            find_idempotents_by_matrices(center, seed=42)
+            assert calls.count(n) > r * (r + 1) // 2
+        # matrix polynomials and span membership are test-only
+        assert not hasattr(UniPoly, "of_matrix")
+        assert not hasattr(CenterBasis, "contains")
+
+
+class TestStructureConstants:
+    @settings(max_examples=60, deadline=None)
+    @given(centers, st.data())
+    def test_reproduce_the_jordan_product(self, center, data):
+        z = _Coordinates(center)
+        coords = st.lists(st.integers(-5, 5), min_size=z.r, max_size=z.r)
+        v, w = data.draw(coords), data.draw(coords)
+        product = z.matrix(_apply(z.operator(v), w), z.scale)
+        assert product == jordan_product(z.matrix(v, 1), z.matrix(w, 1))
+        assert z.matrix(z.one, 1).is_identity()
 
 
 class TestVerifyComplete:

@@ -11,9 +11,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import polydecomp.ratlinalg
-from algebra_helpers import in_span, same_span, span_intersection
+from algebra_helpers import at_matrix, in_span, same_span, span_intersection
 from conftest import mat
 from polydecomp import (
+    DimensionMismatch,
     RatMatrix,
     SingularMatrix,
     UniPoly,
@@ -318,6 +319,18 @@ class TestEchelonOracle:
         krylov = sympy.Matrix([list(oracle**k) for k in range(m.rows + 1)])
         assert mp.degree == krylov.rank()
 
+    @settings(max_examples=100, deadline=None)
+    @given(square_matrices(largest=4), st.data())
+    def test_annihilator_of_a_start_column(self, m, data):
+        v = RatMatrix(m.rows, 1, data.draw(rational_lists(m.rows)))
+        p = minimal_polynomial(m, v)
+        assert p.coefficients()[-1] == 1
+        assert (at_matrix(p, m) * v).is_zero()
+        assert (minimal_polynomial(m) % p).is_zero()
+        oracle, column = to_sympy(m), to_sympy(v)
+        krylov = sympy.Matrix.hstack(*(oracle**k * column for k in range(m.rows + 1)))
+        assert p.degree == krylov.rank()
+
     @pytest.mark.parametrize("m", [UNLUCKY, BIG], ids=["unlucky_prime", "above_2_61"])
     def test_fixed_cases(self, m):
         oracle = to_sympy(m)
@@ -411,12 +424,20 @@ class TestMinimalPolynomial:
         for _ in range(10):
             m = rand_matrix(rng, 3, 3, -3, 3)
             mp = minimal_polynomial(m)
-            assert mp.of_matrix(m).is_zero()
+            assert at_matrix(mp, m).is_zero()
             # no proper monic divisor annihilates: drop one coprime factor
             for f in primary_coprime_factors(mp):
                 quotient = mp // f
                 if quotient.degree >= 1:
-                    assert not quotient.of_matrix(m).is_zero()
+                    assert not at_matrix(quotient, m).is_zero()
+
+    def test_start_column_cases(self):
+        m = mat([[2, 0, 0], [0, 3, 0], [0, 0, 3]])
+        assert minimal_polynomial(m, mat([[1], [0], [0]])) == UniPoly([-2, 1])
+        assert minimal_polynomial(m, mat([[1], [1], [0]])) == UniPoly([6, -5, 1])
+        assert minimal_polynomial(m, RatMatrix.zeros(3, 1)) == UniPoly.one()
+        with pytest.raises(DimensionMismatch):
+            minimal_polynomial(m, RatMatrix.zeros(2, 1))
 
     def test_nilpotent(self):
         m = mat([[0, 1], [0, 0]])
