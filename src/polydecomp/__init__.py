@@ -29,12 +29,10 @@ from .errors import (
     SingularMatrix,
 )
 from .idempotent import IdempotentSet, find_idempotents, verify_complete
-from .instancegen import PlantedInstance, brute_force_center_dim, generate
+from .instancegen import PlantedInstance, generate
 from .poly import (
     Polynomial,
-    hessian,
     parse_polynomial,
-    partial_derivative,
     render_canonical,
     substitute_linear,
 )
@@ -42,7 +40,6 @@ from .ratlinalg import (
     RatMatrix,
     UniPoly,
     column_space_basis,
-    coprime_split,
     extended_gcd,
     invert,
     minimal_polynomial,
@@ -69,22 +66,18 @@ __all__ = [
     "SingularMatrix",
     "UniPoly",
     "VerificationReport",
-    "brute_force_center_dim",
     "center_basis",
     "change_of_variables",
     "column_space_basis",
-    "coprime_split",
     "decompose_recursive",
     "extended_gcd",
     "find_idempotents",
     "generate",
-    "hessian",
     "invert",
     "membership_check",
     "minimal_polynomial",
     "nullspace_basis",
     "parse_polynomial",
-    "partial_derivative",
     "render_canonical",
     "separate",
     "squarefree_part",

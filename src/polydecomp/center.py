@@ -148,7 +148,8 @@ def membership_check(x: RatMatrix, polys: Sequence[Polynomial]) -> bool:
     H_i * x is symmetric at every point exactly when S * x is symmetric for
     every coefficient matrix S of H_i, so this is the defining condition of
     the center, on the representation ``center_basis`` draws its equations
-    from.  The independent oracle is ``instancegen.brute_force_center_dim``.
+    from.  The independent oracle is ``brute_force_center_dim`` in
+    ``tests/algebra_helpers.py``.
     """
     return _all_members([x], polys)
 

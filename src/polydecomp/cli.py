@@ -246,7 +246,7 @@ def _decomposition_text(problem: ProblemFile, result: DecompositionResult) -> st
 def cmd_decompose(args) -> int:
     problem = read_problem(args.input)
     polys = problem.parse()
-    result = decompose_recursive(polys, seed=args.seed, max_tries=args.max_tries)
+    result = decompose_recursive(polys, seed=args.seed)
     report = verify_decomposition(polys, result)
     if not report.ok:
         raise InternalInvariantViolation(
@@ -315,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec = sub.add_parser("decompose", help="run the full decomposition pipeline")
     p_dec.add_argument("--input", required=True, help="problem file path")
     p_dec.add_argument("--seed", type=int, default=42)
-    p_dec.add_argument("--max-tries", type=int, default=8)
     group = p_dec.add_mutually_exclusive_group()
     group.add_argument("--json", action="store_true", help="emit JSON")
     group.add_argument("--text", action="store_true", help="emit text (default)")

@@ -4,10 +4,14 @@ Per node: compute the center of the node's polynomials, extract a complete
 orthogonal idempotent set, build the change of variables whose columns are
 bases of the idempotents' column spaces, expand each input on each block's
 columns alone, and recurse into each block with fresh variables.  Recursion
-recomputes centers on sub-blocks rather than restricting the parent center,
-which also recovers splits an unlucky random draw missed at the parent
-level.  Each node's center is computed once; the root center is carried on
-the result for callers that report it.
+recomputes centers on sub-blocks rather than restricting the parent center.
+The two agree: after the split the Hessians are block diagonal, so the
+block's part of a parent center element lies in the child center, and a
+child center element padded with zeros lies in the parent center; the child
+center is the parent's Peirce corner e*Z*e.  A split an unlucky draw missed
+at the parent is recovered, if at all, by the child's own draws under its
+own seed.  Each node's center is computed once; the root center is carried
+on the result for callers that report it.
 
 Constant terms are invisible to Hessians, so they are assigned to the first
 (lowest-index) block by convention; linear terms follow their variable's
@@ -213,9 +217,7 @@ def separate(
     return out
 
 
-def decompose_recursive(
-    polys: Sequence[Polynomial], seed: int = 42, max_tries: int = 8
-) -> DecompositionResult:
+def decompose_recursive(polys: Sequence[Polynomial], seed: int = 42) -> DecompositionResult:
     """Full recursive pipeline; deterministic in ``seed``.
 
     Terminates because block sizes strictly decrease.  The returned P is the
@@ -241,7 +243,7 @@ def decompose_recursive(
                 DecompositionNode(indices, fs, (), z.dim),
                 RatMatrix.identity(1),
             )
-        idem = find_idempotents(z, node_seed, max_tries)
+        idem = find_idempotents(z, node_seed)
         if len(idem) == 1:
             return (
                 DecompositionNode(indices, fs, (), z.dim),

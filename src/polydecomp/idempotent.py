@@ -25,9 +25,10 @@ checked in coordinates; only the returned idempotents become matrices.
 
 A center of dimension 1 contains only the trivial idempotents, so {I} is
 returned immediately and constitutes a certificate of indecomposability.
-For larger centers a failure to split after ``max_tries`` draws is a Monte
-Carlo answer, not a proof; callers recover missed splits by recursing on
-sub-blocks with fresh centers.
+For larger centers a failure to split after ``MAX_TRIES`` draws is a Monte
+Carlo answer, not a proof.  A caller that recurses on a block gets no larger
+algebra, since the block's own center is the corner e*Z*e; what can recover
+a missed split there is the block's own draws under its own seed.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .ratlinalg import (
 )
 
 COEFF_RANGE = 9  # random combination coefficients are drawn from +-1..9
+MAX_TRIES = 8  # draws per block before it is kept whole
 
 
 @dataclass(frozen=True)
@@ -154,19 +156,15 @@ class _Coordinates:
         return RatMatrix._raw(self.n, self.n, [_ratio(x, den) for x in self.combine(v)])
 
 
-def find_idempotents(
-    center: CenterBasis, seed: int = 42, max_tries: int = 8
-) -> IdempotentSet:
+def find_idempotents(center: CenterBasis, seed: int = 42) -> IdempotentSet:
     """Complete orthogonal idempotent set of the center, deterministic in seed.
 
     Returns {I} immediately when the center is one-dimensional.  Otherwise
     each block found so far is refined by random spectral splitting inside
     its own Peirce corner; a block whose corner stays unsplit for
-    ``max_tries`` draws is kept whole.  All returned sets are verified
+    ``MAX_TRIES`` draws is kept whole.  All returned sets are verified
     exactly before being handed back.
     """
-    if max_tries < 1:
-        raise ValueError("max_tries must be >= 1")
     if center.dim < 1:
         raise ValueError("center basis is empty")
     n = center.n
@@ -190,7 +188,7 @@ def find_idempotents(
             final.append((v, d))
             return
         corner, _ = _scaled(corner)
-        for _ in range(max_tries):
+        for _ in range(MAX_TRIES):
             rng = random.Random(f"{seed}:{next(draw_counter)}")
             coeffs = []
             for _ in corner:

@@ -5,14 +5,6 @@ mixes the variables with a random small-integer invertible matrix.  The
 planted block sizes are a ground truth the pipeline must recover exactly or
 refine (a block may accidentally admit a finer split; it never admits a
 coarser one).
-
-``brute_force_center_dim`` is the independent oracle for the center: it
-multiplies the symbolic Hessian (``poly.hessian``) by the unknown matrix,
-writes out the full symmetry condition densely, with no deduplication and no
-antisymmetry shortcut, and ranks the system with a plain row-at-a-time
-elimination.  It shares neither the coefficient matrices the center solve
-and ``membership_check`` read off the terms nor the main linear algebra
-path.
 """
 
 from __future__ import annotations
@@ -20,15 +12,12 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
 from .errors import SingularMatrix
-from .poly import Polynomial, embed, hessian, substitute_linear
+from .poly import Polynomial, embed, substitute_linear
 from .ratlinalg import RatMatrix, invert
 
-MAX_ORACLE_DIM = 6  # brute-force oracle scale guard
 COEFF_LOW, COEFF_HIGH = -5, 5  # block polynomial coefficients
 MIX_LOW, MIX_HIGH = -3, 3  # mixing matrix entries
 
@@ -154,76 +143,3 @@ def generate(
         seed=seed,
         unmixed=tuple(unmixed),
     )
-
-
-def _oracle_rank(rows: list[list[Fraction]]) -> int:
-    """Row-at-a-time integer echelon rank over the rationals, independent of
-    the library's modular elimination."""
-    echelon: list[tuple[int, list[int]]] = []  # (lead index, primitive row)
-    for row in rows:
-        denom = 1
-        for x in row:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        work = [int(x * denom) for x in row]
-        while True:
-            lead = next((i for i, v in enumerate(work) if v), None)
-            if lead is None:
-                break
-            hit = next((r for l, r in echelon if l == lead), None)
-            if hit is None:
-                g = 0
-                for v in work:
-                    g = gcd(g, v)
-                work = [v // g for v in work]
-                echelon.append((lead, work))
-                echelon.sort(key=lambda t: t[0])
-                break
-            a, b = hit[lead], work[lead]
-            work = [u * a - v * b for u, v in zip(work, hit)]
-            g = 0
-            for v in work:
-                g = gcd(g, v)
-                if g == 1:
-                    break
-            if g > 1:
-                work = [v // g for v in work]
-    return len(echelon)
-
-
-def brute_force_center_dim(fs: Sequence[Polynomial]) -> int:
-    """Center dimension via the dense definition, with no shortcuts.
-
-    Emits one equation per (polynomial, matrix entry, monomial) for every
-    entry of H*X - (H*X)^T, duplicates and identically-zero diagonal rows
-    included, then ranks the system.  Guarded to ambient dimension <= 6.
-    """
-    if not fs:
-        raise ValueError("need at least one polynomial")
-    n = fs[0].n
-    if n > MAX_ORACLE_DIM:
-        raise ValueError(f"oracle limited to dimension <= {MAX_ORACLE_DIM}")
-    rows: list[list[Fraction]] = []
-    for f in fs:
-        h = hessian(f)
-        for r in range(n):
-            for c in range(n):
-                # (H*X)[r][c] - (H*X)[c][r] as a polynomial-linear form in X
-                coeffs: dict[int, Polynomial] = {}
-                for l in range(n):
-                    top = h[r][l]
-                    if not top.is_zero():
-                        u = l * n + c
-                        coeffs[u] = coeffs.get(u, Polynomial.zero(n)) + top
-                    bot = h[c][l]
-                    if not bot.is_zero():
-                        u = l * n + r
-                        coeffs[u] = coeffs.get(u, Polynomial.zero(n)) - bot
-                monomials = set()
-                for poly in coeffs.values():
-                    monomials.update(poly._terms)
-                for mono in sorted(monomials):
-                    row = [Fraction(0)] * (n * n)
-                    for u, poly in coeffs.items():
-                        row[u] = Fraction(poly.coefficient(mono))
-                    rows.append(row)
-    return n * n - _oracle_rank(rows)

@@ -209,10 +209,6 @@ class Polynomial:
         return f"Polynomial({self.n}: {render_canonical(self, names)})"
 
 
-def partial_derivative(p: Polynomial, index: int) -> Polynomial:
-    return p.partial_derivative(index)
-
-
 # ---------------------------------------------------------------------------
 # Parsing and rendering
 # ---------------------------------------------------------------------------
@@ -369,14 +365,6 @@ def render_canonical(p: Polynomial, variables: Sequence[str]) -> str:
         else:
             pieces.append(f"- {body}" if negative else f"+ {body}")
     return " ".join(pieces)
-
-
-def hessian(p: Polynomial) -> tuple[tuple[Polynomial, ...], ...]:
-    """Symmetric matrix of second partial derivatives, as n row tuples."""
-    firsts = [p.partial_derivative(i) for i in range(p.n)]
-    return tuple(
-        tuple(first.partial_derivative(c) for c in range(p.n)) for first in firsts
-    )
 
 
 def substitute_linear(p: Polynomial, m: RatMatrix) -> Polynomial:

@@ -21,8 +21,9 @@ same whichever primes were used; a prime that drops the rank or fails the
 check costs a retry with the next one, never a different answer.
 
 The module also provides the univariate polynomial machinery (gcd, Bezout
-cofactors, squarefree part, coprime splitting, minimal polynomials) that the
-idempotent search uses to cut a center algebra into spectral pieces.
+cofactors, squarefree part, minimal polynomials, primary factors: (t - r)^k
+per rational root r by exact division, then one rootless remainder) that
+the idempotent search uses to cut a center algebra into spectral pieces.
 Rational roots are found modularly as well, in time polynomial in the size
 of the input: the squarefree part is turned into a monic integer polynomial
 g, whose roots modulo the smallest prime that keeps them all simple are
@@ -719,23 +720,12 @@ def _int_horner(coeffs: Sequence[int], x: int) -> int:
 def rational_roots(p: UniPoly) -> list[Rat]:
     """All rational roots, ascending, each listed once.
 
-    They are the roots of the squarefree part of p (see ``_squarefree_roots``).
-    """
-    if p.is_zero():
-        raise ValueError("zero polynomial has every root")
-    if p.degree < 1:
-        return []
-    return _squarefree_roots(squarefree_part(p))
-
-
-def _squarefree_roots(s: UniPoly) -> list[Rat]:
-    """All rational roots of a squarefree s of degree >= 1, ascending.
-
-    The root 0 (a factor t of s, at most once) is stripped first.  The rest
-    are roots of what is left, f, scaled to primitive integer coefficients
-    with leading coefficient a; they are r = y / a for the integer roots y
-    of the monic integer polynomial g(y) = a^(d-1) f(y / a), and each such y
-    divides g(0) != 0, so |y| <= |g(0)|.
+    They are the roots of the squarefree part s of p.  The root 0 (a factor
+    t of s, at most once) is stripped first.  The rest are roots of what is
+    left, f, scaled to primitive integer coefficients with leading
+    coefficient a; they are r = y / a for the integer roots y of the monic
+    integer polynomial g(y) = a^(d-1) f(y / a), and each such y divides
+    g(0) != 0, so |y| <= |g(0)|.
 
     The integer roots come from the smallest prime q modulo which every root
     of g is simple (g' nonzero there), found by trying all residues.  A
@@ -746,7 +736,11 @@ def _squarefree_roots(s: UniPoly) -> list[Rat]:
     when the symmetric representative of an integer root is the root itself.
     A candidate is kept only if g vanishes at it exactly.
     """
-    coeffs = list(s.coefficients())
+    if p.is_zero():
+        raise ValueError("zero polynomial has every root")
+    if p.degree < 1:
+        return []
+    coeffs = list(squarefree_part(p).coefficients())
     roots: list[Rat] = []
     if coeffs[0] == 0:
         roots.append(0)
@@ -778,45 +772,32 @@ def _squarefree_roots(s: UniPoly) -> list[Rat]:
     return sorted(roots)
 
 
-def coprime_split(m: UniPoly) -> list[UniPoly]:
-    """Pairwise-coprime monic factors of the squarefree part of ``m``.
+def primary_coprime_factors(m: UniPoly) -> list[UniPoly]:
+    """Pairwise-coprime monic factors of ``m``, multiplicities kept.
 
-    Every rational root becomes its own linear factor (ascending root
-    order); whatever remains has no rational roots and is returned as a
-    single trailing factor.  The factor product equals squarefree_part(m).
+    Each rational root r, in ascending order, gives the factor (t - r)^k,
+    divided out of m while the division is exact; whatever is left has no
+    rational root and is the last factor.  The factor product is m made
+    monic.  A single returned factor means no rational spectral split
+    exists.
     """
     if m.degree < 1:
-        raise ValueError("coprime split needs degree >= 1")
-    s = squarefree_part(m)
-    factors = [UniPoly.linear_root(r) for r in _squarefree_roots(s)]
-    residual = s
-    for f in factors:
-        residual = residual // f
-    residual = residual.monic()
-    if residual.degree >= 1:
-        factors.append(residual)
-    return factors
-
-
-def primary_coprime_factors(m: UniPoly) -> list[UniPoly]:
-    """Pairwise-coprime monic factors of ``m`` itself (multiplicities kept).
-
-    Groups the full multiplicity of ``m`` over each coprime factor of its
-    squarefree part, so the factor product is exactly ``m``.  A single
-    returned factor means no rational spectral split exists.
-    """
+        raise ValueError("primary factors need degree >= 1")
     m = m.monic()
-    parts = coprime_split(m)
-    if len(parts) == 1:
-        return [m]
-    out = []
-    check = UniPoly.one()
-    for s in parts:
-        f = unipoly_gcd(m, s ** m.degree).monic()
-        out.append(f)
-        check = check * f
-    assert check == m, "primary factor product must reproduce the input"
-    return out
+    factors = []
+    rest = m
+    for r in rational_roots(m):
+        linear = UniPoly.linear_root(r)
+        k = 0
+        while True:
+            quotient, remainder = divmod(rest, linear)
+            if not remainder.is_zero():
+                break
+            rest, k = quotient, k + 1
+        factors.append(linear ** k)
+    if rest.degree >= 1:
+        factors.append(rest)
+    return factors
 
 
 # ---------------------------------------------------------------------------

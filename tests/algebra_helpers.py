@@ -9,11 +9,20 @@ routed to blocks; ``find_idempotents_by_matrices`` is the second route to
 ``jordan_product`` and ``rank_profile`` state algebraic facts the tests
 check; ``in_span``, ``same_span`` and ``center_contains`` compare spans by
 echelon forms, and ``at_matrix`` evaluates a polynomial at a matrix.
+
+``brute_force_center_dim`` is the independent oracle for the center: it
+multiplies the symbolic Hessian (``hessian``) by the unknown matrix, writes
+out the full symmetry condition densely, with no deduplication and no
+antisymmetry shortcut, and ranks the system with a plain row-at-a-time
+elimination.  It shares neither the coefficient matrices the center solve
+and ``membership_check`` read off the terms nor the main linear algebra
+path.
 """
 
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from polydecomp import (
@@ -28,7 +37,7 @@ from polydecomp import (
     extended_gcd,
     substitute_linear,
 )
-from polydecomp.idempotent import COEFF_RANGE, _identity_failure
+from polydecomp.idempotent import COEFF_RANGE, MAX_TRIES, _identity_failure
 from polydecomp.ratlinalg import (
     _cleared,
     _echelon,
@@ -139,9 +148,7 @@ def at_matrix(p: UniPoly, m: RatMatrix) -> RatMatrix:
     return acc if d == 1 else acc.scale(Fraction(1, d))
 
 
-def find_idempotents_by_matrices(
-    center: CenterBasis, seed: int = 42, max_tries: int = 8
-) -> IdempotentSet:
+def find_idempotents_by_matrices(center: CenterBasis, seed: int = 42) -> IdempotentSet:
     """``find_idempotents`` on n x n matrices: the same draws from the same
     corner bases, corners e*Z*e by matrix products, minimal polynomials of
     the drawn matrices and projectors evaluated at them."""
@@ -161,7 +168,7 @@ def find_idempotents_by_matrices(
             final.append(block)
             return
         sub_mats = [unvec(v, n, n) for v in restricted]
-        for _ in range(max_tries):
+        for _ in range(MAX_TRIES):
             rng = random.Random(f"{seed}:{next(draw_counter)}")
             acc = RatMatrix.zeros(n, n)
             for x in sub_mats:
@@ -199,3 +206,87 @@ def find_idempotents_by_matrices(
     if failure is not None:
         raise InternalInvariantViolation(failure)
     return result
+
+
+MAX_ORACLE_DIM = 6  # brute-force oracle scale guard
+
+
+def hessian(p: Polynomial) -> tuple[tuple[Polynomial, ...], ...]:
+    """Symmetric matrix of second partial derivatives, as n row tuples."""
+    firsts = [p.partial_derivative(i) for i in range(p.n)]
+    return tuple(
+        tuple(first.partial_derivative(c) for c in range(p.n)) for first in firsts
+    )
+
+
+def _oracle_rank(rows: list[list[Fraction]]) -> int:
+    """Row-at-a-time integer echelon rank over the rationals, independent of
+    the library's modular elimination."""
+    echelon: list[tuple[int, list[int]]] = []  # (lead index, primitive row)
+    for row in rows:
+        denom = 1
+        for x in row:
+            denom = denom * x.denominator // gcd(denom, x.denominator)
+        work = [int(x * denom) for x in row]
+        while True:
+            lead = next((i for i, v in enumerate(work) if v), None)
+            if lead is None:
+                break
+            hit = next((r for l, r in echelon if l == lead), None)
+            if hit is None:
+                g = 0
+                for v in work:
+                    g = gcd(g, v)
+                work = [v // g for v in work]
+                echelon.append((lead, work))
+                echelon.sort(key=lambda t: t[0])
+                break
+            a, b = hit[lead], work[lead]
+            work = [u * a - v * b for u, v in zip(work, hit)]
+            g = 0
+            for v in work:
+                g = gcd(g, v)
+                if g == 1:
+                    break
+            if g > 1:
+                work = [v // g for v in work]
+    return len(echelon)
+
+
+def brute_force_center_dim(fs: Sequence[Polynomial]) -> int:
+    """Center dimension via the dense definition, with no shortcuts.
+
+    Emits one equation per (polynomial, matrix entry, monomial) for every
+    entry of H*X - (H*X)^T, duplicates and identically-zero diagonal rows
+    included, then ranks the system.  Guarded to ambient dimension <= 6.
+    """
+    if not fs:
+        raise ValueError("need at least one polynomial")
+    n = fs[0].n
+    if n > MAX_ORACLE_DIM:
+        raise ValueError(f"oracle limited to dimension <= {MAX_ORACLE_DIM}")
+    rows: list[list[Fraction]] = []
+    for f in fs:
+        h = hessian(f)
+        for r in range(n):
+            for c in range(n):
+                # (H*X)[r][c] - (H*X)[c][r] as a polynomial-linear form in X
+                coeffs: dict[int, Polynomial] = {}
+                for l in range(n):
+                    top = h[r][l]
+                    if not top.is_zero():
+                        u = l * n + c
+                        coeffs[u] = coeffs.get(u, Polynomial.zero(n)) + top
+                    bot = h[c][l]
+                    if not bot.is_zero():
+                        u = l * n + r
+                        coeffs[u] = coeffs.get(u, Polynomial.zero(n)) - bot
+                monomials = set()
+                for poly in coeffs.values():
+                    monomials.update(poly._terms)
+                for mono in sorted(monomials):
+                    row = [Fraction(0)] * (n * n)
+                    for u, poly in coeffs.items():
+                        row[u] = Fraction(poly.coefficient(mono))
+                    rows.append(row)
+    return n * n - _oracle_rank(rows)

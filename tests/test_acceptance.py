@@ -10,7 +10,7 @@ against the defining identities at the end.
 import functools
 import random
 
-from algebra_helpers import jordan_product, same_span
+from algebra_helpers import brute_force_center_dim, jordan_product, same_span
 from conftest import (
     BIN_CUBIC_CENTER_FAMILY,
     BIN_CUBIC_EPS,
@@ -35,7 +35,6 @@ from polydecomp import (
     IdempotentSet,
     Polynomial,
     RatMatrix,
-    brute_force_center_dim,
     center_basis,
     decompose_recursive,
     find_idempotents,

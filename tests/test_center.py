@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from algebra_helpers import center_contains, intersect_centers, jordan_product, same_span
+from algebra_helpers import (
+    center_contains,
+    hessian,
+    intersect_centers,
+    jordan_product,
+    same_span,
+)
 from conftest import (
     BIN_CUBIC_CENTER_FAMILY,
     FOURVAR_CENTER_FAMILY,
@@ -18,7 +24,6 @@ from polydecomp import (
     Polynomial,
     RatMatrix,
     center_basis,
-    hessian,
     membership_check,
     parse_polynomial,
     substitute_linear,

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, serialization round trips."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 import polydecomp
+import conftest
 from conftest import (
     BIN_CUBIC_1,
     BIN_CUBIC_2,
@@ -172,6 +174,45 @@ class TestDecomposeCommand:
         sizes = sorted(len(c["indices"]) for c in doc["tree"]["children"])
         assert sizes == [1, 1, 2]
         assert doc["diagonalizable"] is False
+
+
+# SHA-256 of the ``decompose --json --seed 42`` document of each golden set.
+# The documents are the tool's reproducible output: a change to any digest
+# changes what users get, and needs a CHANGES.md note saying which document
+# changed and why.
+GOLDEN_DOCUMENTS = {
+    "bin_cubics": (
+        conftest.BIN_CUBIC_VARS,
+        [BIN_CUBIC_1, BIN_CUBIC_2],
+        "130f8694e4da2775c98b4f18da3984a30d41610656de9644d5a291408d276951",
+    ),
+    "quartic_squares": (
+        conftest.QUARTIC_SQUARES_VARS,
+        [conftest.QUARTIC_SQUARES],
+        "1f0749b8b8e6935728950ca32eee17eee9fd61a7cb400823d05c5b7ee7619c43",
+    ),
+    "fourvar_pair": (
+        conftest.FOURVAR_VARS,
+        [conftest.FOURVAR_1, conftest.FOURVAR_2],
+        "fd29c56bfb58ecda03b0c0779410eb7eb8e79c541131586061d2b12623bf8499",
+    ),
+    "trio": (
+        conftest.TRIO_VARS,
+        [TRIO_1, TRIO_2, TRIO_3],
+        "2a4eb182f0b3043580ffedc429728e928af41d4008786d04d114c67d0042ea2b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DOCUMENTS))
+def test_golden_documents_are_pinned(name, tmp_path):
+    names, sources, digest = GOLDEN_DOCUMENTS[name]
+    problem = tmp_path / "golden.txt"
+    problem.write_text("vars: " + " ".join(names) + "\n" + "\n".join(sources) + "\n")
+    out = tmp_path / "golden.json"
+    argv = ["decompose", "--input", str(problem), "--json", "--seed", "42", "--output", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestVerifyCommand:

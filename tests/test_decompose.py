@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from algebra_helpers import separate_by_full_expansion
+from algebra_helpers import hessian, separate_by_full_expansion
 from conftest import (
     BIN_CUBIC_EPS,
     BIN_CUBIC_P,
@@ -304,8 +304,6 @@ class TestDecomposeRecursive:
         assert a.leaf_block_sizes() == b.leaf_block_sizes()
 
     def test_block_diagonal_hessians_after_separation(self, fourvar_pair):
-        from polydecomp import hessian
-
         result = decompose_recursive(fourvar_pair, seed=42)
         ranges = []
         start = 0

@@ -72,13 +72,9 @@ class TestFindIdempotents:
 
     def test_deterministic(self, fourvar_pair):
         center = center_basis(fourvar_pair)
-        a = find_idempotents(center, seed=5, max_tries=8)
-        b = find_idempotents(center, seed=5, max_tries=8)
+        a = find_idempotents(center, seed=5)
+        b = find_idempotents(center, seed=5)
         assert a.eps == b.eps
-
-    def test_max_tries_validation(self, bin_cubics):
-        with pytest.raises(ValueError):
-            find_idempotents(center_basis(bin_cubics), seed=1, max_tries=0)
 
     def test_quadratic_form_splits_fully(self):
         f = parse_polynomial(QUADRATIC_FORMS[0], ["x", "y", "z"])
@@ -107,9 +103,9 @@ class TestMatchesMatrixSearch:
     def test_every_node_of_the_planted_suite(self, monkeypatch):
         dims = []
 
-        def checked(center, seed, max_tries):
-            result = find_idempotents(center, seed, max_tries)
-            assert result == find_idempotents_by_matrices(center, seed, max_tries)
+        def checked(center, seed):
+            result = find_idempotents(center, seed)
+            assert result == find_idempotents_by_matrices(center, seed)
             dims.append(center.dim)
             return result
 

@@ -2,9 +2,9 @@
 
 import pytest
 
+from algebra_helpers import brute_force_center_dim
 from conftest import refines
 from polydecomp import (
-    brute_force_center_dim,
     center_basis,
     decompose_recursive,
     generate,

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.rings import ring
 
+from algebra_helpers import hessian
 from conftest import (
     BIN_CUBIC_1,
     BIN_CUBIC_G1,
@@ -26,7 +27,6 @@ from polydecomp import (
     ParseError,
     Polynomial,
     RatMatrix,
-    hessian,
     parse_polynomial,
     render_canonical,
     substitute_linear,

@@ -19,7 +19,6 @@ from polydecomp import (
     SingularMatrix,
     UniPoly,
     column_space_basis,
-    coprime_split,
     extended_gcd,
     invert,
     minimal_polynomial,
@@ -518,39 +517,6 @@ class TestUniPolyGcd:
 
 
 class TestCoprimeSplit:
-    def test_two_linear_factors(self):
-        parts = coprime_split(UniPoly([0, -1, 1]))  # t^2 - t
-        assert parts == [UniPoly([0, 1]), UniPoly([-1, 1])]
-
-    def test_irreducible_quadratic_stays_whole(self):
-        assert coprime_split(UniPoly([1, 0, 1])) == [UniPoly([1, 0, 1])]
-
-    def test_three_roots(self):
-        parts = coprime_split(UniPoly([0, -1, 0, 1]))  # t^3 - t
-        expected = {
-            tuple(UniPoly([1, 1]).coefficients()),
-            tuple(UniPoly([0, 1]).coefficients()),
-            tuple(UniPoly([-1, 1]).coefficients()),
-        }
-        assert {tuple(p.coefficients()) for p in parts} == expected
-
-    def test_factors_pairwise_coprime_and_multiply_to_squarefree(self):
-        rng = random.Random(29)
-        for _ in range(20):
-            roots = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
-            m = UniPoly.one()
-            for r in roots:
-                m = m * UniPoly.linear_root(r) ** rng.randint(1, 2)
-            m = m * UniPoly([rng.randint(1, 3), 0, 1])  # rootless quadratic
-            parts = coprime_split(m)
-            product = UniPoly.one()
-            for i, p in enumerate(parts):
-                product = product * p
-                for j, q in enumerate(parts):
-                    if i != j:
-                        assert unipoly_gcd(p, q) == UniPoly.one()
-            assert product == squarefree_part(m)
-
     def test_primary_factors_product_is_input(self):
         m = UniPoly.linear_root(2) ** 3 * UniPoly.linear_root(-1) ** 2
         parts = primary_coprime_factors(m)
@@ -577,17 +543,28 @@ class TestRationalRoots:
 T = sympy.Symbol("t")
 
 
-def oracle_roots(p):
-    """Rational roots from sympy's factorization over the rationals, ascending."""
+def oracle_factors(p):
+    """sympy's factorization of p over the rationals.
+
+    Returns each rational root with its multiplicity, and the product of the
+    non-linear factors with theirs.
+    """
     expr = sum(sympy.Rational(str(c)) * T**i for i, c in enumerate(p.coefficients()))
-    roots = set()
-    for factor, _ in sympy.factor_list(expr)[1]:
+    linear, rest = {}, sympy.Integer(1)
+    for factor, k in sympy.factor_list(expr)[1]:
         poly = sympy.Poly(factor, T)
         if poly.degree() == 1:
             a, b = poly.all_coeffs()
             r = -b / a
-            roots.add(int(r.p) if r.q == 1 else Fraction(int(r.p), int(r.q)))
-    return sorted(roots)
+            linear[int(r.p) if r.q == 1 else Fraction(int(r.p), int(r.q))] = k
+        else:
+            rest *= factor**k
+    return linear, rest
+
+
+def oracle_roots(p):
+    """Rational roots from sympy's factorization over the rationals, ascending."""
+    return sorted(oracle_factors(p)[0])
 
 
 @st.composite
@@ -629,6 +606,94 @@ def polys_with_roots(draw):
         p = p * q
     roots = {r for r, _ in planted} | ({0} if zero_power else set())
     return p, sorted(roots)
+
+
+def oracle_primary_factors(p):
+    """sympy's factorization of p over the rationals, in primary-factor form.
+
+    (t - r)^k for each rational root r with its multiplicity k, ascending,
+    then the monic product of the non-linear factors with theirs.
+    """
+    linear, rest = oracle_factors(p)
+    factors = [UniPoly.linear_root(r) ** k for r, k in sorted(linear.items())]
+    rest = sympy.Poly(rest, T).monic()
+    if rest.degree() >= 1:
+        coeffs = reversed(rest.all_coeffs())
+        factors.append(UniPoly([Fraction(int(c.p), int(c.q)) for c in coeffs]))
+    return factors
+
+
+@st.composite
+def polys_with_primary_factors(draw):
+    """A nonzero rational times (t - r)^k, k = 1..3, and rootless quadratics.
+
+    The roots r are rational and may be 0; each of up to two rootless
+    quadratics appears once or squared.
+    """
+    p = UniPoly([draw(nonzero_rationals)])
+    planted = st.tuples(
+        st.builds(Fraction, st.integers(-40, 40), st.integers(1, 9)), st.integers(1, 3)
+    )
+    for r, k in draw(st.lists(planted, max_size=4)):
+        p = p * UniPoly.linear_root(r) ** k
+    for q in draw(st.lists(rootless_quadratics(), max_size=2)):
+        p = p * q ** draw(st.integers(1, 2))
+    assume(p.degree >= 1)
+    return p
+
+
+class TestPrimaryFactorsOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(polys_with_primary_factors())
+    def test_matches_sympy_factorization(self, m):
+        factors = primary_coprime_factors(m)
+        # ascending roots with sympy's multiplicities, then sympy's
+        # non-linear part; a single factor is m itself, made monic
+        assert factors == oracle_primary_factors(m)
+        if len(factors) == 1:
+            assert factors == [m.monic()]
+        product = UniPoly.one()
+        for i, f in enumerate(factors):
+            product = product * f
+            for g in factors[i + 1 :]:
+                assert unipoly_gcd(f, g) == UniPoly.one()
+        assert product == m.monic()
+
+    def test_single_factor_is_the_monic_input(self):
+        quadratic = UniPoly([2, 0, 3])  # 3t^2 + 2
+        for m in (
+            UniPoly.linear_root(Fraction(-2, 3)) ** 3 * 5,
+            UniPoly.shift() ** 2,
+            quadratic,
+            quadratic**2 * UniPoly([1, 1, 1]),
+        ):
+            assert primary_coprime_factors(m) == [m.monic()]
+
+    def test_constants_raise(self):
+        for m in (UniPoly.zero(), UniPoly.one(), UniPoly([Fraction(-7, 2)])):
+            with pytest.raises(ValueError):
+                primary_coprime_factors(m)
+
+    def test_one_gcd_per_call(self, monkeypatch):
+        # the multiplicities come from exact division, not from a gcd per
+        # factor: the squarefree part behind the roots is the only gcd
+        calls = []
+        real = polydecomp.ratlinalg.unipoly_gcd
+
+        def counting(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(polydecomp.ratlinalg, "unipoly_gcd", counting)
+        cases = [
+            UniPoly.linear_root(1) ** 2 * UniPoly.linear_root(-2) * UniPoly([1, 0, 1]),
+            UniPoly.shift() ** 3 * UniPoly.linear_root(Fraction(1, 2)) ** 2,
+            UniPoly([0, -1, 0, 1]),  # t^3 - t
+        ]
+        for m in cases:
+            calls.clear()
+            assert len(primary_coprime_factors(m)) >= 2
+            assert len(calls) == 1
 
 
 class TestRationalRootsOracle:
