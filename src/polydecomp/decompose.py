@@ -16,9 +16,10 @@ on the result for callers that report it.
 Constant terms are invisible to Hessians, so they are assigned to the first
 (lowest-index) block by convention; linear terms follow their variable's
 block.  With that convention the reconstruction identity
-f_i(P*y) = sum of the leaf polynomials holds exactly, and
-``verify_decomposition`` checks it with the one expansion of f_i in all n
-variables.
+f_i(P*y) = sum of the leaf polynomials holds exactly.  As P is invertible,
+it is f_i(x) = sum_B g_B((P^-1)_B x) over the leaves B, and
+``verify_decomposition`` checks it in that form: the one expansion into all
+n variables is the sum of the leaves on rows of P^-1.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import (
     SingularMatrix,
 )
 from .idempotent import IdempotentSet, find_idempotents, verify_complete
-from .poly import Polynomial, embed, substitute_linear
+from .poly import Polynomial, substitute_linear
 from .ratlinalg import RatMatrix, column_space_basis, invert
 
 
@@ -144,16 +145,17 @@ def change_of_variables(idem: IdempotentSet) -> RatMatrix:
 
 
 def diagonal_idempotent_supports(
-    p: RatMatrix, idems: Sequence[RatMatrix]
+    p: RatMatrix, idems: Sequence[RatMatrix], p_inv: RatMatrix | None = None
 ) -> list[tuple[int, ...]] | None:
     """Index supports of P^-1 e P when every conjugate is diagonal 0/1.
 
     Accepts non-contiguous supports; returns None if any conjugate is not a
     0/1 diagonal matrix or the supports fail to partition the coordinates.
+    A caller that already holds P^-1 passes it as ``p_inv``.
     """
     n = p.rows
     try:
-        p_inv = invert(p)
+        p_inv = invert(p) if p_inv is None else p_inv
     except SingularMatrix:
         return None
     supports = []
@@ -194,8 +196,8 @@ def separate(
     g_B(y_B) = f(P_B*y_B) - f(0), where P_B is the n x k_B matrix of block
     B's columns of P, expanded in block B's k_B variables alone.  f(0) goes
     back to the first block.  No cross term is ever formed, so none is
-    detected here; ``verify_decomposition`` expands f(P*y) with the full P
-    and checks that the leaves sum to it.
+    detected here; ``verify_decomposition`` expands the blocks on rows of
+    P^-1 and checks that they sum to f.
     """
     if not polys:
         return []
@@ -275,15 +277,26 @@ def decompose_recursive(polys: Sequence[Polynomial], seed: int = 42) -> Decompos
     )
 
 
+def _sum_on_inverse_rows(
+    blocks: Sequence[tuple[Sequence[Polynomial], Sequence[int]]], q: RatMatrix
+) -> list[Polynomial]:
+    """Sum over the blocks of g_i(Q_B x) for each i: a block pairs its g_i
+    with its positions B, and Q_B, the rows of Q at B, has k_B rows."""
+    rows = [q.row(r) for r in range(q.rows)]
+    sums = [Polynomial.zero(q.cols)] * len(blocks[0][0])
+    for polys, positions in blocks:
+        q_b = RatMatrix._raw(len(positions), q.cols, [x for r in positions for x in rows[r]])
+        sums = [s + substitute_linear(g, q_b) for s, g in zip(sums, polys)]
+    return sums
+
+
 def _verify_node(
-    node: DecompositionNode, reason_prefix: str
+    node: DecompositionNode, reason_prefix: str, count: int
 ) -> VerificationReport:
     k = len(node.variable_indices)
-    if len(node.polys) == 0:
-        return VerificationReport(False, f"{reason_prefix}: node has no polynomials")
-    if any(f.n != k for f in node.polys):
+    if len(node.polys) != count or any(f.n != k for f in node.polys):
         return VerificationReport(
-            False, f"{reason_prefix}: polynomial ambient dimension mismatch"
+            False, f"{reason_prefix}: polynomials do not fit the block"
         )
     if node.is_leaf:
         return VerificationReport(True)
@@ -296,33 +309,39 @@ def _verify_node(
         return VerificationReport(
             False, f"{reason_prefix}: missing splitting witnesses"
         )
+    if any(m.rows != k or m.cols != k for m in (node.transform, *node.idempotents)):
+        return VerificationReport(
+            False, f"{reason_prefix}: splitting witnesses have wrong shape"
+        )
     idem = IdempotentSet(k, tuple(node.idempotents))
     if not verify_complete(idem, node.polys):
         return VerificationReport(
             False, f"{reason_prefix}: idempotent identities fail"
         )
-    sizes = [len(child.variable_indices) for child in node.children]
-    ranges = block_ranges(sizes)
-    supports = diagonal_idempotent_supports(node.transform, node.idempotents)
-    if supports is None or [
-        tuple(range(start, stop)) for start, stop in ranges
-    ] != supports:
+    ranges = block_ranges([len(child.variable_indices) for child in node.children])
+    try:
+        t_inv = invert(node.transform)
+    except SingularMatrix:
+        return VerificationReport(False, f"{reason_prefix}: transform is singular")
+    supports = diagonal_idempotent_supports(node.transform, node.idempotents, t_inv)
+    if [tuple(range(start, stop)) for start, stop in ranges] != supports:
         return VerificationReport(
             False, f"{reason_prefix}: conjugated idempotent not block diagonal"
         )
-    # The node's identities and block-diagonal supports make its
-    # separation cross-term free (the paper's bijection); the root
-    # reconstruction in verify_decomposition checks that independently.
-    parts = separate(node.polys, node.transform, ranges)
     for b, child in enumerate(node.children):
-        expected = tuple(parts[i][b] for i in range(len(node.polys)))
-        if expected != tuple(child.polys):
-            return VerificationReport(
-                False, f"{reason_prefix}: child polynomials do not match separation"
-            )
-        sub = _verify_node(child, f"{reason_prefix}.{b}")
+        sub = _verify_node(child, f"{reason_prefix}.{b}", count)
         if not sub.ok:
             return sub
+    # f_i(x) = sum_b g_b((T^-1)_b x) says f_i(T*y) has no cross term and the
+    # children hold its block parts; with f_i(0) in the first block, as
+    # ``separate`` puts it, those parts are unique.
+    if any(g.constant_term() for child in node.children[1:] for g in child.polys):
+        return VerificationReport(
+            False, f"{reason_prefix}: constant term outside the first block"
+        )
+    blocks = [(c.polys, range(*r)) for c, r in zip(node.children, ranges)]
+    if _sum_on_inverse_rows(blocks, t_inv) != list(node.polys):
+        return VerificationReport(False, f"{reason_prefix}: reconstruction mismatch")
     return VerificationReport(True)
 
 
@@ -331,16 +350,17 @@ def verify_decomposition(
 ) -> VerificationReport:
     """Independent end-to-end certificate check, recomputed from scratch.
 
-    Verifies the change of variables is invertible, the top-level conjugated
-    idempotents are the expected diagonal blocks, every node's idempotent
-    identities and separation are reproducible, the leaf polynomials sum
-    back to f_i(P*y) exactly, and the diagonalizable flag matches the tree.
+    Verifies every node's witnesses, idempotent identities and children, the
+    change of variables is invertible, the top-level conjugated idempotents
+    are the expected diagonal blocks, the leaf polynomials reconstruct the
+    inputs exactly, and the diagonalizable flag matches the tree.
 
-    ``separate`` expands each block on its own columns and never sees a
-    cross term, so the reconstruction is the one exact check that none is
-    left anywhere: it expands f_i(P*y) with the full P in all n variables,
-    the only such expansion, and a cross term left at any node would be
-    missing from the sum of the leaves.
+    A node's polynomials must be the sum of its children's expanded on rows
+    of its inverse transform, and the inputs the sum of the leaves' on rows
+    of P^-1: f_i(x) = sum_B g_B((P^-1)_B x), which for invertible P is
+    f_i(P*y) = sum_B g_B(y_B).  A cross term is missing from such a sum, and
+    the leaf sums are the one expansion into all n variables.  The
+    pipeline's ``separate`` is not called.
     """
     polys = tuple(polys)
     if not polys:
@@ -351,30 +371,25 @@ def verify_decomposition(
         return VerificationReport(False, "root polynomials do not match inputs")
     if tuple(root.variable_indices) != tuple(range(n)):
         return VerificationReport(False, "root variable indices malformed")
+    node_report = _verify_node(root, "root", len(polys))
+    if not node_report.ok:
+        return node_report
     if result.P.rows != n or result.P.cols != n:
         return VerificationReport(False, "change of variables has wrong shape")
     try:
-        invert(result.P)
+        p_inv = invert(result.P)
     except SingularMatrix:
         return VerificationReport(False, "change of variables is singular")
     if not root.is_leaf:
-        if root.idempotents is None:
-            return VerificationReport(False, "root is missing splitting witnesses")
-        supports = diagonal_idempotent_supports(result.P, root.idempotents)
+        supports = diagonal_idempotent_supports(result.P, root.idempotents, p_inv)
         expected = [tuple(child.variable_indices) for child in root.children]
-        if supports is None or supports != expected:
+        if supports != expected:
             return VerificationReport(
                 False, "conjugated idempotent not block diagonal"
             )
-    node_report = _verify_node(root, "root")
-    if not node_report.ok:
-        return node_report
-    transformed = [substitute_linear(f, result.P) for f in polys]
-    for i, g in enumerate(transformed):
-        total = Polynomial.zero(n)
-        for leaf in root.leaves():
-            total = total + embed(leaf.polys[i], leaf.variable_indices, n)
-        if total != g:
+    leaves = [(leaf.polys, leaf.variable_indices) for leaf in root.leaves()]
+    for i, (f, total) in enumerate(zip(polys, _sum_on_inverse_rows(leaves, p_inv))):
+        if total != f:
             return VerificationReport(
                 False, f"reconstruction mismatch for polynomial {i}"
             )

@@ -4,11 +4,14 @@
 of per-group centers, a second route to what ``center_basis`` of the
 concatenated groups gives; ``separate_by_full_expansion`` is the second
 route to ``separate``, one expansion in all variables whose monomials are
-routed to blocks; ``find_idempotents_by_matrices`` is the second route to
-``find_idempotents``, the same spectral search on n x n matrices;
-``jordan_product`` and ``rank_profile`` state algebraic facts the tests
-check; ``in_span``, ``same_span`` and ``center_contains`` compare spans by
-echelon forms, and ``at_matrix`` evaluates a polynomial at a matrix.
+routed to blocks; ``reconstruction_by_full_expansion`` is the forward form
+of the identity ``verify_decomposition`` checks, f_i(P*y) expanded in all
+variables against the embedded leaves; ``find_idempotents_by_matrices``
+is the second route to ``find_idempotents``, the same spectral search on
+n x n matrices; ``jordan_product`` and ``rank_profile`` state algebraic
+facts the tests check; ``in_span``, ``same_span`` and ``center_contains``
+compare spans by echelon forms, and ``at_matrix`` evaluates a polynomial at
+a matrix.
 
 ``brute_force_center_dim`` is the independent oracle for the center: it
 multiplies the symbolic Hessian (``hessian``) by the unknown matrix, writes
@@ -27,6 +30,7 @@ from typing import Sequence
 
 from polydecomp import (
     CenterBasis,
+    DecompositionResult,
     DimensionMismatch,
     IdempotentSet,
     InternalInvariantViolation,
@@ -38,6 +42,7 @@ from polydecomp import (
     substitute_linear,
 )
 from polydecomp.idempotent import COEFF_RANGE, MAX_TRIES, _identity_failure
+from polydecomp.poly import embed
 from polydecomp.ratlinalg import (
     _cleared,
     _echelon,
@@ -126,6 +131,25 @@ def separate_by_full_expansion(
             [Polynomial(hi - lo, bucket) for (lo, hi), bucket in zip(blocks, buckets)]
         )
     return out
+
+
+def reconstruction_by_full_expansion(
+    polys: Sequence[Polynomial], result: DecompositionResult
+) -> bool:
+    """Whether f_i(P*y) equals the sum of the leaf polynomials, each placed at
+    its variable indices, for every input f_i; False when a leaf does not
+    carry one polynomial per input."""
+    n = polys[0].n
+    leaves = list(result.tree.leaves())
+    if any(len(leaf.polys) != len(polys) for leaf in leaves):
+        return False
+    for i, f in enumerate(polys):
+        total = Polynomial.zero(n)
+        for leaf in leaves:
+            total = total + embed(leaf.polys[i], leaf.variable_indices, n)
+        if total != substitute_linear(f, result.P):
+            return False
+    return True
 
 
 def center_contains(center: CenterBasis, x: RatMatrix) -> bool:

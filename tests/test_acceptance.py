@@ -10,7 +10,12 @@ against the defining identities at the end.
 import functools
 import random
 
-from algebra_helpers import brute_force_center_dim, jordan_product, same_span
+from algebra_helpers import (
+    brute_force_center_dim,
+    jordan_product,
+    reconstruction_by_full_expansion,
+    same_span,
+)
 from conftest import (
     BIN_CUBIC_CENTER_FAMILY,
     BIN_CUBIC_EPS,
@@ -149,19 +154,26 @@ def test_small_centers_golden(quartic_squares, bin_cubics):
                 assert membership_check(jordan_product(x, y), polys)
 
 
-@criterion("planted suite: 50/50 verified, 50/50 refine planted, 50/50 oracle agree")
+@criterion(
+    "planted suite: 50/50 verified, 50/50 full-expansion verdicts agree, "
+    "50/50 refine planted, 50/50 oracle agree"
+)
 def test_planted_property_suite():
-    verified = refined = agreed = 0
+    verified = reconstructed = refined = agreed = 0
     for seed, instance in planted_suite():
         result = decompose_recursive(instance.fs, seed=seed)
         collect_sets_from_result(result, instance.fs)
-        if verify_decomposition(instance.fs, result):
-            verified += 1
+        verdict = bool(verify_decomposition(instance.fs, result))
+        verified += verdict
+        # the forward identity f_i(P*y) = sum of the leaves, expanded in all
+        # variables, must give the verifier's verdict
+        reconstructed += verdict == reconstruction_by_full_expansion(instance.fs, result)
         if refines(result.leaf_block_sizes(), instance.planted_blocks):
             refined += 1
         if brute_force_center_dim(instance.fs) == center_basis(instance.fs).dim:
             agreed += 1
     assert verified == 50
+    assert reconstructed == 50
     assert refined == 50
     assert agreed == 50
 

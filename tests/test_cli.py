@@ -10,6 +10,7 @@ import pytest
 
 import polydecomp
 import conftest
+from algebra_helpers import reconstruction_by_full_expansion
 from conftest import (
     BIN_CUBIC_1,
     BIN_CUBIC_2,
@@ -213,6 +214,78 @@ def test_golden_documents_are_pinned(name, tmp_path):
     argv = ["decompose", "--input", str(problem), "--json", "--seed", "42", "--output", str(out)]
     assert main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _drop_child_polynomial(tree):
+    tree["children"][1]["polys"].pop()
+
+
+def _move_constant(tree):
+    # f1's constant 1 goes from the first child to the second: the leaves
+    # still sum to f1(P*y), but separate puts the constant in the first block
+    first, second = tree["children"][0]["polys"], tree["children"][1]["polys"]
+    assert first[0].endswith(" + 1")
+    first[0] = first[0][: -len(" + 1")]
+    second[0] += " + 1"
+
+
+def _add_leaf_monomial(tree):
+    tree["children"][1]["polys"][0] += " + y2^3"
+
+
+def _drop_root_idempotent(tree):
+    tree["idempotents"].pop()
+
+
+def _empty_root_children(tree):
+    tree["children"].clear()
+
+
+def _drop_transform_row(tree):
+    tree["transform"].pop()
+
+
+def _shrink_idempotent(tree):
+    tree["idempotents"][0] = [row[:-1] for row in tree["idempotents"][0][:-1]]
+
+
+def _drop_inner_transform_row(tree):
+    _drop_transform_row(tree["children"][1])
+
+
+# Tampered copies of a golden document: (golden, tamper applied to the
+# document's tree, whether f_i(P*y) still equals the sum of the leaves).
+TAMPERED_DOCUMENTS = {
+    "child_missing_a_polynomial": ("bin_cubics", _drop_child_polynomial, False),
+    "constant_moved_to_a_later_child": ("bin_cubics", _move_constant, True),
+    "leaf_changed_by_one_monomial": ("bin_cubics", _add_leaf_monomial, False),
+    "root_idempotent_dropped": ("bin_cubics", _drop_root_idempotent, True),
+    "root_children_emptied": ("bin_cubics", _empty_root_children, False),
+    "transform_not_square": ("bin_cubics", _drop_transform_row, True),
+    "idempotent_shrunk": ("bin_cubics", _shrink_idempotent, True),
+    "inner_transform_not_square": ("quartic_squares", _drop_inner_transform_row, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERED_DOCUMENTS))
+def test_tampered_document_gets_a_verdict(case, tmp_path, capsys):
+    golden, tamper, identity_holds = TAMPERED_DOCUMENTS[case]
+    names, sources, _ = GOLDEN_DOCUMENTS[golden]
+    problem = tmp_path / "golden.txt"
+    problem.write_text("vars: " + " ".join(names) + "\n" + "\n".join(sources) + "\n")
+    out = tmp_path / "golden.json"
+    assert main(["decompose", "--input", str(problem), "--json", "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    tamper(doc["tree"])
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--input", str(problem), "--result", str(out)]) == 1
+    assert capsys.readouterr().out.startswith("FAIL: ")
+    # the forward identity alone misses the cases where it still holds;
+    # the verifier rejects those as well as every case the identity rejects
+    _, result = result_from_document(doc)
+    polys = read_problem(str(problem)).parse()
+    assert reconstruction_by_full_expansion(polys, result) is identity_holds
 
 
 class TestVerifyCommand:

@@ -1,5 +1,6 @@
 """Change of variables, block separation, recursion, and verification."""
 
+import dataclasses
 import importlib
 import inspect
 import random
@@ -10,7 +11,11 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from algebra_helpers import hessian, separate_by_full_expansion
+from algebra_helpers import (
+    hessian,
+    reconstruction_by_full_expansion,
+    separate_by_full_expansion,
+)
 from conftest import (
     BIN_CUBIC_EPS,
     BIN_CUBIC_P,
@@ -45,7 +50,6 @@ from polydecomp.decompose import (
     block_ranges,
     diagonal_idempotent_supports,
 )
-from polydecomp.poly import embed
 from polydecomp.ratlinalg import invert
 
 
@@ -281,13 +285,7 @@ class TestDecomposeRecursive:
 
     def test_reconstruction_identity(self, fourvar_pair):
         result = decompose_recursive(fourvar_pair, seed=42)
-        n = 4
-        for i, f in enumerate(fourvar_pair):
-            g = substitute_linear(f, result.P)
-            total = Polynomial.zero(n)
-            for leaf in result.tree.leaves():
-                total = total + embed(leaf.polys[i], leaf.variable_indices, n)
-            assert total == g
+        assert reconstruction_by_full_expansion(fourvar_pair, result)
 
     def test_degree_preservation(self, fourvar_pair):
         result = decompose_recursive(fourvar_pair, seed=42)
@@ -349,25 +347,45 @@ class TestVerifyDecomposition:
     def test_only_the_verifier_expands_in_all_variables(
         self, fourvar_pair, quartic_squares, monkeypatch
     ):
-        # the pipeline expands each block on its own columns; the verifier's
-        # root reconstruction makes the one n x n expansion per polynomial
-        shapes = []
+        # the pipeline expands each input block on its own columns of P; the
+        # verifier expands each child's polynomials on its rows of the
+        # parent's inverse transform and the leaves' on their rows of P^-1,
+        # so it never expands an input and never runs the pipeline's separate
+        calls, separations = [], []
         substitute = polydecomp.decompose.substitute_linear
+        separate = polydecomp.decompose.separate
 
         def recording(f, m):
-            shapes.append((m.rows, m.cols))
+            calls.append((f, m.rows, m.cols))
             return substitute(f, m)
 
+        def counting(*args):
+            separations.append(1)
+            return separate(*args)
+
         monkeypatch.setattr(polydecomp.decompose, "substitute_linear", recording)
+        monkeypatch.setattr(polydecomp.decompose, "separate", counting)
         for fs in (fourvar_pair, [quartic_squares]):
-            n = fs[0].n
-            shapes.clear()
+            calls.clear()
+            separations.clear()
             result = decompose_recursive(fs, seed=42)
-            assert shapes and all(cols < rows for rows, cols in shapes)
-            shapes.clear()
+            assert calls and all(cols < rows for _, rows, cols in calls)
+            assert separations
+            calls.clear()
+            separations.clear()
             assert verify_decomposition(fs, result)
-            assert shapes.count((n, n)) == len(fs)
-            assert all(cols < rows for rows, cols in shapes if (rows, cols) != (n, n))
+            assert separations == []
+            assert not any(f == g for f, _, _ in calls for g in fs)
+            nodes = list(internal_nodes(result.tree))
+            blocks = [
+                (len(below.variable_indices), len(node.variable_indices))
+                for node in nodes
+                for below in node.children + tuple(node.leaves())
+            ]
+            assert all((rows, cols) in blocks for _, rows, cols in calls)
+            per_polynomial = sum(len(node.children) for node in nodes)
+            per_polynomial += len(list(result.tree.leaves()))
+            assert len(calls) == len(fs) * per_polynomial
 
     def test_cross_term_fails_reconstruction(self, monkeypatch):
         # separate never forms a cross term, so for idempotents that do not
@@ -391,6 +409,36 @@ class TestVerifyDecomposition:
         report = verify_decomposition([f], DecompositionResult(p, root, True))
         assert not report.ok
         assert "reconstruction mismatch" in report.reason
+
+    def test_cross_term_fails_at_the_inner_node(self, quartic_squares, monkeypatch):
+        # plant z1*z2, a cross term in the inner node's split coordinates,
+        # in that node's polynomial and carry it up to the input; separate
+        # drops it, so the children stay as they are, and the inner node's
+        # reconstruction finds that they no longer sum to its polynomial
+        result = decompose_recursive([quartic_squares], seed=42)
+        root = result.tree
+        inner = root.children[1]
+        assert [len(c.variable_indices) for c in inner.children] == [1, 1]
+        cross = substitute_linear(
+            parse_polynomial("z1*z2", ["z1", "z2"]), invert(inner.transform)
+        )
+        rows = invert(root.transform).to_rows()[1:]
+        f = quartic_squares + substitute_linear(cross, mat(rows))
+        planted = dataclasses.replace(inner, polys=(inner.polys[0] + cross,))
+        assert separate(planted.polys, inner.transform, [(0, 1), (1, 2)]) == [
+            [child.polys[0] for child in inner.children]
+        ]
+        tree = dataclasses.replace(
+            root, polys=(f,), children=(root.children[0], planted)
+        )
+        monkeypatch.setattr(
+            polydecomp.decompose, "verify_complete", lambda idem, polys: True
+        )
+        report = verify_decomposition(
+            [f], DecompositionResult(result.P, tree, result.diagonalizable)
+        )
+        assert not report.ok
+        assert report.reason == "root.1: reconstruction mismatch"
 
     def test_fresh_result_verifies(self, bin_cubics):
         result = decompose_recursive(bin_cubics, seed=42)
