@@ -12,32 +12,36 @@ straight off the terms, so "H * X symmetric for all x" is "S_m * X symmetric
 for every m".  ``membership_check`` tests exactly that, and ``center_basis``
 assembles one linear equation per (coefficient matrix, strictly upper entry)
 pair: S*X - X^T*S is antisymmetric, so the strictly upper entries carry the
-whole condition.  Rows are gcd-normalized, sign canonicalized, deduplicated,
-and sorted.  ``nullspace_basis`` solves the system modulo a 61-bit prime,
-lifts the kernel by rational reconstruction (with CRT over more primes when
-needed) and checks every lifted vector exactly against every row.  Since the
-identity always lies in the center, the elimination stops as soon as the
-mod-p rank reaches n^2 - 1 and the identity passes the check; a scalar
-center then costs a fraction of the rows.  The mod-p rank is at most the
-rational rank, so the certified vectors are the whole kernel, and they are
-returned in the canonical free-variable form that exact elimination gives,
-so the basis is reproducible across runs.
+whole condition.  The rows are built sparse, pair by pair, as primitive
+integer rows with a positive first entry, and deduplicated as they come.
+Rows of one pair touch only columns r and c of X, so the fill of the
+elimination stays local.  ``nullspace_basis`` eliminates
+them in that order modulo a 61-bit prime, lifts the kernel by rational
+reconstruction (with CRT over more primes when needed) and checks every
+lifted vector exactly against every row.  Since the identity always lies in
+the center, the elimination stops as soon as the mod-p rank reaches
+n^2 - 1 and the identity passes the check; a scalar center then costs a
+fraction of the rows.  The mod-p rank is at most the rational rank, so the
+certified vectors are the whole kernel, and they are returned in the
+canonical free-variable form that exact elimination gives, which depends on
+the row space only, not on the row order: the basis is reproducible across
+runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import DimensionMismatch, EmptyInput
 from .poly import Polynomial
 from .ratlinalg import (
     RatMatrix,
+    _SparseSystem,
     nullspace_basis,
     primitive_integer_matrix,
-    signed_primitive_row,
     unvec,
     vec,
 )
@@ -105,24 +109,31 @@ def _equation_rows(polys: Sequence[Polynomial], n: int) -> list[tuple]:
 
     For each coefficient matrix S the matrix S*X - X^T*S is antisymmetric in
     the unknowns, so each strictly upper entry (r, c) yields one equation,
-    nonzero when row r or row c of S is.
+    nonzero when row r or row c of S is.  The equations come pair by pair,
+    (r, c) ascending, and for each pair in coefficient matrix order: those
+    of one pair touch only columns r and c of X.  Each is a sparse primitive
+    integer row of (column, value) pairs, columns ascending, its first value
+    positive; repeats are dropped where they first reappear.
     """
-    seen: set[tuple] = set()
-    empty: dict = {}
-    for s in _coefficient_matrices(polys):
-        for r in range(n):
-            for c in range(r + 1, n):
-                if r not in s and c not in s:
+    mats = _coefficient_matrices(polys)
+    seen: dict = {}
+    for r in range(n):
+        for c in range(r + 1, n):
+            for s in mats:
+                upper, lower = s.get(r), s.get(c)
+                if upper is None and lower is None:
                     continue
                 # Entry (r, c) is sum_l S[r][l] X[l][c] - S[c][l] X[l][r]; the
                 # unknowns l*n + c and l*n + r never coincide since r != c.
-                row = [0] * (n * n)
-                for l, v in s.get(r, empty).items():
-                    row[l * n + c] = v
-                for l, v in s.get(c, empty).items():
-                    row[l * n + r] = -v
-                seen.add(signed_primitive_row(row))
-    return sorted(seen)
+                row = [(l * n + c, v) for l, v in upper.items()] if upper else []
+                if lower:
+                    row += [(l * n + r, -v) for l, v in lower.items()]
+                row.sort()
+                g = gcd(*(v for _, v in row))
+                if row[0][1] < 0:
+                    g = -g
+                seen[tuple(row) if g == 1 else tuple((j, v // g) for j, v in row)] = None
+    return list(seen)
 
 
 def center_basis(polys: Sequence[Polynomial]) -> CenterBasis:
@@ -134,11 +145,7 @@ def center_basis(polys: Sequence[Polynomial]) -> CenterBasis:
     """
     n = _check_inputs(polys)
     rows = _equation_rows(polys, n)
-    if not rows:
-        rows = [(0,) * (n * n)]
-    # the rows are primitive integer tuples already: nothing to coerce
-    system = RatMatrix._raw(len(rows), n * n, [x for row in rows for x in row])
-    kernel = nullspace_basis(system)
+    kernel = nullspace_basis(_SparseSystem(len(rows), n * n, rows))
     return CenterBasis(n, tuple(unvec(v, n, n) for v in kernel))
 
 

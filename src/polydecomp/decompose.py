@@ -359,8 +359,9 @@ def verify_decomposition(
     of its inverse transform, and the inputs the sum of the leaves' on rows
     of P^-1: f_i(x) = sum_B g_B((P^-1)_B x), which for invertible P is
     f_i(P*y) = sum_B g_B(y_B).  A cross term is missing from such a sum, and
-    the leaf sums are the one expansion into all n variables.  The
-    pipeline's ``separate`` is not called.
+    the leaf sums are the one expansion into all n variables.  An unsplit
+    result on P = I has its inputs as its one leaf, so it is not expanded.
+    The pipeline's ``separate`` is not called.
     """
     polys = tuple(polys)
     if not polys:
@@ -387,12 +388,16 @@ def verify_decomposition(
             return VerificationReport(
                 False, "conjugated idempotent not block diagonal"
             )
-    leaves = [(leaf.polys, leaf.variable_indices) for leaf in root.leaves()]
-    for i, (f, total) in enumerate(zip(polys, _sum_on_inverse_rows(leaves, p_inv))):
-        if total != f:
-            return VerificationReport(
-                False, f"reconstruction mismatch for polynomial {i}"
-            )
+    # Unsplit on P = I, the one leaf is the root, already compared with the
+    # inputs: f_i(I*x) = f_i needs no expansion.  Any other P is expanded.
+    if not (root.is_leaf and result.P.is_identity()):
+        leaves = [(leaf.polys, leaf.variable_indices) for leaf in root.leaves()]
+        sums = _sum_on_inverse_rows(leaves, p_inv)
+        for i, (f, total) in enumerate(zip(polys, sums)):
+            if total != f:
+                return VerificationReport(
+                    False, f"reconstruction mismatch for polynomial {i}"
+                )
     if result.diagonalizable != all(
         len(l.variable_indices) == 1 for l in root.leaves()
     ):

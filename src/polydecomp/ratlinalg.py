@@ -224,20 +224,6 @@ def _primitive_int_row(row: Sequence) -> list:
     return ints
 
 
-def signed_primitive_row(row: Sequence) -> Vector:
-    """Primitive integer row with the first nonzero entry positive.
-
-    Canonical form used to deduplicate equation rows exactly.
-    """
-    ints = _primitive_int_row(row)
-    for v in ints:
-        if v:
-            if v < 0:
-                ints = [-x for x in ints]
-            break
-    return tuple(ints)
-
-
 def _sparse_rows(rows: Iterable[Sequence]) -> list[list[tuple[int, int]]]:
     """The nonzero rows as primitive integer rows of (column, value) pairs."""
     out = []
@@ -432,14 +418,29 @@ def _lift(rows, width, pivots, used, p, primes) -> dict | None:
         residues = combined
 
 
-def nullspace_basis(m: RatMatrix) -> list[Vector]:
+class _SparseSystem:
+    """Integer rows of (column, value) pairs, columns ascending, eliminated
+    in the given order; shaped like a RatMatrix of ``rows`` x ``cols``."""
+
+    __slots__ = ("rows", "cols", "sparse")
+
+    def __init__(self, rows: int, cols: int, sparse: list):
+        self.rows, self.cols, self.sparse = rows, cols, sparse
+
+
+def nullspace_basis(m: RatMatrix | _SparseSystem) -> list[Vector]:
     """Canonical basis of the right kernel, certified exactly.
 
     One vector per free column of the reduced echelon form, ordered by
     free-column index; the free coordinate is 1, the other free coordinates
-    are 0 and the pivot coordinates are read off the echelon form.
+    are 0 and the pivot coordinates are read off the echelon form.  The
+    form, and so the basis, depends on the row space only.
     """
-    return _kernel(_echelon(_sparse_rows(map(m.row, range(m.rows))), m.cols), m.cols)
+    if type(m) is _SparseSystem:
+        rows = m.sparse
+    else:
+        rows = _sparse_rows(map(m.row, range(m.rows)))
+    return _kernel(_echelon(rows, m.cols), m.cols)
 
 
 def column_space_basis(m: RatMatrix) -> list[Vector]:

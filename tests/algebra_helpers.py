@@ -4,7 +4,9 @@
 of per-group centers, a second route to what ``center_basis`` of the
 concatenated groups gives; ``separate_by_full_expansion`` is the second
 route to ``separate``, one expansion in all variables whose monomials are
-routed to blocks; ``reconstruction_by_full_expansion`` is the forward form
+routed to blocks; ``dense_equation_rows`` is the center's equation
+system assembled densely, the reference for the sparse rows the center
+solve builds; ``reconstruction_by_full_expansion`` is the forward form
 of the identity ``verify_decomposition`` checks, f_i(P*y) expanded in all
 variables against the embedded leaves; ``find_idempotents_by_matrices``
 is the second route to ``find_idempotents``, the same spectral search on
@@ -41,6 +43,7 @@ from polydecomp import (
     extended_gcd,
     substitute_linear,
 )
+from polydecomp.center import _coefficient_matrices
 from polydecomp.idempotent import COEFF_RANGE, MAX_TRIES, _identity_failure
 from polydecomp.poly import embed
 from polydecomp.ratlinalg import (
@@ -150,6 +153,30 @@ def reconstruction_by_full_expansion(
         if total != substitute_linear(f, result.P):
             return False
     return True
+
+
+def dense_equation_rows(polys: Sequence[Polynomial], n: int) -> list[tuple]:
+    """The center's equations assembled densely, the reference for the sparse
+    rows ``center_basis`` builds: for each coefficient matrix S and each
+    strictly upper entry (r, c) that row r or row c of S reaches, the n^2-wide
+    row of S*X - X^T*S at (r, c), scaled to a primitive integer row with its
+    first nonzero entry positive; deduplicated and sorted."""
+    seen = set()
+    for s in _coefficient_matrices(polys):
+        for r in range(n):
+            for c in range(r + 1, n):
+                if r not in s and c not in s:
+                    continue
+                row = [0] * (n * n)
+                for l, v in s.get(r, {}).items():
+                    row[l * n + c] = v
+                for l, v in s.get(c, {}).items():
+                    row[l * n + r] = -v
+                g = gcd(*row)
+                if next(v for v in row if v) < 0:
+                    g = -g
+                seen.add(tuple(v // g for v in row))
+    return sorted(seen)
 
 
 def center_contains(center: CenterBasis, x: RatMatrix) -> bool:

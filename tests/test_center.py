@@ -2,11 +2,16 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import polydecomp.ratlinalg
 from algebra_helpers import (
     center_contains,
+    dense_equation_rows,
     hessian,
     intersect_centers,
     jordan_product,
@@ -17,6 +22,7 @@ from conftest import (
     FOURVAR_CENTER_FAMILY,
     QUARTIC_SQUARES_CENTER_FAMILY,
     mat,
+    planted_suite,
 )
 from polydecomp import (
     DimensionMismatch,
@@ -28,7 +34,8 @@ from polydecomp import (
     parse_polynomial,
     substitute_linear,
 )
-from polydecomp.ratlinalg import invert, vec
+from polydecomp.center import _equation_rows
+from polydecomp.ratlinalg import invert, nullspace_basis, vec
 
 
 def spans_family(center, family) -> bool:
@@ -271,3 +278,83 @@ class TestGenericTriviality:
                 terms[tuple(mono)] = c
             f = Polynomial(3, terms)
             assert center_basis([f]).dim == 1
+
+
+def check_equation_rows(polys) -> None:
+    """The sparse rows against the dense reference, their invariants, and
+    the center basis against the kernel of the dense system."""
+    n = polys[0].n
+    rows = _equation_rows(polys, n)
+    dense = []
+    for row in rows:
+        columns = [c for c, _ in row]
+        assert row and columns == sorted(set(columns)) and columns[-1] < n * n
+        assert all(v for _, v in row) and row[0][1] > 0
+        assert gcd(*(v for _, v in row)) == 1
+        full = [0] * (n * n)
+        for c, v in row:
+            full[c] = v
+        dense.append(tuple(full))
+    reference = dense_equation_rows(polys, n)
+    assert len(set(dense)) == len(dense)
+    assert set(dense) == set(reference)
+    system = RatMatrix.from_rows(reference or [[0] * (n * n)])
+    kernel = nullspace_basis(system)
+    assert center_basis(polys).basis == tuple(RatMatrix(n, n, v) for v in kernel)
+
+
+small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def polynomial_sets(draw):
+    """One to three polynomials in n <= 4 variables, every degree up to 5,
+    rational or integer coefficients."""
+    n = draw(st.integers(1, 4))
+    degree = draw(st.integers(0, 5))
+    monomial = st.tuples(*[st.integers(0, degree)] * n).filter(
+        lambda mono: sum(mono) <= degree
+    )
+    coeff = small_rationals if draw(st.booleans()) else st.integers(-9, 9)
+    count = draw(st.integers(1, 3))
+    return [
+        Polynomial(n, draw(st.dictionaries(monomial, coeff, max_size=8)))
+        for _ in range(count)
+    ]
+
+
+class TestEquationRows:
+    """The sparse rows the center solve eliminates, against the dense reference."""
+
+    def test_goldens(self, bin_cubics, quartic_squares, fourvar_pair, trio):
+        for polys in (bin_cubics, [quartic_squares], fourvar_pair, trio):
+            check_equation_rows(polys)
+        for f in trio:
+            check_equation_rows([f])
+
+    def test_planted_suite(self):
+        for _, instance in planted_suite():
+            check_equation_rows(list(instance.fs))
+
+    @settings(max_examples=150, deadline=None)
+    @given(polynomial_sets())
+    def test_random_rational_sets(self, polys):
+        check_equation_rows(polys)
+
+    def test_center_path_builds_no_dense_rows(
+        self, bin_cubics, trio, fourvar_pair, monkeypatch
+    ):
+        # the rows go to the engine as built, never through the dense re-scan
+        calls = []
+        sparse_rows = polydecomp.ratlinalg._sparse_rows
+
+        def counting(rows):
+            calls.append(1)
+            return sparse_rows(rows)
+
+        monkeypatch.setattr(polydecomp.ratlinalg, "_sparse_rows", counting)
+        for polys in (bin_cubics, trio, fourvar_pair):
+            center_basis(polys)
+        assert calls == []
+        nullspace_basis(RatMatrix.identity(2))
+        assert calls == [1]

@@ -354,6 +354,37 @@ class TestVerifyCommand:
         )
         assert "PASS" in capsys.readouterr().out
 
+    def test_unsplit_document_on_identity_is_not_expanded(
+        self, trio_file, tmp_path, capsys, monkeypatch
+    ):
+        # the trio's joint center is scalar: the root is the one leaf and
+        # P = I, so the leaf is the input and nothing needs expanding; any
+        # other P is expanded, and the leaf is not the input on it
+        out_path = tmp_path / "result.json"
+        main(["decompose", "--input", trio_file, "--json", "--output", str(out_path)])
+        doc = json.loads(out_path.read_text())
+        assert doc["tree"]["children"] == []
+        assert doc["P"] == matrix_to_json(RatMatrix.identity(3))
+        calls = []
+        substitute = polydecomp.decompose.substitute_linear
+
+        def counting(f, m):
+            calls.append(1)
+            return substitute(f, m)
+
+        monkeypatch.setattr(polydecomp.decompose, "substitute_linear", counting)
+        capsys.readouterr()
+        assert main(["verify", "--input", trio_file, "--result", str(out_path)]) == 0
+        assert capsys.readouterr().out.startswith("PASS")
+        assert calls == []
+        permutation = RatMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        for p in (permutation, RatMatrix.identity(3).scale(2)):
+            doc["P"] = matrix_to_json(p)
+            out_path.write_text(json.dumps(doc))
+            assert main(["verify", "--input", trio_file, "--result", str(out_path)]) == 1
+            assert capsys.readouterr().out.startswith("FAIL: reconstruction mismatch")
+        assert calls
+
 
 class TestGenerateCommand:
     def test_generate_and_decompose(self, tmp_path, capsys):

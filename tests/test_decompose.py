@@ -542,7 +542,7 @@ class TestTracedBindings:
     def test_bindings_see_every_draw(self, fourvar_pair, monkeypatch):
         # the test above only checks that the bindings exist; a search that
         # stopped calling them would pass it and read 0 draws in the bench
-        draws, minpolys, factorings, systems = [], [], [], []
+        draws, minpolys, factorings, systems, solves = [], [], [], [], []
 
         class CountingRandom(random.Random):
             def __init__(self, x):
@@ -566,11 +566,17 @@ class TestTracedBindings:
         record(polydecomp.idempotent, "minimal_polynomial", minpolys)
         record(polydecomp.idempotent, "primary_coprime_factors", factorings)
         record(polydecomp.center, "nullspace_basis", systems)
+        record(polydecomp.decompose, "center_basis", solves)
         result = decompose_recursive(fourvar_pair, seed=42)
         assert result.leaf_block_sizes() == (1, 1, 2)
         assert draws
         assert len(minpolys) == len(draws)
         assert len(factorings) == sum(m.degree >= 1 for _, m in minpolys)
-        # the bench reads the equation count off the system's rows
-        assert systems
-        assert all(type(args[0]) is RatMatrix and args[0].rows > 0 for args, _ in systems)
+        # the bench reads the equation count off the system's rows, one
+        # system per center solve
+        assert solves and len(systems) == len(solves)
+        for (system_args, _), (solve_args, _) in zip(systems, solves):
+            system, polys = system_args[0], solve_args[0]
+            n = polys[0].n
+            assert system.rows == len(polydecomp.center._equation_rows(polys, n))
+            assert system.cols == n * n

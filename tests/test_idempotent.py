@@ -23,6 +23,7 @@ from polydecomp import (
     decompose_recursive,
     find_idempotents,
     generate,
+    membership_check,
     parse_polynomial,
     verify_complete,
 )
@@ -230,6 +231,28 @@ class TestVerifyComplete:
         # complete orthogonal pair, but not inside this center
         idem = IdempotentSet(2, (mat([[1, 0], [0, 0]]), mat([[0, 0], [0, 1]])))
         assert not verify_complete(idem, bin_cubics)
+
+
+    def test_non_central_first_element_fails(self, bin_cubics):
+        # the last element is not checked for membership, as it is I minus
+        # the others; a non-central first element summing to I with it fails
+        e = mat([[1, 1], [0, 0]])
+        assert e * e == e and not membership_check(e, bin_cubics)
+        idem = IdempotentSet(2, (e, RatMatrix.identity(2) - e))
+        assert not verify_complete(idem, bin_cubics)
+
+    def test_membership_of_all_but_the_last(self, fourvar_pair, monkeypatch):
+        checked = []
+        all_members = polydecomp.idempotent._all_members
+
+        def recording(xs, polys):
+            checked.append(list(xs))
+            return all_members(xs, polys)
+
+        monkeypatch.setattr(polydecomp.idempotent, "_all_members", recording)
+        eps = tuple(mat(rows) for rows in FOURVAR_EPS)
+        assert verify_complete(IdempotentSet(4, eps), fourvar_pair)
+        assert checked == [list(eps[:-1])]
 
 
 class TestRankProfile:
