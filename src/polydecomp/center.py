@@ -13,19 +13,22 @@ for every m".  ``membership_check`` tests exactly that, and ``center_basis``
 assembles one linear equation per (coefficient matrix, strictly upper entry)
 pair: S*X - X^T*S is antisymmetric, so the strictly upper entries carry the
 whole condition.  The rows are built sparse, pair by pair, as primitive
-integer rows with a positive first entry, and deduplicated as they come.
-Rows of one pair touch only columns r and c of X, so the fill of the
-elimination stays local.  ``nullspace_basis`` eliminates
-them in that order modulo a 61-bit prime, lifts the kernel by rational
-reconstruction (with CRT over more primes when needed) and checks every
-lifted vector exactly against every row.  Since the identity always lies in
-the center, the elimination stops as soon as the mod-p rank reaches
-n^2 - 1 and the identity passes the check; a scalar center then costs a
-fraction of the rows.  The mod-p rank is at most the rational rank, so the
-certified vectors are the whole kernel, and they are returned in the
-canonical free-variable form that exact elimination gives, which depends on
-the row space only, not on the row order: the basis is reproducible across
-runs.
+integer rows with a positive first entry, deduplicated as they come, and
+only as fast as ``nullspace_basis`` reads them.  Rows of one pair touch only
+columns r and c of X, so the fill of the elimination stays local.
+
+``nullspace_basis`` eliminates the rows in that order modulo a 61-bit prime.
+The equation of (r, c) takes the value S[r][c] - S[c][r] at X = I, so one
+exact pass that finds every S symmetric certifies that the identity lies in
+the kernel.  The mod-p rank never exceeds the rational rank, so once it
+reaches n^2 - 1 the kernel is exactly the span of the identity: a scalar
+center is certified by the symmetry of the S, with no further row built or
+checked.  Any other center reads every row; its kernel is lifted by
+rational reconstruction (with CRT over more primes when needed) and every
+lifted vector is checked exactly against every row.  The basis is returned
+in the canonical free-variable form that exact elimination gives, which
+depends on the row space only, not on the row order: it is reproducible
+across runs.
 """
 
 from __future__ import annotations
@@ -33,9 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .errors import DimensionMismatch, EmptyInput
+from .errors import DimensionMismatch, EmptyInput, InternalInvariantViolation
 from .poly import Polynomial
 from .ratlinalg import (
     RatMatrix,
@@ -104,7 +107,7 @@ def _coefficient_matrices(polys: Sequence[Polynomial]) -> list[dict]:
     return mats
 
 
-def _equation_rows(polys: Sequence[Polynomial], n: int) -> list[tuple]:
+def _equation_rows(polys: Sequence[Polynomial], n: int) -> Iterator[tuple]:
     """Linear constraints on the n^2 unknown entries of X, row-major order.
 
     For each coefficient matrix S the matrix S*X - X^T*S is antisymmetric in
@@ -113,10 +116,20 @@ def _equation_rows(polys: Sequence[Polynomial], n: int) -> list[tuple]:
     (r, c) ascending, and for each pair in coefficient matrix order: those
     of one pair touch only columns r and c of X.  Each is a sparse primitive
     integer row of (column, value) pairs, columns ascending, its first value
-    positive; repeats are dropped where they first reappear.
+    positive; repeats are dropped where they first reappear.  The rows are
+    built as they are read.
+
+    Before the first row, one exact pass checks that every S is symmetric.
+    The equation of (r, c) takes the value S[r][c] - S[c][r] at X = I, so
+    this certifies that every row vanishes at the identity.
     """
     mats = _coefficient_matrices(polys)
-    seen: dict = {}
+    for s in mats:
+        for r, row in s.items():
+            for l, v in row.items():
+                if l not in s or s[l].get(r) != v:
+                    raise InternalInvariantViolation("coefficient matrix is not symmetric")
+    seen: set = set()
     for r in range(n):
         for c in range(r + 1, n):
             for s in mats:
@@ -132,8 +145,11 @@ def _equation_rows(polys: Sequence[Polynomial], n: int) -> list[tuple]:
                 g = gcd(*(v for _, v in row))
                 if row[0][1] < 0:
                     g = -g
-                seen[tuple(row) if g == 1 else tuple((j, v // g) for j, v in row)] = None
-    return list(seen)
+                row = tuple(row) if g == 1 else tuple((j, v // g) for j, v in row)
+                before = len(seen)
+                seen.add(row)
+                if len(seen) > before:
+                    yield row
 
 
 def center_basis(polys: Sequence[Polynomial]) -> CenterBasis:
@@ -144,8 +160,8 @@ def center_basis(polys: Sequence[Polynomial]) -> CenterBasis:
     contribute no constraints.
     """
     n = _check_inputs(polys)
-    rows = _equation_rows(polys, n)
-    kernel = nullspace_basis(_SparseSystem(len(rows), n * n, rows))
+    identity = vec(RatMatrix.identity(n))
+    kernel = nullspace_basis(_SparseSystem(n * n, _equation_rows(polys, n), identity))
     return CenterBasis(n, tuple(unvec(v, n, n) for v in kernel))
 
 

@@ -243,6 +243,15 @@ def validate_variable_names(names: Sequence[str]) -> list[str]:
     return names
 
 
+def _int_literal(digits: str, pos: int) -> int:
+    """The value of a literal of decimal digits, or a ParseError at ``pos``
+    when it is longer than the interpreter converts (sys.get_int_max_str_digits)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(digits)} digits is too long", pos) from None
+
+
 def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
     """Parse polynomial text over the given ordered variable names.
 
@@ -267,7 +276,7 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
         kind, value, pos = peek()
         if kind == "int":
             k += 1
-            num = int(value)
+            num = _int_literal(value, pos)
             nkind, nvalue, npos = peek()
             if nkind == "op" and nvalue == "/":
                 k += 1
@@ -275,7 +284,7 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
                 if dkind != "int":
                     raise ParseError("expected integer denominator", dpos)
                 k += 1
-                den = int(dvalue)
+                den = _int_literal(dvalue, dpos)
                 if den == 0:
                     raise ParseError("zero denominator", dpos)
                 return normalize(coeff * Fraction(num, den))
@@ -296,7 +305,7 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
                         "exponent must be a non-negative integer literal", epos
                     )
                 k += 1
-                exp = int(evalue)
+                exp = _int_literal(evalue, epos)
             exps[index[value]] += exp
             return coeff
         raise ParseError("expected a coefficient or variable", pos)

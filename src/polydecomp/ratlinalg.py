@@ -16,6 +16,10 @@ input row reduces to zero against it.
 That check is the certificate.  It puts every row in the span of the lifted
 rows, so the rational rank is at most their number, the mod-p rank, which
 never exceeds the rational rank: the lifted rows span exactly the row space.
+A caller that has proved some nonzero vector lies in the kernel (the center
+solve, for the identity, from the symmetry of the Hessian coefficients)
+needs no lift when the mod-p rank reaches width - 1: the kernel is then the
+span of that vector, and the engine stops reading rows there.
 A reduced echelon form of a row space is unique, so every result is the
 same whichever primes were used; a prime that drops the rank or fails the
 check costs a retry with the next one, never a different answer.
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import count
+from itertools import chain, count
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -234,34 +238,60 @@ def _sparse_rows(rows: Iterable[Sequence]) -> list[list[tuple[int, int]]]:
     return out
 
 
-def _echelon(rows: list, width: int) -> dict:
+def _echelon(rows: Iterable, width: int, known: Vector | None = None) -> dict:
     """Certified reduced echelon form of the span of sparse integer rows.
 
     Maps each pivot column, ascending, to its row's entries outside the pivot
     columns; the pivot entry is 1 and the other pivot entries are 0.  At
     full rank modulo a prime the form is the identity and needs no lift.
+
+    The rows are read once, in order, while the first prime eliminates them,
+    and kept in case a lift needs them.  ``known`` is None or a nonzero
+    vector the caller has proved to lie in the kernel of every row: once the
+    rank modulo the prime reaches width - 1, the rational rank is width - 1
+    too, the kernel is the span of ``known`` and no further row is read.
+    Without ``known``, ``rows`` is a list.
     """
     primes = map(_kernel_prime, count())
+    read: list = []
+    fresh = iter(rows)
     while True:
         p = next(primes)
         pivots: dict = {}
         used = []
-        for i, row in enumerate(rows):
+        # the first pass draws from ``fresh``; a retry with another prime
+        # finds every row in ``read``
+        for i, row in enumerate(chain(read, fresh)):
+            if i == len(read):
+                read.append(row)
             if _insert_mod(pivots, row, p):
                 used.append(i)
                 if len(pivots) == width:
                     return {c: {} for c in range(width)}
-                # At most one kernel vector is left (a center always keeps
-                # the identity, a Krylov stack its newest power): if this
-                # prime alone certifies it, the remaining rows need no
-                # elimination, only the check.
-                if len(pivots) == width - 1 and i + 1 < len(rows):
-                    form = _reconstruct(pivots, p)
-                    if form is not None and _in_row_space(rows, form, width):
-                        return form
-        form = _lift(rows, width, pivots, used, p, primes)
+                if len(pivots) == width - 1:
+                    if known is not None:
+                        return _complement_form(known)
+                    # One kernel vector is left (a Krylov stack's newest
+                    # power): if this prime alone certifies it, the remaining
+                    # rows need no elimination, only the check.
+                    if i + 1 < len(rows):
+                        form = _reconstruct(pivots, p)
+                        if form is not None and _in_row_space(rows, form, width):
+                            return form
+        form = _lift(read, width, pivots, used, p, primes)
         if form is not None:
             return form
+
+
+def _complement_form(v: Vector) -> dict:
+    """Reduced echelon form of the rows orthogonal to a nonzero vector v.
+
+    Its one free column f is the last nonzero coordinate of v, and the row
+    of each other column c is x_c - (v_c / v_f) x_f, so the kernel vector it
+    gives is v / v_f.
+    """
+    f = max(c for c, x in enumerate(v) if x)
+    return {c: ({f: divide(-x, v[f])} if x else {}) for c, x in enumerate(v) if c != f}
 
 
 @cache
@@ -419,13 +449,20 @@ def _lift(rows, width, pivots, used, p, primes) -> dict | None:
 
 
 class _SparseSystem:
-    """Integer rows of (column, value) pairs, columns ascending, eliminated
-    in the given order; shaped like a RatMatrix of ``rows`` x ``cols``."""
+    """Integer rows of (column, value) pairs, columns ascending, drawn from
+    ``source`` in its order as the engine reads them; ``rows`` counts those
+    read so far.  ``known`` is a nonzero vector the caller has proved to lie
+    in the kernel of every row."""
 
-    __slots__ = ("rows", "cols", "sparse")
+    __slots__ = ("rows", "cols", "known", "_source")
 
-    def __init__(self, rows: int, cols: int, sparse: list):
-        self.rows, self.cols, self.sparse = rows, cols, sparse
+    def __init__(self, cols: int, source: Iterable, known: Vector):
+        self.rows, self.cols, self.known, self._source = 0, cols, known, source
+
+    def __iter__(self):
+        for row in self._source:
+            self.rows += 1
+            yield row
 
 
 def nullspace_basis(m: RatMatrix | _SparseSystem) -> list[Vector]:
@@ -437,10 +474,10 @@ def nullspace_basis(m: RatMatrix | _SparseSystem) -> list[Vector]:
     form, and so the basis, depends on the row space only.
     """
     if type(m) is _SparseSystem:
-        rows = m.sparse
+        form = _echelon(m, m.cols, m.known)
     else:
-        rows = _sparse_rows(map(m.row, range(m.rows)))
-    return _kernel(_echelon(rows, m.cols), m.cols)
+        form = _echelon(_sparse_rows(map(m.row, range(m.rows))), m.cols)
+    return _kernel(form, m.cols)
 
 
 def column_space_basis(m: RatMatrix) -> list[Vector]:

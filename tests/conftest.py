@@ -1,6 +1,7 @@
 """Shared fixtures: golden polynomial sets with known decompositions."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,17 @@ TRIO_3_EPS = (
     [[1, 0, 0], [0, 0, Fraction(2, 3)], [0, 0, 1]],
     [[0, 0, 0], [0, 1, Fraction(-2, 3)], [0, 0, 0]],
 )
+
+
+@pytest.fixture
+def int_digit_limit():
+    """The interpreter's default limit on str -> int conversion, set for the test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter converts integer strings of any length")
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(previous)
 
 
 @pytest.fixture(scope="session")

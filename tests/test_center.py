@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polydecomp.center
 import polydecomp.ratlinalg
 from algebra_helpers import (
     center_contains,
@@ -27,6 +28,7 @@ from conftest import (
 from polydecomp import (
     DimensionMismatch,
     EmptyInput,
+    InternalInvariantViolation,
     Polynomial,
     RatMatrix,
     center_basis,
@@ -358,3 +360,72 @@ class TestEquationRows:
         assert calls == []
         nullspace_basis(RatMatrix.identity(2))
         assert calls == [1]
+
+
+def solve_recording(polys, monkeypatch):
+    """center_basis(polys) and the number of rows its engine read."""
+    systems = []
+    nullspace = polydecomp.center.nullspace_basis
+
+    def recording(system):
+        kernel = nullspace(system)
+        systems.append(system)
+        return kernel
+
+    monkeypatch.setattr(polydecomp.center, "nullspace_basis", recording)
+    center = center_basis(polys)
+    monkeypatch.undo()
+    (system,) = systems
+    return center, system.rows
+
+
+def rank(rows, width) -> int:
+    return width - len(nullspace_basis(RatMatrix.from_rows(rows or [[0] * width])))
+
+
+class TestScalarShortPath:
+    # A scalar center stops reading rows at the one that brings the rank to
+    # n^2 - 1; any other center reads them all.
+
+    def check_scalar(self, polys, monkeypatch) -> tuple[int, int]:
+        n = polys[0].n
+        center, read = solve_recording(polys, monkeypatch)
+        assert center.basis == (RatMatrix.identity(n),)
+        dense = dense_equation_rows(polys, n)
+        assert [vec(x) for x in center.basis] == nullspace_basis(RatMatrix.from_rows(dense))
+        rows = [[0] * (n * n) for _ in range(read)]
+        for full, row in zip(rows, _equation_rows(polys, n)):
+            for c, v in row:
+                full[c] = v
+        assert rank(rows, n * n) == n * n - 1
+        assert rank(rows[:-1], n * n) < n * n - 1
+        return read, len(dense)
+
+    def test_scalar_golden_reads_fewer_rows(self, trio, monkeypatch):
+        read, total = self.check_scalar(trio, monkeypatch)
+        assert read < total
+
+    def test_planted_indecomposable_blocks(self, monkeypatch):
+        read_sum = total_sum = 0
+        for _, instance in planted_suite():
+            if len(instance.planted_blocks) == 1:
+                read, total = self.check_scalar(list(instance.fs), monkeypatch)
+                assert read <= total
+                read_sum, total_sum = read_sum + read, total_sum + total
+        assert read_sum < total_sum
+
+    @pytest.mark.parametrize("golden", ["fourvar_pair", "bin_cubics"])
+    def test_non_scalar_center_reads_every_row(self, golden, request, monkeypatch):
+        polys = request.getfixturevalue(golden)
+        center, read = solve_recording(polys, monkeypatch)
+        assert center.dim > 1
+        assert read == len(list(_equation_rows(polys, polys[0].n)))
+
+    def test_asymmetric_coefficient_matrix_is_caught(self, trio, monkeypatch):
+        # the identity lies in the kernel only because every S is symmetric;
+        # an asymmetric S must stop the solve, not certify a scalar center
+        mats = polydecomp.center._coefficient_matrices(trio)
+        mats[0] = {0: {1: 1}, 1: {0: 2}}
+        monkeypatch.setattr(polydecomp.center, "_coefficient_matrices", lambda polys: mats)
+        with pytest.raises(InternalInvariantViolation, match="not symmetric"):
+            center_basis(trio)

@@ -72,8 +72,27 @@ class TestProblemFiles:
         assert main(["center", "--input", str(path)]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_overlong_literal_is_a_parse_error(self, tmp_path, capsys, int_digit_limit):
+        path = tmp_path / "long.txt"
+        path.write_text(f"vars: x\nx^3 + {'9' * (int_digit_limit + 1)}*x\n")
+        assert main(["center", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "too long (at position 6)" in err and "set_int_max_str_digits" not in err
+
 
 class TestCenterCommand:
+    def test_runs_as_a_module(self, trio_file):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(polydecomp.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "polydecomp", "center", "--input", trio_file],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "center dimension: 1" in proc.stdout
+
     def test_text_output(self, pair_file, capsys):
         assert main(["center", "--input", pair_file]) == 0
         out = capsys.readouterr().out

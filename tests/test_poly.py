@@ -96,6 +96,17 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_polynomial("x @ y", ["x", "y"])
 
+    @pytest.mark.parametrize(
+        "template, position",
+        [("{}*x", 0), ("x + 1/{}", 6), ("x^{}", 2)],
+        ids=["coefficient", "denominator", "exponent"],
+    )
+    def test_overlong_literal_carries_position(self, template, position, int_digit_limit):
+        digits = int_digit_limit + 1
+        with pytest.raises(ParseError, match=f"{digits} digits is too long") as info:
+            parse_polynomial(template.format("7" * digits), ["x"])
+        assert info.value.position == position
+
     def test_exponent_on_coefficient_rejected(self):
         with pytest.raises(ParseError, match="coefficients"):
             parse_polynomial("2^3*x", ["x"])

@@ -27,8 +27,10 @@ from polydecomp import (
     unipoly_gcd,
 )
 from polydecomp.ratlinalg import (
+    _echelon,
     _is_prime,
     _kernel_prime,
+    _SparseSystem,
     primary_coprime_factors,
     primitive_integer_matrix,
     rational_roots,
@@ -65,6 +67,20 @@ class TestNullspace:
         m = mat([[1, 2, 3]])
         for v in nullspace_basis(m):
             assert 1 in v
+
+    def test_known_kernel_vector_stops_the_reading(self):
+        # rows orthogonal to (2, 0, 4): once two are read the rank is 2, so
+        # the kernel is the span of the known vector and the third row,
+        # which no elimination needs, is never read
+        rows = [[(1, 1)], [(0, 2), (2, -1)], [(0, 4), (2, -2)]]
+        system = _SparseSystem(3, iter(rows), (2, 0, 4))
+        assert nullspace_basis(system) == [(Fraction(1, 2), 0, 1)]
+        assert system.rows == 2
+        assert nullspace_basis(mat([[0, 1, 0], [2, 0, -1], [4, 0, -2]])) == [
+            (Fraction(1, 2), 0, 1)
+        ]
+        # the same reduced echelon form as the engine without the vector
+        assert _echelon(rows, 3, (2, 0, 4)) == _echelon(rows, 3)
 
 
 def from_sympy(x):
