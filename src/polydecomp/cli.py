@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +28,7 @@ from .decompose import (
     decompose_recursive,
     verify_decomposition,
 )
-from .errors import InternalInvariantViolation, ParseError, PolyDecompError
+from .errors import DocumentError, InternalInvariantViolation, ParseError, PolyDecompError
 from .instancegen import generate
 from .poly import Polynomial, parse_polynomial, render_canonical, validate_variable_names
 from .ratlinalg import RatMatrix, invert
@@ -83,8 +84,27 @@ def matrix_to_json(m: RatMatrix) -> list[list[str]]:
     return [[rat_str(m.entry(r, c)) for c in range(m.cols)] for r in range(m.rows)]
 
 
-def matrix_from_json(rows: list[list[str]]) -> RatMatrix:
-    return RatMatrix.from_rows([[Fraction(x) for x in row] for row in rows])
+def matrix_from_json(rows: list[list[str]], name: str = "matrix") -> RatMatrix:
+    """The matrix of a row-major array of exact strings; a malformed entry
+    raises DocumentError naming it as ``name[r][c]``."""
+    out = [[] for _ in rows]
+    for r, row in enumerate(rows):
+        for c, x in enumerate(row):
+            try:
+                out[r].append(Fraction(x))
+            except (TypeError, ValueError, ArithmeticError):
+                # int() refuses digit runs longer than sys.get_int_max_str_digits()
+                digits = max(map(len, re.findall(r"\d+", str(x))), default=0)
+                if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < digits:
+                    why = f"integer literal of {digits} digits is too long"
+                else:
+                    why = f"not an exact rational: {x!r}"
+                raise DocumentError(f"{name}[{r}][{c}]: {why}") from None
+    return RatMatrix.from_rows(out)
+
+
+def _matrices_from_json(items: list, name: str) -> tuple[RatMatrix, ...]:
+    return tuple(matrix_from_json(m, f"{name}[{k}]") for k, m in enumerate(items))
 
 
 def _node_var_names(node_indices: Sequence[int], root_vars: Sequence[str], is_root: bool):
@@ -109,7 +129,7 @@ def _node_to_json(node: DecompositionNode, root_vars, is_root: bool = False) -> 
     }
 
 
-def _node_from_json(data: dict, root_vars, is_root: bool = False) -> DecompositionNode:
+def _node_from_json(data: dict, root_vars, path: str, is_root: bool = False) -> DecompositionNode:
     indices = tuple(int(i) for i in data["indices"])
     names = _node_var_names(indices, root_vars, is_root)
     polys = tuple(parse_polynomial(s, names) for s in data["polys"])
@@ -119,13 +139,14 @@ def _node_from_json(data: dict, root_vars, is_root: bool = False) -> Decompositi
         variable_indices=indices,
         polys=polys,
         children=tuple(
-            _node_from_json(c, root_vars) for c in data.get("children", [])
+            _node_from_json(c, root_vars, f"{path}.children[{k}]")
+            for k, c in enumerate(data.get("children", []))
         ),
         center_dim=int(data["center_dim"]),
         idempotents=None
         if idems is None
-        else tuple(matrix_from_json(e) for e in idems),
-        transform=None if transform is None else matrix_from_json(transform),
+        else _matrices_from_json(idems, f"{path}.idempotents"),
+        transform=None if transform is None else matrix_from_json(transform, f"{path}.transform"),
     )
 
 
@@ -157,13 +178,13 @@ def result_from_document(doc: dict) -> tuple[ProblemFile, DecompositionResult]:
     problem = ProblemFile(tuple(doc["vars"]), tuple(doc["inputs"]))
     if doc.get("tree") is None or doc.get("P") is None:
         raise ValueError("document does not contain a decomposition result")
-    tree = _node_from_json(doc["tree"], problem.vars, is_root=True)
+    tree = _node_from_json(doc["tree"], problem.vars, "tree", is_root=True)
     center = CenterBasis(
         len(problem.vars),
-        tuple(matrix_from_json(b) for b in doc["center_basis"]),
+        _matrices_from_json(doc["center_basis"], "center_basis"),
     )
     return problem, DecompositionResult(
-        P=matrix_from_json(doc["P"]),
+        P=matrix_from_json(doc["P"], "P"),
         tree=tree,
         diagonalizable=bool(doc["diagonalizable"]),
         center=center,

@@ -8,12 +8,18 @@ class PolyDecompError(Exception):
 class ParseError(PolyDecompError):
     """Raised on malformed polynomial or problem-file text.
 
-    Carries the character offset of the offending token in ``position``.
+    Carries the character offset of the offending token in ``position``, and
+    the text without it in ``message``.
     """
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
+
+
+class DocumentError(PolyDecompError):
+    """A result document holds an entry that is not what its schema says."""
 
 
 class DimensionMismatch(PolyDecompError):

@@ -4,8 +4,14 @@ A polynomial in ``n`` variables maps exponent tuples of length ``n`` to
 nonzero rational coefficients.  Coefficients are plain ``int`` when integral
 and ``fractions.Fraction`` otherwise, so arithmetic is exact and equality
 tests are reliable.  The module also provides the text surface (parser and
-canonical renderer), formal differentiation, symbolic Hessians (for the
-brute-force center oracle), and linear changes of variables.
+canonical renderer), formal differentiation, and linear changes of variables.
+
+The parser is a scanner over C-level string primitives, not a tokenizer: one
+regex search rejects a character no token accepts, the text is split at its
+signs and each term at its '*'s, and each distinct factor text ('12', 'x3',
+'x3^2', '1/2') is resolved once per call through a dict, by one anchored
+regex.  A term then costs a dict lookup per factor and one exponent tuple.
+Errors are positioned from the offending factor's offset.
 
 A linear change of variables p(M y), most of a decomposition's arithmetic,
 bypasses ``Polynomial`` products: it multiplies monomials packed into ints
@@ -31,11 +37,6 @@ from .ratlinalg import RatMatrix, _cleared
 Monomial = tuple  # tuple[int, ...], one exponent per variable
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
-
-def grlex_key(mono: Monomial) -> tuple:
-    """Sort key: ascending order under this key is graded-lex descending."""
-    return (-sum(mono), tuple(-e for e in mono))
 
 
 class Polynomial:
@@ -91,7 +92,7 @@ class Polynomial:
 
     def terms(self) -> list[tuple[Monomial, Rat]]:
         """Terms in graded-lexicographic order."""
-        return sorted(self._terms.items(), key=lambda kv: grlex_key(kv[0]))
+        return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
     def coefficient(self, mono: Sequence[int]) -> Rat:
         return self._terms.get(tuple(mono), 0)
@@ -213,22 +214,17 @@ class Polynomial:
 # Parsing and rendering
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[+\-*/^])"
+# A character outside every token; a sign with the blanks after it; and one
+# '*'-separated factor: an int, an int/int, a name or a name^int.  Every part
+# of a factor after the first is optional, so a factor that does not fit
+# still matches up to the token where the grammar fails.  The denominator
+# and exponent groups match '' after a '/' or '^' with no literal, at the
+# position of the missing literal, and None when there is no '/' or '^'.
+_STRAY_RE = re.compile(r"[^\s\dA-Za-z_+\-*/^]")
+_SIGN_RE = re.compile(r"([+-]\s*)")
+_FACTOR_RE = re.compile(
+    r"\s*(?:(\d+)(?:\s*/\s*(\d*))?|([A-Za-z_][A-Za-z0-9_]*)(?:\s*\^\s*(\d*))?)?\s*"
 )
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
-    return tokens
 
 
 def validate_variable_names(names: Sequence[str]) -> list[str]:
@@ -252,6 +248,41 @@ def _int_literal(digits: str, pos: int) -> int:
         raise ParseError(f"integer literal of {len(digits)} digits is too long", pos) from None
 
 
+def _factor(text: str, index: Mapping[str, int]) -> tuple[int, Rat]:
+    """(variable index, exponent) for a power of a variable, (-1, value) for
+    a coefficient; ``text`` is one factor with its blanks.
+
+    A ParseError, positioned within ``text``, names the first token where the
+    grammar fails: the factor ends where the text does.
+    """
+    m = _FACTOR_RE.match(text)
+    num, den, name, exp = m.groups()
+    end = m.end()
+    if num is not None:
+        result = (-1, _int_literal(num, m.start(1)))
+        if den is not None:
+            where = m.start(2)
+            if not den:
+                raise ParseError("expected integer denominator", where)
+            d = _int_literal(den, where)
+            if d == 0:
+                raise ParseError("zero denominator", where)
+            result = (-1, normalize(Fraction(result[1], d)))
+        elif text.startswith("^", end):
+            raise ParseError("exponents apply to variables, not coefficients", end)
+    elif name is not None:
+        if name not in index:
+            raise ParseError(f"unknown variable {name!r}", m.start(3))
+        if exp == "":
+            raise ParseError("exponent must be a non-negative integer literal", m.start(4))
+        result = (index[name], 1 if exp is None else _int_literal(exp, m.start(4)))
+    else:
+        raise ParseError("expected a coefficient or variable", end)
+    if end < len(text):
+        raise ParseError("expected '+' or '-' between terms", end)
+    return result
+
+
 def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
     """Parse polynomial text over the given ordered variable names.
 
@@ -259,88 +290,49 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
     an integer, an 'a/b' rational, or a variable with an optional '^exp'
     where exp is a non-negative integer literal.  An omitted coefficient
     means 1 and an omitted exponent means 1; whitespace is insignificant.
+
+    The text is split at its signs and each term at its '*'s; every distinct
+    factor text is resolved once per call (``_factor``), so a term costs a
+    dict lookup per factor.  Errors carry the offset of the offending token,
+    and a character no token accepts is reported before any other error.
     """
     names = validate_variable_names(variables)
     index = {name: i for i, name in enumerate(names)}
     n = len(names)
-    tokens = _tokenize(text)
-    if not tokens:
+    stray = _STRAY_RE.search(text)
+    if stray is not None:
+        raise ParseError(f"unexpected character {stray.group()!r}", stray.start())
+    if not text.strip():
         raise ParseError("empty polynomial text", 0)
-    k = 0
-
-    def peek():
-        return tokens[k] if k < len(tokens) else (None, None, len(text))
-
-    def parse_factor(coeff: Rat, exps: list[int]) -> Rat:
-        nonlocal k
-        kind, value, pos = peek()
-        if kind == "int":
-            k += 1
-            num = _int_literal(value, pos)
-            nkind, nvalue, npos = peek()
-            if nkind == "op" and nvalue == "/":
-                k += 1
-                dkind, dvalue, dpos = peek()
-                if dkind != "int":
-                    raise ParseError("expected integer denominator", dpos)
-                k += 1
-                den = _int_literal(dvalue, dpos)
-                if den == 0:
-                    raise ParseError("zero denominator", dpos)
-                return normalize(coeff * Fraction(num, den))
-            if nkind == "op" and nvalue == "^":
-                raise ParseError("exponents apply to variables, not coefficients", npos)
-            return coeff * num
-        if kind == "name":
-            k += 1
-            if value not in index:
-                raise ParseError(f"unknown variable {value!r}", pos)
-            exp = 1
-            nkind, nvalue, npos = peek()
-            if nkind == "op" and nvalue == "^":
-                k += 1
-                ekind, evalue, epos = peek()
-                if ekind != "int":
-                    raise ParseError(
-                        "exponent must be a non-negative integer literal", epos
-                    )
-                k += 1
-                exp = _int_literal(evalue, epos)
-            exps[index[value]] += exp
-            return coeff
-        raise ParseError("expected a coefficient or variable", pos)
-
+    pieces = _SIGN_RE.split(text)  # term, sign, term, ..., sign, term
+    seen: dict = {}  # factor text -> _factor's result
     terms: dict = {}
-    sign = 1
-    kind, value, _ = peek()
-    if kind == "op" and value in "+-":
-        sign = -1 if value == "-" else 1
-        k += 1
-    while True:
-        coeff: Rat = sign
+    # a blank first term is a leading sign
+    for k in range(0 if pieces[0].strip() else 2, len(pieces), 2):
+        coeff: Rat = -1 if k and "-" in pieces[k - 1] else 1
         exps = [0] * n
-        coeff = parse_factor(coeff, exps)
-        while True:
-            kind, value, pos = peek()
-            if kind == "op" and value == "*":
-                k += 1
-                coeff = parse_factor(coeff, exps)
+        factors = pieces[k].split("*")
+        for f in factors:
+            r = seen.get(f)
+            if r is None:
+                try:
+                    r = seen[f] = _factor(f, index)
+                except ParseError as exc:
+                    # f is new to this call, so this is its first place in the term
+                    j = factors.index(f)
+                    at = sum(map(len, pieces[:k])) + j + sum(map(len, factors[:j]))
+                    raise ParseError(exc.message, at + exc.position) from None
+            i, v = r
+            if i < 0:
+                coeff *= v
             else:
-                break
+                exps[i] += v
         mono = tuple(exps)
         s = terms.get(mono, 0) + coeff
         if s:
-            terms[mono] = normalize(s) if isinstance(s, Fraction) else s
+            terms[mono] = normalize(s) if type(s) is Fraction else s
         else:
             terms.pop(mono, None)
-        kind, value, pos = peek()
-        if kind is None:
-            break
-        if kind == "op" and value in "+-":
-            sign = -1 if value == "-" else 1
-            k += 1
-            continue
-        raise ParseError("expected '+' or '-' between terms", pos)
     return Polynomial._raw(n, terms)
 
 
@@ -353,27 +345,23 @@ def render_canonical(p: Polynomial, variables: Sequence[str]) -> str:
         )
     if p.is_zero():
         return "0"
-    pieces = []
-    for i, (mono, coeff) in enumerate(p.terms()):
-        negative = coeff < 0
-        mag = -coeff if negative else coeff
+    powers: dict = {}  # (i, e) -> variable i to the power e, for the pairs that occur
+    pieces = []  # sign, term, sign, term, ...
+    for mono, coeff in p.terms():
         factors = []
-        for name, e in zip(names, mono):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        if not factors:
-            body = rat_str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([rat_str(mag)] + factors)
-        if i == 0:
-            pieces.append(f"-{body}" if negative else body)
-        else:
-            pieces.append(f"- {body}" if negative else f"+ {body}")
-    return " ".join(pieces)
+        for i, e in enumerate(mono):
+            if e:
+                s = powers.get((i, e))
+                if s is None:
+                    s = powers[i, e] = names[i] if e == 1 else f"{names[i]}^{e}"
+                factors.append(s)
+        pieces.append("-" if coeff < 0 else "+")
+        coeff = abs(coeff)
+        if coeff != 1 or not factors:
+            factors.insert(0, rat_str(coeff))
+        pieces.append("*".join(factors))
+    # the first sign has no blank after it, and a leading '+' is dropped
+    return ("-" if pieces[0] == "-" else "") + " ".join(pieces[1:])
 
 
 def substitute_linear(p: Polynomial, m: RatMatrix) -> Polynomial:

@@ -13,7 +13,9 @@ is the second route to ``find_idempotents``, the same spectral search on
 n x n matrices; ``jordan_product`` and ``rank_profile`` state algebraic
 facts the tests check; ``in_span``, ``same_span`` and ``center_contains``
 compare spans by echelon forms, and ``at_matrix`` evaluates a polynomial at
-a matrix.
+a matrix.  ``parse_by_tokens`` is the second route to ``parse_polynomial``:
+a token-at-a-time tokenizer and recursive-descent parser with the same
+results and the same ``ParseError`` messages and positions.
 
 ``brute_force_center_dim`` is the independent oracle for the center: it
 multiplies the symbolic Hessian (``hessian``) by the unknown matrix, writes
@@ -26,6 +28,7 @@ path.
 
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
@@ -36,6 +39,7 @@ from polydecomp import (
     DimensionMismatch,
     IdempotentSet,
     InternalInvariantViolation,
+    ParseError,
     Polynomial,
     RatMatrix,
     UniPoly,
@@ -43,9 +47,10 @@ from polydecomp import (
     extended_gcd,
     substitute_linear,
 )
+from polydecomp._rat import Rat, normalize
 from polydecomp.center import _coefficient_matrices
 from polydecomp.idempotent import COEFF_RANGE, MAX_TRIES, _identity_failure
-from polydecomp.poly import embed
+from polydecomp.poly import embed, validate_variable_names
 from polydecomp.ratlinalg import (
     _cleared,
     _echelon,
@@ -341,3 +346,126 @@ def brute_force_center_dim(fs: Sequence[Polynomial]) -> int:
                         row[u] = Fraction(poly.coefficient(mono))
                     rows.append(row)
     return n * n - _oracle_rank(rows)
+
+
+# The parser the library had before its split-and-lookup scanner, kept as
+# the differential oracle for ``parse_polynomial``: same results, same
+# ParseError messages and positions.
+
+_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[+\-*/^])"
+)
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        if m.lastgroup != "ws":
+            tokens.append((m.lastgroup, m.group(), pos))
+        pos = m.end()
+    return tokens
+
+
+def _int_literal(digits: str, pos: int) -> int:
+    """The value of a literal of decimal digits, or a ParseError at ``pos``
+    when it is longer than the interpreter converts (sys.get_int_max_str_digits)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(digits)} digits is too long", pos) from None
+
+
+def parse_by_tokens(text: str, variables: Sequence[str]) -> Polynomial:
+    """``parse_polynomial`` as a tokenizer and a recursive-descent parser.
+
+    Grammar: terms joined by '+'/'-'; a term is '*'-separated factors, each
+    an integer, an 'a/b' rational, or a variable with an optional '^exp'
+    where exp is a non-negative integer literal.  An omitted coefficient
+    means 1 and an omitted exponent means 1; whitespace is insignificant.
+    """
+    names = validate_variable_names(variables)
+    index = {name: i for i, name in enumerate(names)}
+    n = len(names)
+    tokens = _tokenize(text)
+    if not tokens:
+        raise ParseError("empty polynomial text", 0)
+    k = 0
+
+    def peek():
+        return tokens[k] if k < len(tokens) else (None, None, len(text))
+
+    def parse_factor(coeff: Rat, exps: list[int]) -> Rat:
+        nonlocal k
+        kind, value, pos = peek()
+        if kind == "int":
+            k += 1
+            num = _int_literal(value, pos)
+            nkind, nvalue, npos = peek()
+            if nkind == "op" and nvalue == "/":
+                k += 1
+                dkind, dvalue, dpos = peek()
+                if dkind != "int":
+                    raise ParseError("expected integer denominator", dpos)
+                k += 1
+                den = _int_literal(dvalue, dpos)
+                if den == 0:
+                    raise ParseError("zero denominator", dpos)
+                return normalize(coeff * Fraction(num, den))
+            if nkind == "op" and nvalue == "^":
+                raise ParseError("exponents apply to variables, not coefficients", npos)
+            return coeff * num
+        if kind == "name":
+            k += 1
+            if value not in index:
+                raise ParseError(f"unknown variable {value!r}", pos)
+            exp = 1
+            nkind, nvalue, npos = peek()
+            if nkind == "op" and nvalue == "^":
+                k += 1
+                ekind, evalue, epos = peek()
+                if ekind != "int":
+                    raise ParseError(
+                        "exponent must be a non-negative integer literal", epos
+                    )
+                k += 1
+                exp = _int_literal(evalue, epos)
+            exps[index[value]] += exp
+            return coeff
+        raise ParseError("expected a coefficient or variable", pos)
+
+    terms: dict = {}
+    sign = 1
+    kind, value, _ = peek()
+    if kind == "op" and value in "+-":
+        sign = -1 if value == "-" else 1
+        k += 1
+    while True:
+        coeff: Rat = sign
+        exps = [0] * n
+        coeff = parse_factor(coeff, exps)
+        while True:
+            kind, value, pos = peek()
+            if kind == "op" and value == "*":
+                k += 1
+                coeff = parse_factor(coeff, exps)
+            else:
+                break
+        mono = tuple(exps)
+        s = terms.get(mono, 0) + coeff
+        if s:
+            terms[mono] = normalize(s) if isinstance(s, Fraction) else s
+        else:
+            terms.pop(mono, None)
+        kind, value, pos = peek()
+        if kind is None:
+            break
+        if kind == "op" and value in "+-":
+            sign = -1 if value == "-" else 1
+            k += 1
+            continue
+        raise ParseError("expected '+' or '-' between terms", pos)
+    return Polynomial._raw(n, terms)

@@ -329,6 +329,35 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "FAIL" in out and "block diagonal" in out
 
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("P",), "7" * 5000, "P[0][1]: integer literal of 5000 digits is too long"),
+            (
+                ("center_basis", 1),
+                "1/" + "7" * 5000,
+                "center_basis[1][0][1]: integer literal of 5000 digits is too long",
+            ),
+            (("tree", "transform"), "1/0", "tree.transform[0][1]: not an exact rational: '1/0'"),
+        ],
+        ids=["P", "center_basis", "transform"],
+    )
+    def test_malformed_matrix_entry_is_named(
+        self, pair_file, tmp_path, capsys, int_digit_limit, path, value, message
+    ):
+        out_path = tmp_path / "result.json"
+        main(["decompose", "--input", pair_file, "--json", "--output", str(out_path)])
+        doc = json.loads(out_path.read_text())
+        matrix = doc
+        for key in path:
+            matrix = matrix[key]
+        matrix[0][1] = value
+        out_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "--input", pair_file, "--result", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+
     def test_hand_packaged_known_result_passes(self, tmp_path, capsys):
         # encode the known transform and outputs for the four-variable pair
         from conftest import FOURVAR_1, FOURVAR_2, FOURVAR_EPS, FOURVAR_P, mat

@@ -2,7 +2,9 @@
 
 import dataclasses
 import importlib
+import importlib.util
 import inspect
+import os
 import random
 import time
 import types
@@ -538,6 +540,37 @@ class TestTracedBindings:
     def test_binding_is_a_function(self, module, name):
         binding = getattr(importlib.import_module(f"polydecomp.{module}"), name)
         assert inspect.isfunction(binding)
+
+    # Functions a "time:" rule of the bench names that no traced module
+    # defines any more, so their metrics read 0 on every workload.  rref:
+    # the Fraction rref is gone (the CHANGES.md FOUND line on the bench's
+    # ratlinalg.rref_calls, rref_s and rref_cells).
+    DEAD_TIMED = {"rref"}
+
+    def test_every_timed_function_is_traced(self):
+        # perfbench/spans.py is read, not changed: each "time:F" rule sums
+        # the spans of F, which exist only while a traced module binds F
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        timed = set()
+        for _, rule in spans.PER_LAYER.values():
+            kind, _, names = rule.partition(":")
+            if kind == "time":
+                timed.update(names.split(","))
+        traced = set()  # what Tracer.install wraps
+        for modname in spans.MODULES:
+            for name, obj in vars(importlib.import_module(f"polydecomp.{modname}")).items():
+                if not inspect.isfunction(obj):
+                    continue
+                if name.startswith("_") and f"{modname}.{name}" not in spans.EXTRA:
+                    continue
+                home = obj.__module__.rsplit(".", 1)[-1]
+                if home in spans.MODULES and f"{home}.{obj.__name__}" not in spans.SKIP:
+                    traced.add(name)
+        assert timed - traced == self.DEAD_TIMED
+        assert {"read_problem", "parse_polynomial", "result_to_document", "_emit"} <= timed
 
     def test_bindings_see_every_draw(self, fourvar_pair, monkeypatch):
         # the test above only checks that the bindings exist; a search that

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.rings import ring
 
-from algebra_helpers import hessian
+from algebra_helpers import hessian, parse_by_tokens
 from conftest import (
     BIN_CUBIC_1,
     BIN_CUBIC_G1,
@@ -103,9 +103,13 @@ class TestParse:
     )
     def test_overlong_literal_carries_position(self, template, position, int_digit_limit):
         digits = int_digit_limit + 1
-        with pytest.raises(ParseError, match=f"{digits} digits is too long") as info:
-            parse_polynomial(template.format("7" * digits), ["x"])
-        assert info.value.position == position
+        for parse in (parse_polynomial, parse_by_tokens):
+            with pytest.raises(ParseError) as info:
+                parse(template.format("7" * digits), ["x"])
+            assert str(info.value) == (
+                f"integer literal of {digits} digits is too long (at position {position})"
+            )
+            assert info.value.position == position
 
     def test_exponent_on_coefficient_rejected(self):
         with pytest.raises(ParseError, match="coefficients"):
@@ -118,6 +122,102 @@ class TestParse:
             parse_polynomial("x", ["x", "x"])
         with pytest.raises(ValueError):
             parse_polynomial("x", ["2bad"])
+
+
+# (text, message, position) over variables x and y.  The positions are
+# character offsets of the offending token; a stray character is reported
+# before any syntax error, wherever it stands.
+PARSE_ERRORS = [
+    ("", "empty polynomial text", 0),
+    ("   ", "empty polynomial text", 0),
+    ("+", "expected a coefficient or variable", 1),
+    ("-", "expected a coefficient or variable", 1),
+    ("x +", "expected a coefficient or variable", 3),
+    ("x*", "expected a coefficient or variable", 2),
+    ("x + + y", "expected a coefficient or variable", 4),
+    ("x y", "expected '+' or '-' between terms", 2),
+    ("2x", "expected '+' or '-' between terms", 1),
+    ("x^-2", "exponent must be a non-negative integer literal", 2),
+    ("2^3*x", "exponents apply to variables, not coefficients", 1),
+    ("1/x", "expected integer denominator", 2),
+    ("1/0*x", "zero denominator", 2),
+    ("x @ y", "unexpected character '@'", 2),
+    ("x + + y @", "unexpected character '@'", 8),
+    ("w", "unknown variable 'w'", 0),
+    ("--x", "expected a coefficient or variable", 1),
+    ("1/2^3", "expected '+' or '-' between terms", 3),
+    ("x^2^3", "expected '+' or '-' between terms", 3),
+    ("2 ^3", "exponents apply to variables, not coefficients", 2),
+    ("x^*y", "exponent must be a non-negative integer literal", 2),
+    ("x + 2 3", "expected '+' or '-' between terms", 6),
+]
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("text, message, position", PARSE_ERRORS)
+    def test_message_and_position(self, text, message, position):
+        for parse in (parse_polynomial, parse_by_tokens):
+            with pytest.raises(ParseError) as info:
+                parse(text, ["x", "y"])
+            assert str(info.value) == f"{message} (at position {position})"
+            assert info.value.position == position
+
+    def test_spaced_input(self):
+        expected = Polynomial(2, {(3, 0): Fraction(1, 2)})
+        assert parse_polynomial("1 / 2 * x ^ 3", ["x", "y"]) == expected
+        assert parse_by_tokens("1 / 2 * x ^ 3", ["x", "y"]) == expected
+
+    def test_unicode_digits_are_digits(self):
+        # '٣' is ARABIC-INDIC DIGIT THREE; the grammar's digits are \d
+        for parse in (parse_polynomial, parse_by_tokens):
+            assert parse("٣*x^٣", ["x", "y"]) == Polynomial(2, {(3, 0): 3})
+
+
+_PIECES = ["0", "1", "2", "12", "007", "٣", "x", "y", "w", "x_1", "+", "-", "*", "/", "^", "@"]
+_SPACE = st.sampled_from(["", "", "", " ", "  ", "\t", "\u00a0"])
+_FACTORS = ["0", "2", "12", "3/4", "6/3", "x", "y", "x^2", "y^0", "x^3", "٣"]
+
+
+@st.composite
+def token_soup(draw):
+    pieces = draw(st.lists(st.sampled_from(_PIECES), max_size=14))
+    return "".join(draw(_SPACE) + p for p in pieces) + draw(_SPACE)
+
+
+@st.composite
+def well_formed(draw):
+    def spaced(piece):
+        return draw(_SPACE) + piece + draw(_SPACE)
+
+    def term():
+        factors = draw(st.lists(st.sampled_from(_FACTORS), min_size=1, max_size=4))
+        # blanks may also stand around the '/' and '^' inside a factor
+        factors = [f.replace("/", spaced("/")).replace("^", spaced("^")) for f in factors]
+        return "*".join(spaced(f) for f in factors)
+
+    text = draw(st.sampled_from(["", "-", "+"])) + term()
+    for _ in range(draw(st.integers(0, 6))):
+        text += draw(st.sampled_from(["+", "-"])) + term()
+    return text
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text, ["x", "y", "x_1"])
+    except ParseError as exc:
+        return (str(exc), exc.position)
+
+
+class TestParseOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(token_soup(), well_formed()))
+    def test_matches_token_parser(self, text):
+        assert _outcome(parse_polynomial, text) == _outcome(parse_by_tokens, text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(well_formed())
+    def test_well_formed_text_parses(self, text):
+        assert isinstance(_outcome(parse_polynomial, text), Polynomial)
 
 
 class TestRender:
@@ -153,6 +253,25 @@ class TestRender:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             render_canonical(Polynomial.zero(2), ["x"])
+
+    def test_huge_exponent_renders_per_term(self):
+        # the work follows the terms, not the degree: x^(10^9) is one string
+        names = ["x", "y"]
+        p = Polynomial(2, {(10**9, 0): 1, (2, 5): Fraction(1, 2), (0, 1): -3})
+        text = "x^1000000000 + 1/2*x^2*y^5 - 3*y"
+        assert render_canonical(p, names) == text
+        assert parse_polynomial(text, names) == p
+        assert repr(p) == "Polynomial(2: x0^1000000000 + 1/2*x0^2*x1^5 - 3*x1)"
+
+    def test_terms_order_is_the_old_grlex_key(self):
+        def grlex_key(mono):
+            # ascending order under this key is graded-lex descending
+            return (-sum(mono), tuple(-e for e in mono))
+
+        rng = random.Random(202)
+        for _ in range(60):
+            p = rand_poly(rng, rng.randint(1, 4), max_degree=5, max_terms=12)
+            assert p.terms() == sorted(p._terms.items(), key=lambda kv: grlex_key(kv[0]))
 
 
 class TestArithmetic:
