@@ -23,12 +23,17 @@ exact pass that finds every S symmetric certifies that the identity lies in
 the kernel.  The mod-p rank never exceeds the rational rank, so once it
 reaches n^2 - 1 the kernel is exactly the span of the identity: a scalar
 center is certified by the symmetry of the S, with no further row built or
-checked.  Any other center reads every row; its kernel is lifted by
-rational reconstruction (with CRT over more primes when needed) and every
-lifted vector is checked exactly against every row.  The basis is returned
-in the canonical free-variable form that exact elimination gives, which
-depends on the row space only, not on the row order: it is reproducible
-across runs.
+checked.  Any other center is tried at the end of a pair whose rows add no
+mod-p rank, after a pair that did: the kernel reconstructed from the one
+prime is returned if every vector in it passes the membership test against
+every S.  Those vectors lie in the center and number at least its
+dimension, so they span it, and no further row is built.  A center that no
+try certifies (one whose entries need more than one prime) reads every row;
+its kernel is lifted by rational reconstruction, with CRT over more primes,
+and every lifted vector is checked exactly against every row.  The basis is
+returned in the canonical free-variable form that exact elimination gives,
+which depends on the row space only, not on the row order: it is
+reproducible across runs.
 """
 
 from __future__ import annotations
@@ -107,23 +112,23 @@ def _coefficient_matrices(polys: Sequence[Polynomial]) -> list[dict]:
     return mats
 
 
-def _equation_rows(polys: Sequence[Polynomial], n: int) -> Iterator[tuple]:
-    """Linear constraints on the n^2 unknown entries of X, row-major order.
+def _equation_rows(mats: list[dict], n: int) -> Iterator[tuple | None]:
+    """Linear constraints on the n^2 unknown entries of X, row-major order,
+    from the coefficient matrices ``mats``.
 
     For each coefficient matrix S the matrix S*X - X^T*S is antisymmetric in
     the unknowns, so each strictly upper entry (r, c) yields one equation,
     nonzero when row r or row c of S is.  The equations come pair by pair,
     (r, c) ascending, and for each pair in coefficient matrix order: those
-    of one pair touch only columns r and c of X.  Each is a sparse primitive
-    integer row of (column, value) pairs, columns ascending, its first value
-    positive; repeats are dropped where they first reappear.  The rows are
-    built as they are read.
+    of one pair touch only columns r and c of X, and None follows them.
+    Each is a sparse primitive integer row of (column, value) pairs, columns
+    ascending, its first value positive; repeats are dropped where they
+    first reappear.  The rows are built as they are read.
 
     Before the first row, one exact pass checks that every S is symmetric.
     The equation of (r, c) takes the value S[r][c] - S[c][r] at X = I, so
     this certifies that every row vanishes at the identity.
     """
-    mats = _coefficient_matrices(polys)
     for s in mats:
         for r, row in s.items():
             for l, v in row.items():
@@ -150,6 +155,7 @@ def _equation_rows(polys: Sequence[Polynomial], n: int) -> Iterator[tuple]:
                 seen.add(row)
                 if len(seen) > before:
                     yield row
+            yield None
 
 
 def center_basis(polys: Sequence[Polynomial]) -> CenterBasis:
@@ -160,8 +166,13 @@ def center_basis(polys: Sequence[Polynomial]) -> CenterBasis:
     contribute no constraints.
     """
     n = _check_inputs(polys)
+    mats = _coefficient_matrices(polys)
+
+    def members(kernel):
+        return _all_members([unvec(v, n, n) for v in kernel], polys, mats)
+
     identity = vec(RatMatrix.identity(n))
-    kernel = nullspace_basis(_SparseSystem(n * n, _equation_rows(polys, n), identity))
+    kernel = nullspace_basis(_SparseSystem(n * n, _equation_rows(mats, n), identity, members))
     return CenterBasis(n, tuple(unvec(v, n, n) for v in kernel))
 
 
@@ -177,10 +188,14 @@ def membership_check(x: RatMatrix, polys: Sequence[Polynomial]) -> bool:
     return _all_members([x], polys)
 
 
-def _all_members(xs: Sequence[RatMatrix], polys: Sequence[Polynomial]) -> bool:
-    """``membership_check`` of every x in xs, the coefficient matrices built once."""
+def _all_members(
+    xs: Sequence[RatMatrix], polys: Sequence[Polynomial], mats: list[dict] | None = None
+) -> bool:
+    """``membership_check`` of every x in xs, on the coefficient matrices of
+    polys: ``mats`` when the caller has built them, else built here once."""
     n = _check_inputs(polys)
-    mats = _coefficient_matrices(polys)
+    if mats is None:
+        mats = _coefficient_matrices(polys)
     for x in xs:
         if x.rows != n or x.cols != n:
             raise DimensionMismatch("matrix does not match ambient dimension")

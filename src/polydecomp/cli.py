@@ -103,6 +103,13 @@ def matrix_from_json(rows: list[list[str]], name: str = "matrix") -> RatMatrix:
     return RatMatrix.from_rows(out)
 
 
+def _json_int(literal: str):
+    try:
+        return int(literal)
+    except ValueError:
+        return literal
+
+
 def _matrices_from_json(items: list, name: str) -> tuple[RatMatrix, ...]:
     return tuple(matrix_from_json(m, f"{name}[{k}]") for k, m in enumerate(items))
 
@@ -285,7 +292,9 @@ def cmd_verify(args) -> int:
     problem = read_problem(args.input)
     polys = problem.parse()
     with open(args.result, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        # a bare number too long for int() stays a string, which
+        # matrix_from_json reports as the entry that holds it
+        doc = json.load(fh, parse_int=_json_int)
     stored_problem, result = result_from_document(doc)
     if stored_problem.vars != problem.vars:
         print("FAIL: variable names differ from the problem file")

@@ -17,9 +17,11 @@ Constant terms are invisible to Hessians, so they are assigned to the first
 (lowest-index) block by convention; linear terms follow their variable's
 block.  With that convention the reconstruction identity
 f_i(P*y) = sum of the leaf polynomials holds exactly.  As P is invertible,
-it is f_i(x) = sum_B g_B((P^-1)_B x) over the leaves B, and
-``verify_decomposition`` checks it in that form: the one expansion into all
-n variables is the sum of the leaves on rows of P^-1.
+it is f_i(x) = sum_B g_B((P^-1)_B x) over the leaves B.
+``verify_decomposition`` checks each split in that form, the children on
+rows of the node's inverse transform; for the P this pipeline builds, the
+product of the tree's transforms, those checks chain to the identity for
+the leaves, and any other P has the leaves expanded on rows of P^-1.
 """
 
 from __future__ import annotations
@@ -290,6 +292,14 @@ def _sum_on_inverse_rows(
     return sums
 
 
+def _tree_product(node: DecompositionNode) -> RatMatrix:
+    """T * block_diagonal(the children's products) of a checked node, I for
+    a leaf: the P ``decompose_recursive`` builds."""
+    if node.is_leaf:
+        return RatMatrix.identity(len(node.variable_indices))
+    return node.transform * block_diagonal([_tree_product(c) for c in node.children])
+
+
 def _verify_node(
     node: DecompositionNode, reason_prefix: str, count: int
 ) -> VerificationReport:
@@ -358,10 +368,10 @@ def verify_decomposition(
     A node's polynomials must be the sum of its children's expanded on rows
     of its inverse transform, and the inputs the sum of the leaves' on rows
     of P^-1: f_i(x) = sum_B g_B((P^-1)_B x), which for invertible P is
-    f_i(P*y) = sum_B g_B(y_B).  A cross term is missing from such a sum, and
-    the leaf sums are the one expansion into all n variables.  An unsplit
-    result on P = I has its inputs as its one leaf, so it is not expanded.
-    The pipeline's ``separate`` is not called.
+    f_i(P*y) = sum_B g_B(y_B).  A cross term is missing from such a sum.
+    When P is the tree's product, the node checks already chain to that
+    identity, and the leaves are not expanded; any other P is.  The
+    pipeline's ``separate`` is not called.
     """
     polys = tuple(polys)
     if not polys:
@@ -388,9 +398,10 @@ def verify_decomposition(
             return VerificationReport(
                 False, "conjugated idempotent not block diagonal"
             )
-    # Unsplit on P = I, the one leaf is the root, already compared with the
-    # inputs: f_i(I*x) = f_i needs no expansion.  Any other P is expanded.
-    if not (root.is_leaf and result.P.is_identity()):
+    # Each node check gives f(T*y) = sum_b g_b(y_b) over its children, so for
+    # P = T_root * diag(the children's products), I at a leaf, they chain to
+    # f_i(P*y) = sum of the leaves, with no expansion.  Any other P is expanded.
+    if result.P != _tree_product(root):
         leaves = [(leaf.polys, leaf.variable_indices) for leaf in root.leaves()]
         sums = _sum_on_inverse_rows(leaves, p_inv)
         for i, (f, total) in enumerate(zip(polys, sums)):

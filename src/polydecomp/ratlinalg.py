@@ -19,7 +19,11 @@ never exceeds the rational rank: the lifted rows span exactly the row space.
 A caller that has proved some nonzero vector lies in the kernel (the center
 solve, for the identity, from the symmetry of the Hessian coefficients)
 needs no lift when the mod-p rank reaches width - 1: the kernel is then the
-span of that vector, and the engine stops reading rows there.
+span of that vector, and the engine stops reading rows there.  A caller
+that can test exactly whether vectors lie in the kernel of every row, read
+or not (the center solve, by membership), may stop earlier still: a
+one-prime form whose kernel vectors all pass has at least as many of them
+as the kernel has dimensions, so it is the form of the whole row space.
 A reduced echelon form of a row space is unique, so every result is the
 same whichever primes were used; a prime that drops the rank or fails the
 check costs a retry with the next one, never a different answer.
@@ -238,7 +242,7 @@ def _sparse_rows(rows: Iterable[Sequence]) -> list[list[tuple[int, int]]]:
     return out
 
 
-def _echelon(rows: Iterable, width: int, known: Vector | None = None) -> dict:
+def _echelon(rows: Iterable, width: int, known: Vector | None = None, members=None) -> dict:
     """Certified reduced echelon form of the span of sparse integer rows.
 
     Maps each pivot column, ascending, to its row's entries outside the pivot
@@ -251,6 +255,14 @@ def _echelon(rows: Iterable, width: int, known: Vector | None = None) -> dict:
     rank modulo the prime reaches width - 1, the rational rank is width - 1
     too, the kernel is the span of ``known`` and no further row is read.
     Without ``known``, ``rows`` is a list.
+
+    ``members`` is None or, with ``known``, an exact test of whether vectors
+    lie in the kernel of every row, read or not; ``rows`` may then hold None
+    between groups of rows.  At the end of a
+    group that adds no rank modulo the prime, after one that did since the
+    last try, the form that prime alone reconstructs is returned if
+    ``members`` accepts its kernel.  A failed try costs only itself: the
+    reading goes on, and after the last row the lift runs as without it.
     """
     primes = map(_kernel_prime, count())
     read: list = []
@@ -259,9 +271,19 @@ def _echelon(rows: Iterable, width: int, known: Vector | None = None) -> dict:
         p = next(primes)
         pivots: dict = {}
         used = []
+        # rows eliminated, and the rank at the last group end and last try
+        i = ended = tried = 0
         # the first pass draws from ``fresh``; a retry with another prime
         # finds every row in ``read``
-        for i, row in enumerate(chain(read, fresh)):
+        for row in chain(read, fresh):
+            if row is None:
+                if len(pivots) == ended != tried:
+                    tried = ended
+                    form = _reconstruct(pivots, p)
+                    if form is not None and _accepts(members, form, width, known):
+                        return form
+                ended = len(pivots)
+                continue
             if i == len(read):
                 read.append(row)
             if _insert_mod(pivots, row, p):
@@ -278,9 +300,24 @@ def _echelon(rows: Iterable, width: int, known: Vector | None = None) -> dict:
                         form = _reconstruct(pivots, p)
                         if form is not None and _in_row_space(rows, form, width):
                             return form
+            i += 1
         form = _lift(read, width, pivots, used, p, primes)
         if form is not None:
             return form
+
+
+def _accepts(members, form: dict, width: int, known: Vector) -> bool:
+    """Whether ``members`` accepts the kernel vectors of a form.  If ``known``
+    is exactly the combination of them its free coordinates give, the last
+    one it involves is ``known`` minus the others, scaled: it is not tested."""
+    kernel = _kernel(form, width)
+    weights = [known[f] for f in range(width) if f not in form]
+    involved = [k for k, w in enumerate(weights) if w]
+    if involved and all(
+        sum(weights[k] * kernel[k][j] for k in involved) == x for j, x in enumerate(known)
+    ):
+        del kernel[involved[-1]]
+    return members(kernel)
 
 
 def _complement_form(v: Vector) -> dict:
@@ -452,16 +489,19 @@ class _SparseSystem:
     """Integer rows of (column, value) pairs, columns ascending, drawn from
     ``source`` in its order as the engine reads them; ``rows`` counts those
     read so far.  ``known`` is a nonzero vector the caller has proved to lie
-    in the kernel of every row."""
+    in the kernel of every row; ``members`` is None or an exact test of
+    vectors for that, and ``source`` then ends each group of rows with None."""
 
-    __slots__ = ("rows", "cols", "known", "_source")
+    __slots__ = ("rows", "cols", "known", "members", "_source")
 
-    def __init__(self, cols: int, source: Iterable, known: Vector):
-        self.rows, self.cols, self.known, self._source = 0, cols, known, source
+    def __init__(self, cols: int, source: Iterable, known: Vector, members):
+        self.rows, self.cols, self.known, self.members = 0, cols, known, members
+        self._source = source
 
     def __iter__(self):
         for row in self._source:
-            self.rows += 1
+            if row is not None:
+                self.rows += 1
             yield row
 
 
@@ -474,7 +514,7 @@ def nullspace_basis(m: RatMatrix | _SparseSystem) -> list[Vector]:
     form, and so the basis, depends on the row space only.
     """
     if type(m) is _SparseSystem:
-        form = _echelon(m, m.cols, m.known)
+        form = _echelon(m, m.cols, m.known, m.members)
     else:
         form = _echelon(_sparse_rows(map(m.row, range(m.rows))), m.cols)
     return _kernel(form, m.cols)

@@ -36,7 +36,8 @@ from polydecomp import (
     parse_polynomial,
     substitute_linear,
 )
-from polydecomp.center import _equation_rows
+from polydecomp.center import _coefficient_matrices, _equation_rows
+from polydecomp.instancegen import generate
 from polydecomp.ratlinalg import invert, nullspace_basis, vec
 
 
@@ -282,13 +283,26 @@ class TestGenericTriviality:
             assert center_basis([f]).dim == 1
 
 
+def equation_rows(polys) -> list:
+    """The center's sparse equation rows, without the None at each pair end."""
+    rows = _equation_rows(_coefficient_matrices(polys), polys[0].n)
+    return [row for row in rows if row is not None]
+
+
 def check_equation_rows(polys) -> None:
     """The sparse rows against the dense reference, their invariants, and
     the center basis against the kernel of the dense system."""
     n = polys[0].n
-    rows = _equation_rows(polys, n)
+    # one None ends each pair (r, c), ascending, whose rows touch only
+    # columns r and c of X
+    pairs = iter([(r, c) for r in range(n) for c in range(r + 1, n)])
+    pair = next(pairs, None)
     dense = []
-    for row in rows:
+    for row in _equation_rows(_coefficient_matrices(polys), n):
+        if row is None:
+            pair = next(pairs, None)
+            continue
+        assert {j % n for j, _ in row} <= set(pair)
         columns = [c for c, _ in row]
         assert row and columns == sorted(set(columns)) and columns[-1] < n * n
         assert all(v for _, v in row) and row[0][1] > 0
@@ -297,6 +311,7 @@ def check_equation_rows(polys) -> None:
         for c, v in row:
             full[c] = v
         dense.append(tuple(full))
+    assert pair is None
     reference = dense_equation_rows(polys, n)
     assert len(set(dense)) == len(dense)
     assert set(dense) == set(reference)
@@ -385,7 +400,7 @@ def rank(rows, width) -> int:
 
 class TestScalarShortPath:
     # A scalar center stops reading rows at the one that brings the rank to
-    # n^2 - 1; any other center reads them all.
+    # n^2 - 1.
 
     def check_scalar(self, polys, monkeypatch) -> tuple[int, int]:
         n = polys[0].n
@@ -394,7 +409,7 @@ class TestScalarShortPath:
         dense = dense_equation_rows(polys, n)
         assert [vec(x) for x in center.basis] == nullspace_basis(RatMatrix.from_rows(dense))
         rows = [[0] * (n * n) for _ in range(read)]
-        for full, row in zip(rows, _equation_rows(polys, n)):
+        for full, row in zip(rows, equation_rows(polys)):
             for c, v in row:
                 full[c] = v
         assert rank(rows, n * n) == n * n - 1
@@ -416,10 +431,12 @@ class TestScalarShortPath:
 
     @pytest.mark.parametrize("golden", ["fourvar_pair", "bin_cubics"])
     def test_non_scalar_center_reads_every_row(self, golden, request, monkeypatch):
+        # neither golden's one-prime kernel passes the membership test before
+        # its last pair end, so both still read every row
         polys = request.getfixturevalue(golden)
         center, read = solve_recording(polys, monkeypatch)
         assert center.dim > 1
-        assert read == len(list(_equation_rows(polys, polys[0].n)))
+        assert read == len(equation_rows(polys))
 
     def test_asymmetric_coefficient_matrix_is_caught(self, trio, monkeypatch):
         # the identity lies in the kernel only because every S is symmetric;
@@ -429,3 +446,114 @@ class TestScalarShortPath:
         monkeypatch.setattr(polydecomp.center, "_coefficient_matrices", lambda polys: mats)
         with pytest.raises(InternalInvariantViolation, match="not symmetric"):
             center_basis(trio)
+
+
+def planted_non_scalar():
+    """Polynomial lists of the planted suite whose center is not scalar."""
+    return [list(i.fs) for _, i in planted_suite() if len(i.planted_blocks) > 1]
+
+
+def planted_three_three():
+    """The planted suite's seed-4 instance, blocks {3, 3}: its center
+    certifies after 336 of its 840 rows."""
+    return [list(i.fs) for seed, i in planted_suite() if seed == 4][0]
+
+
+def pair_ends(polys) -> list[int]:
+    """The number of rows read before each pair's None."""
+    ends, read = [], 0
+    for row in _equation_rows(_coefficient_matrices(polys), polys[0].n):
+        if row is None:
+            ends.append(read)
+        else:
+            read += 1
+    return ends
+
+
+class TestNonScalarCertificate:
+    # Any other center stops at the end of a pair whose rows add no mod-p
+    # rank, once the kernel of the one-prime form passes the membership test.
+
+    def test_planted_centers_stop_at_a_pair_end(self, monkeypatch):
+        read_sum = total_sum = 0
+        for polys in planted_non_scalar():
+            n = polys[0].n
+            center, read = solve_recording(polys, monkeypatch)
+            dense = dense_equation_rows(polys, n)
+            kernel = nullspace_basis(RatMatrix.from_rows(dense))
+            assert [vec(x) for x in center.basis] == kernel and center.dim > 1
+            assert read in pair_ends(polys)
+            # the rows read already have the center as their whole kernel
+            rows = [[0] * (n * n) for _ in range(read)]
+            for full, row in zip(rows, equation_rows(polys)):
+                for c, v in row:
+                    full[c] = v
+            assert rank(rows, n * n) == n * n - center.dim
+            read_sum, total_sum = read_sum + read, total_sum + len(dense)
+        assert read_sum < total_sum
+
+    def test_certified_center_reads_fewer_rows(self, monkeypatch):
+        polys = planted_three_three()
+        center, read = solve_recording(polys, monkeypatch)
+        assert center.dim > 1 and read < len(equation_rows(polys))
+
+    def test_rejected_candidate_gives_the_same_basis(self, monkeypatch):
+        polys = planted_three_three()
+        center, read = solve_recording(polys, monkeypatch)
+        all_members = polydecomp.center._all_members
+        tested = []
+
+        def rejecting_first(xs, polys, mats):
+            tested.append(len(xs))
+            return len(tested) > 1 and all_members(xs, polys, mats)
+
+        monkeypatch.setattr(polydecomp.center, "_all_members", rejecting_first)
+        again, read_again = solve_recording(polys, monkeypatch)
+        assert tested and again.basis == center.basis
+        assert read < read_again <= len(equation_rows(polys))
+
+    def test_identity_spares_one_vector(self, monkeypatch):
+        # the diagonal free columns' vectors sum to vec(I), so the last of
+        # them is I minus the others and only dim - 1 vectors are tested
+        polys = planted_three_three()
+        all_members = polydecomp.center._all_members
+        tested = []
+
+        def recording(xs, polys, mats):
+            tested.append(list(xs))
+            return all_members(xs, polys, mats)
+
+        monkeypatch.setattr(polydecomp.center, "_all_members", recording)
+        center, _ = solve_recording(polys, monkeypatch)
+        assert len(tested) == 1 and len(tested[0]) == center.dim - 1
+        assert all(x in center.basis for x in tested[0])
+        n = polys[0].n
+        spanned = [vec(x) for x in tested[0]] + [vec(RatMatrix.identity(n))]
+        assert same_span(spanned, center.vectors(), n * n)
+
+    def test_center_needing_crt_reads_every_row(self, monkeypatch):
+        # mixing by an entry of 2^40 puts entries past one prime's
+        # reconstruction bound into the canonical basis: no try certifies it
+        big = 2**40 + 1
+        h = generate(0, 4, 1, [2, 2], 3).unmixed[0]
+        mix = mat([[1, 0, big, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        polys = [substitute_linear(h, mix)]
+        center, read = solve_recording(polys, monkeypatch)
+        dense = dense_equation_rows(polys, 4)
+        assert [vec(x) for x in center.basis] == nullspace_basis(RatMatrix.from_rows(dense))
+        assert center.dim > 1 and read == len(dense)
+        assert max(abs(Fraction(x).numerator) for b in center.basis for x in vec(b)) >= big
+
+    def test_coefficient_matrices_built_once(self, trio, fourvar_pair, monkeypatch):
+        build = polydecomp.center._coefficient_matrices
+        calls = []
+
+        def counting(polys):
+            calls.append(1)
+            return build(polys)
+
+        monkeypatch.setattr(polydecomp.center, "_coefficient_matrices", counting)
+        for polys in (trio, fourvar_pair, planted_three_three()):
+            calls.clear()
+            center_basis(polys)
+            assert calls == [1]

@@ -358,6 +358,19 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err == f"error: {message}\n"
 
+    def test_bare_over_long_number_is_named(self, pair_file, tmp_path, capsys, int_digit_limit):
+        # a bare JSON number, not a string: json.load must not convert it
+        # before the entry that holds it is known
+        out_path = tmp_path / "result.json"
+        main(["decompose", "--input", pair_file, "--json", "--output", str(out_path)])
+        doc = json.loads(out_path.read_text())
+        doc["P"][0][0] = "BARE"
+        out_path.write_text(json.dumps(doc).replace('"BARE"', "7" * 5000))
+        capsys.readouterr()
+        assert main(["verify", "--input", pair_file, "--result", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: P[0][0]: integer literal of 5000 digits is too long\n"
+
     def test_hand_packaged_known_result_passes(self, tmp_path, capsys):
         # encode the known transform and outputs for the four-variable pair
         from conftest import FOURVAR_1, FOURVAR_2, FOURVAR_EPS, FOURVAR_P, mat

@@ -351,8 +351,9 @@ class TestVerifyDecomposition:
     ):
         # the pipeline expands each input block on its own columns of P; the
         # verifier expands each child's polynomials on its rows of the
-        # parent's inverse transform and the leaves' on their rows of P^-1,
-        # so it never expands an input and never runs the pipeline's separate
+        # parent's inverse transform, so it never expands an input and never
+        # runs the pipeline's separate; the P the pipeline built is the
+        # tree's product, so the leaves are not expanded again on P^-1
         calls, separations = [], []
         substitute = polydecomp.decompose.substitute_linear
         separate = polydecomp.decompose.separate
@@ -386,7 +387,6 @@ class TestVerifyDecomposition:
             ]
             assert all((rows, cols) in blocks for _, rows, cols in calls)
             per_polynomial = sum(len(node.children) for node in nodes)
-            per_polynomial += len(list(result.tree.leaves()))
             assert len(calls) == len(fs) * per_polynomial
 
     def test_cross_term_fails_reconstruction(self, monkeypatch):
@@ -441,6 +441,28 @@ class TestVerifyDecomposition:
         )
         assert not report.ok
         assert report.reason == "root.1: reconstruction mismatch"
+
+    def test_other_p_is_expanded(self, quartic_squares, monkeypatch):
+        # scaling P's first column keeps every conjugated idempotent
+        # diagonal, so only the leaves' expansion on rows of P^-1, which a P
+        # other than the tree's product gets, finds the mismatch
+        result = decompose_recursive([quartic_squares], seed=42)
+        n = result.P.rows
+        diagonal = [[(2 if r == 0 else 1) * (r == c) for c in range(n)] for r in range(n)]
+        scaled = dataclasses.replace(result, P=result.P * mat(diagonal))
+        expanded = []
+        expand = polydecomp.decompose._sum_on_inverse_rows
+
+        def recording(blocks, q):
+            expanded.append(q)
+            return expand(blocks, q)
+
+        monkeypatch.setattr(polydecomp.decompose, "_sum_on_inverse_rows", recording)
+        assert verify_decomposition([quartic_squares], result)
+        assert expanded and invert(result.P) not in expanded
+        report = verify_decomposition([quartic_squares], scaled)
+        assert report.reason == "reconstruction mismatch for polynomial 0"
+        assert expanded[-1] == invert(scaled.P)
 
     def test_fresh_result_verifies(self, bin_cubics):
         result = decompose_recursive(bin_cubics, seed=42)
@@ -606,15 +628,14 @@ class TestTracedBindings:
         assert len(minpolys) == len(draws)
         assert len(factorings) == sum(m.degree >= 1 for _, m in minpolys)
         # the bench reads the equation count off the system's rows, one
-        # system per center solve: the rows the engine read, which are all of
-        # them unless the center is scalar
+        # system per center solve: the rows the engine read, which stop
+        # early once the center is certified
         assert solves and len(systems) == len(solves)
         for (system_args, _), (solve_args, center) in zip(systems, solves):
             system, polys = system_args[0], solve_args[0]
             n = polys[0].n
-            total = sum(1 for _ in polydecomp.center._equation_rows(polys, n))
-            if center.dim > 1:
-                assert system.rows == total
-            else:
-                assert system.rows <= total
+            rows = polydecomp.center._equation_rows(
+                polydecomp.center._coefficient_matrices(polys), n
+            )
+            assert system.rows <= sum(1 for row in rows if row is not None)
             assert system.cols == n * n

@@ -73,7 +73,7 @@ class TestNullspace:
         # the kernel is the span of the known vector and the third row,
         # which no elimination needs, is never read
         rows = [[(1, 1)], [(0, 2), (2, -1)], [(0, 4), (2, -2)]]
-        system = _SparseSystem(3, iter(rows), (2, 0, 4))
+        system = _SparseSystem(3, iter(rows), (2, 0, 4), None)
         assert nullspace_basis(system) == [(Fraction(1, 2), 0, 1)]
         assert system.rows == 2
         assert nullspace_basis(mat([[0, 1, 0], [2, 0, -1], [4, 0, -2]])) == [
@@ -81,6 +81,49 @@ class TestNullspace:
         ]
         # the same reduced echelon form as the engine without the vector
         assert _echelon(rows, 3, (2, 0, 4)) == _echelon(rows, 3)
+
+    @staticmethod
+    def grouped(rows, accept):
+        """A system of one group per row, then an empty group, whose
+        membership test records the vectors it is given."""
+        tested = []
+
+        def members(kernel):
+            tested.append(kernel)
+            return accept
+
+        source = [x for row in rows for x in (row, None)] + [None]
+        return _SparseSystem(3, iter(source), (7, 1, 1), members), tested
+
+    def test_accepted_kernel_stops_at_a_group_end(self):
+        # after x0 - 7*x1 a multiple adds no rank: the kernel (7, 1, 0),
+        # (0, 0, 1) is tried, and (0, 0, 1) is the known (7, 1, 1) minus the
+        # other, so only the other is tested; the last row is never read
+        rows = [[(0, 1), (1, -7)], [(0, 2), (1, -14)], [(0, 3), (1, -21)]]
+        system, tested = self.grouped(rows, True)
+        assert nullspace_basis(system) == [(7, 1, 0), (0, 0, 1)]
+        assert tested == [[(7, 1, 0)]] and system.rows == 2
+
+    def test_rejected_kernel_reads_every_row(self):
+        # the rank never grows after the rejected try, so there is no other
+        rows = [[(0, 1), (1, -7)], [(0, 2), (1, -14)], [(0, 3), (1, -21)]]
+        system, tested = self.grouped(rows, False)
+        assert nullspace_basis(system) == [(7, 1, 0), (0, 0, 1)]
+        assert tested == [[(7, 1, 0)]] and system.rows == 3
+
+    def test_every_vector_tested_unless_known_is_their_sum(self):
+        # 2^40 + 1 is past one prime's reconstruction bound, so the tried
+        # form is wrong, the known vector is not the sum of its kernel
+        # vectors, and both are tested; the lift then finds the true kernel
+        big = 2**40 + 1
+        rows = [[(0, 1), (1, -big)]]
+        tested = []
+        system = _SparseSystem(
+            3, iter([rows[0], None, None]), (big, 1, 1), lambda k: tested.append(k)
+        )
+        assert nullspace_basis(system) == [(big, 1, 0), (0, 0, 1)]
+        ((first, second),) = tested
+        assert first != (big, 1, 0) and second == (0, 0, 1)
 
 
 def from_sympy(x):
