@@ -21,7 +21,9 @@ it is f_i(x) = sum_B g_B((P^-1)_B x) over the leaves B.
 ``verify_decomposition`` checks each split in that form, the children on
 rows of the node's inverse transform; for the P this pipeline builds, the
 product of the tree's transforms, those checks chain to the identity for
-the leaves, and any other P has the leaves expanded on rows of P^-1.
+the leaves, and any other P has the leaves expanded on rows of P^-1.  A
+split that passes also proves its idempotents central, complete and
+orthogonal, so ``verify_complete`` runs only where a check fails.
 """
 
 from __future__ import annotations
@@ -124,7 +126,10 @@ def change_of_variables(idem: IdempotentSet) -> RatMatrix:
 
     Conjugation by P sends the j-th idempotent to the 0/1 diagonal matrix
     supported on the j-th contiguous block; both properties are verified
-    exactly before returning.
+    exactly before returning.  The check is e_j P = P D_j for every j, with
+    no inverse: it also proves P invertible, as e_j keeps block j's
+    independent columns and kills every other column, so a vanishing
+    combination of P's columns vanishes block by block.
     """
     n = idem.n
     columns = []
@@ -147,34 +152,30 @@ def change_of_variables(idem: IdempotentSet) -> RatMatrix:
 
 
 def diagonal_idempotent_supports(
-    p: RatMatrix, idems: Sequence[RatMatrix], p_inv: RatMatrix | None = None
+    p: RatMatrix, idems: Sequence[RatMatrix]
 ) -> list[tuple[int, ...]] | None:
     """Index supports of P^-1 e P when every conjugate is diagonal 0/1.
 
+    P must be invertible.  Then P^-1 e P is the 0/1 diagonal D iff
+    e P = P D, that is iff each column of e P is P's column (an index of
+    the support) or zero: one product per idempotent and no inverse.
     Accepts non-contiguous supports; returns None if any conjugate is not a
     0/1 diagonal matrix or the supports fail to partition the coordinates.
-    A caller that already holds P^-1 passes it as ``p_inv``.
     """
     n = p.rows
-    try:
-        p_inv = invert(p) if p_inv is None else p_inv
-    except SingularMatrix:
-        return None
+    columns = [p.column(c) for c in range(n)]
+    zero = (0,) * n
     supports = []
     seen: set[int] = set()
     for e in idems:
-        conj = p_inv * e * p
+        image = e * p
         support = []
-        for r in range(n):
-            for c in range(n):
-                v = conj.entry(r, c)
-                if r == c:
-                    if v == 1:
-                        support.append(r)
-                    elif v != 0:
-                        return None
-                elif v != 0:
-                    return None
+        for c, column in enumerate(columns):
+            v = image.column(c)
+            if v == column:
+                support.append(c)
+            elif v != zero:
+                return None
         if seen.intersection(support):
             return None
         seen.update(support)
@@ -303,6 +304,16 @@ def _tree_product(node: DecompositionNode) -> RatMatrix:
 def _verify_node(
     node: DecompositionNode, reason_prefix: str, count: int
 ) -> VerificationReport:
+    """Check a node's witnesses and, at an internal node, its split.
+
+    A passing split proves what ``verify_complete`` checks.  The supports
+    give e_b T = T D_b for the 0/1 diagonal D_b of child b's range, T
+    invertible, so e_b = T D_b T^-1 are complete orthogonal idempotents.
+    The reconstruction gives f_i(T*y) = sum_b g_b(y_b), whose Hessians are
+    block diagonal, so D_b lies in Z(f(T*y)) = T^-1 Z(f) T and e_b in Z(f).
+    ``verify_complete`` therefore runs only when a later check at the node
+    or below fails, and its verdict, if it fails too, comes first.
+    """
     k = len(node.variable_indices)
     if len(node.polys) != count or any(f.n != k for f in node.polys):
         return VerificationReport(
@@ -323,17 +334,27 @@ def _verify_node(
         return VerificationReport(
             False, f"{reason_prefix}: splitting witnesses have wrong shape"
         )
-    idem = IdempotentSet(k, tuple(node.idempotents))
-    if not verify_complete(idem, node.polys):
+    report = _verify_split(node, reason_prefix, count)
+    if not report.ok and not verify_complete(
+        IdempotentSet(k, tuple(node.idempotents)), node.polys
+    ):
         return VerificationReport(
             False, f"{reason_prefix}: idempotent identities fail"
         )
+    return report
+
+
+def _verify_split(
+    node: DecompositionNode, reason_prefix: str, count: int
+) -> VerificationReport:
+    """The transform, supports, children and reconstruction of an internal
+    node whose witnesses have the right shape."""
     ranges = block_ranges([len(child.variable_indices) for child in node.children])
     try:
         t_inv = invert(node.transform)
     except SingularMatrix:
         return VerificationReport(False, f"{reason_prefix}: transform is singular")
-    supports = diagonal_idempotent_supports(node.transform, node.idempotents, t_inv)
+    supports = diagonal_idempotent_supports(node.transform, node.idempotents)
     if [tuple(range(start, stop)) for start, stop in ranges] != supports:
         return VerificationReport(
             False, f"{reason_prefix}: conjugated idempotent not block diagonal"
@@ -365,12 +386,20 @@ def verify_decomposition(
     are the expected diagonal blocks, the leaf polynomials reconstruct the
     inputs exactly, and the diagonalizable flag matches the tree.
 
-    A node's polynomials must be the sum of its children's expanded on rows
-    of its inverse transform, and the inputs the sum of the leaves' on rows
-    of P^-1: f_i(x) = sum_B g_B((P^-1)_B x), which for invertible P is
+    A node's transform T must be invertible with e_b T = T D_b, D_b the 0/1
+    diagonal of child b's range, and its polynomials must be the sum of its
+    children's expanded on rows of T^-1.  The first implies the idempotent
+    identities, as e_b = T D_b T^-1; the second implies membership, as
+    f(T*y) = sum_b g_b(y_b) has block-diagonal Hessians, so D_b lies in
+    Z(f(T*y)) = T^-1 Z(f) T.  ``verify_complete`` therefore runs only at a
+    node where a later check fails, to report its verdict first.
+
+    The inputs must be the sum of the leaves' on rows of P^-1:
+    f_i(x) = sum_B g_B((P^-1)_B x), which for invertible P is
     f_i(P*y) = sum_B g_B(y_B).  A cross term is missing from such a sum.
     When P is the tree's product, the node checks already chain to that
-    identity, and the leaves are not expanded; any other P is.  The
+    identity and give P^-1 e P = D for the root's idempotents, so P is not
+    inverted and the leaves are not expanded; any other P is.  The
     pipeline's ``separate`` is not called.
     """
     polys = tuple(polys)
@@ -387,21 +416,22 @@ def verify_decomposition(
         return node_report
     if result.P.rows != n or result.P.cols != n:
         return VerificationReport(False, "change of variables has wrong shape")
-    try:
-        p_inv = invert(result.P)
-    except SingularMatrix:
-        return VerificationReport(False, "change of variables is singular")
-    if not root.is_leaf:
-        supports = diagonal_idempotent_supports(result.P, root.idempotents, p_inv)
-        expected = [tuple(child.variable_indices) for child in root.children]
-        if supports != expected:
-            return VerificationReport(
-                False, "conjugated idempotent not block diagonal"
-            )
-    # Each node check gives f(T*y) = sum_b g_b(y_b) over its children, so for
-    # P = T_root * diag(the children's products), I at a leaf, they chain to
-    # f_i(P*y) = sum of the leaves, with no expansion.  Any other P is expanded.
+    # P = T_root * diag(C), C the children's products (I at a leaf), is
+    # invertible, P^-1 e P = diag(C)^-1 D diag(C) = D for the root's checked
+    # supports D, and each node check gives f(T*y) = sum_b g_b(y_b), so they
+    # chain to f_i(P*y) = sum of the leaves.  Any other P is checked here.
     if result.P != _tree_product(root):
+        try:
+            p_inv = invert(result.P)
+        except SingularMatrix:
+            return VerificationReport(False, "change of variables is singular")
+        if not root.is_leaf:
+            supports = diagonal_idempotent_supports(result.P, root.idempotents)
+            expected = [tuple(child.variable_indices) for child in root.children]
+            if supports != expected:
+                return VerificationReport(
+                    False, "conjugated idempotent not block diagonal"
+                )
         leaves = [(leaf.polys, leaf.variable_indices) for leaf in root.leaves()]
         sums = _sum_on_inverse_rows(leaves, p_inv)
         for i, (f, total) in enumerate(zip(polys, sums)):

@@ -17,9 +17,12 @@ splits it into pairwise-coprime factors over the rationals, and assembles
 the spectral projectors as polynomials in g via Bezout cofactors, by Horner
 steps with L_g.  Each projector e is refined the same way inside its Peirce
 corner U_e(Z) = e*Z*e, U_e = 2 L_e^2 - L_e, until no rational split shows
-up.  Draws combine the corner's reduced echelon basis over the n^2 entries,
-not over the coordinates, whose pivots lie elsewhere: so the draws, and the
-results, are those of the same search on n x n matrices.  e o e = e,
+up.  U_e projects onto the corner, so the corner's dimension is the trace
+of U_e, read off the diagonal of L_e^2; a one-dimensional corner holds only
+multiples of e, which is then final, and no basis of it is built.  Draws
+combine the corner's reduced echelon basis over the n^2 entries, not over
+the coordinates, whose pivots lie elsewhere: so the draws, and the results,
+are those of the same search on n x n matrices.  e o e = e,
 e_i o e_j = 0 (for idempotents this forces e_i*e_j = 0) and sum = 1 are
 checked in coordinates; only the returned idempotents become matrices.
 
@@ -144,6 +147,25 @@ class _Coordinates:
         if self.combine(self.one) != unit:
             raise InternalInvariantViolation("identity is not in the center span")
 
+    def corner(self, v: Sequence[int], d: int) -> list | None:
+        """Basis of the Peirce corner U_e(Z) of the idempotent e = v / d over
+        the n^2 entries, or None when the corner is one-dimensional.
+
+        U_e = 2 L_e^2 - L_e projects onto the corner, so the corner's
+        dimension is the rank of U_e, which is its trace: with a = s * L_e,
+        s^2 * trace(U_e) = 2 * trace(a^2) - s * trace(a), read off the
+        diagonal of a^2 in O(r^2).  Only a larger corner is built.
+        """
+        a = self.operator(v)
+        s = d * self.scale
+        columns = list(zip(*a))
+        trace = 2 * sum(map(_dot, a, columns)) - s * sum(row[i] for i, row in enumerate(a))
+        if trace == s * s:
+            return None
+        # U_e times s^2; column k is U_e(B_k)
+        u = [[2 * _dot(row, col) - s * x for col, x in zip(columns, row)] for row in a]
+        return row_space_basis([self.combine(col) for col in zip(*u)], self.n * self.n)
+
     def combine(self, v: Sequence[int]) -> list[int]:
         """Entries of sum_k v_k B_k times the basis denominator."""
         return [_dot(v, col) for col in self.columns]
@@ -171,19 +193,13 @@ def find_idempotents(center: CenterBasis, seed: int = 42) -> IdempotentSet:
     if center.dim == 1:
         return IdempotentSet(n, (RatMatrix.identity(n),))
     z = _Coordinates(center)
-    r, width = z.r, n * n
+    r = z.r
     unit = RatMatrix._raw(r, 1, z.one)
     draw_counter = itertools.count()
     final: list[tuple[list[int], int]] = []
 
-    def refine(v: list[int], d: int, corner: list | None = None) -> None:
+    def refine(v: list[int], d: int, corner: list | None) -> None:
         if corner is None:
-            a = z.operator(v)
-            s = d * z.scale
-            # U_e = 2 L_e^2 - L_e, times s^2; column k is U_e(B_k)
-            u = [[2 * _dot(row, col) - s * x for col, x in zip(zip(*a), row)] for row in a]
-            corner = row_space_basis([z.combine(col) for col in zip(*u)], width)
-        if len(corner) == 1:
             # only scalar multiples of the block unit: certified unsplittable
             final.append((v, d))
             return
@@ -235,7 +251,7 @@ def find_idempotents(center: CenterBasis, seed: int = 42) -> IdempotentSet:
             if len(children) < 2:
                 continue
             for child in children:
-                refine(*child)
+                refine(*child, z.corner(*child))
             return
         final.append((v, d))
 

@@ -273,22 +273,63 @@ def _drop_inner_transform_row(tree):
 
 
 # Tampered copies of a golden document: (golden, tamper applied to the
-# document's tree, whether f_i(P*y) still equals the sum of the leaves).
+# document's tree, whether f_i(P*y) still equals the sum of the leaves, the
+# verdict line of `verify`).
 TAMPERED_DOCUMENTS = {
-    "child_missing_a_polynomial": ("bin_cubics", _drop_child_polynomial, False),
-    "constant_moved_to_a_later_child": ("bin_cubics", _move_constant, True),
-    "leaf_changed_by_one_monomial": ("bin_cubics", _add_leaf_monomial, False),
-    "root_idempotent_dropped": ("bin_cubics", _drop_root_idempotent, True),
-    "root_children_emptied": ("bin_cubics", _empty_root_children, False),
-    "transform_not_square": ("bin_cubics", _drop_transform_row, True),
-    "idempotent_shrunk": ("bin_cubics", _shrink_idempotent, True),
-    "inner_transform_not_square": ("quartic_squares", _drop_inner_transform_row, True),
+    "child_missing_a_polynomial": (
+        "bin_cubics",
+        _drop_child_polynomial,
+        False,
+        "FAIL: root.1: polynomials do not fit the block",
+    ),
+    "constant_moved_to_a_later_child": (
+        "bin_cubics",
+        _move_constant,
+        True,
+        "FAIL: root: constant term outside the first block",
+    ),
+    "leaf_changed_by_one_monomial": (
+        "bin_cubics",
+        _add_leaf_monomial,
+        False,
+        "FAIL: root: reconstruction mismatch",
+    ),
+    "root_idempotent_dropped": (
+        "bin_cubics",
+        _drop_root_idempotent,
+        True,
+        "FAIL: root: idempotent identities fail",
+    ),
+    "root_children_emptied": (
+        "bin_cubics",
+        _empty_root_children,
+        False,
+        "FAIL: reconstruction mismatch for polynomial 0",
+    ),
+    "transform_not_square": (
+        "bin_cubics",
+        _drop_transform_row,
+        True,
+        "FAIL: root: splitting witnesses have wrong shape",
+    ),
+    "idempotent_shrunk": (
+        "bin_cubics",
+        _shrink_idempotent,
+        True,
+        "FAIL: root: splitting witnesses have wrong shape",
+    ),
+    "inner_transform_not_square": (
+        "quartic_squares",
+        _drop_inner_transform_row,
+        True,
+        "FAIL: root.1: splitting witnesses have wrong shape",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(TAMPERED_DOCUMENTS))
 def test_tampered_document_gets_a_verdict(case, tmp_path, capsys):
-    golden, tamper, identity_holds = TAMPERED_DOCUMENTS[case]
+    golden, tamper, identity_holds, verdict = TAMPERED_DOCUMENTS[case]
     names, sources, _ = GOLDEN_DOCUMENTS[golden]
     problem = tmp_path / "golden.txt"
     problem.write_text("vars: " + " ".join(names) + "\n" + "\n".join(sources) + "\n")
@@ -299,7 +340,7 @@ def test_tampered_document_gets_a_verdict(case, tmp_path, capsys):
     out.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["verify", "--input", str(problem), "--result", str(out)]) == 1
-    assert capsys.readouterr().out.startswith("FAIL: ")
+    assert capsys.readouterr().out == verdict + "\n"
     # the forward identity alone misses the cases where it still holds;
     # the verifier rejects those as well as every case the identity rejects
     _, result = result_from_document(doc)

@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from algebra_helpers import (
     hessian,
@@ -52,7 +54,7 @@ from polydecomp.decompose import (
     block_ranges,
     diagonal_idempotent_supports,
 )
-from polydecomp.ratlinalg import invert
+from polydecomp.ratlinalg import invert, vec
 
 
 def coefficient_types(parts):
@@ -92,6 +94,33 @@ class TestChangeOfVariables:
     def test_witness_rejects_singular(self):
         eps = [mat(rows) for rows in BIN_CUBIC_EPS]
         assert diagonal_idempotent_supports(mat([[1, 2], [2, 4]]), eps) is None
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_supports_from_one_sided_products(self, data):
+        # e = P D P^-1 for a 0/1 partition D: e P = P D gives D back; a
+        # perturbed entry moves some column of e P off both P's and zero
+        n = data.draw(st.integers(1, 5))
+        entries = st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n)
+        p = RatMatrix(n, n, data.draw(entries))
+        try:
+            p_inv = invert(p)
+        except SingularMatrix:
+            assume(False)
+        labels = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        blocks = [tuple(i for i in range(n) if labels[i] == b) for b in sorted(set(labels))]
+        diagonals = [
+            RatMatrix(n, n, [int(r == c and r in block) for r in range(n) for c in range(n)])
+            for block in blocks
+        ]
+        eps = [p * d * p_inv for d in diagonals]
+        assert diagonal_idempotent_supports(p, eps) == blocks
+        b = data.draw(st.integers(0, len(eps) - 1))
+        k = data.draw(st.integers(0, n * n - 1))
+        delta = data.draw(st.sampled_from([-1, 1, Fraction(1, 2)]))
+        perturbed = [x + delta * (i == k) for i, x in enumerate(vec(eps[b]))]
+        eps[b] = RatMatrix(n, n, perturbed)
+        assert diagonal_idempotent_supports(p, eps) is None
 
 
 class TestSeparate:
@@ -324,27 +353,32 @@ class TestDecomposeRecursive:
 
 
 class TestVerifyDecomposition:
-    def test_only_the_verifier_runs_verify_complete(self, quartic_squares, monkeypatch):
+    def test_verify_complete_runs_only_on_a_failure(self, quartic_squares, monkeypatch):
         # find_idempotents checks each node's identities against a certified
-        # center, so the pipeline does not run verify_complete; the
-        # verifier runs it once per internal node, independently
+        # center, and a node's passing supports and reconstruction imply
+        # them, so a passing result never runs verify_complete; a failing
+        # node runs it, and its verdict comes first
         calls = []
         verify_complete = polydecomp.decompose.verify_complete
 
         def counting(idem, polys):
-            calls.append(1)
+            calls.append(idem)
             return verify_complete(idem, polys)
 
         monkeypatch.setattr(polydecomp.decompose, "verify_complete", counting)
         result = decompose_recursive([quartic_squares], seed=42)
-        assert calls == []
+        assert len(list(internal_nodes(result.tree))) >= 2
         assert verify_decomposition([quartic_squares], result)
-
-        def internal(node):
-            return (not node.is_leaf) + sum(map(internal, node.children))
-
-        assert internal(result.tree) >= 2
-        assert len(calls) == internal(result.tree)
+        assert calls == []
+        root = result.tree
+        e = root.idempotents[0]
+        assert e * e == e and (2 * e) * (2 * e) != 2 * e
+        tampered = dataclasses.replace(root, idempotents=(2 * e, *root.idempotents[1:]))
+        report = verify_decomposition(
+            [quartic_squares], dataclasses.replace(result, tree=tampered)
+        )
+        assert report.reason == "root: idempotent identities fail"
+        assert len(calls) == 1
 
     def test_only_the_verifier_expands_in_all_variables(
         self, fourvar_pair, quartic_squares, monkeypatch

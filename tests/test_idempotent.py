@@ -1,5 +1,7 @@
 """Idempotent extraction: spectral splitting, verification, rank profiles."""
 
+from operator import mul
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +30,7 @@ from polydecomp import (
     verify_complete,
 )
 from polydecomp.idempotent import _apply, _Coordinates
-from polydecomp.ratlinalg import vec
+from polydecomp.ratlinalg import row_space_basis, vec
 
 QUADRATIC_FORMS = ["x^2 + 4*x*y + y^2 + 3*y*z + z^2", "x^2 + 2*y^2 + 3*z^2 + x*y"]
 
@@ -182,6 +184,49 @@ class TestSearchInCoordinates:
         # matrix polynomials and span membership are test-only
         assert not hasattr(UniPoly, "of_matrix")
         assert not hasattr(CenterBasis, "contains")
+
+
+class TestPeirceCorners:
+    def test_trace_is_the_corner_dimension(
+        self, bin_cubics, fourvar_pair, trio, quartic_squares, monkeypatch
+    ):
+        # U_e = 2 L_e^2 - L_e projects onto the corner e*Z*e, so its trace is
+        # the corner's dimension; a one-dimensional corner gets no basis
+        corner = _Coordinates.corner
+        met, calls = [], []
+
+        def recording(z, v, d):
+            before = len(calls)
+            basis = corner(z, v, d)
+            met.append((z, v, d, basis, len(calls) - before))
+            return basis
+
+        def counting(vectors, width):
+            calls.append(width)
+            return row_space_basis(vectors, width)
+
+        monkeypatch.setattr(_Coordinates, "corner", recording)
+        monkeypatch.setattr(polydecomp.idempotent, "row_space_basis", counting)
+        goldens = [bin_cubics, fourvar_pair, [quartic_squares], *([f] for f in trio)]
+        for polys in goldens:
+            decompose_recursive(polys, seed=42)
+        for seed, instance in planted_suite():
+            decompose_recursive(instance.fs, seed=seed)
+        dims = []
+        for z, v, d, basis, built in met:
+            a = z.operator(v)
+            s = d * z.scale
+            u = [[2 * sum(map(mul, row, col)) - s * x for col, x in zip(zip(*a), row)] for row in a]
+            trace = sum(u[i][i] for i in range(z.r))
+            # the corner's basis, built from the columns of U_e
+            full = row_space_basis([z.combine(col) for col in zip(*u)], z.n * z.n)
+            assert trace == s * s * len(full)
+            if len(full) == 1:
+                assert basis is None and built == 0
+            else:
+                assert basis == full and built == 1
+            dims.append(len(full))
+        assert dims.count(1) >= 100 and len(dims) - dims.count(1) >= 5
 
 
 class TestStructureConstants:
