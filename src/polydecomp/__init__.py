@@ -15,9 +15,7 @@ from .decompose import (
     DecompositionNode,
     DecompositionResult,
     VerificationReport,
-    change_of_variables,
     decompose_recursive,
-    separate,
     verify_decomposition,
 )
 from .errors import (
@@ -36,17 +34,7 @@ from .poly import (
     render_canonical,
     substitute_linear,
 )
-from .ratlinalg import (
-    RatMatrix,
-    UniPoly,
-    column_space_basis,
-    extended_gcd,
-    invert,
-    minimal_polynomial,
-    nullspace_basis,
-    squarefree_part,
-    unipoly_gcd,
-)
+from .ratlinalg import RatMatrix, invert
 
 __version__ = "0.1.0"
 
@@ -64,25 +52,16 @@ __all__ = [
     "Polynomial",
     "RatMatrix",
     "SingularMatrix",
-    "UniPoly",
     "VerificationReport",
     "center_basis",
-    "change_of_variables",
-    "column_space_basis",
     "decompose_recursive",
-    "extended_gcd",
     "find_idempotents",
     "generate",
     "invert",
     "membership_check",
-    "minimal_polynomial",
-    "nullspace_basis",
     "parse_polynomial",
     "render_canonical",
-    "separate",
-    "squarefree_part",
     "substitute_linear",
-    "unipoly_gcd",
     "verify_complete",
     "verify_decomposition",
 ]

@@ -47,9 +47,9 @@ from .errors import DimensionMismatch, EmptyInput, InternalInvariantViolation
 from .poly import Polynomial
 from .ratlinalg import (
     RatMatrix,
+    _primitive_int_row,
     _SparseSystem,
     nullspace_basis,
-    primitive_integer_matrix,
     unvec,
     vec,
 )
@@ -200,8 +200,8 @@ def _all_members(
         if x.rows != n or x.cols != n:
             raise DimensionMismatch("matrix does not match ambient dimension")
         # a nonzero scale of x changes no symmetry; integers keep the sums fast
-        x = primitive_integer_matrix(x)
-        columns = [x.column(c) for c in range(n)]
+        ints = _primitive_int_row(vec(x))
+        columns = [ints[c::n] for c in range(n)]
         for s in mats:
             # rows of S * x outside the support of S are zero
             product = {

@@ -6,8 +6,8 @@ human-readable text or as a versioned JSON document whose matrices are
 row-major arrays of exact ``a/b`` strings, so serialization is lossless.
 
 Exit codes: 0 success (decomposable or not -- that is data), 1 failed
-verification verdict, 2 bad input or parse error, 3 internal invariant
-violation.
+verification verdict, 2 bad input, parse error or malformed result document,
+3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -86,7 +86,12 @@ def matrix_to_json(m: RatMatrix) -> list[list[str]]:
 
 def matrix_from_json(rows: list[list[str]], name: str = "matrix") -> RatMatrix:
     """The matrix of a row-major array of exact strings; a malformed entry
-    raises DocumentError naming it as ``name[r][c]``."""
+    raises DocumentError naming it as ``name[r][c]``, and anything but a
+    nonempty rectangular array of rows one naming ``name``."""
+    if not isinstance(rows, list) or not rows or any(
+        not isinstance(row, list) or not row or len(row) != len(rows[0]) for row in rows
+    ):
+        raise DocumentError(f"{name}: expected a nonempty rectangular array of rows")
     out = [[] for _ in rows]
     for r, row in enumerate(rows):
         for c, x in enumerate(row):
@@ -111,7 +116,24 @@ def _json_int(literal: str):
 
 
 def _matrices_from_json(items: list, name: str) -> tuple[RatMatrix, ...]:
+    if not isinstance(items, list):
+        raise DocumentError(f"{name}: expected list")
     return tuple(matrix_from_json(m, f"{name}[{k}]") for k, m in enumerate(items))
+
+
+def _field(data, key: str, kind: type, path: str, item: type | None = None):
+    """``data[key]``, a ``kind`` whose entries are ``item``s if ``item`` is
+    given; anything else raises DocumentError naming the field by its path."""
+    where = f"{path}.{key}" if path else key
+    if not isinstance(data, dict):
+        raise DocumentError(f"{path or 'document'}: expected an object")
+    if key not in data:
+        raise DocumentError(f"{where}: missing")
+    value = data[key]
+    if not isinstance(value, kind) or (item and not all(isinstance(x, item) for x in value)):
+        of = f" of {item.__name__}" if item else ""
+        raise DocumentError(f"{where}: expected {kind.__name__}{of}")
+    return value
 
 
 def _node_var_names(node_indices: Sequence[int], root_vars: Sequence[str], is_root: bool):
@@ -137,9 +159,9 @@ def _node_to_json(node: DecompositionNode, root_vars, is_root: bool = False) -> 
 
 
 def _node_from_json(data: dict, root_vars, path: str, is_root: bool = False) -> DecompositionNode:
-    indices = tuple(int(i) for i in data["indices"])
+    indices = tuple(_field(data, "indices", list, path, int))
     names = _node_var_names(indices, root_vars, is_root)
-    polys = tuple(parse_polynomial(s, names) for s in data["polys"])
+    polys = tuple(parse_polynomial(s, names) for s in _field(data, "polys", list, path, str))
     idems = data.get("idempotents")
     transform = data.get("transform")
     return DecompositionNode(
@@ -147,9 +169,9 @@ def _node_from_json(data: dict, root_vars, path: str, is_root: bool = False) -> 
         polys=polys,
         children=tuple(
             _node_from_json(c, root_vars, f"{path}.children[{k}]")
-            for k, c in enumerate(data.get("children", []))
+            for k, c in enumerate(_field(data, "children", list, path))
         ),
-        center_dim=int(data["center_dim"]),
+        center_dim=_field(data, "center_dim", int, path),
         idempotents=None
         if idems is None
         else _matrices_from_json(idems, f"{path}.idempotents"),
@@ -182,18 +204,21 @@ def result_to_document(
 
 
 def result_from_document(doc: dict) -> tuple[ProblemFile, DecompositionResult]:
-    problem = ProblemFile(tuple(doc["vars"]), tuple(doc["inputs"]))
-    if doc.get("tree") is None or doc.get("P") is None:
-        raise ValueError("document does not contain a decomposition result")
-    tree = _node_from_json(doc["tree"], problem.vars, "tree", is_root=True)
+    """The problem and result of a ``decompose --json`` document; a field off
+    the schema raises DocumentError naming the first such field."""
+    if _field(doc, "version", int, "") != SCHEMA_VERSION:
+        raise DocumentError(f"version: expected {SCHEMA_VERSION}, got {doc['version']}")
+    names = tuple(_field(doc, "vars", list, "", str))
+    problem = ProblemFile(names, tuple(_field(doc, "inputs", list, "", str)))
+    tree = _node_from_json(_field(doc, "tree", dict, ""), problem.vars, "tree", is_root=True)
     center = CenterBasis(
         len(problem.vars),
-        _matrices_from_json(doc["center_basis"], "center_basis"),
+        _matrices_from_json(_field(doc, "center_basis", list, ""), "center_basis"),
     )
     return problem, DecompositionResult(
-        P=matrix_from_json(doc["P"], "P"),
+        P=matrix_from_json(_field(doc, "P", list, ""), "P"),
         tree=tree,
-        diagonalizable=bool(doc["diagonalizable"]),
+        diagonalizable=_field(doc, "diagonalizable", bool, ""),
         center=center,
     )
 

@@ -4,7 +4,7 @@ A polynomial in ``n`` variables maps exponent tuples of length ``n`` to
 nonzero rational coefficients.  Coefficients are plain ``int`` when integral
 and ``fractions.Fraction`` otherwise, so arithmetic is exact and equality
 tests are reliable.  The module also provides the text surface (parser and
-canonical renderer), formal differentiation, and linear changes of variables.
+canonical renderer) and linear changes of variables.
 
 The parser is a scanner over C-level string primitives, not a tokenizer: one
 regex search rejects a character no token accepts, the text is split at its
@@ -96,9 +96,6 @@ class Polynomial:
 
     def coefficient(self, mono: Sequence[int]) -> Rat:
         return self._terms.get(tuple(mono), 0)
-
-    def num_terms(self) -> int:
-        return len(self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -193,17 +190,6 @@ class Polynomial:
             base = base * base
             e >>= 1
         return result
-
-    def partial_derivative(self, index: int) -> "Polynomial":
-        if not 0 <= index < self.n:
-            raise IndexError(f"variable index {index} out of range for n={self.n}")
-        out: dict = {}
-        for mono, c in self._terms.items():
-            e = mono[index]
-            if e:
-                lowered = mono[:index] + (e - 1,) + mono[index + 1 :]
-                out[lowered] = c * e
-        return Polynomial._raw(self.n, out)
 
     def __repr__(self) -> str:
         names = [f"x{i}" for i in range(self.n)]

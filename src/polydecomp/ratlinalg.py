@@ -24,9 +24,10 @@ that can test exactly whether vectors lie in the kernel of every row, read
 or not (the center solve, by membership), may stop earlier still: a
 one-prime form whose kernel vectors all pass has at least as many of them
 as the kernel has dimensions, so it is the form of the whole row space.
-A reduced echelon form of a row space is unique, so every result is the
-same whichever primes were used; a prime that drops the rank or fails the
-check costs a retry with the next one, never a different answer.
+Any other caller has every row read and the form lifted.  A reduced echelon
+form of a row space is unique, so every result is the same whichever primes
+were used; a prime that drops the rank or fails the check costs a retry
+with the next one, never a different answer.
 
 The module also provides the univariate polynomial machinery (gcd, Bezout
 cofactors, squarefree part, minimal polynomials, primary factors: (t - r)^k
@@ -108,16 +109,6 @@ class RatMatrix:
 
     def column(self, c: int) -> Vector:
         return tuple(self._e[r * self.cols + c] for r in range(self.rows))
-
-    def to_rows(self) -> list:
-        return [list(self.row(r)) for r in range(self.rows)]
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix._raw(
-            self.cols,
-            self.rows,
-            [self._e[r * self.cols + c] for c in range(self.cols) for r in range(self.rows)],
-        )
 
     def _check_same_shape(self, other: "RatMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -249,12 +240,12 @@ def _echelon(rows: Iterable, width: int, known: Vector | None = None, members=No
     columns; the pivot entry is 1 and the other pivot entries are 0.  At
     full rank modulo a prime the form is the identity and needs no lift.
 
-    The rows are read once, in order, while the first prime eliminates them,
-    and kept in case a lift needs them.  ``known`` is None or a nonzero
-    vector the caller has proved to lie in the kernel of every row: once the
-    rank modulo the prime reaches width - 1, the rational rank is width - 1
-    too, the kernel is the span of ``known`` and no further row is read.
-    Without ``known``, ``rows`` is a list.
+    The rows, any iterable, are read once, in order, while the first prime
+    eliminates them, and kept in case a lift needs them.  ``known`` is None
+    or a nonzero vector the caller has proved to lie in the kernel of every
+    row: once the rank modulo the prime reaches width - 1, the rational rank
+    is width - 1 too, the kernel is the span of ``known`` and no further row
+    is read.  Without ``known`` every row is read and the form is lifted.
 
     ``members`` is None or, with ``known``, an exact test of whether vectors
     lie in the kernel of every row, read or not; ``rows`` may then hold None
@@ -290,16 +281,8 @@ def _echelon(rows: Iterable, width: int, known: Vector | None = None, members=No
                 used.append(i)
                 if len(pivots) == width:
                     return {c: {} for c in range(width)}
-                if len(pivots) == width - 1:
-                    if known is not None:
-                        return _complement_form(known)
-                    # One kernel vector is left (a Krylov stack's newest
-                    # power): if this prime alone certifies it, the remaining
-                    # rows need no elimination, only the check.
-                    if i + 1 < len(rows):
-                        form = _reconstruct(pivots, p)
-                        if form is not None and _in_row_space(rows, form, width):
-                            return form
+                if len(pivots) == width - 1 and known is not None:
+                    return _complement_form(known)
             i += 1
         form = _lift(read, width, pivots, used, p, primes)
         if form is not None:
@@ -579,11 +562,6 @@ class UniPoly:
         return cls((1,))
 
     @classmethod
-    def shift(cls) -> "UniPoly":
-        """The polynomial t."""
-        return cls((0, 1))
-
-    @classmethod
     def linear_root(cls, r) -> "UniPoly":
         """The monic linear polynomial t - r."""
         return cls((-to_rat(r), 1))
@@ -776,16 +754,6 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def primitive_integer_matrix(m: RatMatrix) -> RatMatrix:
-    """Positive rational rescaling of m with primitive integer entries.
-
-    Rescaling preserves eigenspaces, so spectral projectors computed from
-    the result apply to the original matrix.
-    """
-    row = _primitive_int_row(list(vec(m)))
-    return RatMatrix(m.rows, m.cols, row)
 
 
 def _int_horner(coeffs: Sequence[int], x: int) -> int:

@@ -12,18 +12,19 @@ variables against the embedded leaves; ``find_idempotents_by_matrices``
 is the second route to ``find_idempotents``, the same spectral search on
 n x n matrices; ``jordan_product`` and ``rank_profile`` state algebraic
 facts the tests check; ``in_span``, ``same_span`` and ``center_contains``
-compare spans by echelon forms, and ``at_matrix`` evaluates a polynomial at
-a matrix.  ``parse_by_tokens`` is the second route to ``parse_polynomial``:
-a token-at-a-time tokenizer and recursive-descent parser with the same
-results and the same ``ParseError`` messages and positions.
+compare spans by echelon forms, ``at_matrix`` evaluates a polynomial at
+a matrix and ``matrix_rows`` lists a matrix's rows.  ``parse_by_tokens`` is
+the second route to ``parse_polynomial``: a token-at-a-time tokenizer and
+recursive-descent parser with the same results and the same ``ParseError``
+messages and positions.
 
 ``brute_force_center_dim`` is the independent oracle for the center: it
-multiplies the symbolic Hessian (``hessian``) by the unknown matrix, writes
-out the full symmetry condition densely, with no deduplication and no
-antisymmetry shortcut, and ranks the system with a plain row-at-a-time
-elimination.  It shares neither the coefficient matrices the center solve
-and ``membership_check`` read off the terms nor the main linear algebra
-path.
+multiplies the symbolic Hessian (``hessian``, from the oracle's own
+``partial_derivative``) by the unknown matrix, writes out the full symmetry
+condition densely, with no deduplication and no antisymmetry shortcut, and
+ranks the system with a plain row-at-a-time elimination.  It shares neither
+the coefficient matrices the center solve and ``membership_check`` read off
+the terms nor the main linear algebra path, nor any derivative code.
 """
 
 import itertools
@@ -42,9 +43,7 @@ from polydecomp import (
     ParseError,
     Polynomial,
     RatMatrix,
-    UniPoly,
     center_basis,
-    extended_gcd,
     substitute_linear,
 )
 from polydecomp._rat import Rat, normalize
@@ -52,14 +51,16 @@ from polydecomp.center import _coefficient_matrices
 from polydecomp.idempotent import COEFF_RANGE, MAX_TRIES, _identity_failure
 from polydecomp.poly import embed, validate_variable_names
 from polydecomp.ratlinalg import (
+    UniPoly,
     _cleared,
     _echelon,
     _in_row_space,
+    _primitive_int_row,
     _sparse_rows,
+    extended_gcd,
     minimal_polynomial,
     nullspace_basis,
     primary_coprime_factors,
-    primitive_integer_matrix,
     row_space_basis,
     unvec,
     vec,
@@ -69,6 +70,11 @@ from polydecomp.ratlinalg import (
 def jordan_product(x: RatMatrix, y: RatMatrix) -> RatMatrix:
     """Symmetrized matrix product (x*y + y*x)/2."""
     return (x * y + y * x).scale(Fraction(1, 2))
+
+
+def matrix_rows(m: RatMatrix) -> list[list]:
+    """The rows of m as lists of entries."""
+    return [list(m.row(r)) for r in range(m.rows)]
 
 
 def rank_profile(idem: IdempotentSet) -> tuple:
@@ -230,7 +236,7 @@ def find_idempotents_by_matrices(center: CenterBasis, seed: int = 42) -> Idempot
             for x in sub_mats:
                 c = rng.randint(1, COEFF_RANGE)
                 acc = acc + x.scale(-c if rng.randint(0, 1) else c)
-            g = primitive_integer_matrix(acc)
+            g = RatMatrix(n, n, _primitive_int_row(vec(acc)))
             m = minimal_polynomial(g)
             factors = primary_coprime_factors(m)
             if len(factors) < 2:
@@ -267,11 +273,23 @@ def find_idempotents_by_matrices(center: CenterBasis, seed: int = 42) -> Idempot
 MAX_ORACLE_DIM = 6  # brute-force oracle scale guard
 
 
+def partial_derivative(p: Polynomial, index: int) -> Polynomial:
+    """Formal derivative of p by variable ``index``, term by term."""
+    if not 0 <= index < p.n:
+        raise IndexError(f"variable index {index} out of range for n={p.n}")
+    out = {}
+    for mono, c in p.terms():
+        e = mono[index]
+        if e:
+            out[mono[:index] + (e - 1,) + mono[index + 1 :]] = c * e
+    return Polynomial(p.n, out)
+
+
 def hessian(p: Polynomial) -> tuple[tuple[Polynomial, ...], ...]:
     """Symmetric matrix of second partial derivatives, as n row tuples."""
-    firsts = [p.partial_derivative(i) for i in range(p.n)]
+    firsts = [partial_derivative(p, i) for i in range(p.n)]
     return tuple(
-        tuple(first.partial_derivative(c) for c in range(p.n)) for first in firsts
+        tuple(partial_derivative(first, c) for c in range(p.n)) for first in firsts
     )
 
 

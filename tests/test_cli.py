@@ -30,6 +30,9 @@ from polydecomp.cli import (
 from polydecomp.ratlinalg import RatMatrix
 
 
+DROP = object()  # a tampering that deletes the key instead of setting it
+
+
 @pytest.fixture
 def pair_file(tmp_path):
     path = tmp_path / "pair.txt"
@@ -412,11 +415,64 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err == "error: P[0][0]: integer literal of 5000 digits is too long\n"
 
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("tree", "center_dim"), DROP, "tree.center_dim: missing"),
+            (("center_basis",), DROP, "center_basis: missing"),
+            (("tree", "indices"), DROP, "tree.indices: missing"),
+            (("tree",), DROP, "tree: missing"),
+            (("P",), [], "P: expected a nonempty rectangular array of rows"),
+            (("P",), 5, "P: expected list"),
+            (("tree", "children"), 3, "tree.children: expected list"),
+            (("tree", "children", 0, "polys", 0), 7, "tree.children[0].polys: expected list of str"),
+            ((), [1], "document: expected an object"),
+            (("version",), 2, "version: expected 1, got 2"),
+        ],
+        ids=[
+            "no-center_dim",
+            "no-center_basis",
+            "no-tree-key",
+            "no-tree",
+            "empty-P",
+            "scalar-P",
+            "scalar-children",
+            "non-string-poly",
+            "top-level-list",
+            "version-2",
+        ],
+    )
+    def test_malformed_document_is_named(self, pair_file, tmp_path, capsys, path, value, message):
+        # a document that does not follow the schema is bad input (exit 2,
+        # one error line naming the field), not a FAIL verdict or a crash;
+        # an empty path replaces the whole document
+        out_path = tmp_path / "result.json"
+        main(["decompose", "--input", pair_file, "--json", "--output", str(out_path)])
+        doc = json.loads(out_path.read_text())
+        if path:
+            *parents, key = path
+            parent = doc
+            for k in parents:
+                parent = parent[k]
+            if value is DROP:
+                del parent[key]
+            else:
+                parent[key] = value
+        else:
+            doc = value
+        out_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "--input", pair_file, "--result", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_hand_packaged_known_result_passes(self, tmp_path, capsys):
         # encode the known transform and outputs for the four-variable pair
         from conftest import FOURVAR_1, FOURVAR_2, FOURVAR_EPS, FOURVAR_P, mat
-        from polydecomp import DecompositionNode, DecompositionResult, separate
+        from polydecomp import DecompositionNode, DecompositionResult
         from polydecomp.cli import ProblemFile
+        from polydecomp.decompose import separate
 
         vars4 = ("x1", "x2", "x3", "x4")
         problem = ProblemFile(vars4, (FOURVAR_1, FOURVAR_2))

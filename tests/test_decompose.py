@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from algebra_helpers import (
     hessian,
+    matrix_rows,
     reconstruction_by_full_expansion,
     separate_by_full_expansion,
 )
@@ -29,6 +30,7 @@ from conftest import (
     TRIO_3_P,
     mat,
 )
+import polydecomp
 import polydecomp.center
 import polydecomp.decompose
 import polydecomp.idempotent
@@ -40,11 +42,9 @@ from polydecomp import (
     RatMatrix,
     SingularMatrix,
     center_basis,
-    change_of_variables,
     decompose_recursive,
     find_idempotents,
     parse_polynomial,
-    separate,
     substitute_linear,
     verify_complete,
     verify_decomposition,
@@ -52,7 +52,9 @@ from polydecomp import (
 from polydecomp.decompose import (
     block_diagonal,
     block_ranges,
+    change_of_variables,
     diagonal_idempotent_supports,
+    separate,
 )
 from polydecomp.ratlinalg import invert, vec
 
@@ -296,7 +298,7 @@ class TestDecomposeRecursive:
         n = 8
         while True:
             q = RatMatrix(n, n, [rng.randint(-3, 3) for _ in range(n * n)])
-            if sympy.Matrix(q.to_rows()).rank() == n:
+            if sympy.Matrix(matrix_rows(q)).rank() == n:
                 break
         cubes = Polynomial(
             n,
@@ -458,7 +460,7 @@ class TestVerifyDecomposition:
         cross = substitute_linear(
             parse_polynomial("z1*z2", ["z1", "z2"]), invert(inner.transform)
         )
-        rows = invert(root.transform).to_rows()[1:]
+        rows = matrix_rows(invert(root.transform))[1:]
         f = quartic_squares + substitute_linear(cross, mat(rows))
         planted = dataclasses.replace(inner, polys=(inner.polys[0] + cross,))
         assert separate(planted.polys, inner.transform, [(0, 1), (1, 2)]) == [
@@ -516,7 +518,7 @@ class TestVerifyDecomposition:
 
     def test_tampered_transform_breaks_conjugation(self, bin_cubics):
         result = decompose_recursive(bin_cubics, seed=42)
-        rows = result.P.to_rows()
+        rows = matrix_rows(result.P)
         rows[0][0] = rows[0][0] + 1
         broken = DecompositionResult(
             P=mat(rows), tree=result.tree, diagonalizable=result.diagonalizable
@@ -581,6 +583,64 @@ class TestHelpers:
         assert combined == mat([[1, 2, 0], [3, 4, 0], [0, 0, 5]])
 
 
+class TestPublicSurface:
+    PUBLIC = {
+        "CenterBasis",
+        "DecompositionNode",
+        "DecompositionResult",
+        "DimensionMismatch",
+        "EmptyInput",
+        "IdempotentSet",
+        "InternalInvariantViolation",
+        "ParseError",
+        "PlantedInstance",
+        "PolyDecompError",
+        "Polynomial",
+        "RatMatrix",
+        "SingularMatrix",
+        "VerificationReport",
+        "center_basis",
+        "decompose_recursive",
+        "find_idempotents",
+        "generate",
+        "invert",
+        "membership_check",
+        "parse_polynomial",
+        "render_canonical",
+        "substitute_linear",
+        "verify_complete",
+        "verify_decomposition",
+    }
+
+    # stage internals: not re-exported, but still bound in the modules the
+    # pipeline (and the bench's tracer) reaches them through
+    INTERNAL = [
+        ("ratlinalg", "UniPoly"),
+        ("ratlinalg", "column_space_basis"),
+        ("decompose", "column_space_basis"),
+        ("ratlinalg", "extended_gcd"),
+        ("idempotent", "extended_gcd"),
+        ("ratlinalg", "minimal_polynomial"),
+        ("idempotent", "minimal_polynomial"),
+        ("ratlinalg", "nullspace_basis"),
+        ("center", "nullspace_basis"),
+        ("ratlinalg", "squarefree_part"),
+        ("ratlinalg", "unipoly_gcd"),
+        ("decompose", "separate"),
+        ("decompose", "change_of_variables"),
+    ]
+
+    def test_all_is_pinned(self):
+        assert sorted(polydecomp.__all__) == sorted(self.PUBLIC)
+        assert len(self.PUBLIC) == 25
+        assert all(hasattr(polydecomp, name) for name in self.PUBLIC)
+
+    @pytest.mark.parametrize("module, name", INTERNAL)
+    def test_internal_name_stays_in_its_module(self, module, name):
+        assert not hasattr(polydecomp, name)
+        assert getattr(importlib.import_module(f"polydecomp.{module}"), name) is not None
+
+
 class TestTracedBindings:
     # perfbench/spans.py times these by wrapping the module attributes; a
     # renamed or removed one would read 0 there without an error
@@ -603,13 +663,44 @@ class TestTracedBindings:
     # ratlinalg.rref_calls, rref_s and rref_cells).
     DEAD_TIMED = {"rref"}
 
-    def test_every_timed_function_is_traced(self):
-        # perfbench/spans.py is read, not changed: each "time:F" rule sums
-        # the spans of F, which exist only while a traced module binds F
+    # Bindings a "count:" rule or an observer of the bench names that no
+    # module holds any more, so they read 0 on every workload: the rref
+    # above, and the symbolic Hessian the center solve stopped calling.
+    DEAD_BINDINGS = {"ratlinalg.rref", "center.hessian", "idempotent.hessian"}
+
+    @staticmethod
+    def bench_spans():
+        # perfbench/spans.py is read, not changed
         path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
         spec = importlib.util.spec_from_file_location("perfbench_spans", path)
         spans = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(spans)
+        return spans
+
+    def test_every_counted_and_observed_binding_is_a_function(self):
+        # a "count:B" rule counts the spans of binding B and an observer
+        # reads the calls of its binding: both exist only while the module
+        # binds a function there (dropping center.nullspace_basis would set
+        # center.rows to 0 without an error)
+        spans = self.bench_spans()
+        named = set(spans.OBSERVERS)
+        for _, rule in spans.PER_LAYER.values():
+            kind, _, names = rule.partition(":")
+            if kind == "count":
+                named.update(names.split(","))
+        missing = set()
+        for binding in named:
+            modname, name = binding.split(".")
+            obj = getattr(importlib.import_module(f"polydecomp.{modname}"), name, None)
+            if not inspect.isfunction(obj):
+                missing.add(binding)
+        assert missing == self.DEAD_BINDINGS
+        assert "center.nullspace_basis" in named
+
+    def test_every_timed_function_is_traced(self):
+        # each "time:F" rule sums the spans of F, which exist only while a
+        # traced module binds F
+        spans = self.bench_spans()
         timed = set()
         for _, rule in spans.PER_LAYER.values():
             kind, _, names = rule.partition(":")

@@ -20,7 +20,6 @@ from polydecomp import (
     InternalInvariantViolation,
     Polynomial,
     RatMatrix,
-    UniPoly,
     center_basis,
     decompose_recursive,
     find_idempotents,
@@ -30,7 +29,7 @@ from polydecomp import (
     verify_complete,
 )
 from polydecomp.idempotent import _apply, _Coordinates
-from polydecomp.ratlinalg import row_space_basis, vec
+from polydecomp.ratlinalg import UniPoly, row_space_basis, vec
 
 QUADRATIC_FORMS = ["x^2 + 4*x*y + y^2 + 3*y*z + z^2", "x^2 + 2*y^2 + 3*z^2 + x*y"]
 

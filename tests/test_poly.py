@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.rings import ring
 
-from algebra_helpers import hessian, parse_by_tokens
+from algebra_helpers import hessian, parse_by_tokens, partial_derivative
 from conftest import (
     BIN_CUBIC_1,
     BIN_CUBIC_G1,
@@ -49,16 +49,16 @@ class TestParse:
     def test_zero(self):
         p = parse_polynomial("0", ["x", "y"])
         assert p.is_zero()
-        assert p.num_terms() == 0
+        assert len(p.terms()) == 0
 
     def test_three_term_quartic(self):
         p = parse_polynomial("x^4 + y^2 + z^2", ["x", "y", "z"])
-        assert p.num_terms() == 3
+        assert len(p.terms()) == 3
         assert sorted(sum(m) for m, _ in p.terms()) == [2, 2, 4]
 
     def test_nine_term_cubic(self):
         p = parse_polynomial(BIN_CUBIC_1, BIN_CUBIC_VARS)
-        assert p.num_terms() == 9
+        assert len(p.terms()) == 9
         assert p.total_degree() == 3
 
     def test_rational_coefficients(self):
@@ -320,19 +320,19 @@ class TestArithmetic:
 class TestCalculus:
     def test_power_rule(self):
         p = parse_polynomial("x^4", ["x", "y"])
-        assert p.partial_derivative(0) == parse_polynomial("4*x^3", ["x", "y"])
+        assert partial_derivative(p, 0) == parse_polynomial("4*x^3", ["x", "y"])
 
     def test_constant_derivative(self):
-        assert Polynomial.constant(2, 5).partial_derivative(0).is_zero()
+        assert partial_derivative(Polynomial.constant(2, 5), 0).is_zero()
 
     def test_second_partial_matches_known_hessian_entry(self):
         f1 = parse_polynomial(BIN_CUBIC_1, BIN_CUBIC_VARS)
-        twice = f1.partial_derivative(0).partial_derivative(0)
+        twice = partial_derivative(partial_derivative(f1, 0), 0)
         assert twice == parse_polynomial("324*u1 - 108*u2 + 16", BIN_CUBIC_VARS)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            Polynomial.zero(2).partial_derivative(2)
+            partial_derivative(Polynomial.zero(2), 2)
 
     def test_hessian_diagonal_quartic(self):
         h = hessian(parse_polynomial("x^4 + y^2 + z^2", ["x", "y", "z"]))
@@ -369,8 +369,8 @@ class TestCalculus:
             p = rand_poly(rng, 3, max_degree=4)
             for i in range(3):
                 for j in range(3):
-                    a = p.partial_derivative(i).partial_derivative(j)
-                    b = p.partial_derivative(j).partial_derivative(i)
+                    a = partial_derivative(partial_derivative(p, i), j)
+                    b = partial_derivative(partial_derivative(p, j), i)
                     assert a == b
 
     def test_hessian_symmetry(self):
