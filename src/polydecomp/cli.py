@@ -162,8 +162,8 @@ def _node_from_json(data: dict, root_vars, path: str, is_root: bool = False) -> 
     indices = tuple(_field(data, "indices", list, path, int))
     names = _node_var_names(indices, root_vars, is_root)
     polys = tuple(parse_polynomial(s, names) for s in _field(data, "polys", list, path, str))
-    idems = data.get("idempotents")
-    transform = data.get("transform")
+    idems = _field(data, "idempotents", object, path)
+    transform = _field(data, "transform", object, path)
     return DecompositionNode(
         variable_indices=indices,
         polys=polys,
@@ -221,6 +221,50 @@ def result_from_document(doc: dict) -> tuple[ProblemFile, DecompositionResult]:
         diagonalizable=_field(doc, "diagonalizable", bool, ""),
         center=center,
     )
+
+
+def _claims_from_document(doc: dict) -> tuple:
+    """(center_dim, idempotents, P_inverse) of a result document: the fields
+    that restate what its inputs, tree and P determine.  A missing or
+    mistyped one, or a seed that is neither an int nor null, raises
+    DocumentError."""
+    seed = _field(doc, "seed", object, "")
+    if seed is not None and type(seed) is not int:
+        raise DocumentError("seed: expected int or null")
+    idems = _field(doc, "idempotents", object, "")
+    return (
+        _field(doc, "center_dim", int, ""),
+        None if idems is None else _matrices_from_json(idems, "idempotents"),
+        matrix_from_json(_field(doc, "P_inverse", list, ""), "P_inverse"),
+    )
+
+
+def _nodes(node: DecompositionNode, path: str):
+    """(document path, node) for the node and its descendants, depth first."""
+    yield path, node
+    for k, child in enumerate(node.children):
+        yield from _nodes(child, f"{path}.children[{k}]")
+
+
+def _claim_failure(polys: Sequence[Polynomial], result: DecompositionResult, claims) -> str:
+    """Why a verified result's document claims do not hold, '' if they do:
+    the center basis and every node's center dimension are recomputed, and
+    the top-level copies must match the tree and P."""
+    center_dim, idempotents, p_inverse = claims
+    center = center_basis(polys)
+    if result.center != center:
+        return "center_basis: not the canonical basis of the inputs' center"
+    for path, node in _nodes(result.tree, "tree"):
+        dim = center.dim if node is result.tree else center_basis(node.polys).dim
+        if node.center_dim != dim:
+            return f"{path}.center_dim: {node.center_dim}, but its center has dimension {dim}"
+    if center_dim != center.dim:
+        return f"center_dim: {center_dim}, but the center has dimension {center.dim}"
+    if idempotents != result.tree.idempotents:
+        return "idempotents: not the root's idempotents"
+    if p_inverse != invert(result.P):
+        return "P_inverse: not the inverse of P"
+    return ""
 
 
 # ---------------------------------------------------------------------------
@@ -321,14 +365,19 @@ def cmd_verify(args) -> int:
         # matrix_from_json reports as the entry that holds it
         doc = json.load(fh, parse_int=_json_int)
     stored_problem, result = result_from_document(doc)
+    claims = _claims_from_document(doc)
     if stored_problem.vars != problem.vars:
         print("FAIL: variable names differ from the problem file")
         return 1
+    if stored_problem.parse() != polys:
+        print("FAIL: inputs: not the problem file's polynomials")
+        return 1
     report = verify_decomposition(polys, result)
-    if report.ok:
+    reason = report.reason if not report.ok else _claim_failure(polys, result, claims)
+    if not reason:
         print("PASS: decomposition verified")
         return 0
-    print(f"FAIL: {report.reason}")
+    print(f"FAIL: {reason}")
     return 1
 
 

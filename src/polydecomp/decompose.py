@@ -243,11 +243,6 @@ def decompose_recursive(polys: Sequence[Polynomial], seed: int = 42) -> Decompos
         k = fs[0].n
         node_seed = seed * 1_000_003 + node_counter[0]
         node_counter[0] += 1
-        if k == 1:
-            return (
-                DecompositionNode(indices, fs, (), z.dim),
-                RatMatrix.identity(1),
-            )
         idem = find_idempotents(z, node_seed)
         if len(idem) == 1:
             return (

@@ -15,8 +15,9 @@ Errors are positioned from the offending factor's offset.
 
 A linear change of variables p(M y), most of a decomposition's arithmetic,
 bypasses ``Polynomial`` products: it multiplies monomials packed into ints
-in base deg p + 1, walks the terms of p in lex order with a stack of prefix
-products, and sums over one common denominator (see ``substitute_linear``).
+in base deg p + 1, takes one linear factor from every term per round and
+sums the partial terms that then agree (sum factorization), all over one
+common denominator (see ``substitute_linear``).
 
 Term iteration exposed to callers is always graded-lexicographic: higher
 total degree first, ties broken by the exponent vector with the first
@@ -353,66 +354,60 @@ def render_canonical(p: Polynomial, variables: Sequence[str]) -> str:
 def substitute_linear(p: Polynomial, m: RatMatrix) -> Polynomial:
     """Expand p(M y) for an n x k matrix M, as a polynomial in k variables y.
 
-    Each old variable i becomes the linear form row i of M.  A monomial in y
-    is packed into the int sum_j e_j * B^j, B = deg p + 1.
-    Every product formed is part of one term's expansion, of degree at most
-    deg p, so no exponent reaches B and adding packed ints multiplies
-    monomials with no carry.  Row i of M times the lcm d_i of its
-    denominators is an integer form {packed: int}; its powers are cached.
-    Terms of p are walked in lex order with stack[j] the product of the
-    powers for variables 0..j-1: terms sharing a prefix are adjacent, so
-    each prefix product is formed once per run.  Term c * x^e is summed as
-    an int over the common denominator L of all den(c) * prod d_i^e_i, and
-    each output coefficient is divided by L once (int when exact).
+    Each old variable i becomes the linear form row i of M, times the lcm
+    d_i of its denominators, as an int form.  A monomial in y is packed into
+    the int sum_j e_j * B^j, B = deg p + 1: no exponent exceeds deg p, so
+    adding packed ints multiplies monomials with no carry.  Term c * x^e is
+    a partial term keyed by the x-factors it has left, e_i in the s-bit
+    field i with 2^s > deg p, and by its y-monomial, with an int coefficient
+    over the common denominator L of all den(c) * prod d_i^e_i.  Each round
+    multiplies every partial term by the form of its top field's variable,
+    and terms whose keys then agree are summed (sum factorization), until no
+    factor is left; each output coefficient is divided by L once (an int
+    when exact).
     """
     if m.rows != p.n:
         raise DimensionMismatch(
             f"substitution matrix is {m.rows}x{m.cols}, ambient dimension is {p.n}"
         )
-    n, k = p.n, m.cols
+    k = m.cols
     if not p._terms:
         return Polynomial.zero(k)
-    base = p.total_degree() + 1
+    degree = p.total_degree()
+    base = degree + 1
+    width = degree.bit_length()
     dens = []
-    powers = []  # powers[i][e]: integer form of row i to the e-th power
-    for i in range(n):
+    forms = []
+    for i in range(p.n):
         row, d = _cleared(m.row(i))
-        form = {base**j: v for j, v in enumerate(row) if v}
         dens.append(d)
-        powers.append([{0: 1}, form])
-    terms = sorted(p._terms.items())
-    term_dens = []
-    for mono, c in terms:
-        d = c.denominator if type(c) is Fraction else 1
+        forms.append([(base**j, v) for j, v in enumerate(row) if v])
+    terms = []  # (x-factors left, numerator, denominator) per term of p
+    for mono, c in p._terms.items():
+        num, d = (c.numerator, c.denominator) if type(c) is Fraction else (c, 1)
+        left = 0
         for i, e in enumerate(mono):
-            if e and dens[i] != 1:
+            if e:
+                left |= e << (width * i)
                 d *= dens[i] ** e
-        term_dens.append(d)
-    common = lcm(*term_dens)
-    acc: dict = {}
-    stack = [{0: 1}] * (n + 1)
-    previous: Monomial = ()
-    for (mono, c), d in zip(terms, term_dens):
-        # entries up to the first exponent that differs from the last term's
-        # are still the products this term needs
-        j = 0
-        while j < len(previous) and mono[j] == previous[j]:
-            j += 1
-        for i in range(j, n):
-            e = mono[i]
-            if not e:
-                stack[i + 1] = stack[i]
-                continue
-            cache = powers[i]
-            while len(cache) <= e:
-                cache.append(_times(cache[-1], cache[1]))
-            stack[i + 1] = _times(stack[i], cache[e])
-        previous = mono
-        scale = (c.numerator if type(c) is Fraction else c) * (common // d)
-        for key, v in stack[n].items():
-            acc[key] = acc.get(key, 0) + scale * v
+        terms.append((left, num, d))
+    common = lcm(*(d for _, _, d in terms))
+    # x-factors left -> {packed y-monomial: int}
+    level = {left: {0: num * (common // d)} for left, num, d in terms}
+    done = level.pop(0, {})
+    while level:
+        following = {0: done}
+        for left, ys in level.items():
+            i = (left.bit_length() - 1) // width
+            acc = following.setdefault(left - (1 << (width * i)), {})
+            for ky, vy in ys.items():
+                for kf, vf in forms[i]:
+                    key = ky + kf
+                    acc[key] = acc.get(key, 0) + vy * vf
+        done = following.pop(0)
+        level = following
     out = {}
-    for key, v in acc.items():
+    for key, v in done.items():
         if not v:
             continue
         mono = []
@@ -421,16 +416,6 @@ def substitute_linear(p: Polynomial, m: RatMatrix) -> Polynomial:
             mono.append(e)
         out[tuple(mono)] = v // common if v % common == 0 else Fraction(v, common)
     return Polynomial._raw(k, out)
-
-
-def _times(a: dict, b: dict) -> dict:
-    """Product of two polynomials held as {packed monomial: int}."""
-    out: dict = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = ka + kb
-            out[k] = out.get(k, 0) + va * vb
-    return out
 
 
 def embed(p: Polynomial, positions: Sequence[int], n: int) -> Polynomial:

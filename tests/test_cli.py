@@ -30,7 +30,22 @@ from polydecomp.cli import (
 from polydecomp.ratlinalg import RatMatrix
 
 
+# (u1 + u2)^3 + u2^3: two blocks of one variable, center dimension 2
+SUM_OF_TWO_CUBES = "u1^3 + 3*u1^2*u2 + 3*u1*u2^2 + 2*u2^3"
 DROP = object()  # a tampering that deletes the key instead of setting it
+
+
+def _set_entry(doc, path, value):
+    """``doc`` with the entry at ``path`` set to ``value``, or deleted for DROP."""
+    *parents, key = path
+    parent = doc
+    for k in parents:
+        parent = parent[k]
+    if value is DROP:
+        del parent[key]
+    else:
+        parent[key] = value
+    return doc
 
 
 @pytest.fixture
@@ -224,14 +239,36 @@ GOLDEN_DOCUMENTS = {
         [TRIO_1, TRIO_2, TRIO_3],
         "2a4eb182f0b3043580ffedc429728e928af41d4008786d04d114c67d0042ea2b",
     ),
+    # planted sets: no names, and the problem is the output of `generate`
+    # with these arguments
+    "planted_n12_cubic": (
+        None,
+        ["--seed", "1", "--n", "12", "--m", "2", "--blocks", "3,3,3,3", "--max-degree", "3"],
+        "e0661b7b94e10774582ce384b73a32580ba3e71aac75e9a84af467b8138446b1",
+    ),
+    "planted_n10_quartic": (
+        None,
+        ["--seed", "1", "--n", "10", "--m", "3", "--blocks", "4,3,3", "--max-degree", "4"],
+        "3520a218cca013705a13669b2728b640accbc52d50b7e68757aba5c7e09e6557",
+    ),
 }
+
+
+def _golden_problem(name, tmp_path):
+    """Path of a problem file holding the golden set ``name``."""
+    names, sources, _ = GOLDEN_DOCUMENTS[name]
+    problem = tmp_path / "golden.txt"
+    if names is None:
+        assert main(["generate", *sources, "--output", str(problem)]) == 0
+    else:
+        problem.write_text("vars: " + " ".join(names) + "\n" + "\n".join(sources) + "\n")
+    return problem
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_DOCUMENTS))
 def test_golden_documents_are_pinned(name, tmp_path):
-    names, sources, digest = GOLDEN_DOCUMENTS[name]
-    problem = tmp_path / "golden.txt"
-    problem.write_text("vars: " + " ".join(names) + "\n" + "\n".join(sources) + "\n")
+    digest = GOLDEN_DOCUMENTS[name][2]
+    problem = _golden_problem(name, tmp_path)
     out = tmp_path / "golden.json"
     argv = ["decompose", "--input", str(problem), "--json", "--seed", "42", "--output", str(out)]
     assert main(argv) == 0
@@ -333,9 +370,7 @@ TAMPERED_DOCUMENTS = {
 @pytest.mark.parametrize("case", sorted(TAMPERED_DOCUMENTS))
 def test_tampered_document_gets_a_verdict(case, tmp_path, capsys):
     golden, tamper, identity_holds, verdict = TAMPERED_DOCUMENTS[case]
-    names, sources, _ = GOLDEN_DOCUMENTS[golden]
-    problem = tmp_path / "golden.txt"
-    problem.write_text("vars: " + " ".join(names) + "\n" + "\n".join(sources) + "\n")
+    problem = _golden_problem(golden, tmp_path)
     out = tmp_path / "golden.json"
     assert main(["decompose", "--input", str(problem), "--json", "--output", str(out)]) == 0
     doc = json.loads(out.read_text())
@@ -421,6 +456,8 @@ class TestVerifyCommand:
             (("tree", "center_dim"), DROP, "tree.center_dim: missing"),
             (("center_basis",), DROP, "center_basis: missing"),
             (("tree", "indices"), DROP, "tree.indices: missing"),
+            (("tree", "children", 0, "idempotents"), DROP, "tree.children[0].idempotents: missing"),
+            (("tree", "transform"), DROP, "tree.transform: missing"),
             (("tree",), DROP, "tree: missing"),
             (("P",), [], "P: expected a nonempty rectangular array of rows"),
             (("P",), 5, "P: expected list"),
@@ -433,6 +470,8 @@ class TestVerifyCommand:
             "no-center_dim",
             "no-center_basis",
             "no-tree-key",
+            "no-leaf-idempotents",
+            "no-transform",
             "no-tree",
             "empty-P",
             "scalar-P",
@@ -449,23 +488,67 @@ class TestVerifyCommand:
         out_path = tmp_path / "result.json"
         main(["decompose", "--input", pair_file, "--json", "--output", str(out_path)])
         doc = json.loads(out_path.read_text())
-        if path:
-            *parents, key = path
-            parent = doc
-            for k in parents:
-                parent = parent[k]
-            if value is DROP:
-                del parent[key]
-            else:
-                parent[key] = value
-        else:
-            doc = value
-        out_path.write_text(json.dumps(doc))
+        out_path.write_text(json.dumps(_set_entry(doc, path, value) if path else value))
         capsys.readouterr()
         assert main(["verify", "--input", pair_file, "--result", str(out_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "path, value, verdict",
+        [
+            (("center_dim",), 9, "FAIL: center_dim: 9, but the center has dimension 2"),
+            (("center_dim",), DROP, "error: center_dim: missing"),
+            (
+                ("center_basis",),
+                [[["1", "0"], ["0", "1"]]],
+                "FAIL: center_basis: not the canonical basis of the inputs' center",
+            ),
+            (("P_inverse",), [["5", "0"], ["0", "7"]], "FAIL: P_inverse: not the inverse of P"),
+            (("P_inverse",), DROP, "error: P_inverse: missing"),
+            (("idempotents",), None, "FAIL: idempotents: not the root's idempotents"),
+            (
+                ("tree", "center_dim"),
+                7,
+                "FAIL: tree.center_dim: 7, but its center has dimension 2",
+            ),
+            (
+                ("tree", "children", 0, "center_dim"),
+                5,
+                "FAIL: tree.children[0].center_dim: 5, but its center has dimension 1",
+            ),
+            (("seed",), "x", "error: seed: expected int or null"),
+            (("inputs",), ["u1^3"], "FAIL: inputs: not the problem file's polynomials"),
+        ],
+        ids=[
+            "center_dim-9",
+            "no-center_dim",
+            "center_basis-I",
+            "wrong-P_inverse",
+            "no-P_inverse",
+            "null-idempotents",
+            "root-center_dim-7",
+            "child-center_dim-5",
+            "seed-string",
+            "other-inputs",
+        ],
+    )
+    def test_false_claim_is_refused(self, tmp_path, capsys, path, value, verdict):
+        # every top-level field restates what the inputs, the tree and P
+        # determine; a wrong value is a FAIL verdict (exit 1), a missing or
+        # mistyped field bad input (exit 2)
+        problem = tmp_path / "cubes.txt"
+        problem.write_text("vars: u1 u2\n" + SUM_OF_TWO_CUBES + "\n")
+        out_path = tmp_path / "result.json"
+        main(["decompose", "--input", str(problem), "--json", "--output", str(out_path)])
+        doc = json.loads(out_path.read_text())
+        out_path.write_text(json.dumps(_set_entry(doc, path, value)))
+        capsys.readouterr()
+        code = main(["verify", "--input", str(problem), "--result", str(out_path)])
+        assert code == (1 if verdict.startswith("FAIL") else 2)
+        captured = capsys.readouterr()
+        assert captured.out + captured.err == verdict + "\n"
 
     def test_hand_packaged_known_result_passes(self, tmp_path, capsys):
         # encode the known transform and outputs for the four-variable pair

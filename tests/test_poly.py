@@ -462,15 +462,18 @@ small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
 @st.composite
 def substitutions(draw):
-    """p in n variables and an n x k M, k <= n."""
+    """p in n variables and an n x k M, k <= n + 2.
+
+    Up to 24 terms, so partial terms of the expansion merge; k > n as when
+    the verifier expands a block on its rows of an inverse."""
     n = draw(st.integers(1, 4))
     degree = draw(st.integers(0, 5))
     monomial = st.tuples(*[st.integers(0, degree)] * n).filter(
         lambda mono: sum(mono) <= degree
     )
     coeff = small_rationals if draw(st.booleans()) else st.integers(-9, 9)
-    p = Polynomial(n, draw(st.dictionaries(monomial, coeff, max_size=8)))
-    k = draw(st.integers(1, n))
+    p = Polynomial(n, draw(st.dictionaries(monomial, coeff, max_size=24)))
+    k = draw(st.integers(1, n + 2))
     rows = [draw(st.lists(small_rationals, min_size=k, max_size=k)) for _ in range(n)]
     kind = draw(st.sampled_from(["random", "repeated row", "zero row", "zero column"]))
     if kind == "zero column":
