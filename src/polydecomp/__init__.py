@@ -27,7 +27,6 @@ from .errors import (
     SingularMatrix,
 )
 from .idempotent import IdempotentSet, find_idempotents, verify_complete
-from .instancegen import PlantedInstance, generate
 from .poly import (
     Polynomial,
     parse_polynomial,
@@ -37,6 +36,23 @@ from .poly import (
 from .ratlinalg import RatMatrix, invert
 
 __version__ = "0.1.0"
+
+
+# the planted-instance generator is loaded on first use, not with the package
+_FROM_INSTANCEGEN = ("PlantedInstance", "generate")
+
+
+def __getattr__(name):
+    if name in _FROM_INSTANCEGEN:
+        from . import instancegen
+
+        return getattr(instancegen, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_FROM_INSTANCEGEN})
+
 
 __all__ = [
     "CenterBasis",

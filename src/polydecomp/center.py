@@ -38,11 +38,11 @@ reproducible across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, Sequence
 
+from ._rat import Record
 from .errors import DimensionMismatch, EmptyInput, InternalInvariantViolation
 from .poly import Polynomial
 from .ratlinalg import (
@@ -55,10 +55,10 @@ from .ratlinalg import (
 )
 
 
-@dataclass(frozen=True)
-class CenterBasis:
+class CenterBasis(Record):
     """Canonical basis of a center algebra, as n x n matrices."""
 
+    __slots__ = ("n", "basis")
     n: int
     basis: tuple[RatMatrix, ...]
 

@@ -13,14 +13,12 @@ verification verdict, 2 bad input, parse error or malformed result document,
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
-from ._rat import rat_str
+from ._rat import Record, rat_str
 from .center import CenterBasis, center_basis
 from .decompose import (
     DecompositionNode,
@@ -29,15 +27,17 @@ from .decompose import (
     verify_decomposition,
 )
 from .errors import DocumentError, InternalInvariantViolation, ParseError, PolyDecompError
-from .instancegen import generate
 from .poly import Polynomial, parse_polynomial, render_canonical, validate_variable_names
 from .ratlinalg import RatMatrix, invert
+
+# json and instancegen are imported by the commands that use them: a run
+# pays for the import of this module, and text-mode decompose needs neither.
 
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class ProblemFile:
+class ProblemFile(Record):
+    __slots__ = ("vars", "sources")
     vars: tuple[str, ...]
     sources: tuple[str, ...]
 
@@ -85,9 +85,10 @@ def matrix_to_json(m: RatMatrix) -> list[list[str]]:
 
 
 def matrix_from_json(rows: list[list[str]], name: str = "matrix") -> RatMatrix:
-    """The matrix of a row-major array of exact strings; a malformed entry
-    raises DocumentError naming it as ``name[r][c]``, and anything but a
-    nonempty rectangular array of rows one naming ``name``."""
+    """The matrix of a row-major array of exact strings; a malformed entry,
+    such as a JSON boolean or float, raises DocumentError naming it as
+    ``name[r][c]``, and anything but a nonempty rectangular array of rows one
+    naming ``name``."""
     if not isinstance(rows, list) or not rows or any(
         not isinstance(row, list) or not row or len(row) != len(rows[0]) for row in rows
     ):
@@ -96,6 +97,8 @@ def matrix_from_json(rows: list[list[str]], name: str = "matrix") -> RatMatrix:
     for r, row in enumerate(rows):
         for c, x in enumerate(row):
             try:
+                if type(x) not in (int, str):  # Fraction(True) is 1, Fraction(0.1) inexact
+                    raise TypeError
                 out[r].append(Fraction(x))
             except (TypeError, ValueError, ArithmeticError):
                 # int() refuses digit runs longer than sys.get_int_max_str_digits()
@@ -121,6 +124,11 @@ def _matrices_from_json(items: list, name: str) -> tuple[RatMatrix, ...]:
     return tuple(matrix_from_json(m, f"{name}[{k}]") for k, m in enumerate(items))
 
 
+def _is(value, kind: type) -> bool:
+    """isinstance, except that a JSON boolean is not an int."""
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+
+
 def _field(data, key: str, kind: type, path: str, item: type | None = None):
     """``data[key]``, a ``kind`` whose entries are ``item``s if ``item`` is
     given; anything else raises DocumentError naming the field by its path."""
@@ -130,7 +138,7 @@ def _field(data, key: str, kind: type, path: str, item: type | None = None):
     if key not in data:
         raise DocumentError(f"{where}: missing")
     value = data[key]
-    if not isinstance(value, kind) or (item and not all(isinstance(x, item) for x in value)):
+    if not _is(value, kind) or (item and not all(_is(x, item) for x in value)):
         of = f" of {item.__name__}" if item else ""
         raise DocumentError(f"{where}: expected {kind.__name__}{of}")
     return value
@@ -293,6 +301,8 @@ def cmd_center(args) -> int:
     polys = problem.parse()
     center = center_basis(polys)
     if args.json:
+        import json
+
         doc = {
             "version": SCHEMA_VERSION,
             "vars": list(problem.vars),
@@ -350,6 +360,8 @@ def cmd_decompose(args) -> int:
             f"self-verification failed: {report.reason}"
         )
     if args.json:
+        import json
+
         doc = result_to_document(problem, result, args.seed)
         _emit(json.dumps(doc, indent=2), args.output)
     else:
@@ -358,6 +370,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import json
+
     problem = read_problem(args.input)
     polys = problem.parse()
     with open(args.result, "r", encoding="utf-8") as fh:
@@ -382,6 +396,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    import json
+
+    from .instancegen import generate
+
     blocks = [int(b) for b in args.blocks.split(",") if b]
     instance = generate(args.seed, args.n, args.m, blocks, args.max_degree)
     names = [f"x{i + 1}" for i in range(args.n)]
@@ -451,7 +469,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InternalInvariantViolation as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3
-    except (PolyDecompError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (PolyDecompError, OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

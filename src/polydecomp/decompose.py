@@ -28,9 +28,9 @@ orthogonal, so ``verify_complete`` runs only where a check fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
+from ._rat import Record
 from .center import CenterBasis, center_basis
 from .errors import (
     DimensionMismatch,
@@ -43,8 +43,7 @@ from .poly import Polynomial, substitute_linear
 from .ratlinalg import RatMatrix, column_space_basis, invert
 
 
-@dataclass(frozen=True)
-class DecompositionNode:
+class DecompositionNode(Record):
     """One variable block in the decomposition tree.
 
     ``variable_indices`` are the positions of this block's variables in the
@@ -54,12 +53,16 @@ class DecompositionNode:
     variables that produced their children; leaves carry neither.
     """
 
+    __slots__ = (
+        "variable_indices", "polys", "children", "center_dim", "idempotents", "transform"
+    )
+    _defaults = (None, None)
     variable_indices: tuple[int, ...]
     polys: tuple[Polynomial, ...]
     children: tuple["DecompositionNode", ...]
     center_dim: int
-    idempotents: tuple[RatMatrix, ...] | None = None
-    transform: RatMatrix | None = None
+    idempotents: tuple[RatMatrix, ...] | None
+    transform: RatMatrix | None
 
     @property
     def is_leaf(self) -> bool:
@@ -73,27 +76,29 @@ class DecompositionNode:
                 yield from child.leaves()
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
+class DecompositionResult(Record):
     """Overall change of variables, the block tree, and the t = n flag.
 
     ``center`` is the root center the pipeline started from (None for a
     result assembled by hand); verification never reads it.
     """
 
+    __slots__ = ("P", "tree", "diagonalizable", "center")
+    _defaults = (None,)
     P: RatMatrix
     tree: DecompositionNode
     diagonalizable: bool
-    center: CenterBasis | None = None
+    center: CenterBasis | None
 
     def leaf_block_sizes(self) -> tuple[int, ...]:
         return tuple(sorted(len(l.variable_indices) for l in self.tree.leaves()))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
+    __slots__ = ("ok", "reason")
+    _defaults = ("",)
     ok: bool
-    reason: str = ""
+    reason: str
 
     def __bool__(self) -> bool:
         return self.ok

@@ -38,12 +38,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Sequence
 
+from ._rat import Record
 from .center import CenterBasis, _all_members
 from .errors import InternalInvariantViolation
 from .poly import Polynomial
@@ -62,10 +62,10 @@ COEFF_RANGE = 9  # random combination coefficients are drawn from +-1..9
 MAX_TRIES = 8  # draws per block before it is kept whole
 
 
-@dataclass(frozen=True)
-class IdempotentSet:
+class IdempotentSet(Record):
     """Matrices e_1, ..., e_t with e_i^2 = e_i, e_i e_j = 0, sum = identity."""
 
+    __slots__ = ("n", "eps")
     n: int
     eps: tuple[RatMatrix, ...]
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
+from ._rat import Record
 from .errors import SingularMatrix
 from .poly import Polynomial, embed, substitute_linear
 from .ratlinalg import RatMatrix, invert
@@ -22,10 +22,10 @@ COEFF_LOW, COEFF_HIGH = -5, 5  # block polynomial coefficients
 MIX_LOW, MIX_HIGH = -3, 3  # mixing matrix entries
 
 
-@dataclass(frozen=True)
-class PlantedInstance:
+class PlantedInstance(Record):
     """Mixed polynomials plus the hidden structure that produced them."""
 
+    __slots__ = ("fs", "Q", "planted_blocks", "seed", "unmixed")
     fs: tuple[Polynomial, ...]
     Q: RatMatrix
     planted_blocks: tuple[int, ...]  # block sizes, ascending

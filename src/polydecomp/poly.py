@@ -27,9 +27,9 @@ variable most significant.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Sequence
 
 from ._rat import Rat, normalize, rat_str, to_rat
 from .errors import DimensionMismatch, ParseError

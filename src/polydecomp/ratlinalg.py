@@ -42,12 +42,12 @@ only when g vanishes at them exactly.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cache
 from itertools import chain, count
 from math import gcd, isqrt, lcm
 from operator import mul
-from typing import Iterable, Sequence
 
 from ._rat import Rat, divide, normalize, rat_str, to_rat
 from .errors import DimensionMismatch, SingularMatrix

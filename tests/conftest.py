@@ -153,6 +153,13 @@ def mat(rows) -> RatMatrix:
     return RatMatrix.from_rows(rows)
 
 
+def replaced(record, **changes):
+    """A copy of an immutable result record with the given fields changed,
+    built by its class constructor."""
+    fields = {name: getattr(record, name) for name in type(record).__slots__}
+    return type(record)(**(fields | changes))
+
+
 def refines(fine, coarse) -> bool:
     """True iff the ``fine`` size multiset can be grouped into ``coarse``."""
     from itertools import combinations

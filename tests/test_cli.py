@@ -465,6 +465,28 @@ class TestVerifyCommand:
             (("tree", "children", 0, "polys", 0), 7, "tree.children[0].polys: expected list of str"),
             ((), [1], "document: expected an object"),
             (("version",), 2, "version: expected 1, got 2"),
+            (("version",), True, "version: expected int"),
+            (("center_dim",), True, "center_dim: expected int"),
+            (
+                ("tree", "children", 0, "center_dim"),
+                True,
+                "tree.children[0].center_dim: expected int",
+            ),
+            (
+                ("tree", "children", 1, "indices"),
+                [True],
+                "tree.children[1].indices: expected list of int",
+            ),
+            (
+                [
+                    (("tree", "children", 0, "center_dim"), True),
+                    (("tree", "children", 1, "indices"), [True]),
+                ],
+                None,
+                "tree.children[0].center_dim: expected int",
+            ),
+            (("P", 0, 0), True, "P[0][0]: not an exact rational: True"),
+            (("P", 0, 1), 0.1, "P[0][1]: not an exact rational: 0.1"),
         ],
         ids=[
             "no-center_dim",
@@ -479,16 +501,27 @@ class TestVerifyCommand:
             "non-string-poly",
             "top-level-list",
             "version-2",
+            "version-true",
+            "center_dim-true",
+            "leaf-center_dim-true",
+            "leaf-indices-true",
+            "leaf-center_dim-and-indices-true",
+            "P-entry-true",
+            "P-entry-float",
         ],
     )
     def test_malformed_document_is_named(self, pair_file, tmp_path, capsys, path, value, message):
         # a document that does not follow the schema is bad input (exit 2,
         # one error line naming the field), not a FAIL verdict or a crash;
-        # an empty path replaces the whole document
+        # an empty path replaces the whole document, a list of (path, value)
+        # pairs makes several edits; a JSON boolean is no int, and a boolean
+        # or float is no exact matrix entry
         out_path = tmp_path / "result.json"
         main(["decompose", "--input", pair_file, "--json", "--output", str(out_path)])
         doc = json.loads(out_path.read_text())
-        out_path.write_text(json.dumps(_set_entry(doc, path, value) if path else value))
+        for edit_path, edit_value in path if isinstance(path, list) else [(path, value)]:
+            doc = _set_entry(doc, edit_path, edit_value) if edit_path else edit_value
+        out_path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["verify", "--input", pair_file, "--result", str(out_path)]) == 2
         captured = capsys.readouterr()
@@ -697,28 +730,65 @@ class TestSerialization:
         assert json.dumps(doc2) == blob
 
 
+def _run_without_site(script: str) -> list[str]:
+    """Output lines of ``script`` in a fresh interpreter without site
+    packages (the tests import sympy and hypothesis), with the package's
+    source directory first on its path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(polydecomp.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", f"import sys\nsys.path.insert(0, {src!r})\n" + script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+# modules the decompose command has no use for; each costs start-up time
+UNUSED_BY_DECOMPOSE = ("dataclasses", "inspect", "typing", "polydecomp.instancegen")
+
+
 class TestStdlibOnly:
     def test_decompose_loads_only_the_standard_library(self, pair_file, tmp_path):
-        # The tests import sympy and hypothesis, so a fresh interpreter
-        # (without site packages) runs the command and lists what it loaded.
-        src = os.path.dirname(os.path.dirname(os.path.abspath(polydecomp.__file__)))
+        # a fresh interpreter runs the command and lists what it loaded
         output = str(tmp_path / "out.json")
         script = (
-            "import sys\n"
-            f"sys.path.insert(0, {src!r})\n"
             "from polydecomp.cli import main\n"
             f"argv = ['decompose', '--input', {pair_file!r}, '--json', '--output', {output!r}]\n"
             "rc = main(argv)\n"
             "loaded = {m.split('.')[0] for m in sys.modules}\n"
             "print(rc, sorted(loaded - set(sys.stdlib_module_names) - {'__main__'}))\n"
             "print(sorted(loaded & {'sympy', 'hypothesis'}))\n"
+            f"print(sorted(set({UNUSED_BY_DECOMPOSE!r}) & set(sys.modules)))\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-S", "-c", script],
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["0 ['polydecomp']", "[]"]
+        assert _run_without_site(script) == ["0 ['polydecomp']", "[]", "[]"]
         assert json.loads((tmp_path / "out.json").read_text())["diagonalizable"]
+
+    def test_text_decompose_loads_no_json(self, pair_file, tmp_path):
+        output = str(tmp_path / "out.txt")
+        script = (
+            "from polydecomp.cli import main\n"
+            f"rc = main(['decompose', '--input', {pair_file!r}, '--output', {output!r}])\n"
+            "print(rc, 'json' in sys.modules)\n"
+        )
+        assert _run_without_site(script) == ["0 False"]
+        assert "diagonalizable: yes" in (tmp_path / "out.txt").read_text()
+
+    def test_every_public_name_resolves(self):
+        # generate and PlantedInstance load their module on first access
+        script = (
+            "import polydecomp\n"
+            "print('polydecomp.instancegen' in sys.modules)\n"
+            "from polydecomp import generate, PlantedInstance\n"
+            "print(generate.__module__, PlantedInstance.__module__)\n"
+            "names = polydecomp.__all__\n"
+            "print(len(names), all(hasattr(polydecomp, n) for n in names))\n"
+            "print(set(names) <= set(dir(polydecomp)))\n"
+        )
+        assert _run_without_site(script) == [
+            "False",
+            "polydecomp.instancegen polydecomp.instancegen",
+            "25 True",
+            "True",
+        ]

@@ -1,6 +1,5 @@
 """Change of variables, block separation, recursion, and verification."""
 
-import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -29,6 +28,7 @@ from conftest import (
     TRIO_3_EPS,
     TRIO_3_P,
     mat,
+    replaced,
 )
 import polydecomp
 import polydecomp.center
@@ -375,10 +375,8 @@ class TestVerifyDecomposition:
         root = result.tree
         e = root.idempotents[0]
         assert e * e == e and (2 * e) * (2 * e) != 2 * e
-        tampered = dataclasses.replace(root, idempotents=(2 * e, *root.idempotents[1:]))
-        report = verify_decomposition(
-            [quartic_squares], dataclasses.replace(result, tree=tampered)
-        )
+        tampered = replaced(root, idempotents=(2 * e, *root.idempotents[1:]))
+        report = verify_decomposition([quartic_squares], replaced(result, tree=tampered))
         assert report.reason == "root: idempotent identities fail"
         assert len(calls) == 1
 
@@ -462,13 +460,11 @@ class TestVerifyDecomposition:
         )
         rows = matrix_rows(invert(root.transform))[1:]
         f = quartic_squares + substitute_linear(cross, mat(rows))
-        planted = dataclasses.replace(inner, polys=(inner.polys[0] + cross,))
+        planted = replaced(inner, polys=(inner.polys[0] + cross,))
         assert separate(planted.polys, inner.transform, [(0, 1), (1, 2)]) == [
             [child.polys[0] for child in inner.children]
         ]
-        tree = dataclasses.replace(
-            root, polys=(f,), children=(root.children[0], planted)
-        )
+        tree = replaced(root, polys=(f,), children=(root.children[0], planted))
         monkeypatch.setattr(
             polydecomp.decompose, "verify_complete", lambda idem, polys: True
         )
@@ -485,7 +481,7 @@ class TestVerifyDecomposition:
         result = decompose_recursive([quartic_squares], seed=42)
         n = result.P.rows
         diagonal = [[(2 if r == 0 else 1) * (r == c) for c in range(n)] for r in range(n)]
-        scaled = dataclasses.replace(result, P=result.P * mat(diagonal))
+        scaled = replaced(result, P=result.P * mat(diagonal))
         expanded = []
         expand = polydecomp.decompose._sum_on_inverse_rows
 
