@@ -9,45 +9,61 @@ simultaneous direct-sum decompositions of the polynomial set.
 The condition has one representation here.  Each Hessian is a sum
 H(x) = sum_m x^m S_m of constant symmetric coefficient matrices S_m, read
 straight off the terms, so "H * X symmetric for all x" is "S_m * X symmetric
-for every m".  ``membership_check`` tests exactly that, and ``center_basis``
-assembles one linear equation per (coefficient matrix, strictly upper entry)
-pair: S*X - X^T*S is antisymmetric, so the strictly upper entries carry the
-whole condition.  The rows are built sparse, pair by pair, as primitive
-integer rows with a positive first entry, deduplicated as they come, and
-only as fast as ``nullspace_basis`` reads them.  Rows of one pair touch only
-columns r and c of X, so the fill of the elimination stays local.
+for every m".  ``membership_check`` tests exactly that.  One exact pass that
+finds every S symmetric puts the identity in the center.
 
-``nullspace_basis`` eliminates the rows in that order modulo a 61-bit prime.
-The equation of (r, c) takes the value S[r][c] - S[c][r] at X = I, so one
-exact pass that finds every S symmetric certifies that the identity lies in
-the kernel.  The mod-p rank never exceeds the rational rank, so once it
-reaches n^2 - 1 the kernel is exactly the span of the identity: a scalar
-center is certified by the symmetry of the S, with no further row built or
-checked.  Any other center is tried at the end of a pair whose rows add no
-mod-p rank, after a pair that did: the kernel reconstructed from the one
-prime is returned if every vector in it passes the membership test against
-every S.  Those vectors lie in the center and number at least its
-dimension, so they span it, and no further row is built.  A center that no
-try certifies (one whose entries need more than one prime) reads every row;
-its kernel is lifted by rational reconstruction, with CRT over more primes,
-and every lifted vector is checked exactly against every row.  The basis is
-returned in the canonical free-variable form that exact elimination gives,
-which depends on the row space only, not on the row order: it is
-reproducible across runs.
+``center_basis`` first tries a pencil.  M1, M2, M3 are fixed random integer
+combinations of the S, and C = M1^-1 M2.  Every X in the center makes M1 X
+and M2 X symmetric, so it commutes with C (Harrison's center theory).  When
+C is cyclic, with Krylov basis z_j = C^j w, the matrices that commute with
+it are the polynomials q(C) of degree < n (Gantmacher, ch. VIII), and
+"M3 q(C) symmetric" is the n(n-1)/2 equations
+sum_k q_k (z_i^T M3 z_{k+j} - z_j^T M3 z_{k+i}) = 0 for i < j, all built in
+O(n^3) modulo a 61-bit prime p.  Every X in the kernel of the equation
+rows below, reduced modulo p, is such a q(C) with q a solution, and that
+kernel is at least as large as the center, so the dimension r of the
+solutions bounds the center's.  r = 1 certifies the scalar center with no
+equation row built.  Otherwise the members q(C) modulo p are put in the
+canonical free-variable form below, lifted by rational reconstruction (with
+CRT over further primes while it fails) and accepted once they pass the
+exact membership test: r independent members against a bound of r span
+the center.  A degenerate pencil (M1 singular, the z_j dependent, free
+columns that move between primes, a candidate rejected twice) falls back
+to the exact kernel of every equation row, and so does a wide center whose
+coefficient matrices are so sparse that the rows are cheaper to read than
+the r * n^3 products of the members (see ``_pencil_members``).
+
+Those rows are one linear equation per (coefficient matrix, strictly upper
+entry) pair: S*X - X^T*S is antisymmetric, so the strictly upper entries
+carry the whole condition.  They are built sparse, pair by pair, as
+primitive integer rows with a positive first entry, deduplicated as they
+come, and handed to ``nullspace_basis``, which eliminates them modulo a
+prime and certifies the lift exactly.  Either way the basis is returned in
+the canonical free-variable form that exact elimination gives, which
+depends on the center only, not on the primes, the pencil or the row
+order: it is reproducible across runs.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
+from itertools import combinations, count
 from math import gcd, lcm
+from operator import mul
+from random import Random
 
 from ._rat import Record
 from .errors import DimensionMismatch, EmptyInput, InternalInvariantViolation
 from .poly import Polynomial
 from .ratlinalg import (
     RatMatrix,
+    _crt,
+    _insert_mod,
+    _kernel,
+    _kernel_prime,
     _primitive_int_row,
+    _reconstruct,
     _SparseSystem,
     nullspace_basis,
     unvec,
@@ -112,7 +128,7 @@ def _coefficient_matrices(polys: Sequence[Polynomial]) -> list[dict]:
     return mats
 
 
-def _equation_rows(mats: list[dict], n: int) -> Iterator[tuple | None]:
+def _equation_rows(mats: list[dict], n: int) -> Iterator[tuple]:
     """Linear constraints on the n^2 unknown entries of X, row-major order,
     from the coefficient matrices ``mats``.
 
@@ -120,20 +136,11 @@ def _equation_rows(mats: list[dict], n: int) -> Iterator[tuple | None]:
     the unknowns, so each strictly upper entry (r, c) yields one equation,
     nonzero when row r or row c of S is.  The equations come pair by pair,
     (r, c) ascending, and for each pair in coefficient matrix order: those
-    of one pair touch only columns r and c of X, and None follows them.
-    Each is a sparse primitive integer row of (column, value) pairs, columns
-    ascending, its first value positive; repeats are dropped where they
-    first reappear.  The rows are built as they are read.
-
-    Before the first row, one exact pass checks that every S is symmetric.
-    The equation of (r, c) takes the value S[r][c] - S[c][r] at X = I, so
-    this certifies that every row vanishes at the identity.
+    of one pair touch only columns r and c of X.  Each is a sparse primitive
+    integer row of (column, value) pairs, columns ascending, its first value
+    positive; repeats are dropped where they first reappear.  The rows are
+    built as they are read.
     """
-    for s in mats:
-        for r, row in s.items():
-            for l, v in row.items():
-                if l not in s or s[l].get(r) != v:
-                    raise InternalInvariantViolation("coefficient matrix is not symmetric")
     seen: set = set()
     for r in range(n):
         for c in range(r + 1, n):
@@ -155,7 +162,6 @@ def _equation_rows(mats: list[dict], n: int) -> Iterator[tuple | None]:
                 seen.add(row)
                 if len(seen) > before:
                     yield row
-            yield None
 
 
 def center_basis(polys: Sequence[Polynomial]) -> CenterBasis:
@@ -163,17 +169,170 @@ def center_basis(polys: Sequence[Polynomial]) -> CenterBasis:
 
     The dimension is at least 1 (scalar matrices always satisfy the
     symmetry condition).  Inputs of degree <= 1 have zero Hessians and
-    contribute no constraints.
+    contribute no constraints.  The basis is certified from a cyclic pencil
+    of the Hessian coefficient matrices, with no equation row built, when
+    the inputs give one (see the module docstring); otherwise it is the
+    exact kernel of every equation row.
     """
     n = _check_inputs(polys)
     mats = _coefficient_matrices(polys)
+    basis = _pencil_basis(mats, polys, n)
+    if basis is None:
+        kernel = nullspace_basis(_SparseSystem(n * n, _equation_rows(mats, n)))
+        basis = tuple(unvec(v, n, n) for v in kernel)
+    return CenterBasis(n, basis)
 
-    def members(kernel):
-        return _all_members([unvec(v, n, n) for v in kernel], polys, mats)
 
+def _pencil_basis(mats: list[dict], polys: Sequence[Polynomial], n: int) -> tuple | None:
+    """The center's canonical basis certified from a cyclic pencil, as the
+    module docstring describes, or None when the pencil is degenerate or its
+    members cost more than the rows.  The combinations M1, M2, M3 are formed
+    once, exactly; each prime reduces them."""
+    rng = Random(0)
+    combos = [[[0] * n for _ in range(n)] for _ in range(3)]
+    m1, m2, m3 = combos
+    nonzeros = 0
+    for s in mats:
+        a, b, c = rng.getrandbits(61), rng.getrandbits(61), rng.getrandbits(61)
+        for r, row in s.items():
+            nonzeros += len(row)
+            row1, row2, row3 = m1[r], m2[r], m3[r]
+            for l, v in row.items():
+                # S*X - X^T*S vanishes at X = I exactly when S is symmetric:
+                # this puts the identity in the center, as the pencil needs
+                if l not in s or s[l].get(r) != v:
+                    raise InternalInvariantViolation("coefficient matrix is not symmetric")
+                if l >= r:
+                    row1[l] += a * v
+                    row2[l] += b * v
+                    row3[l] += c * v
+    # the combinations are symmetric too: mirror the upper triangle
+    for m in combos:
+        for r in range(n):
+            for l in range(r):
+                m[r][l] = m[l][r]
+    start = [rng.getrandbits(61) for _ in range(n)]
+    last = n * n - 1
+    residues = previous = None
+    modulus = 1
+    for p in map(_kernel_prime, count()):
+        members = _pencil_members(combos, start, n, p, 2 * nonzeros)
+        if members is None:
+            return None
+        if len(members) == 1:
+            return (RatMatrix.identity(n),)
+        # the reduced echelon form of the members with the columns reversed:
+        # each pivot is a vector's last nonzero coordinate, a free column of
+        # the engine's canonical form, and its row is that kernel vector.
+        # The members are independent, as C is cyclic, so each is a pivot.
+        form: dict = {}
+        for v in members:
+            _insert_mod(form, [(last - j, x) for j, x in enumerate(v) if x], p)
+        if residues is None:
+            residues = form
+        elif form.keys() != residues.keys():
+            return None
+        else:
+            residues = _crt(residues, modulus, form, p)
+        modulus *= p
+        candidate = _reconstruct(residues, modulus)
+        if candidate is None:
+            continue
+        kernel = []
+        for f in sorted(candidate, reverse=True):
+            v = [0] * (last + 1)
+            v[last - f] = 1
+            for j, x in candidate[f].items():
+                v[last - j] = x
+            kernel.append(tuple(v))
+        if _accepts(kernel, polys, mats, n):
+            return tuple(unvec(v, n, n) for v in kernel)
+        if candidate == previous:
+            return None
+        previous = candidate
+
+
+def _pencil_members(combos: list, start: list, n: int, p: int, budget: int) -> list | None:
+    """Row-major vectors of a basis of the members X = q(C) of the pencil
+    modulo p, or None when M1 is singular, z_0 ... z_{n-1} are dependent, or
+    r > 1 members would cost r * n^3 products past n * budget.
+
+    C = M1^-1 M2, z_j = C^j start for j < 2n - 1, and q solves the equations
+    sum_k q_k (z_i^T M3 z_{k+j} - z_j^T M3 z_{k+i}) = 0 for i < j, which say
+    that M3 X is symmetric.  A single solution (the identity, q = 1) is
+    returned without building X.
+
+    The equation rows hold about n * N nonzeros for N nonzeros in the
+    coefficient matrices, and reading them costs more than that, so
+    ``budget`` = 2N keeps the members where they are the cheaper way: a
+    sum of powers in separate variables, say, has rows too sparse to beat.
+    """
+    m1, m2, m3 = combos
+    c = _solve_mod([a + b for a, b in zip(m1, m2)], n, p)
+    if c is None:
+        return None
+    z = [[x % p for x in start]]
+    for _ in range(2 * n - 2):
+        z.append([sum(map(mul, row, z[-1])) % p for row in c])
+    u = [[sum(map(mul, row, v)) % p for row in m3] for v in z[:n]]
+    g = [[sum(map(mul, a, v)) % p for v in z] for a in u]
+    pivots: dict = {}
+    for i, j in combinations(range(n), 2):
+        # q_0 has coefficient 0, as M3 is symmetric: the rank stops at n - 1
+        if len(pivots) == n - 1:
+            break
+        _insert_mod(pivots, [(k, g[i][k + j] - g[j][k + i]) for k in range(n)], p)
+    qs = _kernel(pivots, n)[1:]
+    if qs and (len(qs) + 1) * n * n > budget:
+        return None
+    # W = Z^-1 for Z with columns z_j (only checked to exist when q = 1 is
+    # the one solution); X e_b = sum_j W[j][b] X z_j, and X z_j is
+    # y_j = sum_k q_k z_{k+j}
+    unit = [[int(j == b) for b in range(n)] for j in range(n)] if qs else [[]] * n
+    wt = _solve_mod([a + b for a, b in zip(z, unit)], n, p)
+    if wt is None:
+        return None
+    members = [[int(a == b) for a in range(n) for b in range(n)]]
+    zt = list(zip(*z))
+    for q in qs:
+        ys = [[sum(map(mul, q, t[j : j + n])) % p for j in range(n)] for t in zt]
+        members.append([sum(map(mul, y, w)) % p for y in ys for w in wt])
+    return members
+
+
+def _solve_mod(rows: list, n: int, p: int) -> list | None:
+    """The columns after the first n of dense integer rows modulo p, once
+    Gauss-Jordan elimination has turned the first n into the identity; None
+    when those are singular.  The rows are reduced in place; an entry is
+    reduced modulo p only where it becomes a pivot or a multiplier, and at
+    the end."""
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if rows[r][c] % p), None)
+        if pivot is None:
+            return None
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        inv = pow(rows[c][c], -1, p)
+        top = rows[c] = [x * inv % p for x in rows[c]]
+        # the columns before c are zero in ``top``
+        tail = top[c:]
+        for r, row in enumerate(rows):
+            f = row[c] % p
+            if f and r != c:
+                row[c:] = [x - f * t for x, t in zip(row[c:], tail)]
+    return [[x % p for x in row[n:]] for row in rows]
+
+
+def _accepts(kernel: list, polys, mats, n: int) -> bool:
+    """Whether every vector of ``kernel``, in free-variable form, passes the
+    exact membership test.  If the identity is exactly the sum of those
+    whose free column (last nonzero coordinate) is diagonal, the last of
+    them is the identity minus the others: it is not tested."""
     identity = vec(RatMatrix.identity(n))
-    kernel = nullspace_basis(_SparseSystem(n * n, _equation_rows(mats, n), identity, members))
-    return CenterBasis(n, tuple(unvec(v, n, n) for v in kernel))
+    diagonal = [v for v in kernel if identity[max(j for j, x in enumerate(v) if x)]]
+    tested = list(kernel)
+    if diagonal and [sum(column) for column in zip(*diagonal)] == list(identity):
+        tested.remove(diagonal[-1])
+    return _all_members([unvec(v, n, n) for v in tested], polys, mats)
 
 
 def membership_check(x: RatMatrix, polys: Sequence[Polynomial]) -> bool:

@@ -3,31 +3,24 @@
 Dense matrices with exact rational entries, sized for ambient dimensions in
 the single digits.
 
-All elimination runs through one engine, ``_echelon``: the reduced echelon
-form of the span of some rows, stored as each pivot column with its row's
-entries outside the pivot columns.  Kernels, row and column spaces, inverses
-and minimal polynomials are read off that form.  The rows are scaled to
-primitive integers and eliminated modulo a 61-bit prime by sparse
-incremental insertion; the form's entries are lifted to the rationals by
-rational reconstruction, combining more primes by CRT while the entries need
-them, and a lift is accepted only after an exact integer check that every
-input row reduces to zero against it.
+All elimination over the rationals runs through one engine, ``_echelon``:
+the reduced echelon form of the span of some rows, stored as each pivot
+column with its row's entries outside the pivot columns.  Kernels, row and
+column spaces, inverses and minimal polynomials are read off that form.
+The rows are scaled to primitive integers and eliminated modulo a 61-bit
+prime by sparse incremental insertion; the form's entries are lifted to the
+rationals by rational reconstruction, combining more primes by CRT while
+the entries need them, and a lift is accepted only after an exact integer
+check that every input row reduces to zero against it.
 
 That check is the certificate.  It puts every row in the span of the lifted
 rows, so the rational rank is at most their number, the mod-p rank, which
 never exceeds the rational rank: the lifted rows span exactly the row space.
-A caller that has proved some nonzero vector lies in the kernel (the center
-solve, for the identity, from the symmetry of the Hessian coefficients)
-needs no lift when the mod-p rank reaches width - 1: the kernel is then the
-span of that vector, and the engine stops reading rows there.  A caller
-that can test exactly whether vectors lie in the kernel of every row, read
-or not (the center solve, by membership), may stop earlier still: a
-one-prime form whose kernel vectors all pass has at least as many of them
-as the kernel has dimensions, so it is the form of the whole row space.
-Any other caller has every row read and the form lifted.  A reduced echelon
-form of a row space is unique, so every result is the same whichever primes
-were used; a prime that drops the rank or fails the check costs a retry
-with the next one, never a different answer.
+A reduced echelon form of a row space is unique, so every result is the
+same whichever primes were used; a prime that drops the rank or fails the
+check costs a retry with the next one, never a different answer.  The
+center's pencil certificate shares the modular pieces: insertion, the
+primes, reconstruction and the CRT step.
 
 The module also provides the univariate polynomial machinery (gcd, Bezout
 cofactors, squarefree part, minimal polynomials, primary factors: (t - r)^k
@@ -233,7 +226,7 @@ def _sparse_rows(rows: Iterable[Sequence]) -> list[list[tuple[int, int]]]:
     return out
 
 
-def _echelon(rows: Iterable, width: int, known: Vector | None = None, members=None) -> dict:
+def _echelon(rows: Iterable, width: int) -> dict:
     """Certified reduced echelon form of the span of sparse integer rows.
 
     Maps each pivot column, ascending, to its row's entries outside the pivot
@@ -241,19 +234,7 @@ def _echelon(rows: Iterable, width: int, known: Vector | None = None, members=No
     full rank modulo a prime the form is the identity and needs no lift.
 
     The rows, any iterable, are read once, in order, while the first prime
-    eliminates them, and kept in case a lift needs them.  ``known`` is None
-    or a nonzero vector the caller has proved to lie in the kernel of every
-    row: once the rank modulo the prime reaches width - 1, the rational rank
-    is width - 1 too, the kernel is the span of ``known`` and no further row
-    is read.  Without ``known`` every row is read and the form is lifted.
-
-    ``members`` is None or, with ``known``, an exact test of whether vectors
-    lie in the kernel of every row, read or not; ``rows`` may then hold None
-    between groups of rows.  At the end of a
-    group that adds no rank modulo the prime, after one that did since the
-    last try, the form that prime alone reconstructs is returned if
-    ``members`` accepts its kernel.  A failed try costs only itself: the
-    reading goes on, and after the last row the lift runs as without it.
+    eliminates them, and kept in case a lift needs them.
     """
     primes = map(_kernel_prime, count())
     read: list = []
@@ -262,56 +243,18 @@ def _echelon(rows: Iterable, width: int, known: Vector | None = None, members=No
         p = next(primes)
         pivots: dict = {}
         used = []
-        # rows eliminated, and the rank at the last group end and last try
-        i = ended = tried = 0
         # the first pass draws from ``fresh``; a retry with another prime
         # finds every row in ``read``
-        for row in chain(read, fresh):
-            if row is None:
-                if len(pivots) == ended != tried:
-                    tried = ended
-                    form = _reconstruct(pivots, p)
-                    if form is not None and _accepts(members, form, width, known):
-                        return form
-                ended = len(pivots)
-                continue
+        for i, row in enumerate(chain(read, fresh)):
             if i == len(read):
                 read.append(row)
             if _insert_mod(pivots, row, p):
                 used.append(i)
                 if len(pivots) == width:
                     return {c: {} for c in range(width)}
-                if len(pivots) == width - 1 and known is not None:
-                    return _complement_form(known)
-            i += 1
         form = _lift(read, width, pivots, used, p, primes)
         if form is not None:
             return form
-
-
-def _accepts(members, form: dict, width: int, known: Vector) -> bool:
-    """Whether ``members`` accepts the kernel vectors of a form.  If ``known``
-    is exactly the combination of them its free coordinates give, the last
-    one it involves is ``known`` minus the others, scaled: it is not tested."""
-    kernel = _kernel(form, width)
-    weights = [known[f] for f in range(width) if f not in form]
-    involved = [k for k, w in enumerate(weights) if w]
-    if involved and all(
-        sum(weights[k] * kernel[k][j] for k in involved) == x for j, x in enumerate(known)
-    ):
-        del kernel[involved[-1]]
-    return members(kernel)
-
-
-def _complement_form(v: Vector) -> dict:
-    """Reduced echelon form of the rows orthogonal to a nonzero vector v.
-
-    Its one free column f is the last nonzero coordinate of v, and the row
-    of each other column c is x_c - (v_c / v_f) x_f, so the kernel vector it
-    gives is v / v_f.
-    """
-    f = max(c for c, x in enumerate(v) if x)
-    return {c: ({f: divide(-x, v[f])} if x else {}) for c, x in enumerate(v) if c != f}
 
 
 @cache
@@ -377,6 +320,22 @@ def _reconstruct(residues: dict, modulus: int) -> dict | None:
             out[j] = normalize(Fraction(r1, s1)) if s1 != 1 else r1
         form[c] = out
     return form
+
+
+def _crt(residues: dict, modulus: int, other: dict, q: int) -> dict:
+    """The echelon form modulo modulus * q whose entries are those of
+    ``residues`` modulo ``modulus`` and those of ``other`` modulo the prime q;
+    both forms have the same pivot columns."""
+    factor = modulus * pow(modulus, -1, q)
+    modulus *= q
+    combined = {}
+    for c, a in residues.items():
+        b = other[c]
+        combined[c] = {
+            j: (a.get(j, 0) + (b.get(j, 0) - a.get(j, 0)) * factor) % modulus
+            for j in a.keys() | b.keys()
+        }
+    return combined
 
 
 def _kernel(form: dict, width: int) -> list[Vector]:
@@ -456,35 +415,23 @@ def _lift(rows, width, pivots, used, p, primes) -> dict | None:
             _insert_mod(other, rows[i], q)
         if sorted(other) != columns:
             return None
-        factor = modulus * pow(modulus, -1, q)
+        residues = _crt(residues, modulus, other, q)
         modulus *= q
-        combined = {}
-        for c in columns:
-            a, b = residues[c], other[c]
-            combined[c] = {
-                j: (a.get(j, 0) + (b.get(j, 0) - a.get(j, 0)) * factor) % modulus
-                for j in a.keys() | b.keys()
-            }
-        residues = combined
 
 
 class _SparseSystem:
     """Integer rows of (column, value) pairs, columns ascending, drawn from
     ``source`` in its order as the engine reads them; ``rows`` counts those
-    read so far.  ``known`` is a nonzero vector the caller has proved to lie
-    in the kernel of every row; ``members`` is None or an exact test of
-    vectors for that, and ``source`` then ends each group of rows with None."""
+    read so far."""
 
-    __slots__ = ("rows", "cols", "known", "members", "_source")
+    __slots__ = ("rows", "cols", "_source")
 
-    def __init__(self, cols: int, source: Iterable, known: Vector, members):
-        self.rows, self.cols, self.known, self.members = 0, cols, known, members
-        self._source = source
+    def __init__(self, cols: int, source: Iterable):
+        self.rows, self.cols, self._source = 0, cols, source
 
     def __iter__(self):
         for row in self._source:
-            if row is not None:
-                self.rows += 1
+            self.rows += 1
             yield row
 
 
@@ -497,7 +444,7 @@ def nullspace_basis(m: RatMatrix | _SparseSystem) -> list[Vector]:
     form, and so the basis, depends on the row space only.
     """
     if type(m) is _SparseSystem:
-        form = _echelon(m, m.cols, m.known, m.members)
+        form = _echelon(m, m.cols)
     else:
         form = _echelon(_sparse_rows(map(m.row, range(m.rows))), m.cols)
     return _kernel(form, m.cols)

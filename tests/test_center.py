@@ -283,26 +283,20 @@ class TestGenericTriviality:
             assert center_basis([f]).dim == 1
 
 
-def equation_rows(polys) -> list:
-    """The center's sparse equation rows, without the None at each pair end."""
-    rows = _equation_rows(_coefficient_matrices(polys), polys[0].n)
-    return [row for row in rows if row is not None]
-
-
 def check_equation_rows(polys) -> None:
     """The sparse rows against the dense reference, their invariants, and
     the center basis against the kernel of the dense system."""
     n = polys[0].n
-    # one None ends each pair (r, c), ascending, whose rows touch only
-    # columns r and c of X
-    pairs = iter([(r, c) for r in range(n) for c in range(r + 1, n)])
-    pair = next(pairs, None)
+    # the rows come pair by pair, (r, c) ascending, and those of a pair touch
+    # only columns r and c of X
+    pairs = [{r, c} for r in range(n) for c in range(r + 1, n)]
+    at = 0
     dense = []
     for row in _equation_rows(_coefficient_matrices(polys), n):
-        if row is None:
-            pair = next(pairs, None)
-            continue
-        assert {j % n for j, _ in row} <= set(pair)
+        touched = {j % n for j, _ in row}
+        while at < len(pairs) and not touched <= pairs[at]:
+            at += 1
+        assert at < len(pairs)
         columns = [c for c, _ in row]
         assert row and columns == sorted(set(columns)) and columns[-1] < n * n
         assert all(v for _, v in row) and row[0][1] > 0
@@ -311,13 +305,17 @@ def check_equation_rows(polys) -> None:
         for c, v in row:
             full[c] = v
         dense.append(tuple(full))
-    assert pair is None
     reference = dense_equation_rows(polys, n)
     assert len(set(dense)) == len(dense)
     assert set(dense) == set(reference)
-    system = RatMatrix.from_rows(reference or [[0] * (n * n)])
-    kernel = nullspace_basis(system)
-    assert center_basis(polys).basis == tuple(RatMatrix(n, n, v) for v in kernel)
+    assert center_basis(polys).basis == oracle_basis(polys)
+
+
+def oracle_basis(polys) -> tuple:
+    """The canonical basis from the kernel of the dense equation rows."""
+    n = polys[0].n
+    system = RatMatrix.from_rows(dense_equation_rows(polys, n) or [[0] * (n * n)])
+    return tuple(RatMatrix(n, n, v) for v in nullspace_basis(system))
 
 
 small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
@@ -378,68 +376,70 @@ class TestEquationRows:
 
 
 def solve_recording(polys, monkeypatch):
-    """center_basis(polys) and the number of rows its engine read."""
-    systems = []
-    nullspace = polydecomp.center.nullspace_basis
+    """center_basis(polys), the rows its full solves read (None when it
+    made none) and the number of primes the solve drew."""
+    systems, primes = [], set()
+    nullspace, prime = polydecomp.center.nullspace_basis, polydecomp.center._kernel_prime
 
-    def recording(system):
+    def solving(system):
         kernel = nullspace(system)
         systems.append(system)
         return kernel
 
-    monkeypatch.setattr(polydecomp.center, "nullspace_basis", recording)
+    def drawing(i):
+        primes.add(i)
+        return prime(i)
+
+    monkeypatch.setattr(polydecomp.center, "nullspace_basis", solving)
+    monkeypatch.setattr(polydecomp.center, "_kernel_prime", drawing)
     center = center_basis(polys)
     monkeypatch.undo()
-    (system,) = systems
-    return center, system.rows
+    assert len(systems) <= 1
+    return center, (systems[0].rows if systems else None), len(primes)
 
 
-def rank(rows, width) -> int:
-    return width - len(nullspace_basis(RatMatrix.from_rows(rows or [[0] * width])))
+def equation_count(polys) -> int:
+    return sum(1 for _ in _equation_rows(_coefficient_matrices(polys), polys[0].n))
 
 
 class TestScalarShortPath:
-    # A scalar center stops reading rows at the one that brings the rank to
-    # n^2 - 1.
+    # A cyclic pencil whose one member is the identity certifies a scalar
+    # center: no equation row is built and the engine is never called.
 
-    def check_scalar(self, polys, monkeypatch) -> tuple[int, int]:
+    def check_scalar(self, polys, monkeypatch) -> None:
         n = polys[0].n
-        center, read = solve_recording(polys, monkeypatch)
-        assert center.basis == (RatMatrix.identity(n),)
-        dense = dense_equation_rows(polys, n)
-        assert [vec(x) for x in center.basis] == nullspace_basis(RatMatrix.from_rows(dense))
-        rows = [[0] * (n * n) for _ in range(read)]
-        for full, row in zip(rows, equation_rows(polys)):
-            for c, v in row:
-                full[c] = v
-        assert rank(rows, n * n) == n * n - 1
-        assert rank(rows[:-1], n * n) < n * n - 1
-        return read, len(dense)
+        center, read, primes = solve_recording(polys, monkeypatch)
+        assert center.basis == (RatMatrix.identity(n),) == oracle_basis(polys)
+        assert read is None and primes == 1
 
     def test_scalar_golden_reads_fewer_rows(self, trio, monkeypatch):
-        read, total = self.check_scalar(trio, monkeypatch)
-        assert read < total
+        self.check_scalar(trio, monkeypatch)
+        assert equation_count(trio) > 0
 
     def test_planted_indecomposable_blocks(self, monkeypatch):
-        read_sum = total_sum = 0
-        for _, instance in planted_suite():
-            if len(instance.planted_blocks) == 1:
-                read, total = self.check_scalar(list(instance.fs), monkeypatch)
-                assert read <= total
-                read_sum, total_sum = read_sum + read, total_sum + total
-        assert read_sum < total_sum
+        scalar = [list(i.fs) for _, i in planted_suite() if len(i.planted_blocks) == 1]
+        assert scalar
+        for polys in scalar:
+            self.check_scalar(polys, monkeypatch)
+
+    def test_one_variable(self, monkeypatch):
+        # n = 1: the pencil's one member is the identity, with no solve
+        for text in ("x^3", "2*x^2 - x + 5", "x^4 + x^3"):
+            self.check_scalar([parse_polynomial(text, ["x"])], monkeypatch)
 
     @pytest.mark.parametrize("golden", ["fourvar_pair", "bin_cubics"])
     def test_non_scalar_center_reads_every_row(self, golden, request, monkeypatch):
-        # neither golden's one-prime kernel passes the membership test before
-        # its last pair end, so both still read every row
+        # without a pencil the engine has no early exit: it reads every row
+        # and gives the basis the pencil certifies
         polys = request.getfixturevalue(golden)
-        center, read = solve_recording(polys, monkeypatch)
-        assert center.dim > 1
-        assert read == len(equation_rows(polys))
+        certified = center_basis(polys)
+        monkeypatch.setattr(polydecomp.center, "_pencil_basis", lambda mats, polys, n: None)
+        center, read, _ = solve_recording(polys, monkeypatch)
+        assert center.dim > 1 and center.basis == certified.basis == oracle_basis(polys)
+        assert read == equation_count(polys)
 
     def test_asymmetric_coefficient_matrix_is_caught(self, trio, monkeypatch):
-        # the identity lies in the kernel only because every S is symmetric;
+        # the identity lies in the center only because every S is symmetric;
         # an asymmetric S must stop the solve, not certify a scalar center
         mats = polydecomp.center._coefficient_matrices(trio)
         mats[0] = {0: {1: 1}, 1: {0: 2}}
@@ -448,58 +448,52 @@ class TestScalarShortPath:
             center_basis(trio)
 
 
-def planted_non_scalar():
-    """Polynomial lists of the planted suite whose center is not scalar."""
-    return [list(i.fs) for _, i in planted_suite() if len(i.planted_blocks) > 1]
-
-
 def planted_three_three():
-    """The planted suite's seed-4 instance, blocks {3, 3}: its center
-    certifies after 336 of its 840 rows."""
+    """The planted suite's seed-4 instance, blocks {3, 3}."""
     return [list(i.fs) for seed, i in planted_suite() if seed == 4][0]
 
 
-def pair_ends(polys) -> list[int]:
-    """The number of rows read before each pair's None."""
-    ends, read = [], 0
-    for row in _equation_rows(_coefficient_matrices(polys), polys[0].n):
-        if row is None:
-            ends.append(read)
-        else:
-            read += 1
-    return ends
+def mixed_by_big_entry():
+    """A {2, 2} center mixed by an entry of 2^40 + 1, which puts entries past
+    one prime's reconstruction bound into the canonical basis."""
+    h = generate(0, 4, 1, [2, 2], 3).unmixed[0]
+    mix = mat([[1, 0, 2**40 + 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    return [substitute_linear(h, mix)]
 
 
 class TestNonScalarCertificate:
-    # Any other center stops at the end of a pair whose rows add no mod-p
-    # rank, once the kernel of the one-prime form passes the membership test.
+    # Any other center is the free-variable form of the pencil's members,
+    # reconstructed over as many primes as its entries need and accepted by
+    # the exact membership test.
 
-    def test_planted_centers_stop_at_a_pair_end(self, monkeypatch):
-        read_sum = total_sum = 0
-        for polys in planted_non_scalar():
-            n = polys[0].n
-            center, read = solve_recording(polys, monkeypatch)
-            dense = dense_equation_rows(polys, n)
-            kernel = nullspace_basis(RatMatrix.from_rows(dense))
-            assert [vec(x) for x in center.basis] == kernel and center.dim > 1
-            assert read in pair_ends(polys)
-            # the rows read already have the center as their whole kernel
-            rows = [[0] * (n * n) for _ in range(read)]
-            for full, row in zip(rows, equation_rows(polys)):
-                for c, v in row:
-                    full[c] = v
-            assert rank(rows, n * n) == n * n - center.dim
-            read_sum, total_sum = read_sum + read, total_sum + len(dense)
-        assert read_sum < total_sum
+    def test_planted_centers_build_no_row(self, monkeypatch):
+        # no instance of the planted suite reaches the fallback
+        wide = 0
+        for _, instance in planted_suite():
+            polys = list(instance.fs)
+            center, read, _ = solve_recording(polys, monkeypatch)
+            assert center.basis == oracle_basis(polys) and read is None
+            wide += center.dim > 1
+        assert wide
 
-    def test_certified_center_reads_fewer_rows(self, monkeypatch):
-        polys = planted_three_three()
-        center, read = solve_recording(polys, monkeypatch)
-        assert center.dim > 1 and read < len(equation_rows(polys))
+    def test_certified_center_reads_fewer_rows(self, bin_cubics, fourvar_pair, monkeypatch):
+        built = []
+        rows = polydecomp.center._equation_rows
+
+        def counting(mats, n):
+            built.append(1)
+            return rows(mats, n)
+
+        for polys in (planted_three_three(), bin_cubics, fourvar_pair):
+            monkeypatch.setattr(polydecomp.center, "_equation_rows", counting)
+            center = center_basis(polys)
+            monkeypatch.undo()
+            assert center.dim > 1 and center.basis == oracle_basis(polys)
+            assert built == [] and equation_count(polys) > 0
 
     def test_rejected_candidate_gives_the_same_basis(self, monkeypatch):
         polys = planted_three_three()
-        center, read = solve_recording(polys, monkeypatch)
+        center, _, primes = solve_recording(polys, monkeypatch)
         all_members = polydecomp.center._all_members
         tested = []
 
@@ -508,9 +502,18 @@ class TestNonScalarCertificate:
             return len(tested) > 1 and all_members(xs, polys, mats)
 
         monkeypatch.setattr(polydecomp.center, "_all_members", rejecting_first)
-        again, read_again = solve_recording(polys, monkeypatch)
-        assert tested and again.basis == center.basis
-        assert read < read_again <= len(equation_rows(polys))
+        again, read, primes_again = solve_recording(polys, monkeypatch)
+        # the rejection costs one more prime, whose candidate passes
+        assert len(tested) == 2 and again.basis == center.basis
+        assert read is None and primes_again == primes + 1
+
+    def test_repeated_rejection_falls_back(self, monkeypatch):
+        # a candidate rejected a second time is given up for the full solve
+        polys = planted_three_three()
+        expected = oracle_basis(polys)
+        monkeypatch.setattr(polydecomp.center, "_all_members", lambda xs, polys, mats: False)
+        center, read, primes = solve_recording(polys, monkeypatch)
+        assert center.basis == expected and read == equation_count(polys) and primes == 2
 
     def test_identity_spares_one_vector(self, monkeypatch):
         # the diagonal free columns' vectors sum to vec(I), so the last of
@@ -524,25 +527,42 @@ class TestNonScalarCertificate:
             return all_members(xs, polys, mats)
 
         monkeypatch.setattr(polydecomp.center, "_all_members", recording)
-        center, _ = solve_recording(polys, monkeypatch)
+        center, _, _ = solve_recording(polys, monkeypatch)
         assert len(tested) == 1 and len(tested[0]) == center.dim - 1
         assert all(x in center.basis for x in tested[0])
         n = polys[0].n
         spanned = [vec(x) for x in tested[0]] + [vec(RatMatrix.identity(n))]
         assert same_span(spanned, center.vectors(), n * n)
 
+    def test_every_vector_tested_unless_the_identity_is_their_sum(self, monkeypatch):
+        # E11 + E22 is the identity, so E22 is spared; E11 and 5*E11 + E22
+        # sum to another matrix, so both are tested
+        tested = []
+        monkeypatch.setattr(
+            polydecomp.center, "_all_members", lambda xs, polys, mats: tested.append(xs)
+        )
+        spared = [(1, 0, 0, 0), (0, 0, 0, 1)]
+        polydecomp.center._accepts(spared, [], [], 2)
+        kept = [(1, 0, 0, 0), (5, 0, 0, 1)]
+        polydecomp.center._accepts(kept, [], [], 2)
+        assert [[vec(x) for x in xs] for xs in tested] == [spared[:1], kept]
+
+    def test_center_needing_crt_uses_several_primes(self, monkeypatch):
+        polys = mixed_by_big_entry()
+        center, read, primes = solve_recording(polys, monkeypatch)
+        assert center.basis == oracle_basis(polys)
+        assert center.dim > 1 and read is None and primes >= 2
+        big = max(abs(Fraction(x).numerator) for b in center.basis for x in vec(b))
+        assert big >= 2**40 + 1
+
     def test_center_needing_crt_reads_every_row(self, monkeypatch):
-        # mixing by an entry of 2^40 puts entries past one prime's
-        # reconstruction bound into the canonical basis: no try certifies it
-        big = 2**40 + 1
-        h = generate(0, 4, 1, [2, 2], 3).unmixed[0]
-        mix = mat([[1, 0, big, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-        polys = [substitute_linear(h, mix)]
-        center, read = solve_recording(polys, monkeypatch)
-        dense = dense_equation_rows(polys, 4)
-        assert [vec(x) for x in center.basis] == nullspace_basis(RatMatrix.from_rows(dense))
-        assert center.dim > 1 and read == len(dense)
-        assert max(abs(Fraction(x).numerator) for b in center.basis for x in vec(b)) >= big
+        # the full solve, which the pencil spares, lifts the same basis
+        polys = mixed_by_big_entry()
+        certified = center_basis(polys)
+        monkeypatch.setattr(polydecomp.center, "_pencil_basis", lambda mats, polys, n: None)
+        center, read, _ = solve_recording(polys, monkeypatch)
+        assert center.basis == certified.basis == oracle_basis(polys)
+        assert read == equation_count(polys)
 
     def test_coefficient_matrices_built_once(self, trio, fourvar_pair, monkeypatch):
         build = polydecomp.center._coefficient_matrices
@@ -557,3 +577,27 @@ class TestNonScalarCertificate:
             calls.clear()
             center_basis(polys)
             assert calls == [1]
+
+
+class TestFullSolve:
+    # No cyclic pencil, or members that would cost more than the rows: the
+    # solve falls back to the kernel of every row.
+
+    @pytest.mark.parametrize(
+        "text, names, dim",
+        [
+            # a constant Hessian: C is a scalar, so the pencil is derogatory
+            ("x^2 + 2*y^2 + 3*z^2 + x*y", "xyz", 6),
+            # z appears in no Hessian: every combination is singular
+            ("x^3 + y^3", "xyz", 5),
+            ("x - 2*y + 7", "xy", 4),
+            # cyclic, but its one-entry coefficient matrices make rows so
+            # sparse that reading them beats building r = n members
+            ("x^3 + y^3 + z^3 + w^3 + v^3", "xyzwv", 5),
+        ],
+    )
+    def test_falls_back_to_every_row(self, text, names, dim, monkeypatch):
+        polys = [parse_polynomial(text, list(names))]
+        center, read, _ = solve_recording(polys, monkeypatch)
+        assert center.dim == dim and center.basis == oracle_basis(polys)
+        assert read == equation_count(polys)

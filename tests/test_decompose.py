@@ -748,9 +748,13 @@ class TestTracedBindings:
         assert draws
         assert len(minpolys) == len(draws)
         assert len(factorings) == sum(m.degree >= 1 for _, m in minpolys)
-        # the bench reads the equation count off the system's rows, one
-        # system per center solve: the rows the engine read, which stop
-        # early once the center is certified
+        # the bench reads the equation count off the system's rows: a center
+        # the pencil certifies hands the engine none, so every solve here
+        # reads 0 rows; a degenerate pencil hands it one system of every row
+        assert solves and systems == []
+        monkeypatch.setattr(polydecomp.center, "_pencil_basis", lambda mats, polys, n: None)
+        solves.clear()
+        assert decompose_recursive(fourvar_pair, seed=42).leaf_block_sizes() == (1, 1, 2)
         assert solves and len(systems) == len(solves)
         for (system_args, _), (solve_args, center) in zip(systems, solves):
             system, polys = system_args[0], solve_args[0]
@@ -758,5 +762,5 @@ class TestTracedBindings:
             rows = polydecomp.center._equation_rows(
                 polydecomp.center._coefficient_matrices(polys), n
             )
-            assert system.rows <= sum(1 for row in rows if row is not None)
+            assert system.rows == sum(1 for _ in rows)
             assert system.cols == n * n

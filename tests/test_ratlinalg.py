@@ -63,71 +63,43 @@ class TestNullspace:
         for v in nullspace_basis(m):
             assert 1 in v
 
-    def test_known_kernel_vector_stops_the_reading(self):
-        # rows orthogonal to (2, 0, 4): once two are read the rank is 2, so
-        # the kernel is the span of the known vector and the third row,
-        # which no elimination needs, is never read
+    def test_sparse_system_counts_the_rows_read(self):
+        # rows orthogonal to (2, 0, 4): the engine reads all three, once, and
+        # gives the dense matrix's kernel
         rows = [[(1, 1)], [(0, 2), (2, -1)], [(0, 4), (2, -2)]]
-        system = _SparseSystem(3, iter(rows), (2, 0, 4), None)
+        system = _SparseSystem(3, iter(rows))
         assert nullspace_basis(system) == [(Fraction(1, 2), 0, 1)]
-        assert system.rows == 2
+        assert system.rows == 3
         assert nullspace_basis(mat([[0, 1, 0], [2, 0, -1], [4, 0, -2]])) == [
             (Fraction(1, 2), 0, 1)
         ]
-        # the same reduced echelon form as the engine without the vector
-        assert _echelon(rows, 3, (2, 0, 4)) == _echelon(rows, 3)
 
     def test_rows_may_be_a_one_shot_iterator(self):
-        # the rank is width - 1 after two of four rows; with no known kernel
-        # vector every row is read all the same, once, so a generator gives
-        # the form the list gives, and a last row outside the span counts
+        # the rank is width - 1 after two of four rows; every row is read all
+        # the same, once, so a generator gives the form the list gives, and a
+        # last row outside the span counts
         rows = [[(0, 1), (2, -1)], [(1, 1)], [(0, 2), (1, 3), (2, -2)], [(1, -5)]]
         assert _echelon((row for row in rows), 3) == _echelon(rows, 3) == {0: {2: -1}, 1: {}}
         rows.append([(2, 1)])
         assert _echelon((row for row in rows), 3) == {0: {}, 1: {}, 2: {}}
 
-    @staticmethod
-    def grouped(rows, accept):
-        """A system of one group per row, then an empty group, whose
-        membership test records the vectors it is given."""
-        tested = []
-
-        def members(kernel):
-            tested.append(kernel)
-            return accept
-
-        source = [x for row in rows for x in (row, None)] + [None]
-        return _SparseSystem(3, iter(source), (7, 1, 1), members), tested
-
-    def test_accepted_kernel_stops_at_a_group_end(self):
-        # after x0 - 7*x1 a multiple adds no rank: the kernel (7, 1, 0),
-        # (0, 0, 1) is tried, and (0, 0, 1) is the known (7, 1, 1) minus the
-        # other, so only the other is tested; the last row is never read
+    def test_sparse_system_matches_the_dense_kernel(self):
+        # multiples add no rank: every row is read and the kernel is the
+        # dense matrix's, (7, 1, 0) and (0, 0, 1)
         rows = [[(0, 1), (1, -7)], [(0, 2), (1, -14)], [(0, 3), (1, -21)]]
-        system, tested = self.grouped(rows, True)
-        assert nullspace_basis(system) == [(7, 1, 0), (0, 0, 1)]
-        assert tested == [[(7, 1, 0)]] and system.rows == 2
-
-    def test_rejected_kernel_reads_every_row(self):
-        # the rank never grows after the rejected try, so there is no other
-        rows = [[(0, 1), (1, -7)], [(0, 2), (1, -14)], [(0, 3), (1, -21)]]
-        system, tested = self.grouped(rows, False)
-        assert nullspace_basis(system) == [(7, 1, 0), (0, 0, 1)]
-        assert tested == [[(7, 1, 0)]] and system.rows == 3
-
-    def test_every_vector_tested_unless_known_is_their_sum(self):
-        # 2^40 + 1 is past one prime's reconstruction bound, so the tried
-        # form is wrong, the known vector is not the sum of its kernel
-        # vectors, and both are tested; the lift then finds the true kernel
-        big = 2**40 + 1
-        rows = [[(0, 1), (1, -big)]]
-        tested = []
-        system = _SparseSystem(
-            3, iter([rows[0], None, None]), (big, 1, 1), lambda k: tested.append(k)
+        system = _SparseSystem(3, iter(rows))
+        assert nullspace_basis(system) == [(7, 1, 0), (0, 0, 1)] == nullspace_basis(
+            mat([[1, -7, 0], [2, -14, 0], [3, -21, 0]])
         )
+        assert system.rows == 3
+
+    def test_sparse_kernel_past_one_prime(self):
+        # 2^40 + 1 is past one prime's reconstruction bound: the lift
+        # combines primes by CRT and still finds the exact kernel
+        big = 2**40 + 1
+        system = _SparseSystem(3, iter([[(0, 1), (1, -big)]]))
         assert nullspace_basis(system) == [(big, 1, 0), (0, 0, 1)]
-        ((first, second),) = tested
-        assert first != (big, 1, 0) and second == (0, 0, 1)
+        assert system.rows == 1
 
 
 def from_sympy(x):
