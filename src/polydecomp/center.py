@@ -9,7 +9,9 @@ simultaneous direct-sum decompositions of the polynomial set.
 The condition has one representation here.  Each Hessian is a sum
 H(x) = sum_m x^m S_m of constant symmetric coefficient matrices S_m, read
 straight off the terms, so "H * X symmetric for all x" is "S_m * X symmetric
-for every m".  ``membership_check`` tests exactly that.  One exact pass that
+for every m".  ``membership_check`` tests exactly that, for every m in one
+integer product with the packed sum of the S_m * 2^(k*m), whose k-bit
+digits hold the symmetry defects of the S_m one each.  One exact pass that
 finds every S symmetric puts the identity in the center.
 
 ``center_basis`` first tries a pencil.  M1, M2, M3 are fixed random integer
@@ -341,8 +343,8 @@ def membership_check(x: RatMatrix, polys: Sequence[Polynomial]) -> bool:
     H_i * x is symmetric at every point exactly when S * x is symmetric for
     every coefficient matrix S of H_i, so this is the defining condition of
     the center, on the representation ``center_basis`` draws its equations
-    from.  The independent oracle is ``brute_force_center_dim`` in
-    ``tests/algebra_helpers.py``.
+    from, all S in one packed product (``_all_members``).  The independent
+    oracle is ``brute_force_center_dim`` in ``tests/algebra_helpers.py``.
     """
     return _all_members([x], polys)
 
@@ -351,24 +353,39 @@ def _all_members(
     xs: Sequence[RatMatrix], polys: Sequence[Polynomial], mats: list[dict] | None = None
 ) -> bool:
     """``membership_check`` of every x in xs, on the coefficient matrices of
-    polys: ``mats`` when the caller has built them, else built here once."""
+    polys: ``mats`` when the caller has built them, else built here once.
+
+    With x scaled to integers and k two bits past the bit lengths of the
+    largest row sum of |S_m| and the largest |x|, entries (r, c) and (c, r)
+    of P * x for P = sum_m S_m * 2^(k*m) differ by sum_m 2^(k*m) * d_m, where
+    |d_m| < 2^(k-1) is their difference in S_m * x: 0 only if every d_m is.
+    P is built once, sparse, and each x costs one product.
+    """
     n = _check_inputs(polys)
     if mats is None:
         mats = _coefficient_matrices(polys)
-    for x in xs:
-        if x.rows != n or x.cols != n:
-            raise DimensionMismatch("matrix does not match ambient dimension")
-        # a nonzero scale of x changes no symmetry; integers keep the sums fast
-        ints = _primitive_int_row(vec(x))
-        columns = [ints[c::n] for c in range(n)]
-        for s in mats:
-            # rows of S * x outside the support of S are zero
-            product = {
-                r: [sum(v * col[l] for l, v in row.items()) for col in columns]
-                for r, row in s.items()
-            }
-            for r, values in product.items():
-                for c, value in enumerate(values):
-                    if c != r and value != (product[c][r] if c in product else 0):
-                        return False
+    if any(x.rows != n or x.cols != n for x in xs):
+        raise DimensionMismatch("matrix does not match ambient dimension")
+    # a nonzero scale of x changes no symmetry; integers keep the sums fast
+    ints = [_primitive_int_row(vec(x)) for x in xs]
+    if not mats or not ints:
+        return True
+    row_sum = max(sum(map(abs, row.values())) for s in mats for row in s.values())
+    k = row_sum.bit_length() + max(max(map(abs, v)) for v in ints).bit_length() + 2
+    packed: dict = {}
+    for m, s in enumerate(mats):
+        for r, row in s.items():
+            target = packed.setdefault(r, {})
+            for l, v in row.items():
+                target[l] = target.get(l, 0) + (v << k * m)
+    # rows of P * x outside the support of P are zero
+    support = [(r, list(row), list(row.values())) for r, row in packed.items()]
+    for v in ints:
+        x_rows = [v[i : i + n] for i in range(0, n * n, n)]
+        product = [[0] * n] * n
+        for r, cols, values in support:
+            columns = zip(*[x_rows[l] for l in cols])
+            product[r] = [sum(map(mul, values, column)) for column in columns]
+        if product != [list(column) for column in zip(*product)]:
+            return False
     return True

@@ -14,9 +14,10 @@ The search never solves e^2 = e directly.  It draws a random element g,
 takes its minimal polynomial (the Krylov annihilator of the unit under L_g;
 Jordan algebras are power associative, so these are the matrix powers),
 splits it into pairwise-coprime factors over the rationals, and assembles
-the spectral projectors as polynomials in g via Bezout cofactors, by Horner
-steps with L_g.  Each projector e is refined the same way inside its Peirce
-corner U_e(Z) = e*Z*e, U_e = 2 L_e^2 - L_e, until no rational split shows
+the spectral projectors as polynomials in g via Bezout cofactors (Lagrange
+polynomials for simple rational roots), by Horner steps with L_g.  Each
+projector e is refined the same way inside its Peirce corner
+U_e(Z) = e*Z*e, U_e = 2 L_e^2 - L_e, until no rational split shows
 up.  U_e projects onto the corner, so the corner's dimension is the trace
 of U_e, read off the diagonal of L_e^2; a one-dimensional corner holds only
 multiples of e, which is then final, and no basis of it is built.  Draws
@@ -43,7 +44,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from ._rat import Record
+from ._rat import Record, divide
 from .center import CenterBasis, _all_members
 from .errors import InternalInvariantViolation
 from .poly import Polynomial
@@ -223,21 +224,15 @@ def find_idempotents(center: CenterBasis, seed: int = 42) -> IdempotentSet:
             factors = primary_coprime_factors(m)
             if len(factors) < 2:
                 continue
-            # The projector of a factor M_i with cofactor N_i = m / M_i is
-            # (u*N_i)(g) for the Bezout identity u*N_i + v*M_i = 1.  Factors
-            # avoiding eigenvalue 0 yield projectors that live inside the
-            # block (their defining polynomials vanish at 0, so they kill
+            # Factors avoiding eigenvalue 0 yield projectors that live inside
+            # the block (their defining polynomials vanish at 0, so they kill
             # the complement of the block).  Whatever is left of the block
             # after removing them is itself an idempotent.
             children = []
             for mi in factors:
                 if mi(0) == 0:
                     continue
-                ni = m // mi
-                gcd_poly, cofactor, _ = extended_gcd(ni, mi)
-                if gcd_poly != UniPoly.one():
-                    raise InternalInvariantViolation("factors are not pairwise coprime")
-                poly, dp = _cleared(((cofactor * ni) % m).coefficients())
+                poly, dp = _cleared(_projector(m, mi).coefficients())
                 acc = [0] * r
                 for c in reversed(poly):
                     acc = [x // z.scale + c * o for x, o in zip(_apply(a, acc), z.one)]
@@ -258,6 +253,22 @@ def find_idempotents(center: CenterBasis, seed: int = 42) -> IdempotentSet:
     refine(z.one, 1, z.basis)  # the corner of the unit is the whole center
     _assert_internally_valid(z, final)
     return IdempotentSet(n, tuple(z.matrix(v, d) for v, d in final))
+
+
+def _projector(m: UniPoly, mi: UniPoly) -> UniPoly:
+    """u*N_i of degree < deg m, for N_i = m / M_i and u*N_i + v*M_i = 1: its
+    value at g is the projector of the factor M_i.  For a simple rational
+    root, M_i = t - c, u = 1/N_i(c): the Lagrange polynomial N_i / N_i(c)."""
+    ni = m // mi
+    if mi.degree == 1:
+        at_root = ni(-mi.coefficients()[0])
+        if at_root == 0:
+            raise InternalInvariantViolation("factors are not pairwise coprime")
+        return ni * divide(1, at_root)
+    gcd_poly, cofactor, _ = extended_gcd(ni, mi)
+    if gcd_poly != UniPoly.one():
+        raise InternalInvariantViolation("factors are not pairwise coprime")
+    return (cofactor * ni) % m
 
 
 def _assert_internally_valid(z: _Coordinates, final: list) -> None:

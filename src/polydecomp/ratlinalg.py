@@ -304,13 +304,24 @@ def _reconstruct(residues: dict, modulus: int) -> dict | None:
     """Rationals a/b = u mod modulus with |a|, b <= sqrt(modulus/2) (Wang).
 
     Entrywise over an echelon form of residues, pivots in ascending order;
-    None as soon as one entry has no such preimage.
+    None as soon as one entry has no such preimage.  The preimage is unique,
+    so along a row, with D the lcm of the denominators so far (all prime to
+    the modulus), an entry whose symmetric residue w of u * D is in bounds,
+    as D is, is w / D with no Euclid; any other runs Wang's and joins D.
     """
-    bound = isqrt(modulus // 2)
+    half = modulus // 2
+    bound = isqrt(half)
     form = {}
     for c in sorted(residues):
         out = {}
+        denom = 1
         for j, u in residues[c].items():
+            w = u * denom % modulus
+            if w > half:
+                w -= modulus
+            if -bound <= w <= bound and denom <= bound:
+                out[j] = w if denom == 1 else normalize(Fraction(w, denom))
+                continue
             r0, r1, s0, s1 = modulus, u, 0, 1
             while r1 > bound:
                 q = r0 // r1
@@ -318,6 +329,7 @@ def _reconstruct(residues: dict, modulus: int) -> dict | None:
             if abs(s1) > bound or gcd(r1, s1) != 1:
                 return None
             out[j] = normalize(Fraction(r1, s1)) if s1 != 1 else r1
+            denom = lcm(denom, s1)
         form[c] = out
     return form
 
@@ -668,9 +680,28 @@ def extended_gcd(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
 
 
 def squarefree_part(m: UniPoly) -> UniPoly:
-    """m divided by gcd(m, m'), made monic."""
+    """m divided by gcd(m, m'), made monic.
+
+    For f the primitive integer multiple of m and p the first kernel prime:
+    if p keeps the leading coefficient of f and f, f' are coprime modulo p,
+    Res(f, f') is not 0: m is squarefree, and no rational Euclid runs."""
     if m.degree < 1:
         raise ValueError("squarefree part needs degree >= 1")
+    p = _kernel_prime(0)
+    # highest degree first; f' keeps its degree modulo p when f does
+    a = [c % p for c in reversed(_primitive_int_row(m.coefficients()))]
+    if a[0]:
+        b = [(m.degree - i) * c % p for i, c in enumerate(a[:-1])]
+        while b:
+            inv = pow(b[0], -1, p)
+            while len(a) >= len(b):
+                q = a[0] * inv % p
+                a = [(x - q * y) % p for x, y in zip(a[1:], b[1:])] + a[len(b) :]
+                while a and not a[0]:
+                    a.pop(0)
+            a, b = b, a
+        if len(a) == 1:
+            return m.monic()
     g = unipoly_gcd(m, m.derivative())
     return (m // g).monic()
 

@@ -13,7 +13,13 @@ is the second route to ``find_idempotents``, the same spectral search on
 n x n matrices; ``jordan_product`` and ``rank_profile`` state algebraic
 facts the tests check; ``in_span``, ``same_span`` and ``center_contains``
 compare spans by echelon forms, ``at_matrix`` evaluates a polynomial at
-a matrix and ``matrix_rows`` lists a matrix's rows.  ``parse_by_tokens`` is
+a matrix and ``matrix_rows`` lists a matrix's rows.  Three are the plain
+kernels behind faster library ones: ``members_by_matrix`` tests membership
+with one product per coefficient matrix, the reference for the packed
+product of ``_all_members``; ``wang_reconstruct`` runs Wang's Euclid on every
+entry, the reference for ``_reconstruct``; ``bezout_projector`` takes the
+projector polynomial from the extended Euclid, the reference for the
+Lagrange projectors of ``_projector``.  ``parse_by_tokens`` is
 the second route to ``parse_polynomial``: a token-at-a-time tokenizer and
 recursive-descent parser with the same results and the same ``ParseError``
 messages and positions.
@@ -31,7 +37,7 @@ import itertools
 import random
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Sequence
 
 from polydecomp import (
@@ -210,6 +216,50 @@ def at_matrix(p: UniPoly, m: RatMatrix) -> RatMatrix:
     return acc if d == 1 else acc.scale(Fraction(1, d))
 
 
+def members_by_matrix(xs: Sequence[RatMatrix], mats: Sequence[dict]) -> bool:
+    """Whether S * x is symmetric for every x in xs and every coefficient
+    matrix S in mats, each a sparse symmetric {row: {column: value}}."""
+    for x in xs:
+        n = x.rows
+        for s in mats:
+            product = [
+                [sum(v * x.entry(l, c) for l, v in s.get(r, {}).items()) for c in range(n)]
+                for r in range(n)
+            ]
+            if any(product[r][c] != product[c][r] for r in range(n) for c in range(r)):
+                return False
+    return True
+
+
+def wang_reconstruct(residues: dict, modulus: int) -> dict | None:
+    """Rationals a/b = u mod modulus with |a|, b <= sqrt(modulus/2), by one
+    Wang Euclid per entry of an echelon form of residues; None as soon as an
+    entry has no such preimage."""
+    bound = isqrt(modulus // 2)
+    form = {}
+    for c in sorted(residues):
+        out = {}
+        for j, u in residues[c].items():
+            r0, r1, s0, s1 = modulus, u, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+            if abs(s1) > bound or gcd(r1, s1) != 1:
+                return None
+            out[j] = normalize(Fraction(r1, s1)) if s1 != 1 else r1
+        form[c] = out
+    return form
+
+
+def bezout_projector(m: UniPoly, mi: UniPoly) -> UniPoly:
+    """(u * N) mod m for N = m / mi and the Bezout identity u*N + v*mi = 1."""
+    ni = m // mi
+    g, u, _ = extended_gcd(ni, mi)
+    if g != UniPoly.one():
+        raise InternalInvariantViolation("factors are not pairwise coprime")
+    return (u * ni) % m
+
+
 def find_idempotents_by_matrices(center: CenterBasis, seed: int = 42) -> IdempotentSet:
     """``find_idempotents`` on n x n matrices: the same draws from the same
     corner bases, corners e*Z*e by matrix products, minimal polynomials of
@@ -245,9 +295,7 @@ def find_idempotents_by_matrices(center: CenterBasis, seed: int = 42) -> Idempot
             covered = RatMatrix.zeros(n, n)
             for mi in factors:
                 if mi(0) != 0:
-                    ni = m // mi
-                    _, u, _ = extended_gcd(ni, mi)
-                    proj = at_matrix((u * ni) % m, g)
+                    proj = at_matrix(bezout_projector(m, mi), g)
                     children.append(proj)
                     covered = covered + proj
             remainder = block - covered

@@ -16,6 +16,7 @@ from algebra_helpers import (
     hessian,
     intersect_centers,
     jordan_product,
+    members_by_matrix,
     same_span,
 )
 from conftest import (
@@ -36,9 +37,9 @@ from polydecomp import (
     parse_polynomial,
     substitute_linear,
 )
-from polydecomp.center import _coefficient_matrices, _equation_rows
+from polydecomp.center import _all_members, _coefficient_matrices, _equation_rows
 from polydecomp.instancegen import generate
-from polydecomp.ratlinalg import invert, nullspace_basis, vec
+from polydecomp.ratlinalg import _primitive_int_row, invert, nullspace_basis, vec
 
 
 def spans_family(center, family) -> bool:
@@ -207,6 +208,118 @@ class TestMembershipMatchesDefinition:
             x = random_rational_matrix(rng, n)
             assert symbolic_member(x, polys)
             assert membership_check(x, polys)
+
+
+def integer_form(x: RatMatrix) -> RatMatrix:
+    """The primitive integer multiple of x, the form the packed product uses."""
+    return RatMatrix(x.rows, x.cols, _primitive_int_row(vec(x)))
+
+
+def unit_changes(x: RatMatrix) -> list:
+    """x with one entry moved by +1 or -1, for every entry and both signs."""
+    entries = list(vec(x))
+    changed = []
+    for i in range(len(entries)):
+        for step in (1, -1):
+            moved = entries.copy()
+            moved[i] += step
+            changed.append(RatMatrix(x.rows, x.cols, moved))
+    return changed
+
+
+WIDE = 1 << 200
+
+packed_coefficients = st.one_of(
+    st.integers(-9, 9),
+    st.integers(-WIDE, WIDE),
+    st.sampled_from([WIDE - 1, 1 - WIDE, WIDE >> 1]),
+)
+
+
+@st.composite
+def membership_cases(draw):
+    """A polynomial with small or 200-bit coefficients of either sign, and
+    integer matrices: its center basis, each with every unit change, and
+    matrices whose entries reach a field width of up to 200 bits."""
+    n = draw(st.integers(1, 4))
+    terms = {}
+    for _ in range(draw(st.integers(1, 6))):
+        mono = [0] * n
+        for _ in range(draw(st.integers(0, 4))):
+            mono[draw(st.integers(0, n - 1))] += 1
+        terms[tuple(mono)] = draw(packed_coefficients)
+    polys = [Polynomial(n, terms)]
+    xs = [integer_form(b) for b in center_basis(polys).basis]
+    xs += [y for x in xs for y in unit_changes(x)]
+    bits = draw(st.integers(1, 200))
+    edge = st.sampled_from([0, 1, -1, (1 << bits) - 1, 1 - (1 << bits)])
+    entries = st.one_of(edge, st.integers(1 - (1 << bits), (1 << bits) - 1))
+    for _ in range(draw(st.integers(0, 3))):
+        xs.append(RatMatrix(n, n, draw(st.lists(entries, min_size=n * n, max_size=n * n))))
+    return polys, xs
+
+
+class TestPackedMembership:
+    """The one packed product of ``_all_members`` against one product per
+    coefficient matrix."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(membership_cases())
+    def test_matches_one_product_per_matrix(self, case):
+        polys, xs = case
+        mats = _coefficient_matrices(polys)
+        for x in xs:
+            assert _all_members([x], polys, mats) == members_by_matrix([x], mats)
+        assert _all_members(xs, polys) == members_by_matrix(xs, mats)
+
+    def test_unit_changes_are_rejected(self):
+        # two sums of cubes of u, v, w, linear forms with 200-bit coefficients
+        # in x, y, z: the center is spanned by three matrices whose integer
+        # forms have entries of up to 602 bits, and no matrix unit is in it
+        big = WIDE + 3
+        q = mat([[1, big, 0], [1, -big, 1], [0, 1, big]])
+        names = ["u", "v", "w"]
+        sums = [
+            substitute_linear(parse_polynomial(text, names), q)
+            for text in ("u^3 + 7*v^3 + w^3", "u^3 - v^3 + 2*w^3")
+        ]
+        mats = _coefficient_matrices(sums)
+        basis = center_basis(sums).basis
+        assert len(basis) == 3
+        for b in basis:
+            x = integer_form(b)
+            assert membership_check(x, sums)
+            for y in unit_changes(x):
+                assert not members_by_matrix([y], mats)
+                assert not membership_check(y, sums)
+
+    def test_digits_never_cancel(self):
+        # Each case makes entries (0, 1) and (1, 0) differ by d_0 = 2^s in
+        # S_0 * x and by d_1 = -1 in S_1 * x, so a packing base of 2^s would
+        # cancel them; the base the bounds give is wider than every such s.
+        polys = [parse_polynomial("x*y", ["x", "y"])]
+        cases = []
+        for s in (0, 1, 3, 8, 64, 200):
+            # d_0 = 2^s * x01, d_1 = -x01: the row sum's bits are needed
+            cases.append(([{0: {0: 1 << s}}, {0: {0: -1}}], mat([[0, 1], [0, 0]])))
+            # d_0 = x01 = 2^s, d_1 = -x10: the entries' bits are needed
+            cases.append(([{0: {0: 1}}, {1: {1: 1}}], mat([[0, 1 << s], [1, 0]])))
+        for b in (3, 8, 64, 200):
+            # |d_0| = 2^(b+2) reaches its bound 2 * 3 * (2^b - 1) to within
+            # a factor 2 while d_1 = -1: both guard bits are needed
+            top = (1 << b) - 1
+            cases.append(
+                ([{0: {0: 1, 1: 2}, 1: {0: 2, 1: 1}}, {0: {0: 1}}], mat([[-top, -1], [-5, top]]))
+            )
+        for mats, x in cases:
+            assert not members_by_matrix([x], mats)
+            assert not _all_members([x], polys, mats)
+            assert _all_members([RatMatrix.identity(2)], polys, mats)
+
+    def test_degree_at_most_one_has_no_matrix(self):
+        polys = [parse_polynomial("3*x - 7*y + 2", ["x", "y"]), Polynomial.zero(2)]
+        assert _coefficient_matrices(polys) == []
+        assert _all_members([mat([[1, WIDE], [-5, 0]]), RatMatrix.zeros(2, 2)], polys)
 
 
 class TestIntersect:

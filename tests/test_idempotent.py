@@ -1,5 +1,6 @@
 """Idempotent extraction: spectral splitting, verification, rank profiles."""
 
+from fractions import Fraction
 from operator import mul
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import polydecomp.decompose
 from algebra_helpers import (
+    bezout_projector,
     find_idempotents_by_matrices,
     in_span,
     jordan_product,
@@ -28,8 +30,8 @@ from polydecomp import (
     parse_polynomial,
     verify_complete,
 )
-from polydecomp.idempotent import _apply, _Coordinates
-from polydecomp.ratlinalg import UniPoly, row_space_basis, vec
+from polydecomp.idempotent import _apply, _Coordinates, _projector
+from polydecomp.ratlinalg import UniPoly, primary_coprime_factors, row_space_basis, vec
 
 QUADRATIC_FORMS = ["x^2 + 4*x*y + y^2 + 3*y*z + z^2", "x^2 + 2*y^2 + 3*z^2 + x*y"]
 
@@ -226,6 +228,40 @@ class TestPeirceCorners:
                 assert basis == full and built == 1
             dims.append(len(full))
         assert dims.count(1) >= 100 and len(dims) - dims.count(1) >= 5
+
+
+roots = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 9))
+
+
+class TestProjectors:
+    """Lagrange projectors for simple rational roots against the Bezout ones."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(roots, min_size=2, max_size=6, unique=True),
+        st.lists(st.tuples(roots, st.integers(1, 3)), max_size=2),
+        st.sampled_from([None, UniPoly([2, 0, 1]), UniPoly([-3, 1, 1])]),
+    )
+    def test_match_the_extended_euclid(self, simple, repeated, rootless):
+        m = UniPoly.one()
+        for c in simple:
+            m = m * UniPoly.linear_root(c)
+        for c, k in repeated:
+            if c not in simple:
+                m = m * UniPoly.linear_root(c) ** (k + 1)
+        if rootless is not None:
+            m = m * rootless
+        for mi in primary_coprime_factors(m):
+            projector = _projector(m, mi)
+            assert projector == bezout_projector(m, mi)
+            assert [type(x) for x in projector.coefficients()] == [
+                type(x) for x in bezout_projector(m, mi).coefficients()
+            ]
+
+    def test_common_root_is_refused(self):
+        m = UniPoly.linear_root(2) ** 2 * UniPoly.linear_root(5)
+        with pytest.raises(InternalInvariantViolation):
+            _projector(m, UniPoly.linear_root(2))
 
 
 class TestStructureConstants:

@@ -3,7 +3,7 @@
 import random
 import time
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 import sympy
@@ -11,15 +11,24 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import polydecomp.ratlinalg
-from algebra_helpers import at_matrix, in_span, matrix_rows, same_span, span_intersection
+from algebra_helpers import (
+    at_matrix,
+    in_span,
+    matrix_rows,
+    same_span,
+    span_intersection,
+    wang_reconstruct,
+)
 from conftest import mat
 from polydecomp import DimensionMismatch, RatMatrix, SingularMatrix, invert
+from polydecomp._rat import normalize
 from polydecomp.ratlinalg import (
     UniPoly,
     _echelon,
     _is_prime,
     _kernel_prime,
     _primitive_int_row,
+    _reconstruct,
     _SparseSystem,
     column_space_basis,
     extended_gcd,
@@ -395,6 +404,90 @@ class TestEchelonOracle:
         assert column_space_basis(m) == [m.column(c) for c in range(3)]
 
 
+def residue_modulus(primes: int) -> int:
+    modulus = 1
+    for i in range(primes):
+        modulus *= _kernel_prime(i)
+    return modulus
+
+
+@st.composite
+def residue_forms(draw):
+    """An echelon form of residues modulo a product of one to three kernel
+    primes.  Each entry is the image of a rational with a small, a
+    near-bound or a large numerator and denominator, or an arbitrary
+    residue; the rows mix denominators, so some entries reuse the row's
+    denominator and others need Wang's Euclid, and some have no preimage."""
+    modulus = residue_modulus(draw(st.integers(1, 3)))
+    bound = isqrt(modulus // 2)
+    near = st.integers(max(1, bound - 2), bound + 2)
+    sizes = st.one_of(st.integers(1, 60), near, st.integers(1, modulus - 1))
+    small_denominators = st.sampled_from([1, 2, 3, 5, 6, 15, 7, 35, 2**40 + 15])
+    denominators = st.one_of(small_denominators, sizes)
+    form = {}
+    for c in range(draw(st.integers(1, 4))):
+        row = {}
+        for j in range(c + 1, c + 1 + draw(st.integers(0, 5))):
+            if draw(st.integers(0, 9)) == 0:
+                row[j] = draw(st.integers(0, modulus - 1))
+                continue
+            a = draw(sizes) * draw(st.sampled_from([1, -1])) if draw(st.booleans()) else 0
+            b = draw(denominators)
+            assume(gcd(b, modulus) == 1)
+            row[j] = a * pow(b, -1, modulus) % modulus
+        form[3 * c] = row
+    return form, modulus
+
+
+class TestReconstruction:
+    """``_reconstruct`` along a row's running denominator against one Wang
+    Euclid per entry."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(residue_forms())
+    def test_matches_wang_per_entry(self, case):
+        residues, modulus = case
+        form = _reconstruct(residues, modulus)
+        expected = wang_reconstruct(residues, modulus)
+        assert form == expected
+        if form is not None:
+            # integral entries are ints, the rest Fractions, as Wang's
+            assert [[type(x) for x in row.values()] for row in form.values()] == [
+                [type(x) for x in row.values()] for row in expected.values()
+            ]
+
+    def test_running_denominator_edges(self):
+        for primes in (1, 2, 3):
+            modulus = residue_modulus(primes)
+            bound = isqrt(modulus // 2)
+
+            def image(x):
+                x = Fraction(x)
+                return x.numerator * pow(x.denominator, -1, modulus) % modulus
+
+            def both(*values):
+                residues = {0: {j: image(x) for j, x in enumerate(values, 1)}}
+                form = _reconstruct(residues, modulus)
+                assert form == wang_reconstruct(residues, modulus)
+                return form
+
+            values = [Fraction(1, 3), Fraction(-2, 5), Fraction(7, 15), 4, Fraction(1, 2)]
+            values += [-bound, bound, Fraction(bound, 3), Fraction(1, bound)]
+            form = both(*values)
+            assert form == {0: dict(enumerate(values, 1))}
+            assert [type(x) for x in form[0].values()] == [type(normalize(x)) for x in values]
+            # a numerator one past the bound has no preimage, whether it
+            # opens the row or follows a denominator
+            assert both(bound + 1) is None
+            assert both(Fraction(1, 3), -bound - 1) is None
+            # two denominators in bounds whose lcm is not: 1/(p q) is not
+            # a preimage in bounds, although its residue times the lcm is 1
+            p, q = bound, bound - 1
+            assert both(Fraction(1, p), Fraction(1, q), Fraction(1, p * q)) != {
+                0: {1: Fraction(1, p), 2: Fraction(1, q), 3: Fraction(1, p * q)}
+            }
+
+
 class TestInvert:
     def test_identity(self):
         assert invert(RatMatrix.identity(3)) == RatMatrix.identity(3)
@@ -711,7 +804,8 @@ class TestPrimaryFactorsOracle:
 
     def test_one_gcd_per_call(self, monkeypatch):
         # the multiplicities come from exact division, not from a gcd per
-        # factor: the squarefree part behind the roots is the only gcd
+        # factor: the squarefree part behind the roots is the only gcd, and
+        # a squarefree m certified modulo the kernel prime needs none
         calls = []
         real = polydecomp.ratlinalg.unipoly_gcd
 
@@ -720,15 +814,57 @@ class TestPrimaryFactorsOracle:
             return real(a, b)
 
         monkeypatch.setattr(polydecomp.ratlinalg, "unipoly_gcd", counting)
+        a = Fraction(7, 3)
         cases = [
-            UniPoly.linear_root(1) ** 2 * UniPoly.linear_root(-2) * UniPoly([1, 0, 1]),
-            UniPoly((0, 1)) ** 3 * UniPoly.linear_root(Fraction(1, 2)) ** 2,
-            UniPoly([0, -1, 0, 1]),  # t^3 - t
+            (UniPoly.linear_root(1) ** 2 * UniPoly.linear_root(-2) * UniPoly([1, 0, 1]), 1),
+            (UniPoly((0, 1)) ** 3 * UniPoly.linear_root(Fraction(1, 2)) ** 2, 1),
+            (UniPoly([0, -1, 0, 1]), 0),  # t^3 - t
+            # squarefree, with a double root modulo the kernel prime
+            (UniPoly.linear_root(a) * UniPoly.linear_root(a + FIRST_PRIME), 1),
         ]
-        for m in cases:
+        for m, gcds in cases:
             calls.clear()
             assert len(primary_coprime_factors(m)) >= 2
-            assert len(calls) == 1
+            assert len(calls) == gcds
+
+
+def sympy_squarefree_part(m: UniPoly) -> UniPoly:
+    """Oracle: sympy's squarefree part of m, made monic."""
+    expr = sum(sympy.Rational(str(c)) * T**i for i, c in enumerate(m.coefficients()))
+    part = sympy.Poly(sympy.sqf_part(expr), T).monic()
+    return UniPoly([from_sympy(c) for c in reversed(part.all_coeffs())])
+
+
+class TestSquarefreePart:
+    @settings(max_examples=150, deadline=None)
+    @given(polys_with_primary_factors())
+    def test_matches_sympy(self, m):
+        assert squarefree_part(m) == sympy_squarefree_part(m)
+
+    def test_double_root_modulo_the_kernel_prime(self, monkeypatch):
+        # (t - a)(t - a - p) is squarefree over the rationals but a square
+        # modulo p, as is p t^2 + 1 whose leading coefficient vanishes there:
+        # both take the Euclid over the rationals and keep m
+        calls = []
+        real = polydecomp.ratlinalg.unipoly_gcd
+        monkeypatch.setattr(
+            polydecomp.ratlinalg, "unipoly_gcd", lambda a, b: calls.append(1) or real(a, b)
+        )
+        p = FIRST_PRIME
+        for a in (0, 5, Fraction(-3, 4), 2**70 + 1):
+            m = UniPoly.linear_root(a) * UniPoly.linear_root(a + p) * Fraction(2, 9)
+            calls.clear()
+            assert squarefree_part(m) == m.monic() == sympy_squarefree_part(m)
+            assert calls == [1]
+        m = UniPoly([1, 0, p])
+        calls.clear()
+        assert squarefree_part(m) == m.monic()
+        assert calls == [1]
+
+    def test_squarefree_needs_no_gcd(self, monkeypatch):
+        monkeypatch.setattr(polydecomp.ratlinalg, "unipoly_gcd", None)
+        for m in (UniPoly([Fraction(-5, 2), 3]), UniPoly([2, 0, 3]), UniPoly([0, -1, 0, 1])):
+            assert squarefree_part(m) == m.monic()
 
 
 class TestRationalRootsOracle:
