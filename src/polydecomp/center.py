@@ -66,6 +66,7 @@ from .ratlinalg import (
     _kernel_prime,
     _primitive_int_row,
     _reconstruct,
+    _solve_mod,
     _SparseSystem,
     nullspace_basis,
     unvec,
@@ -248,7 +249,7 @@ def _pencil_basis(mats: list[dict], polys: Sequence[Polynomial], n: int) -> tupl
                 v[last - j] = x
             kernel.append(tuple(v))
         if _accepts(kernel, polys, mats, n):
-            return tuple(unvec(v, n, n) for v in kernel)
+            return tuple(RatMatrix._raw(n, n, v) for v in kernel)
         if candidate == previous:
             return None
         previous = candidate
@@ -302,28 +303,6 @@ def _pencil_members(combos: list, start: list, n: int, p: int, budget: int) -> l
     return members
 
 
-def _solve_mod(rows: list, n: int, p: int) -> list | None:
-    """The columns after the first n of dense integer rows modulo p, once
-    Gauss-Jordan elimination has turned the first n into the identity; None
-    when those are singular.  The rows are reduced in place; an entry is
-    reduced modulo p only where it becomes a pivot or a multiplier, and at
-    the end."""
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if rows[r][c] % p), None)
-        if pivot is None:
-            return None
-        rows[c], rows[pivot] = rows[pivot], rows[c]
-        inv = pow(rows[c][c], -1, p)
-        top = rows[c] = [x * inv % p for x in rows[c]]
-        # the columns before c are zero in ``top``
-        tail = top[c:]
-        for r, row in enumerate(rows):
-            f = row[c] % p
-            if f and r != c:
-                row[c:] = [x - f * t for x, t in zip(row[c:], tail)]
-    return [[x % p for x in row[n:]] for row in rows]
-
-
 def _accepts(kernel: list, polys, mats, n: int) -> bool:
     """Whether every vector of ``kernel``, in free-variable form, passes the
     exact membership test.  If the identity is exactly the sum of those
@@ -334,7 +313,7 @@ def _accepts(kernel: list, polys, mats, n: int) -> bool:
     tested = list(kernel)
     if diagonal and [sum(column) for column in zip(*diagonal)] == list(identity):
         tested.remove(diagonal[-1])
-    return _all_members([unvec(v, n, n) for v in tested], polys, mats)
+    return _all_members(tested, polys, mats)
 
 
 def membership_check(x: RatMatrix, polys: Sequence[Polynomial]) -> bool:
@@ -346,14 +325,18 @@ def membership_check(x: RatMatrix, polys: Sequence[Polynomial]) -> bool:
     from, all S in one packed product (``_all_members``).  The independent
     oracle is ``brute_force_center_dim`` in ``tests/algebra_helpers.py``.
     """
-    return _all_members([x], polys)
+    n = _check_inputs(polys)
+    if x.rows != n or x.cols != n:
+        raise DimensionMismatch("matrix does not match ambient dimension")
+    return _all_members([vec(x)], polys)
 
 
 def _all_members(
-    xs: Sequence[RatMatrix], polys: Sequence[Polynomial], mats: list[dict] | None = None
+    xs: Sequence[Sequence], polys: Sequence[Polynomial], mats: list[dict] | None = None
 ) -> bool:
-    """``membership_check`` of every x in xs, on the coefficient matrices of
-    polys: ``mats`` when the caller has built them, else built here once.
+    """``membership_check`` of every x in xs, each given as its row-major
+    vector of n^2 rationals, on the coefficient matrices of polys: ``mats``
+    when the caller has built them, else built here once.
 
     With x scaled to integers and k two bits past the bit lengths of the
     largest row sum of |S_m| and the largest |x|, entries (r, c) and (c, r)
@@ -364,10 +347,10 @@ def _all_members(
     n = _check_inputs(polys)
     if mats is None:
         mats = _coefficient_matrices(polys)
-    if any(x.rows != n or x.cols != n for x in xs):
+    if any(len(x) != n * n for x in xs):
         raise DimensionMismatch("matrix does not match ambient dimension")
     # a nonzero scale of x changes no symmetry; integers keep the sums fast
-    ints = [_primitive_int_row(vec(x)) for x in xs]
+    ints = [_primitive_int_row(x) for x in xs]
     if not mats or not ints:
         return True
     row_sum = max(sum(map(abs, row.values())) for s in mats for row in s.values())

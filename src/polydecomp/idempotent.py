@@ -4,21 +4,29 @@ A center is a Jordan algebra under x o y = (x*y + y*x)/2, not always an
 associative one, and the search runs inside it, on coordinate vectors of
 length r = dim Z.  In the center's reduced echelon basis over the n^2 matrix
 entries an element's coordinates are its entries at the r pivots, read
-without a solve.  The structure constants come from the r(r+1)/2 products
-(B_i*B_j + B_j*B_i)/2, each certified by one exact check that the basis
-combination with its coordinates is the product.  Elements are integer
-vectors over one denominator and each product operator L_x an integer
-r x r matrix.
+without a solve.  That basis is A^-1 F for the given basis F and its r x r
+block A at the pivots, from one Bareiss adjugate, certified by its echelon
+shape (``ratlinalg._adjugate_echelon``).  The structure constants come from
+the r(r+1)/2 products (B_i*B_j + B_j*B_i)/2, formed on rows packed k bits
+per entry, each certified by one exact comparison of packed integers that
+the basis combination with its coordinates is the product, k being wide
+enough that equal integers mean equal entries (``_jordan_table``).
+Elements are integer vectors over one denominator and each product
+operator L_x an integer r x r matrix.
 
 The search never solves e^2 = e directly.  It draws a random element g,
 takes its minimal polynomial (the Krylov annihilator of the unit under L_g;
-Jordan algebras are power associative, so these are the matrix powers),
-splits it into pairwise-coprime factors over the rationals, and assembles
-the spectral projectors as polynomials in g via Bezout cofactors (Lagrange
-polynomials for simple rational roots), by Horner steps with L_g.  Each
-projector e is refined the same way inside its Peirce corner
-U_e(Z) = e*Z*e, U_e = 2 L_e^2 - L_e, until no rational split shows
-up.  U_e projects onto the corner, so the corner's dimension is the trace
+Jordan algebras are power associative, so these are the matrix powers): g
+is an integer matrix, so the Krylov vectors are integers and the
+polynomial is monic with integer coefficients, found modulo primes and
+accepted on an exact check (``ratlinalg.minimal_polynomial``).  It splits
+the polynomial into pairwise-coprime factors over the rationals, and
+assembles the spectral projectors as polynomials in g via Bezout cofactors
+(Taylor expansions of 1/N for the powers of rational roots, which the
+Lagrange polynomials of simple roots are a case of), by Horner steps with
+L_g.  Each projector e is refined the same way inside its Peirce corner
+U_e(Z) = e*Z*e, U_e = 2 L_e^2 - L_e, until no rational split shows up.
+U_e projects onto the corner, so the corner's dimension is the trace
 of U_e, read off the diagonal of L_e^2; a one-dimensional corner holds only
 multiples of e, which is then final, and no basis of it is built.  Draws
 combine the corner's reduced echelon basis over the n^2 entries, not over
@@ -42,7 +50,7 @@ import random
 from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import lshift, mul
 
 from ._rat import Record, divide
 from .center import CenterBasis, _all_members
@@ -51,12 +59,14 @@ from .poly import Polynomial
 from .ratlinalg import (
     RatMatrix,
     UniPoly,
+    _adjugate_echelon,
     _cleared,
     _primitive_int_row,
     extended_gcd,
     minimal_polynomial,
     primary_coprime_factors,
     row_space_basis,
+    vec,
 )
 
 COEFF_RANGE = 9  # random combination coefficients are drawn from +-1..9
@@ -99,6 +109,45 @@ def _reduced(v: Sequence[int], d: int) -> tuple[list[int], int]:
     return [x // g for x in v], d // g
 
 
+def _jordan_table(rows: list, n: int, pivots: list, denom: int) -> dict:
+    """Coordinates of T = B_i*B_j + B_j*B_i, for every i <= j, on the integer
+    rows of the basis; each is certified by the exact check that the basis
+    combination with its coordinates is denom * T.
+
+    The entries are packed k bits each: a matrix row is the integer
+    sum_b X[l][b] * 2^(k*b), so row a of B_i*B_j is one dot product of row a
+    of B_i with the packed rows of B_j, and a matrix is its rows packed in
+    turn.  With M the largest |entry| of the rows, |T[q]| <= 2n M^2 and the
+    combination, with r coordinates each at most 2n M^2, has entries at most
+    2r n M^3.  k is chosen so that 2^(k-1) > 2n M^2 (denom + r M): every
+    entry of T is a signed k-bit digit, read off exactly, and every
+    difference between denom * T and the combination is below 2^k, so the
+    two packed integers are equal only if they agree in every entry.
+    """
+    r = len(rows)
+    top = max(abs(x) for row in rows for x in row)
+    k = (2 * n * top * top * (denom + r * top)).bit_length() + 1
+    shifts = range(0, k * n * n, k)
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    # adding ``offset`` makes every signed digit nonnegative
+    offset = sum(half << s for s in shifts)
+    mats = [[row[a : a + n] for a in range(0, n * n, n)] for row in rows]
+    packed = [[sum(map(lshift, line, shifts)) for line in mat] for mat in mats]
+    whole = [sum(map(lshift, row, shifts)) for row in rows]
+    at = [k * p for p in pivots]
+    coords = {}
+    for i, j in itertools.combinations_with_replacement(range(r), 2):
+        pi, pj = packed[i], packed[j]
+        lines = [_dot(a, pj) + _dot(b, pi) for a, b in zip(mats[i], mats[j])]
+        t = sum(map(lshift, lines, shifts[::n]))
+        digits = t + offset
+        c = [(digits >> s & mask) - half for s in at]
+        if denom * t != _dot(c, whole):
+            raise InternalInvariantViolation("center is not closed under the Jordan product")
+        coords[i, j] = coords[j, i] = c
+    return coords
+
+
 class _Coordinates:
     """The center in coordinates, with certified Jordan structure constants.
 
@@ -111,30 +160,17 @@ class _Coordinates:
     def __init__(self, center: CenterBasis) -> None:
         n = center.n
         width = n * n
-        self.basis = row_space_basis(center.vectors(), width)
-        rows, self.denom = _scaled(self.basis)
+        vectors = center.vectors()
+        # the rows of a center basis are independent; only a hand-built basis
+        # with dependent rows needs the general elimination
+        echelon = _adjugate_echelon(vectors, width)
+        rows, self.denom = echelon or _scaled(row_space_basis(vectors, width))
+        self.rows = rows
         self.n, self.r = n, len(rows)
         self.pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
         # entry q of every basis element, for combinations of the basis
         self.columns = list(zip(*rows))
-        # B_i o B_j scaled by 2 * denom^2 is T = B_i*B_j + B_j*B_i on the
-        # integer rows; its coordinates are its entries at the pivots
-        mats = [
-            ([row[a * n : a * n + n] for a in range(n)], [row[b::n] for b in range(n)])
-            for row in rows
-        ]
-        coords = {}
-        for i, j in itertools.combinations_with_replacement(range(self.r), 2):
-            (rows_i, cols_i), (rows_j, cols_j) = mats[i], mats[j]
-            t = [
-                _dot(rows_i[a], cols_j[b]) + _dot(rows_j[a], cols_i[b])
-                for a in range(n)
-                for b in range(n)
-            ]
-            c = [t[p] for p in self.pivots]
-            if self.combine(c) != [self.denom * x for x in t]:
-                raise InternalInvariantViolation("center is not closed under the Jordan product")
-            coords[i, j] = coords[j, i] = c
+        coords = _jordan_table(rows, n, self.pivots, self.denom)
         scale = 2 * self.denom * self.denom
         common = gcd(scale, *(x for c in coords.values() for x in c))
         self.scale = scale // common
@@ -217,10 +253,11 @@ def find_idempotents(center: CenterBasis, seed: int = 42) -> IdempotentSet:
             g = _primitive_int_row([_dot(coeffs, col) for col in zip(*corner)])
             # the operator is scale * L_g; g and its powers have integer
             # coordinates, their entries at the pivots, so dividing L_g of
-            # an integer polynomial in g by the scale is exact
+            # an integer polynomial in g by the scale is exact, in the
+            # Krylov steps of the minimal polynomial and the Horner steps
             a = z.operator([g[p] for p in z.pivots])
-            l_g = RatMatrix._raw(r, r, [_ratio(x, z.scale) for row in a for x in row])
-            m = minimal_polynomial(l_g, unit)
+            operator = RatMatrix._raw(r, r, [x for row in a for x in row])
+            m = minimal_polynomial(operator, unit, z.scale)
             factors = primary_coprime_factors(m)
             if len(factors) < 2:
                 continue
@@ -250,25 +287,51 @@ def find_idempotents(center: CenterBasis, seed: int = 42) -> IdempotentSet:
             return
         final.append((v, d))
 
-    refine(z.one, 1, z.basis)  # the corner of the unit is the whole center
+    refine(z.one, 1, z.rows)  # the corner of the unit is the whole center
     _assert_internally_valid(z, final)
     return IdempotentSet(n, tuple(z.matrix(v, d) for v, d in final))
 
 
 def _projector(m: UniPoly, mi: UniPoly) -> UniPoly:
     """u*N_i of degree < deg m, for N_i = m / M_i and u*N_i + v*M_i = 1: its
-    value at g is the projector of the factor M_i.  For a simple rational
-    root, M_i = t - c, u = 1/N_i(c): the Lagrange polynomial N_i / N_i(c)."""
+    value at g is the projector of the factor M_i, one of the primary
+    factors of m.
+
+    For M_i = (t - c)^k, c a rational root, u is 1/N_i to order k in t - c:
+    with N_i = sum_j b_j (t - c)^j (Taylor coefficients, by repeated
+    synthetic division), u = sum_(j<k) a_j (t - c)^j for a_0 = 1/b_0 and
+    a_j = -(b_1 a_(j-1) + ... + b_j a_0) / b_0, and no Euclid runs; k = 1
+    gives the Lagrange polynomial N_i / N_i(c).  u*N_i has degree < deg m,
+    and u is the Bezout cofactor modulo M_i, so this is the Euclid
+    projector.  A rootless factor takes u from the extended Euclid.
+    """
     ni = m // mi
-    if mi.degree == 1:
-        at_root = ni(-mi.coefficients()[0])
-        if at_root == 0:
+    k = mi.degree
+    c = -mi.coefficients()[0] if k == 1 else divide(-mi.coefficients()[k - 1], k)
+    if k > 1 and mi(c) != 0:
+        gcd_poly, cofactor, _ = extended_gcd(ni, mi)
+        if gcd_poly != UniPoly.one():
             raise InternalInvariantViolation("factors are not pairwise coprime")
-        return ni * divide(1, at_root)
-    gcd_poly, cofactor, _ = extended_gcd(ni, mi)
-    if gcd_poly != UniPoly.one():
+        return (cofactor * ni) % m
+    b, coeffs = [], ni.coefficients()
+    for _ in range(k):
+        acc, quotient = 0, []
+        for x in reversed(coeffs):
+            acc = acc * c + x
+            quotient.append(acc)
+        b.append(quotient.pop() if quotient else 0)
+        coeffs = quotient[::-1]
+    if b[0] == 0:
         raise InternalInvariantViolation("factors are not pairwise coprime")
-    return (cofactor * ni) % m
+    a = [divide(1, b[0])]
+    if k == 1:
+        return ni * a[0]
+    for j in range(1, k):
+        a.append(divide(-sum(b[i] * a[j - i] for i in range(1, j + 1)), b[0]))
+    u, shift = UniPoly([a[-1]]), UniPoly.linear_root(c)
+    for x in reversed(a[:-1]):
+        u = u * shift + UniPoly([x])
+    return u * ni
 
 
 def _assert_internally_valid(z: _Coordinates, final: list) -> None:
@@ -319,4 +382,4 @@ def verify_complete(idem: IdempotentSet, polys: Sequence[Polynomial]) -> bool:
     identity the last element, the identity minus the others, is a member
     when the others are: only they are checked.
     """
-    return _identity_failure(idem) is None and _all_members(idem.eps[:-1], polys)
+    return _identity_failure(idem) is None and _all_members(list(map(vec, idem.eps[:-1])), polys)

@@ -3,10 +3,10 @@
 Dense matrices with exact rational entries, sized for ambient dimensions in
 the single digits.
 
-All elimination over the rationals runs through one engine, ``_echelon``:
-the reduced echelon form of the span of some rows, stored as each pivot
-column with its row's entries outside the pivot columns.  Kernels, row and
-column spaces, inverses and minimal polynomials are read off that form.
+General elimination over the rationals runs through one engine,
+``_echelon``: the reduced echelon form of the span of some rows, stored as
+each pivot column with its row's entries outside the pivot columns.
+Kernels, row and column spaces and inverses are read off that form.
 The rows are scaled to primitive integers and eliminated modulo a 61-bit
 prime by sparse incremental insertion; the form's entries are lifted to the
 rationals by rational reconstruction, combining more primes by CRT while
@@ -22,10 +22,21 @@ check costs a retry with the next one, never a different answer.  The
 center's pencil certificate shares the modular pieces: insertion, the
 primes, reconstruction and the CRT step.
 
+Two kernels of the idempotent search have cheaper exact certificates.
+``_adjugate_echelon`` gives the reduced echelon basis of r independent
+vectors as A^-1 F, F the vectors and A their r x r block at the pivot
+columns, from one fraction-free adjugate; it is certified by its shape,
+the identity on the pivots and zeros before each pivot.
+``minimal_polynomial`` works on integer Krylov vectors: the degree is the
+first dependency modulo a kernel prime, the coefficients come from mod-p
+solves combined by CRT and are accepted only when the dependency holds
+exactly, and a Hadamard bound ends the search when the prime found the
+dependency too early.
+
 The module also provides the univariate polynomial machinery (gcd, Bezout
-cofactors, squarefree part, minimal polynomials, primary factors: (t - r)^k
-per rational root r by exact division, then one rootless remainder) that
-the idempotent search uses to cut a center algebra into spectral pieces.
+cofactors, squarefree part, primary factors: (t - r)^k per rational root r
+by exact division, then one rootless remainder) that the idempotent search
+uses to cut a center algebra into spectral pieces.
 Rational roots are found modularly as well, in time polynomial in the size
 of the input: the squarefree part is turned into a monic integer polynomial
 g, whose roots modulo the smallest prime that keeps them all simple are
@@ -300,6 +311,46 @@ def _axpy(y: dict, a: int, x: dict, p: int) -> None:
             y.pop(j, None)
 
 
+def _solve_mod(rows: list, n: int, p: int) -> list | None:
+    """The columns after the first n of dense integer rows modulo p, once
+    Gauss-Jordan elimination has turned the first n into the identity; None
+    when those are singular.  The rows are reduced in place; an entry is
+    reduced modulo p only where it becomes a pivot or a multiplier, and at
+    the end."""
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if rows[r][c] % p), None)
+        if pivot is None:
+            return None
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        inv = pow(rows[c][c], -1, p)
+        top = rows[c] = [x * inv % p for x in rows[c]]
+        # the columns before c are zero in ``top``
+        tail = top[c:]
+        for r, row in enumerate(rows):
+            f = row[c] % p
+            if f and r != c:
+                row[c:] = [x - f * t for x, t in zip(row[c:], tail)]
+    return [[x % p for x in row[n:]] for row in rows]
+
+
+def _insert_dense(leads: list, reduced: list, v: list, p: int, width: int | None = None) -> bool:
+    """Add a dense vector modulo p to a row echelon basis: ``reduced[i]`` is
+    a row with 1 at ``leads[i]`` and 0 at the leads before it.  v is reduced
+    in place, and kept (normalized) when a coordinate below ``width`` (all,
+    by default) is left nonzero; returns whether it was."""
+    for c, row in zip(leads, reduced):
+        f = v[c]
+        if f:
+            v[:] = [(x - f * y) % p for x, y in zip(v, row)]
+    lead = next((c for c, x in enumerate(v[:width]) if x), None)
+    if lead is None:
+        return False
+    inv = pow(v[lead], -1, p)
+    leads.append(lead)
+    reduced.append([x * inv % p for x in v])
+    return True
+
+
 def _reconstruct(residues: dict, modulus: int) -> dict | None:
     """Rationals a/b = u mod modulus with |a|, b <= sqrt(modulus/2) (Wang).
 
@@ -494,6 +545,57 @@ def row_space_basis(vectors: Iterable[Sequence], width: int) -> list[Vector]:
             row[j] = x
         basis.append(tuple(row))
     return basis
+
+
+def _adjugate_echelon(vectors: Sequence[Sequence], width: int) -> tuple[list, int] | None:
+    """The reduced echelon basis E of the span of r independent vectors, as
+    the integer rows d * E over the least d > 0; None when the vectors are
+    dependent modulo the first kernel prime or the shape check below fails.
+
+    The pivot columns P are those of the vectors modulo that prime.  With F
+    the vectors scaled to primitive integer rows and A = F[:, P], the r x r
+    block, E = A^-1 F = adj(A) F / det(A), from one fraction-free (Bareiss)
+    Gauss-Jordan elimination of [A | I]: each division is exact, and at the
+    end the right block is t * A^-1 for the last pivot t.  E is certified by
+    its shape alone, whatever the elimination did: E[:, P] = I and each row
+    is zero before its pivot.  Then E, a combination of the rows of F, has
+    rank r, so it spans their row space, and it is in reduced echelon form,
+    which is unique.  A prime that finds other pivots than the rationals
+    leaves a nonzero entry before a pivot, and the check refuses it.
+    """
+    rows = [_primitive_int_row(v) for v in vectors]
+    p = _kernel_prime(0)
+    # the leads are those of distinct members of the span, as many as its
+    # dimension, so they are its pivot columns
+    leads: list = []
+    reduced: list = []
+    for row in rows:
+        if not _insert_dense(leads, reduced, [x % p for x in row], p):
+            return None
+    cols = sorted(leads)
+    r = len(rows)
+    m = [[row[c] for c in cols] + [int(i == j) for j in range(r)] for i, row in enumerate(rows)]
+    t = 1
+    for c in range(r):
+        # A is nonsingular modulo p, so a nonzero pivot is left in column c
+        k = next(i for i in range(c, r) if m[i][c])
+        m[c], m[k] = m[k], m[c]
+        top = m[c]
+        prev, t = t, top[c]
+        m = [
+            row if i == c else [(t * x - row[c] * y) // prev for x, y in zip(row, top)]
+            for i, row in enumerate(m)
+        ]
+    sign = 1 if t > 0 else -1
+    adj = [[sign * x for x in row[r:]] for row in m]
+    t *= sign
+    columns = list(zip(*rows))
+    out = [[sum(map(mul, a, col)) for col in columns] for a in adj]
+    for i, (c, row) in enumerate(zip(cols, out)):
+        if any(row[:c]) or any(row[j] != (t if k == i else 0) for k, j in enumerate(cols)):
+            return None
+    g = gcd(t, *(x for row in out for x in row))
+    return [[x // g for x in row] for row in out], t // g
 
 
 # ---------------------------------------------------------------------------
@@ -829,38 +931,115 @@ def primary_coprime_factors(m: UniPoly) -> list[UniPoly]:
 # ---------------------------------------------------------------------------
 
 
-def minimal_polynomial(m: RatMatrix, start: RatMatrix | None = None) -> UniPoly:
-    """Least-degree monic p with p(m) * start = 0, via the first Krylov dependency.
+def minimal_polynomial(m: RatMatrix, start: RatMatrix | None = None, scale: int = 1) -> UniPoly:
+    """Least-degree monic p with p(m / scale) * start = 0, from the first
+    Krylov dependency.
 
     ``start`` defaults to the identity, where p is the minimal polynomial of
-    m; a column v gives the annihilator of v under m, the minimal polynomial
-    of m on the subspace that v generates.  start, m*start, ..., m^k*start
-    are flattened and stacked as columns until the stack has a kernel.  The
-    earlier columns are independent, so the kernel is a single vector with 1
-    at m^k*start: the coefficients of p.
+    m / scale; a column v gives the annihilator of v, the minimal polynomial
+    of m / scale on the subspace that v generates.
 
-    Each power, as a primitive integer row, is first added to an echelon
-    basis modulo one kernel prime.  Rank modulo a prime never exceeds rank
-    over the rationals, so while the rank modulo the prime goes up the stack
-    has no kernel, and the certified kernel is computed only from the first
-    power that is dependent modulo the prime: normally once, at k.
+    The Krylov vectors are integers.  m / scale = M / s for an integer
+    matrix M; x_0 is start, flattened and scaled to primitive integers, and
+    x_(j+1) is M x_j, divided by s whenever that is exact (for a draw of the
+    idempotent search it always is).  The degree d is the first j at which
+    x_j reduces to zero modulo a kernel prime against the earlier vectors,
+    and the reduction gives y with sum_(j<d) y_j x_j = -x_d modulo the
+    prime.  Rank modulo a prime never exceeds rank over the rationals, so
+    x_0 ... x_(d-1) are independent, and ``_krylov_dependency`` either
+    certifies y exactly or finds that x_d is independent too, when the next
+    kernel prime sets the degree again.  With e_j the number of steps up to
+    x_j that were not divided, x_j = s^(e_j) (m / scale)^j x_0, so p has
+    the coefficients y_j / s^(e_d - e_j).
     """
     if m.rows != m.cols:
         raise DimensionMismatch("minimal polynomial needs a square matrix")
-    power = RatMatrix.identity(m.rows) if start is None else start
-    if power.rows != m.cols:
+    if start is not None and start.rows != m.cols:
         raise DimensionMismatch("start does not match the matrix")
-    p = _kernel_prime(0)
-    pivots: dict = {}
-    columns = []
+    n = m.rows
+    ints, s = _cleared(m._e)
+    s *= scale
+    rows = [ints[i : i + n] for i in range(0, n * n, n)]
+    if start is None:
+        x = [int(i == c) for c in range(n) for i in range(n)]
+    else:
+        # column-major: each column of the power is one slice of n entries
+        x = _primitive_int_row([start.entry(i, c) for c in range(start.cols) for i in range(n)])
+    xs, lags, width = [x], [0], len(x)
+    for first in count():
+        p = _kernel_prime(first)
+        # x_j is tagged with a 1 at coordinate width + j, so the tags of a
+        # reduced vector are the combination of x_0 ... x_j that it is
+        leads: list = []
+        reduced: list = []
+        d = 0
+        while True:
+            tags = [0] * (width + 1)
+            tags[d] = 1
+            v = [a % p for a in xs[d]] + tags
+            if not _insert_dense(leads, reduced, v, p, width):
+                break
+            d += 1
+            if d == len(xs):
+                columns = [x[c : c + n] for c in range(0, len(x), n)]
+                x = [sum(map(mul, row, column)) for column in columns for row in rows]
+                if s == 1 or not any(a % s for a in x):
+                    lags.append(lags[-1])
+                    x = [a // s for a in x]
+                else:
+                    lags.append(lags[-1] + 1)
+                xs.append(x)
+        if d == 0:
+            return UniPoly.one()  # start is zero
+        y = _krylov_dependency(xs, leads, first, v[width : width + d])
+        if y is not None:
+            powers = [lags[d] - lag for lag in lags]
+            return UniPoly([divide(c, s**e) if e else c for c, e in zip(y, powers)] + [1])
+
+
+def _krylov_dependency(xs: list, support: list, first: int, y: list) -> list | None:
+    """The y with sum_(j<d) y_j x_j = -x_d, certified exactly, from its
+    residues ``y`` modulo the kernel prime ``first``, or None when x_d is
+    not in the span of x_0 ... x_(d-1).
+
+    Those vectors, on the d coordinates ``support``, form a d x d system
+    that is nonsingular modulo the prime; it is solved modulo the next ones
+    too (skipping any that divides its determinant) and the solutions are
+    combined by CRT.  At each modulus the symmetric residues, the integer
+    y once the modulus passes 2 max |y_j|, are tried by the exact check on
+    every coordinate (a wrong candidate usually fails at the first one).
+    By Cramer's rule every y_j is det_j / det with |det_j| and |det| at
+    most the Hadamard bound H, the product of the norms of x_0 ... x_d on
+    the support: past a modulus of 2 H^2 rational reconstruction returns y
+    whenever it exists, so a candidate that fails the check there means
+    there is none, and the search ends.
+    """
+    d = len(y)
+    system = [[x[i] for x in xs[:d]] + [-xs[d][i]] for i in support]
+    bound = 1
+    for x in xs[: d + 1]:
+        bound *= isqrt(sum(x[i] * x[i] for i in support)) + 1
+    form, modulus = {0: dict(enumerate(y))}, _kernel_prime(first)
+    primes = map(_kernel_prime, count(first + 1))
     while True:
-        columns.append(vec(power))
-        ints = _primitive_int_row(columns[-1])
-        if not _insert_mod(pivots, [(c, v) for c, v in enumerate(ints) if v], p):
-            stacked = RatMatrix._raw(
-                len(power._e), len(columns), [x for row in zip(*columns) for x in row]
-            )
-            kernel = nullspace_basis(stacked)
-            if kernel:
-                return UniPoly(kernel[0])
-        power = m * power
+        half = modulus // 2
+        y = [v - modulus if v > half else v for v in map(form[0].get, range(d))]
+        if _annihilates(xs, y):
+            return y
+        if modulus > 2 * bound * bound:
+            lifted = _reconstruct(form, modulus)
+            y = None if lifted is None else [lifted[0][j] for j in range(d)]
+            return y if y is not None and _annihilates(xs, y) else None
+        for q in primes:
+            solved = _solve_mod([[v % q for v in row] for row in system], d, q)
+            if solved is not None:
+                break
+        form = _crt(form, modulus, {0: {j: row[0] for j, row in enumerate(solved)}}, q)
+        modulus *= q
+
+
+def _annihilates(xs: list, y: list) -> bool:
+    """Whether sum_(j<d) y_j x_j + x_d = 0 exactly, for d = len(y)."""
+    ints, denom = _cleared(y)
+    d = len(y)
+    return not any(sum(map(mul, ints, t)) + denom * t[d] for t in zip(*xs[: d + 1]))

@@ -19,7 +19,12 @@ with one product per coefficient matrix, the reference for the packed
 product of ``_all_members``; ``wang_reconstruct`` runs Wang's Euclid on every
 entry, the reference for ``_reconstruct``; ``bezout_projector`` takes the
 projector polynomial from the extended Euclid, the reference for the
-Lagrange projectors of ``_projector``.  ``parse_by_tokens`` is
+Taylor and Lagrange projectors of ``_projector``;
+``krylov_minimal_polynomial`` stacks the Fraction Krylov powers and takes
+their certified kernel, the reference for the integer CRT
+``minimal_polynomial``; ``jordan_table_by_products`` forms every Jordan
+product of the basis by full n x n products, the reference for the packed
+table of ``_jordan_table``.  ``parse_by_tokens`` is
 the second route to ``parse_polynomial``: a token-at-a-time tokenizer and
 recursive-descent parser with the same results and the same ``ParseError``
 messages and positions.
@@ -61,10 +66,11 @@ from polydecomp.ratlinalg import (
     _cleared,
     _echelon,
     _in_row_space,
+    _insert_mod,
+    _kernel_prime,
     _primitive_int_row,
     _sparse_rows,
     extended_gcd,
-    minimal_polynomial,
     nullspace_basis,
     primary_coprime_factors,
     row_space_basis,
@@ -260,6 +266,43 @@ def bezout_projector(m: UniPoly, mi: UniPoly) -> UniPoly:
     return (u * ni) % m
 
 
+def krylov_minimal_polynomial(m: RatMatrix, start: RatMatrix | None = None) -> UniPoly:
+    """Least-degree monic p with p(m) * start = 0 (start defaults to the
+    identity): the powers start, m*start, ... are flattened and stacked as
+    columns until the stack has a kernel, whose one vector, with 1 at the
+    last power, holds the coefficients.  A power that raises the rank modulo
+    a kernel prime cannot give a kernel, so only the others are solved."""
+    if m.rows != m.cols:
+        raise DimensionMismatch("minimal polynomial needs a square matrix")
+    power = RatMatrix.identity(m.rows) if start is None else start
+    if power.rows != m.cols:
+        raise DimensionMismatch("start does not match the matrix")
+    p = _kernel_prime(0)
+    pivots: dict = {}
+    columns = []
+    while True:
+        columns.append(vec(power))
+        ints = _primitive_int_row(columns[-1])
+        if not _insert_mod(pivots, [(c, v) for c, v in enumerate(ints) if v], p):
+            stacked = RatMatrix(
+                len(columns[0]), len(columns), [x for row in zip(*columns) for x in row]
+            )
+            kernel = nullspace_basis(stacked)
+            if kernel:
+                return UniPoly(kernel[0])
+        power = m * power
+
+
+def jordan_table_by_products(rows: Sequence[Sequence[int]], n: int) -> dict:
+    """{(i, j): B_i*B_j + B_j*B_i as a row-major list} for i <= j, by full
+    n x n products of the integer rows."""
+    mats = [RatMatrix(n, n, row) for row in rows]
+    return {
+        (i, j): list(vec(mats[i] * mats[j] + mats[j] * mats[i]))
+        for i, j in itertools.combinations_with_replacement(range(len(rows)), 2)
+    }
+
+
 def find_idempotents_by_matrices(center: CenterBasis, seed: int = 42) -> IdempotentSet:
     """``find_idempotents`` on n x n matrices: the same draws from the same
     corner bases, corners e*Z*e by matrix products, minimal polynomials of
@@ -287,7 +330,7 @@ def find_idempotents_by_matrices(center: CenterBasis, seed: int = 42) -> Idempot
                 c = rng.randint(1, COEFF_RANGE)
                 acc = acc + x.scale(-c if rng.randint(0, 1) else c)
             g = RatMatrix(n, n, _primitive_int_row(vec(acc)))
-            m = minimal_polynomial(g)
+            m = krylov_minimal_polynomial(g)
             factors = primary_coprime_factors(m)
             if len(factors) < 2:
                 continue

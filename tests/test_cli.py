@@ -251,6 +251,12 @@ GOLDEN_DOCUMENTS = {
         ["--seed", "1", "--n", "10", "--m", "3", "--blocks", "4,3,3", "--max-degree", "4"],
         "3520a218cca013705a13669b2728b640accbc52d50b7e68757aba5c7e09e6557",
     ),
+    # eight singletons: a dim-8 center whose echelon entries reach 79 bits
+    "planted_n8_singletons": (
+        None,
+        ["--seed", "1", "--n", "8", "--m", "1", "--blocks", "1,1,1,1,1,1,1,1", "--max-degree", "3"],
+        "02d49cb8ebe1196f38bf9426b7329accf134d0e1076dce54e6d40742646c1bf3",
+    ),
 }
 
 

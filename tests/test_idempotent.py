@@ -13,6 +13,7 @@ from algebra_helpers import (
     find_idempotents_by_matrices,
     in_span,
     jordan_product,
+    jordan_table_by_products,
     rank_profile,
 )
 from conftest import BIN_CUBIC_EPS, FOURVAR_EPS, TRIO_3_EPS, mat, planted_suite
@@ -30,7 +31,7 @@ from polydecomp import (
     parse_polynomial,
     verify_complete,
 )
-from polydecomp.idempotent import _apply, _Coordinates, _projector
+from polydecomp.idempotent import _apply, _Coordinates, _jordan_table, _projector
 from polydecomp.ratlinalg import UniPoly, primary_coprime_factors, row_space_basis, vec
 
 QUADRATIC_FORMS = ["x^2 + 4*x*y + y^2 + 3*y*z + z^2", "x^2 + 2*y^2 + 3*z^2 + x*y"]
@@ -276,6 +277,67 @@ class TestStructureConstants:
         assert z.matrix(z.one, 1).is_identity()
 
 
+def closed_by_products(rows, n, pivots, denom):
+    """Whether every Jordan product of the integer rows, formed by full
+    products, is the basis combination of its entries at the pivots."""
+    columns = list(zip(*rows))
+    for t in jordan_table_by_products(rows, n).values():
+        combined = [sum(t[p] * x for p, x in zip(pivots, col)) for col in columns]
+        if combined != [denom * x for x in t]:
+            return False
+    return True
+
+
+class TestPackedJordanTable:
+    """The packed structure table against full n x n products."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(centers)
+    def test_matches_the_full_products(self, center):
+        # both pencil and row-fallback centers: the quadratic-plus-cubic
+        # family has dense coefficient matrices and sparse ones
+        z = _Coordinates(center)
+        table = _jordan_table(z.rows, z.n, z.pivots, z.denom)
+        full = jordan_table_by_products(z.rows, z.n)
+        for (i, j), t in full.items():
+            assert table[i, j] == table[j, i] == [t[p] for p in z.pivots]
+        assert closed_by_products(z.rows, z.n, z.pivots, z.denom)
+
+    @settings(max_examples=60, deadline=None)
+    @given(centers, st.data())
+    def test_tampered_basis_is_refused_exactly_when_unclosed(self, center, data):
+        # one entry of one row moved: the check raises exactly when a full
+        # product leaves the span
+        z = _Coordinates(center)
+        rows = [list(row) for row in z.rows]
+        i = data.draw(st.integers(0, z.r - 1))
+        q = data.draw(st.sampled_from([q for q in range(z.n * z.n) if q not in z.pivots] or [0]))
+        rows[i][q] += data.draw(st.sampled_from([1, -1, 2**70]))
+        if closed_by_products(rows, z.n, z.pivots, z.denom):
+            _jordan_table(rows, z.n, z.pivots, z.denom)
+        else:
+            with pytest.raises(InternalInvariantViolation, match="not closed"):
+                _jordan_table(rows, z.n, z.pivots, z.denom)
+
+    def test_tampered_center_is_refused(self, fourvar_pair):
+        center = center_basis(fourvar_pair)
+        x = center.basis[1]
+        moved = RatMatrix(4, 4, [e + (k == 1) for k, e in enumerate(vec(x))])
+        tampered = CenterBasis(4, (center.basis[0], moved, center.basis[2]))
+        z = _Coordinates(center)
+        assert closed_by_products(z.rows, 4, z.pivots, z.denom)
+        with pytest.raises(InternalInvariantViolation, match="not closed"):
+            _Coordinates(tampered)
+
+    def test_dependent_hand_built_basis(self):
+        # dependent rows take the general elimination, to the same rows
+        a = mat([[1, 0, 0], [0, 2, 0], [0, 0, 2]])
+        independent = _Coordinates(CenterBasis(3, (RatMatrix.identity(3), a)))
+        dependent = _Coordinates(CenterBasis(3, (RatMatrix.identity(3), a, a + a)))
+        assert dependent.r == independent.r == 2
+        assert (dependent.rows, dependent.denom) == (independent.rows, independent.denom)
+
+
 class TestVerifyComplete:
     def test_identity_alone(self, bin_cubics):
         idem = IdempotentSet(2, (RatMatrix.identity(2),))
@@ -332,7 +394,7 @@ class TestVerifyComplete:
         monkeypatch.setattr(polydecomp.idempotent, "_all_members", recording)
         eps = tuple(mat(rows) for rows in FOURVAR_EPS)
         assert verify_complete(IdempotentSet(4, eps), fourvar_pair)
-        assert checked == [list(eps[:-1])]
+        assert checked == [[vec(e) for e in eps[:-1]]]
 
 
 class TestRankProfile:

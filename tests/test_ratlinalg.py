@@ -3,7 +3,7 @@
 import random
 import time
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import pytest
 import sympy
@@ -14,16 +14,18 @@ import polydecomp.ratlinalg
 from algebra_helpers import (
     at_matrix,
     in_span,
+    krylov_minimal_polynomial,
     matrix_rows,
     same_span,
     span_intersection,
     wang_reconstruct,
 )
 from conftest import mat
-from polydecomp import DimensionMismatch, RatMatrix, SingularMatrix, invert
+from polydecomp import DimensionMismatch, RatMatrix, SingularMatrix, center_basis, invert
 from polydecomp._rat import normalize
 from polydecomp.ratlinalg import (
     UniPoly,
+    _adjugate_echelon,
     _echelon,
     _is_prime,
     _kernel_prime,
@@ -573,37 +575,151 @@ class TestMinimalPolynomial:
 
 class TestMinimalPolynomialKernelCalls:
     @pytest.fixture
-    def kernel_widths(self, monkeypatch):
-        widths = []
-        kernel = polydecomp.ratlinalg.nullspace_basis
+    def degrees(self, monkeypatch):
+        # the degree of every Krylov dependency the kernel tries to certify
+        tried = []
+        dependency = polydecomp.ratlinalg._krylov_dependency
 
-        def recording(stack):
-            widths.append(stack.cols)
-            return kernel(stack)
+        def recording(xs, support, first, y):
+            tried.append(len(y))
+            return dependency(xs, support, first, y)
 
-        monkeypatch.setattr(polydecomp.ratlinalg, "nullspace_basis", recording)
-        return widths
+        monkeypatch.setattr(polydecomp.ratlinalg, "_krylov_dependency", recording)
+        return tried
 
-    def test_one_certified_solve(self, kernel_widths):
+    def test_one_certified_solve(self, degrees):
         m = mat([[2, 1, 0], [0, 2, 0], [Fraction(1, 3), 0, 5]])
         assert minimal_polynomial(m) == UniPoly([-20, 24, -9, 1])  # (t-2)^2 (t-5)
-        assert kernel_widths == [4]
+        assert degrees == [3]
 
-    def test_dependent_only_modulo_the_first_kernel_prime(self, kernel_widths):
+    def test_dependent_only_modulo_the_first_kernel_prime(self, degrees):
         # M = I modulo p, so vec I and vec M are dependent there: the first
-        # dependency modulo p comes one power early, the certified kernel at
-        # it is empty, and the next power gives the answer
+        # dependency modulo p comes one power early, no solution passes the
+        # exact check below the Hadamard stop, and the next kernel prime
+        # gives the answer
         p = _kernel_prime(0)
         m = mat([[1, 0], [0, 1 + p]])
         assert minimal_polynomial(m) == UniPoly([1 + p, -(2 + p), 1])
-        assert kernel_widths == [2, 3]
+        assert degrees == [1, 2]
 
-    def test_prime_in_a_denominator(self, kernel_widths):
+    def test_prime_in_a_denominator(self, degrees):
         p = _kernel_prime(0)
         m = mat([[1, 0], [0, 1 + Fraction(1, p)]])
         expected = UniPoly([1 + Fraction(1, p), -(2 + Fraction(1, p)), 1])
         assert minimal_polynomial(m) == expected
-        assert kernel_widths == [3]
+        assert degrees == [2]
+
+
+def assert_same_poly(p, expected):
+    assert p == expected
+    assert list(map(type, p.coefficients())) == list(map(type, expected.coefficients()))
+
+
+@st.composite
+def krylov_cases(draw):
+    """A square matrix, a start column (or None, the identity) and a scale."""
+    m = draw(square_matrices(largest=4))
+    start = None
+    if draw(st.booleans()):
+        entries = st.one_of(small_rationals, big_integers)
+        start = RatMatrix(m.rows, 1, draw(st.lists(entries, min_size=m.rows, max_size=m.rows)))
+    return m, start, draw(st.sampled_from([1, 1, 2, 6, 2**61 + 1]))
+
+
+class TestMinimalPolynomialReference:
+    """The integer CRT kernel against the Fraction Krylov stack."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(krylov_cases())
+    def test_matches_the_fraction_krylov(self, case):
+        m, start, scale = case
+        expected = krylov_minimal_polynomial(m.scale(Fraction(1, scale)), start)
+        assert_same_poly(minimal_polynomial(m, start, scale), expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(square_matrices(largest=5), st.integers(1, 10**30), st.data())
+    def test_exact_division_by_the_scale(self, g, scale, data):
+        # a draw's operator is scale * L_g with integer powers of g: every
+        # Krylov step divides by the scale exactly
+        g = RatMatrix(g.rows, g.cols, _primitive_int_row(vec(g)))
+        entries = st.lists(st.integers(-9, 9), min_size=g.rows, max_size=g.rows)
+        start = RatMatrix(g.rows, 1, data.draw(entries))
+        expected = krylov_minimal_polynomial(g, start)
+        assert_same_poly(minimal_polynomial(g.scale(scale), start, scale), expected)
+        assert all(type(c) is int for c in expected.coefficients())
+
+    def test_start_dependent_only_modulo_the_first_kernel_prime(self, monkeypatch):
+        # x_0 = e_1 and x_1 = (0, p) are dependent modulo p, not over the
+        # rationals: the degree-1 candidate fails the exact check up to the
+        # Hadamard stop, and the next kernel prime finds t^2
+        p = FIRST_PRIME
+        tried = []
+        dependency = polydecomp.ratlinalg._krylov_dependency
+
+        def recording(xs, support, first, y):
+            tried.append((len(y), first))
+            return dependency(xs, support, first, y)
+
+        monkeypatch.setattr(polydecomp.ratlinalg, "_krylov_dependency", recording)
+        for scale in (1, 3):
+            tried.clear()
+            m = mat([[0, 0], [scale * p, 0]])
+            start = mat([[1], [0]])
+            assert minimal_polynomial(m, start, scale) == UniPoly([0, 0, 1])
+            assert tried == [(1, 0), (2, 1)]
+        assert krylov_minimal_polynomial(mat([[0, 0], [p, 0]]), mat([[1], [0]])) == UniPoly(
+            [0, 0, 1]
+        )
+
+    def test_coefficients_past_one_prime(self):
+        # (t - a)(t - b) with a*b near 2^200: the constant term needs four
+        # 61-bit primes, and the candidates before fail the exact check
+        a, b = 2**100 + 7, -(3**63)
+        m = mat([[a, 1], [0, b]])
+        assert minimal_polynomial(m) == UniPoly([a * b, -(a + b), 1])
+
+
+def scaled_rows(basis):
+    """The reduced echelon rows as integers over their least denominator."""
+    denom = lcm(*(Fraction(x).denominator for row in basis for x in row))
+    return [[int(x * denom) for x in row] for row in basis], denom
+
+
+class TestAdjugateEchelon:
+    """A^-1 F from one Bareiss adjugate against the modular engine."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(echelon_inputs())
+    def test_matches_the_engine(self, m):
+        rows = matrix_rows(m)
+        basis = row_space_basis(rows, m.cols)
+        got = _adjugate_echelon(rows, m.cols)
+        # random rows are never dependent modulo the first kernel prime alone
+        assert got == (None if len(basis) < m.rows else scaled_rows(basis))
+
+    def test_center_bases(self, fourvar_pair, bin_cubics):
+        for polys in (fourvar_pair, bin_cubics):
+            center = center_basis(polys)
+            width = center.n**2
+            expected = scaled_rows(row_space_basis(center.vectors(), width))
+            assert _adjugate_echelon(center.vectors(), width) == expected
+
+    def test_singular_modulo_the_first_prime(self):
+        # independent rows that the first kernel prime makes dependent
+        assert _adjugate_echelon(matrix_rows(UNLUCKY), 2) is None
+
+    def test_other_pivots_modulo_the_first_prime_are_refused(self):
+        # modulo p the pivots are {0, 2}, over the rationals {0, 1}: E has a
+        # nonzero entry before the pivot of its second row
+        rows = matrix_rows(mat([[1 + FIRST_PRIME, 1, 0], [1, 1, 1]]))
+        assert _adjugate_echelon(rows, 3) is None
+        assert len(row_space_basis(rows, 3)) == 2
+
+    def test_wide_entries(self):
+        rows = matrix_rows(BIG)
+        assert _adjugate_echelon(rows, 3) == ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1)
+        tall = [[3**40, 2**64 + 1, 0, 5], [5**20, 7**25, 1, Fraction(1, 3**41)]]
+        assert _adjugate_echelon(tall, 4) == scaled_rows(row_space_basis(tall, 4))
 
 
 class TestUniPolyGcd:
