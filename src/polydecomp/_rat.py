@@ -92,4 +92,4 @@ def divide(a: Rat, b: Rat) -> Rat:
 
 def rat_str(x: Rat) -> str:
     """Render a scalar as 'a' or 'a/b' in lowest terms."""
-    return str(x) if isinstance(x, int) else str(Fraction(x))
+    return str(x)

@@ -5,18 +5,27 @@ polynomial per nonempty line; ``#`` starts a comment.  Results are emitted as
 human-readable text or as a versioned JSON document whose matrices are
 row-major arrays of exact ``a/b`` strings, so serialization is lossless.
 
+The commands and their options are one table, COMMANDS.  A well-formed
+command line -- a command, then its options by their full names, each once,
+with values that do not start with '-' -- is read straight from that table,
+without loading argparse.  Every other line (help, errors, abbreviated,
+``--opt=value``, repeated or negative-value forms) goes to the argparse
+parser built from the same table, which alone writes help, usage and error
+texts.
+
 Exit codes: 0 success (decomposable or not -- that is data), 1 failed
-verification verdict, 2 bad input, parse error or malformed result document,
-3 internal invariant violation.
+verification verdict, 2 bad input, parse error or malformed result document
+(argparse's own exit code for a command line it rejects), 3 internal
+invariant violation.
 """
 
 from __future__ import annotations
 
-import argparse
 import re
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
+from types import SimpleNamespace
 
 from ._rat import Record, rat_str
 from .center import CenterBasis, center_basis
@@ -81,7 +90,7 @@ def write_problem(path: str, vars: Sequence[str], sources: Sequence[str]) -> Non
 
 
 def matrix_to_json(m: RatMatrix) -> list[list[str]]:
-    return [[rat_str(m.entry(r, c)) for c in range(m.cols)] for r in range(m.rows)]
+    return [list(map(rat_str, m.row(r))) for r in range(m.rows)]
 
 
 def matrix_from_json(rows: list[list[str]], name: str = "matrix") -> RatMatrix:
@@ -194,6 +203,7 @@ def result_to_document(
     center = result.center
     if center is None:
         raise ValueError("result does not carry its root center")
+    tree = _node_to_json(result.tree, problem.vars, is_root=True)
     return {
         "version": SCHEMA_VERSION,
         "vars": list(problem.vars),
@@ -201,13 +211,11 @@ def result_to_document(
         "seed": seed,
         "center_dim": center.dim,
         "center_basis": [matrix_to_json(b) for b in center.basis],
-        "idempotents": None
-        if result.tree.idempotents is None
-        else [matrix_to_json(e) for e in result.tree.idempotents],
+        "idempotents": tree["idempotents"],  # the root's, rendered once
         "P": matrix_to_json(result.P),
         "P_inverse": matrix_to_json(invert(result.P)),
         "diagonalizable": result.diagonalizable,
-        "tree": _node_to_json(result.tree, problem.vars, is_root=True),
+        "tree": tree,
     }
 
 
@@ -289,7 +297,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _format_matrix(m: RatMatrix, indent: str = "  ") -> str:
-    cells = [[rat_str(m.entry(r, c)) for c in range(m.cols)] for r in range(m.rows)]
+    cells = matrix_to_json(m)
     width = max(len(x) for row in cells for x in row)
     return "\n".join(
         indent + "[ " + "  ".join(x.rjust(width) for x in row) + " ]" for row in cells
@@ -420,50 +428,104 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each command: its help line, its function, its options as (flag, type,
+# default, required, help), a bool option being a flag that stores True, and
+# the options that exclude one another.  Both readers of a command line are
+# derived from this table: build_parser and _read_plain.
+COMMANDS = {
+    "center": ("compute the center algebra basis", cmd_center, (
+        ("--input", str, None, True, "problem file path"),
+        ("--json", bool, False, False, "emit JSON"),
+        ("--output", str, None, False, "write to file instead of stdout"),
+    ), ()),
+    "decompose": ("run the full decomposition pipeline", cmd_decompose, (
+        ("--input", str, None, True, "problem file path"),
+        ("--seed", int, 42, False, None),
+        ("--json", bool, False, False, "emit JSON"),
+        ("--text", bool, False, False, "emit text (default)"),
+        ("--output", str, None, False, "write to file instead of stdout"),
+    ), ("--json", "--text")),
+    "verify": ("re-check a serialized result", cmd_verify, (
+        ("--input", str, None, True, "problem file path"),
+        ("--result", str, None, True, "result JSON path"),
+    ), ()),
+    "generate": ("generate a planted instance", cmd_generate, (
+        ("--seed", int, 42, False, None),
+        ("--n", int, None, True, "variable count"),
+        ("--m", int, None, True, "polynomial count"),
+        ("--blocks", str, None, True, "comma-separated block sizes summing to n"),
+        ("--max-degree", int, 3, False, None),
+        ("--output", str, None, True, "problem file to write"),
+    ), ()),
+}
+
+
+def build_parser():
+    """The argparse parser of COMMANDS: it reads every command line that
+    _read_plain declines, and it alone writes help, usage and error texts."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="polydecomp",
         description="Simultaneous direct-sum decomposition of polynomial sets "
         "over the rationals (exact arithmetic).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_center = sub.add_parser("center", help="compute the center algebra basis")
-    p_center.add_argument("--input", required=True, help="problem file path")
-    p_center.add_argument("--json", action="store_true", help="emit JSON")
-    p_center.add_argument("--output", help="write to file instead of stdout")
-    p_center.set_defaults(func=cmd_center)
-
-    p_dec = sub.add_parser("decompose", help="run the full decomposition pipeline")
-    p_dec.add_argument("--input", required=True, help="problem file path")
-    p_dec.add_argument("--seed", type=int, default=42)
-    group = p_dec.add_mutually_exclusive_group()
-    group.add_argument("--json", action="store_true", help="emit JSON")
-    group.add_argument("--text", action="store_true", help="emit text (default)")
-    p_dec.add_argument("--output", help="write to file instead of stdout")
-    p_dec.set_defaults(func=cmd_decompose)
-
-    p_ver = sub.add_parser("verify", help="re-check a serialized result")
-    p_ver.add_argument("--input", required=True, help="problem file path")
-    p_ver.add_argument("--result", required=True, help="result JSON path")
-    p_ver.set_defaults(func=cmd_verify)
-
-    p_gen = sub.add_parser("generate", help="generate a planted instance")
-    p_gen.add_argument("--seed", type=int, default=42)
-    p_gen.add_argument("--n", type=int, required=True, help="variable count")
-    p_gen.add_argument("--m", type=int, required=True, help="polynomial count")
-    p_gen.add_argument(
-        "--blocks", required=True, help="comma-separated block sizes summing to n"
-    )
-    p_gen.add_argument("--max-degree", type=int, default=3)
-    p_gen.add_argument("--output", required=True, help="problem file to write")
-    p_gen.set_defaults(func=cmd_generate)
+    for command, (summary, func, options, exclusive) in COMMANDS.items():
+        p_cmd = sub.add_parser(command, help=summary)
+        group = p_cmd.add_mutually_exclusive_group() if exclusive else None
+        for flag, kind, default, required, text in options:
+            owner = group if flag in exclusive else p_cmd
+            if kind is bool:
+                owner.add_argument(flag, action="store_true", help=text)
+            else:
+                owner.add_argument(flag, type=kind, default=default, required=required, help=text)
+        p_cmd.set_defaults(func=func)
     return parser
 
 
+def _read_plain(argv: Sequence[str]):
+    """The namespace argparse makes of a plain command line, read without
+    argparse: a command, then its options by their full names, each at most
+    once, every value present and not starting with '-', the required
+    options given, no two exclusive ones, and every value converting to its
+    type.  None for any other line, which is left to argparse."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, options, exclusive = COMMANDS[argv[0]]
+    kinds = {option[0]: option[1] for option in options}
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        kind = kinds.get(flag)
+        if kind is None or flag in given:
+            return None
+        if kind is bool:
+            given[flag] = True
+            continue
+        value = next(tokens, "-")  # a missing value declines as '-' does
+        if value.startswith("-"):
+            return None
+        try:
+            given[flag] = kind(value)
+        except (TypeError, ValueError):
+            return None
+    if sum(flag in given for flag in exclusive) > 1:
+        return None
+    values = {"command": argv[0], "func": func}
+    for flag, _, default, required, _ in options:
+        if required and flag not in given:
+            return None
+        values[flag[2:].replace("-", "_")] = given.get(flag, default)
+    return SimpleNamespace(**values)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_plain(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InternalInvariantViolation as exc:

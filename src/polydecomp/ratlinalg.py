@@ -706,12 +706,13 @@ class UniPoly:
         rem = list(self._c)
         d = other.degree
         lead = other.leading
+        monic = lead == 1  # UniPoly normalizes the quotient either way
         q = [0] * max(0, len(rem) - d)
         for i in reversed(range(len(q))):
             top = rem[i + d]
             if top == 0:
                 continue
-            f = divide(top, lead)
+            f = top if monic else divide(top, lead)
             q[i] = f
             for j, y in enumerate(other._c):
                 rem[i + j] = rem[i + j] - f * y

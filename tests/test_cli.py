@@ -20,6 +20,7 @@ from conftest import (
 )
 from polydecomp import center_basis
 from polydecomp.cli import (
+    build_parser,
     main,
     matrix_from_json,
     matrix_to_json,
@@ -780,6 +781,46 @@ class TestStdlibOnly:
         )
         assert _run_without_site(script) == ["0 False"]
         assert "diagonalizable: yes" in (tmp_path / "out.txt").read_text()
+
+    def test_well_formed_commands_load_no_argparse(self, pair_file, tmp_path):
+        # argparse, and the locale module its messages load, are read only
+        # for help, errors and the forms the direct reader leaves to it
+        result, generated = str(tmp_path / "out.json"), str(tmp_path / "gen.txt")
+        script = (
+            "import polydecomp.cli\n"
+            "print('argparse' in sys.modules)\n"
+            "for argv in [\n"
+            f"    ['center', '--input', {pair_file!r}, '--json', '--output', {result!r}],\n"
+            f"    ['decompose', '--input', {pair_file!r}, '--json', '--output', {result!r}],\n"
+            f"    ['verify', '--input', {pair_file!r}, '--result', {result!r}],\n"
+            f"    ['generate', '--n', '3', '--m', '1', '--blocks', '1,2', '--output', {generated!r}],\n"
+            "]:\n"
+            "    rc = polydecomp.cli.main(argv)\n"
+            "    print(argv[0], rc, 'argparse' in sys.modules, 'locale' in sys.modules)\n"
+        )
+        assert _run_without_site(script) == [
+            "False",
+            "center 0 False False",
+            "decompose 0 False False",
+            "PASS: decomposition verified",
+            "verify 0 False False",
+            f"wrote {generated} and {generated}.truth.json",
+            "generate 0 False False",
+        ]
+
+    def test_help_is_argparses(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps to
+        src = os.path.dirname(os.path.dirname(os.path.abspath(polydecomp.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "polydecomp", "--help"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == build_parser().format_help()
+        assert proc.stdout.startswith("usage: polydecomp [-h] {center,decompose,verify,generate}")
 
     def test_every_public_name_resolves(self):
         # generate and PlantedInstance load their module on first access

@@ -759,6 +759,22 @@ class TestUniPolyGcd:
         assert q * b + r == a
         assert r.degree < b.degree
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.lists(st.one_of(st.integers(-9, 9), small_rationals), max_size=7),
+        b=st.lists(st.one_of(st.integers(-9, 9), small_rationals), max_size=4),
+        lead=st.one_of(st.just(1), st.integers(-5, 5), small_rationals),
+    )
+    def test_divmod_identity(self, a, b, lead):
+        # lead 1 takes the monic path, which skips dividing by the lead
+        assume(lead != 0)
+        a, b = UniPoly(a), UniPoly(b + [lead])
+        q, r = divmod(a, b)
+        assert q * b + r == a
+        assert r.degree < b.degree
+        for c in q.coefficients() + r.coefficients():
+            assert type(c) is int or c.denominator != 1
+
 
 class TestCoprimeSplit:
     def test_primary_factors_product_is_input(self):
