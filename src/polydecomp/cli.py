@@ -56,7 +56,9 @@ class ProblemFile(Record):
 
 def read_problem(path: str) -> ProblemFile:
     with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = fh.read().splitlines()
+        # a leading byte-order mark is not text; dropping it here rather than
+        # reading with "utf-8-sig" spares a fresh process loading that codec
+        raw_lines = fh.read().removeprefix("\ufeff").splitlines()
     vars_line = None
     sources = []
     for line in raw_lines:
@@ -385,7 +387,7 @@ def cmd_verify(args) -> int:
     with open(args.result, "r", encoding="utf-8") as fh:
         # a bare number too long for int() stays a string, which
         # matrix_from_json reports as the entry that holds it
-        doc = json.load(fh, parse_int=_json_int)
+        doc = json.loads(fh.read().removeprefix("\ufeff"), parse_int=_json_int)
     stored_problem, result = result_from_document(doc)
     claims = _claims_from_document(doc)
     if stored_problem.vars != problem.vars:

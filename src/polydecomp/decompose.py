@@ -11,7 +11,9 @@ child center element padded with zeros lies in the parent center; the child
 center is the parent's Peirce corner e*Z*e.  A split an unlucky draw missed
 at the parent is recovered, if at all, by the child's own draws under its
 own seed.  Each node's center is computed once; the root center is carried
-on the result for callers that report it.
+on the result for callers that report it.  The column spaces and inverses
+here are dense echelon forms, read off one fraction-free elimination
+(``ratlinalg``); only the center's sparse kernels take the modular engine.
 
 Constant terms are invisible to Hessians, so they are assigned to the first
 (lowest-index) block by convention; linear terms follow their variable's

@@ -4,13 +4,14 @@ A center is a Jordan algebra under x o y = (x*y + y*x)/2, not always an
 associative one, and the search runs inside it, on coordinate vectors of
 length r = dim Z.  In the center's reduced echelon basis over the n^2 matrix
 entries an element's coordinates are its entries at the r pivots, read
-without a solve.  That basis is A^-1 F for the given basis F and its r x r
-block A at the pivots, from one Bareiss adjugate, certified by its echelon
-shape (``ratlinalg._adjugate_echelon``).  The structure constants come from
-the r(r+1)/2 products (B_i*B_j + B_j*B_i)/2, formed on rows packed k bits
-per entry, each certified by one exact comparison of packed integers that
-the basis combination with its coordinates is the product, k being wide
-enough that equal integers mean equal entries (``_jordan_table``).
+without a solve.  That basis comes from one fraction-free elimination of
+the given basis (``ratlinalg._bareiss``), as integer rows over their least
+denominator, whether or not the given rows are independent.  The
+structure constants come from the r(r+1)/2 products (B_i*B_j + B_j*B_i)/2,
+formed on rows packed k bits per entry, each certified by one exact
+comparison of packed integers that the basis combination with its
+coordinates is the product, k being wide enough that equal integers mean
+equal entries (``_jordan_table``).
 Elements are integer vectors over one denominator and each product
 operator L_x an integer r x r matrix.
 
@@ -18,20 +19,21 @@ The search never solves e^2 = e directly.  It draws a random element g,
 takes its minimal polynomial (the Krylov annihilator of the unit under L_g;
 Jordan algebras are power associative, so these are the matrix powers): g
 is an integer matrix, so the Krylov vectors are integers and the
-polynomial is monic with integer coefficients, found modulo primes and
-accepted on an exact check (``ratlinalg.minimal_polynomial``).  It splits
-the polynomial into pairwise-coprime factors over the rationals, and
-assembles the spectral projectors as polynomials in g via Bezout cofactors
-(Taylor expansions of 1/N for the powers of rational roots, which the
-Lagrange polynomials of simple roots are a case of), by Horner steps with
-L_g.  Each projector e is refined the same way inside its Peirce corner
+polynomial is monic with integer coefficients, read off the fraction-free
+elimination of the Krylov vectors (``ratlinalg.minimal_polynomial``).  It
+splits the polynomial into pairwise-coprime factors over the rationals,
+and assembles the spectral projectors as polynomials in g via Bezout
+cofactors (Taylor expansions of 1/N for the powers of rational roots, which
+the Lagrange polynomials of simple roots are a case of), by Horner steps
+with L_g.  Each projector e is refined the same way inside its Peirce corner
 U_e(Z) = e*Z*e, U_e = 2 L_e^2 - L_e, until no rational split shows up.
 U_e projects onto the corner, so the corner's dimension is the trace
 of U_e, read off the diagonal of L_e^2; a one-dimensional corner holds only
-multiples of e, which is then final, and no basis of it is built.  Draws
-combine the corner's reduced echelon basis over the n^2 entries, not over
-the coordinates, whose pivots lie elsewhere: so the draws, and the results,
-are those of the same search on n x n matrices.  e o e = e,
+multiples of e, which is then final, and no basis of it is built.  A
+larger corner's reduced echelon basis over the n^2 entries comes from the
+same elimination of the columns of U_e.  Draws combine that basis, not one
+over the coordinates, whose pivots lie elsewhere: so the draws, and the
+results, are those of the same search on n x n matrices.  e o e = e,
 e_i o e_j = 0 (for idempotents this forces e_i*e_j = 0) and sum = 1 are
 checked in coordinates; only the returned idempotents become matrices.
 
@@ -48,7 +50,6 @@ from __future__ import annotations
 import itertools
 import random
 from collections.abc import Sequence
-from fractions import Fraction
 from math import gcd, lcm
 from operator import lshift, mul
 
@@ -59,13 +60,13 @@ from .poly import Polynomial
 from .ratlinalg import (
     RatMatrix,
     UniPoly,
-    _adjugate_echelon,
+    _bareiss,
     _cleared,
     _primitive_int_row,
+    _ratio,
     extended_gcd,
     minimal_polynomial,
     primary_coprime_factors,
-    row_space_basis,
     vec,
 )
 
@@ -92,15 +93,15 @@ def _apply(a: list, v: Sequence[int]) -> list[int]:
     return [_dot(row, v) for row in a]
 
 
-def _ratio(x: int, d: int):
-    return x // d if x % d == 0 else Fraction(x, d)
-
-
-def _scaled(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
-    """Integer rows d * rows over the lcm d of all their denominators."""
-    width = len(rows[0])
-    flat, d = _cleared([x for row in rows for x in row])
-    return [list(flat[i : i + width]) for i in range(0, len(flat), width)], d
+def _echelon_basis(vectors: Sequence[Sequence[int]]) -> tuple[list, list, int]:
+    """The pivot columns of the span of integer vectors and its reduced
+    echelon basis E, as the integer rows d * E over the least d > 0."""
+    pivots, rows, t = _bareiss(vectors, len(vectors[0]))
+    rows = rows[: len(pivots)]
+    g = gcd(t, *(x for row in rows for x in row))
+    if t < 0:
+        g = -g
+    return pivots, [[x // g for x in row] for row in rows], t // g
 
 
 def _reduced(v: Sequence[int], d: int) -> tuple[list[int], int]:
@@ -160,17 +161,13 @@ class _Coordinates:
     def __init__(self, center: CenterBasis) -> None:
         n = center.n
         width = n * n
-        vectors = center.vectors()
-        # the rows of a center basis are independent; only a hand-built basis
-        # with dependent rows needs the general elimination
-        echelon = _adjugate_echelon(vectors, width)
-        rows, self.denom = echelon or _scaled(row_space_basis(vectors, width))
-        self.rows = rows
-        self.n, self.r = n, len(rows)
-        self.pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
+        self.pivots, self.rows, self.denom = _echelon_basis(
+            [_primitive_int_row(v) for v in center.vectors()]
+        )
+        self.n, self.r = n, len(self.rows)
         # entry q of every basis element, for combinations of the basis
-        self.columns = list(zip(*rows))
-        coords = _jordan_table(rows, n, self.pivots, self.denom)
+        self.columns = list(zip(*self.rows))
+        coords = _jordan_table(self.rows, n, self.pivots, self.denom)
         scale = 2 * self.denom * self.denom
         common = gcd(scale, *(x for c in coords.values() for x in c))
         self.scale = scale // common
@@ -185,8 +182,9 @@ class _Coordinates:
             raise InternalInvariantViolation("identity is not in the center span")
 
     def corner(self, v: Sequence[int], d: int) -> list | None:
-        """Basis of the Peirce corner U_e(Z) of the idempotent e = v / d over
-        the n^2 entries, or None when the corner is one-dimensional.
+        """Reduced echelon basis of the Peirce corner U_e(Z) of the
+        idempotent e = v / d over the n^2 entries, as integer rows over its
+        least denominator, or None when the corner is one-dimensional.
 
         U_e = 2 L_e^2 - L_e projects onto the corner, so the corner's
         dimension is the rank of U_e, which is its trace: with a = s * L_e,
@@ -201,7 +199,7 @@ class _Coordinates:
             return None
         # U_e times s^2; column k is U_e(B_k)
         u = [[2 * _dot(row, col) - s * x for col, x in zip(columns, row)] for row in a]
-        return row_space_basis([self.combine(col) for col in zip(*u)], self.n * self.n)
+        return _echelon_basis([self.combine(col) for col in zip(*u)])[1]
 
     def combine(self, v: Sequence[int]) -> list[int]:
         """Entries of sum_k v_k B_k times the basis denominator."""
@@ -240,7 +238,6 @@ def find_idempotents(center: CenterBasis, seed: int = 42) -> IdempotentSet:
             # only scalar multiples of the block unit: certified unsplittable
             final.append((v, d))
             return
-        corner, _ = _scaled(corner)
         for _ in range(MAX_TRIES):
             rng = random.Random(f"{seed}:{next(draw_counter)}")
             coeffs = []

@@ -3,12 +3,21 @@
 Dense matrices with exact rational entries, sized for ambient dimensions in
 the single digits.
 
-General elimination over the rationals runs through one engine,
-``_echelon``: the reduced echelon form of the span of some rows, stored as
-each pivot column with its row's entries outside the pivot columns.
-Kernels, row and column spaces and inverses are read off that form.
-The rows are scaled to primitive integers and eliminated modulo a 61-bit
-prime by sparse incremental insertion; the form's entries are lifted to the
+Dense echelon forms come from one fraction-free elimination, ``_bareiss``:
+Gauss-Jordan over integer rows whose every division is exact (Bareiss;
+Nakos, Turner and Williams), so the rows it leaves are the reduced echelon
+form times the last pivot, with no prime, reconstruction or check.  Column
+spaces, inverses (the right half of [m | I]), minimal polynomials (the
+first dependent Krylov vector) and the idempotent search's bases are read
+off it.
+
+Sparse kernels come from the modular engine, ``_echelon``: the reduced
+echelon form of the span of sparse rows, stored as each pivot column with
+its row's entries outside the pivot columns.  It serves ``nullspace_basis``
+(the center's row fallback), and the center's pencil certificate shares its
+pieces: insertion, the primes, reconstruction and the CRT step.  The rows
+are scaled to primitive integers and eliminated modulo a 61-bit prime by
+sparse incremental insertion; the form's entries are lifted to the
 rationals by rational reconstruction, combining more primes by CRT while
 the entries need them, and a lift is accepted only after an exact integer
 check that every input row reduces to zero against it.
@@ -18,20 +27,7 @@ rows, so the rational rank is at most their number, the mod-p rank, which
 never exceeds the rational rank: the lifted rows span exactly the row space.
 A reduced echelon form of a row space is unique, so every result is the
 same whichever primes were used; a prime that drops the rank or fails the
-check costs a retry with the next one, never a different answer.  The
-center's pencil certificate shares the modular pieces: insertion, the
-primes, reconstruction and the CRT step.
-
-Two kernels of the idempotent search have cheaper exact certificates.
-``_adjugate_echelon`` gives the reduced echelon basis of r independent
-vectors as A^-1 F, F the vectors and A their r x r block at the pivot
-columns, from one fraction-free adjugate; it is certified by its shape,
-the identity on the pivots and zeros before each pivot.
-``minimal_polynomial`` works on integer Krylov vectors: the degree is the
-first dependency modulo a kernel prime, the coefficients come from mod-p
-solves combined by CRT and are accepted only when the dependency holds
-exactly, and a Hadamard bound ends the search when the prime found the
-dependency too early.
+check costs a retry with the next one, never a different answer.
 
 The module also provides the univariate polynomial machinery (gcd, Bezout
 cofactors, squarefree part, primary factors: (t - r)^k per rational root r
@@ -153,9 +149,7 @@ class RatMatrix:
             out = []
             for a, da in left:
                 for b, db in right:
-                    v = sum(map(mul, a, b))
-                    d = da * db
-                    out.append(v // d if v % d == 0 else Fraction(v, d))
+                    out.append(_ratio(sum(map(mul, a, b)), da * db))
             return RatMatrix._raw(self.rows, other.cols, out)
         return self.scale(other)
 
@@ -225,6 +219,48 @@ def _primitive_int_row(row: Sequence) -> list:
     if g > 1:
         ints = [v // g for v in ints]
     return ints
+
+
+def _ratio(x: int, d: int) -> Rat:
+    """x / d as an int when it divides, else a reduced Fraction."""
+    return x // d if x % d == 0 else Fraction(x, d)
+
+
+def _bareiss(rows: Sequence[Sequence[int]], width: int) -> tuple[list, list, int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows on their first
+    ``width`` columns (Bareiss; Nakos, Turner and Williams).
+
+    Returns the pivot columns, ascending, the rows and t, the last pivot (1
+    when there is none).  The first len(pivots) rows are t times the rows
+    of the reduced echelon form of the span; the others are zero on the
+    first ``width`` columns.  Columns past ``width`` are carried along.
+
+    Column by column, the pivot row is the first remaining row nonzero
+    there, and every other row becomes (t * row - row[c] * pivot row) / prev
+    for the new pivot t and the one before, prev.  Each entry is then a
+    minor of the input, up to sign, so every division is exact (Sylvester's
+    identity); a rank-deficient input leaves fewer pivots.  A row zero in
+    the column is left as it is when t = prev.
+    """
+    rows = list(rows)
+    pivots: list = []
+    t = 1
+    for c in range(width):
+        k = len(pivots)
+        if k == len(rows):
+            break
+        i = next((i for i in range(k, len(rows)) if rows[i][c]), None)
+        if i is None:
+            continue
+        rows[k], rows[i] = rows[i], rows[k]
+        top = rows[k]
+        prev, t = t, top[c]
+        for j, row in enumerate(rows):
+            f = row[c]
+            if j != k and (f or t != prev):
+                rows[j] = [(t * x - f * y) // prev for x, y in zip(row, top)]
+        pivots.append(c)
+    return pivots, rows, t
 
 
 def _sparse_rows(rows: Iterable[Sequence]) -> list[list[tuple[int, int]]]:
@@ -331,24 +367,6 @@ def _solve_mod(rows: list, n: int, p: int) -> list | None:
             if f and r != c:
                 row[c:] = [x - f * t for x, t in zip(row[c:], tail)]
     return [[x % p for x in row[n:]] for row in rows]
-
-
-def _insert_dense(leads: list, reduced: list, v: list, p: int, width: int | None = None) -> bool:
-    """Add a dense vector modulo p to a row echelon basis: ``reduced[i]`` is
-    a row with 1 at ``leads[i]`` and 0 at the leads before it.  v is reduced
-    in place, and kept (normalized) when a coordinate below ``width`` (all,
-    by default) is left nonzero; returns whether it was."""
-    for c, row in zip(leads, reduced):
-        f = v[c]
-        if f:
-            v[:] = [(x - f * y) % p for x, y in zip(v, row)]
-    lead = next((c for c, x in enumerate(v[:width]) if x), None)
-    if lead is None:
-        return False
-    inv = pow(v[lead], -1, p)
-    leads.append(lead)
-    reduced.append([x * inv % p for x in v])
-    return True
 
 
 def _reconstruct(residues: dict, modulus: int) -> dict | None:
@@ -515,7 +533,8 @@ def nullspace_basis(m: RatMatrix | _SparseSystem) -> list[Vector]:
 
 def column_space_basis(m: RatMatrix) -> list[Vector]:
     """Columns of ``m`` at the pivot positions of its echelon form."""
-    return [m.column(c) for c in _echelon(_sparse_rows(map(m.row, range(m.rows))), m.cols)]
+    pivots, _, _ = _bareiss([_cleared(m.row(r))[0] for r in range(m.rows)], m.cols)
+    return [m.column(c) for c in pivots]
 
 
 def invert(m: RatMatrix) -> RatMatrix:
@@ -523,79 +542,14 @@ def invert(m: RatMatrix) -> RatMatrix:
     if m.rows != m.cols:
         raise DimensionMismatch("only square matrices can be inverted")
     n = m.rows
-    unit = [(0,) * r + (1,) + (0,) * (n - 1 - r) for r in range(n)]
-    form = _echelon(_sparse_rows(m.row(r) + unit[r] for r in range(n)), 2 * n)
-    if list(form) != list(range(n)):
-        raise SingularMatrix(f"matrix has rank {sum(1 for c in form if c < n)} < {n}")
-    return RatMatrix._raw(n, n, [form[r].get(n + c, 0) for r in range(n) for c in range(n)])
-
-
-# ---------------------------------------------------------------------------
-# Span utilities (vectors are tuples of scalars of a fixed width)
-# ---------------------------------------------------------------------------
-
-
-def row_space_basis(vectors: Iterable[Sequence], width: int) -> list[Vector]:
-    """Canonical (reduced echelon) basis of the span of the given vectors."""
-    basis = []
-    for c, entries in _echelon(_sparse_rows(vectors), width).items():
-        row = [0] * width
-        row[c] = 1
-        for j, x in entries.items():
-            row[j] = x
-        basis.append(tuple(row))
-    return basis
-
-
-def _adjugate_echelon(vectors: Sequence[Sequence], width: int) -> tuple[list, int] | None:
-    """The reduced echelon basis E of the span of r independent vectors, as
-    the integer rows d * E over the least d > 0; None when the vectors are
-    dependent modulo the first kernel prime or the shape check below fails.
-
-    The pivot columns P are those of the vectors modulo that prime.  With F
-    the vectors scaled to primitive integer rows and A = F[:, P], the r x r
-    block, E = A^-1 F = adj(A) F / det(A), from one fraction-free (Bareiss)
-    Gauss-Jordan elimination of [A | I]: each division is exact, and at the
-    end the right block is t * A^-1 for the last pivot t.  E is certified by
-    its shape alone, whatever the elimination did: E[:, P] = I and each row
-    is zero before its pivot.  Then E, a combination of the rows of F, has
-    rank r, so it spans their row space, and it is in reduced echelon form,
-    which is unique.  A prime that finds other pivots than the rationals
-    leaves a nonzero entry before a pivot, and the check refuses it.
-    """
-    rows = [_primitive_int_row(v) for v in vectors]
-    p = _kernel_prime(0)
-    # the leads are those of distinct members of the span, as many as its
-    # dimension, so they are its pivot columns
-    leads: list = []
-    reduced: list = []
-    for row in rows:
-        if not _insert_dense(leads, reduced, [x % p for x in row], p):
-            return None
-    cols = sorted(leads)
-    r = len(rows)
-    m = [[row[c] for c in cols] + [int(i == j) for j in range(r)] for i, row in enumerate(rows)]
-    t = 1
-    for c in range(r):
-        # A is nonsingular modulo p, so a nonzero pivot is left in column c
-        k = next(i for i in range(c, r) if m[i][c])
-        m[c], m[k] = m[k], m[c]
-        top = m[c]
-        prev, t = t, top[c]
-        m = [
-            row if i == c else [(t * x - row[c] * y) // prev for x, y in zip(row, top)]
-            for i, row in enumerate(m)
-        ]
-    sign = 1 if t > 0 else -1
-    adj = [[sign * x for x in row[r:]] for row in m]
-    t *= sign
-    columns = list(zip(*rows))
-    out = [[sum(map(mul, a, col)) for col in columns] for a in adj]
-    for i, (c, row) in enumerate(zip(cols, out)):
-        if any(row[:c]) or any(row[j] != (t if k == i else 0) for k, j in enumerate(cols)):
-            return None
-    g = gcd(t, *(x for row in out for x in row))
-    return [[x // g for x in row] for row in out], t // g
+    rows = []
+    for r in range(n):
+        ints, d = _cleared(m.row(r))
+        rows.append([*ints, *(d if c == r else 0 for c in range(n))])
+    pivots, rows, t = _bareiss(rows, n)
+    if len(pivots) < n:
+        raise SingularMatrix(f"matrix has rank {len(pivots)} < {n}")
+    return RatMatrix._raw(n, n, [_ratio(x, t) for row in rows for x in row[n:]])
 
 
 # ---------------------------------------------------------------------------
@@ -943,15 +897,12 @@ def minimal_polynomial(m: RatMatrix, start: RatMatrix | None = None, scale: int 
     The Krylov vectors are integers.  m / scale = M / s for an integer
     matrix M; x_0 is start, flattened and scaled to primitive integers, and
     x_(j+1) is M x_j, divided by s whenever that is exact (for a draw of the
-    idempotent search it always is).  The degree d is the first j at which
-    x_j reduces to zero modulo a kernel prime against the earlier vectors,
-    and the reduction gives y with sum_(j<d) y_j x_j = -x_d modulo the
-    prime.  Rank modulo a prime never exceeds rank over the rationals, so
-    x_0 ... x_(d-1) are independent, and ``_krylov_dependency`` either
-    certifies y exactly or finds that x_d is independent too, when the next
-    kernel prime sets the degree again.  With e_j the number of steps up to
-    x_j that were not divided, x_j = s^(e_j) (m / scale)^j x_0, so p has
-    the coefficients y_j / s^(e_d - e_j).
+    idempotent search it always is).  All of x_0 ... x_n are built, as the
+    degree is at most n; with them as the columns, the first free column d
+    of the reduced echelon form E is the degree, and
+    x_d = sum_(j<d) E[j][d] x_j.  With e_j the number of steps up to x_j
+    that were not divided, x_j = s^(e_j) (m / scale)^j x_0, so p has the
+    coefficients -E[j][d] / s^(e_d - e_j).
     """
     if m.rows != m.cols:
         raise DimensionMismatch("minimal polynomial needs a square matrix")
@@ -966,81 +917,17 @@ def minimal_polynomial(m: RatMatrix, start: RatMatrix | None = None, scale: int 
     else:
         # column-major: each column of the power is one slice of n entries
         x = _primitive_int_row([start.entry(i, c) for c in range(start.cols) for i in range(n)])
-    xs, lags, width = [x], [0], len(x)
-    for first in count():
-        p = _kernel_prime(first)
-        # x_j is tagged with a 1 at coordinate width + j, so the tags of a
-        # reduced vector are the combination of x_0 ... x_j that it is
-        leads: list = []
-        reduced: list = []
-        d = 0
-        while True:
-            tags = [0] * (width + 1)
-            tags[d] = 1
-            v = [a % p for a in xs[d]] + tags
-            if not _insert_dense(leads, reduced, v, p, width):
-                break
-            d += 1
-            if d == len(xs):
-                columns = [x[c : c + n] for c in range(0, len(x), n)]
-                x = [sum(map(mul, row, column)) for column in columns for row in rows]
-                if s == 1 or not any(a % s for a in x):
-                    lags.append(lags[-1])
-                    x = [a // s for a in x]
-                else:
-                    lags.append(lags[-1] + 1)
-                xs.append(x)
-        if d == 0:
-            return UniPoly.one()  # start is zero
-        y = _krylov_dependency(xs, leads, first, v[width : width + d])
-        if y is not None:
-            powers = [lags[d] - lag for lag in lags]
-            return UniPoly([divide(c, s**e) if e else c for c, e in zip(y, powers)] + [1])
-
-
-def _krylov_dependency(xs: list, support: list, first: int, y: list) -> list | None:
-    """The y with sum_(j<d) y_j x_j = -x_d, certified exactly, from its
-    residues ``y`` modulo the kernel prime ``first``, or None when x_d is
-    not in the span of x_0 ... x_(d-1).
-
-    Those vectors, on the d coordinates ``support``, form a d x d system
-    that is nonsingular modulo the prime; it is solved modulo the next ones
-    too (skipping any that divides its determinant) and the solutions are
-    combined by CRT.  At each modulus the symmetric residues, the integer
-    y once the modulus passes 2 max |y_j|, are tried by the exact check on
-    every coordinate (a wrong candidate usually fails at the first one).
-    By Cramer's rule every y_j is det_j / det with |det_j| and |det| at
-    most the Hadamard bound H, the product of the norms of x_0 ... x_d on
-    the support: past a modulus of 2 H^2 rational reconstruction returns y
-    whenever it exists, so a candidate that fails the check there means
-    there is none, and the search ends.
-    """
-    d = len(y)
-    system = [[x[i] for x in xs[:d]] + [-xs[d][i]] for i in support]
-    bound = 1
-    for x in xs[: d + 1]:
-        bound *= isqrt(sum(x[i] * x[i] for i in support)) + 1
-    form, modulus = {0: dict(enumerate(y))}, _kernel_prime(first)
-    primes = map(_kernel_prime, count(first + 1))
-    while True:
-        half = modulus // 2
-        y = [v - modulus if v > half else v for v in map(form[0].get, range(d))]
-        if _annihilates(xs, y):
-            return y
-        if modulus > 2 * bound * bound:
-            lifted = _reconstruct(form, modulus)
-            y = None if lifted is None else [lifted[0][j] for j in range(d)]
-            return y if y is not None and _annihilates(xs, y) else None
-        for q in primes:
-            solved = _solve_mod([[v % q for v in row] for row in system], d, q)
-            if solved is not None:
-                break
-        form = _crt(form, modulus, {0: {j: row[0] for j, row in enumerate(solved)}}, q)
-        modulus *= q
-
-
-def _annihilates(xs: list, y: list) -> bool:
-    """Whether sum_(j<d) y_j x_j + x_d = 0 exactly, for d = len(y)."""
-    ints, denom = _cleared(y)
-    d = len(y)
-    return not any(sum(map(mul, ints, t)) + denom * t[d] for t in zip(*xs[: d + 1]))
+    xs, lags = [x], [0]
+    for _ in range(n):
+        columns = [x[c : c + n] for c in range(0, len(x), n)]
+        x = [sum(map(mul, row, column)) for column in columns for row in rows]
+        if s == 1 or not any(a % s for a in x):
+            lags.append(lags[-1])
+            x = [a // s for a in x]
+        else:
+            lags.append(lags[-1] + 1)
+        xs.append(x)
+    pivots, reduced, t = _bareiss(list(zip(*xs)), n + 1)
+    d = len(pivots)
+    powers = [s ** (lags[d] - lag) for lag in lags]
+    return UniPoly([_ratio(-row[d], t * e) for row, e in zip(reduced[:d], powers)] + [1])

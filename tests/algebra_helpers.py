@@ -11,17 +11,21 @@ of the identity ``verify_decomposition`` checks, f_i(P*y) expanded in all
 variables against the embedded leaves; ``find_idempotents_by_matrices``
 is the second route to ``find_idempotents``, the same spectral search on
 n x n matrices; ``jordan_product`` and ``rank_profile`` state algebraic
-facts the tests check; ``in_span``, ``same_span`` and ``center_contains``
-compare spans by echelon forms, ``at_matrix`` evaluates a polynomial at
-a matrix and ``matrix_rows`` lists a matrix's rows.  Three are the plain
-kernels behind faster library ones: ``members_by_matrix`` tests membership
+facts the tests check; ``row_space_basis`` is a span's reduced echelon
+basis from the modular engine, a second route to the fraction-free
+elimination ``ratlinalg._bareiss``, and ``scaled_rows`` puts it over its
+least denominator as the idempotent search does; ``in_span``,
+``same_span`` and ``center_contains`` compare spans by echelon forms,
+``at_matrix`` evaluates a polynomial at a matrix and ``matrix_rows``
+lists a matrix's rows.  Three are the plain kernels behind faster
+library ones: ``members_by_matrix`` tests membership
 with one product per coefficient matrix, the reference for the packed
 product of ``_all_members``; ``wang_reconstruct`` runs Wang's Euclid on every
 entry, the reference for ``_reconstruct``; ``bezout_projector`` takes the
 projector polynomial from the extended Euclid, the reference for the
 Taylor and Lagrange projectors of ``_projector``;
 ``krylov_minimal_polynomial`` stacks the Fraction Krylov powers and takes
-their certified kernel, the reference for the integer CRT
+their certified kernel, the reference for the fraction-free
 ``minimal_polynomial``; ``jordan_table_by_products`` forms every Jordan
 product of the basis by full n x n products, the reference for the packed
 table of ``_jordan_table``.  ``parse_by_tokens`` is
@@ -42,7 +46,7 @@ import itertools
 import random
 import re
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
 from polydecomp import (
@@ -73,7 +77,6 @@ from polydecomp.ratlinalg import (
     extended_gcd,
     nullspace_basis,
     primary_coprime_factors,
-    row_space_basis,
     unvec,
     vec,
 )
@@ -92,6 +95,26 @@ def matrix_rows(m: RatMatrix) -> list[list]:
 def rank_profile(idem: IdempotentSet) -> tuple:
     """Idempotent ranks (their traces), ascending; ranks are the block sizes."""
     return tuple(sorted(e.trace() for e in idem.eps))
+
+
+def row_space_basis(vectors: Sequence[Sequence], width: int) -> list[tuple]:
+    """Canonical (reduced echelon) basis of the span of the given vectors,
+    from the modular engine rather than the fraction-free elimination."""
+    basis = []
+    for c, entries in _echelon(_sparse_rows(vectors), width).items():
+        row = [0] * width
+        row[c] = 1
+        for j, x in entries.items():
+            row[j] = x
+        basis.append(tuple(row))
+    return basis
+
+
+def scaled_rows(basis: Sequence[Sequence]) -> tuple[list, int]:
+    """Rational rows as the integer rows d * rows over their least
+    denominator d."""
+    denom = lcm(*(Fraction(x).denominator for row in basis for x in row))
+    return [[int(x * denom) for x in row] for row in basis], denom
 
 
 def in_span(vectors: Sequence[Sequence], target: Sequence, width: int) -> bool:

@@ -282,6 +282,23 @@ def test_golden_documents_are_pinned(name, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_byte_order_mark_is_accepted(tmp_path, capsys):
+    # a problem file and a result document saved with a UTF-8 byte-order
+    # mark read as they do without one
+    problem = _golden_problem("fourvar_pair", tmp_path)
+    marked = tmp_path / "marked.txt"
+    marked.write_bytes(b"\xef\xbb\xbf" + problem.read_bytes())
+    out = tmp_path / "marked.json"
+    argv = ["decompose", "--input", str(marked), "--json", "--seed", "42", "--output", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_DOCUMENTS["fourvar_pair"][2]
+    document = tmp_path / "document.json"
+    document.write_bytes(b"\xef\xbb\xbf" + out.read_bytes())
+    capsys.readouterr()
+    assert main(["verify", "--input", str(marked), "--result", str(document)]) == 0
+    assert capsys.readouterr().out.startswith("PASS")
+
+
 def _drop_child_polynomial(tree):
     tree["children"][1]["polys"].pop()
 

@@ -3,7 +3,8 @@
 import random
 import time
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
+from operator import mul
 
 import pytest
 import sympy
@@ -16,16 +17,19 @@ from algebra_helpers import (
     in_span,
     krylov_minimal_polynomial,
     matrix_rows,
+    row_space_basis,
     same_span,
+    scaled_rows,
     span_intersection,
     wang_reconstruct,
 )
 from conftest import mat
 from polydecomp import DimensionMismatch, RatMatrix, SingularMatrix, center_basis, invert
 from polydecomp._rat import normalize
+from polydecomp.idempotent import _Coordinates, _echelon_basis
 from polydecomp.ratlinalg import (
     UniPoly,
-    _adjugate_echelon,
+    _bareiss,
     _echelon,
     _is_prime,
     _kernel_prime,
@@ -38,7 +42,6 @@ from polydecomp.ratlinalg import (
     nullspace_basis,
     primary_coprime_factors,
     rational_roots,
-    row_space_basis,
     squarefree_part,
     unipoly_gcd,
     vec,
@@ -574,40 +577,56 @@ class TestMinimalPolynomial:
 
 
 class TestMinimalPolynomialKernelCalls:
+    """Cases that once needed a second kernel prime or a certified solve:
+    the fraction-free elimination needs no prime at all."""
+
     @pytest.fixture
-    def degrees(self, monkeypatch):
-        # the degree of every Krylov dependency the kernel tries to certify
-        tried = []
-        dependency = polydecomp.ratlinalg._krylov_dependency
+    def primes(self, monkeypatch):
+        # every kernel prime asked for while the test runs
+        asked = []
+        prime = polydecomp.ratlinalg._kernel_prime
 
-        def recording(xs, support, first, y):
-            tried.append(len(y))
-            return dependency(xs, support, first, y)
+        def recording(i):
+            asked.append(i)
+            return prime(i)
 
-        monkeypatch.setattr(polydecomp.ratlinalg, "_krylov_dependency", recording)
-        return tried
+        monkeypatch.setattr(polydecomp.ratlinalg, "_kernel_prime", recording)
+        return asked
 
-    def test_one_certified_solve(self, degrees):
+    def test_one_certified_solve(self, primes):
         m = mat([[2, 1, 0], [0, 2, 0], [Fraction(1, 3), 0, 5]])
         assert minimal_polynomial(m) == UniPoly([-20, 24, -9, 1])  # (t-2)^2 (t-5)
-        assert degrees == [3]
+        assert primes == []
 
-    def test_dependent_only_modulo_the_first_kernel_prime(self, degrees):
-        # M = I modulo p, so vec I and vec M are dependent there: the first
-        # dependency modulo p comes one power early, no solution passes the
-        # exact check below the Hadamard stop, and the next kernel prime
-        # gives the answer
-        p = _kernel_prime(0)
+    def test_dependent_only_modulo_the_first_kernel_prime(self, primes):
+        # M = I modulo p, so vec I and vec M are dependent there, not over
+        # the rationals
+        p = FIRST_PRIME
         m = mat([[1, 0], [0, 1 + p]])
         assert minimal_polynomial(m) == UniPoly([1 + p, -(2 + p), 1])
-        assert degrees == [1, 2]
+        assert primes == []
 
-    def test_prime_in_a_denominator(self, degrees):
-        p = _kernel_prime(0)
+    def test_prime_in_a_denominator(self, primes):
+        p = FIRST_PRIME
         m = mat([[1, 0], [0, 1 + Fraction(1, p)]])
         expected = UniPoly([1 + Fraction(1, p), -(2 + Fraction(1, p)), 1])
         assert minimal_polynomial(m) == expected
-        assert degrees == [2]
+        assert primes == []
+
+    def test_dense_echelon_forms_ask_for_no_prime(self, primes, fourvar_pair, bin_cubics):
+        # inverses, column spaces, minimal polynomials and the coordinates
+        # of a non-scalar center all come from the fraction-free elimination
+        m = mat([[1 + FIRST_PRIME, 1, 0], [1, 1, 1], [2**70, 0, Fraction(1, 3)]])
+        assert invert(m) * m == RatMatrix.identity(3)
+        assert column_space_basis(m) == [m.column(c) for c in range(3)]
+        assert minimal_polynomial(m, mat([[1], [0], [0]]), 3).degree == 3
+        assert invert(BIG) * BIG == RatMatrix.identity(3)
+        assert primes == []
+        for polys in (fourvar_pair, bin_cubics):
+            center = center_basis(polys)
+            primes.clear()
+            assert _Coordinates(center).r == center.dim > 1
+            assert primes == []
 
 
 def assert_same_poly(p, expected):
@@ -648,78 +667,129 @@ class TestMinimalPolynomialReference:
         assert_same_poly(minimal_polynomial(g.scale(scale), start, scale), expected)
         assert all(type(c) is int for c in expected.coefficients())
 
-    def test_start_dependent_only_modulo_the_first_kernel_prime(self, monkeypatch):
+    def test_start_dependent_only_modulo_the_first_kernel_prime(self):
         # x_0 = e_1 and x_1 = (0, p) are dependent modulo p, not over the
-        # rationals: the degree-1 candidate fails the exact check up to the
-        # Hadamard stop, and the next kernel prime finds t^2
+        # rationals
         p = FIRST_PRIME
-        tried = []
-        dependency = polydecomp.ratlinalg._krylov_dependency
-
-        def recording(xs, support, first, y):
-            tried.append((len(y), first))
-            return dependency(xs, support, first, y)
-
-        monkeypatch.setattr(polydecomp.ratlinalg, "_krylov_dependency", recording)
         for scale in (1, 3):
-            tried.clear()
             m = mat([[0, 0], [scale * p, 0]])
             start = mat([[1], [0]])
             assert minimal_polynomial(m, start, scale) == UniPoly([0, 0, 1])
-            assert tried == [(1, 0), (2, 1)]
         assert krylov_minimal_polynomial(mat([[0, 0], [p, 0]]), mat([[1], [0]])) == UniPoly(
             [0, 0, 1]
         )
 
     def test_coefficients_past_one_prime(self):
-        # (t - a)(t - b) with a*b near 2^200: the constant term needs four
-        # 61-bit primes, and the candidates before fail the exact check
+        # (t - a)(t - b) with a*b near 2^200, past four 61-bit primes
         a, b = 2**100 + 7, -(3**63)
         m = mat([[a, 1], [0, b]])
         assert minimal_polynomial(m) == UniPoly([a * b, -(a + b), 1])
 
 
-def scaled_rows(basis):
-    """The reduced echelon rows as integers over their least denominator."""
-    denom = lcm(*(Fraction(x).denominator for row in basis for x in row))
-    return [[int(x * denom) for x in row] for row in basis], denom
+def integer_rows(m):
+    return [_primitive_int_row(row) for row in matrix_rows(m)]
 
 
 class TestAdjugateEchelon:
-    """A^-1 F from one Bareiss adjugate against the modular engine."""
+    """The reduced echelon basis E as the integer rows d * E over the least
+    d > 0, from the fraction-free elimination (for A the block at the pivot
+    columns, adj(A) times the rows up to sign), against the modular engine."""
 
     @settings(max_examples=200, deadline=None)
     @given(echelon_inputs())
     def test_matches_the_engine(self, m):
-        rows = matrix_rows(m)
-        basis = row_space_basis(rows, m.cols)
-        got = _adjugate_echelon(rows, m.cols)
-        # random rows are never dependent modulo the first kernel prime alone
-        assert got == (None if len(basis) < m.rows else scaled_rows(basis))
+        basis = row_space_basis(matrix_rows(m), m.cols)
+        pivots, rows, d = _echelon_basis(integer_rows(m))
+        assert (rows, d) == scaled_rows(basis)
+        assert pivots == [next(c for c, x in enumerate(row) if x) for row in basis]
 
     def test_center_bases(self, fourvar_pair, bin_cubics):
         for polys in (fourvar_pair, bin_cubics):
             center = center_basis(polys)
             width = center.n**2
             expected = scaled_rows(row_space_basis(center.vectors(), width))
-            assert _adjugate_echelon(center.vectors(), width) == expected
+            vectors = [_primitive_int_row(v) for v in center.vectors()]
+            assert _echelon_basis(vectors)[1:] == expected
 
     def test_singular_modulo_the_first_prime(self):
         # independent rows that the first kernel prime makes dependent
-        assert _adjugate_echelon(matrix_rows(UNLUCKY), 2) is None
+        assert _echelon_basis(integer_rows(UNLUCKY)) == ([0, 1], [[1, 0], [0, 1]], 1)
 
-    def test_other_pivots_modulo_the_first_prime_are_refused(self):
-        # modulo p the pivots are {0, 2}, over the rationals {0, 1}: E has a
-        # nonzero entry before the pivot of its second row
-        rows = matrix_rows(mat([[1 + FIRST_PRIME, 1, 0], [1, 1, 1]]))
-        assert _adjugate_echelon(rows, 3) is None
-        assert len(row_space_basis(rows, 3)) == 2
+    def test_other_pivots_modulo_the_first_prime(self):
+        # modulo p the pivots are {0, 2}, over the rationals {0, 1}
+        m = mat([[1 + FIRST_PRIME, 1, 0], [1, 1, 1]])
+        basis = row_space_basis(matrix_rows(m), 3)
+        assert len(basis) == 2
+        assert _echelon_basis(integer_rows(m)) == ([0, 1], *scaled_rows(basis))
 
     def test_wide_entries(self):
-        rows = matrix_rows(BIG)
-        assert _adjugate_echelon(rows, 3) == ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1)
+        assert _echelon_basis(integer_rows(BIG))[1:] == ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1)
         tall = [[3**40, 2**64 + 1, 0, 5], [5**20, 7**25, 1, Fraction(1, 3**41)]]
-        assert _adjugate_echelon(tall, 4) == scaled_rows(row_space_basis(tall, 4))
+        expected = scaled_rows(row_space_basis(tall, 4))
+        assert _echelon_basis([_primitive_int_row(v) for v in tall])[1:] == expected
+
+
+def integer_matrix(entries, rows, cols):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+@st.composite
+def bareiss_inputs(draw):
+    """Integer rows of any shape up to 8 x 7: generic, rank-deficient, tall,
+    wide, 0/1-sparse or with entries far above 2^61."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["generic", "sparse", "big", "product"]))
+    small = st.integers(-9, 9)
+    if kind == "product":
+        # rank at most ``inner``: a product through a narrower dimension
+        inner = draw(st.integers(1, min(rows, cols)))
+        left = draw(integer_matrix(small, rows, inner))
+        right = draw(integer_matrix(small, inner, cols))
+        return [[sum(map(mul, row, col)) for col in zip(*right)] for row in left]
+    entries = {"generic": small, "sparse": st.sampled_from([0, 0, 0, 1]), "big": big_integers}
+    return draw(integer_matrix(entries[kind], rows, cols))
+
+
+class TestBareissOracle:
+    """``_bareiss`` against ``sympy.Matrix.rref``: pivots and reduced rows."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(bareiss_inputs())
+    def test_matches_rref(self, rows):
+        width = len(rows[0])
+        pivots, out, t = _bareiss(rows, width)
+        reduced, expected = sympy.Matrix(rows).rref()
+        assert pivots == list(expected)
+        k = len(pivots)
+        echelon = [tuple(normalize(Fraction(x, t)) for x in row) for row in out[:k]]
+        assert_same_typed(echelon, sympy_rows(reduced)[:k])
+        # the other rows vanish, and each pivot row holds t at its pivot
+        assert not any(x for row in out[k:] for x in row)
+        assert all(row[c] == t for row, c in zip(out, pivots))
+        assert (t != 0) if pivots else (t == 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(bareiss_inputs())
+    def test_columns_past_the_width_are_carried(self, rows):
+        # [A | I] leaves t * A^-1 on the right when A is square and regular
+        n = len(rows[0])
+        square = (rows * n)[:n]
+        augmented = [row + [int(i == j) for j in range(n)] for i, row in enumerate(square)]
+        pivots, out, t = _bareiss(augmented, n)
+        oracle = sympy.Matrix(square)
+        assert len(pivots) == oracle.rank()
+        if len(pivots) == n:
+            inverse = [tuple(normalize(Fraction(x, t)) for x in row[n:]) for row in out]
+            assert_same_typed(inverse, sympy_rows(oracle.inv()))
+
+    def test_input_is_left_unchanged(self):
+        rows = [[2, 4], [1, 3]]
+        assert _bareiss(rows, 2) == ([0, 1], [[2, 0], [0, 2]], 2)
+        assert rows == [[2, 4], [1, 3]]
+
+    def test_no_rows_and_zero_rows(self):
+        assert _bareiss([], 3) == ([], [], 1)
+        assert _bareiss([[0, 0], [0, 0]], 2) == ([], [[0, 0], [0, 0]], 1)
 
 
 class TestUniPolyGcd:
