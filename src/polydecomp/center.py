@@ -25,25 +25,30 @@ O(n^3) modulo a 61-bit prime p.  Every X in the kernel of the equation
 rows below, reduced modulo p, is such a q(C) with q a solution, and that
 kernel is at least as large as the center, so the dimension r of the
 solutions bounds the center's.  r = 1 certifies the scalar center with no
-equation row built.  Otherwise the members q(C) modulo p are put in the
-canonical free-variable form below, lifted by rational reconstruction (with
-CRT over further primes while it fails) and accepted once they pass the
-exact membership test: r independent members against a bound of r span
-the center.  A degenerate pencil (M1 singular, the z_j dependent, free
-columns that move between primes, a candidate rejected twice) falls back
-to the exact kernel of every equation row, and so does a wide center whose
-coefficient matrices are so sparse that the rows are cheaper to read than
-the r * n^3 products of the members (see ``_pencil_members``).
+equation row built.  A degenerate pencil (M1 singular, the z_j dependent,
+free columns that move between primes, a candidate rejected twice) falls
+back to the equation rows, and so does a wide center whose coefficient
+matrices are so sparse that the rows are cheaper to read than the
+r * n^3 products of the members (see ``_pencil_members``).
 
 Those rows are one linear equation per (coefficient matrix, strictly upper
 entry) pair: S*X - X^T*S is antisymmetric, so the strictly upper entries
 carry the whole condition.  They are built sparse, pair by pair, as
 primitive integer rows with a positive first entry, deduplicated as they
 come, and handed to ``nullspace_basis``, which eliminates them modulo a
-prime and certifies the lift exactly.  Either way the basis is returned in
-the canonical free-variable form that exact elimination gives, which
-depends on the center only, not on the primes, the pencil or the row
-order: it is reproducible across runs.
+prime; further primes eliminate only the rows that raised the rank there.
+The mod-p rank never exceeds the rational rank, so the dimension r of the
+kernel modulo p bounds the center's too.
+
+Both sources meet in one lift (``_lift``).  At each prime the basis
+modulo p is put in the canonical free-variable form that exact elimination
+gives, combined with the earlier primes' by CRT and lifted by rational
+reconstruction; a candidate is returned only once it passes the exact
+membership test, the one certificate: r independent members against a
+bound of r span the center.  An unlucky prime costs a retry (the pencil
+gives way to the rows, the rows start again at the next prime), never a
+different answer, as the form depends on the center only, not on the
+primes, the pencil or the row order: it is reproducible across runs.
 """
 
 from __future__ import annotations
@@ -69,7 +74,6 @@ from .ratlinalg import (
     _solve_mod,
     _SparseSystem,
     nullspace_basis,
-    unvec,
     vec,
 )
 
@@ -172,22 +176,39 @@ def center_basis(polys: Sequence[Polynomial]) -> CenterBasis:
 
     The dimension is at least 1 (scalar matrices always satisfy the
     symmetry condition).  Inputs of degree <= 1 have zero Hessians and
-    contribute no constraints.  The basis is certified from a cyclic pencil
+    contribute no constraints.  The basis is lifted from a cyclic pencil
     of the Hessian coefficient matrices, with no equation row built, when
-    the inputs give one (see the module docstring); otherwise it is the
-    exact kernel of every equation row.
+    the inputs give one, and otherwise from the kernel of every equation
+    row (see the module docstring).
     """
     n = _check_inputs(polys)
     mats = _coefficient_matrices(polys)
     basis = _pencil_basis(mats, polys, n)
-    if basis is None:
-        kernel = nullspace_basis(_SparseSystem(n * n, _equation_rows(mats, n)))
-        basis = tuple(unvec(v, n, n) for v in kernel)
+    primes = map(_kernel_prime, count())
+    while basis is None:
+        basis = _lift(_row_kernels(mats, n), primes, polys, mats, n)
     return CenterBasis(n, basis)
 
 
+def _row_kernels(mats: list[dict], n: int):
+    """The kernel basis of the equation rows modulo each prime it is called
+    with: the first call reads every row, each later one only the rows that
+    raised the rank in the first."""
+    pivot_rows = None
+
+    def kernel(p: int) -> list:
+        nonlocal pivot_rows
+        rows = _equation_rows(mats, n) if pivot_rows is None else pivot_rows
+        basis, independent = nullspace_basis(_SparseSystem(n * n, rows), p)
+        if pivot_rows is None:
+            pivot_rows = independent
+        return basis
+
+    return kernel
+
+
 def _pencil_basis(mats: list[dict], polys: Sequence[Polynomial], n: int) -> tuple | None:
-    """The center's canonical basis certified from a cyclic pencil, as the
+    """The center's canonical basis lifted from a cyclic pencil, as the
     module docstring describes, or None when the pencil is degenerate or its
     members cost more than the rows.  The combinations M1, M2, M3 are formed
     once, exactly; each prime reduces them."""
@@ -215,21 +236,38 @@ def _pencil_basis(mats: list[dict], polys: Sequence[Polynomial], n: int) -> tupl
             for l in range(r):
                 m[r][l] = m[l][r]
     start = [rng.getrandbits(61) for _ in range(n)]
+
+    def members(p: int) -> list | None:
+        return _pencil_members(combos, start, n, p, 2 * nonzeros)
+
+    return _lift(members, map(_kernel_prime, count()), polys, mats, n)
+
+
+def _lift(kernel, primes: Iterator[int], polys, mats: list[dict], n: int) -> tuple | None:
+    """The center's canonical basis from ``kernel(p)``, a basis modulo p of
+    a space that holds the center, at each prime p drawn from ``primes``;
+    None when ``kernel`` gives None, its free columns move between primes
+    or the same candidate is rejected twice.
+
+    A basis of one vector bounds the center to the scalars, which it holds:
+    the identity is returned with no lift.  Otherwise each basis is put in
+    reduced echelon form with the columns reversed: each pivot is a
+    vector's last nonzero coordinate, a free column of the canonical form,
+    and its row is that kernel vector.  The forms are combined by CRT and
+    reconstructed, and a candidate is returned once it passes the exact
+    membership test (``_accepts``).
+    """
     last = n * n - 1
     residues = previous = None
     modulus = 1
-    for p in map(_kernel_prime, count()):
-        members = _pencil_members(combos, start, n, p, 2 * nonzeros)
-        if members is None:
+    for p in primes:
+        vectors = kernel(p)
+        if vectors is None:
             return None
-        if len(members) == 1:
+        if len(vectors) == 1:
             return (RatMatrix.identity(n),)
-        # the reduced echelon form of the members with the columns reversed:
-        # each pivot is a vector's last nonzero coordinate, a free column of
-        # the engine's canonical form, and its row is that kernel vector.
-        # The members are independent, as C is cyclic, so each is a pivot.
         form: dict = {}
-        for v in members:
+        for v in vectors:
             _insert_mod(form, [(last - j, x) for j, x in enumerate(v) if x], p)
         if residues is None:
             residues = form
@@ -241,15 +279,15 @@ def _pencil_basis(mats: list[dict], polys: Sequence[Polynomial], n: int) -> tupl
         candidate = _reconstruct(residues, modulus)
         if candidate is None:
             continue
-        kernel = []
+        basis = []
         for f in sorted(candidate, reverse=True):
             v = [0] * (last + 1)
             v[last - f] = 1
             for j, x in candidate[f].items():
                 v[last - j] = x
-            kernel.append(tuple(v))
-        if _accepts(kernel, polys, mats, n):
-            return tuple(RatMatrix._raw(n, n, v) for v in kernel)
+            basis.append(tuple(v))
+        if _accepts(basis, polys, mats, n):
+            return tuple(RatMatrix._raw(n, n, v) for v in basis)
         if candidate == previous:
             return None
         previous = candidate
@@ -342,7 +380,8 @@ def _all_members(
     largest row sum of |S_m| and the largest |x|, entries (r, c) and (c, r)
     of P * x for P = sum_m S_m * 2^(k*m) differ by sum_m 2^(k*m) * d_m, where
     |d_m| < 2^(k-1) is their difference in S_m * x: 0 only if every d_m is.
-    P is built once, sparse, and each x costs one product.
+    P is built once, sparse, and each x costs one product, formed only on
+    the columns where x is nonzero.
     """
     n = _check_inputs(polys)
     if mats is None:
@@ -364,11 +403,14 @@ def _all_members(
     # rows of P * x outside the support of P are zero
     support = [(r, list(row), list(row.values())) for r, row in packed.items()]
     for v in ints:
-        x_rows = [v[i : i + n] for i in range(0, n * n, n)]
-        product = [[0] * n] * n
+        # columns of P * x are zero where those of x are
+        live = [c for c in range(n) if any(v[c::n])]
+        x_rows = [[v[i + c] for c in live] for i in range(0, n * n, n)]
+        product = [[0] * n for _ in range(n)]
         for r, cols, values in support:
-            columns = zip(*[x_rows[l] for l in cols])
-            product[r] = [sum(map(mul, values, column)) for column in columns]
+            row = product[r]
+            for c, column in zip(live, zip(*[x_rows[l] for l in cols])):
+                row[c] = sum(map(mul, values, column))
         if product != [list(column) for column in zip(*product)]:
             return False
     return True

@@ -13,7 +13,8 @@ at the parent is recovered, if at all, by the child's own draws under its
 own seed.  Each node's center is computed once; the root center is carried
 on the result for callers that report it.  The column spaces and inverses
 here are dense echelon forms, read off one fraction-free elimination
-(``ratlinalg``); only the center's sparse kernels take the modular engine.
+(``ratlinalg``); only the center's kernels are found modulo primes, and
+lifted and certified by the center itself.
 
 Constant terms are invisible to Hessians, so they are assigned to the first
 (lowest-index) block by convention; linear terms follow their variable's

@@ -31,7 +31,8 @@ U_e projects onto the corner, so the corner's dimension is the trace
 of U_e, read off the diagonal of L_e^2; a one-dimensional corner holds only
 multiples of e, which is then final, and no basis of it is built.  A
 larger corner's reduced echelon basis over the n^2 entries comes from the
-same elimination of the columns of U_e.  Draws combine that basis, not one
+same elimination of the independent columns of U_e, the pivot columns of
+its own r x r elimination.  Draws combine that basis, not one
 over the coordinates, whose pivots lie elsewhere: so the draws, and the
 results, are those of the same search on n x n matrices.  e o e = e,
 e_i o e_j = 0 (for idempotents this forces e_i*e_j = 0) and sum = 1 are
@@ -189,7 +190,9 @@ class _Coordinates:
         U_e = 2 L_e^2 - L_e projects onto the corner, so the corner's
         dimension is the rank of U_e, which is its trace: with a = s * L_e,
         s^2 * trace(U_e) = 2 * trace(a^2) - s * trace(a), read off the
-        diagonal of a^2 in O(r^2).  Only a larger corner is built.
+        diagonal of a^2 in O(r^2).  Only a larger corner is built, from
+        the independent columns of U_e alone, the pivot columns of its
+        r x r elimination, each combined over the n^2 entries.
         """
         a = self.operator(v)
         s = d * self.scale
@@ -197,9 +200,12 @@ class _Coordinates:
         trace = 2 * sum(map(_dot, a, columns)) - s * sum(row[i] for i, row in enumerate(a))
         if trace == s * s:
             return None
-        # U_e times s^2; column k is U_e(B_k)
+        # U_e times s^2; column k is U_e(B_k), and the pivot columns of U_e
+        # are independent columns that span the corner
         u = [[2 * _dot(row, col) - s * x for col, x in zip(columns, row)] for row in a]
-        return _echelon_basis([self.combine(col) for col in zip(*u)])[1]
+        images = list(zip(*u))
+        spanning = [images[k] for k in _bareiss(u, self.r)[0]]
+        return _echelon_basis([self.combine(col) for col in spanning])[1]
 
     def combine(self, v: Sequence[int]) -> list[int]:
         """Entries of sum_k v_k B_k times the basis denominator."""

@@ -11,23 +11,14 @@ spaces, inverses (the right half of [m | I]), minimal polynomials (the
 first dependent Krylov vector) and the idempotent search's bases are read
 off it.
 
-Sparse kernels come from the modular engine, ``_echelon``: the reduced
-echelon form of the span of sparse rows, stored as each pivot column with
-its row's entries outside the pivot columns.  It serves ``nullspace_basis``
-(the center's row fallback), and the center's pencil certificate shares its
-pieces: insertion, the primes, reconstruction and the CRT step.  The rows
-are scaled to primitive integers and eliminated modulo a 61-bit prime by
-sparse incremental insertion; the form's entries are lifted to the
-rationals by rational reconstruction, combining more primes by CRT while
-the entries need them, and a lift is accepted only after an exact integer
-check that every input row reduces to zero against it.
-
-That check is the certificate.  It puts every row in the span of the lifted
-rows, so the rational rank is at most their number, the mod-p rank, which
-never exceeds the rational rank: the lifted rows span exactly the row space.
-A reduced echelon form of a row space is unique, so every result is the
-same whichever primes were used; a prime that drops the rank or fails the
-check costs a retry with the next one, never a different answer.
+Sparse kernels are found modulo a prime.  ``nullspace_basis`` inserts
+sparse integer rows one at a time into a reduced echelon form modulo a
+61-bit prime, stored as each pivot column with its row's entries outside
+the pivot columns (``_insert_mod``), and reads the canonical kernel basis
+modulo p off it.  The center lifts that basis, or its pencil's, with the
+pieces kept here: the primes, Wang's rational reconstruction and the CRT
+step; it accepts a lift only once its own exact membership test passes
+(see ``center``), so no modular result here needs a certificate of its own.
 
 The module also provides the univariate polynomial machinery (gcd, Bezout
 cofactors, squarefree part, primary factors: (t - r)^k per rational root r
@@ -45,7 +36,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cache
-from itertools import chain, count
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -263,47 +253,6 @@ def _bareiss(rows: Sequence[Sequence[int]], width: int) -> tuple[list, list, int
     return pivots, rows, t
 
 
-def _sparse_rows(rows: Iterable[Sequence]) -> list[list[tuple[int, int]]]:
-    """The nonzero rows as primitive integer rows of (column, value) pairs."""
-    out = []
-    for row in rows:
-        sparse = [(c, v) for c, v in enumerate(_primitive_int_row(row)) if v]
-        if sparse:
-            out.append(sparse)
-    return out
-
-
-def _echelon(rows: Iterable, width: int) -> dict:
-    """Certified reduced echelon form of the span of sparse integer rows.
-
-    Maps each pivot column, ascending, to its row's entries outside the pivot
-    columns; the pivot entry is 1 and the other pivot entries are 0.  At
-    full rank modulo a prime the form is the identity and needs no lift.
-
-    The rows, any iterable, are read once, in order, while the first prime
-    eliminates them, and kept in case a lift needs them.
-    """
-    primes = map(_kernel_prime, count())
-    read: list = []
-    fresh = iter(rows)
-    while True:
-        p = next(primes)
-        pivots: dict = {}
-        used = []
-        # the first pass draws from ``fresh``; a retry with another prime
-        # finds every row in ``read``
-        for i, row in enumerate(chain(read, fresh)):
-            if i == len(read):
-                read.append(row)
-            if _insert_mod(pivots, row, p):
-                used.append(i)
-                if len(pivots) == width:
-                    return {c: {} for c in range(width)}
-        form = _lift(read, width, pivots, used, p, primes)
-        if form is not None:
-            return form
-
-
 @cache
 def _kernel_prime(i: int) -> int:
     """The i-th prime below 2^61 counting down from 2^61 - 1, searched for
@@ -437,72 +386,9 @@ def _kernel(form: dict, width: int) -> list[Vector]:
     return basis
 
 
-def _in_row_space(rows: list, form: dict, width: int) -> bool:
-    """Exact check that every sparse integer row reduces to zero against the form.
-
-    That is A*K = 0 for the form's kernel vectors K.  A system with more rows
-    than columns multiplies each row by each kernel vector, scaled to
-    integers; otherwise each row is reduced by the form's rows, all scaled
-    by one common denominator.
-    """
-    if len(rows) > width:
-        for v in _kernel(form, width):
-            denom = lcm(*(x.denominator for x in v if type(x) is Fraction))
-            iv = [int(x * denom) for x in v]
-            if any(sum(a * iv[c] for c, a in row) for row in rows):
-                return False
-        return True
-    denom = lcm(
-        *(x.denominator for e in form.values() for x in e.values() if type(x) is Fraction)
-    )
-    scaled = {c: [(j, int(x * denom)) for j, x in e.items()] for c, e in form.items()}
-    for row in rows:
-        residual: dict = {}
-        for c, a in row:
-            entries = scaled.get(c)
-            if entries is None:
-                residual[c] = residual.get(c, 0) + a * denom
-            else:
-                for j, x in entries:
-                    residual[j] = residual.get(j, 0) - a * x
-        if any(residual.values()):
-            return False
-    return True
-
-
-def _lift(rows, width, pivots, used, p, primes) -> dict | None:
-    """Certified echelon form from the one found modulo p, or None.
-
-    Further primes eliminate only the rows in ``used`` (the pivot rows
-    modulo p) and are combined by CRT until a reconstruction passes the
-    exact check.  None means p was unlucky: another prime found other pivot
-    columns, or the reconstruction settled on a form that fails the check.
-    """
-    columns = sorted(pivots)
-    residues = pivots
-    modulus = p
-    previous = None
-    while True:
-        form = _reconstruct(residues, modulus)
-        if form is not None:
-            if _in_row_space(rows, form, width):
-                return form
-            if form == previous:
-                return None
-            previous = form
-        q = next(primes)
-        other: dict = {}
-        for i in used:
-            _insert_mod(other, rows[i], q)
-        if sorted(other) != columns:
-            return None
-        residues = _crt(residues, modulus, other, q)
-        modulus *= q
-
-
 class _SparseSystem:
     """Integer rows of (column, value) pairs, columns ascending, drawn from
-    ``source`` in its order as the engine reads them; ``rows`` counts those
+    ``source`` in its order as they are eliminated; ``rows`` counts those
     read so far."""
 
     __slots__ = ("rows", "cols", "_source")
@@ -516,19 +402,21 @@ class _SparseSystem:
             yield row
 
 
-def nullspace_basis(m: RatMatrix | _SparseSystem) -> list[Vector]:
-    """Canonical basis of the right kernel, certified exactly.
+def nullspace_basis(system: _SparseSystem, p: int) -> tuple[list[Vector], list]:
+    """Canonical basis of the right kernel of the system's rows modulo the
+    prime p, and the rows that raised the rank, which span the row space
+    modulo p.
 
-    One vector per free column of the reduced echelon form, ordered by
-    free-column index; the free coordinate is 1, the other free coordinates
-    are 0 and the pivot coordinates are read off the echelon form.  The
-    form, and so the basis, depends on the row space only.
+    The rows are read once, in order, and inserted into a reduced echelon
+    form modulo p.  One kernel vector per free column, ascending: the free
+    coordinate is 1, the other free coordinates are 0 and the pivot
+    coordinates are integers congruent to the form's negated entries.
+    Lifting the basis to the rationals, and certifying the lift, is the
+    caller's (``center``).
     """
-    if type(m) is _SparseSystem:
-        form = _echelon(m, m.cols)
-    else:
-        form = _echelon(_sparse_rows(map(m.row, range(m.rows))), m.cols)
-    return _kernel(form, m.cols)
+    pivots: dict = {}
+    independent = [row for row in system if _insert_mod(pivots, row, p)]
+    return _kernel(pivots, system.cols), independent
 
 
 def column_space_basis(m: RatMatrix) -> list[Vector]:

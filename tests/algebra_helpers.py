@@ -12,20 +12,21 @@ variables against the embedded leaves; ``find_idempotents_by_matrices``
 is the second route to ``find_idempotents``, the same spectral search on
 n x n matrices; ``jordan_product`` and ``rank_profile`` state algebraic
 facts the tests check; ``row_space_basis`` is a span's reduced echelon
-basis from the modular engine, a second route to the fraction-free
-elimination ``ratlinalg._bareiss``, and ``scaled_rows`` puts it over its
-least denominator as the idempotent search does; ``in_span``,
-``same_span`` and ``center_contains`` compare spans by echelon forms,
-``at_matrix`` evaluates a polynomial at a matrix and ``matrix_rows``
-lists a matrix's rows.  Three are the plain kernels behind faster
-library ones: ``members_by_matrix`` tests membership
+basis and ``kernel_basis`` the canonical basis of a kernel, both from
+sympy, the references for the fraction-free elimination
+``ratlinalg._bareiss`` and the center's lifted kernels, and
+``scaled_rows`` puts a basis over its least denominator as the idempotent
+search does; ``in_span``, ``same_span`` and ``center_contains`` compare
+spans by echelon forms, ``at_matrix`` evaluates a polynomial at a matrix
+and ``matrix_rows`` lists a matrix's rows.  Three are the plain kernels
+behind faster library ones: ``members_by_matrix`` tests membership
 with one product per coefficient matrix, the reference for the packed
 product of ``_all_members``; ``wang_reconstruct`` runs Wang's Euclid on every
 entry, the reference for ``_reconstruct``; ``bezout_projector`` takes the
 projector polynomial from the extended Euclid, the reference for the
 Taylor and Lagrange projectors of ``_projector``;
 ``krylov_minimal_polynomial`` stacks the Fraction Krylov powers and takes
-their certified kernel, the reference for the fraction-free
+sympy's kernel of them, the reference for the fraction-free
 ``minimal_polynomial``; ``jordan_table_by_products`` forms every Jordan
 product of the basis by full n x n products, the reference for the packed
 table of ``_jordan_table``.  ``parse_by_tokens`` is
@@ -49,6 +50,8 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Sequence
 
+import sympy
+
 from polydecomp import (
     CenterBasis,
     DecompositionResult,
@@ -68,14 +71,8 @@ from polydecomp.poly import embed, validate_variable_names
 from polydecomp.ratlinalg import (
     UniPoly,
     _cleared,
-    _echelon,
-    _in_row_space,
-    _insert_mod,
-    _kernel_prime,
     _primitive_int_row,
-    _sparse_rows,
     extended_gcd,
-    nullspace_basis,
     primary_coprime_factors,
     unvec,
     vec,
@@ -97,17 +94,32 @@ def rank_profile(idem: IdempotentSet) -> tuple:
     return tuple(sorted(e.trace() for e in idem.eps))
 
 
+def _to_sympy(rows: Sequence[Sequence], width: int) -> sympy.Matrix:
+    entries = [Fraction(x) for row in rows for x in row]
+    rationals = [sympy.Rational(x.numerator, x.denominator) for x in entries]
+    return sympy.Matrix(len(rows), width, rationals)
+
+
+def _from_sympy(x) -> Rat:
+    """A sympy rational as a library scalar: int when integral, else Fraction."""
+    return int(x.p) if x.q == 1 else Fraction(int(x.p), int(x.q))
+
+
 def row_space_basis(vectors: Sequence[Sequence], width: int) -> list[tuple]:
     """Canonical (reduced echelon) basis of the span of the given vectors,
-    from the modular engine rather than the fraction-free elimination."""
-    basis = []
-    for c, entries in _echelon(_sparse_rows(vectors), width).items():
-        row = [0] * width
-        row[c] = 1
-        for j, x in entries.items():
-            row[j] = x
-        basis.append(tuple(row))
-    return basis
+    from sympy's rref."""
+    vectors = list(vectors)
+    if not vectors:
+        return []
+    reduced, pivots = _to_sympy(vectors, width).rref()
+    return [tuple(map(_from_sympy, reduced.row(i))) for i in range(len(pivots))]
+
+
+def kernel_basis(rows: Sequence[Sequence], width: int) -> list[tuple]:
+    """Canonical basis of the right kernel of rational rows, from sympy's
+    nullspace: one vector per free column, ascending, 1 at it and 0 at the
+    other free columns."""
+    return [tuple(map(_from_sympy, v)) for v in _to_sympy(rows, width).nullspace()]
 
 
 def scaled_rows(basis: Sequence[Sequence]) -> tuple[list, int]:
@@ -136,15 +148,10 @@ def span_intersection(a: Sequence[Sequence], b: Sequence[Sequence], width: int) 
     if not a or not b:
         return []
     ka = len(a)
-    cols = ka + len(b)
-    stacked = RatMatrix(
-        width,
-        cols,
-        [a[j][r] if j < ka else -b[j - ka][r] for r in range(width) for j in range(cols)],
-    )
+    stacked = [[*(v[r] for v in a), *(-v[r] for v in b)] for r in range(width)]
     meet = [
         tuple(sum(coeffs[j] * a[j][r] for j in range(ka)) for r in range(width))
-        for coeffs in nullspace_basis(stacked)
+        for coeffs in kernel_basis(stacked, ka + len(b))
     ]
     return row_space_basis(meet, width)
 
@@ -226,12 +233,10 @@ def dense_equation_rows(polys: Sequence[Polynomial], n: int) -> list[tuple]:
 
 
 def center_contains(center: CenterBasis, x: RatMatrix) -> bool:
-    """Exact span membership test, by reduction against the echelon form."""
-    width = center.n * center.n
+    """Exact span membership test, by comparing echelon forms."""
     if x.rows != center.n or x.cols != center.n:
         raise DimensionMismatch("matrix does not match ambient dimension")
-    form = _echelon(_sparse_rows(center.vectors()), width)
-    return _in_row_space(_sparse_rows([vec(x)]), form, width)
+    return in_span(center.vectors(), vec(x), center.n * center.n)
 
 
 def at_matrix(p: UniPoly, m: RatMatrix) -> RatMatrix:
@@ -293,26 +298,18 @@ def krylov_minimal_polynomial(m: RatMatrix, start: RatMatrix | None = None) -> U
     """Least-degree monic p with p(m) * start = 0 (start defaults to the
     identity): the powers start, m*start, ... are flattened and stacked as
     columns until the stack has a kernel, whose one vector, with 1 at the
-    last power, holds the coefficients.  A power that raises the rank modulo
-    a kernel prime cannot give a kernel, so only the others are solved."""
+    last power, holds the coefficients."""
     if m.rows != m.cols:
         raise DimensionMismatch("minimal polynomial needs a square matrix")
     power = RatMatrix.identity(m.rows) if start is None else start
     if power.rows != m.cols:
         raise DimensionMismatch("start does not match the matrix")
-    p = _kernel_prime(0)
-    pivots: dict = {}
     columns = []
     while True:
         columns.append(vec(power))
-        ints = _primitive_int_row(columns[-1])
-        if not _insert_mod(pivots, [(c, v) for c, v in enumerate(ints) if v], p):
-            stacked = RatMatrix(
-                len(columns[0]), len(columns), [x for row in zip(*columns) for x in row]
-            )
-            kernel = nullspace_basis(stacked)
-            if kernel:
-                return UniPoly(kernel[0])
+        kernel = kernel_basis(list(zip(*columns)), len(columns))
+        if kernel:
+            return UniPoly(kernel[0])
         power = m * power
 
 

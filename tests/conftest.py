@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from polydecomp import RatMatrix, generate, parse_polynomial
+from polydecomp import RatMatrix, generate, parse_polynomial, substitute_linear
 
 # One line per acceptance criterion, printed after the run so the verdicts
 # are visible even with output capture on.
@@ -200,3 +200,11 @@ def planted_suite():
         blocks = rng.choice(partitions[n])
         max_degree = rng.choice([3, 4])
         yield seed, generate(seed, n, m, blocks, max_degree)
+
+
+def mixed_by_big_entry():
+    """A {2, 2} center mixed by an entry of 2^40 + 1, which puts entries past
+    one prime's reconstruction bound into the canonical basis."""
+    h = generate(0, 4, 1, [2, 2], 3).unmixed[0]
+    mix = mat([[1, 0, 2**40 + 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    return [substitute_linear(h, mix)]

@@ -16,6 +16,7 @@ from algebra_helpers import (
     hessian,
     intersect_centers,
     jordan_product,
+    kernel_basis,
     members_by_matrix,
     same_span,
 )
@@ -24,6 +25,7 @@ from conftest import (
     FOURVAR_CENTER_FAMILY,
     QUARTIC_SQUARES_CENTER_FAMILY,
     mat,
+    mixed_by_big_entry,
     planted_suite,
 )
 from polydecomp import (
@@ -38,8 +40,7 @@ from polydecomp import (
     substitute_linear,
 )
 from polydecomp.center import _all_members, _coefficient_matrices, _equation_rows
-from polydecomp.instancegen import generate
-from polydecomp.ratlinalg import _primitive_int_row, invert, nullspace_basis, vec
+from polydecomp.ratlinalg import _primitive_int_row, _SparseSystem, invert, vec
 
 
 def spans_family(center, family) -> bool:
@@ -425,10 +426,10 @@ def check_equation_rows(polys) -> None:
 
 
 def oracle_basis(polys) -> tuple:
-    """The canonical basis from the kernel of the dense equation rows."""
+    """The canonical basis from sympy's kernel of the dense equation rows."""
     n = polys[0].n
-    system = RatMatrix.from_rows(dense_equation_rows(polys, n) or [[0] * (n * n)])
-    return tuple(RatMatrix(n, n, v) for v in nullspace_basis(system))
+    rows = dense_equation_rows(polys, n) or [[0] * (n * n)]
+    return tuple(RatMatrix(n, n, v) for v in kernel_basis(rows, n * n))
 
 
 small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
@@ -472,32 +473,38 @@ class TestEquationRows:
     def test_center_path_builds_no_dense_rows(
         self, bin_cubics, trio, fourvar_pair, monkeypatch
     ):
-        # the rows go to the engine as built, never through the dense re-scan
-        calls = []
-        sparse_rows = polydecomp.ratlinalg._sparse_rows
+        # the rows go to the elimination as built, sparse, in order: the
+        # first system reads every row, later ones only rows it read
+        read = []
 
-        def counting(rows):
-            calls.append(1)
-            return sparse_rows(rows)
+        class Recording(_SparseSystem):
+            __slots__ = ()
 
-        monkeypatch.setattr(polydecomp.ratlinalg, "_sparse_rows", counting)
+            def __iter__(self):
+                for row in super().__iter__():
+                    read.append(row)
+                    yield row
+
+        monkeypatch.setattr(polydecomp.center, "_pencil_basis", lambda mats, polys, n: None)
+        monkeypatch.setattr(polydecomp.center, "_SparseSystem", Recording)
         for polys in (bin_cubics, trio, fourvar_pair):
-            center_basis(polys)
-        assert calls == []
-        nullspace_basis(RatMatrix.identity(2))
-        assert calls == [1]
+            read.clear()
+            rows = list(_equation_rows(_coefficient_matrices(polys), polys[0].n))
+            assert center_basis(polys).basis == oracle_basis(polys)
+            assert read[: len(rows)] == rows and set(read) <= set(rows)
 
 
 def solve_recording(polys, monkeypatch):
-    """center_basis(polys), the rows its full solves read (None when it
-    made none) and the number of primes the solve drew."""
-    systems, primes = [], set()
+    """center_basis(polys), the number of rows each elimination of equation
+    rows read, in order (none when the pencil certified the center), and
+    the number of primes the solve drew."""
+    reads, primes = [], set()
     nullspace, prime = polydecomp.center.nullspace_basis, polydecomp.center._kernel_prime
 
-    def solving(system):
-        kernel = nullspace(system)
-        systems.append(system)
-        return kernel
+    def solving(system, p):
+        result = nullspace(system, p)
+        reads.append(system.rows)
+        return result
 
     def drawing(i):
         primes.add(i)
@@ -507,8 +514,7 @@ def solve_recording(polys, monkeypatch):
     monkeypatch.setattr(polydecomp.center, "_kernel_prime", drawing)
     center = center_basis(polys)
     monkeypatch.undo()
-    assert len(systems) <= 1
-    return center, (systems[0].rows if systems else None), len(primes)
+    return center, reads, len(primes)
 
 
 def equation_count(polys) -> int:
@@ -517,13 +523,14 @@ def equation_count(polys) -> int:
 
 class TestScalarShortPath:
     # A cyclic pencil whose one member is the identity certifies a scalar
-    # center: no equation row is built and the engine is never called.
+    # center: no equation row is built and ``nullspace_basis`` is never
+    # called.
 
     def check_scalar(self, polys, monkeypatch) -> None:
         n = polys[0].n
-        center, read, primes = solve_recording(polys, monkeypatch)
+        center, reads, primes = solve_recording(polys, monkeypatch)
         assert center.basis == (RatMatrix.identity(n),) == oracle_basis(polys)
-        assert read is None and primes == 1
+        assert reads == [] and primes == 1
 
     def test_scalar_golden_reads_fewer_rows(self, trio, monkeypatch):
         self.check_scalar(trio, monkeypatch)
@@ -542,14 +549,14 @@ class TestScalarShortPath:
 
     @pytest.mark.parametrize("golden", ["fourvar_pair", "bin_cubics"])
     def test_non_scalar_center_reads_every_row(self, golden, request, monkeypatch):
-        # without a pencil the engine has no early exit: it reads every row
-        # and gives the basis the pencil certifies
+        # without a pencil the elimination has no early exit: it reads
+        # every row, and one prime lifts the basis the pencil certifies
         polys = request.getfixturevalue(golden)
         certified = center_basis(polys)
         monkeypatch.setattr(polydecomp.center, "_pencil_basis", lambda mats, polys, n: None)
-        center, read, _ = solve_recording(polys, monkeypatch)
+        center, reads, _ = solve_recording(polys, monkeypatch)
         assert center.dim > 1 and center.basis == certified.basis == oracle_basis(polys)
-        assert read == equation_count(polys)
+        assert reads == [equation_count(polys)]
 
     def test_asymmetric_coefficient_matrix_is_caught(self, trio, monkeypatch):
         # the identity lies in the center only because every S is symmetric;
@@ -566,14 +573,6 @@ def planted_three_three():
     return [list(i.fs) for seed, i in planted_suite() if seed == 4][0]
 
 
-def mixed_by_big_entry():
-    """A {2, 2} center mixed by an entry of 2^40 + 1, which puts entries past
-    one prime's reconstruction bound into the canonical basis."""
-    h = generate(0, 4, 1, [2, 2], 3).unmixed[0]
-    mix = mat([[1, 0, 2**40 + 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    return [substitute_linear(h, mix)]
-
-
 class TestNonScalarCertificate:
     # Any other center is the free-variable form of the pencil's members,
     # reconstructed over as many primes as its entries need and accepted by
@@ -584,8 +583,8 @@ class TestNonScalarCertificate:
         wide = 0
         for _, instance in planted_suite():
             polys = list(instance.fs)
-            center, read, _ = solve_recording(polys, monkeypatch)
-            assert center.basis == oracle_basis(polys) and read is None
+            center, reads, _ = solve_recording(polys, monkeypatch)
+            assert center.basis == oracle_basis(polys) and reads == []
             wide += center.dim > 1
         assert wide
 
@@ -615,18 +614,27 @@ class TestNonScalarCertificate:
             return len(tested) > 1 and all_members(xs, polys, mats)
 
         monkeypatch.setattr(polydecomp.center, "_all_members", rejecting_first)
-        again, read, primes_again = solve_recording(polys, monkeypatch)
+        again, reads, primes_again = solve_recording(polys, monkeypatch)
         # the rejection costs one more prime, whose candidate passes
         assert len(tested) == 2 and again.basis == center.basis
-        assert read is None and primes_again == primes + 1
+        assert reads == [] and primes_again == primes + 1
 
     def test_repeated_rejection_falls_back(self, monkeypatch):
-        # a candidate rejected a second time is given up for the full solve
+        # a pencil candidate rejected a second time is given up for the
+        # equation rows, whose candidate the same test accepts
         polys = planted_three_three()
         expected = oracle_basis(polys)
-        monkeypatch.setattr(polydecomp.center, "_all_members", lambda xs, polys, mats: False)
-        center, read, primes = solve_recording(polys, monkeypatch)
-        assert center.basis == expected and read == equation_count(polys) and primes == 2
+        all_members = polydecomp.center._all_members
+        tested = []
+
+        def rejecting_twice(xs, polys, mats):
+            tested.append(len(xs))
+            return len(tested) > 2 and all_members(xs, polys, mats)
+
+        monkeypatch.setattr(polydecomp.center, "_all_members", rejecting_twice)
+        center, reads, primes = solve_recording(polys, monkeypatch)
+        assert center.basis == expected and len(tested) == 3
+        assert reads == [equation_count(polys)] and primes == 2
 
     def test_identity_spares_one_vector(self, monkeypatch):
         # the diagonal free columns' vectors sum to vec(I), so the last of
@@ -662,20 +670,24 @@ class TestNonScalarCertificate:
 
     def test_center_needing_crt_uses_several_primes(self, monkeypatch):
         polys = mixed_by_big_entry()
-        center, read, primes = solve_recording(polys, monkeypatch)
+        center, reads, primes = solve_recording(polys, monkeypatch)
         assert center.basis == oracle_basis(polys)
-        assert center.dim > 1 and read is None and primes >= 2
+        assert center.dim > 1 and reads == [] and primes >= 2
         big = max(abs(Fraction(x).numerator) for b in center.basis for x in vec(b))
         assert big >= 2**40 + 1
 
     def test_center_needing_crt_reads_every_row(self, monkeypatch):
-        # the full solve, which the pencil spares, lifts the same basis
+        # the equation rows, which the pencil spares, lift the same basis
+        # through the same CRT loop: the first prime reads every row, each
+        # further prime only the n^2 - dim rows that raised the rank
         polys = mixed_by_big_entry()
         certified = center_basis(polys)
         monkeypatch.setattr(polydecomp.center, "_pencil_basis", lambda mats, polys, n: None)
-        center, read, _ = solve_recording(polys, monkeypatch)
+        center, reads, primes = solve_recording(polys, monkeypatch)
         assert center.basis == certified.basis == oracle_basis(polys)
-        assert read == equation_count(polys)
+        pivot_rows = polys[0].n ** 2 - center.dim
+        assert reads == [equation_count(polys)] + [pivot_rows] * (primes - 1)
+        assert primes >= 2
 
     def test_coefficient_matrices_built_once(self, trio, fourvar_pair, monkeypatch):
         build = polydecomp.center._coefficient_matrices
@@ -711,6 +723,83 @@ class TestFullSolve:
     )
     def test_falls_back_to_every_row(self, text, names, dim, monkeypatch):
         polys = [parse_polynomial(text, list(names))]
-        center, read, _ = solve_recording(polys, monkeypatch)
+        center, reads, _ = solve_recording(polys, monkeypatch)
         assert center.dim == dim and center.basis == oracle_basis(polys)
-        assert read == equation_count(polys)
+        assert reads == [equation_count(polys)]
+
+
+def first_prime(q, monkeypatch) -> None:
+    """Make the prime q the first the center draws, the usual ones next."""
+    prime = polydecomp.center._kernel_prime
+    monkeypatch.setattr(polydecomp.center, "_kernel_prime", lambda i: prime(i - 1) if i else q)
+
+
+class TestLiftRetries:
+    # Both sources run through one lift: an unlucky prime costs a retry,
+    # never a different basis, and no candidate skips the membership test.
+
+    def test_rows_survive_a_prime_that_drops_their_rank(self, monkeypatch):
+        polys = mixed_by_big_entry()
+        n = polys[0].n
+        rows = _equation_rows(_coefficient_matrices(polys), n)
+        # modulo 5 the rows have rank n^2 - 3: a third kernel vector
+        kernel, _ = polydecomp.center.nullspace_basis(_SparseSystem(n * n, rows), 5)
+        assert len(kernel) == 3
+        monkeypatch.setattr(polydecomp.center, "_pencil_basis", lambda mats, polys, n: None)
+        first_prime(5, monkeypatch)
+        center, reads, _ = solve_recording(polys, monkeypatch)
+        assert center.dim == 2 and center.basis == oracle_basis(polys)
+        # the pivot rows modulo 5 lift a space the membership test rejects,
+        # and the rows start again, all of them, at a later prime
+        count = equation_count(polys)
+        assert reads[0] == count and reads.count(count) >= 2
+        assert reads[1] == n * n - 3
+
+    def test_pencil_free_columns_moving_between_primes(self, monkeypatch):
+        # modulo 43 the pencil of this input has a third member, so its free
+        # columns move at the next prime and the rows take over
+        polys = mixed_by_big_entry()
+        members = polydecomp.center._pencil_members
+        sizes = []
+
+        def recording(combos, start, n, p, budget):
+            found = members(combos, start, n, p, budget)
+            sizes.append(len(found))
+            return found
+
+        monkeypatch.setattr(polydecomp.center, "_pencil_members", recording)
+        first_prime(43, monkeypatch)
+        center, reads, _ = solve_recording(polys, monkeypatch)
+        assert sizes == [3, 2]
+        assert center.basis == oracle_basis(polys) and reads[0] == equation_count(polys)
+
+    @pytest.mark.parametrize("source", ["pencil", "rows"])
+    def test_failing_candidate_is_never_returned(self, source, monkeypatch):
+        # the first reconstruction is spoiled in one entry: the membership
+        # test rejects it and a later prime's candidate is returned
+        polys = planted_three_three()
+        expected = oracle_basis(polys)
+        reconstruct = polydecomp.center._reconstruct
+        all_members = polydecomp.center._all_members
+        verdicts = []
+
+        def spoiling(residues, modulus):
+            candidate = reconstruct(residues, modulus)
+            if candidate is not None and not verdicts:
+                f = next(f for f in candidate if candidate[f])
+                j = next(iter(candidate[f]))
+                candidate[f][j] += 1
+            return candidate
+
+        def judging(xs, polys, mats):
+            verdicts.append(all_members(xs, polys, mats))
+            return verdicts[-1]
+
+        if source == "rows":
+            monkeypatch.setattr(polydecomp.center, "_pencil_basis", lambda mats, polys, n: None)
+        monkeypatch.setattr(polydecomp.center, "_reconstruct", spoiling)
+        monkeypatch.setattr(polydecomp.center, "_all_members", judging)
+        center, reads, primes = solve_recording(polys, monkeypatch)
+        assert verdicts == [False, True] and primes == 2
+        assert center.basis == expected
+        assert (reads == []) == (source == "pencil")

@@ -28,6 +28,7 @@ from conftest import (
     TRIO_3_EPS,
     TRIO_3_P,
     mat,
+    mixed_by_big_entry,
     replaced,
 )
 import polydecomp
@@ -56,7 +57,7 @@ from polydecomp.decompose import (
     diagonal_idempotent_supports,
     separate,
 )
-from polydecomp.ratlinalg import invert, vec
+from polydecomp.ratlinalg import _SparseSystem, invert, vec
 
 
 def coefficient_types(parts):
@@ -715,6 +716,35 @@ class TestTracedBindings:
         assert timed - traced == self.DEAD_TIMED
         assert {"read_problem", "parse_polynomial", "result_to_document", "_emit"} <= timed
 
+    def test_row_path_feeds_the_bench_observer(self, monkeypatch):
+        # the observer of center.nullspace_basis reads args[0].rows: every
+        # elimination of the rows hands it a system, at the CRT primes that
+        # eliminate only the pivot rows too
+        observe = self.bench_spans().OBSERVERS["center.nullspace_basis"]
+        nullspace = polydecomp.center.nullspace_basis
+        calls = []
+
+        def recording(*args):
+            result = nullspace(*args)
+            calls.append((args, result))
+            return result
+
+        monkeypatch.setattr(polydecomp.center, "nullspace_basis", recording)
+        monkeypatch.setattr(polydecomp.center, "_pencil_basis", lambda mats, polys, n: None)
+        polys = mixed_by_big_entry()
+        assert center_basis(polys).dim == 2
+        assert len(calls) >= 2
+        tracer = self.bench_spans().Tracer()
+        for args, result in calls:
+            assert type(args[0]) is _SparseSystem
+            observe(tracer, args, result)
+        rows = polydecomp.center._equation_rows(
+            polydecomp.center._coefficient_matrices(polys), polys[0].n
+        )
+        pivot_rows = polys[0].n ** 2 - 2
+        expected = sum(1 for _ in rows) + pivot_rows * (len(calls) - 1)
+        assert tracer.counters["center.rows"] == expected
+
     def test_bindings_see_every_draw(self, fourvar_pair, monkeypatch):
         # the test above only checks that the bindings exist; a search that
         # stopped calling them would pass it and read 0 draws in the bench
@@ -749,8 +779,9 @@ class TestTracedBindings:
         assert len(minpolys) == len(draws)
         assert len(factorings) == sum(m.degree >= 1 for _, m in minpolys)
         # the bench reads the equation count off the system's rows: a center
-        # the pencil certifies hands the engine none, so every solve here
-        # reads 0 rows; a degenerate pencil hands it one system of every row
+        # the pencil certifies hands ``nullspace_basis`` none, so every solve
+        # here reads 0 rows; a degenerate pencil hands it one system of every
+        # row, and these small centers lift from that one prime
         assert solves and systems == []
         monkeypatch.setattr(polydecomp.center, "_pencil_basis", lambda mats, polys, n: None)
         solves.clear()

@@ -228,7 +228,9 @@ class TestPeirceCorners:
             if len(full) == 1:
                 assert basis is None and built == 0
             else:
-                assert basis == scaled_rows(full)[0] and built == 1
+                # one r x r elimination picks the independent columns of
+                # U_e, one more reduces them over the n^2 entries
+                assert basis == scaled_rows(full)[0] and built == 2
             dims.append(len(full))
         assert dims.count(1) >= 100 and len(dims) - dims.count(1) >= 5
 

@@ -15,6 +15,7 @@ import polydecomp.ratlinalg
 from algebra_helpers import (
     at_matrix,
     in_span,
+    kernel_basis,
     krylov_minimal_polynomial,
     matrix_rows,
     row_space_basis,
@@ -30,10 +31,12 @@ from polydecomp.idempotent import _Coordinates, _echelon_basis
 from polydecomp.ratlinalg import (
     UniPoly,
     _bareiss,
-    _echelon,
+    _cleared,
+    _crt,
     _is_prime,
     _kernel_prime,
     _primitive_int_row,
+    _ratio,
     _reconstruct,
     _SparseSystem,
     column_space_basis,
@@ -52,68 +55,104 @@ def rand_matrix(rng, rows, cols, lo=-5, hi=5):
     return RatMatrix(rows, cols, [rng.randint(lo, hi) for _ in range(rows * cols)])
 
 
+def sparse_rows(rows) -> list:
+    """Rational rows as primitive integer rows of (column, value) pairs."""
+    return [[(c, v) for c, v in enumerate(_primitive_int_row(row)) if v] for row in rows]
+
+
+def kernel_mod(rows, width, p=None):
+    """``nullspace_basis`` of rational rows modulo p (the first kernel prime
+    by default), its entries reduced, and the rows that raised the rank."""
+    p = p or FIRST_PRIME
+    kernel, independent = nullspace_basis(_SparseSystem(width, iter(sparse_rows(rows))), p)
+    return [tuple(x % p for x in v) for v in kernel], independent
+
+
+def residues(vectors, p=None) -> list:
+    """Rational vectors reduced modulo p (the first kernel prime by default)."""
+    p = p or FIRST_PRIME
+    return [
+        tuple(Fraction(x).numerator * pow(Fraction(x).denominator, -1, p) % p for x in v)
+        for v in vectors
+    ]
+
+
 class TestNullspace:
+    """The canonical kernel basis modulo a prime; the center lifts it."""
+
     def test_zero_matrix_gives_standard_basis(self):
-        basis = nullspace_basis(RatMatrix.zeros(3, 3))
-        assert basis == [
-            (1, 0, 0),
-            (0, 1, 0),
-            (0, 0, 1),
-        ]
+        assert kernel_mod([[0, 0, 0]] * 3, 3) == ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], [])
 
     def test_full_rank_square_is_trivial(self):
-        assert nullspace_basis(RatMatrix.identity(4)) == []
+        kernel, independent = kernel_mod(matrix_rows(RatMatrix.identity(4)), 4)
+        assert kernel == [] and len(independent) == 4
 
     def test_vectors_are_annihilated(self):
         rng = random.Random(11)
         for _ in range(15):
             m = rand_matrix(rng, 4, 5)
-            for v in nullspace_basis(m):
-                product = m * RatMatrix(5, 1, list(v))
-                assert product.is_zero()
+            kernel, independent = kernel_mod(matrix_rows(m), 5)
+            assert len(kernel) + len(independent) == 5
+            for v in kernel:
+                for row in sparse_rows(matrix_rows(m)):
+                    assert sum(a * v[c] for c, a in row) % FIRST_PRIME == 0
 
     def test_free_coordinate_is_one(self):
-        m = mat([[1, 2, 3]])
-        for v in nullspace_basis(m):
-            assert 1 in v
+        kernel, _ = kernel_mod([[1, 2, 3]], 3)
+        assert kernel == [(-2 % FIRST_PRIME, 1, 0), (-3 % FIRST_PRIME, 0, 1)]
 
     def test_sparse_system_counts_the_rows_read(self):
-        # rows orthogonal to (2, 0, 4): the engine reads all three, once, and
-        # gives the dense matrix's kernel
+        # rows orthogonal to (2, 0, 4): all three are read, once, and the
+        # third adds no rank
         rows = [[(1, 1)], [(0, 2), (2, -1)], [(0, 4), (2, -2)]]
         system = _SparseSystem(3, iter(rows))
-        assert nullspace_basis(system) == [(Fraction(1, 2), 0, 1)]
-        assert system.rows == 3
-        assert nullspace_basis(mat([[0, 1, 0], [2, 0, -1], [4, 0, -2]])) == [
-            (Fraction(1, 2), 0, 1)
-        ]
+        kernel, independent = nullspace_basis(system, FIRST_PRIME)
+        assert [tuple(x % FIRST_PRIME for x in v) for v in kernel] == residues(
+            [(Fraction(1, 2), 0, 1)]
+        )
+        assert system.rows == 3 and independent == rows[:2]
 
     def test_rows_may_be_a_one_shot_iterator(self):
         # the rank is width - 1 after two of four rows; every row is read all
-        # the same, once, so a generator gives the form the list gives, and a
+        # the same, once, so a generator gives what the list gives, and a
         # last row outside the span counts
         rows = [[(0, 1), (2, -1)], [(1, 1)], [(0, 2), (1, 3), (2, -2)], [(1, -5)]]
-        assert _echelon((row for row in rows), 3) == _echelon(rows, 3) == {0: {2: -1}, 1: {}}
+        p = FIRST_PRIME
+        once = nullspace_basis(_SparseSystem(3, (row for row in rows)), p)
+        assert once == nullspace_basis(_SparseSystem(3, rows), p)
+        assert once[1] == rows[:2] and [tuple(x % p for x in v) for v in once[0]] == [(1, 0, 1)]
         rows.append([(2, 1)])
-        assert _echelon((row for row in rows), 3) == {0: {}, 1: {}, 2: {}}
+        kernel, independent = nullspace_basis(_SparseSystem(3, (row for row in rows)), p)
+        assert kernel == [] and independent == rows[:2] + [[(2, 1)]]
 
     def test_sparse_system_matches_the_dense_kernel(self):
         # multiples add no rank: every row is read and the kernel is the
         # dense matrix's, (7, 1, 0) and (0, 0, 1)
         rows = [[(0, 1), (1, -7)], [(0, 2), (1, -14)], [(0, 3), (1, -21)]]
         system = _SparseSystem(3, iter(rows))
-        assert nullspace_basis(system) == [(7, 1, 0), (0, 0, 1)] == nullspace_basis(
-            mat([[1, -7, 0], [2, -14, 0], [3, -21, 0]])
-        )
-        assert system.rows == 3
+        kernel, independent = nullspace_basis(system, FIRST_PRIME)
+        dense = [[1, -7, 0], [2, -14, 0], [3, -21, 0]]
+        reduced = [tuple(x % FIRST_PRIME for x in v) for v in kernel]
+        assert reduced == [(7, 1, 0), (0, 0, 1)] == kernel_basis(dense, 3)
+        assert system.rows == 3 and independent == rows[:1]
 
     def test_sparse_kernel_past_one_prime(self):
-        # 2^40 + 1 is past one prime's reconstruction bound: the lift
-        # combines primes by CRT and still finds the exact kernel
+        # 2^40 + 1 is past one prime's reconstruction bound: the kernel
+        # modulo each prime holds its residue, and the CRT of two primes
+        # reconstructs it (the center's lift runs this loop)
         big = 2**40 + 1
-        system = _SparseSystem(3, iter([[(0, 1), (1, -big)]]))
-        assert nullspace_basis(system) == [(big, 1, 0), (0, 0, 1)]
-        assert system.rows == 1
+        row = [(0, 1), (1, -big)]
+        p, q = _kernel_prime(0), _kernel_prime(1)
+        forms = []
+        for prime in (p, q):
+            system = _SparseSystem(3, iter([row]))
+            kernel, independent = nullspace_basis(system, prime)
+            reduced = [tuple(x % prime for x in v) for v in kernel]
+            assert reduced == [(big % prime, 1, 0), (0, 0, 1)]
+            assert system.rows == 1 and independent == [row]
+            forms.append({1: {0: kernel[0][0] % prime}})
+        assert _reconstruct(forms[0], p) != {1: {0: big}}
+        assert _reconstruct(_crt(forms[0], p, forms[1], q), p * q) == {1: {0: big}}
 
 
 def from_sympy(x):
@@ -134,8 +173,12 @@ def assert_same_typed(vectors, expected):
     ]
 
 
-def assert_matches_oracle(m):
-    assert_same_typed(nullspace_basis(m), sympy_nullspace(m))
+def assert_matches_oracle(m, p=None):
+    """The kernel modulo p is sympy's canonical kernel reduced modulo p, and
+    the rows that raised the rank are as many as the rational rank."""
+    kernel, independent = kernel_mod(matrix_rows(m), m.cols, p)
+    assert kernel == residues(sympy_nullspace(m), p)
+    assert len(independent) == to_sympy(m).rank()
 
 
 FIRST_PRIME = _kernel_prime(0)
@@ -217,35 +260,48 @@ class TestNullspaceOracle:
 
     def test_unlucky_first_prime(self):
         # Modulo the first prime the rows agree on their first two columns,
-        # so its pivot columns are {0, 2} instead of {0, 1}; the kernel
-        # entries carry that prime as a denominator, beyond one prime's
-        # reconstruction bound.
+        # so its pivot columns are {0, 2} instead of {0, 1}: the free column
+        # moves, which the center's lift sees as a prime to drop.  The
+        # kernel entries carry that prime as a denominator; the next prime
+        # gives their residues.
         m = mat([[1 + FIRST_PRIME, 1, 0], [1, 1, 1]])
-        assert_matches_oracle(m)
-        assert nullspace_basis(m) == [
+        assert sympy_nullspace(m) == [
             (Fraction(1, FIRST_PRIME), Fraction(-FIRST_PRIME - 1, FIRST_PRIME), 1)
         ]
+        kernel, independent = kernel_mod(matrix_rows(m), 3)
+        assert kernel == [(FIRST_PRIME - 1, 1, 0)] and len(independent) == 2
+        assert_matches_oracle(m, _kernel_prime(1))
 
     def test_unlucky_first_prime_trivial_kernel(self):
-        # singular modulo the first prime only (determinant FIRST_PRIME)
+        # singular modulo the first prime only (determinant FIRST_PRIME):
+        # the rank modulo a prime can fall below the rational rank, never
+        # rise above it
         m = mat([[1 + FIRST_PRIME, 1], [1, 1]])
-        assert nullspace_basis(m) == [] == sympy_nullspace(m)
+        kernel, independent = kernel_mod(matrix_rows(m), 2)
+        assert len(kernel) == len(independent) == 1 and sympy_nullspace(m) == []
+        assert_matches_oracle(m, _kernel_prime(1))
 
     def test_kernel_needs_crt(self):
+        # -b/a is past one prime's reconstruction bound; the kernels modulo
+        # two primes reconstruct it by CRT
         a, b = 3**30, 2**50 + 1
         m = mat([[a, b, 0], [0, 0, 1]])
-        basis = nullspace_basis(m)
-        entry = basis[0][0]
-        assert max(abs(entry.numerator), entry.denominator) > isqrt(FIRST_PRIME // 2)
-        assert basis == [(Fraction(-b, a), 1, 0)]
+        assert sympy_nullspace(m) == [(Fraction(-b, a), 1, 0)]
+        assert max(a, b) > isqrt(FIRST_PRIME // 2)
+        p, q = FIRST_PRIME, _kernel_prime(1)
         assert_matches_oracle(m)
+        assert_matches_oracle(m, q)
+        first = {1: {0: kernel_mod(matrix_rows(m), 3)[0][0][0]}}
+        second = {1: {0: kernel_mod(matrix_rows(m), 3, q)[0][0][0]}}
+        assert _reconstruct(first, p) != {1: {0: Fraction(-b, a)}}
+        assert _reconstruct(_crt(first, p, second, q), p * q) == {1: {0: Fraction(-b, a)}}
 
     def test_zero_matrix(self):
         assert_matches_oracle(RatMatrix.zeros(2, 4))
 
     def test_full_rank(self):
         m = mat([[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]])
-        assert nullspace_basis(m) == []
+        assert kernel_mod(matrix_rows(m), 4)[0] == []
         assert_matches_oracle(m)
 
     @pytest.mark.parametrize("column", [[0, 0, 0], [0, Fraction(3, 7), 0], [5]])
@@ -300,42 +356,53 @@ UNLUCKY = mat([[1 + FIRST_PRIME, 1], [1, 1]])
 BIG = mat([[3**40, 2**64 + 1, 0], [5**20, 7**25, 1], [2**61, 0, 11**19]])
 
 
+def echelon_rows(rows, width) -> list[tuple]:
+    """The reduced echelon basis of the span of rational rows, from the
+    library's fraction-free elimination."""
+    pivots, reduced, t = _bareiss([_cleared(row)[0] for row in rows], width)
+    return [tuple(_ratio(x, t) for x in row) for row in reduced[: len(pivots)]]
+
+
 class TestEchelonOracle:
-    """Row spaces, column spaces, inverses and minimal polynomials against sympy."""
+    """Row spaces (from the fraction-free elimination), column spaces,
+    inverses and minimal polynomials against sympy."""
 
     def test_identity(self):
-        assert row_space_basis(matrix_rows(RatMatrix.identity(3)), 3) == [
+        assert echelon_rows(matrix_rows(RatMatrix.identity(3)), 3) == [
             (1, 0, 0),
             (0, 1, 0),
             (0, 0, 1),
         ]
 
     def test_rank_one(self):
-        assert row_space_basis([[1, 2], [2, 4]], 2) == [(1, 2)]
+        assert echelon_rows([[1, 2], [2, 4]], 2) == [(1, 2)]
         assert column_space_basis(mat([[1, 2], [2, 4]])) == [(1, 2)]
 
     def test_fractional_entries(self):
-        assert row_space_basis([[Fraction(1, 2), 1], [1, 3]], 2) == [(1, 0), (0, 1)]
+        assert echelon_rows([[Fraction(1, 2), 1], [1, 3]], 2) == [(1, 0), (0, 1)]
 
     @settings(max_examples=100, deadline=None)
     @given(echelon_inputs())
     def test_idempotent(self, m):
-        basis = row_space_basis(matrix_rows(m), m.cols)
-        assert_same_typed(row_space_basis(basis, m.cols), basis)
+        basis = echelon_rows(matrix_rows(m), m.cols)
+        assert_same_typed(echelon_rows(basis, m.cols), basis)
 
     @settings(max_examples=100, deadline=None)
     @given(echelon_inputs())
     def test_rank_plus_nullity(self, m):
-        rank = len(row_space_basis(matrix_rows(m), m.cols))
+        rank = len(echelon_rows(matrix_rows(m), m.cols))
         assert rank == to_sympy(m).rank()
-        assert rank + len(nullspace_basis(m)) == m.cols
+        # the rank modulo a prime never exceeds the rational rank: the
+        # bound on the center's dimension that its lift rests on
+        kernel, independent = kernel_mod(matrix_rows(m), m.cols)
+        assert len(kernel) + len(independent) == m.cols and len(independent) <= rank
 
     @settings(max_examples=150, deadline=None)
     @given(echelon_inputs())
     def test_row_and_column_spaces(self, m):
         reduced, pivots = to_sympy(m).rref()
         assert_same_typed(
-            row_space_basis(matrix_rows(m), m.cols), sympy_rows(reduced)[: len(pivots)]
+            echelon_rows(matrix_rows(m), m.cols), sympy_rows(reduced)[: len(pivots)]
         )
         assert column_space_basis(m) == [m.column(c) for c in pivots]
 
@@ -383,7 +450,7 @@ class TestEchelonOracle:
     def test_fixed_cases(self, m):
         oracle = to_sympy(m)
         full = [tuple(int(r == c) for c in range(m.cols)) for r in range(m.rows)]
-        assert_same_typed(row_space_basis(matrix_rows(m), m.cols), full)
+        assert_same_typed(echelon_rows(matrix_rows(m), m.cols), full)
         assert column_space_basis(m) == [m.column(c) for c in range(m.cols)]
         assert_same_typed(
             [tuple(row) for row in matrix_rows(invert(m))], sympy_rows(oracle.inv())
@@ -396,16 +463,16 @@ class TestEchelonOracle:
         # rank 1 modulo the first prime, rank 2 over the rationals
         m = mat([[1 + FIRST_PRIME, 1, 2], [1, 1, 2]])
         reduced, _ = to_sympy(m).rref()
-        assert_same_typed(row_space_basis(matrix_rows(m), 3), sympy_rows(reduced))
+        assert_same_typed(echelon_rows(matrix_rows(m), 3), sympy_rows(reduced))
 
     @pytest.mark.parametrize(
         "m", [RatMatrix.identity(3), mat([[1, 2, 0], [3, 4, 0], [5, 6, 7]])]
     )
     def test_full_rank_past_width_minus_one(self, m):
-        # The first two rows leave one kernel vector, which lifts exactly
-        # from one prime; only the last row rules it out.
-        assert nullspace_basis(m) == []
-        assert row_space_basis(matrix_rows(m), 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        # The first two rows leave one kernel vector; only the last row
+        # rules it out.
+        assert kernel_mod(matrix_rows(m), 3)[0] == []
+        assert echelon_rows(matrix_rows(m), 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
         assert column_space_basis(m) == [m.column(c) for c in range(3)]
 
 
@@ -693,11 +760,11 @@ def integer_rows(m):
 class TestAdjugateEchelon:
     """The reduced echelon basis E as the integer rows d * E over the least
     d > 0, from the fraction-free elimination (for A the block at the pivot
-    columns, adj(A) times the rows up to sign), against the modular engine."""
+    columns, adj(A) times the rows up to sign), against sympy's rref."""
 
     @settings(max_examples=200, deadline=None)
     @given(echelon_inputs())
-    def test_matches_the_engine(self, m):
+    def test_matches_sympy_rref(self, m):
         basis = row_space_basis(matrix_rows(m), m.cols)
         pivots, rows, d = _echelon_basis(integer_rows(m))
         assert (rows, d) == scaled_rows(basis)
