@@ -8,14 +8,15 @@ simultaneous direct-sum decompositions of the polynomial set.
 
 The condition has one representation here.  Each Hessian is a sum
 H(x) = sum_m x^m S_m of constant symmetric coefficient matrices S_m, read
-straight off the terms, so "H * X symmetric for all x" is "S_m * X symmetric
-for every m".  ``membership_check`` tests exactly that, for every m in one
-integer product with the packed sum of the S_m * 2^(k*m), whose k-bit
-digits hold the symmetry defects of the S_m one each.  One exact pass that
-finds every S symmetric puts the identity in the center.
+straight off the terms as their upper-triangle entries, so "H * X symmetric
+for all x" is "S_m * X symmetric for every m".  ``membership_check`` tests
+exactly that, for every m in one integer product with the packed sum of the
+S_m * 2^(k*m), whose k-bit digits hold the symmetry defects of the S_m one
+each.  One exact pass that finds every entry list an upper triangle puts
+the identity in the center.
 
 ``center_basis`` first tries a pencil.  M1, M2, M3 are fixed random integer
-combinations of the S, and C = M1^-1 M2.  Every X in the center makes M1 X
+combinations of the S, summed in one packed pass, and C = M1^-1 M2.  Every X in the center makes M1 X
 and M2 X symmetric, so it commutes with C (Harrison's center theory).  When
 C is cyclic, with Krylov basis z_j = C^j w, the matrices that commute with
 it are the polynomials q(C) of degree < n (Gantmacher, ch. VIII), and
@@ -102,40 +103,55 @@ def _check_inputs(polys: Sequence[Polynomial]) -> int:
     return n
 
 
-def _coefficient_matrices(polys: Sequence[Polynomial]) -> list[dict]:
+def _coefficient_matrices(polys: Sequence[Polynomial]) -> list[list]:
     """Hessian coefficient matrices S_m of every input, H = sum_m x^m S_m.
 
     The second derivative of c*x^a by x_r and x_l is
     c*a_r*(a_l - [r = l])*x^(a - e_r - e_l), so a term fills entries (r, l)
     and (l, r) of one S_m per pair of its variables, and no two terms meet in
-    the same entry.  Each S_m is stored sparsely as {row: {column: value}};
-    it is symmetric, so its rows are also its columns.  The matrices are
-    those of p times the lcm of its coefficient denominators: a nonzero
-    scale changes no symmetry condition and keeps the entries integers.
+    the same entry.  S_m is symmetric, so it is stored as the flat list of
+    its nonzero upper-triangle entries (r, l, value), r <= l; the matrices
+    come in the order their monomials x^m first appear.  A monomial is
+    grouped by its exponents packed into an int in base B, one past the
+    largest exponent, so that x^(a - e_r - e_l) is key - B^r - B^l.  The
+    matrices are those of p times the lcm of its coefficient denominators:
+    a nonzero scale changes no symmetry condition and keeps the entries
+    integers.
     """
     mats = []
     for p in polys:
+        if not p._terms:
+            continue
         scale = lcm(*(c.denominator for c in p._terms.values() if type(c) is Fraction))
-        by_monomial: dict[tuple, dict] = {}
+        base = max(map(max, p._terms)) + 1
+        powers = [base**i for i in range(p.n)]
+        by_monomial: dict = {}
         for mono, coeff in p._terms.items():
-            coeff = int(coeff * scale)
+            if scale != 1:
+                coeff = int(coeff * scale)
+            key = sum(map(mul, mono, powers))
             support = [i for i, e in enumerate(mono) if e]
             for k, r in enumerate(support):
-                for l in support[k:]:
-                    value = coeff * mono[r] * (mono[l] - (r == l))
-                    if not value:
-                        continue
-                    lowered = list(mono)
-                    lowered[r] -= 1
-                    lowered[l] -= 1
-                    s = by_monomial.setdefault(tuple(lowered), {})
-                    s.setdefault(r, {})[l] = value
-                    s.setdefault(l, {})[r] = value
+                a = mono[r]
+                row_key, row_coeff = key - powers[r], coeff * a
+                # the diagonal entry, zero for a linear exponent
+                if a > 1:
+                    lowered = row_key - powers[r]
+                    s = by_monomial.get(lowered)
+                    if s is None:
+                        s = by_monomial[lowered] = []
+                    s.append((r, r, row_coeff * (a - 1)))
+                for l in support[k + 1 :]:
+                    lowered = row_key - powers[l]
+                    s = by_monomial.get(lowered)
+                    if s is None:
+                        s = by_monomial[lowered] = []
+                    s.append((r, l, row_coeff * mono[l]))
         mats.extend(by_monomial.values())
     return mats
 
 
-def _equation_rows(mats: list[dict], n: int) -> Iterator[tuple]:
+def _equation_rows(mats: list[list], n: int) -> Iterator[tuple]:
     """Linear constraints on the n^2 unknown entries of X, row-major order,
     from the coefficient matrices ``mats``.
 
@@ -146,12 +162,19 @@ def _equation_rows(mats: list[dict], n: int) -> Iterator[tuple]:
     of one pair touch only columns r and c of X.  Each is a sparse primitive
     integer row of (column, value) pairs, columns ascending, its first value
     positive; repeats are dropped where they first reappear.  The rows are
-    built as they are read.
+    built as they are read, from the S_m spread into {row: {column: value}}.
     """
+    spread = []
+    for entries in mats:
+        s: dict = {}
+        for r, l, v in entries:
+            s.setdefault(r, {})[l] = v
+            s.setdefault(l, {})[r] = v
+        spread.append(s)
     seen: set = set()
     for r in range(n):
         for c in range(r + 1, n):
-            for s in mats:
+            for s in spread:
                 upper, lower = s.get(r), s.get(c)
                 if upper is None and lower is None:
                     continue
@@ -190,7 +213,7 @@ def center_basis(polys: Sequence[Polynomial]) -> CenterBasis:
     return CenterBasis(n, basis)
 
 
-def _row_kernels(mats: list[dict], n: int):
+def _row_kernels(mats: list[list], n: int):
     """The kernel basis of the equation rows modulo each prime it is called
     with: the first call reads every row, each later one only the rows that
     raised the rank in the first."""
@@ -207,43 +230,57 @@ def _row_kernels(mats: list[dict], n: int):
     return kernel
 
 
-def _pencil_basis(mats: list[dict], polys: Sequence[Polynomial], n: int) -> tuple | None:
+def _pencil_basis(mats: list[list], polys: Sequence[Polynomial], n: int) -> tuple | None:
     """The center's canonical basis lifted from a cyclic pencil, as the
     module docstring describes, or None when the pencil is degenerate or its
     members cost more than the rows.  The combinations M1, M2, M3 are formed
     once, exactly; each prime reduces them."""
     rng = Random(0)
-    combos = [[[0] * n for _ in range(n)] for _ in range(3)]
-    m1, m2, m3 = combos
-    nonzeros = 0
-    for s in mats:
-        a, b, c = rng.getrandbits(61), rng.getrandbits(61), rng.getrandbits(61)
-        for r, row in s.items():
-            nonzeros += len(row)
-            row1, row2, row3 = m1[r], m2[r], m3[r]
-            for l, v in row.items():
-                # S*X - X^T*S vanishes at X = I exactly when S is symmetric:
-                # this puts the identity in the center, as the pencil needs
-                if l not in s or s[l].get(r) != v:
-                    raise InternalInvariantViolation("coefficient matrix is not symmetric")
-                if l >= r:
-                    row1[l] += a * v
-                    row2[l] += b * v
-                    row3[l] += c * v
-    # the combinations are symmetric too: mirror the upper triangle
-    for m in combos:
-        for r in range(n):
-            for l in range(r):
-                m[r][l] = m[l][r]
+    combos = _pencil_combinations(mats, n, rng)
     start = [rng.getrandbits(61) for _ in range(n)]
 
     def members(p: int) -> list | None:
-        return _pencil_members(combos, start, n, p, 2 * nonzeros)
+        return _pencil_members(combos, start, n, p, mats)
 
     return _lift(members, map(_kernel_prime, count()), polys, mats, n)
 
 
-def _lift(kernel, primes: Iterator[int], polys, mats: list[dict], n: int) -> tuple | None:
+def _pencil_combinations(mats: list[list], n: int, rng: Random) -> list:
+    """M1, M2, M3 = sum_m a_m S_m, sum_m b_m S_m, sum_m c_m S_m as n x n
+    integer matrices, for weights a_m, b_m, c_m of 61 random bits drawn from
+    ``rng`` in that order, S_m by S_m.
+
+    The three sums are formed in one pass over the entries, packed K bits
+    apart: each entry adds v * (a + b 2^K + c 2^2K), one multiply-add.  A
+    sum's entry is below 2^61 * (number of S_m) * max |v| < 2^(K-1) in
+    absolute value, so the packed total holds the three as signed K-bit
+    digits, read off exactly.
+    """
+    top = max((abs(v) for s in mats for _, _, v in s), default=0)
+    k = 62 + len(mats).bit_length() + top.bit_length()
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    packed = [[0] * n for _ in range(n)]
+    for s in mats:
+        w = rng.getrandbits(61) | rng.getrandbits(61) << k | rng.getrandbits(61) << 2 * k
+        for r, l, v in s:
+            packed[r][l] += v * w
+    combos = [[[0] * n for _ in range(n)] for _ in range(3)]
+    for r, row in enumerate(packed):
+        # S*X - X^T*S vanishes at X = I exactly when S is symmetric: this
+        # puts the identity in the center, as the pencil needs, and an
+        # entry below the diagonal is no upper triangle of a symmetric S
+        if any(row[:r]):
+            raise InternalInvariantViolation("coefficient matrix is not symmetric")
+        for l in range(r, n):
+            x = row[l]
+            for m in combos:
+                digit = ((x + half) & mask) - half
+                m[r][l] = m[l][r] = digit
+                x = (x - digit) >> k
+    return combos
+
+
+def _lift(kernel, primes: Iterator[int], polys, mats: list[list], n: int) -> tuple | None:
     """The center's canonical basis from ``kernel(p)``, a basis modulo p of
     a space that holds the center, at each prime p drawn from ``primes``;
     None when ``kernel`` gives None, its free columns move between primes
@@ -293,20 +330,22 @@ def _lift(kernel, primes: Iterator[int], polys, mats: list[dict], n: int) -> tup
         previous = candidate
 
 
-def _pencil_members(combos: list, start: list, n: int, p: int, budget: int) -> list | None:
+def _pencil_members(combos: list, start: list, n: int, p: int, mats: list[list]) -> list | None:
     """Row-major vectors of a basis of the members X = q(C) of the pencil
     modulo p, or None when M1 is singular, z_0 ... z_{n-1} are dependent, or
-    r > 1 members would cost r * n^3 products past n * budget.
+    r > 1 members would cost r * n^3 products past 2n * N, for N nonzeros
+    in the coefficient matrices ``mats`` (a diagonal entry once, any other
+    entry twice).
 
     C = M1^-1 M2, z_j = C^j start for j < 2n - 1, and q solves the equations
     sum_k q_k (z_i^T M3 z_{k+j} - z_j^T M3 z_{k+i}) = 0 for i < j, which say
     that M3 X is symmetric.  A single solution (the identity, q = 1) is
     returned without building X.
 
-    The equation rows hold about n * N nonzeros for N nonzeros in the
-    coefficient matrices, and reading them costs more than that, so
-    ``budget`` = 2N keeps the members where they are the cheaper way: a
-    sum of powers in separate variables, say, has rows too sparse to beat.
+    The equation rows hold about n * N nonzeros, and reading them costs
+    more than that, so the bound keeps the members where they are the
+    cheaper way: a sum of powers in separate variables, say, has rows too
+    sparse to beat.  N is counted only when r > 1.
     """
     m1, m2, m3 = combos
     c = _solve_mod([a + b for a, b in zip(m1, m2)], n, p)
@@ -324,7 +363,7 @@ def _pencil_members(combos: list, start: list, n: int, p: int, budget: int) -> l
             break
         _insert_mod(pivots, [(k, g[i][k + j] - g[j][k + i]) for k in range(n)], p)
     qs = _kernel(pivots, n)[1:]
-    if qs and (len(qs) + 1) * n * n > budget:
+    if qs and (len(qs) + 1) * n * n > 2 * sum(2 - (r == l) for s in mats for r, l, _ in s):
         return None
     # W = Z^-1 for Z with columns z_j (only checked to exist when q = 1 is
     # the one solution); X e_b = sum_j W[j][b] X z_j, and X z_j is
@@ -370,7 +409,7 @@ def membership_check(x: RatMatrix, polys: Sequence[Polynomial]) -> bool:
 
 
 def _all_members(
-    xs: Sequence[Sequence], polys: Sequence[Polynomial], mats: list[dict] | None = None
+    xs: Sequence[Sequence], polys: Sequence[Polynomial], mats: list[list] | None = None
 ) -> bool:
     """``membership_check`` of every x in xs, each given as its row-major
     vector of n^2 rationals, on the coefficient matrices of polys: ``mats``
@@ -392,14 +431,24 @@ def _all_members(
     ints = [_primitive_int_row(x) for x in xs]
     if not mats or not ints:
         return True
-    row_sum = max(sum(map(abs, row.values())) for s in mats for row in s.values())
+    row_sum = 0
+    for s in mats:
+        sums = [0] * n
+        for r, l, v in s:
+            sums[r] += abs(v)
+            if l != r:
+                sums[l] += abs(v)
+        row_sum = max(row_sum, *sums)
     k = row_sum.bit_length() + max(max(map(abs, v)) for v in ints).bit_length() + 2
     packed: dict = {}
     for m, s in enumerate(mats):
-        for r, row in s.items():
+        for r, l, v in s:
+            v <<= k * m
             target = packed.setdefault(r, {})
-            for l, v in row.items():
-                target[l] = target.get(l, 0) + (v << k * m)
+            target[l] = target.get(l, 0) + v
+            if l != r:
+                target = packed.setdefault(l, {})
+                target[r] = target.get(r, 0) + v
     # rows of P * x outside the support of P are zero
     support = [(r, list(row), list(row.values())) for r, row in packed.items()]
     for v in ints:

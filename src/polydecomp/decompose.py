@@ -3,18 +3,20 @@
 Per node: compute the center of the node's polynomials, extract a complete
 orthogonal idempotent set, build the change of variables whose columns are
 bases of the idempotents' column spaces, expand each input on each block's
-columns alone, and recurse into each block with fresh variables.  Recursion
-recomputes centers on sub-blocks rather than restricting the parent center.
-The two agree: after the split the Hessians are block diagonal, so the
-block's part of a parent center element lies in the child center, and a
-child center element padded with zeros lies in the parent center; the child
-center is the parent's Peirce corner e*Z*e.  A split an unlucky draw missed
-at the parent is recovered, if at all, by the child's own draws under its
-own seed.  Each node's center is computed once; the root center is carried
-on the result for callers that report it.  The column spaces and inverses
-here are dense echelon forms, read off one fraction-free elimination
-(``ratlinalg``); only the center's kernels are found modulo primes, and
-lifted and certified by the center itself.
+columns alone, and recurse into each block with fresh variables.  The child
+center is the parent's Peirce corner e*Z*e: after the split the Hessians
+are block diagonal, so the block's part of a parent center element lies in
+the child center, and a child center element padded with zeros lies in the
+parent center.  So a block whose corner the idempotent search found
+one-dimensional gets the scalar center with no solve; any other block's
+center is solved afresh from its polynomials rather than restricted from
+the parent's.  A split an unlucky draw missed at the parent is recovered,
+if at all, by the child's own draws under its own seed.  Each node's center
+is computed at most once; the root center is carried on the result for
+callers that report it.  The column spaces and inverses here are dense
+echelon forms, read off one fraction-free elimination (``ratlinalg``); only
+the center's kernels are found modulo primes, and lifted and certified by
+the center itself.
 
 Constant terms are invisible to Hessians, so they are assigned to the first
 (lowest-index) block by convention; linear terms follow their variable's
@@ -263,10 +265,15 @@ def decompose_recursive(polys: Sequence[Polynomial], seed: int = 42) -> Decompos
         parts = separate(fs, p_node, ranges)
         children = []
         child_transforms = []
-        for b, (start, stop) in enumerate(ranges):
+        for b, ((start, stop), scalar) in enumerate(zip(ranges, idem.scalar_corners)):
             child_fs = tuple(parts[i][b] for i in range(len(fs)))
             child_indices = indices[start:stop]
-            child, child_p = rec(child_fs, child_indices, center_basis(child_fs))
+            # the child's center is the corner, scalar when it is one-dimensional
+            size = stop - start
+            z_child = (
+                CenterBasis(size, (RatMatrix.identity(size),)) if scalar else center_basis(child_fs)
+            )
+            child, child_p = rec(child_fs, child_indices, z_child)
             children.append(child)
             child_transforms.append(child_p)
         total = p_node * block_diagonal(child_transforms)

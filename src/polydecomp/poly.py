@@ -9,9 +9,10 @@ canonical renderer) and linear changes of variables.
 The parser is a scanner over C-level string primitives, not a tokenizer: one
 regex search rejects a character no token accepts, the text is split at its
 signs and each term at its '*'s, and each distinct factor text ('12', 'x3',
-'x3^2', '1/2') is resolved once per call through a dict, by one anchored
-regex.  A term then costs a dict lookup per factor and one exponent tuple.
-Errors are positioned from the offending factor's offset.
+'x3^2', '1/2') is resolved once per call through a dict: a bare ASCII
+integer by ``int`` alone, anything else by one anchored regex.  A term then
+costs a dict lookup per factor and one exponent tuple.  Errors are
+positioned from the offending factor's offset.
 
 A linear change of variables p(M y), most of a decomposition's arithmetic,
 bypasses ``Polynomial`` products: it multiplies monomials packed into ints
@@ -242,6 +243,9 @@ def _factor(text: str, index: Mapping[str, int]) -> tuple[int, Rat]:
     A ParseError, positioned within ``text``, names the first token where the
     grammar fails: the factor ends where the text does.
     """
+    if text.isdigit() and text.isascii():
+        # a bare integer coefficient, the commonest factor, needs no match
+        return -1, _int_literal(text, 0)
     m = _FACTOR_RE.match(text)
     num, den, name, exp = m.groups()
     end = m.end()

@@ -4,11 +4,14 @@
 of per-group centers, a second route to what ``center_basis`` of the
 concatenated groups gives; ``separate_by_full_expansion`` is the second
 route to ``separate``, one expansion in all variables whose monomials are
-routed to blocks; ``dense_equation_rows`` is the center's equation
-system assembled densely, the reference for the sparse rows the center
-solve builds; ``reconstruction_by_full_expansion`` is the forward form
-of the identity ``verify_decomposition`` checks, f_i(P*y) expanded in all
-variables against the embedded leaves; ``find_idempotents_by_matrices``
+routed to blocks; ``hessian_coefficient_matrices`` reads the Hessian
+coefficient matrices off second derivatives taken by sympy, the reference
+for those the center solve reads off the terms, and
+``dense_equation_rows`` is the center's equation system assembled densely
+from them, the reference for the sparse rows the center solve builds;
+``reconstruction_by_full_expansion`` is the forward form of the identity
+``verify_decomposition`` checks, f_i(P*y) expanded in all variables
+against the embedded leaves; ``find_idempotents_by_matrices``
 is the second route to ``find_idempotents``, the same spectral search on
 n x n matrices; ``jordan_product`` and ``rank_profile`` state algebraic
 facts the tests check; ``row_space_basis`` is a span's reduced echelon
@@ -65,7 +68,6 @@ from polydecomp import (
     substitute_linear,
 )
 from polydecomp._rat import Rat, normalize
-from polydecomp.center import _coefficient_matrices
 from polydecomp.idempotent import COEFF_RANGE, MAX_TRIES, _identity_failure
 from polydecomp.poly import embed, validate_variable_names
 from polydecomp.ratlinalg import (
@@ -208,22 +210,45 @@ def reconstruction_by_full_expansion(
     return True
 
 
+def hessian_coefficient_matrices(polys: Sequence[Polynomial]) -> list[list[list[int]]]:
+    """The Hessian coefficient matrices S_m of each input, H = sum_m x^m S_m,
+    read off the Hessian that sympy's sparse polynomial ring differentiates:
+    entry (r, l) of S_m is the coefficient of x^m in d^2 f / dx_r dx_l.  Each
+    is a dense n x n list of integer rows, the S_m of one input scaled by
+    the lcm of their denominators (a nonzero scale changes no symmetry
+    condition); inputs of degree <= 1 give none."""
+    mats = []
+    for p in polys:
+        n = p.n
+        _, *xs = sympy.polys.rings.ring([f"x{i}" for i in range(n)], sympy.QQ)
+        f = sum((c * sympy.prod(x**e for x, e in zip(xs, m)) for m, c in p.terms()), 0 * xs[0])
+        by_monomial: dict = {}
+        for r, l in itertools.product(range(n), repeat=2):
+            for mono, coeff in f.diff(xs[r]).diff(xs[l]).terms():
+                s = by_monomial.setdefault(mono, [[0] * n for _ in range(n)])
+                s[r][l] = Fraction(int(coeff.numerator), int(coeff.denominator))
+        scale = lcm(*(x.denominator for s in by_monomial.values() for row in s for x in row))
+        mats.extend([[int(x * scale) for x in row] for row in s] for s in by_monomial.values())
+    return mats
+
+
 def dense_equation_rows(polys: Sequence[Polynomial], n: int) -> list[tuple]:
-    """The center's equations assembled densely, the reference for the sparse
-    rows ``center_basis`` builds: for each coefficient matrix S and each
-    strictly upper entry (r, c) that row r or row c of S reaches, the n^2-wide
-    row of S*X - X^T*S at (r, c), scaled to a primitive integer row with its
-    first nonzero entry positive; deduplicated and sorted."""
+    """The center's equations assembled densely from sympy's Hessian, the
+    reference for the sparse rows ``center_basis`` builds: for each
+    coefficient matrix S and each strictly upper entry (r, c) that row r or
+    row c of S reaches, the n^2-wide row of S*X - X^T*S at (r, c), scaled to
+    a primitive integer row with its first nonzero entry positive;
+    deduplicated and sorted."""
     seen = set()
-    for s in _coefficient_matrices(polys):
+    for s in hessian_coefficient_matrices(polys):
         for r in range(n):
             for c in range(r + 1, n):
-                if r not in s and c not in s:
+                if not any(s[r]) and not any(s[c]):
                     continue
                 row = [0] * (n * n)
-                for l, v in s.get(r, {}).items():
+                for l, v in enumerate(s[r]):
                     row[l * n + c] = v
-                for l, v in s.get(c, {}).items():
+                for l, v in enumerate(s[c]):
                     row[l * n + r] = -v
                 g = gcd(*row)
                 if next(v for v in row if v) < 0:
@@ -250,14 +275,15 @@ def at_matrix(p: UniPoly, m: RatMatrix) -> RatMatrix:
     return acc if d == 1 else acc.scale(Fraction(1, d))
 
 
-def members_by_matrix(xs: Sequence[RatMatrix], mats: Sequence[dict]) -> bool:
+def members_by_matrix(xs: Sequence[RatMatrix], mats: Sequence[Sequence[Sequence]]) -> bool:
     """Whether S * x is symmetric for every x in xs and every coefficient
-    matrix S in mats, each a sparse symmetric {row: {column: value}}."""
+    matrix S in mats, each a dense list of rows, as
+    ``hessian_coefficient_matrices`` gives them."""
     for x in xs:
         n = x.rows
         for s in mats:
             product = [
-                [sum(v * x.entry(l, c) for l, v in s.get(r, {}).items()) for c in range(n)]
+                [sum(v * x.entry(l, c) for l, v in enumerate(s[r])) for c in range(n)]
                 for r in range(n)
             ]
             if any(product[r][c] != product[c][r] for r in range(n) for c in range(r)):
@@ -326,14 +352,16 @@ def jordan_table_by_products(rows: Sequence[Sequence[int]], n: int) -> dict:
 def find_idempotents_by_matrices(center: CenterBasis, seed: int = 42) -> IdempotentSet:
     """``find_idempotents`` on n x n matrices: the same draws from the same
     corner bases, corners e*Z*e by matrix products, minimal polynomials of
-    the drawn matrices and projectors evaluated at them."""
+    the drawn matrices and projectors evaluated at them; a block is marked
+    scalar when its corner's span is one-dimensional."""
     n = center.n
     identity = RatMatrix.identity(n)
     if center.dim == 1:
-        return IdempotentSet(n, (identity,))
+        return IdempotentSet(n, (identity,), (True,))
     width = n * n
     draw_counter = itertools.count()
     final: list[RatMatrix] = []
+    scalar: list[bool] = []
 
     def refine(block: RatMatrix) -> None:
         restricted = row_space_basis(
@@ -341,6 +369,7 @@ def find_idempotents_by_matrices(center: CenterBasis, seed: int = 42) -> Idempot
         )
         if len(restricted) == 1:
             final.append(block)
+            scalar.append(True)
             return
         sub_mats = [unvec(v, n, n) for v in restricted]
         for _ in range(MAX_TRIES):
@@ -370,9 +399,10 @@ def find_idempotents_by_matrices(center: CenterBasis, seed: int = 42) -> Idempot
                 refine(child)
             return
         final.append(block)
+        scalar.append(False)
 
     refine(identity)
-    result = IdempotentSet(n, tuple(final))
+    result = IdempotentSet(n, tuple(final), tuple(scalar))
     failure = _identity_failure(result)
     if failure is None and not all(center_contains(center, e) for e in result.eps):
         failure = "an element left the center span"

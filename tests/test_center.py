@@ -1,5 +1,6 @@
 """Center algebra computation, the Jordan product, and membership oracles."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -14,6 +15,7 @@ from algebra_helpers import (
     center_contains,
     dense_equation_rows,
     hessian,
+    hessian_coefficient_matrices,
     intersect_centers,
     jordan_product,
     kernel_basis,
@@ -39,7 +41,12 @@ from polydecomp import (
     parse_polynomial,
     substitute_linear,
 )
-from polydecomp.center import _all_members, _coefficient_matrices, _equation_rows
+from polydecomp.center import (
+    _all_members,
+    _coefficient_matrices,
+    _equation_rows,
+    _pencil_combinations,
+)
 from polydecomp.ratlinalg import _primitive_int_row, _SparseSystem, invert, vec
 
 
@@ -260,6 +267,15 @@ def membership_cases(draw):
     return polys, xs
 
 
+def spread(entries, n: int) -> list[list]:
+    """The dense symmetric matrix of a coefficient matrix's upper-triangle
+    entries (r, l, value)."""
+    s = [[0] * n for _ in range(n)]
+    for r, l, v in entries:
+        s[r][l] = s[l][r] = v
+    return s
+
+
 class TestPackedMembership:
     """The one packed product of ``_all_members`` against one product per
     coefficient matrix."""
@@ -268,10 +284,10 @@ class TestPackedMembership:
     @given(membership_cases())
     def test_matches_one_product_per_matrix(self, case):
         polys, xs = case
-        mats = _coefficient_matrices(polys)
+        mats, dense = _coefficient_matrices(polys), hessian_coefficient_matrices(polys)
         for x in xs:
-            assert _all_members([vec(x)], polys, mats) == members_by_matrix([x], mats)
-        assert _all_members(list(map(vec, xs)), polys) == members_by_matrix(xs, mats)
+            assert _all_members([vec(x)], polys, mats) == members_by_matrix([x], dense)
+        assert _all_members(list(map(vec, xs)), polys) == members_by_matrix(xs, dense)
 
     def test_unit_changes_are_rejected(self):
         # two sums of cubes of u, v, w, linear forms with 200-bit coefficients
@@ -284,7 +300,7 @@ class TestPackedMembership:
             substitute_linear(parse_polynomial(text, names), q)
             for text in ("u^3 + 7*v^3 + w^3", "u^3 - v^3 + 2*w^3")
         ]
-        mats = _coefficient_matrices(sums)
+        mats = hessian_coefficient_matrices(sums)
         basis = center_basis(sums).basis
         assert len(basis) == 3
         for b in basis:
@@ -302,18 +318,18 @@ class TestPackedMembership:
         cases = []
         for s in (0, 1, 3, 8, 64, 200):
             # d_0 = 2^s * x01, d_1 = -x01: the row sum's bits are needed
-            cases.append(([{0: {0: 1 << s}}, {0: {0: -1}}], mat([[0, 1], [0, 0]])))
+            cases.append(([[(0, 0, 1 << s)], [(0, 0, -1)]], mat([[0, 1], [0, 0]])))
             # d_0 = x01 = 2^s, d_1 = -x10: the entries' bits are needed
-            cases.append(([{0: {0: 1}}, {1: {1: 1}}], mat([[0, 1 << s], [1, 0]])))
+            cases.append(([[(0, 0, 1)], [(1, 1, 1)]], mat([[0, 1 << s], [1, 0]])))
         for b in (3, 8, 64, 200):
             # |d_0| = 2^(b+2) reaches its bound 2 * 3 * (2^b - 1) to within
             # a factor 2 while d_1 = -1: both guard bits are needed
             top = (1 << b) - 1
             cases.append(
-                ([{0: {0: 1, 1: 2}, 1: {0: 2, 1: 1}}, {0: {0: 1}}], mat([[-top, -1], [-5, top]]))
+                ([[(0, 0, 1), (0, 1, 2), (1, 1, 1)], [(0, 0, 1)]], mat([[-top, -1], [-5, top]]))
             )
         for mats, x in cases:
-            assert not members_by_matrix([x], mats)
+            assert not members_by_matrix([x], [spread(s, 2) for s in mats])
             assert not _all_members([vec(x)], polys, mats)
             assert _all_members([vec(RatMatrix.identity(2))], polys, mats)
 
@@ -494,6 +510,98 @@ class TestEquationRows:
             assert read[: len(rows)] == rows and set(read) <= set(rows)
 
 
+def separate_sums(mats, n: int, rng) -> list:
+    """sum_m a_m S_m, sum_m b_m S_m and sum_m c_m S_m, one at a time, for
+    weights drawn a, b, c per S_m in the order of ``mats``."""
+    weights = [[rng.getrandbits(61) for _ in range(3)] for _ in mats]
+    sums = []
+    for j in range(3):
+        total = [[0] * n for _ in range(n)]
+        for w, entries in zip(weights, mats):
+            for r, row in enumerate(spread(entries, n)):
+                for c, v in enumerate(row):
+                    total[r][c] += w[j] * v
+        sums.append(total)
+    return sums
+
+
+class Fixed:
+    """A stand-in for the weight generator that repeats ``values``."""
+
+    def __init__(self, values):
+        self.values = itertools.cycle(values)
+
+    def getrandbits(self, k):
+        return next(self.values)
+
+
+def primitive(s) -> tuple:
+    """A dense matrix over the gcd of its entries, its first nonzero positive."""
+    flat = [v for row in s for v in row]
+    g = gcd(*flat)
+    return tuple(v // (g if next(v for v in flat if v) > 0 else -g) for v in flat)
+
+
+def check_combinations(polys) -> None:
+    """The coefficient matrices as upper-triangle entries, the same up to
+    scale as sympy's; the packed M1, M2, M3 against the three separate
+    sums, and the weights drawn in the same order: the start vector's draws
+    follow."""
+    n = polys[0].n
+    mats = _coefficient_matrices(polys)
+    for entries in mats:
+        assert all(r <= l < n and v for r, l, v in entries)
+        assert len({(r, l) for r, l, _ in entries}) == len(entries)
+    assert sorted(primitive(spread(s, n)) for s in mats) == sorted(
+        map(primitive, hessian_coefficient_matrices(polys))
+    )
+    drawn, again = random.Random(0), random.Random(0)
+    assert _pencil_combinations(mats, n, drawn) == separate_sums(mats, n, again)
+    assert drawn.getstate() == again.getstate()
+
+
+class TestPencilCombinations:
+    """The pencil's three combinations, summed in one packed pass."""
+
+    def test_goldens(self, bin_cubics, quartic_squares, fourvar_pair, trio):
+        for polys in (bin_cubics, [quartic_squares], fourvar_pair, trio):
+            check_combinations(polys)
+
+    def test_planted_suite(self):
+        for _, instance in planted_suite():
+            check_combinations(list(instance.fs))
+
+    @settings(max_examples=150, deadline=None)
+    @given(polynomial_sets())
+    def test_random_rational_sets(self, polys):
+        check_combinations(polys)
+
+    def test_rational_and_negative_coefficients(self):
+        polys = [parse_polynomial("-3/4*x^3 + 5/6*x*y^2 - 7*y*z^2 - 1/9*z^4", "xyz")]
+        assert any(v < 0 for s in _coefficient_matrices(polys) for _, _, v in s)
+        check_combinations(polys)
+
+    def test_degree_at_most_one_has_zero_combinations(self):
+        polys = [parse_polynomial("3*x - 7*y + 2", ["x", "y"]), Polynomial.zero(2)]
+        zero = [[0, 0], [0, 0]]
+        assert _pencil_combinations([], 2, random.Random(0)) == [zero] * 3
+        check_combinations(polys)
+
+    @pytest.mark.parametrize("bits, count", [(1, 1), (5, 3), (64, 7), (200, 31)])
+    def test_digits_next_to_the_packing_bound(self, bits, count):
+        # every weight 2^61 - 1 or 0, every entry +-(2^bits - 1) and count
+        # one less than a power of two, so the sums reach
+        # (2^61 - 1) * count * (2^bits - 1), just below the digits' bound
+        # 2^(K-1) = 2^61 * (count + 1) * 2^bits, with either sign and with a
+        # zero digit between two full ones
+        top = (1 << bits) - 1
+        mats = [[(0, 0, top), (0, 1, -top), (1, 1, -top)] for _ in range(count)]
+        for weights in ([(1 << 61) - 1], [(1 << 61) - 1, 0, (1 << 61) - 1], [0, (1 << 61) - 1]):
+            combos = _pencil_combinations(mats, 2, Fixed(weights))
+            assert combos == separate_sums(mats, 2, Fixed(weights))
+            assert min(x for m in combos for row in m for x in row) <= -((1 << 61) - 1) * top
+
+
 def solve_recording(polys, monkeypatch):
     """center_basis(polys), the number of rows each elimination of equation
     rows read, in order (none when the pencil certified the center), and
@@ -560,12 +668,15 @@ class TestScalarShortPath:
 
     def test_asymmetric_coefficient_matrix_is_caught(self, trio, monkeypatch):
         # the identity lies in the center only because every S is symmetric;
-        # an asymmetric S must stop the solve, not certify a scalar center
+        # an asymmetric S must stop the solve, not certify a scalar center: it
+        # is an entry below the diagonal, which no upper triangle holds
         mats = polydecomp.center._coefficient_matrices(trio)
-        mats[0] = {0: {1: 1}, 1: {0: 2}}
-        monkeypatch.setattr(polydecomp.center, "_coefficient_matrices", lambda polys: mats)
-        with pytest.raises(InternalInvariantViolation, match="not symmetric"):
-            center_basis(trio)
+        for tampered in ([(1, 0, 2)], mats[0] + [(2, 1, -3)]):
+            monkeypatch.setattr(
+                polydecomp.center, "_coefficient_matrices", lambda polys: [tampered] + mats[1:]
+            )
+            with pytest.raises(InternalInvariantViolation, match="not symmetric"):
+                center_basis(trio)
 
 
 def planted_three_three():

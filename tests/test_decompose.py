@@ -5,6 +5,7 @@ import importlib.util
 import inspect
 import os
 import random
+import sys
 import time
 import types
 from fractions import Fraction
@@ -29,6 +30,7 @@ from conftest import (
     TRIO_3_P,
     mat,
     mixed_by_big_entry,
+    planted_suite,
     replaced,
 )
 import polydecomp
@@ -353,6 +355,87 @@ class TestDecomposeRecursive:
                 for c in range(4):
                     if block_of[r] != block_of[c]:
                         assert h[r][c].is_zero()
+
+
+def bench_workloads():
+    """perfbench/workloads.py, read, not changed: the benchmark's planted
+    problems, generated from a seed."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def preorder(node: DecompositionNode):
+    yield node
+    for child in node.children:
+        yield from preorder(child)
+
+
+class TestScalarCorners:
+    # A block whose Peirce corner the idempotent search found one-dimensional
+    # has the scalar center: the recursion takes it without a solve.
+
+    @staticmethod
+    def check(polys, monkeypatch) -> int:
+        """Decompose, and check every child the shortcut certified against
+        its own solved center; return how many there were."""
+        solved, found = [], []
+        solve, search = polydecomp.decompose.center_basis, polydecomp.decompose.find_idempotents
+
+        def counting(fs):
+            solved.append(fs)
+            return solve(fs)
+
+        def recording(center, seed):
+            found.append(search(center, seed))
+            return found[-1]
+
+        monkeypatch.setattr(polydecomp.decompose, "center_basis", counting)
+        monkeypatch.setattr(polydecomp.decompose, "find_idempotents", recording)
+        result = decompose_recursive(polys)
+        monkeypatch.undo()
+        # each node searches once, in preorder, before its children
+        nodes = list(preorder(result.tree))
+        assert len(found) == len(nodes)
+        certified, wider = [], []
+        for node, idem in zip(nodes, found):
+            assert len(idem.scalar_corners) == len(idem)
+            if node.is_leaf:
+                continue
+            for child, scalar in zip(node.children, idem.scalar_corners):
+                (certified if scalar else wider).append(child)
+        for child in certified:
+            assert child.center_dim == 1 and center_basis(child.polys).dim == 1
+        # once at the root, then once per child with a wider corner, just
+        # before the child is visited
+        wider = {id(child) for child in wider}
+        assert solved == [node.polys for node in nodes if node is nodes[0] or id(node) in wider]
+        assert verify_decomposition(polys, result)
+        return len(certified)
+
+    def test_goldens(self, bin_cubics, fourvar_pair, trio, quartic_squares, monkeypatch):
+        certified = 0
+        for polys in (bin_cubics, fourvar_pair, trio, [quartic_squares], *[[f] for f in trio]):
+            certified += self.check(list(polys), monkeypatch)
+        assert certified
+
+    def test_planted_suite(self, monkeypatch):
+        certified = sum(self.check(list(i.fs), monkeypatch) for _, i in planted_suite())
+        assert certified
+
+    @pytest.mark.parametrize("workload", ["few_blocks", "many_blocks"])
+    def test_bench_problems(self, workload, monkeypatch):
+        workloads = bench_workloads()
+        certified = 0
+        for pid in range(30):
+            problem = workloads.make_problem(workload, 1, pid)
+            polys = [parse_polynomial(text, problem.var_names) for text in problem.sources]
+            certified += self.check(polys, monkeypatch)
+        assert certified
 
 
 class TestVerifyDecomposition:

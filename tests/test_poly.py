@@ -31,6 +31,7 @@ from polydecomp import (
     render_canonical,
     substitute_linear,
 )
+import polydecomp.poly
 from polydecomp.poly import embed
 from polydecomp.ratlinalg import invert
 
@@ -171,6 +172,39 @@ class TestParseErrors:
         # '٣' is ARABIC-INDIC DIGIT THREE; the grammar's digits are \d
         for parse in (parse_polynomial, parse_by_tokens):
             assert parse("٣*x^٣", ["x", "y"]) == Polynomial(2, {(3, 0): 3})
+
+    def test_bare_integer_coefficients_skip_the_factor_pattern(self, monkeypatch):
+        # a factor of ASCII digits alone is read by int(); one with blanks,
+        # non-ASCII digits, a '/' or a name still takes the pattern
+        matched = []
+
+        class Recording:
+            def match(self, text):
+                matched.append(text)
+                return pattern.match(text)
+
+        pattern = polydecomp.poly._FACTOR_RE
+        monkeypatch.setattr(polydecomp.poly, "_FACTOR_RE", Recording())
+        text = "12*x - 007*y + 3 - ٣*x*y + \u00a05\u00a0*y^2 + ４２ + 1/2*x^2 - 0*x*y"
+        expected = parse_by_tokens(text, ["x", "y"])
+        assert expected == Polynomial(
+            2, {(1, 0): 12, (0, 1): -7, (0, 0): 45, (1, 1): -3, (0, 2): 5, (2, 0): Fraction(1, 2)}
+        )
+        assert parse_polynomial(text, ["x", "y"]) == expected
+        # the signs take the blanks after them; "12", "007" and "0" are bare
+        assert sorted(matched) == sorted(
+            ["x ", "y ", "3 ", "٣", "x", "5\u00a0", "y^2 ", "４２ ", "1/2", "x^2 ", "y"]
+        )
+
+    @pytest.mark.parametrize("text, position", [("x+{}*y", 2), ("x - 2*{}", 6)])
+    def test_overlong_bare_coefficient_carries_position(self, text, position, int_digit_limit):
+        digits = int_digit_limit + 1
+        for parse in (parse_polynomial, parse_by_tokens):
+            with pytest.raises(ParseError) as info:
+                parse(text.format("9" * digits), ["x", "y"])
+            assert str(info.value) == (
+                f"integer literal of {digits} digits is too long (at position {position})"
+            )
 
 
 _PIECES = ["0", "1", "2", "12", "007", "٣", "x", "y", "w", "x_1", "+", "-", "*", "/", "^", "@"]

@@ -27,7 +27,13 @@ LEAF = DecompositionNode((0,), (X,), (), 1, transform=HALF)
 # (class, every field, one field changed, the defaulted fields, repr or None)
 CASES = [
     (CenterBasis, {"n": 2, "basis": (I2,)}, {"n": 3}, {}, None),
-    (IdempotentSet, {"n": 2, "eps": (I2,)}, {"eps": ()}, {}, None),
+    (
+        IdempotentSet,
+        {"n": 2, "eps": (I2,), "scalar_corners": (True,)},
+        {"eps": ()},
+        {"scalar_corners": None},
+        None,
+    ),
     (
         DecompositionNode,
         {
