@@ -80,7 +80,9 @@ from .ratlinalg import (
 
 
 class CenterBasis(Record):
-    """Canonical basis of a center algebra, as n x n matrices."""
+    """A basis of a center algebra, as n x n matrices.  Only ``center_basis``
+    promises the canonical one; a block's center that the pipeline carries
+    from its parent's Peirce corner is any basis of the same span."""
 
     __slots__ = ("n", "basis")
     n: int

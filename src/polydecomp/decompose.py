@@ -3,20 +3,18 @@
 Per node: compute the center of the node's polynomials, extract a complete
 orthogonal idempotent set, build the change of variables whose columns are
 bases of the idempotents' column spaces, expand each input on each block's
-columns alone, and recurse into each block with fresh variables.  The child
-center is the parent's Peirce corner e*Z*e: after the split the Hessians
-are block diagonal, so the block's part of a parent center element lies in
-the child center, and a child center element padded with zeros lies in the
-parent center.  So a block whose corner the idempotent search found
-one-dimensional gets the scalar center with no solve; any other block's
-center is solved afresh from its polynomials rather than restricted from
-the parent's.  A split an unlucky draw missed at the parent is recovered,
-if at all, by the child's own draws under its own seed.  Each node's center
-is computed at most once; the root center is carried on the result for
-callers that report it.  The column spaces and inverses here are dense
-echelon forms, read off one fraction-free elimination (``ratlinalg``); only
-the center's kernels are found modulo primes, and lifted and certified by
-the center itself.
+columns alone, and recurse into each block with fresh variables.  Only the
+root center is solved.  A child's center is derived: it is the parent's
+Peirce corner e*Z*e, which the idempotent search returns, carried into the
+block's coordinates.  After the split the Hessians are block diagonal, so
+the block's part of a parent center element lies in the child center, and
+a child center element padded with zeros lies in the parent center.  A
+split an unlucky draw missed at the parent is recovered, if at all, by the
+child's own draws under its own seed.  The root center is carried on the
+result for callers that report it.  The column spaces and inverses here
+are dense echelon forms, read off one fraction-free elimination
+(``ratlinalg``); only the center's kernels are found modulo primes, and
+lifted and certified by the center itself.
 
 Constant terms are invisible to Hessians, so they are assigned to the first
 (lowest-index) block by convention; linear terms follow their variable's
@@ -34,6 +32,7 @@ orthogonal, so ``verify_complete`` runs only where a check fails.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from itertools import accumulate, count
 
 from ._rat import Record
 from .center import CenterBasis, center_basis
@@ -111,12 +110,8 @@ class VerificationReport(Record):
 
 def block_ranges(sizes: Sequence[int]) -> list[tuple[int, int]]:
     """Contiguous (start, stop) ranges for the given block sizes."""
-    ranges = []
-    start = 0
-    for s in sizes:
-        ranges.append((start, start + s))
-        start += s
-    return ranges
+    stops = list(accumulate(sizes))
+    return list(zip([0, *stops], stops))
 
 
 def block_diagonal(blocks: Sequence[RatMatrix]) -> RatMatrix:
@@ -131,34 +126,57 @@ def block_diagonal(blocks: Sequence[RatMatrix]) -> RatMatrix:
     return RatMatrix(n, n, entries)
 
 
-def change_of_variables(idem: IdempotentSet) -> RatMatrix:
-    """Invertible P whose columns are column-space bases of each idempotent.
+def change_of_variables(
+    idem: IdempotentSet,
+) -> tuple[RatMatrix, RatMatrix, list[tuple[int, int]]]:
+    """Invertible P whose columns are column-space bases of each idempotent,
+    P^-1, and each idempotent's contiguous range of columns.
 
     Conjugation by P sends the j-th idempotent to the 0/1 diagonal matrix
-    supported on the j-th contiguous block; both properties are verified
-    exactly before returning.  The check is e_j P = P D_j for every j, with
-    no inverse: it also proves P invertible, as e_j keeps block j's
+    supported on the j-th range; both properties are verified exactly
+    before returning.  The check is e_j P = P D_j for every j, with no
+    inverse: it also proves P invertible, as e_j keeps block j's
     independent columns and kills every other column, so a vanishing
-    combination of P's columns vanishes block by block.
+    combination of P's columns vanishes block by block.  P^-1 stacks the
+    reduced echelon rows E_j of each e_j, which the same elimination forms:
+    e_j = C_j E_j for its columns C_j, both of full rank, so e_j^2 = e_j
+    and e_j e_i = 0 give E_j C_j = I and E_j C_i = 0.
     """
     n = idem.n
-    columns = []
-    sizes = []
-    for e in idem.eps:
-        cols = column_space_basis(e)
-        sizes.append(len(cols))
-        columns.extend(cols)
+    bases = [column_space_basis(e) for e in idem.eps]
+    columns = [c for cols, _ in bases for c in cols]
     if len(columns) != n:
         raise InternalInvariantViolation(
             f"idempotent column spaces total {len(columns)} columns, expected {n}"
         )
     p = RatMatrix.from_columns(columns)
-    expected = [tuple(range(start, stop)) for start, stop in block_ranges(sizes)]
-    if diagonal_idempotent_supports(p, idem.eps) != expected:
+    ranges = block_ranges([len(cols) for cols, _ in bases])
+    if diagonal_idempotent_supports(p, idem.eps) != [tuple(range(*r)) for r in ranges]:
         raise InternalInvariantViolation(
             "conjugated idempotent is not the expected diagonal block"
         )
-    return p
+    p_inv = [x for _, rows in bases for row in rows for x in row]
+    return p, RatMatrix._raw(n, n, p_inv), ranges
+
+
+def _block_center(
+    corner: tuple | None, p: RatMatrix, p_inv: RatMatrix, start: int, stop: int
+) -> CenterBasis:
+    """The center of block start:stop of the split by P, carried from the
+    Peirce corner e*Z*e of its idempotent e (None: the multiples of e).
+
+    The center of f(P*y) is P^-1 Z P, and its block part is the block's
+    center: L X C for X in Z, with L the block's rows of P^-1 and C its
+    columns of P.  As L = L e and C = e C it reads only e X e, and on the
+    corner X = C (L X C) L, so a basis of the corner maps to a basis.
+    """
+    size = stop - start
+    if corner is None:
+        return CenterBasis(size, (RatMatrix.identity(size),))
+    k = p.rows
+    left = RatMatrix._raw(size, k, [x for r in range(start, stop) for x in p_inv.row(r)])
+    right = RatMatrix._raw(k, size, [x for r in range(k) for x in p.row(r)[start:stop]])
+    return CenterBasis(size, tuple(left * RatMatrix._raw(k, k, x) * right for x in corner))
 
 
 def diagonal_idempotent_supports(
@@ -245,42 +263,28 @@ def decompose_recursive(polys: Sequence[Polynomial], seed: int = 42) -> Decompos
     n = polys[0].n
     if any(p.n != n for p in polys):
         raise DimensionMismatch("polynomials have mixed ambient dimensions")
-    node_counter = [0]
+    node_counter = count()
 
     def rec(
         fs: tuple[Polynomial, ...], indices: tuple[int, ...], z: CenterBasis
     ) -> tuple[DecompositionNode, RatMatrix]:
-        k = fs[0].n
-        node_seed = seed * 1_000_003 + node_counter[0]
-        node_counter[0] += 1
+        node_seed = seed * 1_000_003 + next(node_counter)
         idem = find_idempotents(z, node_seed)
         if len(idem) == 1:
             return (
                 DecompositionNode(indices, fs, (), z.dim),
-                RatMatrix.identity(k),
+                RatMatrix.identity(z.n),
             )
-        p_node = change_of_variables(idem)
-        # an idempotent's rank, its block size, equals its trace
-        ranges = block_ranges([e.trace() for e in idem.eps])
+        p_node, p_inv, ranges = change_of_variables(idem)
         parts = separate(fs, p_node, ranges)
-        children = []
-        child_transforms = []
-        for b, ((start, stop), scalar) in enumerate(zip(ranges, idem.scalar_corners)):
-            child_fs = tuple(parts[i][b] for i in range(len(fs)))
-            child_indices = indices[start:stop]
-            # the child's center is the corner, scalar when it is one-dimensional
-            size = stop - start
-            z_child = (
-                CenterBasis(size, (RatMatrix.identity(size),)) if scalar else center_basis(child_fs)
-            )
-            child, child_p = rec(child_fs, child_indices, z_child)
-            children.append(child)
-            child_transforms.append(child_p)
-        total = p_node * block_diagonal(child_transforms)
-        node = DecompositionNode(
-            indices, fs, tuple(children), z.dim, idem.eps, p_node
-        )
-        return node, total
+        pairs = []
+        for b, ((start, stop), corner) in enumerate(zip(ranges, idem.corners)):
+            child_fs = tuple(g[b] for g in parts)
+            z_child = _block_center(corner, p_node, p_inv, start, stop)
+            pairs.append(rec(child_fs, indices[start:stop], z_child))
+        children, transforms = zip(*pairs)
+        node = DecompositionNode(indices, fs, children, z.dim, idem.eps, p_node)
+        return node, p_node * block_diagonal(transforms)
 
     root_center = center_basis(polys)
     root, p_total = rec(polys, tuple(range(n)), root_center)

@@ -43,10 +43,10 @@ returned immediately and constitutes a certificate of indecomposability.
 For larger centers a failure to split after ``MAX_TRIES`` draws is a Monte
 Carlo answer, not a proof.  A caller that recurses on a block gets no larger
 algebra, since the block's own center is the corner e*Z*e; what can recover
-a missed split there is the block's own draws under its own seed.  A block
-whose corner was found one-dimensional has the scalar center, and the
-returned set says which blocks those are, so the caller solves no center
-for them.
+a missed split there is the block's own draws under its own seed.  The
+returned set carries each idempotent's corner, the basis its draws came
+from or None when it is one-dimensional, so the caller derives each
+block's center from it and solves none.
 """
 
 from __future__ import annotations
@@ -81,16 +81,17 @@ MAX_TRIES = 8  # draws per block before it is kept whole
 class IdempotentSet(Record):
     """Matrices e_1, ..., e_t with e_i^2 = e_i, e_i e_j = 0, sum = identity.
 
-    ``scalar_corners`` marks, for a set ``find_idempotents`` returns, the e_i
-    whose Peirce corner e_i*Z*e_i it found one-dimensional: the multiples of
-    e_i alone (None for a set assembled by hand).
+    ``corners`` holds, for a set ``find_idempotents`` returns, the Peirce
+    corner e_i*Z*e_i of each e_i, the center of its block, as integer
+    row-major vectors spanning it, or None when it is the multiples of e_i
+    alone (None for a set assembled by hand).
     """
 
-    __slots__ = ("n", "eps", "scalar_corners")
+    __slots__ = ("n", "eps", "corners")
     _defaults = (None,)
     n: int
     eps: tuple[RatMatrix, ...]
-    scalar_corners: tuple[bool, ...] | None
+    corners: tuple[tuple[tuple[int, ...], ...] | None, ...] | None
 
     def __len__(self) -> int:
         return len(self.eps)
@@ -236,26 +237,25 @@ def find_idempotents(center: CenterBasis, seed: int = 42) -> IdempotentSet:
     each block found so far is refined by random spectral splitting inside
     its own Peirce corner; a block whose corner stays unsplit for
     ``MAX_TRIES`` draws is kept whole.  All returned sets are verified
-    exactly before being handed back; ``scalar_corners`` marks the blocks
-    whose corner was found one-dimensional.
+    exactly before being handed back, each idempotent with its corner.
     """
     if center.dim < 1:
         raise ValueError("center basis is empty")
     n = center.n
     if center.dim == 1:
-        return IdempotentSet(n, (RatMatrix.identity(n),), (True,))
+        return IdempotentSet(n, (RatMatrix.identity(n),), (None,))
     z = _Coordinates(center)
     r = z.r
     unit = RatMatrix._raw(r, 1, z.one)
     draw_counter = itertools.count()
     final: list[tuple[list[int], int]] = []
-    scalar: list[bool] = []  # whether final[i]'s corner is one-dimensional
+    corners: list = []  # final[i]'s corner
 
     def refine(v: list[int], d: int, corner: list | None) -> None:
         if corner is None:
             # only scalar multiples of the block unit: certified unsplittable
             final.append((v, d))
-            scalar.append(True)
+            corners.append(None)
             return
         for _ in range(MAX_TRIES):
             rng = random.Random(f"{seed}:{next(draw_counter)}")
@@ -302,11 +302,11 @@ def find_idempotents(center: CenterBasis, seed: int = 42) -> IdempotentSet:
                 refine(*child, z.corner(*child))
             return
         final.append((v, d))
-        scalar.append(False)
+        corners.append(tuple(map(tuple, corner)))
 
     refine(z.one, 1, z.rows)  # the corner of the unit is the whole center
     _assert_internally_valid(z, final)
-    return IdempotentSet(n, tuple(z.matrix(v, d) for v, d in final), tuple(scalar))
+    return IdempotentSet(n, tuple(z.matrix(v, d) for v, d in final), tuple(corners))
 
 
 def _projector(m: UniPoly, mi: UniPoly) -> UniPoly:

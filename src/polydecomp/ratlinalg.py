@@ -156,11 +156,6 @@ class RatMatrix:
 
     __hash__ = None
 
-    def trace(self) -> Rat:
-        if self.rows != self.cols:
-            raise DimensionMismatch("trace needs a square matrix")
-        return normalize(sum(self._e[:: self.cols + 1]))
-
     def is_zero(self) -> bool:
         return all(x == 0 for x in self._e)
 
@@ -177,10 +172,6 @@ class RatMatrix:
 def vec(m: RatMatrix) -> Vector:
     """Row-major flattening of a matrix."""
     return m._e
-
-
-def unvec(v: Sequence, rows: int, cols: int) -> RatMatrix:
-    return RatMatrix(rows, cols, list(v))
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +410,12 @@ def nullspace_basis(system: _SparseSystem, p: int) -> tuple[list[Vector], list]:
     return _kernel(pivots, system.cols), independent
 
 
-def column_space_basis(m: RatMatrix) -> list[Vector]:
-    """Columns of ``m`` at the pivot positions of its echelon form."""
-    pivots, _, _ = _bareiss([_cleared(m.row(r))[0] for r in range(m.rows)], m.cols)
-    return [m.column(c) for c in pivots]
+def column_space_basis(m: RatMatrix) -> tuple[list[Vector], list[Vector]]:
+    """Columns C of ``m`` at the pivot positions of its echelon form, and
+    the nonzero rows R of its reduced echelon form: m = C * R."""
+    pivots, rows, t = _bareiss([_cleared(m.row(r))[0] for r in range(m.rows)], m.cols)
+    columns = [m.column(c) for c in pivots]
+    return columns, [tuple(_ratio(x, t) for x in row) for row in rows[: len(pivots)]]
 
 
 def invert(m: RatMatrix) -> RatMatrix:

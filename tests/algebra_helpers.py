@@ -20,8 +20,9 @@ sympy, the references for the fraction-free elimination
 ``ratlinalg._bareiss`` and the center's lifted kernels, and
 ``scaled_rows`` puts a basis over its least denominator as the idempotent
 search does; ``in_span``, ``same_span`` and ``center_contains`` compare
-spans by echelon forms, ``at_matrix`` evaluates a polynomial at a matrix
-and ``matrix_rows`` lists a matrix's rows.  Three are the plain kernels
+spans by echelon forms, ``at_matrix`` evaluates a polynomial at a matrix,
+``matrix_rows`` lists a matrix's rows and ``unvec`` builds a matrix from
+its row-major entries.  Three are the plain kernels
 behind faster library ones: ``members_by_matrix`` tests membership
 with one product per coefficient matrix, the reference for the packed
 product of ``_all_members``; ``wang_reconstruct`` runs Wang's Euclid on every
@@ -76,7 +77,6 @@ from polydecomp.ratlinalg import (
     _primitive_int_row,
     extended_gcd,
     primary_coprime_factors,
-    unvec,
     vec,
 )
 
@@ -91,9 +91,14 @@ def matrix_rows(m: RatMatrix) -> list[list]:
     return [list(m.row(r)) for r in range(m.rows)]
 
 
+def unvec(v: Sequence, rows: int, cols: int) -> RatMatrix:
+    """The matrix whose row-major entries are v, the inverse of ``vec``."""
+    return RatMatrix(rows, cols, list(v))
+
+
 def rank_profile(idem: IdempotentSet) -> tuple:
     """Idempotent ranks (their traces), ascending; ranks are the block sizes."""
-    return tuple(sorted(e.trace() for e in idem.eps))
+    return tuple(sorted(sum(e.entry(i, i) for i in range(e.rows)) for e in idem.eps))
 
 
 def _to_sympy(rows: Sequence[Sequence], width: int) -> sympy.Matrix:
@@ -352,16 +357,17 @@ def jordan_table_by_products(rows: Sequence[Sequence[int]], n: int) -> dict:
 def find_idempotents_by_matrices(center: CenterBasis, seed: int = 42) -> IdempotentSet:
     """``find_idempotents`` on n x n matrices: the same draws from the same
     corner bases, corners e*Z*e by matrix products, minimal polynomials of
-    the drawn matrices and projectors evaluated at them; a block is marked
-    scalar when its corner's span is one-dimensional."""
+    the drawn matrices and projectors evaluated at them; each block comes
+    with its corner's reduced echelon basis over its least denominator, or
+    None when the corner is one-dimensional."""
     n = center.n
     identity = RatMatrix.identity(n)
     if center.dim == 1:
-        return IdempotentSet(n, (identity,), (True,))
+        return IdempotentSet(n, (identity,), (None,))
     width = n * n
     draw_counter = itertools.count()
     final: list[RatMatrix] = []
-    scalar: list[bool] = []
+    corners: list = []
 
     def refine(block: RatMatrix) -> None:
         restricted = row_space_basis(
@@ -369,7 +375,7 @@ def find_idempotents_by_matrices(center: CenterBasis, seed: int = 42) -> Idempot
         )
         if len(restricted) == 1:
             final.append(block)
-            scalar.append(True)
+            corners.append(None)
             return
         sub_mats = [unvec(v, n, n) for v in restricted]
         for _ in range(MAX_TRIES):
@@ -399,10 +405,10 @@ def find_idempotents_by_matrices(center: CenterBasis, seed: int = 42) -> Idempot
                 refine(child)
             return
         final.append(block)
-        scalar.append(False)
+        corners.append(tuple(map(tuple, scaled_rows(restricted)[0])))
 
     refine(identity)
-    result = IdempotentSet(n, tuple(final), tuple(scalar))
+    result = IdempotentSet(n, tuple(final), tuple(corners))
     failure = _identity_failure(result)
     if failure is None and not all(center_contains(center, e) for e in result.eps):
         failure = "an element left the center span"

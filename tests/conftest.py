@@ -107,6 +107,18 @@ TRIO_3_EPS = (
     [[0, 0, 0], [0, 1, Fraction(-2, 3)], [0, 0, 0]],
 )
 
+# The norm form u1^3 + 6*u1*u2^2, whose center is Q(sqrt 2), beside the
+# cubic u3^3 + u3^2*u4 + 2*u4^3 + u3*u4, whose center is scalar, mixed by
+# u = Q x for Q = [[1, 1, 0, 0], [0, 1, -1, 0], [0, 0, 1, 1], [1, 0, 0, 2]]
+# (det 3).  The root center has dimension 3 and splits into the two
+# blocks; the norm block is a leaf whose center has dimension 2.
+NORM_CUBIC_VARS = ["x1", "x2", "x3", "x4"]
+NORM_CUBIC = (
+    "3*x1^3 + 3*x1^2*x2 + 12*x1^2*x4 + 9*x1*x2^2 - 12*x1*x2*x3 + 7*x1*x3^2"
+    " + 2*x1*x3*x4 + x1*x3 + 25*x1*x4^2 + x1*x4 + 7*x2^3 - 12*x2^2*x3"
+    " + 6*x2*x3^2 + x3^3 + 5*x3^2*x4 + 7*x3*x4^2 + 2*x3*x4 + 19*x4^3 + 2*x4^2"
+)
+
 
 @pytest.fixture
 def int_digit_limit():
@@ -130,6 +142,11 @@ def bin_cubics():
 @pytest.fixture(scope="session")
 def quartic_squares():
     return parse_polynomial(QUARTIC_SQUARES, QUARTIC_SQUARES_VARS)
+
+
+@pytest.fixture(scope="session")
+def norm_cubic():
+    return parse_polynomial(NORM_CUBIC, NORM_CUBIC_VARS)
 
 
 @pytest.fixture(scope="session")

@@ -240,6 +240,12 @@ GOLDEN_DOCUMENTS = {
         [TRIO_1, TRIO_2, TRIO_3],
         "2a4eb182f0b3043580ffedc429728e928af41d4008786d04d114c67d0042ea2b",
     ),
+    # a split whose norm-form block is a leaf with a two-dimensional center
+    "norm_cubic": (
+        conftest.NORM_CUBIC_VARS,
+        [conftest.NORM_CUBIC],
+        "163df829793905ec92eeeb08df855365ae80a49e271c8b19e1388edf522028a6",
+    ),
     # planted sets: no names, and the problem is the output of `generate`
     # with these arguments
     "planted_n12_cubic": (

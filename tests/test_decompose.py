@@ -19,6 +19,7 @@ from algebra_helpers import (
     hessian,
     matrix_rows,
     reconstruction_by_full_expansion,
+    same_span,
     separate_by_full_expansion,
 )
 from conftest import (
@@ -59,7 +60,7 @@ from polydecomp.decompose import (
     diagonal_idempotent_supports,
     separate,
 )
-from polydecomp.ratlinalg import _SparseSystem, invert, vec
+from polydecomp.ratlinalg import _SparseSystem, column_space_basis, invert, vec
 
 
 def coefficient_types(parts):
@@ -76,13 +77,35 @@ def internal_nodes(node):
 class TestChangeOfVariables:
     def test_trivial_set_gives_identity(self):
         idem = IdempotentSet(3, (RatMatrix.identity(3),))
-        assert change_of_variables(idem) == RatMatrix.identity(3)
+        identity = RatMatrix.identity(3)
+        assert change_of_variables(idem) == (identity, identity, [(0, 3)])
 
     def test_binary_cubic_pair(self, bin_cubics):
         idem = find_idempotents(center_basis(bin_cubics), seed=42)
-        p = change_of_variables(idem)
+        p, p_inv, ranges = change_of_variables(idem)
         supports = diagonal_idempotent_supports(p, idem.eps)
         assert supports == [(0,), (1,)]
+        assert ranges == [(0, 1), (1, 2)]
+        assert p_inv == invert(p)
+
+    def test_inverse_stacks_the_echelon_rows(self, monkeypatch):
+        # the stacked reduced echelon rows of the idempotents are P^-1
+        # exactly, on every split of the planted suite
+        splits = []
+
+        def checked(idem):
+            p, p_inv, ranges = change_of_variables(idem)
+            assert p_inv == invert(p)
+            assert [stop - start for start, stop in ranges] == [
+                len(column_space_basis(e)[0]) for e in idem.eps
+            ]
+            splits.append(len(idem))
+            return p, p_inv, ranges
+
+        monkeypatch.setattr(polydecomp.decompose, "change_of_variables", checked)
+        for seed, instance in planted_suite():
+            decompose_recursive(instance.fs, seed=seed)
+        assert len(splits) >= 20
 
     def test_external_witness_binary_cubic(self):
         # the hand-constructed transform also diagonalizes the pair
@@ -375,15 +398,17 @@ def preorder(node: DecompositionNode):
         yield from preorder(child)
 
 
-class TestScalarCorners:
-    # A block whose Peirce corner the idempotent search found one-dimensional
-    # has the scalar center: the recursion takes it without a solve.
+class TestCarriedCenters:
+    # Only the root center is solved: every child's center is its parent's
+    # Peirce corner carried into the child's coordinates.  A fresh solve of
+    # each child's own center is the oracle it must span.
 
     @staticmethod
-    def check(polys, monkeypatch) -> int:
-        """Decompose, and check every child the shortcut certified against
-        its own solved center; return how many there were."""
-        solved, found = [], []
+    def check(polys, monkeypatch) -> tuple[int, int]:
+        """Decompose, check that the center is solved once and that every
+        child's carried center spans its solved one; return how many
+        children have a center wider than the scalars, and how many split."""
+        solved, carried = [], []
         solve, search = polydecomp.decompose.center_basis, polydecomp.decompose.find_idempotents
 
         def counting(fs):
@@ -391,51 +416,51 @@ class TestScalarCorners:
             return solve(fs)
 
         def recording(center, seed):
-            found.append(search(center, seed))
-            return found[-1]
+            carried.append(center)
+            return search(center, seed)
 
         monkeypatch.setattr(polydecomp.decompose, "center_basis", counting)
         monkeypatch.setattr(polydecomp.decompose, "find_idempotents", recording)
         result = decompose_recursive(polys)
         monkeypatch.undo()
+        assert solved == [tuple(polys)]
         # each node searches once, in preorder, before its children
         nodes = list(preorder(result.tree))
-        assert len(found) == len(nodes)
-        certified, wider = [], []
-        for node, idem in zip(nodes, found):
-            assert len(idem.scalar_corners) == len(idem)
-            if node.is_leaf:
-                continue
-            for child, scalar in zip(node.children, idem.scalar_corners):
-                (certified if scalar else wider).append(child)
-        for child in certified:
-            assert child.center_dim == 1 and center_basis(child.polys).dim == 1
-        # once at the root, then once per child with a wider corner, just
-        # before the child is visited
-        wider = {id(child) for child in wider}
-        assert solved == [node.polys for node in nodes if node is nodes[0] or id(node) in wider]
+        assert len(carried) == len(nodes) and carried[0] is result.center
+        for node, center in zip(nodes[1:], carried[1:]):
+            k = len(node.variable_indices)
+            fresh = center_basis(node.polys)
+            assert center.n == k and node.center_dim == center.dim == fresh.dim
+            assert same_span(center.vectors(), fresh.vectors(), k * k)
         assert verify_decomposition(polys, result)
-        return len(certified)
+        children = nodes[1:]
+        return sum(c.center_dim > 1 for c in children), sum(not c.is_leaf for c in children)
 
-    def test_goldens(self, bin_cubics, fourvar_pair, trio, quartic_squares, monkeypatch):
-        certified = 0
-        for polys in (bin_cubics, fourvar_pair, trio, [quartic_squares], *[[f] for f in trio]):
-            certified += self.check(list(polys), monkeypatch)
-        assert certified
+    def test_goldens(self, bin_cubics, fourvar_pair, trio, quartic_squares, norm_cubic, monkeypatch):
+        for polys in (bin_cubics, fourvar_pair, trio, *[[f] for f in trio]):
+            self.check(list(polys), monkeypatch)
+        # a wide leaf child, and a wide child that splits again
+        assert self.check([norm_cubic], monkeypatch) == (1, 0)
+        assert self.check([quartic_squares], monkeypatch) == (1, 1)
 
     def test_planted_suite(self, monkeypatch):
-        certified = sum(self.check(list(i.fs), monkeypatch) for _, i in planted_suite())
-        assert certified
+        for _, instance in planted_suite():
+            self.check(list(instance.fs), monkeypatch)
 
     @pytest.mark.parametrize("workload", ["few_blocks", "many_blocks"])
     def test_bench_problems(self, workload, monkeypatch):
         workloads = bench_workloads()
-        certified = 0
+        wide, nested = set(), set()
         for pid in range(30):
             problem = workloads.make_problem(workload, 1, pid)
             polys = [parse_polynomial(text, problem.var_names) for text in problem.sources]
-            certified += self.check(polys, monkeypatch)
-        assert certified
+            wider, split = self.check(polys, monkeypatch)
+            if wider:
+                wide.add(pid)
+            if split:
+                nested.add(pid)
+        if workload == "many_blocks":
+            assert {2, 4, 11, 14, 22, 24} <= wide and 12 in nested
 
 
 class TestVerifyDecomposition:

@@ -376,7 +376,7 @@ class TestEchelonOracle:
 
     def test_rank_one(self):
         assert echelon_rows([[1, 2], [2, 4]], 2) == [(1, 2)]
-        assert column_space_basis(mat([[1, 2], [2, 4]])) == [(1, 2)]
+        assert column_space_basis(mat([[1, 2], [2, 4]])) == ([(1, 2)], [(1, 2)])
 
     def test_fractional_entries(self):
         assert echelon_rows([[Fraction(1, 2), 1], [1, 3]], 2) == [(1, 0), (0, 1)]
@@ -404,7 +404,12 @@ class TestEchelonOracle:
         assert_same_typed(
             echelon_rows(matrix_rows(m), m.cols), sympy_rows(reduced)[: len(pivots)]
         )
-        assert column_space_basis(m) == [m.column(c) for c in pivots]
+        columns, rows = column_space_basis(m)
+        assert columns == [m.column(c) for c in pivots]
+        assert_same_typed(rows, sympy_rows(reduced)[: len(pivots)])
+        # m is its pivot columns times its reduced echelon rows
+        if pivots:
+            assert RatMatrix.from_columns(columns) * RatMatrix.from_rows(rows) == m
 
     @settings(max_examples=150, deadline=None)
     @given(square_matrices())
@@ -451,7 +456,7 @@ class TestEchelonOracle:
         oracle = to_sympy(m)
         full = [tuple(int(r == c) for c in range(m.cols)) for r in range(m.rows)]
         assert_same_typed(echelon_rows(matrix_rows(m), m.cols), full)
-        assert column_space_basis(m) == [m.column(c) for c in range(m.cols)]
+        assert column_space_basis(m) == ([m.column(c) for c in range(m.cols)], full)
         assert_same_typed(
             [tuple(row) for row in matrix_rows(invert(m))], sympy_rows(oracle.inv())
         )
@@ -473,7 +478,7 @@ class TestEchelonOracle:
         # rules it out.
         assert kernel_mod(matrix_rows(m), 3)[0] == []
         assert echelon_rows(matrix_rows(m), 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        assert column_space_basis(m) == [m.column(c) for c in range(3)]
+        assert column_space_basis(m)[0] == [m.column(c) for c in range(3)]
 
 
 def residue_modulus(primes: int) -> int:
@@ -593,17 +598,21 @@ class TestInvert:
 
 class TestColumnSpace:
     def test_identity(self):
-        assert column_space_basis(RatMatrix.identity(2)) == [(1, 0), (0, 1)]
+        identity = [(1, 0), (0, 1)]
+        assert column_space_basis(RatMatrix.identity(2)) == (identity, identity)
 
     def test_rank_one_idempotent(self):
         e = mat([[Fraction(1, 4), Fraction(1, 4)], [Fraction(3, 4), Fraction(3, 4)]])
-        basis = column_space_basis(e)
+        basis, rows = column_space_basis(e)
         assert len(basis) == 1
         x, y = basis[0]
         assert y == 3 * x  # proportional to (1, 3)
+        # for an idempotent the echelon rows are a left inverse of the columns
+        assert rows == [(1, 1)]
+        assert sum(a * b for a, b in zip(rows[0], basis[0])) == 1
 
     def test_zero_matrix(self):
-        assert column_space_basis(RatMatrix.zeros(3, 3)) == []
+        assert column_space_basis(RatMatrix.zeros(3, 3)) == ([], [])
 
 
 class TestMinimalPolynomial:
@@ -685,7 +694,7 @@ class TestMinimalPolynomialKernelCalls:
         # of a non-scalar center all come from the fraction-free elimination
         m = mat([[1 + FIRST_PRIME, 1, 0], [1, 1, 1], [2**70, 0, Fraction(1, 3)]])
         assert invert(m) * m == RatMatrix.identity(3)
-        assert column_space_basis(m) == [m.column(c) for c in range(3)]
+        assert column_space_basis(m)[0] == [m.column(c) for c in range(3)]
         assert minimal_polynomial(m, mat([[1], [0], [0]]), 3).degree == 3
         assert invert(BIG) * BIG == RatMatrix.identity(3)
         assert primes == []

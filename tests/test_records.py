@@ -29,9 +29,9 @@ CASES = [
     (CenterBasis, {"n": 2, "basis": (I2,)}, {"n": 3}, {}, None),
     (
         IdempotentSet,
-        {"n": 2, "eps": (I2,), "scalar_corners": (True,)},
+        {"n": 2, "eps": (I2,), "corners": (None,)},
         {"eps": ()},
-        {"scalar_corners": None},
+        {"corners": None},
         None,
     ),
     (
