@@ -26,7 +26,7 @@ from .errors import (
     PolyDecompError,
     SingularMatrix,
 )
-from .idempotent import IdempotentSet, find_idempotents, verify_complete
+from .idempotent import IdempotentSet, find_idempotents
 from .poly import (
     Polynomial,
     parse_polynomial,
@@ -78,6 +78,5 @@ __all__ = [
     "parse_polynomial",
     "render_canonical",
     "substitute_linear",
-    "verify_complete",
     "verify_decomposition",
 ]

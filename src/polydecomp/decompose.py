@@ -26,7 +26,8 @@ rows of the node's inverse transform; for the P this pipeline builds, the
 product of the tree's transforms, those checks chain to the identity for
 the leaves, and any other P has the leaves expanded on rows of P^-1.  A
 split that passes also proves its idempotents central, complete and
-orthogonal, so ``verify_complete`` runs only where a check fails.
+orthogonal, so they get no check of their own, and a failed
+verification reports the first check that fails.
 """
 
 from __future__ import annotations
@@ -36,13 +37,8 @@ from itertools import accumulate, count
 
 from ._rat import Record
 from .center import CenterBasis, center_basis
-from .errors import (
-    DimensionMismatch,
-    EmptyInput,
-    InternalInvariantViolation,
-    SingularMatrix,
-)
-from .idempotent import IdempotentSet, find_idempotents, verify_complete
+from .errors import InternalInvariantViolation, SingularMatrix
+from .idempotent import IdempotentSet, find_idempotents
 from .poly import Polynomial, substitute_linear
 from .ratlinalg import RatMatrix, column_space_basis, invert
 
@@ -258,11 +254,7 @@ def decompose_recursive(polys: Sequence[Polynomial], seed: int = 42) -> Decompos
     into the inputs reproduces the leaf polynomials exactly.
     """
     polys = tuple(polys)
-    if not polys:
-        raise EmptyInput("at least one polynomial is required")
-    n = polys[0].n
-    if any(p.n != n for p in polys):
-        raise DimensionMismatch("polynomials have mixed ambient dimensions")
+    root_center = center_basis(polys)
     node_counter = count()
 
     def rec(
@@ -286,8 +278,7 @@ def decompose_recursive(polys: Sequence[Polynomial], seed: int = 42) -> Decompos
         node = DecompositionNode(indices, fs, children, z.dim, idem.eps, p_node)
         return node, p_node * block_diagonal(transforms)
 
-    root_center = center_basis(polys)
-    root, p_total = rec(polys, tuple(range(n)), root_center)
+    root, p_total = rec(polys, tuple(range(root_center.n)), root_center)
     diagonalizable = all(len(l.variable_indices) == 1 for l in root.leaves())
     return DecompositionResult(
         P=p_total, tree=root, diagonalizable=diagonalizable, center=root_center
@@ -318,15 +309,14 @@ def _tree_product(node: DecompositionNode) -> RatMatrix:
 def _verify_node(
     node: DecompositionNode, reason_prefix: str, count: int
 ) -> VerificationReport:
-    """Check a node's witnesses and, at an internal node, its split.
+    """Check a node's witnesses (a leaf carries none) and, at an internal
+    node, its split; the report names the first check that fails.
 
-    A passing split proves what ``verify_complete`` checks.  The supports
+    A passing split needs no other check of its idempotents.  The supports
     give e_b T = T D_b for the 0/1 diagonal D_b of child b's range, T
     invertible, so e_b = T D_b T^-1 are complete orthogonal idempotents.
     The reconstruction gives f_i(T*y) = sum_b g_b(y_b), whose Hessians are
     block diagonal, so D_b lies in Z(f(T*y)) = T^-1 Z(f) T and e_b in Z(f).
-    ``verify_complete`` therefore runs only when a later check at the node
-    or below fails, and its verdict, if it fails too, comes first.
     """
     k = len(node.variable_indices)
     if len(node.polys) != count or any(f.n != k for f in node.polys):
@@ -334,6 +324,10 @@ def _verify_node(
             False, f"{reason_prefix}: polynomials do not fit the block"
         )
     if node.is_leaf:
+        if node.idempotents is not None or node.transform is not None:
+            return VerificationReport(
+                False, f"{reason_prefix}: leaf carries splitting witnesses"
+            )
         return VerificationReport(True)
     child_indices = [i for child in node.children for i in child.variable_indices]
     if list(node.variable_indices) != child_indices:
@@ -348,21 +342,6 @@ def _verify_node(
         return VerificationReport(
             False, f"{reason_prefix}: splitting witnesses have wrong shape"
         )
-    report = _verify_split(node, reason_prefix, count)
-    if not report.ok and not verify_complete(
-        IdempotentSet(k, tuple(node.idempotents)), node.polys
-    ):
-        return VerificationReport(
-            False, f"{reason_prefix}: idempotent identities fail"
-        )
-    return report
-
-
-def _verify_split(
-    node: DecompositionNode, reason_prefix: str, count: int
-) -> VerificationReport:
-    """The transform, supports, children and reconstruction of an internal
-    node whose witnesses have the right shape."""
     ranges = block_ranges([len(child.variable_indices) for child in node.children])
     try:
         t_inv = invert(node.transform)
@@ -395,18 +374,18 @@ def verify_decomposition(
 ) -> VerificationReport:
     """Independent end-to-end certificate check, recomputed from scratch.
 
-    Verifies every node's witnesses, idempotent identities and children, the
-    change of variables is invertible, the top-level conjugated idempotents
-    are the expected diagonal blocks, the leaf polynomials reconstruct the
-    inputs exactly, and the diagonalizable flag matches the tree.
+    Verifies every node's witnesses and children, the change of variables
+    is invertible, the top-level conjugated idempotents are the expected
+    diagonal blocks, the leaf polynomials reconstruct the inputs exactly,
+    and the diagonalizable flag matches the tree.  A failing report names
+    the first check that fails.
 
     A node's transform T must be invertible with e_b T = T D_b, D_b the 0/1
     diagonal of child b's range, and its polynomials must be the sum of its
     children's expanded on rows of T^-1.  The first implies the idempotent
     identities, as e_b = T D_b T^-1; the second implies membership, as
     f(T*y) = sum_b g_b(y_b) has block-diagonal Hessians, so D_b lies in
-    Z(f(T*y)) = T^-1 Z(f) T.  ``verify_complete`` therefore runs only at a
-    node where a later check fails, to report its verdict first.
+    Z(f(T*y)) = T^-1 Z(f) T.  Neither is checked apart.
 
     The inputs must be the sum of the leaves' on rows of P^-1:
     f_i(x) = sum_B g_B((P^-1)_B x), which for invertible P is

@@ -58,9 +58,8 @@ from math import gcd, lcm
 from operator import lshift, mul
 
 from ._rat import Record, divide
-from .center import CenterBasis, _all_members
+from .center import CenterBasis
 from .errors import InternalInvariantViolation
-from .poly import Polynomial
 from .ratlinalg import (
     RatMatrix,
     UniPoly,
@@ -71,7 +70,6 @@ from .ratlinalg import (
     extended_gcd,
     minimal_polynomial,
     primary_coprime_factors,
-    vec,
 )
 
 COEFF_RANGE = 9  # random combination coefficients are drawn from +-1..9
@@ -369,34 +367,3 @@ def _assert_internally_valid(z: _Coordinates, final: list) -> None:
         total = [t + x * (common // d) for t, x in zip(total, v)]
     if total != [common * o for o in z.one]:
         raise InternalInvariantViolation("idempotents do not sum to the identity")
-
-
-def _identity_failure(idem: IdempotentSet) -> str | None:
-    """First of e^2 = e, e_i e_j = 0 (i != j), sum = I that fails, if any."""
-    n = idem.n
-    total = RatMatrix.zeros(n, n)
-    for i, e in enumerate(idem.eps):
-        if e.rows != n or e.cols != n:
-            return f"element {i} is not {n}x{n}"
-        if e * e != e:
-            return f"element {i} is not idempotent"
-        for j, f in enumerate(idem.eps):
-            if i != j and not (e * f).is_zero():
-                return f"elements {i} and {j} are not orthogonal"
-        total = total + e
-    if not total.is_identity():
-        return "idempotents do not sum to the identity"
-    return None
-
-
-def verify_complete(idem: IdempotentSet, polys: Sequence[Polynomial]) -> bool:
-    """Check all defining identities exactly, plus center membership.
-
-    True iff every element squares to itself, distinct elements multiply to
-    zero, the sum is the identity, and each element passes
-    ``membership_check`` against the input polynomials.  Membership is
-    linear and the identity is central, so once the sum is known to be the
-    identity the last element, the identity minus the others, is a member
-    when the others are: only they are checked.
-    """
-    return _identity_failure(idem) is None and _all_members(list(map(vec, idem.eps[:-1])), polys)

