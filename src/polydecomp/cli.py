@@ -290,12 +290,17 @@ def _claim_failure(polys: Sequence[Polynomial], result: DecompositionResult, cla
 # ---------------------------------------------------------------------------
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(content: str | dict, output: str | None) -> None:
+    """Write text, or a document as JSON with indent 2, to ``output`` or stdout."""
+    if isinstance(content, dict):
+        import json
+
+        content = json.dumps(content, indent=2)
     if output:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(content if content.endswith("\n") else content + "\n")
     else:
-        print(text)
+        print(content)
 
 
 def _format_matrix(m: RatMatrix, indent: str = "  ") -> str:
@@ -311,8 +316,6 @@ def cmd_center(args) -> int:
     polys = problem.parse()
     center = center_basis(polys)
     if args.json:
-        import json
-
         doc = {
             "version": SCHEMA_VERSION,
             "vars": list(problem.vars),
@@ -320,7 +323,7 @@ def cmd_center(args) -> int:
             "center_dim": center.dim,
             "center_basis": [matrix_to_json(b) for b in center.basis],
         }
-        _emit(json.dumps(doc, indent=2), args.output)
+        _emit(doc, args.output)
     else:
         lines = [f"center dimension: {center.dim}"]
         for i, b in enumerate(center.basis):
@@ -370,10 +373,7 @@ def cmd_decompose(args) -> int:
             f"self-verification failed: {report.reason}"
         )
     if args.json:
-        import json
-
-        doc = result_to_document(problem, result, args.seed)
-        _emit(json.dumps(doc, indent=2), args.output)
+        _emit(result_to_document(problem, result, args.seed), args.output)
     else:
         _emit(_decomposition_text(problem, result), args.output)
     return 0

@@ -3,44 +3,45 @@
 Per node: compute the center of the node's polynomials, extract a complete
 orthogonal idempotent set, build the change of variables whose columns are
 bases of the idempotents' column spaces, expand each input on each block's
-columns alone, and recurse into each block with fresh variables.  Only the
-root center is solved.  A child's center is derived: it is the parent's
-Peirce corner e*Z*e, which the idempotent search returns, carried into the
-block's coordinates.  After the split the Hessians are block diagonal, so
-the block's part of a parent center element lies in the child center, and
-a child center element padded with zeros lies in the parent center.  A
-split an unlucky draw missed at the parent is recovered, if at all, by the
-child's own draws under its own seed.  The root center is carried on the
-result for callers that report it.  The column spaces and inverses here
-are dense echelon forms, read off one fraction-free elimination
-(``ratlinalg``); only the center's kernels are found modulo primes, and
-lifted and certified by the center itself.
+columns alone (one expansion for all of them), and recurse into each block
+with fresh variables.  Only the root center is solved.  A child's center
+is derived: it is the parent's Peirce corner e*Z*e, which the idempotent
+search returns, carried into the block's coordinates.  After the split the
+Hessians are block diagonal, so the block's part of a parent center
+element lies in the child center, and a child center element padded with
+zeros lies in the parent center.  A split an unlucky draw missed at the
+parent is recovered, if at all, by the child's own draws under its own
+seed.  The root center is carried on the result for callers that report
+it.  The column spaces and inverses here are dense echelon forms, read off
+one fraction-free elimination (``ratlinalg``); only the center's kernels
+are found modulo primes, and lifted and certified by the center itself.
 
 Constant terms are invisible to Hessians, so they are assigned to the first
 (lowest-index) block by convention; linear terms follow their variable's
 block.  With that convention the reconstruction identity
 f_i(P*y) = sum of the leaf polynomials holds exactly.  As P is invertible,
 it is f_i(x) = sum_B g_B((P^-1)_B x) over the leaves B.
-``verify_decomposition`` checks each split in that form, the children on
-rows of the node's inverse transform; for the P this pipeline builds, the
-product of the tree's transforms, those checks chain to the identity for
-the leaves, and any other P has the leaves expanded on rows of P^-1.  A
-split that passes also proves its idempotents central, complete and
-orthogonal, so they get no check of their own, and a failed
-verification reports the first check that fails.
+``verify_decomposition`` checks each split in that form, the sum of the
+children on the node's inverse transform, one expansion per node; for the
+P this pipeline builds, the product of the tree's transforms, those checks
+chain to the identity for the leaves, and any other P has the leaves
+expanded on rows of P^-1.  A split that passes also proves its idempotents
+central, complete and orthogonal, so they get no check of their own, and a
+failed verification reports the first check that fails.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from itertools import accumulate, count
+from operator import mul
 
-from ._rat import Record
+from ._rat import Record, normalize
 from .center import CenterBasis, center_basis
 from .errors import InternalInvariantViolation, SingularMatrix
 from .idempotent import IdempotentSet, find_idempotents
-from .poly import Polynomial, substitute_linear
-from .ratlinalg import RatMatrix, column_space_basis, invert
+from .poly import Polynomial, embed, substitute_linear
+from .ratlinalg import RatMatrix, _cleared, column_space_basis, invert
 
 
 class DecompositionNode(Record):
@@ -182,23 +183,25 @@ def diagonal_idempotent_supports(
 
     P must be invertible.  Then P^-1 e P is the 0/1 diagonal D iff
     e P = P D, that is iff each column of e P is P's column (an index of
-    the support) or zero: one product per idempotent and no inverse.
-    Accepts non-contiguous supports; returns None if any conjugate is not a
-    0/1 diagonal matrix or the supports fail to partition the coordinates.
+    the support) or zero: one product per idempotent and no inverse.  It is
+    taken in integers: with row r of e cleared to a_r / d_r and column c of
+    P to b_c over its lcm, (e P)_rc = P_rc iff a_r . b_c = d_r b_c[r], and
+    (e P)_rc = 0 iff a_r . b_c = 0.  Accepts non-contiguous supports;
+    returns None if any conjugate is not a 0/1 diagonal matrix or the
+    supports fail to partition the coordinates.
     """
     n = p.rows
-    columns = [p.column(c) for c in range(n)]
-    zero = (0,) * n
+    columns = [_cleared(p.column(c))[0] for c in range(n)]
     supports = []
     seen: set[int] = set()
     for e in idems:
-        image = e * p
+        rows, dens = zip(*(_cleared(e.row(r)) for r in range(n)))
         support = []
-        for c, column in enumerate(columns):
-            v = image.column(c)
-            if v == column:
+        for c, b in enumerate(columns):
+            dots = [sum(map(mul, a, b)) for a in rows]
+            if dots == [d * x for d, x in zip(dens, b)]:
                 support.append(c)
-            elif v != zero:
+            elif any(dots):
                 return None
         if seen.intersection(support):
             return None
@@ -214,7 +217,8 @@ def separate(
     p: RatMatrix,
     blocks: Sequence[tuple[int, int]],
 ) -> list[list[Polynomial]]:
-    """Block polynomials g_B(y_B) of each f(P*y), one expansion per block.
+    """Block polynomials g_B(y_B) of each f(P*y), from one expansion of
+    every input and every block.
 
     Returns one list per input polynomial with one block-local polynomial
     per block.  When P comes from a verified complete orthogonal idempotent
@@ -222,9 +226,9 @@ def separate(
     outside block B to zero leaves g_B plus the other blocks' constants:
     g_B(y_B) = f(P_B*y_B) - f(0), where P_B is the n x k_B matrix of block
     B's columns of P, expanded in block B's k_B variables alone.  f(0) goes
-    back to the first block.  No cross term is ever formed, so none is
-    detected here; ``verify_decomposition`` expands the blocks on rows of
-    P^-1 and checks that they sum to f.
+    to the first block.  No cross term is ever formed, so none is detected
+    here; ``verify_decomposition`` expands the blocks on rows of P^-1 and
+    checks that they sum to f.
     """
     if not polys:
         return []
@@ -233,17 +237,7 @@ def separate(
     covered = [i for start, stop in ranges for i in range(start, stop)]
     if covered != list(range(n)):
         raise ValueError("blocks must be contiguous and partition the coordinates")
-    rows = [p.row(r) for r in range(p.rows)]
-    columns = [
-        RatMatrix._raw(p.rows, stop - start, [x for row in rows for x in row[start:stop]])
-        for start, stop in ranges
-    ]
-    out: list[list[Polynomial]] = []
-    for f in polys:
-        constant = f.constant_term()
-        pieces = [substitute_linear(f, p_b) for p_b in columns]
-        out.append(pieces[:1] + [g - constant for g in pieces[1:]])
-    return out
+    return substitute_linear(polys, p, ranges)
 
 
 def decompose_recursive(polys: Sequence[Polynomial], seed: int = 42) -> DecompositionResult:
@@ -289,13 +283,22 @@ def _sum_on_inverse_rows(
     blocks: Sequence[tuple[Sequence[Polynomial], Sequence[int]]], q: RatMatrix
 ) -> list[Polynomial]:
     """Sum over the blocks of g_i(Q_B x) for each i: a block pairs its g_i
-    with its positions B, and Q_B, the rows of Q at B, has k_B rows."""
-    rows = [q.row(r) for r in range(q.rows)]
-    sums = [Polynomial.zero(q.cols)] * len(blocks[0][0])
+    with its positions B, and Q_B, the rows of Q at B, has k_B rows.
+
+    Each i's blocks are merged into one polynomial in Q's rows,
+    sum_B g_i(y_B), whose terms are added, as blocks may share the constant
+    monomial, and all of them are expanded on Q at once."""
+    k = q.rows
+    merged: list[dict] = [{} for _ in blocks[0][0]]
     for polys, positions in blocks:
-        q_b = RatMatrix._raw(len(positions), q.cols, [x for r in positions for x in rows[r]])
-        sums = [s + substitute_linear(g, q_b) for s, g in zip(sums, polys)]
-    return sums
+        for terms, g in zip(merged, polys):
+            for mono, c in embed(g, positions, k)._terms.items():
+                s = terms.get(mono, 0) + c
+                if s:
+                    terms[mono] = normalize(s)
+                else:
+                    del terms[mono]
+    return substitute_linear([Polynomial._raw(k, terms) for terms in merged], q)
 
 
 def _tree_product(node: DecompositionNode) -> RatMatrix:

@@ -18,7 +18,9 @@ A linear change of variables p(M y), most of a decomposition's arithmetic,
 bypasses ``Polynomial`` products: it multiplies monomials packed into ints
 in base deg p + 1, takes one linear factor from every term per round and
 sums the partial terms that then agree (sum factorization), all over one
-common denominator (see ``substitute_linear``).
+common denominator.  Several polynomials share one such expansion as the
+signed digits of one integer, and column blocks of M are expanded each on
+its own columns (see ``substitute_linear``).
 
 Term iteration exposed to callers is always graded-lexicographic: higher
 total degree first, ties broken by the exponent vector with the first
@@ -34,7 +36,7 @@ from math import lcm
 
 from ._rat import Rat, normalize, rat_str, to_rat
 from .errors import DimensionMismatch, ParseError
-from .ratlinalg import RatMatrix, _cleared
+from .ratlinalg import RatMatrix, _cleared, _ratio
 
 Monomial = tuple  # tuple[int, ...], one exponent per variable
 
@@ -355,71 +357,105 @@ def render_canonical(p: Polynomial, variables: Sequence[str]) -> str:
     return ("-" if pieces[0] == "-" else "") + " ".join(pieces[1:])
 
 
-def substitute_linear(p: Polynomial, m: RatMatrix) -> Polynomial:
+def substitute_linear(
+    p: Polynomial | Sequence[Polynomial],
+    m: RatMatrix,
+    blocks: Sequence[tuple[int, int]] | None = None,
+):
     """Expand p(M y) for an n x k matrix M, as a polynomial in k variables y.
+
+    ``p`` may also be a sequence of polynomials in the same n variables, for
+    a list of results from one expansion.  With ``blocks``, column ranges
+    (start, stop) of M, a result is instead one polynomial per block in its
+    own variables, p(M_B y_B) - p(0) for block B's columns M_B, with p(0) in
+    the first block: no monomial that mixes blocks is formed.
 
     Each old variable i becomes the linear form row i of M, times the lcm
     d_i of its denominators, as an int form.  A monomial in y is packed into
-    the int sum_j e_j * B^j, B = deg p + 1: no exponent exceeds deg p, so
-    adding packed ints multiplies monomials with no carry.  Term c * x^e is
-    a partial term keyed by the x-factors it has left, e_i in the s-bit
-    field i with 2^s > deg p, and by its y-monomial, with an int coefficient
-    over the common denominator L of all den(c) * prod d_i^e_i.  Each round
-    multiplies every partial term by the form of its top field's variable,
-    and terms whose keys then agree are summed (sum factorization), until no
-    factor is left; each output coefficient is divided by L once (an int
-    when exact).
+    the int sum_j e_j * B^j, B = deg + 1: no exponent exceeds deg, so adding
+    packed ints multiplies monomials with no carry.  Term c * x^e is a
+    partial term keyed by the x-factors it has left, e_i in the s-bit field
+    i with 2^s > deg, and by its y-monomial, with an int coefficient over
+    the common denominator L of den(c) * prod d_i^e_i in its polynomial.
+    Several polynomials share one coefficient as signed digits t bits apart
+    (Kronecker substitution), t two bits past the largest sum of
+    |numerator| * prod |row i|_1^e_i, which bounds every output numerator.
+    Each round multiplies every partial term by the form of its top field's
+    variable, and terms whose keys then agree are summed (sum
+    factorization), until no factor is left; each output digit is divided
+    by its L once (an int when exact).
     """
-    if m.rows != p.n:
-        raise DimensionMismatch(
-            f"substitution matrix is {m.rows}x{m.cols}, ambient dimension is {p.n}"
-        )
-    k = m.cols
-    if not p._terms:
-        return Polynomial.zero(k)
-    degree = p.total_degree()
+    single = isinstance(p, Polynomial)
+    polys = [p] if single else list(p)
+    for f in polys:
+        if m.rows != f.n:
+            raise DimensionMismatch(
+                f"substitution matrix is {m.rows}x{m.cols}, ambient dimension is {f.n}"
+            )
+    degree = max((f.total_degree() for f in polys), default=0)
     base = degree + 1
     width = degree.bit_length()
-    dens = []
-    forms = []
-    for i in range(p.n):
-        row, d = _cleared(m.row(i))
-        dens.append(d)
-        forms.append([(base**j, v) for j, v in enumerate(row) if v])
-    terms = []  # (x-factors left, numerator, denominator) per term of p
-    for mono, c in p._terms.items():
-        num, d = (c.numerator, c.denominator) if type(c) is Fraction else (c, 1)
-        left = 0
-        for i, e in enumerate(mono):
-            if e:
-                left |= e << (width * i)
-                d *= dens[i] ** e
-        terms.append((left, num, d))
-    common = lcm(*(d for _, _, d in terms))
-    # x-factors left -> {packed y-monomial: int}
-    level = {left: {0: num * (common // d)} for left, num, d in terms}
-    done = level.pop(0, {})
-    while level:
-        following = {0: done}
-        for left, ys in level.items():
-            i = (left.bit_length() - 1) // width
-            acc = following.setdefault(left - (1 << (width * i)), {})
-            for ky, vy in ys.items():
-                for kf, vf in forms[i]:
-                    key = ky + kf
-                    acc[key] = acc.get(key, 0) + vy * vf
-        done = following.pop(0)
-        level = following
-    out = {}
-    for key, v in done.items():
-        if not v:
-            continue
-        mono = []
-        for _ in range(k):
-            key, e = divmod(key, base)
-            mono.append(e)
-        out[tuple(mono)] = v // common if v % common == 0 else Fraction(v, common)
-    return Polynomial._raw(k, out)
+    rows, dens = zip(*(_cleared(m.row(i)) for i in range(m.rows)))
+    norms = [sum(map(abs, row)) for row in rows] if len(polys) > 1 else None
+    commons, numerators, shift = [], [], 0
+    for f in polys:
+        terms = []  # (x-factors left, numerator, denominator, prod |row i|_1^e_i)
+        for mono, c in f._terms.items():
+            num, d = (c.numerator, c.denominator) if type(c) is Fraction else (c, 1)
+            left, norm = 0, 1
+            for i, e in enumerate(mono):
+                if e:
+                    left |= e << (width * i)
+                    d *= dens[i] ** e
+                    if norms:
+                        norm *= norms[i] ** e
+            terms.append((left, num, d, norm))
+        common = lcm(*(d for _, _, d, _ in terms))
+        terms = [(left, num * (common // d), norm) for left, num, d, norm in terms]
+        if norms:
+            shift = max(shift, sum(abs(a) * norm for _, a, norm in terms).bit_length() + 2)
+        commons.append(common)
+        numerators.append(terms)
+    packed: dict = {}  # x-factors left -> the polynomials' numerators as digits
+    for t, terms in enumerate(numerators):
+        for left, a, _ in terms:
+            packed[left] = packed.get(left, 0) + (a << (shift * t))
+    constant = packed.pop(0, 0)
+    mask, half = (1 << shift) - 1, (1 << shift) >> 1
+    results: list[list[Polynomial]] = [[] for _ in polys]
+    for b, (start, stop) in enumerate([(0, m.cols)] if blocks is None else blocks):
+        forms = [[(base**j, v) for j, v in enumerate(row[start:stop]) if v] for row in rows]
+        # x-factors left -> {packed y-monomial: packed numerators}
+        level = {left: {0: v} for left, v in packed.items()}
+        done = {0: constant} if constant and b == 0 else {}
+        while level:
+            following = {0: done}
+            for left, ys in level.items():
+                i = (left.bit_length() - 1) // width
+                acc = following.setdefault(left - (1 << (width * i)), {})
+                for ky, vy in ys.items():
+                    for kf, vf in forms[i]:
+                        key = ky + kf
+                        acc[key] = acc.get(key, 0) + vy * vf
+            done = following.pop(0)
+            level = following
+        outs: list[dict] = [{} for _ in polys]
+        for key, v in done.items():
+            mono = []
+            for _ in range(stop - start):
+                key, e = divmod(key, base)
+                mono.append(e)
+            mono = tuple(mono)
+            for t, common in enumerate(commons):  # signed digits, lowest first
+                digit = ((v + half) & mask) - half if t < len(commons) - 1 else v
+                v = (v - digit) >> shift
+                if digit:
+                    outs[t][mono] = _ratio(digit, common)
+        for out, result in zip(outs, results):
+            result.append(Polynomial._raw(stop - start, out))
+    if blocks is None:
+        results = [result[0] for result in results]
+    return results[0] if single else results
 
 
 def embed(p: Polynomial, positions: Sequence[int], n: int) -> Polynomial:

@@ -11,10 +11,13 @@ for those the center solve reads off the terms, and
 from them, the reference for the sparse rows the center solve builds;
 ``reconstruction_by_full_expansion`` is the forward form of the identity
 ``verify_decomposition`` checks, f_i(P*y) expanded in all variables
-against the embedded leaves; ``find_idempotents_by_matrices``
-is the second route to ``find_idempotents``, the same spectral search on
-n x n matrices; ``jordan_product`` and ``rank_profile`` state algebraic
-facts the tests check; ``row_space_basis`` is a span's reduced echelon
+against the embedded leaves; ``substitute_one`` expands one polynomial
+with no packed digits and no blocks, the reference for the packed
+expansion of several polynomials and blocks in ``substitute_linear``;
+``find_idempotents_by_matrices`` is the second route to
+``find_idempotents``, the same spectral search on n x n matrices;
+``jordan_product`` and ``rank_profile`` state algebraic facts the tests
+check; ``row_space_basis`` is a span's reduced echelon
 basis and ``kernel_basis`` the canonical basis of a kernel, both from
 sympy, the references for the fraction-free elimination
 ``ratlinalg._bareiss`` and the center's lifted kernels, and
@@ -198,6 +201,62 @@ def separate_by_full_expansion(
             [Polynomial(hi - lo, bucket) for (lo, hi), bucket in zip(blocks, buckets)]
         )
     return out
+
+
+def substitute_one(p: Polynomial, m: RatMatrix) -> Polynomial:
+    """p(M y) for one polynomial by sum factorization with no packed
+    digits: partial terms keyed by the x-factors they have left and their
+    packed y-monomial, int coefficients over one common denominator."""
+    if m.rows != p.n:
+        raise DimensionMismatch(
+            f"substitution matrix is {m.rows}x{m.cols}, ambient dimension is {p.n}"
+        )
+    k = m.cols
+    if not p._terms:
+        return Polynomial.zero(k)
+    degree = p.total_degree()
+    base = degree + 1
+    width = degree.bit_length()
+    dens = []
+    forms = []
+    for i in range(p.n):
+        row, d = _cleared(m.row(i))
+        dens.append(d)
+        forms.append([(base**j, v) for j, v in enumerate(row) if v])
+    terms = []  # (x-factors left, numerator, denominator) per term of p
+    for mono, c in p._terms.items():
+        num, d = (c.numerator, c.denominator) if type(c) is Fraction else (c, 1)
+        left = 0
+        for i, e in enumerate(mono):
+            if e:
+                left |= e << (width * i)
+                d *= dens[i] ** e
+        terms.append((left, num, d))
+    common = lcm(*(d for _, _, d in terms))
+    # x-factors left -> {packed y-monomial: int}
+    level = {left: {0: num * (common // d)} for left, num, d in terms}
+    done = level.pop(0, {})
+    while level:
+        following = {0: done}
+        for left, ys in level.items():
+            i = (left.bit_length() - 1) // width
+            acc = following.setdefault(left - (1 << (width * i)), {})
+            for ky, vy in ys.items():
+                for kf, vf in forms[i]:
+                    key = ky + kf
+                    acc[key] = acc.get(key, 0) + vy * vf
+        done = following.pop(0)
+        level = following
+    out = {}
+    for key, v in done.items():
+        if not v:
+            continue
+        mono = []
+        for _ in range(k):
+            key, e = divmod(key, base)
+            mono.append(e)
+        out[tuple(mono)] = v // common if v % common == 0 else Fraction(v, common)
+    return Polynomial._raw(k, out)
 
 
 def reconstruction_by_full_expansion(

@@ -29,7 +29,7 @@ from polydecomp.cli import (
     result_from_document,
     result_to_document,
 )
-from polydecomp.ratlinalg import RatMatrix
+from polydecomp.ratlinalg import RatMatrix, invert
 
 
 # (u1 + u2)^3 + u2^3: two blocks of one variable, center dimension 2
@@ -287,6 +287,35 @@ def test_golden_documents_are_pinned(name, tmp_path):
     argv = ["decompose", "--input", str(problem), "--json", "--seed", "42", "--output", str(out)]
     assert main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", ["center", "decompose"])
+def test_json_is_encoded_while_emitting(command, pair_file, tmp_path, monkeypatch):
+    # the bench times writing a document as the spans of _emit, so the
+    # encoding belongs inside it; the document's bytes stay those of
+    # json.dumps with indent 2
+    import polydecomp.cli as cli
+
+    emit, dumps = cli._emit, json.dumps
+    inside, encoded = [], []
+
+    def emitting(*args):
+        inside.append(1)
+        try:
+            return emit(*args)
+        finally:
+            inside.pop()
+
+    def encoding(obj, **kwargs):
+        encoded.append((bool(inside), kwargs))
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(cli, "_emit", emitting)
+    monkeypatch.setattr(json, "dumps", encoding)
+    out = tmp_path / "doc.json"
+    assert main([command, "--input", pair_file, "--json", "--output", str(out)]) == 0
+    assert encoded == [(True, {"indent": 2})]
+    assert out.read_text() == dumps(json.loads(out.read_text()), indent=2) + "\n"
 
 
 def test_byte_order_mark_is_accepted(tmp_path, capsys):
@@ -707,7 +736,8 @@ class TestVerifyCommand:
     ):
         # the trio's joint center is scalar: the root is the one leaf and
         # P = I, so the leaf is the input and nothing needs expanding; any
-        # other P is expanded, and the leaf is not the input on it
+        # other P gets one expansion, the leaf on P^-1, which does not give
+        # back the input
         out_path = tmp_path / "result.json"
         main(["decompose", "--input", trio_file, "--json", "--output", str(out_path)])
         doc = json.loads(out_path.read_text())
@@ -716,22 +746,24 @@ class TestVerifyCommand:
         calls = []
         substitute = polydecomp.decompose.substitute_linear
 
-        def counting(f, m):
-            calls.append(1)
-            return substitute(f, m)
+        def recording(fs, m, blocks=None):
+            calls.append((list(fs), m, blocks))
+            return substitute(fs, m, blocks)
 
-        monkeypatch.setattr(polydecomp.decompose, "substitute_linear", counting)
+        monkeypatch.setattr(polydecomp.decompose, "substitute_linear", recording)
         capsys.readouterr()
         assert main(["verify", "--input", trio_file, "--result", str(out_path)]) == 0
         assert capsys.readouterr().out.startswith("PASS")
         assert calls == []
+        polys = read_problem(trio_file).parse()
         permutation = RatMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
         for p in (permutation, RatMatrix.identity(3).scale(2)):
             doc["P"] = matrix_to_json(p)
             out_path.write_text(json.dumps(doc))
             assert main(["verify", "--input", trio_file, "--result", str(out_path)]) == 1
             assert capsys.readouterr().out.startswith("FAIL: reconstruction mismatch")
-        assert calls
+            assert calls.pop() == (polys, invert(p), None)
+            assert calls == []
 
 
 class TestGenerateCommand:

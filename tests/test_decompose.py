@@ -21,6 +21,7 @@ from algebra_helpers import (
     reconstruction_by_full_expansion,
     same_span,
     separate_by_full_expansion,
+    substitute_one,
 )
 from conftest import (
     BIN_CUBIC_EPS,
@@ -54,12 +55,14 @@ from polydecomp import (
     verify_decomposition,
 )
 from polydecomp.decompose import (
+    _sum_on_inverse_rows,
     block_diagonal,
     block_ranges,
     change_of_variables,
     diagonal_idempotent_supports,
     separate,
 )
+from polydecomp.poly import embed
 from polydecomp.ratlinalg import _SparseSystem, column_space_basis, invert, vec
 
 
@@ -481,18 +484,20 @@ class TestVerifyDecomposition:
     def test_only_the_verifier_expands_in_all_variables(
         self, fourvar_pair, quartic_squares, monkeypatch
     ):
-        # the pipeline expands each input block on its own columns of P; the
-        # verifier expands each child's polynomials on its rows of the
-        # parent's inverse transform, so it never expands an input and never
-        # runs the pipeline's separate; the P the pipeline built is the
-        # tree's product, so the leaves are not expanded again on P^-1
+        # the pipeline makes one expansion per internal node: the node's
+        # polynomials on its transform, every block narrower than the node;
+        # the verifier makes one per internal node too: the sums of the
+        # children's polynomials on the inverse transform, in all the node's
+        # variables, so it never expands an input and never runs the
+        # pipeline's separate; the P the pipeline built is the tree's
+        # product, so the leaves are not expanded again on P^-1
         calls, separations = [], []
         substitute = polydecomp.decompose.substitute_linear
         separate = polydecomp.decompose.separate
 
-        def recording(f, m):
-            calls.append((f, m.rows, m.cols))
-            return substitute(f, m)
+        def recording(fs, m, blocks=None):
+            calls.append((list(fs), m, blocks))
+            return substitute(fs, m, blocks)
 
         def counting(*args):
             separations.append(1)
@@ -504,22 +509,85 @@ class TestVerifyDecomposition:
             calls.clear()
             separations.clear()
             result = decompose_recursive(fs, seed=42)
-            assert calls and all(cols < rows for _, rows, cols in calls)
-            assert separations
+            nodes = list(internal_nodes(result.tree))
+            assert len(nodes) == (1 if fs is fourvar_pair else 2)
+            assert len(separations) == len(calls) == len(nodes)
+            for node in nodes:
+                k = len(node.variable_indices)
+                sizes = [len(child.variable_indices) for child in node.children]
+                call = (list(node.polys), node.transform, block_ranges(sizes))
+                assert call in calls
+                assert all(size < k for size in sizes)
             calls.clear()
             separations.clear()
             assert verify_decomposition(fs, result)
             assert separations == []
-            assert not any(f == g for f, _, _ in calls for g in fs)
-            nodes = list(internal_nodes(result.tree))
-            blocks = [
-                (len(below.variable_indices), len(node.variable_indices))
-                for node in nodes
-                for below in node.children + tuple(node.leaves())
-            ]
-            assert all((rows, cols) in blocks for _, rows, cols in calls)
-            per_polynomial = sum(len(node.children) for node in nodes)
-            assert len(calls) == len(fs) * per_polynomial
+            assert len(calls) == len(nodes)
+            for polys, m, _ in calls:
+                # a sum equals an input only where the transform is I (the
+                # quartic's root), and it is still the children's sum
+                assert not any(f is g for f in polys for g in fs)
+                assert m.is_identity() or not any(f == g for f in polys for g in fs)
+            for node in nodes:
+                k = len(node.variable_indices)
+                ranges = block_ranges([len(child.variable_indices) for child in node.children])
+                placed = list(zip(node.children, ranges))
+                sums = [
+                    sum((embed(c.polys[i], range(*r), k) for c, r in placed), Polynomial.zero(k))
+                    for i in range(len(fs))
+                ]
+                assert (sums, invert(node.transform), None) in calls
+
+    def test_constant_outside_the_first_child_fails(self):
+        # f(0) belongs to the first child; a later child that carries it, or
+        # part of it, is refused before the sum, which would still hold
+        f = parse_polynomial("x^3 + y^3 + 1", ["x", "y"])
+        eps = (mat([[1, 0], [0, 0]]), mat([[0, 0], [0, 1]]))
+        p = RatMatrix.identity(2)
+        for first, second in (("t^3", "t^3 + 1"), ("t^3 + 1/2", "t^3 + 1/2")):
+            leaves = tuple(
+                DecompositionNode((b,), (parse_polynomial(text, ["t"]),), (), center_dim=1)
+                for b, text in enumerate((first, second))
+            )
+            root = DecompositionNode((0, 1), (f,), leaves, 2, eps, p)
+            assert _sum_on_inverse_rows([(c.polys, (b,)) for b, c in enumerate(leaves)], p) == [f]
+            report = verify_decomposition([f], DecompositionResult(p, root, True))
+            assert report.reason == "root: constant term outside the first block"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_sums_on_inverse_rows_add_every_block(self, data):
+        # each block's g_i on its rows of Q, summed over the blocks, against
+        # one expansion per block and polynomial; blocks take any positions
+        # and may all carry constants, which the merged sum adds
+        rows = data.draw(st.integers(1, 6))
+        cols = data.draw(st.integers(1, 6))
+        fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+        entries = st.one_of(st.integers(-3, 3), fractions)
+        q = RatMatrix.from_rows(
+            [data.draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(rows)]
+        )
+        positions = data.draw(st.permutations(range(rows)))
+        cuts = sorted(data.draw(st.sets(st.integers(1, rows - 1), max_size=3))) if rows > 1 else []
+        count = data.draw(st.integers(1, 3))
+        coeff = st.one_of(st.integers(-(1 << 100), 1 << 100), fractions)
+        blocks = []
+        for start, stop in zip([0, *cuts], [*cuts, rows]):
+            k = stop - start
+            monomial = st.tuples(*[st.integers(0, 3)] * k)
+            polys = []
+            for _ in range(count):
+                terms = data.draw(st.dictionaries(monomial, coeff, max_size=6))
+                polys.append(Polynomial(k, {(0,) * k: data.draw(coeff), **terms}))
+            blocks.append((polys, positions[start:stop]))
+        expected = []
+        for i in range(count):
+            total = Polynomial.zero(cols)
+            for polys, at in blocks:
+                q_b = RatMatrix.from_rows([q.row(r) for r in at])
+                total = total + substitute_one(polys[i], q_b)
+            expected.append(total)
+        assert _sum_on_inverse_rows(blocks, q) == expected
 
     def test_cross_term_fails_reconstruction(self):
         # separate never forms a cross term, so for idempotents that do not

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.rings import ring
 
-from algebra_helpers import hessian, parse_by_tokens, partial_derivative
+from algebra_helpers import hessian, parse_by_tokens, partial_derivative, substitute_one
 from conftest import (
     BIN_CUBIC_1,
     BIN_CUBIC_G1,
@@ -600,6 +600,94 @@ class TestSubstitutionOracle:
         assert got == Polynomial(2, {(2, 0): 1, (0, 2): 1})
         assert all(type(c) is int for _, c in got.terms())
         assert_matches_sympy(p, m)
+
+
+wide_integers = st.integers(-(1 << 200), 1 << 200)
+COEFFICIENTS = {
+    "small": st.integers(-9, 9),
+    "fraction": st.one_of(
+        small_rationals, st.builds(Fraction, wide_integers, st.integers(1, 1 << 64))
+    ),
+    "wide": wide_integers,
+    # every numerator of one sign: with a nonnegative M the outputs can
+    # reach the packing bound itself
+    "negative": st.integers(-(1 << 200), -1),
+}
+
+
+@st.composite
+def packed_cases(draw):
+    """1-4 polynomials in n = 1..6 variables of degree <= 5, some zero or
+    constant-only, an n x k M and 1-4 column blocks of it."""
+    n = draw(st.integers(1, 6))
+    degree = draw(st.integers(0, 5))
+    kind = draw(st.sampled_from(sorted(COEFFICIENTS)))
+    monomial = st.tuples(*[st.integers(0, degree)] * n).filter(lambda mono: sum(mono) <= degree)
+    polys = []
+    for _ in range(draw(st.integers(1, 4))):
+        shape = draw(st.sampled_from(["terms", "terms", "zero", "constant"]))
+        if shape == "zero":
+            polys.append(Polynomial.zero(n))
+        elif shape == "constant":
+            polys.append(Polynomial.constant(n, draw(COEFFICIENTS[kind].filter(bool))))
+        else:
+            terms = draw(st.dictionaries(monomial, COEFFICIENTS[kind], max_size=12))
+            polys.append(Polynomial(n, terms))
+    k = draw(st.integers(1, 6))
+    if kind == "negative":
+        entries = st.integers(0, 3)
+    else:
+        entries = st.one_of(st.integers(-3, 3), small_rationals)
+    rows = [draw(st.lists(entries, min_size=k, max_size=k)) for _ in range(n)]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))] = [0] * k
+    cuts = draw(st.sets(st.integers(1, k - 1), max_size=3)) if k > 1 else set()
+    stops = sorted(cuts) + [k]
+    return polys, RatMatrix.from_rows(rows), list(zip([0, *stops], stops))
+
+
+def term_types(polys):
+    return [{mono: type(c) for mono, c in f.terms()} for f in polys]
+
+
+class TestPackedExpansion:
+    @settings(max_examples=200, deadline=None)
+    @given(packed_cases())
+    def test_matches_one_expansion_per_polynomial_and_block(self, case):
+        # the oracle expands each polynomial on its own, and each block on
+        # its own columns; the packed kernel does them all in one pass
+        polys, m, blocks = case
+        expected = [substitute_one(f, m) for f in polys]
+        got = substitute_linear(polys, m)
+        assert got == expected and term_types(got) == term_types(expected)
+        assert substitute_linear(polys[0], m) == expected[0]
+        rows = [m.row(r) for r in range(m.rows)]
+        by_block = []
+        for f in polys:
+            pieces = []
+            for b, (start, stop) in enumerate(blocks):
+                columns = RatMatrix.from_rows([row[start:stop] for row in rows])
+                g = substitute_one(f, columns)
+                pieces.append(g if b == 0 else g - f.constant_term())
+            by_block.append(pieces)
+        got = substitute_linear(polys, m, blocks)
+        assert got == by_block
+        assert list(map(term_types, got)) == list(map(term_types, by_block))
+        assert substitute_linear(polys[0], m, blocks) == by_block[0]
+
+    def test_digits_at_the_bound(self):
+        # a single-entry M sends each term to one output term of the same
+        # size as the bound, so each digit is the bound itself, of either
+        # sign, beside a neighbour that borrows from it
+        for c in (-(1 << 200) - 1, (1 << 200) + 1, -3, 5):
+            polys = [
+                Polynomial(2, {(3, 0): c}),
+                Polynomial(2, {(0, 2): -c, (0, 0): c}),
+                Polynomial(2, {(1, 1): c}),
+            ]
+            m = mat([[3, 0], [0, 2]])
+            assert substitute_linear(polys, m) == [substitute_one(f, m) for f in polys]
+            assert substitute_linear(polys, m)[0] == Polynomial(2, {(3, 0): 27 * c})
 
 
 class TestRestrictEmbed:
