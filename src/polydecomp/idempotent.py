@@ -24,7 +24,8 @@ elimination of the Krylov vectors (``ratlinalg.minimal_polynomial``).  It
 splits the polynomial into pairwise-coprime factors over the rationals,
 and assembles the spectral projectors as polynomials in g via Bezout
 cofactors (Taylor expansions of 1/N for the powers of rational roots, which
-the Lagrange polynomials of simple roots are a case of), by Horner steps
+the Lagrange polynomials of simple roots are a case of; the projectors sum
+to 1, so the one rootless factor takes 1 minus the others), by Horner steps
 with L_g.  Each projector e is refined the same way inside its Peirce corner
 U_e(Z) = e*Z*e, U_e = 2 L_e^2 - L_e, until no rational split shows up.
 U_e projects onto the corner, so the corner's dimension is the trace
@@ -59,7 +60,7 @@ from operator import lshift, mul
 
 from ._rat import Record, divide
 from .center import CenterBasis
-from .errors import InternalInvariantViolation
+from .errors import DimensionMismatch, InternalInvariantViolation
 from .ratlinalg import (
     RatMatrix,
     UniPoly,
@@ -67,7 +68,6 @@ from .ratlinalg import (
     _cleared,
     _primitive_int_row,
     _ratio,
-    extended_gcd,
     minimal_polynomial,
     primary_coprime_factors,
 )
@@ -240,6 +240,8 @@ def find_idempotents(center: CenterBasis, seed: int = 42) -> IdempotentSet:
     if center.dim < 1:
         raise ValueError("center basis is empty")
     n = center.n
+    if any(x.rows != n or x.cols != n for x in center.basis):
+        raise DimensionMismatch("basis matrix does not match ambient dimension")
     if center.dim == 1:
         return IdempotentSet(n, (RatMatrix.identity(n),), (None,))
     z = _Coordinates(center)
@@ -280,10 +282,10 @@ def find_idempotents(center: CenterBasis, seed: int = 42) -> IdempotentSet:
             # the complement of the block).  Whatever is left of the block
             # after removing them is itself an idempotent.
             children = []
-            for mi in factors:
+            for mi, projector in zip(factors, _projectors(m, factors)):
                 if mi(0) == 0:
                     continue
-                poly, dp = _cleared(_projector(m, mi).coefficients())
+                poly, dp = _cleared(projector.coefficients())
                 acc = [0] * r
                 for c in reversed(poly):
                     acc = [x // z.scale + c * o for x, o in zip(_apply(a, acc), z.one)]
@@ -307,46 +309,45 @@ def find_idempotents(center: CenterBasis, seed: int = 42) -> IdempotentSet:
     return IdempotentSet(n, tuple(z.matrix(v, d) for v, d in final), tuple(corners))
 
 
-def _projector(m: UniPoly, mi: UniPoly) -> UniPoly:
-    """u*N_i of degree < deg m, for N_i = m / M_i and u*N_i + v*M_i = 1: its
-    value at g is the projector of the factor M_i, one of the primary
-    factors of m.
+def _projectors(m: UniPoly, factors: Sequence[UniPoly]) -> list[UniPoly]:
+    """u_i*N_i of degree < deg m for each factor M_i of m that
+    ``primary_coprime_factors`` returns, N_i = m / M_i and u_i*N_i + v_i*M_i
+    = 1: its value at g is the projector of M_i.
 
-    For M_i = (t - c)^k, c a rational root, u is 1/N_i to order k in t - c:
-    with N_i = sum_j b_j (t - c)^j (Taylor coefficients, by repeated
-    synthetic division), u = sum_(j<k) a_j (t - c)^j for a_0 = 1/b_0 and
-    a_j = -(b_1 a_(j-1) + ... + b_j a_0) / b_0, and no Euclid runs; k = 1
-    gives the Lagrange polynomial N_i / N_i(c).  u*N_i has degree < deg m,
-    and u is the Bezout cofactor modulo M_i, so this is the Euclid
-    projector.  A rootless factor takes u from the extended Euclid.
+    These are the CRT idempotents of degree < deg m, unique, so they sum to
+    exactly 1.  For M_i = (t - c)^k, c a rational root, u_i is 1/N_i to
+    order k in t - c: with N_i = sum_j b_j (t - c)^j (Taylor coefficients,
+    by repeated synthetic division), u_i = sum_(j<k) a_j (t - c)^j for
+    a_0 = 1/b_0 and a_j = -(b_1 a_(j-1) + ... + b_j a_0) / b_0; k = 1 gives
+    the Lagrange polynomial N_i / N_i(c).  The rootless factor, at most one
+    and always last, takes 1 minus the others' projectors, so no Euclid runs.
     """
-    ni = m // mi
-    k = mi.degree
-    c = -mi.coefficients()[0] if k == 1 else divide(-mi.coefficients()[k - 1], k)
-    if k > 1 and mi(c) != 0:
-        gcd_poly, cofactor, _ = extended_gcd(ni, mi)
-        if gcd_poly != UniPoly.one():
+    out: list[UniPoly] = []
+    for mi in factors:
+        k = mi.degree
+        c = divide(-mi.coefficients()[k - 1], k)
+        if mi(c) != 0:
+            out.append(UniPoly.one() - sum(out, UniPoly.zero()))
+            continue
+        ni = m // mi
+        b, coeffs = [], ni.coefficients()
+        for _ in range(k):
+            acc, quotient = 0, []
+            for x in reversed(coeffs):
+                acc = acc * c + x
+                quotient.append(acc)
+            b.append(quotient.pop() if quotient else 0)
+            coeffs = quotient[::-1]
+        if b[0] == 0:
             raise InternalInvariantViolation("factors are not pairwise coprime")
-        return (cofactor * ni) % m
-    b, coeffs = [], ni.coefficients()
-    for _ in range(k):
-        acc, quotient = 0, []
-        for x in reversed(coeffs):
-            acc = acc * c + x
-            quotient.append(acc)
-        b.append(quotient.pop() if quotient else 0)
-        coeffs = quotient[::-1]
-    if b[0] == 0:
-        raise InternalInvariantViolation("factors are not pairwise coprime")
-    a = [divide(1, b[0])]
-    if k == 1:
-        return ni * a[0]
-    for j in range(1, k):
-        a.append(divide(-sum(b[i] * a[j - i] for i in range(1, j + 1)), b[0]))
-    u, shift = UniPoly([a[-1]]), UniPoly.linear_root(c)
-    for x in reversed(a[:-1]):
-        u = u * shift + UniPoly([x])
-    return u * ni
+        a = [divide(1, b[0])]
+        for j in range(1, k):
+            a.append(divide(-sum(b[i] * a[j - i] for i in range(1, j + 1)), b[0]))
+        u, shift = UniPoly([a[-1]]), UniPoly.linear_root(c)
+        for x in reversed(a[:-1]):
+            u = u * shift + UniPoly([x])
+        out.append(u * ni)
+    return out
 
 
 def _assert_internally_valid(z: _Coordinates, final: list) -> None:

@@ -365,10 +365,10 @@ def substitute_linear(
     """Expand p(M y) for an n x k matrix M, as a polynomial in k variables y.
 
     ``p`` may also be a sequence of polynomials in the same n variables, for
-    a list of results from one expansion.  With ``blocks``, column ranges
-    (start, stop) of M, a result is instead one polynomial per block in its
-    own variables, p(M_B y_B) - p(0) for block B's columns M_B, with p(0) in
-    the first block: no monomial that mixes blocks is formed.
+    a list of results from one expansion.  With ``blocks``, one or more
+    column ranges (start, stop) of M, a result is instead one polynomial per
+    block in its own variables, p(M_B y_B) - p(0) for block B's columns M_B,
+    with p(0) in the first block: no monomial that mixes blocks is formed.
 
     Each old variable i becomes the linear form row i of M, times the lcm
     d_i of its denominators, as an int form.  A monomial in y is packed into
@@ -392,6 +392,8 @@ def substitute_linear(
             raise DimensionMismatch(
                 f"substitution matrix is {m.rows}x{m.cols}, ambient dimension is {f.n}"
             )
+    if blocks is not None and not (blocks and all(0 <= a < b <= m.cols for a, b in blocks)):
+        raise ValueError(f"blocks must be one or more column ranges 0 <= start < stop <= {m.cols}")
     degree = max((f.total_degree() for f in polys), default=0)
     base = degree + 1
     width = degree.bit_length()

@@ -20,10 +20,10 @@ pieces kept here: the primes, Wang's rational reconstruction and the CRT
 step; it accepts a lift only once its own exact membership test passes
 (see ``center``), so no modular result here needs a certificate of its own.
 
-The module also provides the univariate polynomial machinery (gcd, Bezout
-cofactors, squarefree part, primary factors: (t - r)^k per rational root r
-by exact division, then one rootless remainder) that the idempotent search
-uses to cut a center algebra into spectral pieces.
+The module also provides the univariate polynomial machinery (gcd,
+squarefree part, primary factors: (t - r)^k per rational root r by exact
+division, then one rootless remainder) that the idempotent search uses to
+cut a center algebra into spectral pieces.
 Rational roots are found modularly as well, in time polynomial in the size
 of the input: the squarefree part is turned into a monic integer polynomial
 g, whose roots modulo the smallest prime that keeps them all simple are
@@ -596,25 +596,6 @@ def unipoly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     while not b.is_zero():
         a, b = b, a % b
     return a.monic()
-
-
-def extended_gcd(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
-    """Monic gcd g with cofactors (g, u, v) satisfying u*a + v*b = g."""
-    if a.is_zero() and b.is_zero():
-        raise ValueError("gcd of two zero polynomials")
-    r0, r1 = a, b
-    s0, s1 = UniPoly.one(), UniPoly.zero()
-    t0, t1 = UniPoly.zero(), UniPoly.one()
-    while not r1.is_zero():
-        q, rem = divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    lead = r0.leading
-    if lead != 1:
-        inv = divide(1, lead)
-        r0, s0, t0 = r0 * inv, s0 * inv, t0 * inv
-    return r0, s0, t0
 
 
 def squarefree_part(m: UniPoly) -> UniPoly:

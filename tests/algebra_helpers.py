@@ -25,13 +25,13 @@ sympy, the references for the fraction-free elimination
 search does; ``in_span``, ``same_span`` and ``center_contains`` compare
 spans by echelon forms, ``at_matrix`` evaluates a polynomial at a matrix,
 ``matrix_rows`` lists a matrix's rows and ``unvec`` builds a matrix from
-its row-major entries.  Three are the plain kernels
+its row-major entries.  Five are the plain kernels
 behind faster library ones: ``members_by_matrix`` tests membership
 with one product per coefficient matrix, the reference for the packed
 product of ``_all_members``; ``wang_reconstruct`` runs Wang's Euclid on every
 entry, the reference for ``_reconstruct``; ``bezout_projector`` takes the
-projector polynomial from the extended Euclid, the reference for the
-Taylor and Lagrange projectors of ``_projector``;
+projector polynomial from the extended Euclid (``extended_gcd``), the
+reference for the Taylor projectors and the complement of ``_projectors``;
 ``krylov_minimal_polynomial`` stacks the Fraction Krylov powers and takes
 sympy's kernel of them, the reference for the fraction-free
 ``minimal_polynomial``; ``jordan_table_by_products`` forms every Jordan
@@ -75,14 +75,13 @@ from polydecomp import (
     membership_check,
     substitute_linear,
 )
-from polydecomp._rat import Rat, normalize
+from polydecomp._rat import Rat, divide, normalize
 from polydecomp.idempotent import COEFF_RANGE, MAX_TRIES
 from polydecomp.poly import embed, validate_variable_names
 from polydecomp.ratlinalg import (
     UniPoly,
     _cleared,
     _primitive_int_row,
-    extended_gcd,
     primary_coprime_factors,
     vec,
 )
@@ -377,6 +376,25 @@ def wang_reconstruct(residues: dict, modulus: int) -> dict | None:
             out[j] = normalize(Fraction(r1, s1)) if s1 != 1 else r1
         form[c] = out
     return form
+
+
+def extended_gcd(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
+    """Monic gcd g with cofactors (g, u, v) satisfying u*a + v*b = g."""
+    if a.is_zero() and b.is_zero():
+        raise ValueError("gcd of two zero polynomials")
+    r0, r1 = a, b
+    s0, s1 = UniPoly.one(), UniPoly.zero()
+    t0, t1 = UniPoly.zero(), UniPoly.one()
+    while not r1.is_zero():
+        q, rem = divmod(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    lead = r0.leading
+    if lead != 1:
+        inv = divide(1, lead)
+        r0, s0, t0 = r0 * inv, s0 * inv, t0 * inv
+    return r0, s0, t0
 
 
 def bezout_projector(m: UniPoly, mi: UniPoly) -> UniPoly:

@@ -1,5 +1,7 @@
 """Shared fixtures: golden polynomial sets with known decompositions."""
 
+import importlib.util
+import os
 import random
 import sys
 from fractions import Fraction
@@ -225,3 +227,15 @@ def mixed_by_big_entry():
     h = generate(0, 4, 1, [2, 2], 3).unmixed[0]
     mix = mat([[1, 0, 2**40 + 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     return [substitute_linear(h, mix)]
+
+
+def bench_workloads():
+    """perfbench/workloads.py, read, not changed: the benchmark's planted
+    problems, generated from a seed."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    return workloads

@@ -18,6 +18,7 @@ from conftest import (
     TRIO_1,
     TRIO_2,
     TRIO_3,
+    bench_workloads,
 )
 from polydecomp import center_basis
 from polydecomp.cli import (
@@ -287,6 +288,29 @@ def test_golden_documents_are_pinned(name, tmp_path):
     argv = ["decompose", "--input", str(problem), "--json", "--seed", "42", "--output", str(out)]
     assert main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# SHA-256 over the `decompose --json` documents of seed-1 problems 0-29 of
+# each benchmark workload, concatenated in problem order: every change that
+# keeps the results keeps these
+WORKLOAD_DOCUMENTS = {
+    "scalar_center": "c9602c35b721dad9030429833c84e77bfecee699abfd33e24c92067c78fe3dac",
+    "few_blocks": "cff7a04fdd4da2be6440bff8e138ddc36164cf7071523f57a6e1638aaf89128a",
+    "many_blocks": "86ff7dc6962c923df8ccdcb3ba5c7465c7c2957b67c7549a34d018ad733df105",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_DOCUMENTS))
+def test_workload_documents_are_pinned(workload, tmp_path):
+    # the problems as the bench writes them, solved with its worker's argv
+    workloads = bench_workloads()
+    problem, out = tmp_path / "problem.txt", tmp_path / "result.json"
+    digest = hashlib.sha256()
+    for pid in range(30):
+        problem.write_text(workloads.make_problem(workload, 1, pid).text())
+        assert main(["decompose", "--input", str(problem), "--json", "--output", str(out)]) == 0
+        digest.update(out.read_bytes())
+    assert digest.hexdigest() == WORKLOAD_DOCUMENTS[workload]
 
 
 @pytest.mark.parametrize("command", ["center", "decompose"])

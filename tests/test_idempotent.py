@@ -4,7 +4,7 @@ from fractions import Fraction
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polydecomp.decompose
@@ -22,6 +22,7 @@ from algebra_helpers import (
 from conftest import BIN_CUBIC_EPS, FOURVAR_EPS, TRIO_3_EPS, mat, planted_suite
 from polydecomp import (
     CenterBasis,
+    DimensionMismatch,
     IdempotentSet,
     InternalInvariantViolation,
     Polynomial,
@@ -33,7 +34,7 @@ from polydecomp import (
     membership_check,
     parse_polynomial,
 )
-from polydecomp.idempotent import _apply, _Coordinates, _jordan_table, _projector
+from polydecomp.idempotent import _apply, _Coordinates, _jordan_table, _projectors
 from polydecomp.ratlinalg import UniPoly, _bareiss, primary_coprime_factors, vec
 
 QUADRATIC_FORMS = ["x^2 + 4*x*y + y^2 + 3*y*z + z^2", "x^2 + 2*y^2 + 3*z^2 + x*y"]
@@ -95,6 +96,18 @@ class TestFindIdempotents:
         a = mat([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
         with pytest.raises(InternalInvariantViolation, match="not closed"):
             find_idempotents(CenterBasis(3, (RatMatrix.identity(3), a)))
+
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            (RatMatrix.identity(3),),  # dimension 1, answered before any solve
+            (RatMatrix.identity(3), mat([[1, 0, 0], [0, 0, 0], [0, 0, 0]])),
+            (RatMatrix.identity(2), mat([[1, 0, 0], [0, 0, 0]])),
+        ],
+    )
+    def test_basis_of_another_size_is_refused(self, basis):
+        with pytest.raises(DimensionMismatch, match="ambient dimension"):
+            find_idempotents(CenterBasis(2, basis))
 
 
 class TestMatchesMatrixSearch:
@@ -239,7 +252,8 @@ roots = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 9))
 
 
 class TestProjectors:
-    """Lagrange projectors for simple rational roots against the Bezout ones."""
+    """Every factor's projector, the rootless one's complement included,
+    against the extended Euclid's."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -247,6 +261,10 @@ class TestProjectors:
         st.lists(st.tuples(roots, st.integers(1, 3)), max_size=2),
         st.sampled_from([None, UniPoly([2, 0, 1]), UniPoly([-3, 1, 1])]),
     )
+    # the root 0's projector is part of the rootless factor's complement
+    @example([0, 1], [], UniPoly([2, 0, 1]))
+    @example([Fraction(1, 2), 4], [(0, 2)], UniPoly([-3, 1, 1]))
+    @example([5, -3], [(7, 1)], UniPoly([2, 0, 1]))
     def test_match_the_extended_euclid(self, simple, repeated, rootless):
         m = UniPoly.one()
         for c in simple:
@@ -256,17 +274,21 @@ class TestProjectors:
                 m = m * UniPoly.linear_root(c) ** (k + 1)
         if rootless is not None:
             m = m * rootless
-        for mi in primary_coprime_factors(m):
-            projector = _projector(m, mi)
-            assert projector == bezout_projector(m, mi)
+        factors = primary_coprime_factors(m)
+        projectors = _projectors(m, factors)
+        assert len(projectors) == len(factors)
+        assert sum(projectors, UniPoly.zero()) == UniPoly.one()
+        for mi, projector in zip(factors, projectors):
+            reference = bezout_projector(m, mi)
+            assert projector == reference
             assert [type(x) for x in projector.coefficients()] == [
-                type(x) for x in bezout_projector(m, mi).coefficients()
+                type(x) for x in reference.coefficients()
             ]
 
     def test_common_root_is_refused(self):
         m = UniPoly.linear_root(2) ** 2 * UniPoly.linear_root(5)
         with pytest.raises(InternalInvariantViolation):
-            _projector(m, UniPoly.linear_root(2))
+            _projectors(m, [UniPoly.linear_root(2), UniPoly.linear_root(5)])
 
 
 class TestStructureConstants:

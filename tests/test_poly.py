@@ -689,6 +689,22 @@ class TestPackedExpansion:
             assert substitute_linear(polys, m) == [substitute_one(f, m) for f in polys]
             assert substitute_linear(polys, m)[0] == Polynomial(2, {(3, 0): 27 * c})
 
+    @pytest.mark.parametrize(
+        "blocks", [[(0, 5)], [(1, 1)], [(2, 1)], [(-1, 2)], [(0, 1), (1, 3)], []]
+    )
+    def test_blocks_outside_the_columns_are_refused(self, blocks):
+        # ranges past the last column, empty, reversed or negative, and no
+        # range at all, would name results in the wrong number of variables
+        # or drop the polynomial
+        f = parse_polynomial("x^2 + x*y + 3", ["x", "y"])
+        for p in (f, [f, f]):
+            with pytest.raises(ValueError, match="column ranges"):
+                substitute_linear(p, RatMatrix.identity(2), blocks)
+        assert substitute_linear(f, RatMatrix.identity(2), [(0, 1), (1, 2)]) == [
+            parse_polynomial("x^2 + 3", ["x"]),
+            Polynomial.zero(1),
+        ]
+
 
 class TestRestrictEmbed:
     def test_round_trip(self):

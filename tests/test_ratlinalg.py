@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import polydecomp.ratlinalg
 from algebra_helpers import (
     at_matrix,
+    extended_gcd,
     in_span,
     kernel_basis,
     krylov_minimal_polynomial,
@@ -40,7 +41,6 @@ from polydecomp.ratlinalg import (
     _reconstruct,
     _SparseSystem,
     column_space_basis,
-    extended_gcd,
     minimal_polynomial,
     nullspace_basis,
     primary_coprime_factors,
