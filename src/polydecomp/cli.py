@@ -155,6 +155,18 @@ def _field(data, key: str, kind: type, path: str, item: type | None = None):
     return value
 
 
+def _parsed(texts: Sequence[str], names: Sequence[str], path: str) -> tuple[Polynomial, ...]:
+    """The polynomials of ``texts`` over ``names``; one that does not parse
+    raises DocumentError naming it as ``path[k]``."""
+    out = []
+    for k, text in enumerate(texts):
+        try:
+            out.append(parse_polynomial(text, names))
+        except ParseError as exc:
+            raise DocumentError(f"{path}[{k}]: {exc}") from None
+    return tuple(out)
+
+
 def _node_var_names(node_indices: Sequence[int], root_vars: Sequence[str], is_root: bool):
     if is_root:
         return list(root_vars)
@@ -179,8 +191,10 @@ def _node_to_json(node: DecompositionNode, root_vars, is_root: bool = False) -> 
 
 def _node_from_json(data: dict, root_vars, path: str, is_root: bool = False) -> DecompositionNode:
     indices = tuple(_field(data, "indices", list, path, int))
+    if not indices or min(indices) < 0 or len(set(indices)) < len(indices):
+        raise DocumentError(f"{path}.indices: expected distinct nonnegative ints, at least one")
     names = _node_var_names(indices, root_vars, is_root)
-    polys = tuple(parse_polynomial(s, names) for s in _field(data, "polys", list, path, str))
+    polys = _parsed(_field(data, "polys", list, path, str), names, f"{path}.polys")
     idems = _field(data, "idempotents", object, path)
     transform = _field(data, "transform", object, path)
     return DecompositionNode(
@@ -227,6 +241,10 @@ def result_from_document(doc: dict) -> tuple[ProblemFile, DecompositionResult]:
     if _field(doc, "version", int, "") != SCHEMA_VERSION:
         raise DocumentError(f"version: expected {SCHEMA_VERSION}, got {doc['version']}")
     names = tuple(_field(doc, "vars", list, "", str))
+    try:
+        validate_variable_names(names)
+    except ValueError as exc:
+        raise DocumentError(f"vars: {exc}") from None
     problem = ProblemFile(names, tuple(_field(doc, "inputs", list, "", str)))
     tree = _node_from_json(_field(doc, "tree", dict, ""), problem.vars, "tree", is_root=True)
     center = CenterBasis(
@@ -393,7 +411,7 @@ def cmd_verify(args) -> int:
     if stored_problem.vars != problem.vars:
         print("FAIL: variable names differ from the problem file")
         return 1
-    if stored_problem.parse() != polys:
+    if _parsed(stored_problem.sources, stored_problem.vars, "inputs") != tuple(polys):
         print("FAIL: inputs: not the problem file's polynomials")
         return 1
     report = verify_decomposition(polys, result)

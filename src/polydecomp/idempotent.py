@@ -15,19 +15,22 @@ equal entries (``_jordan_table``).
 Elements are integer vectors over one denominator and each product
 operator L_x an integer r x r matrix.
 
-The search never solves e^2 = e directly.  It draws a random element g,
-takes its minimal polynomial (the Krylov annihilator of the unit under L_g;
-Jordan algebras are power associative, so these are the matrix powers): g
-is an integer matrix, so the Krylov vectors are integers and the
-polynomial is monic with integer coefficients, read off the fraction-free
-elimination of the Krylov vectors (``ratlinalg.minimal_polynomial``).  It
-splits the polynomial into pairwise-coprime factors over the rationals,
-and assembles the spectral projectors as polynomials in g via Bezout
-cofactors (Taylor expansions of 1/N for the powers of rational roots, which
-the Lagrange polynomials of simple roots are a case of; the projectors sum
-to 1, so the one rootless factor takes 1 minus the others), by Horner steps
-with L_g.  Each projector e is refined the same way inside its Peirce corner
-U_e(Z) = e*Z*e, U_e = 2 L_e^2 - L_e, until no rational split shows up.
+The search never solves e^2 = e directly.  It draws a random element g and
+forms its powers 1, g, ..., g^r once, as the Krylov vectors of the unit
+under L_g (Jordan algebras are power associative, so these are the matrix
+powers): g is an integer matrix, so the powers are integers.  Its minimal
+polynomial is their first dependency, monic with integer coefficients,
+read off one fraction-free elimination of them
+(``ratlinalg.minimal_polynomial``).  The search splits the polynomial into
+pairwise-coprime factors over the rationals and assembles the spectral
+projectors as polynomials in g via Bezout cofactors (Taylor expansions of
+1/N for the powers of rational roots, which the Lagrange polynomials of
+simple roots are a case of; the projectors sum to 1, so the one rootless
+factor takes 1 minus the others).  Each has degree below that of the
+minimal polynomial, so its value at g is a combination of the powers
+already formed.  Each projector e is refined the same way inside its Peirce
+corner U_e(Z) = e*Z*e, U_e = 2 L_e^2 - L_e, until no rational split shows
+up.
 U_e projects onto the corner, so the corner's dimension is the trace
 of U_e, read off the diagonal of L_e^2; a one-dimensional corner holds only
 multiples of e, which is then final, and no basis of it is built.  A
@@ -40,7 +43,8 @@ e_i o e_j = 0 (for idempotents this forces e_i*e_j = 0) and sum = 1 are
 checked in coordinates; only the returned idempotents become matrices.
 
 A center of dimension 1 contains only the trivial idempotents, so {I} is
-returned immediately and constitutes a certificate of indecomposability.
+returned as soon as the elimination of the given basis has rank 1, and
+constitutes a certificate of indecomposability.
 For larger centers a failure to split after ``MAX_TRIES`` draws is a Monte
 Carlo answer, not a proof.  A caller that recurses on a block gets no larger
 algebra, since the block's own center is the corner e*Z*e; what can recover
@@ -231,9 +235,10 @@ class _Coordinates:
 def find_idempotents(center: CenterBasis, seed: int = 42) -> IdempotentSet:
     """Complete orthogonal idempotent set of the center, deterministic in seed.
 
-    Returns {I} immediately when the center is one-dimensional.  Otherwise
-    each block found so far is refined by random spectral splitting inside
-    its own Peirce corner; a block whose corner stays unsplit for
+    Returns {I}, with corner None and no draw, when the basis spans a
+    one-dimensional center, its elements independent or not.  Otherwise each
+    block found so far is refined by random spectral splitting inside its
+    own Peirce corner; a block whose corner stays unsplit for
     ``MAX_TRIES`` draws is kept whole.  All returned sets are verified
     exactly before being handed back, each idempotent with its corner.
     """
@@ -242,11 +247,10 @@ def find_idempotents(center: CenterBasis, seed: int = 42) -> IdempotentSet:
     n = center.n
     if any(x.rows != n or x.cols != n for x in center.basis):
         raise DimensionMismatch("basis matrix does not match ambient dimension")
-    if center.dim == 1:
-        return IdempotentSet(n, (RatMatrix.identity(n),), (None,))
     z = _Coordinates(center)
     r = z.r
-    unit = RatMatrix._raw(r, 1, z.one)
+    if r == 1:
+        return IdempotentSet(n, (RatMatrix.identity(n),), (None,))
     draw_counter = itertools.count()
     final: list[tuple[list[int], int]] = []
     corners: list = []  # final[i]'s corner
@@ -268,12 +272,15 @@ def find_idempotents(center: CenterBasis, seed: int = 42) -> IdempotentSet:
             # so its rational roots are integer divisors of the constant term.
             g = _primitive_int_row([_dot(coeffs, col) for col in zip(*corner)])
             # the operator is scale * L_g; g and its powers have integer
-            # coordinates, their entries at the pivots, so dividing L_g of
-            # an integer polynomial in g by the scale is exact, in the
-            # Krylov steps of the minimal polynomial and the Horner steps
+            # coordinates, their entries at the pivots, so each power is
+            # the operator applied to the one before, divided exactly by
+            # the scale; the minimal polynomial and every projector are
+            # read off these r + 1 powers
             a = z.operator([g[p] for p in z.pivots])
-            operator = RatMatrix._raw(r, r, [x for row in a for x in row])
-            m = minimal_polynomial(operator, unit, z.scale)
+            powers = [z.one]
+            for _ in range(r):
+                powers.append([x // z.scale for x in _apply(a, powers[-1])])
+            m = minimal_polynomial(powers)
             factors = primary_coprime_factors(m)
             if len(factors) < 2:
                 continue
@@ -286,10 +293,7 @@ def find_idempotents(center: CenterBasis, seed: int = 42) -> IdempotentSet:
                 if mi(0) == 0:
                     continue
                 poly, dp = _cleared(projector.coefficients())
-                acc = [0] * r
-                for c in reversed(poly):
-                    acc = [x // z.scale + c * o for x, o in zip(_apply(a, acc), z.one)]
-                children.append(_reduced(acc, dp))
+                children.append(_reduced([_dot(poly, x) for x in zip(*powers)], dp))
             common = lcm(d, *(dc for _, dc in children))
             remainder = [x * (common // d) for x in v]
             for w, dc in children:

@@ -8,8 +8,8 @@ Gauss-Jordan over integer rows whose every division is exact (Bareiss;
 Nakos, Turner and Williams), so the rows it leaves are the reduced echelon
 form times the last pivot, with no prime, reconstruction or check.  Column
 spaces, inverses (the right half of [m | I]), minimal polynomials (the
-first dependent Krylov vector) and the idempotent search's bases are read
-off it.
+first dependency among a draw's integer powers, which the idempotent
+search forms) and the search's bases are read off it.
 
 Sparse kernels are found modulo a prime.  ``nullspace_basis`` inserts
 sparse integer rows one at a time into a reduced echelon form modulo a
@@ -748,48 +748,20 @@ def primary_coprime_factors(m: UniPoly) -> list[UniPoly]:
 # ---------------------------------------------------------------------------
 
 
-def minimal_polynomial(m: RatMatrix, start: RatMatrix | None = None, scale: int = 1) -> UniPoly:
-    """Least-degree monic p with p(m / scale) * start = 0, from the first
-    Krylov dependency.
+def minimal_polynomial(powers: Sequence[Sequence[int]]) -> UniPoly:
+    """The monic first dependency t^d - sum_(j<d) c_j t^j among integer
+    vectors x_0, x_1, ...: d is least with x_d = sum_(j<d) c_j x_j.
 
-    ``start`` defaults to the identity, where p is the minimal polynomial of
-    m / scale; a column v gives the annihilator of v, the minimal polynomial
-    of m / scale on the subspace that v generates.
-
-    The Krylov vectors are integers.  m / scale = M / s for an integer
-    matrix M; x_0 is start, flattened and scaled to primitive integers, and
-    x_(j+1) is M x_j, divided by s whenever that is exact (for a draw of the
-    idempotent search it always is).  All of x_0 ... x_n are built, as the
-    degree is at most n; with them as the columns, the first free column d
-    of the reduced echelon form E is the degree, and
-    x_d = sum_(j<d) E[j][d] x_j.  With e_j the number of steps up to x_j
-    that were not divided, x_j = s^(e_j) (m / scale)^j x_0, so p has the
-    coefficients -E[j][d] / s^(e_d - e_j).
+    On the Krylov vectors x_j = A^j x_0 it is the annihilator of x_0 under
+    A; the idempotent search passes the powers of a draw g, the unit and
+    g o ... o g in coordinates, and gets the minimal polynomial of g.  With
+    the vectors as the columns of one fraction-free elimination
+    (``_bareiss``), d is the first free column and c_j = E[j][d] / t, E
+    being the rows it leaves and t its last pivot.  Independent vectors
+    raise ValueError.
     """
-    if m.rows != m.cols:
-        raise DimensionMismatch("minimal polynomial needs a square matrix")
-    if start is not None and start.rows != m.cols:
-        raise DimensionMismatch("start does not match the matrix")
-    n = m.rows
-    ints, s = _cleared(m._e)
-    s *= scale
-    rows = [ints[i : i + n] for i in range(0, n * n, n)]
-    if start is None:
-        x = [int(i == c) for c in range(n) for i in range(n)]
-    else:
-        # column-major: each column of the power is one slice of n entries
-        x = _primitive_int_row([start.entry(i, c) for c in range(start.cols) for i in range(n)])
-    xs, lags = [x], [0]
-    for _ in range(n):
-        columns = [x[c : c + n] for c in range(0, len(x), n)]
-        x = [sum(map(mul, row, column)) for column in columns for row in rows]
-        if s == 1 or not any(a % s for a in x):
-            lags.append(lags[-1])
-            x = [a // s for a in x]
-        else:
-            lags.append(lags[-1] + 1)
-        xs.append(x)
-    pivots, reduced, t = _bareiss(list(zip(*xs)), n + 1)
-    d = len(pivots)
-    powers = [s ** (lags[d] - lag) for lag in lags]
-    return UniPoly([_ratio(-row[d], t * e) for row, e in zip(reduced[:d], powers)] + [1])
+    pivots, rows, t = _bareiss(list(zip(*powers)), len(powers))
+    d = next((j for j, c in enumerate(pivots) if c != j), len(pivots))
+    if d == len(powers):
+        raise ValueError("the vectors are independent")
+    return UniPoly([_ratio(-row[d], t) for row in rows[:d]] + [1])

@@ -36,6 +36,8 @@ from polydecomp.ratlinalg import RatMatrix, invert
 # (u1 + u2)^3 + u2^3: two blocks of one variable, center dimension 2
 SUM_OF_TWO_CUBES = "u1^3 + 3*u1^2*u2 + 3*u1*u2^2 + 2*u2^3"
 DROP = object()  # a tampering that deletes the key instead of setting it
+BAD_INDICES = "expected distinct nonnegative ints, at least one"
+BAD_EXPONENT = "exponent must be a non-negative integer literal"
 
 
 def _set_entry(doc, path, value):
@@ -614,6 +616,18 @@ class TestVerifyCommand:
             ),
             (("P", 0, 0), True, "P[0][0]: not an exact rational: True"),
             (("P", 0, 1), 0.1, "P[0][1]: not an exact rational: 0.1"),
+            (("vars",), [], "vars: at least one variable name is required"),
+            (("vars",), ["u1", "u1", "u3"], "vars: variable names must be distinct"),
+            (("vars",), ["1x", "u2"], "vars: invalid variable name '1x'"),
+            (("tree", "indices"), [], f"tree.indices: {BAD_INDICES}"),
+            (("tree", "children", 0, "indices"), [], f"tree.children[0].indices: {BAD_INDICES}"),
+            (("tree", "children", 1, "indices"), [-2], f"tree.children[1].indices: {BAD_INDICES}"),
+            (
+                ("tree", "children", 0, "polys", 0),
+                "y1^^3",
+                f"tree.children[0].polys[0]: {BAD_EXPONENT} (at position 3)",
+            ),
+            (("inputs", 1), "u1^^2", f"inputs[1]: {BAD_EXPONENT} (at position 3)"),
         ],
         ids=[
             "no-center_dim",
@@ -635,6 +649,14 @@ class TestVerifyCommand:
             "leaf-center_dim-and-indices-true",
             "P-entry-true",
             "P-entry-float",
+            "no-vars",
+            "repeated-var",
+            "invalid-var",
+            "empty-root-indices",
+            "empty-leaf-indices",
+            "negative-leaf-index",
+            "unparsable-leaf-poly",
+            "unparsable-input",
         ],
     )
     def test_malformed_document_is_named(self, pair_file, tmp_path, capsys, path, value, message):

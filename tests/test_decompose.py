@@ -3,8 +3,11 @@
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import random
+import subprocess
+import sys
 import time
 import types
 from fractions import Fraction
@@ -25,8 +28,11 @@ from algebra_helpers import (
 from conftest import (
     BIN_CUBIC_EPS,
     BIN_CUBIC_P,
+    FOURVAR_1,
+    FOURVAR_2,
     FOURVAR_EPS,
     FOURVAR_P,
+    FOURVAR_VARS,
     TRIO_3_EPS,
     TRIO_3_P,
     bench_workloads,
@@ -950,3 +956,37 @@ class TestTracedBindings:
             )
             assert system.rows == sum(1 for _ in rows)
             assert system.cols == n * n
+
+    def test_traced_run_reads_the_search(self, tmp_path):
+        # the bench wraps the library from outside, in a process of its own:
+        # an observer that cannot read a changed signature or result would
+        # show only as failed traced runs there
+        problem = tmp_path / "fourvar.txt"
+        problem.write_text(f"vars: {' '.join(FOURVAR_VARS)}\n{FOURVAR_1}\n{FOURVAR_2}\n")
+        spans = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(polydecomp.__file__)))
+        script = (
+            "import importlib.util, json, sys\n"
+            "import polydecomp.cli as cli\n"
+            "spec = importlib.util.spec_from_file_location('spans', sys.argv[1])\n"
+            "spans = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(spans)\n"
+            "tracer = spans.Tracer()\n"
+            "tracer.install()\n"
+            "rc = cli.main(['decompose', '--input', sys.argv[2], '--json', '--output', sys.argv[3]])\n"
+            "print(json.dumps([rc, spans.layer_metrics(tracer.export())]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, spans, str(problem), str(tmp_path / "out.json")],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        rc, metrics = json.loads(proc.stdout)
+        assert rc == 0
+        assert metrics["idempotent.draws"] >= 1
+        assert metrics["idempotent.split_draws"] >= 1
+        assert metrics["idempotent.minpoly_degree_max"] >= 2
+        assert metrics["ratlinalg.minpoly_s"] > 0

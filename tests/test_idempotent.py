@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polydecomp.decompose
+import polydecomp.idempotent
 from algebra_helpers import (
     bezout_projector,
     find_idempotents_by_matrices,
@@ -47,6 +48,19 @@ class TestFindIdempotents:
         idem = find_idempotents(center, seed=42)
         assert len(idem) == 1
         assert idem.eps[0].is_identity()
+
+    def test_dependent_basis_of_the_scalars_returns_identity(self, monkeypatch):
+        # I and 2I span only the scalars: rank 1 after elimination, so {I}
+        # at once, with no draw and no corner
+        calls = []
+        monkeypatch.setattr(
+            polydecomp.idempotent, "minimal_polynomial", lambda *args: calls.append(args)
+        )
+        identity = RatMatrix.identity(2)
+        idem = find_idempotents(CenterBasis(2, (identity, identity.scale(2))))
+        assert idem.eps == (identity,)
+        assert idem.corners == (None,)
+        assert calls == []
 
     def test_binary_cubic_pair_is_unique(self, bin_cubics):
         center = center_basis(bin_cubics)

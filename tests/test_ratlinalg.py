@@ -11,11 +11,13 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import polydecomp.idempotent
 import polydecomp.ratlinalg
 from algebra_helpers import (
     at_matrix,
     extended_gcd,
     in_span,
+    jordan_product,
     kernel_basis,
     krylov_minimal_polynomial,
     matrix_rows,
@@ -25,8 +27,8 @@ from algebra_helpers import (
     span_intersection,
     wang_reconstruct,
 )
-from conftest import mat
-from polydecomp import DimensionMismatch, RatMatrix, SingularMatrix, center_basis, invert
+from conftest import mat, planted_suite
+from polydecomp import RatMatrix, SingularMatrix, center_basis, decompose_recursive, invert
 from polydecomp._rat import normalize
 from polydecomp.idempotent import _Coordinates, _echelon_basis
 from polydecomp.ratlinalg import (
@@ -49,6 +51,22 @@ from polydecomp.ratlinalg import (
     unipoly_gcd,
     vec,
 )
+
+
+def integral(m):
+    """m times the least common denominator of its entries."""
+    return RatMatrix(m.rows, m.cols, _cleared(vec(m))[0])
+
+
+def krylov_vectors(m, start=None):
+    """The Krylov vectors x_j = m^j x_0, j = 0 ... n, of an integer n x n
+    matrix, flattened: x_0 is the start column, or the identity."""
+    power = RatMatrix.identity(m.rows) if start is None else start
+    vectors = [vec(power)]
+    for _ in range(m.rows):
+        power = m * power
+        vectors.append(vec(power))
+    return vectors
 
 
 def rand_matrix(rng, rows, cols, lo=-5, hi=5):
@@ -427,10 +445,11 @@ class TestEchelonOracle:
     @settings(max_examples=100, deadline=None)
     @given(square_matrices(largest=4))
     def test_minimal_polynomial(self, m):
-        mp = minimal_polynomial(m)
+        m = integral(m)
+        mp = minimal_polynomial(krylov_vectors(m))
         coeffs = mp.coefficients()
         assert coeffs[-1] == 1
-        assert all(type(c) is int or c.denominator > 1 for c in coeffs)
+        assert all(type(c) is int for c in coeffs)
         oracle = to_sympy(m)
         value = sympy.zeros(m.rows, m.rows)
         for c in reversed(coeffs):
@@ -442,11 +461,12 @@ class TestEchelonOracle:
     @settings(max_examples=100, deadline=None)
     @given(square_matrices(largest=4), st.data())
     def test_annihilator_of_a_start_column(self, m, data):
-        v = RatMatrix(m.rows, 1, data.draw(rational_lists(m.rows)))
-        p = minimal_polynomial(m, v)
+        m = integral(m)
+        v = integral(RatMatrix(m.rows, 1, data.draw(rational_lists(m.rows))))
+        p = minimal_polynomial(krylov_vectors(m, v))
         assert p.coefficients()[-1] == 1
         assert (at_matrix(p, m) * v).is_zero()
-        assert (minimal_polynomial(m) % p).is_zero()
+        assert (minimal_polynomial(krylov_vectors(m)) % p).is_zero()
         oracle, column = to_sympy(m), to_sympy(v)
         krylov = sympy.Matrix.hstack(*(oracle**k * column for k in range(m.rows + 1)))
         assert p.degree == krylov.rank()
@@ -460,7 +480,7 @@ class TestEchelonOracle:
         assert_same_typed(
             [tuple(row) for row in matrix_rows(invert(m))], sympy_rows(oracle.inv())
         )
-        assert minimal_polynomial(m) == UniPoly(
+        assert minimal_polynomial(krylov_vectors(m)) == UniPoly(
             list(map(from_sympy, reversed(oracle.charpoly().all_coeffs())))
         )
 
@@ -617,21 +637,21 @@ class TestColumnSpace:
 
 class TestMinimalPolynomial:
     def test_identity(self):
-        assert minimal_polynomial(RatMatrix.identity(3)) == UniPoly([-1, 1])
+        assert minimal_polynomial(krylov_vectors(RatMatrix.identity(3))) == UniPoly([-1, 1])
 
     def test_nontrivial_idempotent(self):
-        e = mat([[Fraction(1, 4), Fraction(1, 4)], [Fraction(3, 4), Fraction(3, 4)]])
-        assert minimal_polynomial(e) == UniPoly([0, -1, 1])  # t^2 - t
+        e = mat([[3, -1], [6, -2]])
+        assert minimal_polynomial(krylov_vectors(e)) == UniPoly([0, -1, 1])  # t^2 - t
 
     def test_distinct_diagonal(self):
         m = mat([[2, 0], [0, 3]])
-        assert minimal_polynomial(m) == UniPoly([6, -5, 1])  # (t-2)(t-3)
+        assert minimal_polynomial(krylov_vectors(m)) == UniPoly([6, -5, 1])  # (t-2)(t-3)
 
     def test_annihilates_and_is_minimal(self):
         rng = random.Random(19)
         for _ in range(10):
             m = rand_matrix(rng, 3, 3, -3, 3)
-            mp = minimal_polynomial(m)
+            mp = minimal_polynomial(krylov_vectors(m))
             assert at_matrix(mp, m).is_zero()
             # no proper monic divisor annihilates: drop one coprime factor
             for f in primary_coprime_factors(mp):
@@ -641,15 +661,19 @@ class TestMinimalPolynomial:
 
     def test_start_column_cases(self):
         m = mat([[2, 0, 0], [0, 3, 0], [0, 0, 3]])
-        assert minimal_polynomial(m, mat([[1], [0], [0]])) == UniPoly([-2, 1])
-        assert minimal_polynomial(m, mat([[1], [1], [0]])) == UniPoly([6, -5, 1])
-        assert minimal_polynomial(m, RatMatrix.zeros(3, 1)) == UniPoly.one()
-        with pytest.raises(DimensionMismatch):
-            minimal_polynomial(m, RatMatrix.zeros(2, 1))
+        assert minimal_polynomial(krylov_vectors(m, mat([[1], [0], [0]]))) == UniPoly([-2, 1])
+        assert minimal_polynomial(krylov_vectors(m, mat([[1], [1], [0]]))) == UniPoly([6, -5, 1])
+        assert minimal_polynomial(krylov_vectors(m, RatMatrix.zeros(3, 1))) == UniPoly.one()
+        # the first dependency, even where later vectors are independent
+        assert minimal_polynomial([(1, 0), (0, 0), (0, 1)]) == UniPoly([0, 1])
+        assert minimal_polynomial([(2, 4), (1, 2)]) == UniPoly([Fraction(-1, 2), 1])
+        # vectors with no dependency among them have no such polynomial
+        with pytest.raises(ValueError, match="independent"):
+            minimal_polynomial([(1, 0, 0), (0, 2, 0), (0, 0, 3)])
 
     def test_nilpotent(self):
         m = mat([[0, 1], [0, 0]])
-        assert minimal_polynomial(m) == UniPoly([0, 0, 1])  # t^2
+        assert minimal_polynomial(krylov_vectors(m)) == UniPoly([0, 0, 1])  # t^2
 
 
 class TestMinimalPolynomialKernelCalls:
@@ -670,8 +694,10 @@ class TestMinimalPolynomialKernelCalls:
         return asked
 
     def test_one_certified_solve(self, primes):
-        m = mat([[2, 1, 0], [0, 2, 0], [Fraction(1, 3), 0, 5]])
-        assert minimal_polynomial(m) == UniPoly([-20, 24, -9, 1])  # (t-2)^2 (t-5)
+        m = mat([[6, 3, 0], [0, 6, 0], [1, 0, 15]])
+        assert minimal_polynomial(krylov_vectors(m)) == UniPoly(
+            [-540, 216, -27, 1]
+        )  # (t-6)^2 (t-15)
         assert primes == []
 
     def test_dependent_only_modulo_the_first_kernel_prime(self, primes):
@@ -679,14 +705,16 @@ class TestMinimalPolynomialKernelCalls:
         # the rationals
         p = FIRST_PRIME
         m = mat([[1, 0], [0, 1 + p]])
-        assert minimal_polynomial(m) == UniPoly([1 + p, -(2 + p), 1])
+        assert minimal_polynomial(krylov_vectors(m)) == UniPoly([1 + p, -(2 + p), 1])
         assert primes == []
 
     def test_prime_in_a_denominator(self, primes):
+        # diag(1, 1 + 1/p) cleared of its denominator: the powers of
+        # diag(p, p + 1), divisible by p in every entry but one
         p = FIRST_PRIME
-        m = mat([[1, 0], [0, 1 + Fraction(1, p)]])
-        expected = UniPoly([1 + Fraction(1, p), -(2 + Fraction(1, p)), 1])
-        assert minimal_polynomial(m) == expected
+        m = integral(mat([[1, 0], [0, 1 + Fraction(1, p)]]))
+        expected = UniPoly([p * (p + 1), -(2 * p + 1), 1])
+        assert minimal_polynomial(krylov_vectors(m)) == expected
         assert primes == []
 
     def test_dense_echelon_forms_ask_for_no_prime(self, primes, fourvar_pair, bin_cubics):
@@ -695,7 +723,8 @@ class TestMinimalPolynomialKernelCalls:
         m = mat([[1 + FIRST_PRIME, 1, 0], [1, 1, 1], [2**70, 0, Fraction(1, 3)]])
         assert invert(m) * m == RatMatrix.identity(3)
         assert column_space_basis(m)[0] == [m.column(c) for c in range(3)]
-        assert minimal_polynomial(m, mat([[1], [0], [0]]), 3).degree == 3
+        start = mat([[1], [0], [0]])
+        assert minimal_polynomial(krylov_vectors(integral(m), start)).degree == 3
         assert invert(BIG) * BIG == RatMatrix.identity(3)
         assert primes == []
         for polys in (fourvar_pair, bin_cubics):
@@ -712,54 +741,76 @@ def assert_same_poly(p, expected):
 
 @st.composite
 def krylov_cases(draw):
-    """A square matrix, a start column (or None, the identity) and a scale."""
-    m = draw(square_matrices(largest=4))
+    """An integer square matrix and an integer start column (or None, the
+    identity)."""
+    m = integral(draw(square_matrices(largest=4)))
     start = None
     if draw(st.booleans()):
         entries = st.one_of(small_rationals, big_integers)
         start = RatMatrix(m.rows, 1, draw(st.lists(entries, min_size=m.rows, max_size=m.rows)))
-    return m, start, draw(st.sampled_from([1, 1, 2, 6, 2**61 + 1]))
+        start = integral(start)
+    return m, start
 
 
 class TestMinimalPolynomialReference:
-    """The integer CRT kernel against the Fraction Krylov stack."""
+    """The fraction-free elimination of the Krylov vectors against the
+    Fraction Krylov stack."""
 
     @settings(max_examples=150, deadline=None)
     @given(krylov_cases())
     def test_matches_the_fraction_krylov(self, case):
-        m, start, scale = case
-        expected = krylov_minimal_polynomial(m.scale(Fraction(1, scale)), start)
-        assert_same_poly(minimal_polynomial(m, start, scale), expected)
+        m, start = case
+        expected = krylov_minimal_polynomial(m, start)
+        assert_same_poly(minimal_polynomial(krylov_vectors(m, start)), expected)
 
-    @settings(max_examples=100, deadline=None)
-    @given(square_matrices(largest=5), st.integers(1, 10**30), st.data())
-    def test_exact_division_by_the_scale(self, g, scale, data):
-        # a draw's operator is scale * L_g with integer powers of g: every
-        # Krylov step divides by the scale exactly
-        g = RatMatrix(g.rows, g.cols, _primitive_int_row(vec(g)))
-        entries = st.lists(st.integers(-9, 9), min_size=g.rows, max_size=g.rows)
-        start = RatMatrix(g.rows, 1, data.draw(entries))
-        expected = krylov_minimal_polynomial(g, start)
-        assert_same_poly(minimal_polynomial(g.scale(scale), start, scale), expected)
-        assert all(type(c) is int for c in expected.coefficients())
+    def test_exact_division_by_the_scale(self, monkeypatch):
+        # a draw's operator is scale * L_g and its powers have integer
+        # coordinates: after the unit, each power the search hands over is
+        # g o (the power before), exactly, for g the draw, a primitive
+        # integer matrix; without the division by the scale they would be
+        # the powers of scale * g
+        draws = []
+        coordinates = []
+
+        class Recording(_Coordinates):
+            def __init__(self, center):
+                super().__init__(center)
+                coordinates.append(self)
+
+        def recording(powers):
+            draws.append((coordinates[-1], powers))
+            return minimal_polynomial(powers)
+
+        monkeypatch.setattr(polydecomp.idempotent, "_Coordinates", Recording)
+        monkeypatch.setattr(polydecomp.idempotent, "minimal_polynomial", recording)
+        for seed, instance in planted_suite():
+            decompose_recursive(instance.fs, seed=seed)
+        assert len(draws) >= 70  # 74 draws
+        for z, powers in draws:
+            assert len(powers) == z.r + 1
+            assert powers[0] == z.one
+            g = z.matrix(powers[1], 1)
+            assert gcd(*(x.numerator for x in vec(g))) == 1
+            assert all(x.denominator == 1 for x in vec(g))
+            for before, power in zip(powers, powers[1:]):
+                assert z.matrix(power, 1) == jordan_product(g, z.matrix(before, 1))
+            m = minimal_polynomial(powers)
+            assert m == krylov_minimal_polynomial(g)
+            assert all(type(c) is int for c in m.coefficients())
 
     def test_start_dependent_only_modulo_the_first_kernel_prime(self):
         # x_0 = e_1 and x_1 = (0, p) are dependent modulo p, not over the
         # rationals
         p = FIRST_PRIME
-        for scale in (1, 3):
-            m = mat([[0, 0], [scale * p, 0]])
-            start = mat([[1], [0]])
-            assert minimal_polynomial(m, start, scale) == UniPoly([0, 0, 1])
-        assert krylov_minimal_polynomial(mat([[0, 0], [p, 0]]), mat([[1], [0]])) == UniPoly(
-            [0, 0, 1]
-        )
+        m, start = mat([[0, 0], [p, 0]]), mat([[1], [0]])
+        assert minimal_polynomial(krylov_vectors(m, start)) == UniPoly([0, 0, 1])
+        assert krylov_minimal_polynomial(m, start) == UniPoly([0, 0, 1])
 
     def test_coefficients_past_one_prime(self):
         # (t - a)(t - b) with a*b near 2^200, past four 61-bit primes
         a, b = 2**100 + 7, -(3**63)
         m = mat([[a, 1], [0, b]])
-        assert minimal_polynomial(m) == UniPoly([a * b, -(a + b), 1])
+        assert minimal_polynomial(krylov_vectors(m)) == UniPoly([a * b, -(a + b), 1])
 
 
 def integer_rows(m):
