@@ -6,52 +6,42 @@ length r = dim Z.  In the center's reduced echelon basis over the n^2 matrix
 entries an element's coordinates are its entries at the r pivots, read
 without a solve.  That basis comes from one fraction-free elimination of
 the given basis (``ratlinalg._bareiss``), as integer rows over their least
-denominator, whether or not the given rows are independent.  The
-structure constants come from the r(r+1)/2 products (B_i*B_j + B_j*B_i)/2,
-formed on rows packed k bits per entry, each certified by one exact
-comparison of packed integers that the basis combination with its
-coordinates is the product, k being wide enough that equal integers mean
-equal entries (``_jordan_table``).
-Elements are integer vectors over one denominator and each product
+denominator, whether or not the given rows are independent.  A basis of
+rank 1 must be vec(I): the scalars hold only the trivial idempotents, so
+{I} is returned at once, a certificate of indecomposability, and nothing
+else is built.  A larger one gets certified structure constants from the
+r(r+1)/2 products (B_i*B_j + B_j*B_i)/2 on packed rows (``_jordan_table``):
+elements are integer vectors over one denominator and each product
 operator L_x an integer r x r matrix.
 
-The search never solves e^2 = e directly.  It draws a random element g and
-forms its powers 1, g, ..., g^r once, as the Krylov vectors of the unit
-under L_g (Jordan algebras are power associative, so these are the matrix
-powers): g is an integer matrix, so the powers are integers.  Its minimal
-polynomial is their first dependency, monic with integer coefficients,
-read off one fraction-free elimination of them
-(``ratlinalg.minimal_polynomial``).  The search splits the polynomial into
-pairwise-coprime factors over the rationals and assembles the spectral
-projectors as polynomials in g via Bezout cofactors (Taylor expansions of
-1/N for the powers of rational roots, which the Lagrange polynomials of
-simple roots are a case of; the projectors sum to 1, so the one rootless
-factor takes 1 minus the others).  Each has degree below that of the
-minimal polynomial, so its value at g is a combination of the powers
-already formed.  Each projector e is refined the same way inside its Peirce
-corner U_e(Z) = e*Z*e, U_e = 2 L_e^2 - L_e, until no rational split shows
-up.
-U_e projects onto the corner, so the corner's dimension is the trace
-of U_e, read off the diagonal of L_e^2; a one-dimensional corner holds only
-multiples of e, which is then final, and no basis of it is built.  A
-larger corner's reduced echelon basis over the n^2 entries comes from the
-same elimination of the independent columns of U_e, the pivot columns of
-its own r x r elimination.  Draws combine that basis, not one
-over the coordinates, whose pivots lie elsewhere: so the draws, and the
-results, are those of the same search on n x n matrices.  e o e = e,
-e_i o e_j = 0 (for idempotents this forces e_i*e_j = 0) and sum = 1 are
-checked in coordinates; only the returned idempotents become matrices.
+The search never solves e^2 = e directly.  It draws a random element g of a
+corner of dimension k and forms its powers 1, g, g^2, ... as the Krylov
+vectors of the unit under L_g (Jordan algebras are power associative, so
+these are the matrix powers), in integers, k + 2 at most: 1 and the corner
+span at most k + 1 dimensions.  Their first dependency is the minimal
+polynomial, monic with integer coefficients (``ratlinalg.minimal_polynomial``),
+so its rational roots are integers.  It is split into pairwise-coprime
+factors over the rationals, and their spectral projectors are integer
+polynomials in g over one denominator, of degree below the minimal
+polynomial's (``_projectors``), so their values at g are combinations of the
+powers already formed.  Each projector e is refined the same way inside its
+Peirce corner U_e(Z) = e*Z*e, U_e = 2 L_e^2 - L_e, until no rational split
+shows up.  The corner's dimension is the trace of U_e, or 1 outright when e
+has trace 1; a one-dimensional corner holds only multiples of e, which is
+then final, and no basis of it is built (``_Coordinates.corner``).  Draws
+combine a corner's reduced echelon basis over the n^2 entries, not one over
+the coordinates, whose pivots lie elsewhere: so the draws, and the results,
+are those of the same search on n x n matrices.  Only the returned
+idempotents become matrices, and their identities are proved by the
+caller's change of variables (``find_idempotents``).
 
-A center of dimension 1 contains only the trivial idempotents, so {I} is
-returned as soon as the elimination of the given basis has rank 1, and
-constitutes a certificate of indecomposability.
-For larger centers a failure to split after ``MAX_TRIES`` draws is a Monte
-Carlo answer, not a proof.  A caller that recurses on a block gets no larger
-algebra, since the block's own center is the corner e*Z*e; what can recover
-a missed split there is the block's own draws under its own seed.  The
-returned set carries each idempotent's corner, the basis its draws came
-from or None when it is one-dimensional, so the caller derives each
-block's center from it and solves none.
+For centers of dimension above 1 a failure to split after ``MAX_TRIES``
+draws is a Monte Carlo answer, not a proof.  A caller that recurses on a
+block gets no larger algebra, since the block's own center is the corner
+e*Z*e; what can recover a missed split there is the block's own draws under
+its own seed.  The returned set carries each idempotent's corner, the basis
+its draws came from or None when it is one-dimensional, so the caller
+derives each block's center from it and solves none.
 """
 
 from __future__ import annotations
@@ -62,14 +52,13 @@ from collections.abc import Sequence
 from math import gcd, lcm
 from operator import lshift, mul
 
-from ._rat import Record, divide
+from ._rat import Record
 from .center import CenterBasis
 from .errors import DimensionMismatch, InternalInvariantViolation
 from .ratlinalg import (
     RatMatrix,
     UniPoly,
     _bareiss,
-    _cleared,
     _primitive_int_row,
     _ratio,
     minimal_polynomial,
@@ -174,13 +163,20 @@ class _Coordinates:
 
     def __init__(self, center: CenterBasis) -> None:
         n = center.n
-        width = n * n
         self.pivots, self.rows, self.denom = _echelon_basis(
             [_primitive_int_row(v) for v in center.vectors()]
         )
         self.n, self.r = n, len(self.rows)
+        identity = [1 if q % (n + 1) == 0 else 0 for q in range(n * n)]
+        if self.r < 2:
+            # a center of rank 1 is the scalars, whose reduced echelon row is
+            # vec(I): no structure is built for it
+            if self.rows != [identity]:
+                raise InternalInvariantViolation("identity is not in the center span")
+            return
         # entry q of every basis element, for combinations of the basis
         self.columns = list(zip(*self.rows))
+        self.traces = [sum(row[:: n + 1]) for row in self.rows]
         coords = _jordan_table(self.rows, n, self.pivots, self.denom)
         scale = 2 * self.denom * self.denom
         common = gcd(scale, *(x for c in coords.values() for x in c))
@@ -191,8 +187,7 @@ class _Coordinates:
             for i in range(self.r)
         ]
         self.one = [1 if p % (n + 1) == 0 else 0 for p in self.pivots]
-        unit = [self.denom if q % (n + 1) == 0 else 0 for q in range(width)]
-        if self.combine(self.one) != unit:
+        if self.combine(self.one) != [self.denom * x for x in identity]:
             raise InternalInvariantViolation("identity is not in the center span")
 
     def corner(self, v: Sequence[int], d: int) -> list | None:
@@ -200,13 +195,18 @@ class _Coordinates:
         idempotent e = v / d over the n^2 entries, as integer rows over its
         least denominator, or None when the corner is one-dimensional.
 
-        U_e = 2 L_e^2 - L_e projects onto the corner, so the corner's
-        dimension is the rank of U_e, which is its trace: with a = s * L_e,
-        s^2 * trace(U_e) = 2 * trace(a^2) - s * trace(a), read off the
-        diagonal of a^2 in O(r^2).  Only a larger corner is built, from
-        the independent columns of U_e alone, the pivot columns of its
+        An e of trace 1 has rank 1 as a matrix, so e*Z*e lies in e*M_n*e,
+        the multiples of e: its trace is one dot product of v with the
+        traces of the basis rows, O(r), and no operator is built for it.
+        Otherwise U_e = 2 L_e^2 - L_e projects onto the corner, so the
+        corner's dimension is the rank of U_e, which is its trace: with
+        a = s * L_e, s^2 * trace(U_e) = 2 * trace(a^2) - s * trace(a), read
+        off the diagonal of a^2 in O(r^2).  Only a larger corner is built,
+        from the independent columns of U_e alone, the pivot columns of its
         r x r elimination, each combined over the n^2 entries.
         """
+        if _dot(v, self.traces) == d * self.denom:
+            return None
         a = self.operator(v)
         s = d * self.scale
         columns = list(zip(*a))
@@ -239,8 +239,12 @@ def find_idempotents(center: CenterBasis, seed: int = 42) -> IdempotentSet:
     one-dimensional center, its elements independent or not.  Otherwise each
     block found so far is refined by random spectral splitting inside its
     own Peirce corner; a block whose corner stays unsplit for
-    ``MAX_TRIES`` draws is kept whole.  All returned sets are verified
-    exactly before being handed back, each idempotent with its corner.
+    ``MAX_TRIES`` draws is kept whole.  Each idempotent comes with its
+    corner.  The identities e^2 = e, e_i e_j = 0 and sum = I hold by
+    construction and are not checked again here: the caller
+    ``decompose.change_of_variables`` proves e_j P = P D_j exactly for every
+    block, which implies all three, and the verifier proves the split once
+    more.
     """
     if center.dim < 1:
         raise ValueError("center basis is empty")
@@ -248,8 +252,7 @@ def find_idempotents(center: CenterBasis, seed: int = 42) -> IdempotentSet:
     if any(x.rows != n or x.cols != n for x in center.basis):
         raise DimensionMismatch("basis matrix does not match ambient dimension")
     z = _Coordinates(center)
-    r = z.r
-    if r == 1:
+    if z.r == 1:
         return IdempotentSet(n, (RatMatrix.identity(n),), (None,))
     draw_counter = itertools.count()
     final: list[tuple[list[int], int]] = []
@@ -274,11 +277,13 @@ def find_idempotents(center: CenterBasis, seed: int = 42) -> IdempotentSet:
             # the operator is scale * L_g; g and its powers have integer
             # coordinates, their entries at the pivots, so each power is
             # the operator applied to the one before, divided exactly by
-            # the scale; the minimal polynomial and every projector are
-            # read off these r + 1 powers
+            # the scale.  g lies in a corner of dimension k, so 1, g, g^2,
+            # ... span at most k + 1 dimensions and deg m <= k + 1: the
+            # minimal polynomial and every projector are read off the first
+            # min(r, k + 1) + 1 powers
             a = z.operator([g[p] for p in z.pivots])
             powers = [z.one]
-            for _ in range(r):
+            for _ in range(min(z.r, len(corner) + 1)):
                 powers.append([x // z.scale for x in _apply(a, powers[-1])])
             m = minimal_polynomial(powers)
             factors = primary_coprime_factors(m)
@@ -289,11 +294,9 @@ def find_idempotents(center: CenterBasis, seed: int = 42) -> IdempotentSet:
             # the complement of the block).  Whatever is left of the block
             # after removing them is itself an idempotent.
             children = []
-            for mi, projector in zip(factors, _projectors(m, factors)):
-                if mi(0) == 0:
-                    continue
-                poly, dp = _cleared(projector.coefficients())
-                children.append(_reduced([_dot(poly, x) for x in zip(*powers)], dp))
+            for mi, (poly, dp) in zip(factors, _projectors(m, factors)):
+                if mi(0) != 0:
+                    children.append(_reduced([_dot(poly, x) for x in zip(*powers)], dp))
             common = lcm(d, *(dc for _, dc in children))
             remainder = [x * (common // d) for x in v]
             for w, dc in children:
@@ -309,66 +312,56 @@ def find_idempotents(center: CenterBasis, seed: int = 42) -> IdempotentSet:
         corners.append(tuple(map(tuple, corner)))
 
     refine(z.one, 1, z.rows)  # the corner of the unit is the whole center
-    _assert_internally_valid(z, final)
     return IdempotentSet(n, tuple(z.matrix(v, d) for v, d in final), tuple(corners))
 
 
-def _projectors(m: UniPoly, factors: Sequence[UniPoly]) -> list[UniPoly]:
-    """u_i*N_i of degree < deg m for each factor M_i of m that
-    ``primary_coprime_factors`` returns, N_i = m / M_i and u_i*N_i + v_i*M_i
-    = 1: its value at g is the projector of M_i.
+def _projectors(m: UniPoly, factors: Sequence[UniPoly]) -> list[tuple[list[int], int]]:
+    """u_i*N_i of degree < deg m for each factor M_i of the monic integer m
+    that ``primary_coprime_factors`` returns, N_i = m / M_i and u_i*N_i +
+    v_i*M_i = 1, as integer coefficients over a positive denominator: its
+    value at g is the projector of M_i.
 
     These are the CRT idempotents of degree < deg m, unique, so they sum to
-    exactly 1.  For M_i = (t - c)^k, c a rational root, u_i is 1/N_i to
-    order k in t - c: with N_i = sum_j b_j (t - c)^j (Taylor coefficients,
-    by repeated synthetic division), u_i = sum_(j<k) a_j (t - c)^j for
-    a_0 = 1/b_0 and a_j = -(b_1 a_(j-1) + ... + b_j a_0) / b_0; k = 1 gives
-    the Lagrange polynomial N_i / N_i(c).  The rootless factor, at most one
-    and always last, takes 1 minus the others' projectors, so no Euclid runs.
+    exactly 1.  A rational root c of m is an integer, so for M_i = (t - c)^k
+    synthetic division gives N_i and its Taylor coefficients b_j at c in
+    integers.  u_i is 1/N_i to order k in t - c: b_0^k u_i = sum_(j<k) a_j
+    (t - c)^j for a_0 = b_0^(k-1) and a_j = -(b_1 a_(j-1) + ... + b_j a_0)
+    / b_0, each division exact, so the projector is b_0^k u_i N_i over b_0^k
+    (for k = 1 the Lagrange polynomial N_i / N_i(c)).  The rootless factor,
+    at most one and always last, takes 1 minus the others' projectors, so
+    no Euclid runs.
     """
-    out: list[UniPoly] = []
+    out: list[tuple[list[int], int]] = []
     for mi in factors:
         k = mi.degree
-        c = divide(-mi.coefficients()[k - 1], k)
+        c = -mi.coefficients()[k - 1] // k
         if mi(c) != 0:
-            out.append(UniPoly.one() - sum(out, UniPoly.zero()))
+            den = lcm(*(dp for _, dp in out))
+            rest = [den] + [0] * (m.degree - 1)
+            for poly, dp in out:
+                rest = [x - y * (den // dp) for x, y in zip(rest, poly)]
+            out.append((rest, den))
             continue
-        ni = m // mi
-        b, coeffs = [], ni.coefficients()
-        for _ in range(k):
+        # 2k synthetic divisions by t - c: the first k leave N_i, the next
+        # k have its Taylor coefficients as remainders
+        quotients, b = [list(m.coefficients())], []
+        for _ in range(2 * k):
             acc, quotient = 0, []
-            for x in reversed(coeffs):
+            for x in reversed(quotients[-1]):
                 acc = acc * c + x
                 quotient.append(acc)
             b.append(quotient.pop() if quotient else 0)
-            coeffs = quotient[::-1]
+            quotients.append(quotient[::-1])
+        ni, b = quotients[k] + [0] * (k - 1), b[k:]
         if b[0] == 0:
             raise InternalInvariantViolation("factors are not pairwise coprime")
-        a = [divide(1, b[0])]
+        a = [b[0] ** (k - 1)]
         for j in range(1, k):
-            a.append(divide(-sum(b[i] * a[j - i] for i in range(1, j + 1)), b[0]))
-        u, shift = UniPoly([a[-1]]), UniPoly.linear_root(c)
+            a.append(-sum(b[i] * a[j - i] for i in range(1, j + 1)) // b[0])
+        # sum_j a_j (t - c)^j N_i by Horner steps, on deg m coefficients
+        poly = [a[-1] * y for y in ni]
         for x in reversed(a[:-1]):
-            u = u * shift + UniPoly([x])
-        out.append(u * ni)
+            poly = [x * y - c * w + v for y, w, v in zip(ni, poly, [0, *poly])]
+        den = b[0] ** k
+        out.append((poly, den) if den > 0 else ([-x for x in poly], -den))
     return out
-
-
-def _assert_internally_valid(z: _Coordinates, final: list) -> None:
-    """Postcondition guard in coordinates; failures indicate a bug, never bad input.
-
-    e o e = e, e_i o e_j = 0 for i != j and sum = 1.  Every element is a
-    combination of the certified basis, so it lies in the center.
-    """
-    common = lcm(*(d for _, d in final))
-    total = [0] * z.r
-    for i, (v, d) in enumerate(final):
-        a = z.operator(v)
-        if _apply(a, v) != [d * z.scale * x for x in v]:
-            raise InternalInvariantViolation(f"element {i} is not idempotent")
-        for j, (w, _) in enumerate(final):
-            if i != j and any(_apply(a, w)):
-                raise InternalInvariantViolation(f"elements {i} and {j} are not orthogonal")
-        total = [t + x * (common // d) for t, x in zip(total, v)]
-    if total != [common * o for o in z.one]:
-        raise InternalInvariantViolation("idempotents do not sum to the identity")

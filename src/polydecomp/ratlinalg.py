@@ -244,11 +244,17 @@ def _bareiss(rows: Sequence[Sequence[int]], width: int) -> tuple[list, list, int
     return pivots, rows, t
 
 
+# the first kernel primes, pinned so that no fresh process searches for them
+_KERNEL_PRIMES = ((1 << 61) - 1, (1 << 61) - 31, (1 << 61) - 45, (1 << 61) - 229)
+
+
 @cache
 def _kernel_prime(i: int) -> int:
-    """The i-th prime below 2^61 counting down from 2^61 - 1, searched for
-    once per process."""
-    q = _kernel_prime(i - 1) - 2 if i else (1 << 61) - 1
+    """The i-th prime below 2^61 counting down from 2^61 - 1: the first
+    four pinned, each later one searched for once per process."""
+    if i < len(_KERNEL_PRIMES):
+        return _KERNEL_PRIMES[i]
+    q = _kernel_prime(i - 1) - 2
     while not _is_prime(q):
         q -= 2
     return q

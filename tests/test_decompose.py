@@ -778,10 +778,12 @@ class TestPublicSurface:
         ("ratlinalg", "unipoly_gcd"),
         ("decompose", "separate"),
         ("decompose", "change_of_variables"),
+        ("idempotent", "_assert_internally_valid"),
     ]
     # projectors need no Euclid; the extended Euclid is a test oracle in
-    # tests/algebra_helpers.py
-    GONE = {"extended_gcd"}
+    # tests/algebra_helpers.py.  The search's own check of its identities
+    # repeated change_of_variables' e_j P = P D_j.
+    GONE = {"extended_gcd", "_assert_internally_valid"}
 
     def test_all_is_pinned(self):
         assert sorted(polydecomp.__all__) == sorted(self.PUBLIC)

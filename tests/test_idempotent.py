@@ -4,7 +4,7 @@ from fractions import Fraction
 from operator import mul
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import polydecomp.decompose
@@ -123,6 +123,67 @@ class TestFindIdempotents:
         with pytest.raises(DimensionMismatch, match="ambient dimension"):
             find_idempotents(CenterBasis(2, basis))
 
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            (mat([[0, 0], [0, 0]]),),  # spans {0}
+            (mat([[1, 0], [0, 2]]),),  # rank 1, but not the scalars
+        ],
+    )
+    def test_rank_one_basis_without_the_identity_is_refused(self, basis):
+        with pytest.raises(InternalInvariantViolation, match="identity is not in the center span"):
+            find_idempotents(CenterBasis(2, basis))
+
+    def test_rank_one_node_builds_no_table(self, trio, bin_cubics, monkeypatch):
+        # a center of rank 1 is decided on the eliminated basis alone
+        tables = []
+        table = polydecomp.idempotent._jordan_table
+
+        def recording(*args):
+            tables.append(args)
+            return table(*args)
+
+        monkeypatch.setattr(polydecomp.idempotent, "_jordan_table", recording)
+        identity = RatMatrix.identity(2)
+        for center in (center_basis(trio), CenterBasis(2, (identity, identity.scale(2)))):
+            assert find_idempotents(center).eps == (RatMatrix.identity(center.n),)
+        assert tables == []
+        find_idempotents(center_basis(bin_cubics))
+        assert len(tables) == 1
+
+    def test_every_returned_set_passes_the_oracle(
+        self, bin_cubics, fourvar_pair, trio, quartic_squares, monkeypatch
+    ):
+        # no identity is checked inside the search: every set it returns to
+        # the pipeline, at every node, is complete, orthogonal and central
+        # for the node's polynomials
+        returned = []
+
+        def recording(center, seed):
+            returned.append(find_idempotents(center, seed))
+            return returned[-1]
+
+        def preorder(node):
+            yield node
+            for child in node.children:
+                yield from preorder(child)
+
+        monkeypatch.setattr(polydecomp.decompose, "find_idempotents", recording)
+        goldens = [bin_cubics, fourvar_pair, [quartic_squares], *([f] for f in trio)]
+        runs = [(polys, 42) for polys in goldens]
+        runs += [(instance.fs, seed) for seed, instance in planted_suite()]
+        split = 0
+        for polys, seed in runs:
+            returned.clear()
+            nodes = list(preorder(decompose_recursive(polys, seed=seed).tree))
+            assert len(nodes) == len(returned)
+            for node, idem in zip(nodes, returned):
+                assert verify_complete(idem, node.polys)
+                if not node.is_leaf:
+                    assert node.idempotents == idem.eps
+                    split += 1
+        assert split >= 40
+
 
 class TestMatchesMatrixSearch:
     """The coordinate search returns what the n x n search returns."""
@@ -222,52 +283,65 @@ class TestPeirceCorners:
         self, bin_cubics, fourvar_pair, trio, quartic_squares, monkeypatch
     ):
         # U_e = 2 L_e^2 - L_e projects onto the corner e*Z*e, so its trace is
-        # the corner's dimension; a one-dimensional corner gets no basis
-        corner = _Coordinates.corner
-        met, calls = [], []
+        # the corner's dimension; a one-dimensional corner gets no basis, and
+        # an e of matrix rank 1 not even an operator
+        corner, operator = _Coordinates.corner, _Coordinates.operator
+        met, calls, operators = [], [], []
 
         def recording(z, v, d):
-            before = len(calls)
+            before, built = len(calls), len(operators)
             basis = corner(z, v, d)
-            met.append((z, v, d, basis, len(calls) - before))
+            met.append((z, v, d, basis, len(calls) - before, len(operators) - built))
             return basis
 
         def counting(rows, width):
             calls.append(width)
             return _bareiss(rows, width)
 
+        def counting_operators(z, v):
+            operators.append(v)
+            return operator(z, v)
+
         monkeypatch.setattr(_Coordinates, "corner", recording)
+        monkeypatch.setattr(_Coordinates, "operator", counting_operators)
         monkeypatch.setattr(polydecomp.idempotent, "_bareiss", counting)
         goldens = [bin_cubics, fourvar_pair, [quartic_squares], *([f] for f in trio)]
         for polys in goldens:
             decompose_recursive(polys, seed=42)
         for seed, instance in planted_suite():
             decompose_recursive(instance.fs, seed=seed)
-        dims = []
-        for z, v, d, basis, built in met:
-            a = z.operator(v)
+        dims, rank_one = [], 0
+        for z, v, d, basis, built, operated in met:
+            a = operator(z, v)
             s = d * z.scale
             u = [[2 * sum(map(mul, row, col)) - s * x for col, x in zip(zip(*a), row)] for row in a]
             trace = sum(u[i][i] for i in range(z.r))
             # the corner's basis, built from the columns of U_e
             full = row_space_basis([z.combine(col) for col in zip(*u)], z.n * z.n)
             assert trace == s * s * len(full)
-            if len(full) == 1:
-                assert basis is None and built == 0
+            e = z.matrix(v, d)
+            if sum(e.entry(i, i) for i in range(z.n)) == 1:
+                assert basis is None and built == operated == 0
+                rank_one += 1
+            elif len(full) == 1:
+                assert basis is None and built == 0 and operated == 1
             else:
                 # one r x r elimination picks the independent columns of
                 # U_e, one more reduces them over the n^2 entries
-                assert basis == scaled_rows(full)[0] and built == 2
+                assert basis == scaled_rows(full)[0] and built == 2 and operated == 1
             dims.append(len(full))
         assert dims.count(1) >= 100 and len(dims) - dims.count(1) >= 5
+        assert rank_one >= 50 and dims.count(1) - rank_one >= 5
 
 
-roots = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 9))
+# the minimal polynomials of the search are monic with integer coefficients,
+# so their rational roots are integers
+roots = st.integers(-40, 40)
 
 
 class TestProjectors:
-    """Every factor's projector, the rootless one's complement included,
-    against the extended Euclid's."""
+    """Every factor's integer projector, the rootless one's complement
+    included, against the extended Euclid's."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -277,8 +351,10 @@ class TestProjectors:
     )
     # the root 0's projector is part of the rootless factor's complement
     @example([0, 1], [], UniPoly([2, 0, 1]))
-    @example([Fraction(1, 2), 4], [(0, 2)], UniPoly([-3, 1, 1]))
+    @example([-3, 4], [(0, 2)], UniPoly([-3, 1, 1]))
     @example([5, -3], [(7, 1)], UniPoly([2, 0, 1]))
+    # N(c) < 0 at an odd multiplicity: the denominator is made positive
+    @example([1, 2], [(3, 2)], None)
     def test_match_the_extended_euclid(self, simple, repeated, rootless):
         m = UniPoly.one()
         for c in simple:
@@ -291,18 +367,27 @@ class TestProjectors:
         factors = primary_coprime_factors(m)
         projectors = _projectors(m, factors)
         assert len(projectors) == len(factors)
-        assert sum(projectors, UniPoly.zero()) == UniPoly.one()
-        for mi, projector in zip(factors, projectors):
-            reference = bezout_projector(m, mi)
-            assert projector == reference
-            assert [type(x) for x in projector.coefficients()] == [
-                type(x) for x in reference.coefficients()
-            ]
+        values = []
+        for mi, (poly, den) in zip(factors, projectors):
+            assert den > 0 and all(type(x) is int for x in [den, *poly])
+            assert len(poly) == m.degree
+            values.append(UniPoly([Fraction(x, den) for x in poly]))
+            assert values[-1] == bezout_projector(m, mi)
+        assert sum(values, UniPoly.zero()) == UniPoly.one()
 
     def test_common_root_is_refused(self):
         m = UniPoly.linear_root(2) ** 2 * UniPoly.linear_root(5)
+        assert bezout_projector(m, UniPoly.linear_root(5)) == _projector_of(m, 1)
+        with pytest.raises(InternalInvariantViolation):
+            bezout_projector(m, UniPoly.linear_root(2))
         with pytest.raises(InternalInvariantViolation):
             _projectors(m, [UniPoly.linear_root(2), UniPoly.linear_root(5)])
+
+
+def _projector_of(m, i):
+    """The i-th of m's integer projectors, as a polynomial."""
+    poly, den = _projectors(m, primary_coprime_factors(m))[i]
+    return UniPoly([Fraction(x, den) for x in poly])
 
 
 class TestStructureConstants:
@@ -310,6 +395,7 @@ class TestStructureConstants:
     @given(centers, st.data())
     def test_reproduce_the_jordan_product(self, center, data):
         z = _Coordinates(center)
+        assume(z.r > 1)  # a center of rank 1 is the scalars, with no table
         coords = st.lists(st.integers(-5, 5), min_size=z.r, max_size=z.r)
         v, w = data.draw(coords), data.draw(coords)
         product = z.matrix(_apply(z.operator(v), w), z.scale)

@@ -768,17 +768,28 @@ class TestMinimalPolynomialReference:
         # coordinates: after the unit, each power the search hands over is
         # g o (the power before), exactly, for g the draw, a primitive
         # integer matrix; without the division by the scale they would be
-        # the powers of scale * g
+        # the powers of scale * g.  A draw from a corner of dimension k
+        # hands over min(r, k + 1) + 1 powers, enough for the dependency.
         draws = []
         coordinates = []
 
         class Recording(_Coordinates):
+            # the corner of the draws to come: the whole center first, then
+            # the corner of each block as it is refined
             def __init__(self, center):
                 super().__init__(center)
+                self.drawn_from = self.r
                 coordinates.append(self)
 
+            def corner(self, v, d):
+                basis = super().corner(v, d)
+                if basis is not None:
+                    self.drawn_from = len(basis)
+                return basis
+
         def recording(powers):
-            draws.append((coordinates[-1], powers))
+            z = coordinates[-1]
+            draws.append((z, z.drawn_from, powers))
             return minimal_polynomial(powers)
 
         monkeypatch.setattr(polydecomp.idempotent, "_Coordinates", Recording)
@@ -786,8 +797,9 @@ class TestMinimalPolynomialReference:
         for seed, instance in planted_suite():
             decompose_recursive(instance.fs, seed=seed)
         assert len(draws) >= 70  # 74 draws
-        for z, powers in draws:
-            assert len(powers) == z.r + 1
+        assert any(k + 1 < z.r for z, k, _ in draws)  # fewer powers than r + 1
+        for z, k, powers in draws:
+            assert len(powers) == min(z.r, k + 1) + 1
             assert powers[0] == z.one
             g = z.matrix(powers[1], 1)
             assert gcd(*(x.numerator for x in vec(g))) == 1
@@ -1246,6 +1258,18 @@ class TestNumberTheoryHelpers:
     def test_primality(self):
         assert _is_prime(2) and _is_prime(97) and _is_prime(2**31 - 1)
         assert not _is_prime(1) and not _is_prime(91) and not _is_prime(2**32)
+
+    def test_pinned_kernel_primes(self):
+        # the pinned primes and the first one searched for are the primes
+        # below 2^61 counting down, with none skipped
+        pinned = polydecomp.ratlinalg._KERNEL_PRIMES
+        assert pinned == tuple(2**61 - c for c in (1, 31, 45, 229))
+        assert all(_is_prime(q) for q in pinned)
+        q = 2**61
+        for i in range(len(pinned) + 1):
+            q = sympy.prevprime(q)
+            assert _kernel_prime(i) == q
+            assert _is_prime(q)
 
 
 class TestSpans:
