@@ -22,7 +22,7 @@ C is cyclic, with Krylov basis z_j = C^j w, the matrices that commute with
 it are the polynomials q(C) of degree < n (Gantmacher, ch. VIII), and
 "M3 q(C) symmetric" is the n(n-1)/2 equations
 sum_k q_k (z_i^T M3 z_{k+j} - z_j^T M3 z_{k+i}) = 0 for i < j, all built in
-O(n^3) modulo a 61-bit prime p.  Every X in the kernel of the equation
+O(n^3) modulo a prime p.  Every X in the kernel of the equation
 rows below, reduced modulo p, is such a q(C) with q a solution, and that
 kernel is at least as large as the center, so the dimension r of the
 solutions bounds the center's.  r = 1 certifies the scalar center with no
@@ -41,15 +41,20 @@ prime; further primes eliminate only the rows that raised the rank there.
 The mod-p rank never exceeds the rational rank, so the dimension r of the
 kernel modulo p bounds the center's too.
 
-Both sources meet in one lift (``_lift``).  At each prime the basis
-modulo p is put in the canonical free-variable form that exact elimination
-gives, combined with the earlier primes' by CRT and lifted by rational
-reconstruction; a candidate is returned only once it passes the exact
-membership test, the one certificate: r independent members against a
-bound of r span the center.  An unlucky prime costs a retry (the pencil
-gives way to the rows, the rows start again at the next prime), never a
-different answer, as the form depends on the center only, not on the
-primes, the pencil or the row order: it is reproducible across runs.
+Both sources meet in one lift (``_lift``).  Its primes are the pinned
+Mersenne primes 2^61 - 1, 2^127 - 1, 2^521 - 1, 2^607 - 1, 2^1279 - 1, ...
+(``ratlinalg._kernel_prime``), so the modulus grows about geometrically:
+entries of a few thousand digits take a dozen rounds, not hundreds, and a
+lift that runs past the last pinned prime raises LiftExhausted.  At each
+prime the basis modulo p is put in the canonical free-variable form that
+exact elimination gives, combined with the earlier primes' by CRT and
+lifted by rational reconstruction; a candidate is returned only once it
+passes the exact membership test, the one certificate: r independent
+members against a bound of r span the center.  An unlucky prime costs a
+retry (the pencil gives way to the rows, the rows start again at the next
+prime), never a different answer, as the form depends on the center only,
+not on the primes, the pencil or the row order: it is reproducible across
+runs.
 """
 
 from __future__ import annotations

@@ -4,9 +4,11 @@ Per node: compute the center of the node's polynomials, extract a complete
 orthogonal idempotent set, build the change of variables whose columns are
 bases of the idempotents' column spaces, expand each input on each block's
 columns alone (one expansion for all of them), and recurse into each block
-with fresh variables.  Only the root center is solved.  A child's center
-is derived: it is the parent's Peirce corner e*Z*e, which the idempotent
-search returns, carried into the block's coordinates.  After the split the
+with fresh variables.  Only the root center is solved.  A child whose
+corner the idempotent search certified (a field or a local algebra) is a
+leaf at once.  Any other child's center is derived: it is the parent's
+Peirce corner e*Z*e, which the search returns, carried into the block's
+coordinates.  After the split the
 Hessians are block diagonal, so the block's part of a parent center
 element lies in the child center, and a child center element padded with
 zeros lies in the parent center.  A split an unlucky draw missed at the
@@ -157,20 +159,17 @@ def change_of_variables(
 
 
 def _block_center(
-    corner: tuple | None, p: RatMatrix, p_inv: RatMatrix, start: int, stop: int
+    corner: tuple, p: RatMatrix, p_inv: RatMatrix, start: int, stop: int
 ) -> CenterBasis:
-    """The center of block start:stop of the split by P, carried from the
-    Peirce corner e*Z*e of its idempotent e (None: the multiples of e).
+    """The center of block start:stop of the split by P, carried from a
+    basis of the Peirce corner e*Z*e of its idempotent e.
 
     The center of f(P*y) is P^-1 Z P, and its block part is the block's
     center: L X C for X in Z, with L the block's rows of P^-1 and C its
     columns of P.  As L = L e and C = e C it reads only e X e, and on the
     corner X = C (L X C) L, so a basis of the corner maps to a basis.
     """
-    size = stop - start
-    if corner is None:
-        return CenterBasis(size, (RatMatrix.identity(size),))
-    k = p.rows
+    size, k = stop - start, p.rows
     left = RatMatrix._raw(size, k, [x for r in range(start, stop) for x in p_inv.row(r)])
     right = RatMatrix._raw(k, size, [x for r in range(k) for x in p.row(r)[start:stop]])
     return CenterBasis(size, tuple(left * RatMatrix._raw(k, k, x) * right for x in corner))
@@ -245,7 +244,12 @@ def decompose_recursive(polys: Sequence[Polynomial], seed: int = 42) -> Decompos
 
     Terminates because block sizes strictly decrease.  The returned P is the
     product of level-wise block-embedded transforms, and substituting it
-    into the inputs reproduces the leaf polynomials exactly.
+    into the inputs reproduces the leaf polynomials exactly.  A child whose
+    corner the search certified (a field or a local algebra, which holds no
+    idempotent but its unit) is a leaf at once, its center dimension the
+    corner's; only an uncertified child has its center carried from the
+    corner and searched again under a seed of its own.  Every child takes
+    one node seed, searched or not, so each search keeps its seed.
     """
     polys = tuple(polys)
     root_center = center_basis(polys)
@@ -264,10 +268,17 @@ def decompose_recursive(polys: Sequence[Polynomial], seed: int = 42) -> Decompos
         p_node, p_inv, ranges = change_of_variables(idem)
         parts = separate(fs, p_node, ranges)
         pairs = []
-        for b, ((start, stop), corner) in enumerate(zip(ranges, idem.corners)):
+        for b, (start, stop) in enumerate(ranges):
             child_fs = tuple(g[b] for g in parts)
-            z_child = _block_center(corner, p_node, p_inv, start, stop)
-            pairs.append(rec(child_fs, indices[start:stop], z_child))
+            child_indices = indices[start:stop]
+            corner = idem.corners[b]
+            if corner is None:
+                next(node_counter)
+                leaf = DecompositionNode(child_indices, child_fs, (), idem.dims[b])
+                pairs.append((leaf, RatMatrix.identity(stop - start)))
+            else:
+                z_child = _block_center(corner, p_node, p_inv, start, stop)
+                pairs.append(rec(child_fs, child_indices, z_child))
         children, transforms = zip(*pairs)
         node = DecompositionNode(indices, fs, children, z.dim, idem.eps, p_node)
         return node, p_node * block_diagonal(transforms)

@@ -36,3 +36,8 @@ class SingularMatrix(PolyDecompError):
 
 class InternalInvariantViolation(PolyDecompError):
     """A postcondition that is mathematically guaranteed failed; a bug."""
+
+
+class LiftExhausted(PolyDecompError):
+    """A modular lift needed more primes than are pinned: the rationals it
+    reconstructs are too large for the product of every kernel prime."""

@@ -24,24 +24,41 @@ so its rational roots are integers.  It is split into pairwise-coprime
 factors over the rationals, and their spectral projectors are integer
 polynomials in g over one denominator, of degree below the minimal
 polynomial's (``_projectors``), so their values at g are combinations of the
-powers already formed.  Each projector e is refined the same way inside its
-Peirce corner U_e(Z) = e*Z*e, U_e = 2 L_e^2 - L_e, until no rational split
-shows up.  The corner's dimension is the trace of U_e, or 1 outright when e
-has trace 1; a one-dimensional corner holds only multiples of e, which is
-then final, and no basis of it is built (``_Coordinates.corner``).  Draws
+powers already formed.  Each projector e its draw did not certify (below)
+is refined the same way inside its Peirce corner U_e(Z) = e*Z*e,
+U_e = 2 L_e^2 - L_e, until no rational split shows up.  The corner's
+dimension is the trace of U_e, or 1 outright when e has trace 1; a
+one-dimensional corner holds only multiples of e, which is then final,
+and no basis of it is built (``_Coordinates.corner``).  Draws
 combine a corner's reduced echelon basis over the n^2 entries, not one over
 the coordinates, whose pivots lie elsewhere: so the draws, and the results,
 are those of the same search on n x n matrices.  Only the returned
 idempotents become matrices, and their identities are proved by the
 caller's change of variables (``find_idempotents``).
 
-For centers of dimension above 1 a failure to split after ``MAX_TRIES``
-draws is a Monte Carlo answer, not a proof.  A caller that recurses on a
-block gets no larger algebra, since the block's own center is the corner
-e*Z*e; what can recover a missed split there is the block's own draws under
-its own seed.  The returned set carries each idempotent's corner, the basis
-its draws came from or None when it is one-dimensional, so the caller
-derives each block's center from it and solves none.
+A draw also certifies its corner.  Let q be g's minimal polynomial on the
+block of e: the factors whose projectors fall inside the block, and the
+power of t when some of the block is left over (the minimal polynomial
+itself at the root).  Q[g]e is isomorphic to Q[t]/(q), so deg q = k proves
+that the corner is Q[g]e, and then each factor's corner is Q[t]/(factor): a
+local algebra for (t - c)^j and a field for a rootless factor of degree at
+most 3, neither of which holds an idempotent but its unit.  Such a corner
+is final, with the factor's degree as its dimension, and no operator is
+built and no draw made in it; a corner whose own draw proves it one such
+algebra stops drawing.  A draw skipped there would have found a single
+factor, so its seed is spent unused and every later draw takes the seed it
+would take in a search that drew in every corner.
+
+An uncertified corner (a rootless factor of degree 4 or more, which can be
+a product of fields such as Q(sqrt 2) x Q(sqrt 3), or a non-commutative
+corner) that stays unsplit after ``MAX_TRIES`` draws is a Monte Carlo
+answer, not a proof.  A caller that recurses on its block gets no larger
+algebra, since the block's own center is the corner e*Z*e; what can
+recover a missed split there is the block's own draws under its own seed.
+The returned set carries each idempotent's corner, None when certified and
+otherwise the basis its draws came from, and the corner's dimension, so the
+caller makes each certified block a leaf and derives each other block's
+center from its corner, solving none.
 """
 
 from __future__ import annotations
@@ -72,17 +89,20 @@ MAX_TRIES = 8  # draws per block before it is kept whole
 class IdempotentSet(Record):
     """Matrices e_1, ..., e_t with e_i^2 = e_i, e_i e_j = 0, sum = identity.
 
-    ``corners`` holds, for a set ``find_idempotents`` returns, the Peirce
-    corner e_i*Z*e_i of each e_i, the center of its block, as integer
-    row-major vectors spanning it, or None when it is the multiples of e_i
-    alone (None for a set assembled by hand).
+    For a set ``find_idempotents`` returns, ``corners`` holds the Peirce
+    corner e_i*Z*e_i of each e_i, the center of its block: None when the
+    search certified that the corner holds no idempotent but e_i (it is
+    Q e_i, a field or a local algebra), else integer row-major vectors
+    spanning it.  ``dims`` holds the corners' dimensions.  Both are None
+    for a set assembled by hand.
     """
 
-    __slots__ = ("n", "eps", "corners")
-    _defaults = (None,)
+    __slots__ = ("n", "eps", "corners", "dims")
+    _defaults = (None, None)
     n: int
     eps: tuple[RatMatrix, ...]
     corners: tuple[tuple[tuple[int, ...], ...] | None, ...] | None
+    dims: tuple[int, ...] | None
 
     def __len__(self) -> int:
         return len(self.eps)
@@ -235,13 +255,15 @@ class _Coordinates:
 def find_idempotents(center: CenterBasis, seed: int = 42) -> IdempotentSet:
     """Complete orthogonal idempotent set of the center, deterministic in seed.
 
-    Returns {I}, with corner None and no draw, when the basis spans a
+    Returns {I}, with a certified corner and no draw, when the basis spans a
     one-dimensional center, its elements independent or not.  Otherwise each
     block found so far is refined by random spectral splitting inside its
-    own Peirce corner; a block whose corner stays unsplit for
-    ``MAX_TRIES`` draws is kept whole.  Each idempotent comes with its
-    corner.  The identities e^2 = e, e_i e_j = 0 and sum = I hold by
-    construction and are not checked again here: the caller
+    own Peirce corner.  A corner that a draw certifies to be a field or a
+    local algebra is final and draws no more; any other block whose corner
+    stays unsplit for ``MAX_TRIES`` draws is kept whole.  Each idempotent
+    comes with its corner (None when certified) and the corner's dimension.
+    The identities e^2 = e, e_i e_j = 0 and sum = I hold by construction
+    and are not checked again here: the caller
     ``decompose.change_of_variables`` proves e_j P = P D_j exactly for every
     block, which implies all three, and the verifier proves the split once
     more.
@@ -253,19 +275,27 @@ def find_idempotents(center: CenterBasis, seed: int = 42) -> IdempotentSet:
         raise DimensionMismatch("basis matrix does not match ambient dimension")
     z = _Coordinates(center)
     if z.r == 1:
-        return IdempotentSet(n, (RatMatrix.identity(n),), (None,))
-    draw_counter = itertools.count()
+        return IdempotentSet(n, (RatMatrix.identity(n),), (None,), (1,))
+    drawn = 0  # the draws made or skipped, each of which takes one seed
     final: list[tuple[list[int], int]] = []
-    corners: list = []  # final[i]'s corner
+    corners: list = []  # final[i]'s corner, None when certified
+    dims: list[int] = []  # final[i]'s corner dimension
+
+    def keep(idempotent: tuple[list[int], int], corner: list | None, dim: int) -> None:
+        final.append(idempotent)
+        corners.append(None if corner is None else tuple(map(tuple, corner)))
+        dims.append(dim)
 
     def refine(v: list[int], d: int, corner: list | None) -> None:
+        nonlocal drawn
         if corner is None:
             # only scalar multiples of the block unit: certified unsplittable
-            final.append((v, d))
-            corners.append(None)
+            keep((v, d), None, 1)
             return
-        for _ in range(MAX_TRIES):
-            rng = random.Random(f"{seed}:{next(draw_counter)}")
+        k = len(corner)
+        for tries in range(MAX_TRIES):
+            rng = random.Random(f"{seed}:{drawn}")
+            drawn += 1
             coeffs = []
             for _ in corner:
                 c = rng.randint(1, COEFF_RANGE)
@@ -283,36 +313,76 @@ def find_idempotents(center: CenterBasis, seed: int = 42) -> IdempotentSet:
             # min(r, k + 1) + 1 powers
             a = z.operator([g[p] for p in z.pivots])
             powers = [z.one]
-            for _ in range(min(z.r, len(corner) + 1)):
+            for _ in range(min(z.r, k + 1)):
                 powers.append([x // z.scale for x in _apply(a, powers[-1])])
             m = minimal_polynomial(powers)
-            factors = primary_coprime_factors(m)
-            if len(factors) < 2:
+            parts = _block_parts(m, primary_coprime_factors(m), powers, v, d)
+            # the parts' factors multiply to q, g's minimal polynomial on the
+            # block: deg q = k proves the corner is Q[t]/(q), and a part's
+            # corner Q[t]/(its factor).  The draws a certified corner skips
+            # spend their seeds (see the module docstring).
+            certified = sum(f.degree for f, _ in parts) == k
+            if len(parts) < 2:
+                if certified and _indecomposable(parts[0][0]):
+                    drawn += MAX_TRIES - tries - 1
+                    keep((v, d), None, k)
+                    return
                 continue
-            # Factors avoiding eigenvalue 0 yield projectors that live inside
-            # the block (their defining polynomials vanish at 0, so they kill
-            # the complement of the block).  Whatever is left of the block
-            # after removing them is itself an idempotent.
-            children = []
-            for mi, (poly, dp) in zip(factors, _projectors(m, factors)):
-                if mi(0) != 0:
-                    children.append(_reduced([_dot(poly, x) for x in zip(*powers)], dp))
-            common = lcm(d, *(dc for _, dc in children))
-            remainder = [x * (common // d) for x in v]
-            for w, dc in children:
-                remainder = [x - y * (common // dc) for x, y in zip(remainder, w)]
-            if any(remainder):
-                children.append(_reduced(remainder, common))
-            if len(children) < 2:
-                continue
-            for child in children:
-                refine(*child, z.corner(*child))
+            for f, child in parts:
+                if certified and _indecomposable(f):
+                    drawn += MAX_TRIES if f.degree > 1 else 0
+                    keep(child, None, f.degree)
+                else:
+                    refine(*child, z.corner(*child))
             return
-        final.append((v, d))
-        corners.append(tuple(map(tuple, corner)))
+        keep((v, d), corner, k)
 
     refine(z.one, 1, z.rows)  # the corner of the unit is the whole center
-    return IdempotentSet(n, tuple(z.matrix(v, d) for v, d in final), tuple(corners))
+    eps = tuple(z.matrix(v, d) for v, d in final)
+    return IdempotentSet(n, eps, tuple(corners), tuple(dims))
+
+
+def _indecomposable(f: UniPoly) -> bool:
+    """Whether Q[t]/(f) holds no idempotent but 0 and 1, for a factor f
+    that ``primary_coprime_factors`` returns: (t - c)^j is local, and a
+    rootless f of degree at most 3 is irreducible, so a field.  A rootless
+    f of degree 4 or more may be a product, as (t^2 - 2)(t^2 - 3) is."""
+    j = f.degree
+    return j <= 3 or f(-f.coefficients()[j - 1] // j) == 0
+
+
+def _block_parts(
+    m: UniPoly, factors: Sequence[UniPoly], powers: list, v: list[int], d: int
+) -> list[tuple[UniPoly, tuple[list[int], int]]]:
+    """The factors of g's minimal polynomial on the block of e = v / d, each
+    with the idempotent it cuts from e, for a draw g in e's corner whose
+    powers from the unit are ``powers`` and whose minimal polynomial m has
+    the primary factors ``factors``.
+
+    A factor that avoids 0 has a projector inside the block, as its
+    polynomial vanishes at 0 and g is 0 off the block.  What is left of e
+    after removing those projectors is g's generalized 0-eigenspace in the
+    block; when it is nonzero, the power of t in m is g's on the block, as
+    g is 0 off the block.  A single factor of m is all of g's minimal
+    polynomial on the block, and cuts e itself: at the root it is m, and
+    anywhere else, where t divides m, it is a power of t.
+    """
+    if len(factors) < 2:
+        return [(factors[0], (v, d))]
+    parts = []
+    at_zero = None
+    for mi, (poly, dp) in zip(factors, _projectors(m, factors)):
+        if mi(0) != 0:
+            parts.append((mi, _reduced([_dot(poly, x) for x in zip(*powers)], dp)))
+        else:
+            at_zero = mi
+    common = lcm(d, *(dc for _, (_, dc) in parts))
+    remainder = [x * (common // d) for x in v]
+    for _, (w, dc) in parts:
+        remainder = [x - y * (common // dc) for x, y in zip(remainder, w)]
+    if any(remainder):
+        parts.append((at_zero, _reduced(remainder, common)))
+    return parts
 
 
 def _projectors(m: UniPoly, factors: Sequence[UniPoly]) -> list[tuple[list[int], int]]:

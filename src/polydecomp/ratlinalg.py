@@ -13,17 +13,18 @@ search forms) and the search's bases are read off it.
 
 Sparse kernels are found modulo a prime.  ``nullspace_basis`` inserts
 sparse integer rows one at a time into a reduced echelon form modulo a
-61-bit prime, stored as each pivot column with its row's entries outside
-the pivot columns (``_insert_mod``), and reads the canonical kernel basis
+prime, stored as each pivot column with its row's entries outside the
+pivot columns (``_insert_mod``), and reads the canonical kernel basis
 modulo p off it.  The center lifts that basis, or its pencil's, with the
-pieces kept here: the primes, Wang's rational reconstruction and the CRT
-step; it accepts a lift only once its own exact membership test passes
-(see ``center``), so no modular result here needs a certificate of its own.
+pieces kept here: the primes (Mersenne primes from 2^61 - 1 up, pinned),
+Wang's rational reconstruction and the CRT step; it accepts a lift only
+once its own exact membership test passes (see ``center``), so no modular
+result here needs a certificate of its own.
 
 The module also provides the univariate polynomial machinery (gcd,
-squarefree part, primary factors: (t - r)^k per rational root r by exact
-division, then one rootless remainder) that the idempotent search uses to
-cut a center algebra into spectral pieces.
+squarefree part, primary factors: (t - r)^k per rational root r by
+synthetic division, then one rootless remainder) that the idempotent
+search uses to cut a center algebra into spectral pieces.
 Rational roots are found modularly as well, in time polynomial in the size
 of the input: the squarefree part is turned into a monic integer polynomial
 g, whose roots modulo the smallest prime that keeps them all simple are
@@ -35,12 +36,11 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from functools import cache
 from math import gcd, isqrt, lcm
 from operator import mul
 
 from ._rat import Rat, divide, normalize, rat_str, to_rat
-from .errors import DimensionMismatch, SingularMatrix
+from .errors import DimensionMismatch, LiftExhausted, SingularMatrix
 
 Vector = tuple  # tuple[Rat, ...]; module-internal shorthand
 
@@ -244,20 +244,22 @@ def _bareiss(rows: Sequence[Sequence[int]], width: int) -> tuple[list, list, int
     return pivots, rows, t
 
 
-# the first kernel primes, pinned so that no fresh process searches for them
-_KERNEL_PRIMES = ((1 << 61) - 1, (1 << 61) - 31, (1 << 61) - 45, (1 << 61) - 229)
+# The kernel primes: Mersenne primes 2^q - 1, pinned.  The lift's modulus is
+# their product, so it grows about geometrically: the first two make 188
+# bits, the first eleven 28 661.  2^89 - 1 and 2^107 - 1 are left out: with
+# them the small centers the lift sees most took more rounds, not fewer.
+_MERSENNE_EXPONENTS = (61, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941, 11213)
+_KERNEL_PRIMES = tuple((1 << q) - 1 for q in _MERSENNE_EXPONENTS)
 
 
-@cache
 def _kernel_prime(i: int) -> int:
-    """The i-th prime below 2^61 counting down from 2^61 - 1: the first
-    four pinned, each later one searched for once per process."""
-    if i < len(_KERNEL_PRIMES):
-        return _KERNEL_PRIMES[i]
-    q = _kernel_prime(i - 1) - 2
-    while not _is_prime(q):
-        q -= 2
-    return q
+    """The i-th kernel prime, from 2^61 - 1 up; past the last pinned one the
+    lift has no modulus left, and LiftExhausted is raised."""
+    if i >= len(_KERNEL_PRIMES):
+        raise LiftExhausted(
+            f"a lift asked for kernel prime {i}, past the {len(_KERNEL_PRIMES)} pinned ones"
+        )
+    return _KERNEL_PRIMES[i]
 
 
 def _insert_mod(pivots: dict, row: list, p: int) -> bool:
@@ -725,27 +727,30 @@ def primary_coprime_factors(m: UniPoly) -> list[UniPoly]:
     """Pairwise-coprime monic factors of ``m``, multiplicities kept.
 
     Each rational root r, in ascending order, gives the factor (t - r)^k,
-    divided out of m while the division is exact; whatever is left has no
-    rational root and is the last factor.  The factor product is m made
-    monic.  A single returned factor means no rational spectral split
-    exists.
+    divided out of m by synthetic division while the remainder is zero;
+    whatever is left has no rational root and is the last factor.  The
+    factor product is m made monic.  A single returned factor means no
+    rational spectral split exists.  For the monic integer minimal
+    polynomials of the idempotent search every root is an integer, and
+    every division stays in integers.
     """
     if m.degree < 1:
         raise ValueError("primary factors need degree >= 1")
-    m = m.monic()
+    rest = list(m.monic().coefficients())
     factors = []
-    rest = m
     for r in rational_roots(m):
-        linear = UniPoly.linear_root(r)
         k = 0
         while True:
-            quotient, remainder = divmod(rest, linear)
-            if not remainder.is_zero():
+            acc, quotient = 0, []
+            for x in reversed(rest):
+                acc = acc * r + x
+                quotient.append(acc)
+            if quotient.pop():
                 break
-            rest, k = quotient, k + 1
-        factors.append(linear ** k)
-    if rest.degree >= 1:
-        factors.append(rest)
+            rest, k = quotient[::-1], k + 1
+        factors.append(UniPoly.linear_root(r) ** k)
+    if len(rest) > 1:
+        factors.append(UniPoly(rest))
     return factors
 
 

@@ -1,7 +1,11 @@
 """Center algebra computation, the Jordan product, and membership oracles."""
 
 import itertools
+import os
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -9,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polydecomp
 import polydecomp.center
 import polydecomp.ratlinalg
 from algebra_helpers import (
@@ -26,6 +31,7 @@ from conftest import (
     BIN_CUBIC_CENTER_FAMILY,
     FOURVAR_CENTER_FAMILY,
     QUARTIC_SQUARES_CENTER_FAMILY,
+    bench_workloads,
     mat,
     mixed_by_big_entry,
     planted_suite,
@@ -914,3 +920,56 @@ class TestLiftRetries:
         assert verdicts == [False, True] and primes == 2
         assert center.basis == expected
         assert (reads == []) == (source == "pencil")
+
+
+HOSTILE_CUBIC = f"x^3 + {10**3999 + 7}*x*y^2"  # a binary cubic, one 4 000-digit coefficient
+
+
+class TestMersenneLift:
+    # The lift's primes are Mersenne primes of growing size, so its modulus
+    # grows about geometrically and a wide entry takes few rounds.
+
+    def test_eight_singletons_take_two_primes(self, monkeypatch):
+        # the bench's eight-singleton shape: a center of dimension 8 whose
+        # entries need more than one 61-bit prime (three such primes before)
+        problem = bench_workloads().make_problem("many_blocks", 1, 0)
+        polys = [parse_polynomial(text, problem.var_names) for text in problem.sources]
+        center, reads, primes = solve_recording(polys, monkeypatch)
+        assert len(problem.var_names) == center.dim == 8
+        assert center.basis == oracle_basis(polys)
+        assert reads == [] and primes == 2
+
+    def test_hostile_binary_cubic_within_two_seconds(self):
+        # 436 rounds of 61-bit primes before, 11 Mersenne primes now.  The
+        # solve runs in a subprocess whose own CPU rlimit stops it should it
+        # run away; the time is its own CPU time for the center alone.
+        script = (
+            "import sys, time\n"
+            "from polydecomp import center_basis, parse_polynomial\n"
+            "f = parse_polynomial(sys.argv[1], ['x', 'y'])\n"
+            "start = time.process_time()\n"
+            "center = center_basis([f])\n"
+            "print(center.dim, time.process_time() - start)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(polydecomp.__file__)))
+
+        def limit_cpu():
+            resource.setrlimit(resource.RLIMIT_CPU, (20, 20))
+
+        proc = subprocess.run(
+            [sys.executable, "-c", script, HOSTILE_CUBIC],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            preexec_fn=limit_cpu,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        dim, seconds = proc.stdout.split()
+        assert dim == "2" and float(seconds) <= 2.0
+
+    def test_hostile_binary_cubic_lifts_in_eleven_rounds(self, monkeypatch):
+        f = parse_polynomial(HOSTILE_CUBIC, ["x", "y"])
+        center, _, primes = solve_recording([f], monkeypatch)
+        assert center.dim == 2 and primes == 11
+        assert all(membership_check(x, [f]) for x in center.basis)

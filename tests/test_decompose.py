@@ -396,16 +396,20 @@ def preorder(node: DecompositionNode):
 
 
 class TestCarriedCenters:
-    # Only the root center is solved: every child's center is its parent's
-    # Peirce corner carried into the child's coordinates.  A fresh solve of
-    # each child's own center is the oracle it must span.
+    # Only the root center is solved.  A child whose corner the search
+    # certified is a leaf whose center dimension is the corner's; any other
+    # child's center is its parent's Peirce corner carried into the child's
+    # coordinates, and is searched again.  A fresh solve of each child's own
+    # center is the oracle both must match.
 
     @staticmethod
-    def check(polys, monkeypatch) -> tuple[int, int]:
-        """Decompose, check that the center is solved once and that every
-        child's carried center spans its solved one; return how many
-        children have a center wider than the scalars, and how many split."""
-        solved, carried = [], []
+    def check(polys, monkeypatch) -> tuple[int, int, int]:
+        """Decompose, check that the center is solved once, that every
+        certified child is a leaf of its fresh center's dimension and is not
+        searched, and that every other child's carried center spans its
+        solved one; return how many children have a center wider than the
+        scalars, how many split and how many are searched."""
+        solved, searches = [], []
         solve, search = polydecomp.decompose.center_basis, polydecomp.decompose.find_idempotents
 
         def counting(fs):
@@ -413,51 +417,83 @@ class TestCarriedCenters:
             return solve(fs)
 
         def recording(center, seed):
-            carried.append(center)
-            return search(center, seed)
+            searches.append((center, search(center, seed)))
+            return searches[-1][1]
 
         monkeypatch.setattr(polydecomp.decompose, "center_basis", counting)
         monkeypatch.setattr(polydecomp.decompose, "find_idempotents", recording)
         result = decompose_recursive(polys)
         monkeypatch.undo()
         assert solved == [tuple(polys)]
-        # each node searches once, in preorder, before its children
-        nodes = list(preorder(result.tree))
-        assert len(carried) == len(nodes) and carried[0] is result.center
-        for node, center in zip(nodes[1:], carried[1:]):
+        # each searched node searches once, in preorder, before its children
+        pending = iter(searches)
+        searched_children = 0
+
+        def walk(node, certified):
+            nonlocal searched_children
             k = len(node.variable_indices)
-            fresh = center_basis(node.polys)
-            assert center.n == k and node.center_dim == center.dim == fresh.dim
+            fresh = center_basis(node.polys) if node is not result.tree else result.center
+            assert node.center_dim == fresh.dim
+            if certified is not None:
+                assert node.is_leaf and node.center_dim == certified
+                return
+            center, idem = next(pending)
+            assert center.n == k and center.dim == fresh.dim
             assert same_span(center.vectors(), fresh.vectors(), k * k)
+            if node is result.tree:
+                assert center is result.center
+            else:
+                searched_children += 1
+            if node.is_leaf:
+                assert len(idem) == 1
+            for b, child in enumerate(node.children):
+                walk(child, idem.dims[b] if idem.corners[b] is None else None)
+
+        walk(result.tree, None)
+        assert next(pending, None) is None
         assert verify_decomposition(polys, result)
-        children = nodes[1:]
-        return sum(c.center_dim > 1 for c in children), sum(not c.is_leaf for c in children)
+        children = list(preorder(result.tree))[1:]
+        return (
+            sum(c.center_dim > 1 for c in children),
+            sum(not c.is_leaf for c in children),
+            searched_children,
+        )
 
     def test_goldens(self, bin_cubics, fourvar_pair, trio, quartic_squares, norm_cubic, monkeypatch):
         for polys in (bin_cubics, fourvar_pair, trio, *[[f] for f in trio]):
-            self.check(list(polys), monkeypatch)
-        # a wide leaf child, and a wide child that splits again
-        assert self.check([norm_cubic], monkeypatch) == (1, 0)
-        assert self.check([quartic_squares], monkeypatch) == (1, 1)
+            assert self.check(list(polys), monkeypatch)[2] == 0
+        # a wide certified leaf child, the field Q(sqrt d); and a wide child,
+        # a non-commutative corner, that is searched and splits again
+        assert self.check([norm_cubic], monkeypatch) == (1, 0, 0)
+        assert self.check([quartic_squares], monkeypatch) == (1, 1, 1)
 
     def test_planted_suite(self, monkeypatch):
+        searched = 0
         for _, instance in planted_suite():
-            self.check(list(instance.fs), monkeypatch)
+            searched += self.check(list(instance.fs), monkeypatch)[2]
+        assert searched == 0
 
     @pytest.mark.parametrize("workload", ["few_blocks", "many_blocks"])
     def test_bench_problems(self, workload, monkeypatch):
         workloads = bench_workloads()
-        wide, nested = set(), set()
+        wide, nested, searched = set(), set(), set()
         for pid in range(30):
             problem = workloads.make_problem(workload, 1, pid)
             polys = [parse_polynomial(text, problem.var_names) for text in problem.sources]
-            wider, split = self.check(polys, monkeypatch)
+            wider, split, research = self.check(polys, monkeypatch)
             if wider:
                 wide.add(pid)
             if split:
                 nested.add(pid)
+            if research:
+                searched.add(pid)
         if workload == "many_blocks":
             assert {2, 4, 11, 14, 22, 24} <= wide and 12 in nested
+            # only the Q(sqrt 2) x Q(sqrt 3) corners, of rootless quartics,
+            # are searched again
+            assert searched == {2, 12, 22}
+        else:
+            assert searched == set()
 
 
 class TestVerifyDecomposition:

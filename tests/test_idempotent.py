@@ -1,12 +1,16 @@
 """Idempotent extraction: spectral splitting, verification, rank profiles."""
 
+import random
+import types
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import algebra_helpers
 import polydecomp.decompose
 import polydecomp.idempotent
 from algebra_helpers import (
@@ -20,7 +24,7 @@ from algebra_helpers import (
     scaled_rows,
     verify_complete,
 )
-from conftest import BIN_CUBIC_EPS, FOURVAR_EPS, TRIO_3_EPS, mat, planted_suite
+from conftest import BIN_CUBIC_EPS, FOURVAR_EPS, TRIO_3_EPS, bench_workloads, mat, planted_suite
 from polydecomp import (
     CenterBasis,
     DimensionMismatch,
@@ -35,7 +39,13 @@ from polydecomp import (
     membership_check,
     parse_polynomial,
 )
-from polydecomp.idempotent import _apply, _Coordinates, _jordan_table, _projectors
+from polydecomp.idempotent import (
+    _apply,
+    _Coordinates,
+    _indecomposable,
+    _jordan_table,
+    _projectors,
+)
 from polydecomp.ratlinalg import UniPoly, _bareiss, primary_coprime_factors, vec
 
 QUADRATIC_FORMS = ["x^2 + 4*x*y + y^2 + 3*y*z + z^2", "x^2 + 2*y^2 + 3*z^2 + x*y"]
@@ -172,42 +182,96 @@ class TestFindIdempotents:
         goldens = [bin_cubics, fourvar_pair, [quartic_squares], *([f] for f in trio)]
         runs = [(polys, 42) for polys in goldens]
         runs += [(instance.fs, seed) for seed, instance in planted_suite()]
-        split = 0
+        runs += [(polys, 1) for polys in many_blocks(range(30))]
+        split = certified = 0
         for polys, seed in runs:
             returned.clear()
-            nodes = list(preorder(decompose_recursive(polys, seed=seed).tree))
-            assert len(nodes) == len(returned)
-            for node, idem in zip(nodes, returned):
+            tree = decompose_recursive(polys, seed=seed).tree
+            searched = list(searched_nodes(tree, iter(returned)))
+            assert len(searched) == len(returned)
+            for node, idem in searched:
                 assert verify_complete(idem, node.polys)
                 if not node.is_leaf:
                     assert node.idempotents == idem.eps
                     split += 1
-        assert split >= 40
+                    certified += idem.corners.count(None)
+        assert split >= 70 and certified >= 240
+
+
+def searched_nodes(node, results):
+    """The nodes the pipeline searched, each with the set its search
+    returned, taken from ``results`` in call order: the root and, in
+    preorder, every child whose corner its parent's search did not
+    certify."""
+    idem = next(results)
+    yield node, idem
+    for b, child in enumerate(node.children):
+        if idem.corners[b] is not None:
+            yield from searched_nodes(child, results)
+
+
+def many_blocks(pids, seed=1):
+    """The inputs of the bench's ``many_blocks`` problems ``pids``."""
+    workloads = bench_workloads()
+    for pid in pids:
+        problem = workloads.make_problem("many_blocks", seed, pid)
+        yield [parse_polynomial(text, problem.var_names) for text in problem.sources]
+
+
+def assert_matches_matrix_search(result, center, seed):
+    """``result`` is what the n x n search returns: the same idempotents,
+    the same basis for each uncertified corner, and for a certified one the
+    dimension of the corner the n x n search drew in and left unsplit,
+    which is commutative, as Q[g]e is."""
+    expected = find_idempotents_by_matrices(center, seed)
+    assert result.n == expected.n and result.eps == expected.eps
+    assert len(result.corners) == len(result.dims) == len(expected.eps)
+    n = center.n
+    for corner, dim, theirs in zip(result.corners, result.dims, expected.corners):
+        if corner is not None:
+            assert corner == theirs and dim == len(corner)
+        elif theirs is None:
+            assert dim == 1
+        else:
+            assert dim == len(theirs)
+            mats = [RatMatrix(n, n, row) for row in theirs]
+            assert all(x * y == y * x for x in mats for y in mats)
+    return result
 
 
 class TestMatchesMatrixSearch:
     """The coordinate search returns what the n x n search returns."""
 
-    def test_goldens(self, bin_cubics, fourvar_pair, trio, quartic_squares):
-        for polys in (bin_cubics, fourvar_pair, [quartic_squares], *([f] for f in trio)):
+    def test_goldens(self, bin_cubics, fourvar_pair, trio, quartic_squares, norm_cubic):
+        certified = 0
+        for polys in (
+            bin_cubics, fourvar_pair, [quartic_squares], [norm_cubic], *([f] for f in trio)
+        ):
             center = center_basis(polys)
             for seed in (42, 1, 2):
-                expected = find_idempotents_by_matrices(center, seed=seed)
-                assert find_idempotents(center, seed=seed) == expected
+                result = find_idempotents(center, seed=seed)
+                assert_matches_matrix_search(result, center, seed)
+                certified += sum(c is None and d > 1 for c, d in zip(result.corners, result.dims))
+        assert certified >= 3  # the field Q(sqrt d) of the norm cubic
 
     def test_every_node_of_the_planted_suite(self, monkeypatch):
-        dims = []
+        dims, certified = [], []
 
         def checked(center, seed):
             result = find_idempotents(center, seed)
-            assert result == find_idempotents_by_matrices(center, seed)
+            assert_matches_matrix_search(result, center, seed)
             dims.append(center.dim)
+            certified.extend(d for c, d in zip(result.corners, result.dims) if c is None)
             return result
 
         monkeypatch.setattr(polydecomp.decompose, "find_idempotents", checked)
         for seed, instance in planted_suite():
             decompose_recursive(instance.fs, seed=seed)
-        assert sum(d > 1 for d in dims) >= 40  # 41 searches that can split
+        for polys in many_blocks(range(30)):
+            decompose_recursive(polys, seed=1)
+        # 72 searches that can split, 250 certified corners, 12 of them wide
+        assert sum(d > 1 for d in dims) >= 70 and len(certified) >= 240
+        assert sum(d > 1 for d in certified) >= 10
 
     @pytest.mark.parametrize("form", QUADRATIC_FORMS)
     def test_non_associative_quadratic_form_centers(self, form):
@@ -215,8 +279,7 @@ class TestMatchesMatrixSearch:
         assert center.dim == 6
         assert any(x * y != y * x for x in center.basis for y in center.basis)
         for seed in range(6):
-            expected = find_idempotents_by_matrices(center, seed=seed)
-            assert find_idempotents(center, seed=seed) == expected
+            assert_matches_matrix_search(find_idempotents(center, seed=seed), center, seed)
 
 
 def _quadratic_plus_cubic(quadratic, n):
@@ -278,15 +341,157 @@ class TestSearchInCoordinates:
         assert not hasattr(CenterBasis, "contains")
 
 
+def draws_and_tree(polys, seed=42, monkeypatch=None):
+    """The number of draws ``decompose_recursive`` makes on polys, and its
+    tree."""
+    draws = []
+    minimal_polynomial = polydecomp.idempotent.minimal_polynomial
+
+    def counting(powers):
+        draws.append(powers)
+        return minimal_polynomial(powers)
+
+    monkeypatch.setattr(polydecomp.idempotent, "minimal_polynomial", counting)
+    tree = decompose_recursive(polys, seed=seed).tree
+    monkeypatch.undo()
+    return len(draws), tree
+
+
+def depth(node):
+    return 0 if node.is_leaf else 1 + max(depth(child) for child in node.children)
+
+
+class TestCertifiedCorners:
+    # A draw whose minimal polynomial on its block has the corner's degree
+    # proves the corner is Q[t]/(q): a part from (t - c)^j is local, one
+    # from a rootless factor of degree <= 3 a field, and neither is drawn
+    # in again, by its parent's search or by its block's.
+
+    @pytest.mark.parametrize(
+        "text, names, sizes",
+        [
+            # a center Q x Q x Q(sqrt 2), the field a leaf of dimension 2
+            ("a^3 + 6*a*b^2 + c^3 + d^3", "abcd", (1, 1, 2)),
+            # a center Q x Q(sqrt 5)
+            ("a^3 + 3*a*b^2 + b^3 + c^3", "abc", (1, 2)),
+        ],
+    )
+    def test_one_draw_certifies_every_corner(self, text, names, sizes, monkeypatch):
+        polys = [parse_polynomial(text, list(names))]
+        draws, tree = draws_and_tree(polys, monkeypatch=monkeypatch)
+        # 17 draws before: 8 in the wide child's corner, 8 in its block
+        assert draws == 1
+        assert tuple(sorted(len(l.variable_indices) for l in tree.leaves())) == sizes
+        assert all(l.center_dim == center_basis(l.polys).dim for l in tree.leaves())
+
+    def test_uncertified_corners_keep_their_draws(self, quartic_squares, monkeypatch):
+        # Q(sqrt 2) x Q(sqrt 3), a rootless quartic, and two non-commutative
+        # centers draw as often as ever; the quartic's corner is searched
+        # again, and splits there
+        for polys, expected in [
+            ([parse_polynomial("y1^3 + 6*y1*y2^2 + y3^3 + 9*y3*y4^2", ["y1", "y2", "y3", "y4"])], 8),
+            ([parse_polynomial(QUADRATIC_FORMS[1], ["x", "y", "z"])], 8),
+            ([quartic_squares], 11),
+        ]:
+            assert draws_and_tree(polys, monkeypatch=monkeypatch)[0] == expected
+
+    def test_rootless_quartic_corners_are_searched_again(self, monkeypatch):
+        # the Q(sqrt 2) x Q(sqrt 3) corners of the bench's many_blocks
+        # problems 12 and 32 split only when their blocks are searched
+        # again: certifying a rootless quartic would cut these trees to depth 1
+        for polys in many_blocks((12, 32)):
+            tree = draws_and_tree(polys, monkeypatch=monkeypatch)[1]
+            assert depth(tree) == 2
+            assert sorted(len(l.variable_indices) for l in tree.leaves()) == [1, 2, 2]
+
+    def test_draws_take_the_seeds_of_the_full_search(self, monkeypatch):
+        # the draws a certified corner skips spend their seeds: every draw
+        # the search makes takes the seed the n x n search, which draws in
+        # every corner, gives it there, and finds the same minimal
+        # polynomial.  In these inputs a block is drawn in after a certified
+        # sibling's or its own skipped draws: a^2*b has a local center of
+        # dimension 2, the rest Q(sqrt 2) x Q(sqrt 3).
+        ours, theirs = [], []
+
+        def recording(log):
+            class Recording(random.Random):
+                def __init__(self, x):
+                    log.append([x])
+                    super().__init__(x)
+
+            return types.SimpleNamespace(Random=Recording)
+
+        def noting(log, minimal_polynomial):
+            def wrapper(x):
+                log[-1].append(minimal_polynomial(x))
+                return log[-1][-1]
+
+            return wrapper
+
+        monkeypatch.setattr(polydecomp.idempotent, "random", recording(ours))
+        monkeypatch.setattr(algebra_helpers, "random", recording(theirs))
+        monkeypatch.setattr(
+            polydecomp.idempotent,
+            "minimal_polynomial",
+            noting(ours, polydecomp.idempotent.minimal_polynomial),
+        )
+        monkeypatch.setattr(
+            algebra_helpers,
+            "krylov_minimal_polynomial",
+            noting(theirs, algebra_helpers.krylov_minimal_polynomial),
+        )
+        search = polydecomp.decompose.find_idempotents
+        skipped = []
+
+        def both(center, seed):
+            ours.clear()
+            theirs.clear()
+            result = search(center, seed)
+            find_idempotents_by_matrices(center, seed)
+            drawn = dict(map(tuple, theirs))
+            assert all(drawn[x] == m for x, m in ours)
+            skipped.append(len(theirs) - len(ours))
+            return result
+
+        monkeypatch.setattr(polydecomp.decompose, "find_idempotents", both)
+        local = parse_polynomial("a^2*b + c^3 + 6*c*d^2 + e^3 + 9*e*f^2", list("abcdef"))
+        for polys in [*many_blocks((12, 32, 52)), [local]]:
+            decompose_recursive(polys)
+        assert sum(skipped) >= 40
+
+    def test_indecomposable_factors(self):
+        t = UniPoly.linear_root
+        assert all(
+            _indecomposable(f)
+            for f in (t(3), t(-2) ** 4, UniPoly([-2, 0, 1]), UniPoly([-2, 0, 0, 1]))
+        )
+        # rootless of degree 4: (t^2 - 2)(t^2 - 3) splits, t^4 - 2 does not,
+        # and neither is certified
+        assert not _indecomposable(UniPoly([-2, 0, 1]) * UniPoly([-3, 0, 1]))
+        assert not _indecomposable(UniPoly([-2, 0, 0, 0, 1]))
+
+
+def corner_trace(z, v, d):
+    """s^2 * trace(U_e) and s, for U_e = 2 L_e^2 - L_e of e = v / d in
+    coordinates and s = d * scale, with the columns of s^2 * U_e."""
+    a = z.operator(v)
+    s = d * z.scale
+    u = [[2 * sum(map(mul, row, col)) - s * x for col, x in zip(zip(*a), row)] for row in a]
+    return sum(u[i][i] for i in range(z.r)), s, list(zip(*u))
+
+
 class TestPeirceCorners:
     def test_trace_is_the_corner_dimension(
         self, bin_cubics, fourvar_pair, trio, quartic_squares, monkeypatch
     ):
         # U_e = 2 L_e^2 - L_e projects onto the corner e*Z*e, so its trace is
-        # the corner's dimension; a one-dimensional corner gets no basis, and
-        # an e of matrix rank 1 not even an operator
+        # the corner's dimension; a one-dimensional corner gets no basis, an
+        # e of matrix rank 1 not even an operator, and a corner the search
+        # certified neither: its dimension, the degree of its factor, is
+        # the trace all the same
         corner, operator = _Coordinates.corner, _Coordinates.operator
-        met, calls, operators = [], [], []
+        met, calls, operators, searches = [], [], [], []
+        search = polydecomp.decompose.find_idempotents
 
         def recording(z, v, d):
             before, built = len(calls), len(operators)
@@ -302,22 +507,41 @@ class TestPeirceCorners:
             operators.append(v)
             return operator(z, v)
 
+        def searching(center, seed):
+            searches.append((center, search(center, seed)))
+            return searches[-1][1]
+
         monkeypatch.setattr(_Coordinates, "corner", recording)
         monkeypatch.setattr(_Coordinates, "operator", counting_operators)
         monkeypatch.setattr(polydecomp.idempotent, "_bareiss", counting)
+        monkeypatch.setattr(polydecomp.decompose, "find_idempotents", searching)
         goldens = [bin_cubics, fourvar_pair, [quartic_squares], *([f] for f in trio)]
         for polys in goldens:
             decompose_recursive(polys, seed=42)
         for seed, instance in planted_suite():
             decompose_recursive(instance.fs, seed=seed)
+        for polys in many_blocks(range(60)):
+            decompose_recursive(polys, seed=1)
+        # every returned idempotent's corner, certified or not, is met too:
+        # a certified one's dimension, its factor's degree, is the trace
+        certified = []
+        for center, idem in searches:
+            z = _Coordinates(center)
+            if z.r == 1:
+                continue
+            for e, corner_basis, dim in zip(idem.eps, idem.corners, idem.dims):
+                at_pivots = [vec(e)[p] for p in z.pivots]
+                d = lcm(*(Fraction(x).denominator for x in at_pivots))
+                recording(z, [int(x * d) for x in at_pivots], d)
+                assert (met[-1][3] is None) == (dim == 1)
+                if corner_basis is None:
+                    certified.append((met[-1], dim))
+        monkeypatch.undo()
         dims, rank_one = [], 0
         for z, v, d, basis, built, operated in met:
-            a = operator(z, v)
-            s = d * z.scale
-            u = [[2 * sum(map(mul, row, col)) - s * x for col, x in zip(zip(*a), row)] for row in a]
-            trace = sum(u[i][i] for i in range(z.r))
+            trace, s, columns = corner_trace(z, v, d)
             # the corner's basis, built from the columns of U_e
-            full = row_space_basis([z.combine(col) for col in zip(*u)], z.n * z.n)
+            full = row_space_basis([z.combine(col) for col in columns], z.n * z.n)
             assert trace == s * s * len(full)
             e = z.matrix(v, d)
             if sum(e.entry(i, i) for i in range(z.n)) == 1:
@@ -330,8 +554,14 @@ class TestPeirceCorners:
                 # U_e, one more reduces them over the n^2 entries
                 assert basis == scaled_rows(full)[0] and built == 2 and operated == 1
             dims.append(len(full))
-        assert dims.count(1) >= 100 and len(dims) - dims.count(1) >= 5
-        assert rank_one >= 50 and dims.count(1) - rank_one >= 5
+        # 462 corners: 339 of rank 1, 72 more of dimension 1, 51 wider
+        assert dims.count(1) >= 400 and len(dims) - dims.count(1) >= 50
+        assert rank_one >= 300 and dims.count(1) - rank_one >= 60
+        for (z, v, d, *_), dim in certified:
+            trace, s, _ = corner_trace(z, v, d)
+            assert trace == s * s * dim
+        # 410 certified corners, 21 of them wider than 1
+        assert len(certified) >= 400 and sum(dim > 1 for _, dim in certified) >= 20
 
 
 # the minimal polynomials of the search are monic with integer coefficients,

@@ -27,9 +27,17 @@ from algebra_helpers import (
     span_intersection,
     wang_reconstruct,
 )
-from conftest import mat, planted_suite
-from polydecomp import RatMatrix, SingularMatrix, center_basis, decompose_recursive, invert
+from conftest import bench_workloads, mat, mixed_by_big_entry, planted_suite
+from polydecomp import (
+    RatMatrix,
+    SingularMatrix,
+    center_basis,
+    decompose_recursive,
+    invert,
+    parse_polynomial,
+)
 from polydecomp._rat import normalize
+from polydecomp.errors import LiftExhausted
 from polydecomp.idempotent import _Coordinates, _echelon_basis
 from polydecomp.ratlinalg import (
     UniPoly,
@@ -796,7 +804,14 @@ class TestMinimalPolynomialReference:
         monkeypatch.setattr(polydecomp.idempotent, "minimal_polynomial", recording)
         for seed, instance in planted_suite():
             decompose_recursive(instance.fs, seed=seed)
-        assert len(draws) >= 70  # 74 draws
+        # a certified corner takes no draw: the bench's many_blocks problems
+        # add draws in corners of every kind
+        workloads = bench_workloads()
+        for pid in range(30):
+            problem = workloads.make_problem("many_blocks", 1, pid)
+            polys = [parse_polynomial(text, problem.var_names) for text in problem.sources]
+            decompose_recursive(polys, seed=1)
+        assert len(draws) >= 120  # 43 draws, then 80
         assert any(k + 1 < z.r for z, k, _ in draws)  # fewer powers than r + 1
         for z, k, powers in draws:
             assert len(powers) == min(z.r, k + 1) + 1
@@ -1260,16 +1275,42 @@ class TestNumberTheoryHelpers:
         assert not _is_prime(1) and not _is_prime(91) and not _is_prime(2**32)
 
     def test_pinned_kernel_primes(self):
-        # the pinned primes and the first one searched for are the primes
-        # below 2^61 counting down, with none skipped
+        # the kernel primes are Mersenne primes 2^q - 1 with q ascending from
+        # 61, each proved prime by Lucas-Lehmer: 2^q - 1 is prime exactly
+        # when s_(q-2) = 0 modulo it, s_0 = 4 and s_(i+1) = s_i^2 - 2
+        def lucas_lehmer(q):
+            m = (1 << q) - 1
+            x = 4
+            for _ in range(q - 2):
+                # x^2 - 2 modulo 2^q - 1, as 2^q = 1 there: fold the high bits
+                x = x * x - 2
+                x = (x & m) + (x >> q)
+                x = (x & m) + (x >> q)
+            return x % m == 0
+
         pinned = polydecomp.ratlinalg._KERNEL_PRIMES
-        assert pinned == tuple(2**61 - c for c in (1, 31, 45, 229))
-        assert all(_is_prime(q) for q in pinned)
-        q = 2**61
-        for i in range(len(pinned) + 1):
-            q = sympy.prevprime(q)
-            assert _kernel_prime(i) == q
-            assert _is_prime(q)
+        exponents = [p.bit_length() for p in pinned]
+        assert pinned[0] == 2**61 - 1 == _kernel_prime(0)
+        assert exponents == sorted(set(exponents)) and exponents[-1] >= 11213
+        for i, (q, p) in enumerate(zip(exponents, pinned)):
+            assert p == 2**q - 1 == _kernel_prime(i)
+            assert lucas_lehmer(q)
+        # the test tells a composite 2^q - 1 with q prime from a prime one
+        assert not lucas_lehmer(67) and lucas_lehmer(89)
+
+    def test_past_the_last_pinned_prime(self, monkeypatch):
+        # a lift that runs out of primes raises the package's typed error,
+        # whether it asks the table directly or through the center's lift
+        count = len(polydecomp.ratlinalg._KERNEL_PRIMES)
+        with pytest.raises(LiftExhausted, match=f"kernel prime {count}"):
+            _kernel_prime(count)
+        monkeypatch.setattr(polydecomp.ratlinalg, "_KERNEL_PRIMES", (2**61 - 1,))
+        assert _kernel_prime(0) == 2**61 - 1
+        with pytest.raises(LiftExhausted):
+            _kernel_prime(1)
+        # entries past one prime's reconstruction bound need a second prime
+        with pytest.raises(LiftExhausted):
+            center_basis(mixed_by_big_entry())
 
 
 class TestSpans:

@@ -29,9 +29,9 @@ CASES = [
     (CenterBasis, {"n": 2, "basis": (I2,)}, {"n": 3}, {}, None),
     (
         IdempotentSet,
-        {"n": 2, "eps": (I2,), "corners": (None,)},
+        {"n": 2, "eps": (I2,), "corners": (None,), "dims": (1,)},
         {"eps": ()},
-        {"corners": None},
+        {"corners": None, "dims": None},
         None,
     ),
     (
