@@ -83,13 +83,6 @@ def to_rat(value) -> Rat:
     return normalize(Fraction(value))
 
 
-def divide(a: Rat, b: Rat) -> Rat:
-    """Exact division of two scalars."""
-    if b == 0:
-        raise ZeroDivisionError("exact division by zero")
-    return normalize(Fraction(a) / b)
-
-
 def rat_str(x: Rat) -> str:
     """Render a scalar as 'a' or 'a/b' in lowest terms."""
     return str(x)

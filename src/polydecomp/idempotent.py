@@ -21,13 +21,14 @@ these are the matrix powers), in integers, k + 2 at most: 1 and the corner
 span at most k + 1 dimensions.  Their first dependency is the minimal
 polynomial, monic with integer coefficients (``ratlinalg.minimal_polynomial``),
 so its rational roots are integers.  It is split into pairwise-coprime
-factors over the rationals, and their spectral projectors are integer
-polynomials in g over one denominator, of degree below the minimal
-polynomial's (``_projectors``), so their values at g are combinations of the
-powers already formed.  Each projector e its draw did not certify (below)
-is refined the same way inside its Peirce corner U_e(Z) = e*Z*e,
-U_e = 2 L_e^2 - L_e, until no rational split shows up.  The corner's
-dimension is the trace of U_e, or 1 outright when e has trace 1; a
+monic integer factors, (t - c)^k per integer root c and one rootless
+remainder (``ratlinalg.primary_coprime_factors``), and their spectral
+projectors are integer polynomials in g over one denominator, of degree
+below the minimal polynomial's (``_projectors``), so their values at g are
+combinations of the powers already formed.  Each projector e its draw did
+not certify (below) is refined the same way inside its Peirce corner
+U_e(Z) = e*Z*e, U_e = 2 L_e^2 - L_e, until no rational split shows up.  The
+corner's dimension is the trace of U_e, or 1 outright when e has trace 1; a
 one-dimensional corner holds only multiples of e, which is then final,
 and no basis of it is built (``_Coordinates.corner``).  Draws
 combine a corner's reduced echelon basis over the n^2 entries, not one over

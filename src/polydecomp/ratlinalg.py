@@ -21,26 +21,25 @@ Wang's rational reconstruction and the CRT step; it accepts a lift only
 once its own exact membership test passes (see ``center``), so no modular
 result here needs a certificate of its own.
 
-The module also provides the univariate polynomial machinery (gcd,
-squarefree part, primary factors: (t - r)^k per rational root r by
-synthetic division, then one rootless remainder) that the idempotent
-search uses to cut a center algebra into spectral pieces.
-Rational roots are found modularly as well, in time polynomial in the size
-of the input: the squarefree part is turned into a monic integer polynomial
-g, whose roots modulo the smallest prime that keeps them all simple are
-lifted by Newton (Hensel) steps past the bound |y| <= |g(0)| and accepted
-only when g vanishes at them exactly.
+The module also provides the integer polynomials the idempotent search
+cuts a center algebra with: a draw's minimal polynomial, monic with integer
+coefficients, its squarefree part, and its primary factors, (t - c)^k per
+integer root c by synthetic division, then one rootless remainder.
+Integer roots are found modularly as well, in time polynomial in the size
+of the input: the roots of the squarefree part g modulo the smallest prime
+that keeps them all simple are lifted by Newton (Hensel) steps past the
+bound |y| <= |g(0)| and accepted only when g vanishes at them exactly.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 from operator import mul
 
-from ._rat import Rat, divide, normalize, rat_str, to_rat
-from .errors import DimensionMismatch, LiftExhausted, SingularMatrix
+from ._rat import Rat, normalize, rat_str, to_rat
+from .errors import DimensionMismatch, InternalInvariantViolation, LiftExhausted, SingularMatrix
 
 Vector = tuple  # tuple[Rat, ...]; module-internal shorthand
 
@@ -442,223 +441,8 @@ def invert(m: RatMatrix) -> RatMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Univariate polynomials
+# Integer polynomials
 # ---------------------------------------------------------------------------
-
-
-class UniPoly:
-    """Univariate polynomial, coefficients lowest degree first, no trailing zeros."""
-
-    __slots__ = ("_c",)
-
-    def __init__(self, coeffs: Sequence = ()):
-        c = [to_rat(x) for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        self._c = tuple(c)
-
-    @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "UniPoly":
-        return cls((1,))
-
-    @classmethod
-    def linear_root(cls, r) -> "UniPoly":
-        """The monic linear polynomial t - r."""
-        return cls((-to_rat(r), 1))
-
-    def coefficients(self) -> tuple:
-        return self._c
-
-    @property
-    def degree(self) -> int:
-        return len(self._c) - 1
-
-    def is_zero(self) -> bool:
-        return not self._c
-
-    @property
-    def leading(self) -> Rat:
-        if not self._c:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self._c[-1]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, UniPoly) and self._c == other._c
-
-    __hash__ = None
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self._c, other._c
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, x in enumerate(b):
-            out[i] = out[i] + x
-        return UniPoly(out)
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly([-x for x in self._c])
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, UniPoly):
-            if not self._c or not other._c:
-                return UniPoly.zero()
-            out = [0] * (len(self._c) + len(other._c) - 1)
-            for i, x in enumerate(self._c):
-                if x:
-                    for j, y in enumerate(other._c):
-                        if y:
-                            out[i + j] += x * y
-            return UniPoly(out)
-        c = to_rat(other)
-        return UniPoly([c * x for x in self._c])
-
-    def __rmul__(self, other):
-        return self * other
-
-    def __pow__(self, e: int) -> "UniPoly":
-        if e < 0:
-            raise ValueError("negative power")
-        result = UniPoly.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero():
-            return self
-        lead = self.leading
-        if lead == 1:
-            return self
-        return UniPoly([divide(x, lead) for x in self._c])
-
-    def __divmod__(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self._c)
-        d = other.degree
-        lead = other.leading
-        monic = lead == 1  # UniPoly normalizes the quotient either way
-        q = [0] * max(0, len(rem) - d)
-        for i in reversed(range(len(q))):
-            top = rem[i + d]
-            if top == 0:
-                continue
-            f = top if monic else divide(top, lead)
-            q[i] = f
-            for j, y in enumerate(other._c):
-                rem[i + j] = rem[i + j] - f * y
-        return UniPoly(q), UniPoly(rem)
-
-    def __floordiv__(self, other: "UniPoly") -> "UniPoly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "UniPoly") -> "UniPoly":
-        return divmod(self, other)[1]
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly([i * self._c[i] for i in range(1, len(self._c))])
-
-    def __call__(self, x: Rat) -> Rat:
-        acc = 0
-        for c in reversed(self._c):
-            acc = acc * x + c
-        return normalize(acc) if isinstance(acc, Fraction) else acc
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "UniPoly(0)"
-        parts = []
-        for i in reversed(range(len(self._c))):
-            c = self._c[i]
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(rat_str(c))
-            else:
-                mono = "t" if i == 1 else f"t^{i}"
-                if c == 1:
-                    parts.append(mono)
-                elif c == -1:
-                    parts.append(f"-{mono}")
-                else:
-                    parts.append(f"{rat_str(c)}*{mono}")
-        return "UniPoly(" + " + ".join(parts).replace("+ -", "- ") + ")"
-
-
-def unipoly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic greatest common divisor (Euclid)."""
-    if a.is_zero() and b.is_zero():
-        raise ValueError("gcd of two zero polynomials")
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
-
-
-def squarefree_part(m: UniPoly) -> UniPoly:
-    """m divided by gcd(m, m'), made monic.
-
-    For f the primitive integer multiple of m and p the first kernel prime:
-    if p keeps the leading coefficient of f and f, f' are coprime modulo p,
-    Res(f, f') is not 0: m is squarefree, and no rational Euclid runs."""
-    if m.degree < 1:
-        raise ValueError("squarefree part needs degree >= 1")
-    p = _kernel_prime(0)
-    # highest degree first; f' keeps its degree modulo p when f does
-    a = [c % p for c in reversed(_primitive_int_row(m.coefficients()))]
-    if a[0]:
-        b = [(m.degree - i) * c % p for i, c in enumerate(a[:-1])]
-        while b:
-            inv = pow(b[0], -1, p)
-            while len(a) >= len(b):
-                q = a[0] * inv % p
-                a = [(x - q * y) % p for x, y in zip(a[1:], b[1:])] + a[len(b) :]
-                while a and not a[0]:
-                    a.pop(0)
-            a, b = b, a
-        if len(a) == 1:
-            return m.monic()
-    g = unipoly_gcd(m, m.derivative())
-    return (m // g).monic()
-
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3e24 (fixed witness set)."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _int_horner(coeffs: Sequence[int], x: int) -> int:
@@ -668,38 +452,119 @@ def _int_horner(coeffs: Sequence[int], x: int) -> int:
     return acc
 
 
-def rational_roots(p: UniPoly) -> list[Rat]:
-    """All rational roots, ascending, each listed once.
+class UniPoly:
+    """Read-only univariate integer polynomial, coefficients lowest degree
+    first, no trailing zeros."""
 
-    They are the roots of the squarefree part s of p.  The root 0 (a factor
-    t of s, at most once) is stripped first.  The rest are roots of what is
-    left, f, scaled to primitive integer coefficients with leading
-    coefficient a; they are r = y / a for the integer roots y of the monic
-    integer polynomial g(y) = a^(d-1) f(y / a), and each such y divides
+    __slots__ = ("_c",)
+
+    def __init__(self, coeffs: Sequence[int] = ()):
+        c = list(coeffs)
+        while c and c[-1] == 0:
+            c.pop()
+        self._c = tuple(c)
+
+    def coefficients(self) -> tuple:
+        return self._c
+
+    @property
+    def degree(self) -> int:
+        return len(self._c) - 1
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, UniPoly) and self._c == other._c
+
+    __hash__ = None
+
+    def __call__(self, x: int) -> int:
+        return _int_horner(self._c, x)
+
+    def __repr__(self) -> str:
+        parts = []
+        for i in reversed(range(len(self._c))):
+            c = self._c[i]
+            if c == 0:
+                continue
+            mono = "" if i == 0 else "t" if i == 1 else f"t^{i}"
+            if not mono:
+                parts.append(str(c))
+            elif c in (1, -1):
+                parts.append(mono if c == 1 else f"-{mono}")
+            else:
+                parts.append(f"{c}*{mono}")
+        return "UniPoly(" + (" + ".join(parts).replace("+ -", "- ") or "0") + ")"
+
+
+def squarefree_part(m: UniPoly) -> UniPoly:
+    """m divided by gcd(m, m'), for m monic with integer coefficients.
+
+    For p the first kernel prime: if m and m' are coprime modulo p, then
+    Res(m, m') is not 0 and m is squarefree, returned as it is.  Otherwise
+    h = gcd(m, m') comes from one fraction-free elimination (``_bareiss``)
+    of the Sylvester matrix of m and m', columns from the highest degree
+    down.  Its rows span the multiples of h of degree below 2 deg m - 1, so
+    the last row of their reduced echelon form is the monic h (Laidacker):
+    the last pivot row divided by the last pivot.  h is a monic divisor of
+    m, so its coefficients are integers (Gauss's lemma) and m is divided by
+    it exactly, in integers.
+    """
+    d = m.degree
+    if d < 1:
+        raise ValueError("squarefree part needs degree >= 1")
+    # highest degree first; m' keeps its degree d - 1 < p modulo p
+    top = list(reversed(m.coefficients()))
+    slope = [(d - i) * c for i, c in enumerate(top[:-1])]
+    p = _kernel_prime(0)
+    a, b = [c % p for c in top], [c % p for c in slope]
+    while b:
+        inv = pow(b[0], -1, p)
+        while len(a) >= len(b):
+            q = a[0] * inv % p
+            a = [(x - q * y) % p for x, y in zip(a[1:], b[1:])] + a[len(b) :]
+            while a and not a[0]:
+                a.pop(0)
+        a, b = b, a
+    if len(a) == 1:
+        return m
+    rows = [[0] * i + top + [0] * (d - 2 - i) for i in range(d - 1)]
+    rows += [[0] * i + slope + [0] * (d - 1 - i) for i in range(d)]
+    pivots, rows, t = _bareiss(rows, 2 * d - 1)
+    k = len(pivots)
+    h = [x // t for x in rows[k - 1][k - 1 :]]
+    quotient = []
+    while len(top) >= len(h):
+        q = top[0]
+        quotient.append(q)
+        top = [x - q * y for x, y in zip(top[1:], h[1:])] + top[len(h) :]
+    return UniPoly(quotient[::-1])
+
+
+def integer_roots(p: UniPoly) -> list[int]:
+    """All integer roots of p, monic with integer coefficients, ascending,
+    each listed once.
+
+    They are the roots of the squarefree part g of p.  The root 0 (a factor
+    t of g, at most once) is stripped first; every other root y divides
     g(0) != 0, so |y| <= |g(0)|.
 
-    The integer roots come from the smallest prime q modulo which every root
-    of g is simple (g' nonzero there), found by trying all residues.  A
-    squarefree g has a nonzero discriminant, and every prime not dividing it
-    qualifies, so the search ends; were s not squarefree, a repeated root
-    would stay repeated modulo every prime.  Each simple root lifts uniquely
-    by Newton steps modulo q^2, q^4, ... until the modulus exceeds 2 |g(0)|,
-    when the symmetric representative of an integer root is the root itself.
-    A candidate is kept only if g vanishes at it exactly.
+    The roots come from the smallest prime q modulo which every root of g
+    is simple (g' nonzero there), found by trying all residues, the primes
+    by trial division.  A squarefree g has a nonzero discriminant, and
+    every prime not dividing it qualifies, so the search ends; were g not
+    squarefree, a repeated root would stay repeated modulo every prime.
+    Each simple root lifts uniquely by Newton steps modulo q^2, q^4, ...
+    until the modulus exceeds 2 |g(0)|, when the symmetric representative
+    of an integer root is the root itself.  A candidate is kept only if g
+    vanishes at it exactly.
     """
-    if p.is_zero():
-        raise ValueError("zero polynomial has every root")
     if p.degree < 1:
         return []
-    coeffs = list(squarefree_part(p).coefficients())
-    roots: list[Rat] = []
-    if coeffs[0] == 0:
+    g = list(squarefree_part(p).coefficients())
+    roots = []
+    if g[0] == 0:
         roots.append(0)
-        coeffs.pop(0)
-    if len(coeffs) > 1:
-        f = _primitive_int_row(coeffs)
-        a, d = f[-1], len(f) - 1
-        g = [c * a ** (d - 1 - i) for i, c in enumerate(f[:-1])] + [1]
+        g.pop(0)
+    if len(g) > 1:
         dg = [i * c for i, c in enumerate(g)][1:]
         q = 2
         while True:
@@ -708,7 +573,7 @@ def rational_roots(p: UniPoly) -> list[Rat]:
             if all(_int_horner(dg, r) % q for r in residues):
                 break
             q += 1
-            while not _is_prime(q):
+            while any(q % s == 0 for s in range(2, isqrt(q) + 1)):
                 q += 1
         bound = 2 * abs(g[0])
         for y in residues:
@@ -719,36 +584,35 @@ def rational_roots(p: UniPoly) -> list[Rat]:
             if y > modulus // 2:
                 y -= modulus
             if _int_horner(g, y) == 0:
-                roots.append(y // a if y % a == 0 else Fraction(y, a))
+                roots.append(y)
     return sorted(roots)
 
 
 def primary_coprime_factors(m: UniPoly) -> list[UniPoly]:
-    """Pairwise-coprime monic factors of ``m``, multiplicities kept.
+    """Pairwise-coprime factors of ``m``, monic with integer coefficients,
+    multiplicities kept.
 
-    Each rational root r, in ascending order, gives the factor (t - r)^k,
+    Each integer root c, in ascending order, gives the factor (t - c)^k,
     divided out of m by synthetic division while the remainder is zero;
     whatever is left has no rational root and is the last factor.  The
-    factor product is m made monic.  A single returned factor means no
-    rational spectral split exists.  For the monic integer minimal
-    polynomials of the idempotent search every root is an integer, and
-    every division stays in integers.
+    factors multiply to m, all monic with integer coefficients.  A single
+    returned factor means no rational spectral split exists.
     """
     if m.degree < 1:
         raise ValueError("primary factors need degree >= 1")
-    rest = list(m.monic().coefficients())
+    rest = list(m.coefficients())
     factors = []
-    for r in rational_roots(m):
+    for c in integer_roots(m):
         k = 0
         while True:
             acc, quotient = 0, []
             for x in reversed(rest):
-                acc = acc * r + x
+                acc = acc * c + x
                 quotient.append(acc)
             if quotient.pop():
                 break
             rest, k = quotient[::-1], k + 1
-        factors.append(UniPoly.linear_root(r) ** k)
+        factors.append(UniPoly([comb(k, j) * (-c) ** (k - j) for j in range(k + 1)]))
     if len(rest) > 1:
         factors.append(UniPoly(rest))
     return factors
@@ -761,18 +625,25 @@ def primary_coprime_factors(m: UniPoly) -> list[UniPoly]:
 
 def minimal_polynomial(powers: Sequence[Sequence[int]]) -> UniPoly:
     """The monic first dependency t^d - sum_(j<d) c_j t^j among integer
-    vectors x_0, x_1, ...: d is least with x_d = sum_(j<d) c_j x_j.
+    vectors x_0, x_1, ..., with integer c_j: d is least with x_d =
+    sum_(j<d) c_j x_j.
 
-    On the Krylov vectors x_j = A^j x_0 it is the annihilator of x_0 under
-    A; the idempotent search passes the powers of a draw g, the unit and
-    g o ... o g in coordinates, and gets the minimal polynomial of g.  With
-    the vectors as the columns of one fraction-free elimination
+    On the Krylov vectors x_j = A^j x_0 of an integer matrix A it is the
+    annihilator of x_0 under A, a monic divisor of A's characteristic
+    polynomial, so its c_j are integers (Gauss's lemma); the idempotent
+    search passes the powers of a draw g, a primitive integer matrix, the
+    unit and g o ... o g in coordinates, and gets the minimal polynomial
+    of g.  With the vectors as the columns of one fraction-free elimination
     (``_bareiss``), d is the first free column and c_j = E[j][d] / t, E
     being the rows it leaves and t its last pivot.  Independent vectors
-    raise ValueError.
+    raise ValueError, and a c_j that is not an integer
+    InternalInvariantViolation.
     """
     pivots, rows, t = _bareiss(list(zip(*powers)), len(powers))
     d = next((j for j, c in enumerate(pivots) if c != j), len(pivots))
     if d == len(powers):
         raise ValueError("the vectors are independent")
-    return UniPoly([_ratio(-row[d], t) for row in rows[:d]] + [1])
+    coeffs = [divmod(-row[d], t) for row in rows[:d]]
+    if any(r for _, r in coeffs):
+        raise InternalInvariantViolation("the first dependency is not over the integers")
+    return UniPoly([c for c, _ in coeffs] + [1])

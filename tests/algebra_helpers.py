@@ -25,12 +25,14 @@ sympy, the references for the fraction-free elimination
 search does; ``in_span``, ``same_span`` and ``center_contains`` compare
 spans by echelon forms, ``at_matrix`` evaluates a polynomial at a matrix,
 ``matrix_rows`` lists a matrix's rows and ``unvec`` builds a matrix from
-its row-major entries.  Five are the plain kernels
+its row-major entries; ``sympy_poly`` and ``unipoly`` carry a polynomial
+between the library's integer ``UniPoly`` and sympy, which does every
+polynomial operation the tests need.  Five are the plain kernels
 behind faster library ones: ``members_by_matrix`` tests membership
 with one product per coefficient matrix, the reference for the packed
 product of ``_all_members``; ``wang_reconstruct`` runs Wang's Euclid on every
 entry, the reference for ``_reconstruct``; ``bezout_projector`` takes the
-projector polynomial from the extended Euclid (``extended_gcd``), the
+projector polynomial from sympy's extended Euclid (``extended_gcd``), the
 reference for the Taylor projectors and the complement of ``_projectors``;
 ``krylov_minimal_polynomial`` stacks the Fraction Krylov powers and takes
 sympy's kernel of them, the reference for the fraction-free
@@ -75,7 +77,7 @@ from polydecomp import (
     membership_check,
     substitute_linear,
 )
-from polydecomp._rat import Rat, divide, normalize
+from polydecomp._rat import Rat, normalize
 from polydecomp.idempotent import COEFF_RANGE, MAX_TRIES
 from polydecomp.poly import embed, validate_variable_names
 from polydecomp.ratlinalg import (
@@ -331,10 +333,27 @@ def center_contains(center: CenterBasis, x: RatMatrix) -> bool:
     return in_span(center.vectors(), vec(x), center.n * center.n)
 
 
-def at_matrix(p: UniPoly, m: RatMatrix) -> RatMatrix:
-    """p evaluated at a square matrix (Horner on d * p, divided by d once)."""
+T = sympy.Symbol("t")
+
+
+def sympy_poly(p: UniPoly) -> sympy.Poly:
+    """p as a sympy polynomial in T over the rationals."""
+    return sympy.Poly(list(reversed(p.coefficients())), T, domain="QQ")
+
+
+def unipoly(expr) -> UniPoly:
+    """A sympy polynomial or expression in T with integer coefficients."""
+    coeffs = sympy.Poly(expr, T).all_coeffs()
+    if not all(c.is_integer for c in coeffs):
+        raise ValueError(f"{expr} has a coefficient that is not an integer")
+    return UniPoly([int(c) for c in reversed(coeffs)])
+
+
+def at_matrix(p: sympy.Poly, m: RatMatrix) -> RatMatrix:
+    """The sympy polynomial p evaluated at a square matrix (Horner on d * p,
+    divided by d once)."""
     n = m.rows
-    coeffs, d = _cleared(p.coefficients())
+    coeffs, d = _cleared([Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())])
     acc = RatMatrix.zeros(n, n)
     ident = RatMatrix.identity(n)
     for c in reversed(coeffs):
@@ -378,32 +397,27 @@ def wang_reconstruct(residues: dict, modulus: int) -> dict | None:
     return form
 
 
-def extended_gcd(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
-    """Monic gcd g with cofactors (g, u, v) satisfying u*a + v*b = g."""
-    if a.is_zero() and b.is_zero():
+def extended_gcd(a: sympy.Poly, b: sympy.Poly) -> tuple[sympy.Poly, sympy.Poly, sympy.Poly]:
+    """Monic gcd g of two sympy polynomials over the rationals with cofactors
+    (g, u, v) satisfying u*a + v*b = g, by sympy's extended Euclid."""
+    if a.is_zero and b.is_zero:
         raise ValueError("gcd of two zero polynomials")
-    r0, r1 = a, b
-    s0, s1 = UniPoly.one(), UniPoly.zero()
-    t0, t1 = UniPoly.zero(), UniPoly.one()
-    while not r1.is_zero():
-        q, rem = divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    lead = r0.leading
-    if lead != 1:
-        inv = divide(1, lead)
-        r0, s0, t0 = r0 * inv, s0 * inv, t0 * inv
-    return r0, s0, t0
+    if b.is_zero:
+        v, u, g = sympy.gcdex(b, a)
+    else:
+        u, v, g = sympy.gcdex(a, b)
+    return g, u, v
 
 
-def bezout_projector(m: UniPoly, mi: UniPoly) -> UniPoly:
-    """(u * N) mod m for N = m / mi and the Bezout identity u*N + v*mi = 1."""
-    ni = m // mi
+def bezout_projector(m: UniPoly, mi: UniPoly) -> sympy.Poly:
+    """(u * N) mod m for N = m / mi and the Bezout identity u*N + v*mi = 1,
+    a sympy polynomial over the rationals."""
+    m, mi = sympy_poly(m), sympy_poly(mi)
+    ni = m.exquo(mi)
     g, u, _ = extended_gcd(ni, mi)
-    if g != UniPoly.one():
+    if not g.is_one:
         raise InternalInvariantViolation("factors are not pairwise coprime")
-    return (u * ni) % m
+    return (u * ni).rem(m)
 
 
 def krylov_minimal_polynomial(m: RatMatrix, start: RatMatrix | None = None) -> UniPoly:

@@ -817,9 +817,10 @@ class TestPublicSurface:
         ("idempotent", "_assert_internally_valid"),
     ]
     # projectors need no Euclid; the extended Euclid is a test oracle in
-    # tests/algebra_helpers.py.  The search's own check of its identities
+    # tests/algebra_helpers.py, and the squarefree part takes its gcd from
+    # a Sylvester elimination.  The search's own check of its identities
     # repeated change_of_variables' e_j P = P D_j.
-    GONE = {"extended_gcd", "_assert_internally_valid"}
+    GONE = {"extended_gcd", "unipoly_gcd", "_assert_internally_valid"}
 
     def test_all_is_pinned(self):
         assert sorted(polydecomp.__all__) == sorted(self.PUBLIC)

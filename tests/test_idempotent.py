@@ -7,6 +7,7 @@ from math import lcm
 from operator import mul
 
 import pytest
+import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ import algebra_helpers
 import polydecomp.decompose
 import polydecomp.idempotent
 from algebra_helpers import (
+    T,
     bezout_projector,
     find_idempotents_by_matrices,
     in_span,
@@ -22,6 +24,7 @@ from algebra_helpers import (
     rank_profile,
     row_space_basis,
     scaled_rows,
+    unipoly,
     verify_complete,
 )
 from conftest import BIN_CUBIC_EPS, FOURVAR_EPS, TRIO_3_EPS, bench_workloads, mat, planted_suite
@@ -460,15 +463,13 @@ class TestCertifiedCorners:
         assert sum(skipped) >= 40
 
     def test_indecomposable_factors(self):
-        t = UniPoly.linear_root
         assert all(
-            _indecomposable(f)
-            for f in (t(3), t(-2) ** 4, UniPoly([-2, 0, 1]), UniPoly([-2, 0, 0, 1]))
+            _indecomposable(unipoly(f)) for f in (T - 3, (T + 2) ** 4, T**2 - 2, T**3 - 2)
         )
         # rootless of degree 4: (t^2 - 2)(t^2 - 3) splits, t^4 - 2 does not,
         # and neither is certified
-        assert not _indecomposable(UniPoly([-2, 0, 1]) * UniPoly([-3, 0, 1]))
-        assert not _indecomposable(UniPoly([-2, 0, 0, 0, 1]))
+        assert not _indecomposable(unipoly((T**2 - 2) * (T**2 - 3)))
+        assert not _indecomposable(unipoly(T**4 - 2))
 
 
 def corner_trace(z, v, d):
@@ -577,23 +578,24 @@ class TestProjectors:
     @given(
         st.lists(roots, min_size=2, max_size=6, unique=True),
         st.lists(st.tuples(roots, st.integers(1, 3)), max_size=2),
-        st.sampled_from([None, UniPoly([2, 0, 1]), UniPoly([-3, 1, 1])]),
+        st.sampled_from([None, T**2 + 2, T**2 + T - 3]),
     )
     # the root 0's projector is part of the rootless factor's complement
-    @example([0, 1], [], UniPoly([2, 0, 1]))
-    @example([-3, 4], [(0, 2)], UniPoly([-3, 1, 1]))
-    @example([5, -3], [(7, 1)], UniPoly([2, 0, 1]))
+    @example([0, 1], [], T**2 + 2)
+    @example([-3, 4], [(0, 2)], T**2 + T - 3)
+    @example([5, -3], [(7, 1)], T**2 + 2)
     # N(c) < 0 at an odd multiplicity: the denominator is made positive
     @example([1, 2], [(3, 2)], None)
     def test_match_the_extended_euclid(self, simple, repeated, rootless):
-        m = UniPoly.one()
+        m = sympy.Integer(1)
         for c in simple:
-            m = m * UniPoly.linear_root(c)
+            m *= T - c
         for c, k in repeated:
             if c not in simple:
-                m = m * UniPoly.linear_root(c) ** (k + 1)
+                m *= (T - c) ** (k + 1)
         if rootless is not None:
-            m = m * rootless
+            m *= rootless
+        m = unipoly(m)
         factors = primary_coprime_factors(m)
         projectors = _projectors(m, factors)
         assert len(projectors) == len(factors)
@@ -601,23 +603,28 @@ class TestProjectors:
         for mi, (poly, den) in zip(factors, projectors):
             assert den > 0 and all(type(x) is int for x in [den, *poly])
             assert len(poly) == m.degree
-            values.append(UniPoly([Fraction(x, den) for x in poly]))
+            values.append(_over(poly, den))
             assert values[-1] == bezout_projector(m, mi)
-        assert sum(values, UniPoly.zero()) == UniPoly.one()
+        assert sum(values).is_one
 
     def test_common_root_is_refused(self):
-        m = UniPoly.linear_root(2) ** 2 * UniPoly.linear_root(5)
-        assert bezout_projector(m, UniPoly.linear_root(5)) == _projector_of(m, 1)
+        m = unipoly((T - 2) ** 2 * (T - 5))
+        assert bezout_projector(m, unipoly(T - 5)) == _projector_of(m, 1)
         with pytest.raises(InternalInvariantViolation):
-            bezout_projector(m, UniPoly.linear_root(2))
+            bezout_projector(m, unipoly(T - 2))
         with pytest.raises(InternalInvariantViolation):
-            _projectors(m, [UniPoly.linear_root(2), UniPoly.linear_root(5)])
+            _projectors(m, [unipoly(T - 2), unipoly(T - 5)])
+
+
+def _over(poly, den):
+    """Integer coefficients, lowest degree first, over den, as a sympy
+    polynomial over the rationals."""
+    return sympy.Poly([sympy.Rational(x, den) for x in reversed(poly)], T, domain="QQ")
 
 
 def _projector_of(m, i):
     """The i-th of m's integer projectors, as a polynomial."""
-    poly, den = _projectors(m, primary_coprime_factors(m))[i]
-    return UniPoly([Fraction(x, den) for x in poly])
+    return _over(*_projectors(m, primary_coprime_factors(m))[i])
 
 
 class TestStructureConstants:

@@ -1,5 +1,7 @@
-"""Exact linear algebra: echelon forms, kernels, inverses, minimal polynomials, gcds."""
+"""Exact linear algebra: echelon forms, kernels, inverses, minimal polynomials,
+squarefree parts and integer roots."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 import polydecomp.idempotent
 import polydecomp.ratlinalg
 from algebra_helpers import (
+    T,
     at_matrix,
     extended_gcd,
     in_span,
@@ -25,6 +28,8 @@ from algebra_helpers import (
     same_span,
     scaled_rows,
     span_intersection,
+    sympy_poly,
+    unipoly,
     wang_reconstruct,
 )
 from conftest import bench_workloads, mat, mixed_by_big_entry, planted_suite
@@ -37,26 +42,24 @@ from polydecomp import (
     parse_polynomial,
 )
 from polydecomp._rat import normalize
-from polydecomp.errors import LiftExhausted
+from polydecomp.errors import InternalInvariantViolation, LiftExhausted
 from polydecomp.idempotent import _Coordinates, _echelon_basis
 from polydecomp.ratlinalg import (
     UniPoly,
     _bareiss,
     _cleared,
     _crt,
-    _is_prime,
     _kernel_prime,
     _primitive_int_row,
     _ratio,
     _reconstruct,
     _SparseSystem,
     column_space_basis,
+    integer_roots,
     minimal_polynomial,
     nullspace_basis,
     primary_coprime_factors,
-    rational_roots,
     squarefree_part,
-    unipoly_gcd,
     vec,
 )
 
@@ -473,8 +476,8 @@ class TestEchelonOracle:
         v = integral(RatMatrix(m.rows, 1, data.draw(rational_lists(m.rows))))
         p = minimal_polynomial(krylov_vectors(m, v))
         assert p.coefficients()[-1] == 1
-        assert (at_matrix(p, m) * v).is_zero()
-        assert (minimal_polynomial(krylov_vectors(m)) % p).is_zero()
+        assert (at_matrix(sympy_poly(p), m) * v).is_zero()
+        assert sympy_poly(minimal_polynomial(krylov_vectors(m))).rem(sympy_poly(p)).is_zero
         oracle, column = to_sympy(m), to_sympy(v)
         krylov = sympy.Matrix.hstack(*(oracle**k * column for k in range(m.rows + 1)))
         assert p.degree == krylov.rank()
@@ -660,21 +663,20 @@ class TestMinimalPolynomial:
         for _ in range(10):
             m = rand_matrix(rng, 3, 3, -3, 3)
             mp = minimal_polynomial(krylov_vectors(m))
-            assert at_matrix(mp, m).is_zero()
+            assert at_matrix(sympy_poly(mp), m).is_zero()
             # no proper monic divisor annihilates: drop one coprime factor
             for f in primary_coprime_factors(mp):
-                quotient = mp // f
-                if quotient.degree >= 1:
+                quotient = sympy_poly(mp).exquo(sympy_poly(f))
+                if quotient.degree() >= 1:
                     assert not at_matrix(quotient, m).is_zero()
 
     def test_start_column_cases(self):
         m = mat([[2, 0, 0], [0, 3, 0], [0, 0, 3]])
         assert minimal_polynomial(krylov_vectors(m, mat([[1], [0], [0]]))) == UniPoly([-2, 1])
         assert minimal_polynomial(krylov_vectors(m, mat([[1], [1], [0]]))) == UniPoly([6, -5, 1])
-        assert minimal_polynomial(krylov_vectors(m, RatMatrix.zeros(3, 1))) == UniPoly.one()
+        assert minimal_polynomial(krylov_vectors(m, RatMatrix.zeros(3, 1))) == UniPoly([1])
         # the first dependency, even where later vectors are independent
         assert minimal_polynomial([(1, 0), (0, 0), (0, 1)]) == UniPoly([0, 1])
-        assert minimal_polynomial([(2, 4), (1, 2)]) == UniPoly([Fraction(-1, 2), 1])
         # vectors with no dependency among them have no such polynomial
         with pytest.raises(ValueError, match="independent"):
             minimal_polynomial([(1, 0, 0), (0, 2, 0), (0, 0, 3)])
@@ -682,6 +684,12 @@ class TestMinimalPolynomial:
     def test_nilpotent(self):
         m = mat([[0, 1], [0, 0]])
         assert minimal_polynomial(krylov_vectors(m)) == UniPoly([0, 0, 1])  # t^2
+
+    def test_dependency_over_the_integers_only(self):
+        # x_1 = x_0 / 2 gives t - 1/2, which the Krylov vectors of an
+        # integer matrix never do: the coefficients are integers or a bug
+        with pytest.raises(InternalInvariantViolation, match="integers"):
+            minimal_polynomial([(2, 4), (1, 2)])
 
 
 class TestMinimalPolynomialKernelCalls:
@@ -947,84 +955,46 @@ class TestBareissOracle:
 
 
 class TestUniPolyGcd:
-    def test_gcd_simple(self):
-        t2_t = UniPoly([0, -1, 1])
-        t_1 = UniPoly([-1, 1])
-        assert unipoly_gcd(t2_t, t_1) == t_1
-
     def test_extended_gcd_bezout(self):
-        t = UniPoly([0, 1])
-        t_1 = UniPoly([-1, 1])
+        t, t_1 = sympy.Poly(T, T, domain="QQ"), sympy.Poly(T - 1, T, domain="QQ")
         g, u, v = extended_gcd(t, t_1)
-        assert g == UniPoly.one()
-        assert u * t + v * t_1 == UniPoly.one()
+        assert g.is_one
+        assert (u * t + v * t_1).is_one
 
     def test_extended_gcd_random(self):
         rng = random.Random(23)
         for _ in range(20):
-            a = UniPoly([rng.randint(-4, 4) for _ in range(rng.randint(1, 5))])
-            b = UniPoly([rng.randint(-4, 4) for _ in range(rng.randint(1, 5))])
-            if a.is_zero() and b.is_zero():
+            a, b = (
+                sympy.Poly([rng.randint(-4, 4) for _ in range(rng.randint(1, 5))], T, domain="QQ")
+                for _ in range(2)
+            )
+            if a.is_zero and b.is_zero:
                 continue
             g, u, v = extended_gcd(a, b)
             assert u * a + v * b == g
-            if not g.is_zero():
-                assert g.leading == 1
+            if not g.is_zero:
+                assert g.LC() == 1
 
     def test_squarefree_part(self):
         assert squarefree_part(UniPoly([0, 0, 1])) == UniPoly([0, 1])  # t^2 -> t
-        cube = UniPoly([-1, 1]) ** 3 * UniPoly([0, 1])
-        assert squarefree_part(cube) == UniPoly([0, 1]) * UniPoly([-1, 1])
-
-    def test_divmod(self):
-        a = UniPoly([2, 0, 1])  # t^2 + 2
-        b = UniPoly([1, 1])  # t + 1
-        q, r = divmod(a, b)
-        assert q * b + r == a
-        assert r.degree < b.degree
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        a=st.lists(st.one_of(st.integers(-9, 9), small_rationals), max_size=7),
-        b=st.lists(st.one_of(st.integers(-9, 9), small_rationals), max_size=4),
-        lead=st.one_of(st.just(1), st.integers(-5, 5), small_rationals),
-    )
-    def test_divmod_identity(self, a, b, lead):
-        # lead 1 takes the monic path, which skips dividing by the lead
-        assume(lead != 0)
-        a, b = UniPoly(a), UniPoly(b + [lead])
-        q, r = divmod(a, b)
-        assert q * b + r == a
-        assert r.degree < b.degree
-        for c in q.coefficients() + r.coefficients():
-            assert type(c) is int or c.denominator != 1
+        assert squarefree_part(unipoly((T - 1) ** 3 * T)) == unipoly(T * (T - 1))
 
 
 class TestCoprimeSplit:
     def test_primary_factors_product_is_input(self):
-        m = UniPoly.linear_root(2) ** 3 * UniPoly.linear_root(-1) ** 2
+        m = unipoly((T - 2) ** 3 * (T + 1) ** 2)
         parts = primary_coprime_factors(m)
-        product = UniPoly.one()
-        for p in parts:
-            product = product * p
-        assert product == m.monic()
+        assert unipoly(math.prod(map(sympy_poly, parts))) == m
         assert len(parts) == 2
 
 
 class TestRationalRoots:
-    def test_mixed_roots(self):
-        p = UniPoly([-2, 5, -3])  # -3t^2+5t-2 = -(3t-2)(t-1)
-        assert rational_roots(p) == [Fraction(2, 3), 1]
-
     def test_zero_root_and_bigs(self):
         p = UniPoly([0, -1, 0, 1])
-        assert rational_roots(p) == [-1, 0, 1]
+        assert integer_roots(p) == [-1, 0, 1]
 
     def test_no_roots(self):
-        assert rational_roots(UniPoly([1, 0, 1])) == []
-
-
-T = sympy.Symbol("t")
+        assert integer_roots(UniPoly([1, 0, 1])) == []
 
 
 def oracle_factors(p):
@@ -1033,14 +1003,12 @@ def oracle_factors(p):
     Returns each rational root with its multiplicity, and the product of the
     non-linear factors with theirs.
     """
-    expr = sum(sympy.Rational(str(c)) * T**i for i, c in enumerate(p.coefficients()))
     linear, rest = {}, sympy.Integer(1)
-    for factor, k in sympy.factor_list(expr)[1]:
+    for factor, k in sympy.factor_list(sympy_poly(p).as_expr())[1]:
         poly = sympy.Poly(factor, T)
         if poly.degree() == 1:
             a, b = poly.all_coeffs()
-            r = -b / a
-            linear[int(r.p) if r.q == 1 else Fraction(int(r.p), int(r.q))] = k
+            linear[from_sympy(-b / a)] = k
         else:
             rest *= factor**k
     return linear, rest
@@ -1053,43 +1021,33 @@ def oracle_roots(p):
 
 @st.composite
 def rootless_quadratics(draw):
-    """a t^2 + b t + c with a discriminant that is not a rational square."""
-    a = draw(st.integers(1, 7))
+    """t^2 + b t + c with a discriminant that is not a square, as a sympy
+    expression."""
     b = draw(st.integers(-9, 9))
     c = draw(st.integers(-9, 9).filter(bool))
-    disc = b * b - 4 * a * c
+    disc = b * b - 4 * c
     assume(disc < 0 or isqrt(disc) ** 2 != disc)
-    return UniPoly([c, b, a])
+    return T**2 + b * T + c
 
 
-nonzero_rationals = st.builds(
-    Fraction, st.integers(-60, 60).filter(bool), st.integers(1, 12)
-)
+integer_roots_with_multiplicity = st.tuples(st.integers(-40, 40), st.integers(1, 3))
 
 
 @st.composite
 def polys_with_roots(draw):
-    """A nonzero rational multiple of planted roots, t^k and rootless quadratics.
+    """A product of planted (t - r)^k, t^k and rootless quadratics.
 
-    Returns the polynomial and its rational roots.
+    Returns the polynomial and its integer roots.
     """
-    planted = draw(
-        st.lists(
-            st.tuples(
-                st.builds(Fraction, st.integers(-40, 40), st.integers(1, 9)),
-                st.integers(1, 3),
-            ),
-            max_size=4,
-        )
-    )
+    planted = draw(st.lists(integer_roots_with_multiplicity, max_size=4))
     zero_power = draw(st.integers(0, 2))
-    p = UniPoly((0, 1)) ** zero_power * draw(nonzero_rationals)
+    p = T**zero_power
     for r, k in planted:
-        p = p * UniPoly.linear_root(r) ** k
+        p *= (T - r) ** k
     for q in draw(st.lists(rootless_quadratics(), max_size=2)):
-        p = p * q
+        p *= q
     roots = {r for r, _ in planted} | ({0} if zero_power else set())
-    return p, sorted(roots)
+    return unipoly(p), sorted(roots)
 
 
 def oracle_primary_factors(p):
@@ -1099,31 +1057,42 @@ def oracle_primary_factors(p):
     then the monic product of the non-linear factors with theirs.
     """
     linear, rest = oracle_factors(p)
-    factors = [UniPoly.linear_root(r) ** k for r, k in sorted(linear.items())]
+    factors = [unipoly((T - r) ** k) for r, k in sorted(linear.items())]
     rest = sympy.Poly(rest, T).monic()
     if rest.degree() >= 1:
-        coeffs = reversed(rest.all_coeffs())
-        factors.append(UniPoly([Fraction(int(c.p), int(c.q)) for c in coeffs]))
+        factors.append(unipoly(rest))
     return factors
 
 
 @st.composite
 def polys_with_primary_factors(draw):
-    """A nonzero rational times (t - r)^k, k = 1..3, and rootless quadratics.
+    """A product of (t - r)^k, k = 1..3, and rootless quadratics.
 
-    The roots r are rational and may be 0; each of up to two rootless
+    The roots r are integers and may be 0; each of up to two rootless
     quadratics appears once or squared.
     """
-    p = UniPoly([draw(nonzero_rationals)])
-    planted = st.tuples(
-        st.builds(Fraction, st.integers(-40, 40), st.integers(1, 9)), st.integers(1, 3)
-    )
-    for r, k in draw(st.lists(planted, max_size=4)):
-        p = p * UniPoly.linear_root(r) ** k
+    p = sympy.Integer(1)
+    for r, k in draw(st.lists(integer_roots_with_multiplicity, max_size=4)):
+        p *= (T - r) ** k
     for q in draw(st.lists(rootless_quadratics(), max_size=2)):
-        p = p * q ** draw(st.integers(1, 2))
+        p *= q ** draw(st.integers(1, 2))
+    p = unipoly(p)
     assume(p.degree >= 1)
     return p
+
+
+def counting_sylvester(monkeypatch) -> list:
+    """The calls to ``_bareiss`` from ``ratlinalg``, which only the Sylvester
+    gcd of ``squarefree_part`` makes among the polynomial functions."""
+    calls = []
+    real = polydecomp.ratlinalg._bareiss
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(polydecomp.ratlinalg, "_bareiss", counting)
+    return calls
 
 
 class TestPrimaryFactorsOracle:
@@ -1132,63 +1101,48 @@ class TestPrimaryFactorsOracle:
     def test_matches_sympy_factorization(self, m):
         factors = primary_coprime_factors(m)
         # ascending roots with sympy's multiplicities, then sympy's
-        # non-linear part; a single factor is m itself, made monic
+        # non-linear part; a single factor is m itself
         assert factors == oracle_primary_factors(m)
         if len(factors) == 1:
-            assert factors == [m.monic()]
-        product = UniPoly.one()
+            assert factors == [m]
         for i, f in enumerate(factors):
-            product = product * f
             for g in factors[i + 1 :]:
-                assert unipoly_gcd(f, g) == UniPoly.one()
-        assert product == m.monic()
+                assert sympy.gcd(sympy_poly(f), sympy_poly(g)).is_one
+        assert unipoly(math.prod(map(sympy_poly, factors))) == m
 
     def test_single_factor_is_the_monic_input(self):
-        quadratic = UniPoly([2, 0, 3])  # 3t^2 + 2
-        for m in (
-            UniPoly.linear_root(Fraction(-2, 3)) ** 3 * 5,
-            UniPoly((0, 1)) ** 2,
-            quadratic,
-            quadratic**2 * UniPoly([1, 1, 1]),
-        ):
-            assert primary_coprime_factors(m) == [m.monic()]
+        quadratic = T**2 + 2
+        for m in ((T + 2) ** 3, T**2, quadratic, quadratic**2 * (T**2 + T + 1)):
+            m = unipoly(m)
+            assert primary_coprime_factors(m) == [m]
 
     def test_constants_raise(self):
-        for m in (UniPoly.zero(), UniPoly.one(), UniPoly([Fraction(-7, 2)])):
+        for m in (UniPoly(), UniPoly([1])):
             with pytest.raises(ValueError):
                 primary_coprime_factors(m)
 
     def test_one_gcd_per_call(self, monkeypatch):
         # the multiplicities come from exact division, not from a gcd per
-        # factor: the squarefree part behind the roots is the only gcd, and
-        # a squarefree m certified modulo the kernel prime needs none
-        calls = []
-        real = polydecomp.ratlinalg.unipoly_gcd
-
-        def counting(a, b):
-            calls.append(1)
-            return real(a, b)
-
-        monkeypatch.setattr(polydecomp.ratlinalg, "unipoly_gcd", counting)
-        a = Fraction(7, 3)
+        # factor: the squarefree part behind the roots is the only gcd, one
+        # Sylvester elimination, and a squarefree m certified modulo the
+        # kernel prime needs none
+        calls = counting_sylvester(monkeypatch)
         cases = [
-            (UniPoly.linear_root(1) ** 2 * UniPoly.linear_root(-2) * UniPoly([1, 0, 1]), 1),
-            (UniPoly((0, 1)) ** 3 * UniPoly.linear_root(Fraction(1, 2)) ** 2, 1),
-            (UniPoly([0, -1, 0, 1]), 0),  # t^3 - t
+            ((T - 1) ** 2 * (T + 2) * (T**2 + 1), 1),
+            (T**3 * (T - 5) ** 2, 1),
+            (T**3 - T, 0),
             # squarefree, with a double root modulo the kernel prime
-            (UniPoly.linear_root(a) * UniPoly.linear_root(a + FIRST_PRIME), 1),
+            ((T - 7) * (T - 7 - FIRST_PRIME), 1),
         ]
         for m, gcds in cases:
             calls.clear()
-            assert len(primary_coprime_factors(m)) >= 2
+            assert len(primary_coprime_factors(unipoly(m))) >= 2
             assert len(calls) == gcds
 
 
 def sympy_squarefree_part(m: UniPoly) -> UniPoly:
     """Oracle: sympy's squarefree part of m, made monic."""
-    expr = sum(sympy.Rational(str(c)) * T**i for i, c in enumerate(m.coefficients()))
-    part = sympy.Poly(sympy.sqf_part(expr), T).monic()
-    return UniPoly([from_sympy(c) for c in reversed(part.all_coeffs())])
+    return unipoly(sympy.sqf_part(sympy_poly(m)).monic())
 
 
 class TestSquarefreePart:
@@ -1198,29 +1152,22 @@ class TestSquarefreePart:
         assert squarefree_part(m) == sympy_squarefree_part(m)
 
     def test_double_root_modulo_the_kernel_prime(self, monkeypatch):
-        # (t - a)(t - a - p) is squarefree over the rationals but a square
-        # modulo p, as is p t^2 + 1 whose leading coefficient vanishes there:
-        # both take the Euclid over the rationals and keep m
-        calls = []
-        real = polydecomp.ratlinalg.unipoly_gcd
-        monkeypatch.setattr(
-            polydecomp.ratlinalg, "unipoly_gcd", lambda a, b: calls.append(1) or real(a, b)
-        )
+        # (t - a)(t - a - p) is squarefree over the integers but a square
+        # modulo p: it takes the Sylvester gcd and keeps m, and the same
+        # with (t - a) squared divides the square out
+        calls = counting_sylvester(monkeypatch)
         p = FIRST_PRIME
-        for a in (0, 5, Fraction(-3, 4), 2**70 + 1):
-            m = UniPoly.linear_root(a) * UniPoly.linear_root(a + p) * Fraction(2, 9)
+        for a in (0, 5, 2**70 + 1):
+            m = unipoly((T - a) * (T - a - p))
             calls.clear()
-            assert squarefree_part(m) == m.monic() == sympy_squarefree_part(m)
-            assert calls == [1]
-        m = UniPoly([1, 0, p])
-        calls.clear()
-        assert squarefree_part(m) == m.monic()
-        assert calls == [1]
+            assert squarefree_part(m) == m == sympy_squarefree_part(m)
+            assert squarefree_part(unipoly((T - a) ** 2 * (T - a - p))) == m
+            assert calls == [1, 1]
 
     def test_squarefree_needs_no_gcd(self, monkeypatch):
-        monkeypatch.setattr(polydecomp.ratlinalg, "unipoly_gcd", None)
-        for m in (UniPoly([Fraction(-5, 2), 3]), UniPoly([2, 0, 3]), UniPoly([0, -1, 0, 1])):
-            assert squarefree_part(m) == m.monic()
+        monkeypatch.setattr(polydecomp.ratlinalg, "_bareiss", None)
+        for m in (UniPoly([-5, 1]), UniPoly([2, 0, 1]), UniPoly([0, -1, 0, 1])):
+            assert squarefree_part(m) == m
 
 
 class TestRationalRootsOracle:
@@ -1228,29 +1175,26 @@ class TestRationalRootsOracle:
     @given(polys_with_roots())
     def test_planted_roots(self, case):
         p, planted = case
-        roots = rational_roots(p)
+        roots = integer_roots(p)
         assert roots == planted == oracle_roots(p)
-        # integral roots are ints, the rest Fractions in lowest terms
-        assert all(type(r) is int or r.denominator > 1 for r in roots)
+        assert all(type(r) is int for r in roots)
 
     @settings(max_examples=50, deadline=None)
-    @given(st.lists(rootless_quadratics(), min_size=1, max_size=3), nonzero_rationals)
-    def test_no_rational_roots(self, quadratics, scale):
-        p = UniPoly([scale])
-        for q in quadratics:
-            p = p * q
-        assert rational_roots(p) == [] == oracle_roots(p)
+    @given(st.lists(rootless_quadratics(), min_size=1, max_size=3))
+    def test_no_rational_roots(self, quadratics):
+        p = unipoly(math.prod(quadratics))
+        assert integer_roots(p) == [] == oracle_roots(p)
 
     def test_irreducible_cubic_times_roots(self):
-        p = UniPoly([-2, 0, 0, 1]) * UniPoly.linear_root(Fraction(-5, 3)) ** 2
-        assert rational_roots(p) == [Fraction(-5, 3)] == oracle_roots(p)
+        p = unipoly((T**3 - 2) * (T + 5) ** 2)
+        assert integer_roots(p) == [-5] == oracle_roots(p)
 
     def test_eight_smooth_hundred_bit_roots(self):
         # Every root is divisible by every prime below 53, so modulo each of
         # them all eight roots collide at 0 and the prime search has to move
         # past them; the constant term has far too many divisors to sweep.
         rng = random.Random(8)
-        small = [q for q in range(2, 53) if _is_prime(q)]
+        small = list(sympy.primerange(2, 53))
         roots = set()
         while len(roots) < 8:
             r = 1
@@ -1259,21 +1203,15 @@ class TestRationalRootsOracle:
             while r.bit_length() < 96:
                 r *= rng.choice(small)
             roots.add(r if rng.randint(0, 1) else -r)
-        p = UniPoly([3])
-        for r in roots:
-            p = p * UniPoly.linear_root(r)
+        p = unipoly(math.prod(T - r for r in roots))
         start = time.perf_counter()
-        found = rational_roots(p)
+        found = integer_roots(p)
         elapsed = time.perf_counter() - start
         assert found == sorted(roots)
         assert elapsed < 2.0, f"took {elapsed:.2f} s"
 
 
 class TestNumberTheoryHelpers:
-    def test_primality(self):
-        assert _is_prime(2) and _is_prime(97) and _is_prime(2**31 - 1)
-        assert not _is_prime(1) and not _is_prime(91) and not _is_prime(2**32)
-
     def test_pinned_kernel_primes(self):
         # the kernel primes are Mersenne primes 2^q - 1 with q ascending from
         # 61, each proved prime by Lucas-Lehmer: 2^q - 1 is prime exactly
