@@ -81,8 +81,3 @@ def to_rat(value) -> Rat:
     if isinstance(value, int):
         return value
     return normalize(Fraction(value))
-
-
-def rat_str(x: Rat) -> str:
-    """Render a scalar as 'a' or 'a/b' in lowest terms."""
-    return str(x)

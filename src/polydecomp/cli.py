@@ -27,7 +27,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from types import SimpleNamespace
 
-from ._rat import Record, rat_str
+from ._rat import Record
 from .center import CenterBasis, center_basis
 from .decompose import (
     DecompositionNode,
@@ -92,7 +92,7 @@ def write_problem(path: str, vars: Sequence[str], sources: Sequence[str]) -> Non
 
 
 def matrix_to_json(m: RatMatrix) -> list[list[str]]:
-    return [list(map(rat_str, m.row(r))) for r in range(m.rows)]
+    return [list(map(str, m.row(r))) for r in range(m.rows)]
 
 
 def matrix_from_json(rows: list[list[str]], name: str = "matrix") -> RatMatrix:
@@ -220,6 +220,7 @@ def result_to_document(
     if center is None:
         raise ValueError("result does not carry its root center")
     tree = _node_to_json(result.tree, problem.vars, is_root=True)
+    p = result.P
     return {
         "version": SCHEMA_VERSION,
         "vars": list(problem.vars),
@@ -228,8 +229,8 @@ def result_to_document(
         "center_dim": center.dim,
         "center_basis": [matrix_to_json(b) for b in center.basis],
         "idempotents": tree["idempotents"],  # the root's, rendered once
-        "P": matrix_to_json(result.P),
-        "P_inverse": matrix_to_json(invert(result.P)),
+        "P": matrix_to_json(p),
+        "P_inverse": matrix_to_json(invert(p)),
         "diagonalizable": result.diagonalizable,
         "tree": tree,
     }
@@ -251,19 +252,14 @@ def result_from_document(doc: dict) -> tuple[ProblemFile, DecompositionResult]:
         len(problem.vars),
         _matrices_from_json(_field(doc, "center_basis", list, ""), "center_basis"),
     )
-    return problem, DecompositionResult(
-        P=matrix_from_json(_field(doc, "P", list, ""), "P"),
-        tree=tree,
-        diagonalizable=_field(doc, "diagonalizable", bool, ""),
-        center=center,
-    )
+    return problem, DecompositionResult(tree, center)
 
 
 def _claims_from_document(doc: dict) -> tuple:
-    """(center_dim, idempotents, P_inverse) of a result document: the fields
-    that restate what its inputs, tree and P determine.  A missing or
-    mistyped one, or a seed that is neither an int nor null, raises
-    DocumentError."""
+    """(center_dim, idempotents, P, P_inverse, diagonalizable) of a result
+    document: the fields that restate what its inputs and tree determine.
+    A missing or mistyped one, or a seed that is neither an int nor null,
+    raises DocumentError."""
     seed = _field(doc, "seed", object, "")
     if seed is not None and type(seed) is not int:
         raise DocumentError("seed: expected int or null")
@@ -271,7 +267,9 @@ def _claims_from_document(doc: dict) -> tuple:
     return (
         _field(doc, "center_dim", int, ""),
         None if idems is None else _matrices_from_json(idems, "idempotents"),
+        matrix_from_json(_field(doc, "P", list, ""), "P"),
         matrix_from_json(_field(doc, "P_inverse", list, ""), "P_inverse"),
+        _field(doc, "diagonalizable", bool, ""),
     )
 
 
@@ -285,8 +283,8 @@ def _nodes(node: DecompositionNode, path: str):
 def _claim_failure(polys: Sequence[Polynomial], result: DecompositionResult, claims) -> str:
     """Why a verified result's document claims do not hold, '' if they do:
     the center basis and every node's center dimension are recomputed, and
-    the top-level copies must match the tree and P."""
-    center_dim, idempotents, p_inverse = claims
+    the top-level copies must match the tree."""
+    center_dim, idempotents, p, p_inverse, diagonalizable = claims
     center = center_basis(polys)
     if result.center != center:
         return "center_basis: not the canonical basis of the inputs' center"
@@ -298,8 +296,12 @@ def _claim_failure(polys: Sequence[Polynomial], result: DecompositionResult, cla
         return f"center_dim: {center_dim}, but the center has dimension {center.dim}"
     if idempotents != result.tree.idempotents:
         return "idempotents: not the root's idempotents"
-    if p_inverse != invert(result.P):
+    if p != result.P:
+        return "P: not the product of the tree's transforms"
+    if p_inverse != invert(p):
         return "P_inverse: not the inverse of P"
+    if diagonalizable != result.diagonalizable:
+        return "diagonalizable: not whether every leaf has one variable"
     return ""
 
 

@@ -21,13 +21,12 @@ are found modulo primes, and lifted and certified by the center itself.
 Constant terms are invisible to Hessians, so they are assigned to the first
 (lowest-index) block by convention; linear terms follow their variable's
 block.  With that convention the reconstruction identity
-f_i(P*y) = sum of the leaf polynomials holds exactly.  As P is invertible,
-it is f_i(x) = sum_B g_B((P^-1)_B x) over the leaves B.
-``verify_decomposition`` checks each split in that form, the sum of the
-children on the node's inverse transform, one expansion per node; for the
-P this pipeline builds, the product of the tree's transforms, those checks
-chain to the identity for the leaves, and any other P has the leaves
-expanded on rows of P^-1.  A split that passes also proves its idempotents
+f_i(P*y) = sum of the leaf polynomials holds exactly, for P the product of
+the tree's transforms.  The tree is the result: P and the t = n flag are
+read off it.  ``verify_decomposition`` checks each split as
+f(x) = sum_b g_b((T^-1)_b x), the sum of the children on the node's
+inverse transform, one expansion per node, and those checks chain to the
+identity for the leaves.  A split that passes also proves its idempotents
 central, complete and orthogonal, so they get no check of their own, and a
 failed verification reports the first check that fails.
 """
@@ -80,18 +79,28 @@ class DecompositionNode(Record):
 
 
 class DecompositionResult(Record):
-    """Overall change of variables, the block tree, and the t = n flag.
+    """The block tree and the root center it was split from.
 
     ``center`` is the root center the pipeline started from (None for a
-    result assembled by hand); verification never reads it.
+    result assembled by hand); verification never reads it.  The overall
+    change of variables and the t = n flag are read off the tree.
     """
 
-    __slots__ = ("P", "tree", "diagonalizable", "center")
+    __slots__ = ("tree", "center")
     _defaults = (None,)
-    P: RatMatrix
     tree: DecompositionNode
-    diagonalizable: bool
     center: CenterBasis | None
+
+    @property
+    def P(self) -> RatMatrix:
+        """x = P*y: each node's transform times the block diagonal of its
+        children's products, I at a leaf."""
+        return _tree_product(self.tree)
+
+    @property
+    def diagonalizable(self) -> bool:
+        """Whether every leaf has one variable (t = n)."""
+        return all(len(l.variable_indices) == 1 for l in self.tree.leaves())
 
     def leaf_block_sizes(self) -> tuple[int, ...]:
         return tuple(sorted(len(l.variable_indices) for l in self.tree.leaves()))
@@ -123,6 +132,14 @@ def block_diagonal(blocks: Sequence[RatMatrix]) -> RatMatrix:
                 entries[(offset + r) * n + (offset + c)] = b.entry(r, c)
         offset += b.rows
     return RatMatrix(n, n, entries)
+
+
+def _tree_product(node: DecompositionNode) -> RatMatrix:
+    """T * block_diagonal(the children's products) of a node, I for a leaf:
+    the overall change of variables of the tree below it."""
+    if node.is_leaf:
+        return RatMatrix.identity(len(node.variable_indices))
+    return node.transform * block_diagonal([_tree_product(c) for c in node.children])
 
 
 def change_of_variables(
@@ -242,14 +259,14 @@ def separate(
 def decompose_recursive(polys: Sequence[Polynomial], seed: int = 42) -> DecompositionResult:
     """Full recursive pipeline; deterministic in ``seed``.
 
-    Terminates because block sizes strictly decrease.  The returned P is the
-    product of level-wise block-embedded transforms, and substituting it
-    into the inputs reproduces the leaf polynomials exactly.  A child whose
-    corner the search certified (a field or a local algebra, which holds no
-    idempotent but its unit) is a leaf at once, its center dimension the
-    corner's; only an uncertified child has its center carried from the
-    corner and searched again under a seed of its own.  Every child takes
-    one node seed, searched or not, so each search keeps its seed.
+    Terminates because block sizes strictly decrease.  The result's P, the
+    product of the tree's transforms, substituted into the inputs
+    reproduces the leaf polynomials exactly.  A child whose corner the
+    search certified (a field or a local algebra, which holds no idempotent
+    but its unit) is a leaf at once, its center dimension the corner's;
+    only an uncertified child has its center carried from the corner and
+    searched again under a seed of its own.  Every child takes one node
+    seed, searched or not, so each search keeps its seed.
     """
     polys = tuple(polys)
     root_center = center_basis(polys)
@@ -257,37 +274,28 @@ def decompose_recursive(polys: Sequence[Polynomial], seed: int = 42) -> Decompos
 
     def rec(
         fs: tuple[Polynomial, ...], indices: tuple[int, ...], z: CenterBasis
-    ) -> tuple[DecompositionNode, RatMatrix]:
+    ) -> DecompositionNode:
         node_seed = seed * 1_000_003 + next(node_counter)
         idem = find_idempotents(z, node_seed)
         if len(idem) == 1:
-            return (
-                DecompositionNode(indices, fs, (), z.dim),
-                RatMatrix.identity(z.n),
-            )
+            return DecompositionNode(indices, fs, (), z.dim)
         p_node, p_inv, ranges = change_of_variables(idem)
         parts = separate(fs, p_node, ranges)
-        pairs = []
+        children = []
         for b, (start, stop) in enumerate(ranges):
             child_fs = tuple(g[b] for g in parts)
             child_indices = indices[start:stop]
             corner = idem.corners[b]
             if corner is None:
                 next(node_counter)
-                leaf = DecompositionNode(child_indices, child_fs, (), idem.dims[b])
-                pairs.append((leaf, RatMatrix.identity(stop - start)))
+                children.append(DecompositionNode(child_indices, child_fs, (), idem.dims[b]))
             else:
                 z_child = _block_center(corner, p_node, p_inv, start, stop)
-                pairs.append(rec(child_fs, child_indices, z_child))
-        children, transforms = zip(*pairs)
-        node = DecompositionNode(indices, fs, children, z.dim, idem.eps, p_node)
-        return node, p_node * block_diagonal(transforms)
+                children.append(rec(child_fs, child_indices, z_child))
+        return DecompositionNode(indices, fs, tuple(children), z.dim, idem.eps, p_node)
 
-    root, p_total = rec(polys, tuple(range(root_center.n)), root_center)
-    diagonalizable = all(len(l.variable_indices) == 1 for l in root.leaves())
-    return DecompositionResult(
-        P=p_total, tree=root, diagonalizable=diagonalizable, center=root_center
-    )
+    root = rec(polys, tuple(range(root_center.n)), root_center)
+    return DecompositionResult(root, root_center)
 
 
 def _sum_on_inverse_rows(
@@ -310,14 +318,6 @@ def _sum_on_inverse_rows(
                 else:
                     del terms[mono]
     return substitute_linear([Polynomial._raw(k, terms) for terms in merged], q)
-
-
-def _tree_product(node: DecompositionNode) -> RatMatrix:
-    """T * block_diagonal(the children's products) of a checked node, I for
-    a leaf: the P ``decompose_recursive`` builds."""
-    if node.is_leaf:
-        return RatMatrix.identity(len(node.variable_indices))
-    return node.transform * block_diagonal([_tree_product(c) for c in node.children])
 
 
 def _verify_node(
@@ -386,27 +386,22 @@ def _verify_node(
 def verify_decomposition(
     polys: Sequence[Polynomial], result: DecompositionResult
 ) -> VerificationReport:
-    """Independent end-to-end certificate check, recomputed from scratch.
-
-    Verifies every node's witnesses and children, the change of variables
-    is invertible, the top-level conjugated idempotents are the expected
-    diagonal blocks, the leaf polynomials reconstruct the inputs exactly,
-    and the diagonalizable flag matches the tree.  A failing report names
-    the first check that fails.
+    """Independent end-to-end certificate check of the tree, recomputed
+    from scratch; a failing report names the first check that fails.
 
     A node's transform T must be invertible with e_b T = T D_b, D_b the 0/1
     diagonal of child b's range, and its polynomials must be the sum of its
-    children's expanded on rows of T^-1.  The first implies the idempotent
+    children's expanded on rows of T^-1: f(x) = sum_b g_b((T^-1)_b x), that
+    is f(T*y) = sum_b g_b(y_b).  The first implies the idempotent
     identities, as e_b = T D_b T^-1; the second implies membership, as
-    f(T*y) = sum_b g_b(y_b) has block-diagonal Hessians, so D_b lies in
+    f(T*y) has block-diagonal Hessians, so D_b lies in
     Z(f(T*y)) = T^-1 Z(f) T.  Neither is checked apart.
 
-    The inputs must be the sum of the leaves' on rows of P^-1:
-    f_i(x) = sum_B g_B((P^-1)_B x), which for invertible P is
-    f_i(P*y) = sum_B g_B(y_B).  A cross term is missing from such a sum.
-    When P is the tree's product, the node checks already chain to that
-    identity and give P^-1 e P = D for the root's idempotents, so P is not
-    inverted and the leaves are not expanded; any other P is.  The
+    The node checks chain to the leaves.  P, the tree's product, is
+    T * diag(C) at the root, C the children's products (I at a leaf), so it
+    is invertible, and each child's identity g_b(C_b*z_b) = sum of its leaves
+    turns the root's into f_i(P*y) = sum of the leaves.  Neither P nor the
+    flag is checked apart, as both are read off the tree, and the
     pipeline's ``separate`` is not called.
     """
     polys = tuple(polys)
@@ -418,36 +413,4 @@ def verify_decomposition(
         return VerificationReport(False, "root polynomials do not match inputs")
     if tuple(root.variable_indices) != tuple(range(n)):
         return VerificationReport(False, "root variable indices malformed")
-    node_report = _verify_node(root, "root", len(polys))
-    if not node_report.ok:
-        return node_report
-    if result.P.rows != n or result.P.cols != n:
-        return VerificationReport(False, "change of variables has wrong shape")
-    # P = T_root * diag(C), C the children's products (I at a leaf), is
-    # invertible, P^-1 e P = diag(C)^-1 D diag(C) = D for the root's checked
-    # supports D, and each node check gives f(T*y) = sum_b g_b(y_b), so they
-    # chain to f_i(P*y) = sum of the leaves.  Any other P is checked here.
-    if result.P != _tree_product(root):
-        try:
-            p_inv = invert(result.P)
-        except SingularMatrix:
-            return VerificationReport(False, "change of variables is singular")
-        if not root.is_leaf:
-            supports = diagonal_idempotent_supports(result.P, root.idempotents)
-            expected = [tuple(child.variable_indices) for child in root.children]
-            if supports != expected:
-                return VerificationReport(
-                    False, "conjugated idempotent not block diagonal"
-                )
-        leaves = [(leaf.polys, leaf.variable_indices) for leaf in root.leaves()]
-        sums = _sum_on_inverse_rows(leaves, p_inv)
-        for i, (f, total) in enumerate(zip(polys, sums)):
-            if total != f:
-                return VerificationReport(
-                    False, f"reconstruction mismatch for polynomial {i}"
-                )
-    if result.diagonalizable != all(
-        len(l.variable_indices) == 1 for l in root.leaves()
-    ):
-        return VerificationReport(False, "diagonalizable flag inconsistent")
-    return VerificationReport(True)
+    return _verify_node(root, "root", len(polys))

@@ -34,7 +34,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import lcm
 
-from ._rat import Rat, normalize, rat_str, to_rat
+from ._rat import Rat, normalize, to_rat
 from .errors import DimensionMismatch, ParseError
 from .ratlinalg import RatMatrix, _cleared, _ratio
 
@@ -351,7 +351,7 @@ def render_canonical(p: Polynomial, variables: Sequence[str]) -> str:
         pieces.append("-" if coeff < 0 else "+")
         coeff = abs(coeff)
         if coeff != 1 or not factors:
-            factors.insert(0, rat_str(coeff))
+            factors.insert(0, str(coeff))
         pieces.append("*".join(factors))
     # the first sign has no blank after it, and a leading '+' is dropped
     return ("-" if pieces[0] == "-" else "") + " ".join(pieces[1:])

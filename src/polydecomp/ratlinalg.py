@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import comb, gcd, isqrt, lcm
 from operator import mul
 
-from ._rat import Rat, normalize, rat_str, to_rat
+from ._rat import Rat, normalize, to_rat
 from .errors import DimensionMismatch, InternalInvariantViolation, LiftExhausted, SingularMatrix
 
 Vector = tuple  # tuple[Rat, ...]; module-internal shorthand
@@ -162,9 +162,7 @@ class RatMatrix:
         return self.rows == self.cols and self == RatMatrix.identity(self.rows)
 
     def __repr__(self) -> str:
-        body = "; ".join(
-            " ".join(rat_str(x) for x in self.row(r)) for r in range(self.rows)
-        )
+        body = "; ".join(" ".join(map(str, self.row(r))) for r in range(self.rows))
         return f"RatMatrix({self.rows}x{self.cols}: {body})"
 
 

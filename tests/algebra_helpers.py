@@ -66,7 +66,7 @@ import sympy
 
 from polydecomp import (
     CenterBasis,
-    DecompositionResult,
+    DecompositionNode,
     DimensionMismatch,
     IdempotentSet,
     InternalInvariantViolation,
@@ -261,20 +261,21 @@ def substitute_one(p: Polynomial, m: RatMatrix) -> Polynomial:
 
 
 def reconstruction_by_full_expansion(
-    polys: Sequence[Polynomial], result: DecompositionResult
+    polys: Sequence[Polynomial], p: RatMatrix, tree: DecompositionNode
 ) -> bool:
-    """Whether f_i(P*y) equals the sum of the leaf polynomials, each placed at
-    its variable indices, for every input f_i; False when a leaf does not
-    carry one polynomial per input."""
+    """Whether f_i(P*y) equals the sum of the tree's leaf polynomials, each
+    placed at its variable indices, for every input f_i; False when a leaf
+    does not carry one polynomial per input.  P is given apart from the
+    tree, so a document's P is checked as written."""
     n = polys[0].n
-    leaves = list(result.tree.leaves())
+    leaves = list(tree.leaves())
     if any(len(leaf.polys) != len(polys) for leaf in leaves):
         return False
     for i, f in enumerate(polys):
         total = Polynomial.zero(n)
         for leaf in leaves:
             total = total + embed(leaf.polys[i], leaf.variable_indices, n)
-        if total != substitute_linear(f, result.P):
+        if total != substitute_linear(f, p):
             return False
     return True
 

@@ -167,7 +167,9 @@ def test_planted_property_suite():
         verified += verdict
         # the forward identity f_i(P*y) = sum of the leaves, expanded in all
         # variables, must give the verifier's verdict
-        reconstructed += verdict == reconstruction_by_full_expansion(instance.fs, result)
+        reconstructed += verdict == reconstruction_by_full_expansion(
+            instance.fs, result.P, result.tree
+        )
         if refines(result.leaf_block_sizes(), instance.planted_blocks):
             refined += 1
         if brute_force_center_dim(instance.fs) == center_basis(instance.fs).dim:

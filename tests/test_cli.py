@@ -283,13 +283,18 @@ def _golden_problem(name, tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_DOCUMENTS))
-def test_golden_documents_are_pinned(name, tmp_path):
+def test_golden_documents_are_pinned(name, tmp_path, capsys):
+    # each pinned document also passes `verify`, every field it restates
+    # from its tree included
     digest = GOLDEN_DOCUMENTS[name][2]
     problem = _golden_problem(name, tmp_path)
     out = tmp_path / "golden.json"
     argv = ["decompose", "--input", str(problem), "--json", "--seed", "42", "--output", str(out)]
     assert main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    capsys.readouterr()
+    assert main(["verify", "--input", str(problem), "--result", str(out)]) == 0
+    assert capsys.readouterr().out == "PASS: decomposition verified\n"
 
 
 # SHA-256 over the `decompose --json` documents of seed-1 problems 0-29 of
@@ -387,7 +392,8 @@ def _empty_root_children(tree):
 
 
 def _make_root_a_leaf(tree):
-    # a well-formed leaf, so only the leaves' sum on rows of P^-1 fails
+    # a well-formed leaf: the tree is the trivial decomposition and
+    # verifies, but the document still claims the split it dropped
     _empty_root_children(tree)
     tree["idempotents"] = tree["transform"] = None
 
@@ -418,8 +424,8 @@ def _give_leaf_idempotents(tree):
 
 
 # Tampered copies of a golden document: (golden, tamper applied to the
-# document's tree, whether f_i(P*y) still equals the sum of the leaves, the
-# verdict line of `verify`).
+# document's tree, whether f_i(P*y) still equals the sum of the leaves for
+# the document's own P, the verdict line of `verify`).
 TAMPERED_DOCUMENTS = {
     "child_missing_a_polynomial": (
         "bin_cubics",
@@ -455,7 +461,7 @@ TAMPERED_DOCUMENTS = {
         "bin_cubics",
         _make_root_a_leaf,
         False,
-        "FAIL: reconstruction mismatch for polynomial 0",
+        "FAIL: idempotents: not the root's idempotents",
     ),
     "transform_not_square": (
         "bin_cubics",
@@ -512,7 +518,8 @@ def test_tampered_document_gets_a_verdict(case, tmp_path, capsys):
     # the verifier rejects those as well as every case the identity rejects
     _, result = result_from_document(doc)
     polys = read_problem(str(problem)).parse()
-    assert reconstruction_by_full_expansion(polys, result) is identity_holds
+    p = matrix_from_json(doc["P"])
+    assert reconstruction_by_full_expansion(polys, p, result.tree) is identity_holds
 
 
 class TestVerifyCommand:
@@ -531,11 +538,34 @@ class TestVerifyCommand:
         doc["P"][0][0] = "5/7"
         tampered = tmp_path / "tampered.json"
         tampered.write_text(json.dumps(doc))
+        capsys.readouterr()
         assert (
             main(["verify", "--input", pair_file, "--result", str(tampered)]) == 1
         )
         out = capsys.readouterr().out
-        assert "FAIL" in out and "block diagonal" in out
+        assert out == "FAIL: P: not the product of the tree's transforms\n"
+
+    def test_other_p_is_refused(self, tmp_path, capsys):
+        # the quartic's leaf y2^2 + y3^2 is even in y3, so negating P's last
+        # column (and P^-1's last row) still splits the input into the same
+        # leaves; the document's P must be its tree's product all the same
+        problem = _golden_problem("quartic_squares", tmp_path)
+        out = tmp_path / "golden.json"
+        assert main(["decompose", "--input", str(problem), "--json", "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        for row in doc["P"]:
+            row[-1] = str(-Fraction(row[-1]))
+        doc["P_inverse"][-1] = [str(-Fraction(x)) for x in doc["P_inverse"][-1]]
+        p = matrix_from_json(doc["P"])
+        assert invert(p) == matrix_from_json(doc["P_inverse"])
+        _, result = result_from_document(doc)
+        polys = read_problem(str(problem)).parse()
+        assert p != result.P
+        assert reconstruction_by_full_expansion(polys, p, result.tree)
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "--input", str(problem), "--result", str(out)]) == 1
+        assert capsys.readouterr().out == "FAIL: P: not the product of the tree's transforms\n"
 
     @pytest.mark.parametrize(
         "path, value, message",
@@ -616,6 +646,7 @@ class TestVerifyCommand:
             ),
             (("P", 0, 0), True, "P[0][0]: not an exact rational: True"),
             (("P", 0, 1), 0.1, "P[0][1]: not an exact rational: 0.1"),
+            (("P_inverse", 0, 1), 0.1, "P_inverse[0][1]: not an exact rational: 0.1"),
             (("vars",), [], "vars: at least one variable name is required"),
             (("vars",), ["u1", "u1", "u3"], "vars: variable names must be distinct"),
             (("vars",), ["1x", "u2"], "vars: invalid variable name '1x'"),
@@ -649,6 +680,7 @@ class TestVerifyCommand:
             "leaf-center_dim-and-indices-true",
             "P-entry-true",
             "P-entry-float",
+            "P_inverse-entry-float",
             "no-vars",
             "repeated-var",
             "invalid-var",
@@ -689,6 +721,14 @@ class TestVerifyCommand:
             ),
             (("P_inverse",), [["5", "0"], ["0", "7"]], "FAIL: P_inverse: not the inverse of P"),
             (("P_inverse",), DROP, "error: P_inverse: missing"),
+            (("P",), DROP, "error: P: missing"),
+            (
+                ("diagonalizable",),
+                False,
+                "FAIL: diagonalizable: not whether every leaf has one variable",
+            ),
+            (("diagonalizable",), DROP, "error: diagonalizable: missing"),
+            (("diagonalizable",), 1, "error: diagonalizable: expected bool"),
             (("idempotents",), None, "FAIL: idempotents: not the root's idempotents"),
             (
                 ("tree", "center_dim"),
@@ -709,6 +749,10 @@ class TestVerifyCommand:
             "center_basis-I",
             "wrong-P_inverse",
             "no-P_inverse",
+            "no-P",
+            "flipped-diagonalizable",
+            "no-diagonalizable",
+            "diagonalizable-int",
             "null-idempotents",
             "root-center_dim-7",
             "child-center_dim-5",
@@ -717,7 +761,7 @@ class TestVerifyCommand:
         ],
     )
     def test_false_claim_is_refused(self, tmp_path, capsys, path, value, verdict):
-        # every top-level field restates what the inputs, the tree and P
+        # every top-level field restates what the inputs and the tree
         # determine; a wrong value is a FAIL verdict (exit 1), a missing or
         # mistyped field bad input (exit 2)
         problem = tmp_path / "cubes.txt"
@@ -766,9 +810,7 @@ class TestVerifyCommand:
             idempotents=tuple(mat(rows) for rows in FOURVAR_EPS),
             transform=p,
         )
-        result = DecompositionResult(
-            P=p, tree=root, diagonalizable=False, center=center_basis(polys)
-        )
+        result = DecompositionResult(root, center_basis(polys))
         doc = result_to_document(problem, result, None)
         result_path = tmp_path / "hand.json"
         result_path.write_text(json.dumps(doc))
@@ -782,8 +824,7 @@ class TestVerifyCommand:
     ):
         # the trio's joint center is scalar: the root is the one leaf and
         # P = I, so the leaf is the input and nothing needs expanding; any
-        # other P gets one expansion, the leaf on P^-1, which does not give
-        # back the input
+        # other P is a false claim about that tree, refused unexpanded too
         out_path = tmp_path / "result.json"
         main(["decompose", "--input", trio_file, "--json", "--output", str(out_path)])
         doc = json.loads(out_path.read_text())
@@ -801,14 +842,14 @@ class TestVerifyCommand:
         assert main(["verify", "--input", trio_file, "--result", str(out_path)]) == 0
         assert capsys.readouterr().out.startswith("PASS")
         assert calls == []
-        polys = read_problem(trio_file).parse()
         permutation = RatMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
         for p in (permutation, RatMatrix.identity(3).scale(2)):
             doc["P"] = matrix_to_json(p)
+            doc["P_inverse"] = matrix_to_json(invert(p))
             out_path.write_text(json.dumps(doc))
             assert main(["verify", "--input", trio_file, "--result", str(out_path)]) == 1
-            assert capsys.readouterr().out.startswith("FAIL: reconstruction mismatch")
-            assert calls.pop() == (polys, invert(p), None)
+            verdict = capsys.readouterr().out
+            assert verdict == "FAIL: P: not the product of the tree's transforms\n"
             assert calls == []
 
 

@@ -278,6 +278,25 @@ class TestDecomposeRecursive:
             assert result.leaf_block_sizes() == expected_blocks
             assert verify_decomposition([f], result)
 
+    def test_p_and_flag_are_read_off_the_tree(self, quartic_squares):
+        # P is each node's transform times the block diagonal of its
+        # children's products, I at a leaf; the flag says every leaf has
+        # one variable; neither is stored beside the tree
+        assert type(DecompositionResult.P) is property
+        assert type(DecompositionResult.diagonalizable) is property
+        assert DecompositionResult.__slots__ == ("tree", "center")
+        result = decompose_recursive([quartic_squares], seed=42)
+        root = result.tree
+        first, inner = root.children
+        assert first.is_leaf and [len(c.variable_indices) for c in inner.children] == [1, 1]
+        inner_p = block_diagonal([RatMatrix.identity(1), inner.transform])
+        assert result.P == root.transform * inner_p
+        assert result.diagonalizable
+        pruned = replaced(inner, children=(), idempotents=None, transform=None)
+        coarser = DecompositionResult(replaced(root, children=(first, pruned)))
+        assert coarser.P == root.transform
+        assert not coarser.diagonalizable
+
     def test_single_variable_short_circuits(self):
         f = parse_polynomial("x^3 + x", ["x"])
         result = decompose_recursive([f], seed=42)
@@ -353,7 +372,7 @@ class TestDecomposeRecursive:
 
     def test_reconstruction_identity(self, fourvar_pair):
         result = decompose_recursive(fourvar_pair, seed=42)
-        assert reconstruction_by_full_expansion(fourvar_pair, result)
+        assert reconstruction_by_full_expansion(fourvar_pair, result.P, result.tree)
 
     def test_degree_preservation(self, fourvar_pair):
         result = decompose_recursive(fourvar_pair, seed=42)
@@ -519,8 +538,8 @@ class TestVerifyDecomposition:
         # the verifier makes one per internal node too: the sums of the
         # children's polynomials on the inverse transform, in all the node's
         # variables, so it never expands an input and never runs the
-        # pipeline's separate; the P the pipeline built is the tree's
-        # product, so the leaves are not expanded again on P^-1
+        # pipeline's separate; the node checks chain to the leaves, so the
+        # leaves are not expanded again
         calls, separations = [], []
         substitute = polydecomp.decompose.substitute_linear
         separate = polydecomp.decompose.separate
@@ -581,7 +600,7 @@ class TestVerifyDecomposition:
             )
             root = DecompositionNode((0, 1), (f,), leaves, 2, eps, p)
             assert _sum_on_inverse_rows([(c.polys, (b,)) for b, c in enumerate(leaves)], p) == [f]
-            report = verify_decomposition([f], DecompositionResult(p, root, True))
+            report = verify_decomposition([f], DecompositionResult(root))
             assert report.reason == "root: constant term outside the first block"
 
     @settings(max_examples=100, deadline=None)
@@ -635,7 +654,7 @@ class TestVerifyDecomposition:
             DecompositionNode((b,), (parts[0][b],), (), center_dim=1) for b in range(2)
         )
         root = DecompositionNode((0, 1), (f,), leaves, 2, eps, p)
-        report = verify_decomposition([f], DecompositionResult(p, root, True))
+        report = verify_decomposition([f], DecompositionResult(root))
         assert not report.ok
         assert "reconstruction mismatch" in report.reason
 
@@ -658,33 +677,9 @@ class TestVerifyDecomposition:
             [child.polys[0] for child in inner.children]
         ]
         tree = replaced(root, polys=(f,), children=(root.children[0], planted))
-        report = verify_decomposition(
-            [f], DecompositionResult(result.P, tree, result.diagonalizable)
-        )
+        report = verify_decomposition([f], DecompositionResult(tree))
         assert not report.ok
         assert report.reason == "root.1: reconstruction mismatch"
-
-    def test_other_p_is_expanded(self, quartic_squares, monkeypatch):
-        # scaling P's first column keeps every conjugated idempotent
-        # diagonal, so only the leaves' expansion on rows of P^-1, which a P
-        # other than the tree's product gets, finds the mismatch
-        result = decompose_recursive([quartic_squares], seed=42)
-        n = result.P.rows
-        diagonal = [[(2 if r == 0 else 1) * (r == c) for c in range(n)] for r in range(n)]
-        scaled = replaced(result, P=result.P * mat(diagonal))
-        expanded = []
-        expand = polydecomp.decompose._sum_on_inverse_rows
-
-        def recording(blocks, q):
-            expanded.append(q)
-            return expand(blocks, q)
-
-        monkeypatch.setattr(polydecomp.decompose, "_sum_on_inverse_rows", recording)
-        assert verify_decomposition([quartic_squares], result)
-        assert expanded and invert(result.P) not in expanded
-        report = verify_decomposition([quartic_squares], scaled)
-        assert report.reason == "reconstruction mismatch for polynomial 0"
-        assert expanded[-1] == invert(scaled.P)
 
     def test_fresh_result_verifies(self, bin_cubics):
         result = decompose_recursive(bin_cubics, seed=42)
@@ -693,34 +688,17 @@ class TestVerifyDecomposition:
 
     def test_singular_transform_rejected(self, bin_cubics):
         result = decompose_recursive(bin_cubics, seed=42)
-        broken = DecompositionResult(
-            P=mat([[1, 2], [2, 4]]),
-            tree=result.tree,
-            diagonalizable=result.diagonalizable,
-        )
-        report = verify_decomposition(bin_cubics, broken)
-        assert not report.ok
-        assert "singular" in report.reason
+        broken = replaced(result.tree, transform=mat([[1, 2], [2, 4]]))
+        report = verify_decomposition(bin_cubics, DecompositionResult(broken))
+        assert report.reason == "root: transform is singular"
 
     def test_tampered_transform_breaks_conjugation(self, bin_cubics):
         result = decompose_recursive(bin_cubics, seed=42)
-        rows = matrix_rows(result.P)
+        rows = matrix_rows(result.tree.transform)
         rows[0][0] = rows[0][0] + 1
-        broken = DecompositionResult(
-            P=mat(rows), tree=result.tree, diagonalizable=result.diagonalizable
-        )
-        report = verify_decomposition(bin_cubics, broken)
-        assert not report.ok
-        assert "block diagonal" in report.reason
-
-    def test_wrong_flag_rejected(self, bin_cubics):
-        result = decompose_recursive(bin_cubics, seed=42)
-        flipped = DecompositionResult(
-            P=result.P, tree=result.tree, diagonalizable=False
-        )
-        report = verify_decomposition(bin_cubics, flipped)
-        assert not report.ok
-        assert "flag" in report.reason
+        broken = replaced(result.tree, transform=mat(rows))
+        report = verify_decomposition(bin_cubics, DecompositionResult(broken))
+        assert report.reason == "root: conjugated idempotent not block diagonal"
 
     def test_hand_packaged_fourvar_result(self, fourvar_pair):
         # package the known transform, idempotents, and block outputs by hand
@@ -748,9 +726,10 @@ class TestVerifyDecomposition:
             idempotents=eps,
             transform=p,
         )
-        packaged = DecompositionResult(P=p, tree=root, diagonalizable=False)
+        packaged = DecompositionResult(root)
         report = verify_decomposition(fourvar_pair, packaged)
         assert report.ok, report.reason
+        assert packaged.P == p and not packaged.diagonalizable
 
     def test_mismatched_inputs_rejected(self, bin_cubics, trio):
         result = decompose_recursive(bin_cubics, seed=42)

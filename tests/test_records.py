@@ -20,6 +20,7 @@ from polydecomp import (
 from polydecomp.cli import ProblemFile
 
 X = parse_polynomial("x^3 + 2/3*x", ["x"])
+I1 = RatMatrix.identity(1)
 I2 = RatMatrix.identity(2)
 HALF = RatMatrix.from_rows([[Fraction(1, 2)]])
 LEAF = DecompositionNode((0,), (X,), (), 1, transform=HALF)
@@ -51,8 +52,8 @@ CASES = [
     ),
     (
         DecompositionResult,
-        {"P": I2, "tree": LEAF, "diagonalizable": False, "center": CenterBasis(2, (I2,))},
-        {"diagonalizable": True},
+        {"tree": LEAF, "center": CenterBasis(1, (I1,))},
+        {"tree": DecompositionNode((0,), (X,), (), 2)},
         {"center": None},
         None,
     ),
