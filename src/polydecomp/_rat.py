@@ -77,7 +77,11 @@ def normalize(x: Rat) -> Rat:
 
 
 def to_rat(value) -> Rat:
-    """Coerce an int, Fraction, or 'a/b' string to a normalized scalar."""
+    """Coerce an int, a Fraction or an exact string ('a/b', '0.25') to a
+    normalized scalar.  Anything else, a float included, is a TypeError: a
+    float's binary value is seldom the number meant."""
     if isinstance(value, int):
         return value
-    return normalize(Fraction(value))
+    if isinstance(value, (Fraction, str)):
+        return normalize(Fraction(value))
+    raise TypeError(f"expected an int, a Fraction or a string, got {type(value).__name__}")

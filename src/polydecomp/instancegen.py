@@ -15,7 +15,7 @@ from collections.abc import Sequence
 
 from ._rat import Record
 from .errors import SingularMatrix
-from .poly import Polynomial, embed, substitute_linear
+from .poly import Polynomial, substitute_linear
 from .ratlinalg import RatMatrix, invert
 
 COEFF_LOW, COEFF_HIGH = -5, 5  # block polynomial coefficients
@@ -51,13 +51,13 @@ def _monomials_up_to(n_vars: int, max_degree: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _block_component(
+def _block_terms(
     rng: random.Random,
     size: int,
     max_degree: int,
     structural: bool,
-) -> Polynomial:
-    """One polynomial over ``size`` fresh variables.
+) -> dict:
+    """The terms of one polynomial over ``size`` fresh variables.
 
     The structural component (first input polynomial) gets guaranteed
     degree-3 chain couplings v_t^2 * v_{t+1} across the whole block, which
@@ -84,13 +84,11 @@ def _block_component(
                     terms[mono] = s
                 else:
                     terms.pop(mono, None)
-    p = Polynomial(size, terms)
     # ensure dependence on every block variable
     for v in range(size):
-        if all(mono[v] == 0 for mono in p._terms):
-            unit = tuple(1 if i == v else 0 for i in range(size))
-            p = p + Polynomial(size, {unit: _nonzero_coeff(rng)})
-    return p
+        if all(mono[v] == 0 for mono in terms):
+            terms[tuple(1 if i == v else 0 for i in range(size))] = _nonzero_coeff(rng)
+    return terms
 
 
 def generate(
@@ -114,18 +112,19 @@ def generate(
     if max_degree < 3:
         raise ValueError("max_degree must be >= 3")
     rng = random.Random(f"planted:{seed}")
-    starts = [0]
-    for s in block_sizes:
-        starts.append(starts[-1] + s)
     unmixed = []
     for i in range(m):
-        h = Polynomial.zero(n)
-        for b, size in enumerate(block_sizes):
-            component = _block_component(rng, size, max_degree, structural=(i == 0))
-            h = h + embed(component, range(starts[b], starts[b + 1]), n)
+        # each block's terms at its offset, then the optional constant
+        terms: dict = {}
+        start = 0
+        for size in block_sizes:
+            before, after = (0,) * start, (0,) * (n - start - size)
+            for mono, c in _block_terms(rng, size, max_degree, structural=(i == 0)).items():
+                terms[before + mono + after] = c
+            start += size
         if rng.random() < 0.5:
-            h = h + _nonzero_coeff(rng)
-        unmixed.append(h)
+            terms[(0,) * n] = _nonzero_coeff(rng)
+        unmixed.append(Polynomial(n, terms))
     while True:
         q = RatMatrix(
             n, n, [rng.randint(MIX_LOW, MIX_HIGH) for _ in range(n * n)]

@@ -1,10 +1,14 @@
-"""Exact multivariate polynomial arithmetic over the rationals.
+"""Exact multivariate polynomials over the rationals, as values.
 
 A polynomial in ``n`` variables maps exponent tuples of length ``n`` to
 nonzero rational coefficients.  Coefficients are plain ``int`` when integral
-and ``fractions.Fraction`` otherwise, so arithmetic is exact and equality
-tests are reliable.  The module also provides the text surface (parser and
-canonical renderer) and linear changes of variables.
+and ``fractions.Fraction`` otherwise, so equality tests are exact.  The
+pipeline reads polynomials as data: their terms, for the Hessian
+coefficient matrices, one linear change of variables per node, and a
+canonical rendering.  So ``Polynomial`` has no ring arithmetic; sums and
+products belong to a computer algebra system.  The module provides the
+value type, its text surface (parser and canonical renderer) and linear
+changes of variables.
 
 The parser is a scanner over C-level string primitives, not a tokenizer: one
 regex search rejects a character no token accepts, the text is split at its
@@ -44,7 +48,12 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 class Polynomial:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial with exact rational coefficients.
+
+    ``terms`` is a dict or an iterable of (exponent tuple, coefficient)
+    pairs; repeated monomials are added and zero sums dropped.  Exponents
+    are non-negative ints; coefficients are ints, Fractions or exact strings.
+    """
 
     __slots__ = ("n", "_terms")
 
@@ -55,11 +64,13 @@ class Polynomial:
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for mono, coeff in items:
-                mono = tuple(int(e) for e in mono)
+                mono = tuple(mono)
                 if len(mono) != n:
                     raise DimensionMismatch(
                         f"monomial length {len(mono)} != ambient dimension {n}"
                     )
+                if not all(isinstance(e, int) for e in mono):
+                    raise TypeError(f"exponents must be ints, got {mono!r}")
                 if any(e < 0 for e in mono):
                     raise ValueError("negative exponent")
                 c = clean.get(mono, 0) + to_rat(coeff)
@@ -78,28 +89,9 @@ class Polynomial:
         p._terms = terms
         return p
 
-    @classmethod
-    def zero(cls, n: int) -> "Polynomial":
-        return cls._raw(n, {})
-
-    @classmethod
-    def constant(cls, n: int, value) -> "Polynomial":
-        c = to_rat(value)
-        return cls._raw(n, {(0,) * n: c} if c else {})
-
-    @classmethod
-    def variable(cls, n: int, index: int) -> "Polynomial":
-        if not 0 <= index < n:
-            raise IndexError(f"variable index {index} out of range for n={n}")
-        mono = tuple(1 if i == index else 0 for i in range(n))
-        return cls._raw(n, {mono: 1})
-
     def terms(self) -> list[tuple[Monomial, Rat]]:
         """Terms in graded-lexicographic order."""
         return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
-
-    def coefficient(self, mono: Sequence[int]) -> Rat:
-        return self._terms.get(tuple(mono), 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -121,79 +113,6 @@ class Polynomial:
         )
 
     __hash__ = None
-
-    def _check_dim(self, other: "Polynomial") -> None:
-        if self.n != other.n:
-            raise DimensionMismatch(f"ambient dimensions differ: {self.n} vs {other.n}")
-
-    def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(self.n, other)
-        self._check_dim(other)
-        out = dict(self._terms)
-        for mono, c in other._terms.items():
-            s = out.get(mono, 0) + c
-            if s:
-                out[mono] = normalize(s) if isinstance(s, Fraction) else s
-            else:
-                out.pop(mono, None)
-        return Polynomial._raw(self.n, out)
-
-    def __radd__(self, other):
-        return self + other
-
-    def __neg__(self):
-        return Polynomial._raw(self.n, {m: -c for m, c in self._terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(self.n, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def scale(self, c) -> "Polynomial":
-        c = to_rat(c)
-        if not c:
-            return Polynomial.zero(self.n)
-        return Polynomial._raw(
-            self.n, {m: normalize(c * v) for m, v in self._terms.items()}
-        )
-
-    def __mul__(self, other):
-        if not isinstance(other, Polynomial):
-            return self.scale(other)
-        self._check_dim(other)
-        if not self._terms or not other._terms:
-            return Polynomial.zero(self.n)
-        out: dict = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
-                mono = tuple(x + y for x, y in zip(ma, mb))
-                s = out.get(mono, 0) + ca * cb
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
-        return Polynomial._raw(
-            self.n, {m: normalize(c) for m, c in out.items()}
-        )
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def __pow__(self, e: int) -> "Polynomial":
-        if e < 0:
-            raise ValueError("negative power")
-        result = Polynomial.constant(self.n, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def __repr__(self) -> str:
         names = [f"x{i}" for i in range(self.n)]

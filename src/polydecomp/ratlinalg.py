@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals.
 
 Dense matrices with exact rational entries, sized for ambient dimensions in
-the single digits.
+the single digits: a value type whose one operation is the product.
 
 Dense echelon forms come from one fraction-free elimination, ``_bareiss``:
 Gauss-Jordan over integer rows whose every division is exact (Bareiss;
@@ -45,7 +45,11 @@ Vector = tuple  # tuple[Rat, ...]; module-internal shorthand
 
 
 class RatMatrix:
-    """Immutable dense matrix of exact rationals, row-major."""
+    """Immutable dense matrix of exact rationals, row-major.
+
+    Entries are ints, Fractions or exact strings.  The one operation is the
+    matrix product: the pipeline never adds or scales a matrix.
+    """
 
     __slots__ = ("rows", "cols", "_e")
 
@@ -71,11 +75,9 @@ class RatMatrix:
         return cls(n, n, [1 if r == c else 0 for r in range(n) for c in range(n)])
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
-
-    @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RatMatrix":
+        if not rows:
+            raise ValueError("a matrix needs at least one row")
         r = len(rows)
         c = len(rows[0])
         if any(len(row) != c for row in rows):
@@ -84,6 +86,8 @@ class RatMatrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence]) -> "RatMatrix":
+        if not columns:
+            raise ValueError("a matrix needs at least one column")
         c = len(columns)
         r = len(columns[0])
         if any(len(col) != r for col in columns):
@@ -99,51 +103,24 @@ class RatMatrix:
     def column(self, c: int) -> Vector:
         return tuple(self._e[r * self.cols + c] for r in range(self.rows))
 
-    def _check_same_shape(self, other: "RatMatrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch(
-                f"shape {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
-
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        self._check_same_shape(other)
-        return RatMatrix(
-            self.rows, self.cols, [a + b for a, b in zip(self._e, other._e)]
-        )
-
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        self._check_same_shape(other)
-        return RatMatrix(
-            self.rows, self.cols, [a - b for a, b in zip(self._e, other._e)]
-        )
-
-    def __neg__(self) -> "RatMatrix":
-        return RatMatrix(self.rows, self.cols, [-a for a in self._e])
-
-    def scale(self, c) -> "RatMatrix":
-        c = to_rat(c)
-        return RatMatrix(self.rows, self.cols, [c * a for a in self._e])
-
     def __mul__(self, other):
-        if isinstance(other, RatMatrix):
-            if self.cols != other.rows:
-                raise DimensionMismatch(
-                    f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-                )
-            # Inner products run on integer rows of self and integer columns
-            # of other, each cleared of its denominator; every entry is then
-            # divided once.
-            left = [_cleared(self.row(r)) for r in range(self.rows)]
-            right = [_cleared(other.column(c)) for c in range(other.cols)]
-            out = []
-            for a, da in left:
-                for b, db in right:
-                    out.append(_ratio(sum(map(mul, a, b)), da * db))
-            return RatMatrix._raw(self.rows, other.cols, out)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
+        """The matrix product; a scalar operand is a TypeError."""
+        if not isinstance(other, RatMatrix):
+            return NotImplemented
+        if self.cols != other.rows:
+            raise DimensionMismatch(
+                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
+            )
+        # Inner products run on integer rows of self and integer columns of
+        # other, each cleared of its denominator; every entry is then divided
+        # once.
+        left = [_cleared(self.row(r)) for r in range(self.rows)]
+        right = [_cleared(other.column(c)) for c in range(other.cols)]
+        out = []
+        for a, da in left:
+            for b, db in right:
+                out.append(_ratio(sum(map(mul, a, b)), da * db))
+        return RatMatrix._raw(self.rows, other.cols, out)
 
     def __eq__(self, other) -> bool:
         return (
@@ -154,12 +131,6 @@ class RatMatrix:
         )
 
     __hash__ = None
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self._e)
-
-    def is_identity(self) -> bool:
-        return self.rows == self.cols and self == RatMatrix.identity(self.rows)
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(map(str, self.row(r))) for r in range(self.rows))

@@ -46,13 +46,24 @@ the second route to ``parse_polynomial``: a token-at-a-time tokenizer and
 recursive-descent parser with the same results and the same ``ParseError``
 messages and positions.
 
+The library's ``Polynomial`` and ``RatMatrix`` are value types with no
+sums, scalings or powers, so every such step on a polynomial or a matrix
+here is sympy's: ``sympy_matrix`` and ``rat_matrix`` carry a matrix to
+sympy and back, and ``sympy_polynomial`` puts a polynomial in sympy's
+sparse polynomial ring.
+``jordan_product``, ``at_matrix`` (which returns a sympy matrix),
+``find_idempotents_by_matrices``, ``jordan_table_by_products``,
+``reconstruction_by_full_expansion`` and ``verify_complete`` do their
+arithmetic there; only the matrix product is the library's.
+
 ``brute_force_center_dim`` is the independent oracle for the center: it
 multiplies the symbolic Hessian (``hessian``, from the oracle's own
 ``partial_derivative``) by the unknown matrix, writes out the full symmetry
 condition densely, with no deduplication and no antisymmetry shortcut, and
-ranks the system with a plain row-at-a-time elimination.  It shares neither
-the coefficient matrices the center solve and ``membership_check`` read off
-the terms nor the main linear algebra path, nor any derivative code.
+ranks the system with a plain row-at-a-time elimination, one row per
+monomial of each entry.  It shares neither the coefficient matrices the
+center solve and ``membership_check`` read off the terms nor the main
+linear algebra path, nor any derivative code.
 """
 
 import itertools
@@ -63,6 +74,8 @@ from math import gcd, isqrt, lcm
 from typing import Sequence
 
 import sympy
+from sympy import QQ
+from sympy.polys.rings import PolyElement, ring
 
 from polydecomp import (
     CenterBasis,
@@ -89,9 +102,26 @@ from polydecomp.ratlinalg import (
 )
 
 
+def sympy_matrix(m: RatMatrix) -> sympy.Matrix:
+    """m as a sympy matrix of rationals."""
+    return _to_sympy([m.row(r) for r in range(m.rows)], m.cols)
+
+
+def rat_matrix(m: sympy.Matrix) -> RatMatrix:
+    """A sympy matrix of rationals as a RatMatrix."""
+    return RatMatrix(m.rows, m.cols, [_from_sympy(x) for x in m])
+
+
+def sympy_polynomial(p: Polynomial, r) -> PolyElement:
+    """p as an element of r, a sympy sparse polynomial ring over the
+    rationals whose generators are p's variables in order."""
+    return r.from_dict({mono: QQ(c.numerator, c.denominator) for mono, c in p.terms()})
+
+
 def jordan_product(x: RatMatrix, y: RatMatrix) -> RatMatrix:
-    """Symmetrized matrix product (x*y + y*x)/2."""
-    return (x * y + y * x).scale(Fraction(1, 2))
+    """Symmetrized matrix product (x*y + y*x)/2, by sympy."""
+    x, y = sympy_matrix(x), sympy_matrix(y)
+    return rat_matrix((x * y + y * x) / 2)
 
 
 def matrix_rows(m: RatMatrix) -> list[list]:
@@ -214,7 +244,7 @@ def substitute_one(p: Polynomial, m: RatMatrix) -> Polynomial:
         )
     k = m.cols
     if not p._terms:
-        return Polynomial.zero(k)
+        return Polynomial(k)
     degree = p.total_degree()
     base = degree + 1
     width = degree.bit_length()
@@ -271,11 +301,11 @@ def reconstruction_by_full_expansion(
     leaves = list(tree.leaves())
     if any(len(leaf.polys) != len(polys) for leaf in leaves):
         return False
+    r = ring([f"x{i}" for i in range(n)], QQ)[0]
     for i, f in enumerate(polys):
-        total = Polynomial.zero(n)
-        for leaf in leaves:
-            total = total + embed(leaf.polys[i], leaf.variable_indices, n)
-        if total != substitute_linear(f, p):
+        placed = (embed(leaf.polys[i], leaf.variable_indices, n) for leaf in leaves)
+        total = sum((sympy_polynomial(g, r) for g in placed), r.zero)
+        if total != sympy_polynomial(substitute_linear(f, p), r):
             return False
     return True
 
@@ -350,16 +380,14 @@ def unipoly(expr) -> UniPoly:
     return UniPoly([int(c) for c in reversed(coeffs)])
 
 
-def at_matrix(p: sympy.Poly, m: RatMatrix) -> RatMatrix:
-    """The sympy polynomial p evaluated at a square matrix (Horner on d * p,
-    divided by d once)."""
-    n = m.rows
-    coeffs, d = _cleared([Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())])
-    acc = RatMatrix.zeros(n, n)
-    ident = RatMatrix.identity(n)
-    for c in reversed(coeffs):
-        acc = acc * m + ident.scale(c)
-    return acc if d == 1 else acc.scale(Fraction(1, d))
+def at_matrix(p: sympy.Poly, m: RatMatrix) -> sympy.Matrix:
+    """The sympy polynomial p evaluated at a square matrix, by Horner's rule
+    on sympy matrices."""
+    x = sympy_matrix(m)
+    acc = sympy.zeros(m.rows)
+    for c in p.all_coeffs():
+        acc = acc * x + c * sympy.eye(m.rows)
+    return acc
 
 
 def members_by_matrix(xs: Sequence[RatMatrix], mats: Sequence[Sequence[Sequence]]) -> bool:
@@ -442,28 +470,29 @@ def krylov_minimal_polynomial(m: RatMatrix, start: RatMatrix | None = None) -> U
 
 def jordan_table_by_products(rows: Sequence[Sequence[int]], n: int) -> dict:
     """{(i, j): B_i*B_j + B_j*B_i as a row-major list} for i <= j, by full
-    n x n products of the integer rows."""
-    mats = [RatMatrix(n, n, row) for row in rows]
+    n x n products of the integer rows, by sympy."""
+    mats = [sympy.Matrix(n, n, row) for row in rows]
     return {
-        (i, j): list(vec(mats[i] * mats[j] + mats[j] * mats[i]))
+        (i, j): [_from_sympy(x) for x in mats[i] * mats[j] + mats[j] * mats[i]]
         for i, j in itertools.combinations_with_replacement(range(len(rows)), 2)
     }
 
 
 def _identity_failure(idem: IdempotentSet) -> str | None:
-    """First of e^2 = e, e_i e_j = 0 (i != j), sum = I that fails, if any."""
+    """First of e^2 = e, e_i e_j = 0 (i != j), sum = I that fails, if any,
+    on sympy matrices."""
     n = idem.n
-    total = RatMatrix.zeros(n, n)
     for i, e in enumerate(idem.eps):
         if e.rows != n or e.cols != n:
             return f"element {i} is not {n}x{n}"
+    eps = [sympy_matrix(e) for e in idem.eps]
+    for i, e in enumerate(eps):
         if e * e != e:
             return f"element {i} is not idempotent"
-        for j, f in enumerate(idem.eps):
-            if i != j and not (e * f).is_zero():
+        for j, f in enumerate(eps):
+            if i != j and not (e * f).is_zero_matrix:
                 return f"elements {i} and {j} are not orthogonal"
-        total = total + e
-    if not total.is_identity():
+    if sum(eps, sympy.zeros(n)) != sympy.eye(n):
         return "idempotents do not sum to the identity"
     return None
 
@@ -482,7 +511,8 @@ def find_idempotents_by_matrices(center: CenterBasis, seed: int = 42) -> Idempot
     corner bases, corners e*Z*e by matrix products, minimal polynomials of
     the drawn matrices and projectors evaluated at them; each block comes
     with its corner's reduced echelon basis over its least denominator, or
-    None when the corner is one-dimensional."""
+    None when the corner is one-dimensional.  Sums, scalings and the
+    projectors are sympy's."""
     n = center.n
     identity = RatMatrix.identity(n)
     if center.dim == 1:
@@ -500,32 +530,26 @@ def find_idempotents_by_matrices(center: CenterBasis, seed: int = 42) -> Idempot
             final.append(block)
             corners.append(None)
             return
-        sub_mats = [unvec(v, n, n) for v in restricted]
+        sub_mats = [_to_sympy([v], width).reshape(n, n) for v in restricted]
         for _ in range(MAX_TRIES):
             rng = random.Random(f"{seed}:{next(draw_counter)}")
-            acc = RatMatrix.zeros(n, n)
+            acc = sympy.zeros(n)
             for x in sub_mats:
                 c = rng.randint(1, COEFF_RANGE)
-                acc = acc + x.scale(-c if rng.randint(0, 1) else c)
-            g = RatMatrix(n, n, _primitive_int_row(vec(acc)))
+                acc += x * (-c if rng.randint(0, 1) else c)
+            g = RatMatrix(n, n, _primitive_int_row([_from_sympy(x) for x in acc]))
             m = krylov_minimal_polynomial(g)
             factors = primary_coprime_factors(m)
             if len(factors) < 2:
                 continue
-            children = []
-            covered = RatMatrix.zeros(n, n)
-            for mi in factors:
-                if mi(0) != 0:
-                    proj = at_matrix(bezout_projector(m, mi), g)
-                    children.append(proj)
-                    covered = covered + proj
-            remainder = block - covered
-            if not remainder.is_zero():
+            children = [at_matrix(bezout_projector(m, mi), g) for mi in factors if mi(0) != 0]
+            remainder = sympy_matrix(block) - sum(children, sympy.zeros(n))
+            if not remainder.is_zero_matrix:
                 children.append(remainder)
             if len(children) < 2:
                 continue
             for child in children:
-                refine(child)
+                refine(rat_matrix(child))
             return
         final.append(block)
         corners.append(tuple(map(tuple, scaled_rows(restricted)[0])))
@@ -614,25 +638,15 @@ def brute_force_center_dim(fs: Sequence[Polynomial]) -> int:
         h = hessian(f)
         for r in range(n):
             for c in range(n):
-                # (H*X)[r][c] - (H*X)[c][r] as a polynomial-linear form in X
-                coeffs: dict[int, Polynomial] = {}
+                # (H*X)[r][c] - (H*X)[c][r], sum_l H[r][l] X[l][c] -
+                # H[c][l] X[l][r]: one row over the unknowns X per monomial
+                by_monomial: dict = {}
                 for l in range(n):
-                    top = h[r][l]
-                    if not top.is_zero():
-                        u = l * n + c
-                        coeffs[u] = coeffs.get(u, Polynomial.zero(n)) + top
-                    bot = h[c][l]
-                    if not bot.is_zero():
-                        u = l * n + r
-                        coeffs[u] = coeffs.get(u, Polynomial.zero(n)) - bot
-                monomials = set()
-                for poly in coeffs.values():
-                    monomials.update(poly._terms)
-                for mono in sorted(monomials):
-                    row = [Fraction(0)] * (n * n)
-                    for u, poly in coeffs.items():
-                        row[u] = Fraction(poly.coefficient(mono))
-                    rows.append(row)
+                    for mono, v in h[r][l].terms():
+                        by_monomial.setdefault(mono, [Fraction(0)] * (n * n))[l * n + c] += v
+                    for mono, v in h[c][l].terms():
+                        by_monomial.setdefault(mono, [Fraction(0)] * (n * n))[l * n + r] -= v
+                rows.extend(row for _, row in sorted(by_monomial.items()))
     return n * n - _oracle_rank(rows)
 
 

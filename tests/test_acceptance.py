@@ -15,6 +15,7 @@ from algebra_helpers import (
     jordan_product,
     reconstruction_by_full_expansion,
     same_span,
+    verify_complete,
 )
 from conftest import (
     BIN_CUBIC_CENTER_FAMILY,
@@ -235,13 +236,4 @@ def test_generic_center_triviality():
 def test_collected_idempotent_invariants():
     assert COLLECTED_IDEMPOTENT_SETS, "earlier criteria must have produced sets"
     for idem, polys in COLLECTED_IDEMPOTENT_SETS:
-        n = idem.n
-        total = RatMatrix.zeros(n, n)
-        for i, e in enumerate(idem.eps):
-            assert e * e == e
-            for j, f in enumerate(idem.eps):
-                if i != j:
-                    assert (e * f).is_zero()
-            total = total + e
-            assert membership_check(e, polys)
-        assert total.is_identity()
+        assert verify_complete(idem, polys)

@@ -12,6 +12,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import QQ
+from sympy.polys.rings import ring
 
 import polydecomp
 import polydecomp.center
@@ -25,7 +27,10 @@ from algebra_helpers import (
     jordan_product,
     kernel_basis,
     members_by_matrix,
+    rat_matrix,
     same_span,
+    sympy_matrix,
+    sympy_polynomial,
 )
 from conftest import (
     BIN_CUBIC_CENTER_FAMILY,
@@ -110,7 +115,7 @@ class TestCenterBasis:
 
     def test_mixed_dimensions(self):
         with pytest.raises(DimensionMismatch):
-            center_basis([Polynomial.zero(2), Polynomial.zero(3)])
+            center_basis([Polynomial(2), Polynomial(3)])
 
     def test_basis_elements_pass_membership(self, bin_cubics, fourvar_pair):
         for polys in (bin_cubics, fourvar_pair):
@@ -136,7 +141,7 @@ class TestJordanProduct:
     def test_orthogonal_idempotent_pair(self):
         e1 = mat([[Fraction(1, 4), Fraction(1, 4)], [Fraction(3, 4), Fraction(3, 4)]])
         e2 = mat([[Fraction(3, 4), Fraction(-1, 4)], [Fraction(-3, 4), Fraction(1, 4)]])
-        assert jordan_product(e1, e2).is_zero()
+        assert jordan_product(e1, e2) == RatMatrix(2, 2, [0] * 4)
 
     def test_closure_within_computed_centers(self, bin_cubics, quartic_squares, fourvar_pair):
         for polys in (bin_cubics, [quartic_squares], fourvar_pair):
@@ -159,18 +164,18 @@ class TestMembership:
 
 
 def symbolic_member(x, polys) -> bool:
-    """Every hessian(p) * x symmetric, multiplied out in Polynomial arithmetic."""
+    """Every hessian(p) * x symmetric, multiplied out in sympy's polynomial
+    ring."""
     n = x.rows
+    r = ring([f"x{i}" for i in range(n)], QQ)[0]
+    entries = [[QQ(v.numerator, v.denominator) for v in x.row(k)] for k in range(n)]
     for p in polys:
-        h = hessian(p)
+        h = [[sympy_polynomial(g, r) for g in row] for row in hessian(p)]
         product = [
-            [
-                sum((h[r][k].scale(x.entry(k, c)) for k in range(n)), Polynomial.zero(n))
-                for c in range(n)
-            ]
-            for r in range(n)
+            [sum((h[i][k] * entries[k][c] for k in range(n)), r.zero) for c in range(n)]
+            for i in range(n)
         ]
-        if any(product[r][c] != product[c][r] for r in range(n) for c in range(r + 1, n)):
+        if any(product[i][c] != product[c][i] for i in range(n) for c in range(i + 1, n)):
             return False
     return True
 
@@ -205,7 +210,10 @@ class TestMembershipMatchesDefinition:
             basis = center_basis(polys).basis
             candidates = list(basis)
             candidates += [jordan_product(x, y) for x in basis for y in basis]
-            candidates += [b + random_rational_matrix(rng, n) for b in basis]
+            candidates += [
+                rat_matrix(sympy_matrix(b) + sympy_matrix(random_rational_matrix(rng, n)))
+                for b in basis
+            ]
             for x in candidates:
                 expected = symbolic_member(x, polys)
                 assert membership_check(x, polys) == expected
@@ -340,7 +348,7 @@ class TestPackedMembership:
             assert _all_members([vec(RatMatrix.identity(2))], polys, mats)
 
     def test_degree_at_most_one_has_no_matrix(self):
-        polys = [parse_polynomial("3*x - 7*y + 2", ["x", "y"]), Polynomial.zero(2)]
+        polys = [parse_polynomial("3*x - 7*y + 2", ["x", "y"]), Polynomial(2)]
         assert _coefficient_matrices(polys) == []
         assert _all_members([(1, WIDE, -5, 0), (0, 0, 0, 0)], polys)
 
@@ -588,7 +596,7 @@ class TestPencilCombinations:
         check_combinations(polys)
 
     def test_degree_at_most_one_has_zero_combinations(self):
-        polys = [parse_polynomial("3*x - 7*y + 2", ["x", "y"]), Polynomial.zero(2)]
+        polys = [parse_polynomial("3*x - 7*y + 2", ["x", "y"]), Polynomial(2)]
         zero = [[0, 0], [0, 0]]
         assert _pencil_combinations([], 2, random.Random(0)) == [zero] * 3
         check_combinations(polys)

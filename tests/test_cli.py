@@ -297,13 +297,26 @@ def test_golden_documents_are_pinned(name, tmp_path, capsys):
     assert capsys.readouterr().out == "PASS: decomposition verified\n"
 
 
-# SHA-256 over the `decompose --json` documents of seed-1 problems 0-29 of
-# each benchmark workload, concatenated in problem order: every change that
-# keeps the results keeps these
+# SHA-256 per seed over the `decompose --json` documents of problems 0-59
+# of each benchmark workload at seeds 1-3, concatenated in problem order:
+# every change that keeps the results keeps these, and a change to one
+# needs its reason in CHANGES.md
 WORKLOAD_DOCUMENTS = {
-    "scalar_center": "c9602c35b721dad9030429833c84e77bfecee699abfd33e24c92067c78fe3dac",
-    "few_blocks": "cff7a04fdd4da2be6440bff8e138ddc36164cf7071523f57a6e1638aaf89128a",
-    "many_blocks": "86ff7dc6962c923df8ccdcb3ba5c7465c7c2957b67c7549a34d018ad733df105",
+    "scalar_center": {
+        1: "93591e9fa89eac5418542b12c194da3624f666f250d7a72fdf56ee8a04b907d2",
+        2: "a6eb988991e97c744cae07a4787e4af350dbfe7630c757dd4fee8ebcf78d0d3f",
+        3: "5686a6c0685b35832d60b20d1b570e800166579bf65253098e47c87523db8173",
+    },
+    "few_blocks": {
+        1: "6b810b6f7d090688209c9f6e5d5667f85d5b60acd5b9bcef9331fa1a728e085f",
+        2: "bb9f1030e5239720d1ab7a27af83d624f6ee5a08dcc8a94e34172ed5cf25cf82",
+        3: "5f74efa1760400b0684431c2cbc18bd50c439556d861852929cfcab4e374b1d1",
+    },
+    "many_blocks": {
+        1: "587002ee7e8ab3d7a7dd3295cb934d6ad73a60435593b89baa64698deeac3592",
+        2: "f623159ff529537a45f2f02509e0a13b15a35924818075785fc228869e429f8c",
+        3: "a82665ab50f2d45da9ce7859cab4ec82625f3f0b4820a383e3641c1233e3890e",
+    },
 }
 
 
@@ -312,12 +325,15 @@ def test_workload_documents_are_pinned(workload, tmp_path):
     # the problems as the bench writes them, solved with its worker's argv
     workloads = bench_workloads()
     problem, out = tmp_path / "problem.txt", tmp_path / "result.json"
-    digest = hashlib.sha256()
-    for pid in range(30):
-        problem.write_text(workloads.make_problem(workload, 1, pid).text())
-        assert main(["decompose", "--input", str(problem), "--json", "--output", str(out)]) == 0
-        digest.update(out.read_bytes())
-    assert digest.hexdigest() == WORKLOAD_DOCUMENTS[workload]
+    digests = {}
+    for seed in WORKLOAD_DOCUMENTS[workload]:
+        digest = hashlib.sha256()
+        for pid in range(60):
+            problem.write_text(workloads.make_problem(workload, seed, pid).text())
+            assert main(["decompose", "--input", str(problem), "--json", "--output", str(out)]) == 0
+            digest.update(out.read_bytes())
+        digests[seed] = digest.hexdigest()
+    assert digests == WORKLOAD_DOCUMENTS[workload]
 
 
 @pytest.mark.parametrize("command", ["center", "decompose"])
@@ -843,7 +859,8 @@ class TestVerifyCommand:
         assert capsys.readouterr().out.startswith("PASS")
         assert calls == []
         permutation = RatMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-        for p in (permutation, RatMatrix.identity(3).scale(2)):
+        doubled = RatMatrix.from_rows([[2, 0, 0], [0, 2, 0], [0, 0, 2]])
+        for p in (permutation, doubled):
             doc["P"] = matrix_to_json(p)
             doc["P_inverse"] = matrix_to_json(invert(p))
             out_path.write_text(json.dumps(doc))

@@ -60,7 +60,7 @@ class TestFindIdempotents:
         assert center.dim == 1
         idem = find_idempotents(center, seed=42)
         assert len(idem) == 1
-        assert idem.eps[0].is_identity()
+        assert idem.eps[0] == RatMatrix.identity(center.n)
 
     def test_dependent_basis_of_the_scalars_returns_identity(self, monkeypatch):
         # I and 2I span only the scalars: rank 1 after elimination, so {I}
@@ -70,7 +70,7 @@ class TestFindIdempotents:
             polydecomp.idempotent, "minimal_polynomial", lambda *args: calls.append(args)
         )
         identity = RatMatrix.identity(2)
-        idem = find_idempotents(CenterBasis(2, (identity, identity.scale(2))))
+        idem = find_idempotents(CenterBasis(2, (identity, mat([[2, 0], [0, 2]]))))
         assert idem.eps == (identity,)
         assert idem.corners == (None,)
         assert calls == []
@@ -158,7 +158,7 @@ class TestFindIdempotents:
 
         monkeypatch.setattr(polydecomp.idempotent, "_jordan_table", recording)
         identity = RatMatrix.identity(2)
-        for center in (center_basis(trio), CenterBasis(2, (identity, identity.scale(2)))):
+        for center in (center_basis(trio), CenterBasis(2, (identity, mat([[2, 0], [0, 2]])))):
             assert find_idempotents(center).eps == (RatMatrix.identity(center.n),)
         assert tables == []
         find_idempotents(center_basis(bin_cubics))
@@ -637,7 +637,7 @@ class TestStructureConstants:
         v, w = data.draw(coords), data.draw(coords)
         product = z.matrix(_apply(z.operator(v), w), z.scale)
         assert product == jordan_product(z.matrix(v, 1), z.matrix(w, 1))
-        assert z.matrix(z.one, 1).is_identity()
+        assert z.matrix(z.one, 1) == RatMatrix.identity(center.n)
 
 
 def closed_by_products(rows, n, pivots, denom):
@@ -696,7 +696,8 @@ class TestPackedJordanTable:
         # dependent rows take the general elimination, to the same rows
         a = mat([[1, 0, 0], [0, 2, 0], [0, 0, 2]])
         independent = _Coordinates(CenterBasis(3, (RatMatrix.identity(3), a)))
-        dependent = _Coordinates(CenterBasis(3, (RatMatrix.identity(3), a, a + a)))
+        twice = mat([[2, 0, 0], [0, 4, 0], [0, 0, 4]])
+        dependent = _Coordinates(CenterBasis(3, (RatMatrix.identity(3), a, twice)))
         assert dependent.r == independent.r == 2
         assert (dependent.rows, dependent.denom) == (independent.rows, independent.denom)
 
@@ -741,7 +742,7 @@ class TestVerifyComplete:
         # a non-central idempotent and I minus it satisfy every identity
         e = mat([[1, 1], [0, 0]])
         assert e * e == e and not membership_check(e, bin_cubics)
-        idem = IdempotentSet(2, (e, RatMatrix.identity(2) - e))
+        idem = IdempotentSet(2, (e, mat([[0, -1], [0, 1]])))  # I - e
         assert not verify_complete(idem, bin_cubics)
 
 

@@ -1,5 +1,7 @@
 """Planted instance generation and the dense brute-force center oracle."""
 
+import hashlib
+
 import pytest
 
 from algebra_helpers import brute_force_center_dim
@@ -8,9 +10,24 @@ from polydecomp import (
     center_basis,
     decompose_recursive,
     generate,
+    render_canonical,
     verify_decomposition,
 )
 from polydecomp.ratlinalg import invert
+
+# (n, m, block sizes, max degree) for the pinned sweep over seeds 1-20:
+# singleton blocks, one to three polynomials, degrees 3 to 5
+PINNED_SHAPES = [
+    (2, 2, (1, 1), 3),
+    (3, 1, (3,), 4),
+    (4, 3, (1, 3), 3),
+    (5, 2, (2, 1, 2), 5),
+    (6, 3, (1, 1, 2, 2), 4),
+    (4, 1, (1, 1, 1, 1), 5),
+]
+# SHA-256 over the sweep's rendered fs, unmixed and Q rows: a change that
+# keeps the generated instances keeps it
+PINNED_DIGEST = "171e264f2b0d14bd3fc576107e496bc7f2c0e5201c209ea16d061ec7b66a4fc8"
 
 
 class TestGenerate:
@@ -41,6 +58,17 @@ class TestGenerate:
                     if e:
                         used.add(i)
             assert used == set(range(5))
+
+    def test_output_is_pinned(self):
+        digest = hashlib.sha256()
+        for seed in range(1, 21):
+            for n, m, blocks, degree in PINNED_SHAPES:
+                inst = generate(seed, n, m, blocks, degree)
+                names = [f"x{i}" for i in range(n)]
+                lines = [render_canonical(p, names) for p in inst.fs + inst.unmixed]
+                lines += [" ".join(map(str, inst.Q.row(r))) for r in range(n)]
+                digest.update("\n".join(lines).encode() + b"\n")
+        assert digest.hexdigest() == PINNED_DIGEST
 
     def test_invalid_blocks(self):
         with pytest.raises(ValueError):

@@ -28,6 +28,7 @@ from algebra_helpers import (
     same_span,
     scaled_rows,
     span_intersection,
+    sympy_matrix,
     sympy_poly,
     unipoly,
     wang_reconstruct,
@@ -191,7 +192,7 @@ def from_sympy(x):
 
 def sympy_nullspace(m):
     """Oracle: sympy's kernel basis, which uses the same free-column form."""
-    return [tuple(map(from_sympy, col)) for col in to_sympy(m).nullspace()]
+    return [tuple(map(from_sympy, col)) for col in sympy_matrix(m).nullspace()]
 
 
 def assert_same_typed(vectors, expected):
@@ -207,7 +208,7 @@ def assert_matches_oracle(m, p=None):
     the rows that raised the rank are as many as the rational rank."""
     kernel, independent = kernel_mod(matrix_rows(m), m.cols, p)
     assert kernel == residues(sympy_nullspace(m), p)
-    assert len(independent) == to_sympy(m).rank()
+    assert len(independent) == sympy_matrix(m).rank()
 
 
 FIRST_PRIME = _kernel_prime(0)
@@ -228,14 +229,10 @@ def rational_matrices(draw):
     # rank-deficient: a product through an inner dimension below both sides
     inner = draw(st.integers(0, min(rows, cols) - 1))
     if inner == 0:
-        return RatMatrix.zeros(rows, cols)
+        return RatMatrix(rows, cols, [0] * (rows * cols))
     left = RatMatrix(rows, inner, draw(rational_lists(rows * inner)))
     right = RatMatrix(inner, cols, draw(rational_lists(inner * cols)))
     return left * right
-
-
-def to_sympy(m):
-    return sympy.Matrix(m.rows, m.cols, [sympy.Rational(str(x)) for x in vec(m)])
 
 
 @st.composite
@@ -244,10 +241,32 @@ def product_operands(draw):
 
     def operand(r, c):
         if draw(st.integers(0, 5)) == 0:
-            return RatMatrix.zeros(r, c)
+            return RatMatrix(r, c, [0] * (r * c))
         return RatMatrix(r, c, draw(rational_lists(r * c)))
 
     return operand(rows, inner), operand(inner, cols)
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("entry", [0.1, 0.5, sympy.Rational(1, 10), None])
+    def test_entries_must_be_exact(self, entry):
+        # RatMatrix(1, 1, [0.1]) held 3602879701896397/36028797018963968
+        with pytest.raises(TypeError, match="expected an int, a Fraction or a string"):
+            RatMatrix(1, 1, [entry])
+        with pytest.raises(TypeError):
+            RatMatrix.from_rows([[1, entry]])
+
+    def test_exact_strings_and_fractions_are_entries(self):
+        m = RatMatrix(1, 3, ["0.1", "-3/4", Fraction(6, 3)])
+        assert m.row(0) == (Fraction(1, 10), Fraction(-3, 4), 2)
+        assert type(m.entry(0, 2)) is int
+
+    @pytest.mark.parametrize("build", [RatMatrix.from_rows, RatMatrix.from_columns])
+    def test_no_rows_or_columns_is_refused(self, build):
+        with pytest.raises(ValueError, match="at least one"):
+            build([])
+        with pytest.raises(ValueError):
+            build([[]])
 
 
 class TestProductOracle:
@@ -256,9 +275,9 @@ class TestProductOracle:
     def test_random_products(self, operands):
         left, right = operands
         product = left * right
-        expected = to_sympy(left) * to_sympy(right)
+        expected = sympy_matrix(left) * sympy_matrix(right)
         assert (product.rows, product.cols) == expected.shape
-        assert to_sympy(product) == expected
+        assert sympy_matrix(product) == expected
         # integral entries are ints, the rest Fractions
         assert all(type(x) is int or x.denominator > 1 for x in vec(product))
 
@@ -326,7 +345,7 @@ class TestNullspaceOracle:
         assert _reconstruct(_crt(first, p, second, q), p * q) == {1: {0: Fraction(-b, a)}}
 
     def test_zero_matrix(self):
-        assert_matches_oracle(RatMatrix.zeros(2, 4))
+        assert_matches_oracle(RatMatrix(2, 4, [0] * 8))
 
     def test_full_rank(self):
         m = mat([[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]])
@@ -353,7 +372,7 @@ def matrix_of_shape(draw, rows, cols):
     if inner == min(rows, cols):
         return block(rows, cols)
     if inner == 0:
-        return RatMatrix.zeros(rows, cols)
+        return RatMatrix(rows, cols, [0] * (rows * cols))
     return block(rows, inner) * block(inner, cols)
 
 
@@ -420,7 +439,7 @@ class TestEchelonOracle:
     @given(echelon_inputs())
     def test_rank_plus_nullity(self, m):
         rank = len(echelon_rows(matrix_rows(m), m.cols))
-        assert rank == to_sympy(m).rank()
+        assert rank == sympy_matrix(m).rank()
         # the rank modulo a prime never exceeds the rational rank: the
         # bound on the center's dimension that its lift rests on
         kernel, independent = kernel_mod(matrix_rows(m), m.cols)
@@ -429,7 +448,7 @@ class TestEchelonOracle:
     @settings(max_examples=150, deadline=None)
     @given(echelon_inputs())
     def test_row_and_column_spaces(self, m):
-        reduced, pivots = to_sympy(m).rref()
+        reduced, pivots = sympy_matrix(m).rref()
         assert_same_typed(
             echelon_rows(matrix_rows(m), m.cols), sympy_rows(reduced)[: len(pivots)]
         )
@@ -443,7 +462,7 @@ class TestEchelonOracle:
     @settings(max_examples=150, deadline=None)
     @given(square_matrices())
     def test_invert(self, m):
-        oracle = to_sympy(m)
+        oracle = sympy_matrix(m)
         rank = oracle.rank()
         if rank < m.rows:
             with pytest.raises(SingularMatrix, match=f"rank {rank} < {m.rows}"):
@@ -461,7 +480,7 @@ class TestEchelonOracle:
         coeffs = mp.coefficients()
         assert coeffs[-1] == 1
         assert all(type(c) is int for c in coeffs)
-        oracle = to_sympy(m)
+        oracle = sympy_matrix(m)
         value = sympy.zeros(m.rows, m.rows)
         for c in reversed(coeffs):
             value = value * oracle + sympy.Rational(str(c)) * sympy.eye(m.rows)
@@ -476,15 +495,15 @@ class TestEchelonOracle:
         v = integral(RatMatrix(m.rows, 1, data.draw(rational_lists(m.rows))))
         p = minimal_polynomial(krylov_vectors(m, v))
         assert p.coefficients()[-1] == 1
-        assert (at_matrix(sympy_poly(p), m) * v).is_zero()
+        assert (at_matrix(sympy_poly(p), m) * sympy_matrix(v)).is_zero_matrix
         assert sympy_poly(minimal_polynomial(krylov_vectors(m))).rem(sympy_poly(p)).is_zero
-        oracle, column = to_sympy(m), to_sympy(v)
+        oracle, column = sympy_matrix(m), sympy_matrix(v)
         krylov = sympy.Matrix.hstack(*(oracle**k * column for k in range(m.rows + 1)))
         assert p.degree == krylov.rank()
 
     @pytest.mark.parametrize("m", [UNLUCKY, BIG], ids=["unlucky_prime", "above_2_61"])
     def test_fixed_cases(self, m):
-        oracle = to_sympy(m)
+        oracle = sympy_matrix(m)
         full = [tuple(int(r == c) for c in range(m.cols)) for r in range(m.rows)]
         assert_same_typed(echelon_rows(matrix_rows(m), m.cols), full)
         assert column_space_basis(m) == ([m.column(c) for c in range(m.cols)], full)
@@ -498,7 +517,7 @@ class TestEchelonOracle:
     def test_unlucky_prime_rank_one(self):
         # rank 1 modulo the first prime, rank 2 over the rationals
         m = mat([[1 + FIRST_PRIME, 1, 2], [1, 1, 2]])
-        reduced, _ = to_sympy(m).rref()
+        reduced, _ = sympy_matrix(m).rref()
         assert_same_typed(echelon_rows(matrix_rows(m), 3), sympy_rows(reduced))
 
     @pytest.mark.parametrize(
@@ -643,7 +662,7 @@ class TestColumnSpace:
         assert sum(a * b for a, b in zip(rows[0], basis[0])) == 1
 
     def test_zero_matrix(self):
-        assert column_space_basis(RatMatrix.zeros(3, 3)) == ([], [])
+        assert column_space_basis(RatMatrix(3, 3, [0] * 9)) == ([], [])
 
 
 class TestMinimalPolynomial:
@@ -663,18 +682,18 @@ class TestMinimalPolynomial:
         for _ in range(10):
             m = rand_matrix(rng, 3, 3, -3, 3)
             mp = minimal_polynomial(krylov_vectors(m))
-            assert at_matrix(sympy_poly(mp), m).is_zero()
+            assert at_matrix(sympy_poly(mp), m).is_zero_matrix
             # no proper monic divisor annihilates: drop one coprime factor
             for f in primary_coprime_factors(mp):
                 quotient = sympy_poly(mp).exquo(sympy_poly(f))
                 if quotient.degree() >= 1:
-                    assert not at_matrix(quotient, m).is_zero()
+                    assert not at_matrix(quotient, m).is_zero_matrix
 
     def test_start_column_cases(self):
         m = mat([[2, 0, 0], [0, 3, 0], [0, 0, 3]])
         assert minimal_polynomial(krylov_vectors(m, mat([[1], [0], [0]]))) == UniPoly([-2, 1])
         assert minimal_polynomial(krylov_vectors(m, mat([[1], [1], [0]]))) == UniPoly([6, -5, 1])
-        assert minimal_polynomial(krylov_vectors(m, RatMatrix.zeros(3, 1))) == UniPoly([1])
+        assert minimal_polynomial(krylov_vectors(m, RatMatrix(3, 1, [0] * 3))) == UniPoly([1])
         # the first dependency, even where later vectors are independent
         assert minimal_polynomial([(1, 0), (0, 0), (0, 1)]) == UniPoly([0, 1])
         # vectors with no dependency among them have no such polynomial
